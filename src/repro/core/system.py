@@ -4,14 +4,16 @@ Glues everything together: a base PPR algorithm, the Quota controller
 (optional — omit it to replay the algorithm at its default setting, the
 paper's baselines), the Seed reordering queue (epsilon_r > 0), online
 arrival-rate monitoring with periodic re-optimization, and the
-virtual-time FCFS clock.
+virtual-time FCFS clock (:func:`repro.queueing.replay.replay`, the
+schedule shared with the modeled simulators).
 
 Timing model (the DESIGN.md substitution): the server's virtual clock
 advances by the *measured wall time* of each executed operation —
-query, update, deferred-update flush, and (optionally) reconfiguration
-work such as index rebuilds triggered by a hyperparameter change.
-Response time of a query = (virtual completion) - (virtual arrival),
-matching the paper's R_q.
+query, update, each deferred update of a flush, and the in-line part of
+a reconfiguration (applying a new beta: an index rebuild for the
+index-based algorithms; the controller's solve runs out-of-band, as the
+paper's Table IV reports it).  Response time of a query = (virtual
+completion) - (virtual arrival), matching the paper's R_q.
 """
 
 from __future__ import annotations
@@ -20,29 +22,20 @@ import time
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, TypeVar, cast
+from typing import TYPE_CHECKING
 
-from repro.cache import (
-    VECTOR,
-    CacheKey,
-    ChargingApplier,
-    PPRCache,
-    StalenessTracker,
-    make_key,
-)
+from repro.cache import PPRCache, StalenessTracker
 from repro.core.quota import QuotaController, QuotaDecision
-from repro.core.seed import SeedQueue, UpdateApplier
+from repro.core.seed import SeedQueue
 from repro.obs import MetricsRegistry, get_metrics
 from repro.ppr.base import DynamicPPRAlgorithm, PPRVector
-from repro.queueing.simulator import CompletedRequest, SimulationResult
-from repro.queueing.workload import QUERY, UPDATE, Request, Workload
+from repro.queueing.replay import MeasuredExecutor, SimulationResult, replay
+from repro.queueing.workload import QUERY, Request, Workload
 
 if TYPE_CHECKING:  # runtime import stays lazy (serving imports core)
     from repro.serving.runtime import ServingRuntime
 
 QueryCallback = Callable[[Request, PPRVector, int], None]
-
-_T = TypeVar("_T")
 
 
 @dataclass(slots=True)
@@ -153,15 +146,6 @@ class QuotaSystem:
         :meth:`configure_static` is called.
     rate_window:
         Sliding-window length (virtual seconds) of the rate monitor.
-    charge_solve:
-        Charge the controller's solve time to the virtual server clock.
-        Default False: the search runs out-of-band (a side thread in a
-        real deployment; the paper's Table IV reports it separately
-        from serving).
-    charge_apply:
-        Charge the cost of *applying* a new beta — an index rebuild for
-        index-based algorithms — to the server clock.  Default True:
-        the index is shared state the server must rebuild in-line.
     cache:
         Optional :class:`~repro.cache.PPRCache`.  Queries look up
         before computing (a hit costs only the measured lookup time on
@@ -187,8 +171,6 @@ class QuotaSystem:
         epsilon_r: float = 0.0,
         reoptimize_every: float | None = None,
         rate_window: float = 10.0,
-        charge_solve: bool = False,
-        charge_apply: bool = True,
         rate_change_threshold: float = 0.15,
         beta_change_threshold: float = 0.10,
         cache: PPRCache | None = None,
@@ -203,8 +185,6 @@ class QuotaSystem:
         self.reoptimize_every = reoptimize_every
         self.drift_detector = drift_detector
         self.rate_estimator = RateEstimator(window=rate_window)
-        self.charge_solve = charge_solve
-        self.charge_apply = charge_apply
         # hysteresis for the online loop: skip re-solving when the
         # monitored rates barely moved, and skip re-applying beta (an
         # index rebuild for index-based algorithms) when the solution
@@ -287,179 +267,34 @@ class QuotaSystem:
         seed_queue = SeedQueue(
             self.algorithm.graph, self.algorithm.params.alpha, self.epsilon_r
         )
-        # flush paths go through the charging wrapper so each update is
-        # charged against the degrees it actually saw (not post-batch)
-        applier: UpdateApplier = (
-            ChargingApplier(self.algorithm, self._staleness)
-            if self._staleness is not None
-            else self.algorithm
-        )
-        cache = self.cache
-        completed: list[CompletedRequest] = []
-        server_free = 0.0
-        self._last_reoptimize = 0.0
 
-        for request in workload:
-            self.rate_estimator.observe(request.kind, request.arrival)
-            if self.drift_detector is not None:
-                self.drift_detector.observe(request.kind, request.arrival)
-            server_free = self._maybe_reoptimize(request.arrival, server_free)
-            # Opportunistically drain deferred updates while the server
-            # idles before this arrival — deferral should steal time
-            # from queries only under contention (Lemma 3's regime).
-            server_free = self._drain_idle(
-                seed_queue, applier, completed, server_free, request.arrival
-            )
-
-            if request.kind == UPDATE:
-                update = request.update
-                assert update is not None  # UPDATE requests carry one
-                if self.epsilon_r > 0.0:
-                    # Seed: defer; the cost is paid at flush time.
-                    seed_queue.add(update, request.arrival)
-                    continue
-                start = max(request.arrival, server_free)
-                elapsed = self._timed(
-                    lambda: applier.apply_update(update)
-                )[1]
-                self.metrics.histogram("service.update").observe(elapsed)
-                finish = start + elapsed
-                completed.append(
-                    CompletedRequest(request, start, finish, elapsed)
-                )
-                server_free = finish
-                continue
-
-            # --- query ---------------------------------------------------
-            source = request.source
-            assert source is not None  # QUERY requests carry one
-            start = max(request.arrival, server_free)
-            key: CacheKey | None = None
-            if cache is not None:
-                key = self._cache_key(source)
-                hit_key = key
-                entry, lookup_elapsed = self._timed(
-                    lambda: cache.lookup(hit_key)
-                )
-                if entry is not None:
-                    # a hit costs only the lookup and skips the Seed
-                    # flush check: epsilon_c already covers every
-                    # applied update, and the deferred ones are
-                    # invisible to a fresh recompute too
-                    self.metrics.histogram("service.query_hit").observe(
-                        lookup_elapsed
-                    )
-                    finish = start + lookup_elapsed
-                    completed.append(
-                        CompletedRequest(
-                            request, start, finish, lookup_elapsed
-                        )
-                    )
-                    server_free = finish
-                    if query_callback is not None:
-                        query_callback(
-                            request,
-                            cast(PPRVector, entry.value),
-                            len(seed_queue),
-                        )
-                    continue
-            if len(seed_queue) and seed_queue.should_flush(source):
-                # the query must wait for the forced flush: the deferred
-                # updates occupy the server first, then the query runs
-                flushed, flush_elapsed = self._timed(
-                    lambda: seed_queue.flush(applier)
-                )
-                self.metrics.histogram("service.flush").observe(flush_elapsed)
-                flush_finish = start + flush_elapsed
-                share = flush_elapsed / max(len(flushed), 1)
-                for item in flushed:
-                    completed.append(
-                        CompletedRequest(
-                            Request(
-                                item.arrival, UPDATE, update=item.update
-                            ),
-                            start,
-                            flush_finish,
-                            share,
-                        )
-                    )
-                start = flush_finish
-            estimate, query_elapsed = self._timed(
-                lambda: self.algorithm.query(source)
-            )
-            self.metrics.histogram("service.query").observe(query_elapsed)
-            if cache is not None and key is not None:
-                cache.insert(
-                    key,
-                    estimate,
-                    self.algorithm.graph.version,
-                    cost_s=query_elapsed,
-                    pi_estimate=estimate.get,
-                )
-            finish = start + query_elapsed
-            completed.append(
-                CompletedRequest(request, start, finish, query_elapsed)
-            )
-            server_free = finish
+        def on_answer(request: Request, estimate: PPRVector) -> None:
             if query_callback is not None:
                 query_callback(request, estimate, len(seed_queue))
 
-        # Drain any still-pending updates after the window closes.
-        if len(seed_queue):
-            drain_from = max(
-                server_free,
-                max(item.arrival for item in seed_queue.pending),
-            )
-            flushed, elapsed = self._timed(
-                lambda: seed_queue.flush(applier)
-            )
-            self.metrics.histogram("service.flush").observe(elapsed)
-            finish = drain_from + elapsed
-            for item in flushed:
-                completed.append(
-                    CompletedRequest(
-                        Request(item.arrival, UPDATE, update=item.update),
-                        drain_from,
-                        finish,
-                        elapsed / max(len(flushed), 1),
-                    )
-                )
-            server_free = finish
-
-        completed.sort(key=lambda c: (c.start, c.arrival))
-        return SimulationResult(completed, workload.t_end)
+        self._last_reoptimize = 0.0
+        return replay(
+            workload,
+            MeasuredExecutor(
+                self.algorithm,
+                self.metrics,
+                on_answer,
+                cache=self.cache,
+                staleness=self._staleness,
+            ),
+            seed_queue=seed_queue,
+            on_arrival=self._on_arrival,
+        )
 
     # ------------------------------------------------------------------
-    def _drain_idle(
-        self,
-        seed_queue: SeedQueue,
-        applier: UpdateApplier,
-        completed: list[CompletedRequest],
-        server_free: float,
-        until: float,
-    ) -> float:
-        """Apply pending updates one at a time while the server is idle."""
-        while len(seed_queue) and server_free < until:
-            item, elapsed = self._timed(
-                lambda: seed_queue.flush_one(applier)
-            )
-            assert item is not None  # queue was non-empty
-            self.metrics.histogram("service.update").observe(elapsed)
-            # an update cannot start before it arrived
-            start = max(server_free, item.arrival)
-            finish = start + elapsed
-            completed.append(
-                CompletedRequest(
-                    Request(item.arrival, UPDATE, update=item.update),
-                    start,
-                    finish,
-                    elapsed,
-                )
-            )
-            server_free = finish
-        return server_free
+    def _on_arrival(self, request: Request) -> float:
+        """Monitor the rates; returns reconfiguration seconds to charge."""
+        self.rate_estimator.observe(request.kind, request.arrival)
+        if self.drift_detector is not None:
+            self.drift_detector.observe(request.kind, request.arrival)
+        return self._maybe_reoptimize(request.arrival)
 
-    def _maybe_reoptimize(self, now: float, server_free: float) -> float:
+    def _maybe_reoptimize(self, now: float) -> float:
         """Online reconfiguration from monitored rates.
 
         Two trigger modes: the paper's fixed-period loop
@@ -467,30 +302,34 @@ class QuotaSystem:
         :class:`RateDriftDetector` is attached — event-driven
         re-configuration the moment the monitored rates drift past the
         detector's threshold (the ROADMAP online re-optimization loop).
+
+        Returns the seconds the server spent applying a new beta (the
+        index is shared state it must rebuild in-line); the solve
+        itself is not charged.
         """
         if self.controller is None:
-            return server_free
+            return 0.0
         if self.drift_detector is not None:
             drifted = self.drift_detector.check(now)
             if drifted is None:
-                return server_free
+                return 0.0
             lambda_q, lambda_u = drifted
             if lambda_q <= 0:
-                return server_free
+                return 0.0
             self.drift_detector.rearm(lambda_q, lambda_u)
         else:
             if self.reoptimize_every is None:
-                return server_free
+                return 0.0
             if now - self._last_reoptimize < self.reoptimize_every:
-                return server_free
+                return 0.0
             self._last_reoptimize = now
             lambda_q, lambda_u = self.rate_estimator.rates(now)
             if lambda_q <= 0:
-                return server_free
+                return 0.0
             if self._configured_rates is not None and not self._rates_moved(
                 lambda_q, lambda_u
             ):
-                return server_free
+                return 0.0
 
         current = self.algorithm.get_hyperparameters()
         decision = self.controller.configure(
@@ -498,20 +337,13 @@ class QuotaSystem:
         )
         self._configured_rates = (lambda_q, lambda_u)
         self.decisions.append(decision)
-        apply_elapsed = 0.0
-        if self._beta_moved(current, decision.beta):
-            _, apply_elapsed = self._timed(
-                lambda: self.algorithm.set_hyperparameters(**decision.beta)
-            )
-            self.metrics.histogram("service.reconfigure").observe(apply_elapsed)
-        charged = 0.0
-        if self.charge_solve:
-            charged += decision.configure_seconds
-        if self.charge_apply:
-            charged += apply_elapsed
-        if charged > 0.0:
-            return max(now, server_free) + charged
-        return server_free
+        if not self._beta_moved(current, decision.beta):
+            return 0.0
+        started = time.perf_counter()
+        self.algorithm.set_hyperparameters(**decision.beta)
+        apply_elapsed = time.perf_counter() - started
+        self.metrics.histogram("service.reconfigure").observe(apply_elapsed)
+        return apply_elapsed
 
     def _rates_moved(self, lambda_q: float, lambda_u: float) -> bool:
         """True when either monitored rate drifted past the threshold."""
@@ -538,19 +370,3 @@ class QuotaSystem:
             if abs(new - old) / old > self.beta_change_threshold:
                 return True
         return False
-
-    def _cache_key(self, source: int) -> CacheKey:
-        """Cache identity of a query at the current configuration."""
-        return make_key(
-            source,
-            self.algorithm.name,
-            self.algorithm.get_hyperparameters(),
-            VECTOR,
-        )
-
-    @staticmethod
-    def _timed(fn: Callable[[], _T]) -> tuple[_T, float]:
-        """(result, elapsed_wall_seconds) of ``fn()``."""
-        started = time.perf_counter()
-        result = fn()
-        return result, time.perf_counter() - started

@@ -7,7 +7,8 @@ queueing delay plus service time.  This subpackage provides:
 * arrival-time processes (Poisson and the Table III alternatives),
 * workload generation, including the Figure 4 dynamic rate patterns,
 * the queueing-theory formulas of Section IV-A (Eq. 2, Lemma 1),
-* a virtual-time FCFS discrete-event simulator.
+* one virtual-time discrete-event replay loop (:mod:`~repro.queueing.replay`)
+  and its two simulator front ends: strict FCFS and Seed-aware.
 """
 
 from repro.queueing.arrivals import (
@@ -44,7 +45,7 @@ from repro.queueing.workload import (
 )
 
 # imported last: seed_simulator pulls in repro.core (Seed), which in
-# turn imports repro.queueing.simulator/workload — both fully loaded by
+# turn imports repro.queueing.replay/workload — both fully loaded by
 # this point, keeping the package import acyclic
 from repro.queueing.seed_simulator import SeedAwareQueueSimulator  # noqa: E402
 

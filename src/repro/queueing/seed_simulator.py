@@ -1,4 +1,4 @@
-"""Event-driven k-server simulator with Seed reordering + idle drain.
+"""Seed-aware k-server simulator: the replay loop with a Seed queue.
 
 :class:`~repro.queueing.simulator.FCFSQueueSimulator` replays strict
 FCFS; the measured serving loop
@@ -6,64 +6,27 @@ FCFS; the measured serving loop
 :class:`~repro.serving.ServingRuntime`) additionally defers updates
 through the Seed queue, forces a flush when a query's ordering-error
 budget is exceeded, and drains deferred updates while servers idle.
-:class:`SeedAwareQueueSimulator` models *those* semantics in virtual
-time, for any number of servers, so modeled and measured runs of the
-same workload are directly comparable (the Issue-3 measured-vs-modeled
-contract; see docs/DEVELOPMENT.md).
-
-Semantics
----------
-* **k servers** — each executing request occupies the earliest-free
-  server (min-heap of per-server next-free times, the event queue of
-  the discrete simulation).
-* **Seed reordering** (``epsilon_r > 0``) — updates are deferred into a
-  :class:`~repro.core.seed.SeedQueue` at zero server cost; a query
-  whose Lemma 2 bound exceeds ``epsilon_r`` first pays for a full flush
-  on its server, then runs.
-* **Idle drain** — between arrivals, any server idle before the next
-  arrival applies pending updates one at a time (oldest first).
-* **Modeled time, real structure** — service durations come from the
-  caller's ``service_fn`` (a cost model), but updates *do* mutate the
-  supplied graph so Seed's degree-dependent bookkeeping tracks the
-  true structure, exactly as in a measured run.
-
-Single-writer approximation: in the measured runtime, updates and
-flushes serialize through one writer and briefly exclude readers; here
-a flush occupies only the server that triggered it.  The approximation
-is documented rather than modeled — it biases the simulation slightly
-optimistic under heavy update traffic.
+:class:`SeedAwareQueueSimulator` runs *those* semantics in modeled
+time, for any number of servers: it is :func:`repro.queueing.replay.replay`
+(see there for the schedule) over a fresh
+:class:`~repro.core.seed.SeedQueue` and a
+:class:`~repro.queueing.replay.ModeledExecutor` that really mutates the
+graph, so modeled and measured runs of the same workload are directly
+comparable (the measured-vs-modeled contract; see docs/DEVELOPMENT.md).
 """
 
 from __future__ import annotations
 
-import heapq
-from collections.abc import Callable
-
 from repro.cache.staleness import ReplayCache
 from repro.core.seed import SeedQueue
 from repro.graph.digraph import DynamicGraph
-from repro.graph.updates import EdgeUpdate
-from repro.queueing.simulator import (
-    CompletedRequest,
+from repro.queueing.replay import (
+    ModeledExecutor,
     ServiceFn,
     SimulationResult,
-    validate_service,
+    replay,
 )
-from repro.queueing.workload import UPDATE, Request, Workload
-
-ApplyFn = Callable[[EdgeUpdate], EdgeUpdate]
-
-
-class _GraphApplier:
-    """Minimal :class:`~repro.core.seed.UpdateApplier` over a graph."""
-
-    __slots__ = ("_apply",)
-
-    def __init__(self, apply_fn: ApplyFn) -> None:
-        self._apply = apply_fn
-
-    def apply_update(self, update: EdgeUpdate) -> EdgeUpdate:
-        return self._apply(update)
+from repro.queueing.workload import Request, Workload
 
 
 class SeedAwareQueueSimulator:
@@ -77,27 +40,21 @@ class SeedAwareQueueSimulator:
         function (one call per flushed update), so query/update/flush
         costs stay mutually consistent.
     graph:
-        The live graph; updates mutate it (structure is real, time is
-        modeled) so the Seed bound sees true degrees.
+        The live graph; updates toggle its edges (structure is real,
+        time is modeled) so the Seed bound sees true degrees.
     alpha, epsilon_r:
         Seed parameters; ``epsilon_r = 0`` restores strict FCFS and
         makes ``servers=1`` runs coincide with
         :class:`~repro.queueing.simulator.FCFSQueueSimulator`.
     servers:
         Number of modeled servers (k of the parallel-serving bench).
-    apply_update:
-        Override for how an update is executed (default: toggle the
-        edge on ``graph``).  An index-based algorithm's
-        ``apply_update`` can be passed to keep its index in sync.
     cache:
         Optional :class:`~repro.cache.ReplayCache` reproducing the
         serving runtime's hit/miss mixture: a query that hits is
         charged ``cache.hit_service_s`` and skips the Seed flush
-        check (its staleness budget covers applied updates; deferred
-        ones are invisible to a fresh recompute too); a miss runs
-        normally and is admitted.  Every applied update — direct,
-        idle-drained, or flushed — charges the cache's staleness
-        tracker right after mutating the graph.
+        check; a miss runs normally and is admitted.  Every applied
+        update — direct, idle-drained, or flushed — charges the
+        cache's staleness tracker right after mutating the graph.
     """
 
     def __init__(
@@ -107,163 +64,29 @@ class SeedAwareQueueSimulator:
         alpha: float = 0.2,
         epsilon_r: float = 0.0,
         servers: int = 1,
-        apply_update: ApplyFn | None = None,
         cache: ReplayCache | None = None,
     ) -> None:
         if servers < 1:
             raise ValueError("servers must be >= 1")
-        self._service_fn = service_fn
         self._graph = graph
         self._alpha = alpha
         self._epsilon_r = epsilon_r
         self._servers = servers
-        self._cache = cache
-        apply_fn: ApplyFn = (
-            apply_update
-            if apply_update is not None
-            else lambda update: update.apply(graph)
-        )
-        if cache is not None:
-            # every apply path (direct, idle drain, forced flush) runs
-            # through this applier, so charging here covers them all —
-            # and charges each update against the degrees it saw
-            base_fn = apply_fn
+        self._executor = ModeledExecutor(service_fn, graph=graph, cache=cache)
 
-            def charging_fn(update: EdgeUpdate) -> EdgeUpdate:
-                resolved = base_fn(update)
-                assert cache is not None
-                cache.on_update(resolved)
-                return resolved
-
-            apply_fn = charging_fn
-        self._applier = _GraphApplier(apply_fn)
-
-    # ------------------------------------------------------------------
-    def _service(self, request: Request) -> float:
-        return validate_service(float(self._service_fn(request)), request)
-
-    def _drain_idle(
-        self,
-        seed_queue: SeedQueue,
-        free_at: list[float],
-        completed: list[CompletedRequest],
-        until: float,
-    ) -> None:
-        """Apply pending updates on servers idle before ``until``."""
-        while free_at[0] < until:
-            head = seed_queue.peek()
-            if head is None:
-                break
-            request = Request(head.arrival, UPDATE, update=head.update)
-            service = self._service(request)
-            free = heapq.heappop(free_at)
-            start = max(free, head.arrival)
-            finish = start + service
-            item = seed_queue.flush_one(self._applier)
-            assert item is not None  # queue was non-empty
-            completed.append(CompletedRequest(request, start, finish, service))
-            heapq.heappush(free_at, finish)
-
-    def _flush_all(
-        self,
-        seed_queue: SeedQueue,
-        completed: list[CompletedRequest],
-        start: float,
-    ) -> float:
-        """Charge a full flush sequentially from ``start``; return end."""
-        clock = start
-        while True:
-            head = seed_queue.peek()
-            if head is None:
-                break
-            request = Request(head.arrival, UPDATE, update=head.update)
-            service = self._service(request)
-            item = seed_queue.flush_one(self._applier)
-            assert item is not None
-            completed.append(
-                CompletedRequest(request, clock, clock + service, service)
-            )
-            clock += service
-        return clock
-
-    # ------------------------------------------------------------------
     def run(
         self,
         workload: Workload | list[Request],
         t_end: float | None = None,
     ) -> SimulationResult:
         """Replay ``workload`` through the modeled Seed-aware servers."""
-        if isinstance(workload, Workload):
-            requests = list(workload.requests)
-            horizon = workload.t_end if t_end is None else t_end
-        else:
-            requests = sorted(workload, key=lambda r: r.arrival)
-            horizon = t_end
-
-        seed_queue = SeedQueue(self._graph, self._alpha, self._epsilon_r)
-        completed: list[CompletedRequest] = []
-        free_at = [0.0] * self._servers
-        heapq.heapify(free_at)
-
-        for request in requests:
-            self._drain_idle(seed_queue, free_at, completed, request.arrival)
-
-            if request.kind == UPDATE:
-                update = request.update
-                assert update is not None  # UPDATE requests carry one
-                if self._epsilon_r > 0.0:
-                    seed_queue.add(update, request.arrival)
-                    continue
-                service = self._service(request)
-                free = heapq.heappop(free_at)
-                start = max(request.arrival, free)
-                finish = start + service
-                self._applier.apply_update(update)
-                completed.append(
-                    CompletedRequest(request, start, finish, service)
-                )
-                heapq.heappush(free_at, finish)
-                continue
-
-            # --- query -----------------------------------------------
-            source = request.source
-            assert source is not None  # QUERY requests carry one
-            free = heapq.heappop(free_at)
-            start = max(request.arrival, free)
-            if self._cache is not None and self._cache.hit(source):
-                # served from cache: no flush check (epsilon_c covers
-                # applied updates; deferred ones are invisible to a
-                # fresh recompute too), only the hit service time
-                service = self._cache.hit_service_s
-                finish = start + service
-                completed.append(
-                    CompletedRequest(request, start, finish, service)
-                )
-                heapq.heappush(free_at, finish)
-                continue
-            if len(seed_queue) and seed_queue.should_flush(source):
-                start = self._flush_all(seed_queue, completed, start)
-            service = self._service(request)
-            if self._cache is not None:
-                self._cache.admit(source, cost_s=service)
-            finish = start + service
-            completed.append(CompletedRequest(request, start, finish, service))
-            heapq.heappush(free_at, finish)
-
-        # Drain any still-pending updates after the window closes.
-        if len(seed_queue):
-            drain_from = max(
-                free_at[0],
-                max(item.arrival for item in seed_queue.pending),
-            )
-            self._flush_all(seed_queue, completed, drain_from)
-
-        completed.sort(key=lambda c: (c.start, c.arrival))
-        if horizon is None:
-            last_arrival = requests[-1].arrival if requests else 0.0
-            last_finish = max((c.finish for c in completed), default=0.0)
-            horizon = max(last_arrival, last_finish)
-        return SimulationResult(completed, horizon)
+        return replay(
+            workload,
+            self._executor,
+            seed_queue=SeedQueue(self._graph, self._alpha, self._epsilon_r),
+            servers=self._servers,
+            t_end=t_end,
+        )
 
 
 __all__ = ["SeedAwareQueueSimulator"]

@@ -78,8 +78,9 @@ from repro.scenarios.oracles import (
     check_simulation,
     check_staleness_budget,
     check_workload,
+    lindley_reference,
 )
-from repro.serving.runtime import ServingRuntime
+from repro.serving.runtime import ServingReport, ServingRuntime
 
 #: modeled service durations (virtual seconds); rho ~ 0.5 at the
 #: default base rates, so spikes/storms genuinely overload the queue
@@ -252,6 +253,40 @@ def _modeled_card(
     )
 
 
+def _measured_card(
+    name: str,
+    scenario: Scenario,
+    seed: int,
+    report: ServingReport,
+    cache: PPRCache | None,
+    violations: int,
+) -> ReportCard:
+    times = [r.response_s for r in report.completed_queries()]
+    p50, p99 = _percentiles_ms(times)
+    total = len(report.records) if report.records else 1
+    queries = sum(1 for r in report.records if r.kind == QUERY)
+    return ReportCard(
+        scenario=name,
+        family=scenario.family,
+        seed=seed,
+        engine="measured",
+        requests=len(report.records),
+        queries=queries,
+        updates=len(report.records) - queries,
+        p50_ms=p50,
+        p99_ms=p99,
+        deadline_ms=None,  # wall-clock timings; virtual deadline n/a
+        deadline_hit_rate=1.0,
+        shed_rate=report.shed_count / total,
+        timeout_rate=report.timeout_count / total,
+        hit_rate=report.cache_hit_rate(),
+        staleness_budget=FUZZ_EPSILON_C,
+        staleness_spent=cache.worst_staleness() if cache is not None else 0.0,
+        reconfigurations=len(report.decisions),
+        violations=violations,
+    )
+
+
 # ----------------------------------------------------------------------
 # engines
 # ----------------------------------------------------------------------
@@ -303,11 +338,16 @@ def run_modeled(
         scenario.name, "seed-aware", reference, seed_graph
     )
 
-    # the coincidence contract: epsilon_r=0, k=1, no cache => FCFS
+    # the coincidence contract: epsilon_r=0, k=1, no cache => FCFS,
+    # both held against the Lindley recursion (they share the loop)
     differential = SeedAwareQueueSimulator(
         service, graph.copy(), epsilon_r=0.0, servers=1
     ).run(workload)
-    violations += check_modeled_equivalence(scenario.name, fcfs, differential)
+    lindley = lindley_reference(workload, service)
+    violations += check_modeled_equivalence(scenario.name, lindley, fcfs)
+    violations += check_modeled_equivalence(
+        scenario.name, lindley, differential
+    )
 
     cards = [
         _modeled_card(
@@ -382,28 +422,8 @@ def run_measured(
     )
     violations += check_staleness_budget(scenario.name, "measured", cache)
 
-    times = [r.response_s for r in report.completed_queries()]
-    p50, p99 = _percentiles_ms(times)
-    total = len(report.records) if report.records else 1
-    card = ReportCard(
-        scenario=scenario.name,
-        family=scenario.family,
-        seed=seed,
-        engine="measured",
-        requests=len(report.records),
-        queries=sum(1 for r in report.records if r.kind == QUERY),
-        updates=sum(1 for r in report.records if r.kind != QUERY),
-        p50_ms=p50,
-        p99_ms=p99,
-        deadline_ms=None,  # wall-clock timings; virtual deadline n/a
-        deadline_hit_rate=1.0,
-        shed_rate=report.shed_count / total,
-        timeout_rate=report.timeout_count / total,
-        hit_rate=report.cache_hit_rate(),
-        staleness_budget=FUZZ_EPSILON_C,
-        staleness_spent=cache.worst_staleness(),
-        reconfigurations=len(report.decisions),
-        violations=len(violations),
+    card = _measured_card(
+        scenario.name, scenario, seed, report, cache, len(violations)
     )
     return card, violations
 
@@ -493,28 +513,8 @@ def run_drift_demo(
                 "a 12x flash crowd never tripped the drift detector",
             )
         )
-    times = [r.response_s for r in report.completed_queries()]
-    p50, p99 = _percentiles_ms(times)
-    total = len(report.records) if report.records else 1
-    card = ReportCard(
-        scenario=f"{scenario.name}+drift",
-        family=scenario.family,
-        seed=seed,
-        engine="measured",
-        requests=len(report.records),
-        queries=sum(1 for r in report.records if r.kind == QUERY),
-        updates=sum(1 for r in report.records if r.kind != QUERY),
-        p50_ms=p50,
-        p99_ms=p99,
-        deadline_ms=None,
-        deadline_hit_rate=1.0,
-        shed_rate=report.shed_count / total,
-        timeout_rate=report.timeout_count / total,
-        hit_rate=0.0,
-        staleness_budget=FUZZ_EPSILON_C,
-        staleness_spent=0.0,
-        reconfigurations=reconfigured,
-        violations=len(violations),
+    card = _measured_card(
+        f"{scenario.name}+drift", scenario, seed, report, None, len(violations)
     )
     return card, violations
 

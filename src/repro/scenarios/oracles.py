@@ -22,6 +22,10 @@ The oracle set, and why each holds:
   cache, the Seed-aware simulator *is* FCFS: identical per-request
   timelines (the documented coincidence contract of
   :class:`~repro.queueing.seed_simulator.SeedAwareQueueSimulator`).
+  Both simulators run the one replay loop, so the independent side of
+  the differential is :func:`lindley_reference` — the recursion
+  ``start_i = max(arrival_i, finish_{i-1})`` computed straight from
+  the workload, sharing no code with the loop.
 * **final-graph differential** — edge updates use toggle semantics, so
   replaying the same update sequence through any engine must land on
   the same final edge set as a direct sequential application.
@@ -43,7 +47,11 @@ from dataclasses import dataclass
 
 from repro.cache.store import PPRCache
 from repro.graph.digraph import DynamicGraph
-from repro.queueing.simulator import SimulationResult
+from repro.queueing.simulator import (
+    CompletedRequest,
+    ServiceFn,
+    SimulationResult,
+)
 from repro.queueing.workload import QUERY, UPDATE, Workload
 from repro.serving.runtime import FAILED, OK, SHED, TIMEOUT, ServingReport
 
@@ -180,12 +188,34 @@ def check_simulation(
     return violations
 
 
+def lindley_reference(
+    workload: Workload, service_fn: ServiceFn
+) -> SimulationResult:
+    """One FCFS server by the Lindley recursion, nothing else.
+
+    The reference the replay loop's strict-FCFS configurations are
+    compared against; deliberately independent of :mod:`repro.queueing.replay`.
+    """
+    completed: list[CompletedRequest] = []
+    finish = 0.0
+    for request in workload:
+        start = max(request.arrival, finish)
+        service = service_fn(request)
+        finish = start + service
+        completed.append(CompletedRequest(request, start, finish, service))
+    return SimulationResult(completed, workload.t_end)
+
+
 def check_modeled_equivalence(
     scenario_name: str,
     fcfs: SimulationResult,
     seed_aware: SimulationResult,
 ) -> list[OracleViolation]:
-    """FCFS == Seed-aware at ``epsilon_r = 0``, one server, no cache."""
+    """FCFS == Seed-aware at ``epsilon_r = 0``, one server, no cache.
+
+    ``fcfs`` is the expected timeline — :func:`lindley_reference` in
+    the fuzz harness — and ``seed_aware`` the replay under test.
+    """
 
     def bad(detail: str) -> OracleViolation:
         return OracleViolation(
@@ -357,4 +387,5 @@ __all__ = [
     "check_simulation",
     "check_staleness_budget",
     "check_workload",
+    "lindley_reference",
 ]

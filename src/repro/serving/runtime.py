@@ -256,14 +256,18 @@ class ServingRuntime:
         writer critical section, so a query can never observe a
         mutated graph whose updates the cache was not yet charged for.
     on_complete:
-        Optional callback fired once per :class:`ServedRequest`
-        appended to :attr:`records` — every terminal outcome (ok,
-        shed, timeout, failed) of every submitted request, plus
-        deferred-update applications.  Called *after* the records lock
-        is released, but possibly inside a writer critical section
-        (the deferred-flush path), so it must be fast and must never
-        block or take locks that can invert the runtime's order; the
-        shard worker (:mod:`repro.shard.worker`) uses it to push
+        Optional completion sink, called once per
+        :class:`ServedRequest` — every terminal outcome (ok, shed,
+        timeout, failed) of every submitted request, plus
+        deferred-update applications.  A runtime has exactly one sink:
+        with ``on_complete`` the records go to the caller and *only*
+        there (:attr:`records` stays empty and ``serve`` reports carry
+        no records — a long-running server must not retain every
+        result vector it ever produced); without it they accumulate in
+        :attr:`records`.  The callback may run inside a writer critical
+        section (the deferred-flush path), so it must be fast and must
+        never block or take locks that can invert the runtime's order;
+        the shard worker (:mod:`repro.shard.worker`) uses it to push
         completions onto an unbounded outbound queue.  Exceptions are
         swallowed (a broken observer must not take down a worker).
     metrics:
@@ -424,16 +428,7 @@ class ServingRuntime:
         ticket = Ticket(request, now, deadline)
         if self._admission.offer(ticket):
             return True
-        self._record(
-            ServedRequest(
-                request,
-                SHED,
-                now,
-                now,
-                now,
-                shed_reason=SHED_QUEUE_FULL,
-            )
-        )
+        self._finish(ticket, -1, SHED, now, now, shed_reason=SHED_QUEUE_FULL)
         return False
 
     def submit_query(
@@ -451,7 +446,7 @@ class ServingRuntime:
         still-deferred updates."""
         if self._threads:
             self._admission.join()
-        self._flush_deferred(forced=True)
+        self._flush_deferred()
 
     # ------------------------------------------------------------------
     # convenience replay
@@ -463,21 +458,7 @@ class ServingRuntime:
         saturation throughput and per-request latencies of the real
         execution.  Returns a report over the records this call added.
         """
-        first_record = len(self.records)
-        started = time.perf_counter()
-        for request in workload:
-            self.submit(request)
-        self.drain()
-        wall = time.perf_counter() - started
-        with self._records_lock:
-            records = self.records[first_record:]
-        return ServingReport(
-            records=records,
-            wall_s=wall,
-            workers=self.workers,
-            degraded=self._degraded,
-            decisions=list(self.decisions),
-        )
+        return self._submit_all(workload, None, None)
 
     def serve_timed(
         self,
@@ -507,15 +488,26 @@ class ServingRuntime:
             if isinstance(workload, Workload)
             else sorted(workload, key=lambda r: r.arrival)
         )
+        return self._submit_all(requests, time_scale, on_submit)
+
+    def _submit_all(
+        self,
+        requests: Workload | list[Request],
+        time_scale: float | None,
+        on_submit: Callable[[Request, float], None] | None,
+    ) -> ServingReport:
+        """Submit in order — paced by arrival when ``time_scale`` is
+        set — then drain and report."""
         first_record = len(self.records)
         started = time.perf_counter()
         for request in requests:
-            due = started + request.arrival * time_scale
-            while True:
-                remaining = due - time.perf_counter()
-                if remaining <= 0:
-                    break
-                time.sleep(min(remaining, 0.05))
+            if time_scale is not None:
+                due = started + request.arrival * time_scale
+                while True:
+                    remaining = due - time.perf_counter()
+                    if remaining <= 0:
+                        break
+                    time.sleep(min(remaining, 0.05))
             self.submit(request)
             if on_submit is not None:
                 on_submit(request, time.perf_counter() - started)
@@ -541,8 +533,8 @@ class ServingRuntime:
 
         The controller's solve runs out-of-band (no lock held); only
         applying the hyperparameters — an index rebuild for
-        index-based algorithms — excludes queries, mirroring
-        ``QuotaSystem.charge_apply``.
+        index-based algorithms — excludes queries, mirroring what
+        ``QuotaSystem`` charges to its virtual clock.
         """
         if self.controller is None:
             return None
@@ -587,13 +579,56 @@ class ServingRuntime:
     # worker internals
     # ------------------------------------------------------------------
     def _record(self, record: ServedRequest) -> None:
-        with self._records_lock:
-            self.records.append(record)
-        if self._on_complete is not None:
-            try:
-                self._on_complete(record)
-            except Exception:  # pragma: no cover - observer must not kill us
-                pass
+        """Hand ``record`` to the one completion sink (class docstring)."""
+        if self._on_complete is None:
+            with self._records_lock:
+                self.records.append(record)
+            return
+        try:
+            self._on_complete(record)
+        except Exception:  # pragma: no cover - observer must not kill us
+            pass
+
+    def _finish(
+        self,
+        ticket: Ticket,
+        wid: int,
+        status: str,
+        started: float,
+        finished: float,
+        *,
+        version: int = -1,
+        result: object | None = None,
+        cached: bool = False,
+        error: str | None = None,
+        shed_reason: str | None = None,
+    ) -> None:
+        """Record ``ticket``'s terminal outcome — the one place a
+        submitted request ends; an OK one also observes its wait (a
+        query: and response) time."""
+        if status == OK:
+            self.metrics.histogram("serving.wait").observe(
+                started - ticket.submitted_s
+            )
+            if ticket.request.kind == QUERY:
+                self.metrics.histogram("serving.response").observe(
+                    finished - ticket.submitted_s
+                )
+        self._record(
+            ServedRequest(
+                ticket.request,
+                status,
+                ticket.submitted_s,
+                started,
+                finished,
+                result=result,
+                version=version,
+                worker=wid,
+                error=error,
+                shed_reason=shed_reason,
+                cached=cached,
+            )
+        )
 
     def _cache_key(self, source: int) -> CacheKey:
         """Cache identity of a query under the current configuration.
@@ -625,17 +660,9 @@ class ServingRuntime:
             try:
                 self._dispatch(ticket, wid)
             except Exception:  # pragma: no cover - defensive; never die
-                self._record(
-                    ServedRequest(
-                        ticket.request,
-                        FAILED,
-                        ticket.submitted_s,
-                        time.perf_counter(),
-                        time.perf_counter(),
-                        worker=wid,
-                        error=traceback.format_exc(limit=3),
-                    )
-                )
+                now = time.perf_counter()
+                error = traceback.format_exc(limit=3)
+                self._finish(ticket, wid, FAILED, now, now, error=error)
                 self.metrics.counter("serving.faults").inc()
             finally:
                 self._admission.task_done()
@@ -652,10 +679,7 @@ class ServingRuntime:
             return
         extras, stopper = self._collect_batch()
         try:
-            if extras:
-                self._process_query_batch([ticket, *extras], wid)
-            else:
-                self._process(ticket, wid)
+            self._process_queries([ticket, *extras], wid)
         finally:
             for _ in extras:
                 self._admission.task_done()
@@ -693,26 +717,10 @@ class ServingRuntime:
         return extras, stopper
 
     def _process(self, ticket: Ticket, wid: int) -> None:
-        request = ticket.request
-        now = time.perf_counter()
-        if request.kind == QUERY and ticket.expired(now):
-            self.metrics.counter("serving.timeout").inc()
-            self._record(
-                ServedRequest(
-                    request,
-                    TIMEOUT,
-                    ticket.submitted_s,
-                    now,
-                    now,
-                    worker=wid,
-                    shed_reason=SHED_DEADLINE,
-                )
-            )
-            return
-        if request.kind == UPDATE:
+        if ticket.request.kind == UPDATE:
             self._process_update(ticket, wid)
         else:
-            self._process_query(ticket, wid)
+            self._process_queries([ticket], wid)
 
     # -- updates -------------------------------------------------------
     def _process_update(self, ticket: Ticket, wid: int) -> None:
@@ -734,21 +742,8 @@ class ServingRuntime:
             version = self.algorithm.graph.version
             csr_view(self.algorithm.graph)
         finished = time.perf_counter()
-        self.metrics.histogram("serving.wait").observe(
-            started - ticket.submitted_s
-        )
         self.metrics.histogram("service.update").observe(finished - started)
-        self._record(
-            ServedRequest(
-                ticket.request,
-                OK,
-                ticket.submitted_s,
-                started,
-                finished,
-                version=version,
-                worker=wid,
-            )
-        )
+        self._finish(ticket, wid, OK, started, finished, version=version)
 
     # -- queries -------------------------------------------------------
     def _try_cache(self, ticket: Ticket, wid: int) -> bool:
@@ -762,155 +757,77 @@ class ServingRuntime:
         if entry is None:
             return False
         finished = time.perf_counter()
-        self.metrics.histogram("serving.wait").observe(
-            lookup_started - ticket.submitted_s
-        )
         self.metrics.histogram("service.query_hit").observe(
             finished - lookup_started
         )
-        self.metrics.histogram("serving.response").observe(
-            finished - ticket.submitted_s
-        )
-        self._record(
-            ServedRequest(
-                ticket.request,
-                OK,
-                ticket.submitted_s,
-                lookup_started,
-                finished,
-                result=entry.value,
-                version=entry.version,
-                worker=wid,
-                cached=True,
-            )
+        self._finish(
+            ticket,
+            wid,
+            OK,
+            lookup_started,
+            finished,
+            version=entry.version,
+            result=entry.value,
+            cached=True,
         )
         return True
 
-    def _process_query(self, ticket: Ticket, wid: int) -> None:
-        source = ticket.request.source
-        assert source is not None  # QUERY requests carry one
-        if self._try_cache(ticket, wid):
-            return
-        with self._seed_lock:
-            must_flush = len(self._seed_queue) > 0 and (
-                self._seed_queue.should_flush(source)
-            )
-        if must_flush:
-            self._flush_deferred(forced=True, worker=wid)
+    def _process_queries(self, tickets: list[Ticket], wid: int) -> None:
+        """Serve the queries of one dispatch on one graph snapshot.
 
-        started = time.perf_counter()
-        self._rwlock.acquire_read()
-        try:
-            version = self.algorithm.graph.version
-            if self._query_fn is not None:
-                result: object = self._query_fn(self.algorithm.graph, source)
-            else:
-                # default path: algorithm instances keep per-query
-                # scratch state, so serialize (see class docstring)
-                with self._algo_lock:
-                    result = self.algorithm.query(source)
-            if self._cache is not None:
-                # still under the read lock: a writer cannot apply (and
-                # charge) an update between this compute and the insert
-                self._cache.insert(
-                    self._cache_key(source),
-                    result,
-                    version,
-                    cost_s=time.perf_counter() - started,
-                    pi_estimate=(
-                        result.get
-                        if isinstance(result, PPRVector)
-                        else None
-                    ),
-                )
-        except Exception as exc:
-            finished = time.perf_counter()
-            self.metrics.counter("serving.faults").inc()
-            self._record(
-                ServedRequest(
-                    ticket.request,
-                    FAILED,
-                    ticket.submitted_s,
-                    started,
-                    finished,
-                    worker=wid,
-                    error=repr(exc),
-                )
-            )
-            return
-        finally:
-            self._rwlock.release_read()
-        finished = time.perf_counter()
-        self.metrics.histogram("serving.wait").observe(
-            started - ticket.submitted_s
-        )
-        self.metrics.histogram("service.query").observe(finished - started)
-        self.metrics.histogram("serving.response").observe(
-            finished - ticket.submitted_s
-        )
-        self._record(
-            ServedRequest(
-                ticket.request,
-                OK,
-                ticket.submitted_s,
-                started,
-                finished,
-                result=result,
-                version=version,
-                worker=wid,
-            )
-        )
-
-    def _process_query_batch(self, tickets: list[Ticket], wid: int) -> None:
-        """Serve a coalesced batch of queries on one graph snapshot.
-
-        Per-ticket QoS is preserved: expired tickets are timed out and
-        cache hits answered individually before the remainder executes
-        as a single ``query_batch`` call under one read-lock hold.
+        ``tickets`` is a single query or a coalesced batch.  Per-ticket
+        QoS holds either way: expired tickets are timed out and cache
+        hits answered individually before the remainder executes under
+        one read-lock hold — through ``algorithm.query`` for a lone
+        ticket, as a single ``query_batch`` call (with the batch
+        metrics) for a collected batch.
         """
+        batched = len(tickets) > 1
         now = time.perf_counter()
         live: list[Ticket] = []
         for ticket in tickets:
             if ticket.expired(now):
                 self.metrics.counter("serving.timeout").inc()
-                self._record(
-                    ServedRequest(
-                        ticket.request,
-                        TIMEOUT,
-                        ticket.submitted_s,
-                        now,
-                        now,
-                        worker=wid,
-                        shed_reason=SHED_DEADLINE,
-                    )
+                self._finish(
+                    ticket, wid, TIMEOUT, now, now, shed_reason=SHED_DEADLINE
                 )
             elif not self._try_cache(ticket, wid):
                 live.append(ticket)
         if not live:
             return
-        sources = [t.request.source for t in live]
-        assert all(s is not None for s in sources)
+        sources: list[int] = []
+        for ticket in live:
+            source = ticket.request.source
+            assert source is not None  # QUERY requests carry one
+            sources.append(source)
         with self._seed_lock:
             must_flush = len(self._seed_queue) > 0 and any(
                 self._seed_queue.should_flush(s) for s in sources
             )
         if must_flush:
-            self._flush_deferred(forced=True, worker=wid)
+            self._flush_deferred(worker=wid)
 
         started = time.perf_counter()
         self._rwlock.acquire_read()
         try:
             version = self.algorithm.graph.version
+            results: list[object]
             if self._query_fn is not None:
-                results: list[object] = [
+                results = [
                     self._query_fn(self.algorithm.graph, s) for s in sources
                 ]
             else:
+                # default path: algorithm instances keep per-query
+                # scratch state, so serialize (see class docstring)
                 with self._algo_lock:
-                    results = list(self.algorithm.query_batch(sources))
+                    if batched:
+                        results = list(self.algorithm.query_batch(sources))
+                    else:
+                        results = [self.algorithm.query(sources[0])]
             if self._cache is not None:
-                # still under the read lock (see _process_query); the
-                # batch cost is split evenly across its members
+                # still under the read lock: a writer cannot apply (and
+                # charge) an update between this compute and the
+                # insert; a batch's cost is split evenly across members
                 per_query_cost = (time.perf_counter() - started) / len(live)
                 for source, result in zip(sources, results):
                     self._cache.insert(
@@ -928,48 +845,34 @@ class ServingRuntime:
             finished = time.perf_counter()
             for ticket in live:
                 self.metrics.counter("serving.faults").inc()
-                self._record(
-                    ServedRequest(
-                        ticket.request,
-                        FAILED,
-                        ticket.submitted_s,
-                        started,
-                        finished,
-                        worker=wid,
-                        error=repr(exc),
-                    )
+                self._finish(
+                    ticket, wid, FAILED, started, finished, error=repr(exc)
                 )
             return
         finally:
             self._rwlock.release_read()
         finished = time.perf_counter()
-        self.metrics.counter("serving.batches").inc()
-        self.metrics.counter("serving.batched_queries").inc(len(live))
-        self.metrics.histogram("serving.batch_size").observe(
-            float(len(live))
-        )
-        self._maybe_retune_batching()
-        self.metrics.histogram("service.query_batch").observe(
-            finished - started
-        )
+        if batched:
+            self.metrics.counter("serving.batches").inc()
+            self.metrics.counter("serving.batched_queries").inc(len(live))
+            self.metrics.histogram("serving.batch_size").observe(
+                float(len(live))
+            )
+            self._maybe_retune_batching()
+            self.metrics.histogram("service.query_batch").observe(
+                finished - started
+            )
+        else:
+            self.metrics.histogram("service.query").observe(finished - started)
         for ticket, result in zip(live, results):
-            self.metrics.histogram("serving.wait").observe(
-                started - ticket.submitted_s
-            )
-            self.metrics.histogram("serving.response").observe(
-                finished - ticket.submitted_s
-            )
-            self._record(
-                ServedRequest(
-                    ticket.request,
-                    OK,
-                    ticket.submitted_s,
-                    started,
-                    finished,
-                    result=result,
-                    version=version,
-                    worker=wid,
-                )
+            self._finish(
+                ticket,
+                wid,
+                OK,
+                started,
+                finished,
+                version=version,
+                result=result,
             )
 
     # -- online batch auto-tuning --------------------------------------
@@ -1024,54 +927,57 @@ class ServingRuntime:
         return new_max, window
 
     # -- deferred-update machinery ------------------------------------
-    def _flush_deferred(self, forced: bool, worker: int = -1) -> int:
-        """Apply every deferred update (the writer role).  Returns the
-        number applied.  Faults degrade the runtime to strict FCFS."""
+    def _apply_head(self, worker: int) -> ServedRequest | None:
+        """Apply the oldest deferred update (the writer role).
+
+        The caller holds the write lock.  Returns the record emitted —
+        ``OK``, or ``FAILED`` when the update raised: the failing head
+        is then discarded and the runtime degraded to strict FCFS — or
+        None when nothing is deferred.
+        """
+        with self._seed_lock:
+            if self._seed_queue.peek() is None:
+                return None
+            started = time.perf_counter()
+            try:
+                item = self._seed_queue.flush_one(self.algorithm)
+            except Exception as exc:
+                failed = self._seed_queue.discard_one()
+                assert failed is not None
+                return self._fault(
+                    Request(0.0, UPDATE, update=failed.update),
+                    failed.arrival,
+                    worker,
+                    exc,
+                )
+            assert item is not None
+            self._charge_cache(item.update)
+            record = ServedRequest(
+                Request(0.0, UPDATE, update=item.update),
+                OK,
+                item.arrival,
+                started,
+                time.perf_counter(),
+                version=self.algorithm.graph.version,
+                worker=worker,
+            )
+            self._record(record)
+            return record
+
+    def _flush_deferred(self, worker: int = -1) -> None:
+        """Apply every deferred update; faults degrade to strict FCFS."""
         applied = 0
         flush_started = time.perf_counter()
         with self._rwlock.write_locked():
-            mutated = False
-            while True:
-                with self._seed_lock:
-                    head = self._seed_queue.peek()
-                    if head is None:
-                        break
-                    started = time.perf_counter()
-                    try:
-                        item = self._seed_queue.flush_one(self.algorithm)
-                    except Exception as exc:
-                        failed = self._seed_queue.discard_one()
-                        assert failed is not None
-                        self._fault(
-                            Request(0.0, UPDATE, update=failed.update),
-                            failed.arrival,
-                            worker,
-                            exc,
-                        )
-                        continue
-                    assert item is not None
-                    self._charge_cache(item.update)
-                    finished = time.perf_counter()
-                    mutated = True
+            while (record := self._apply_head(worker)) is not None:
+                if record.status == OK:
                     applied += 1
-                    self._record(
-                        ServedRequest(
-                            Request(0.0, UPDATE, update=item.update),
-                            OK,
-                            item.arrival,
-                            started,
-                            finished,
-                            version=self.algorithm.graph.version,
-                            worker=worker,
-                        )
-                    )
-            if mutated:
+            if applied:
                 csr_view(self.algorithm.graph)
         if applied:
             self.metrics.histogram("service.flush").observe(
                 time.perf_counter() - flush_started
             )
-        return applied
 
     def _idle_drain(self, wid: int) -> None:
         """Apply one deferred update while the admission queue idles."""
@@ -1083,47 +989,18 @@ class ServingRuntime:
         # non-blocking: if the writer side is contended, skip this tick
         if not self._rwlock.acquire_write(timeout=0.0):
             return
-        update_elapsed_s: float | None = None
         try:
-            with self._seed_lock:
-                head = self._seed_queue.peek()
-                if head is None:
-                    return
-                started = time.perf_counter()
-                try:
-                    item = self._seed_queue.flush_one(self.algorithm)
-                except Exception as exc:
-                    failed = self._seed_queue.discard_one()
-                    assert failed is not None
-                    self._fault(
-                        Request(0.0, UPDATE, update=failed.update),
-                        failed.arrival,
-                        wid,
-                        exc,
-                    )
-                    return
-                assert item is not None
-                self._charge_cache(item.update)
-                finished = time.perf_counter()
-                update_elapsed_s = finished - started
-                self._record(
-                    ServedRequest(
-                        Request(0.0, UPDATE, update=item.update),
-                        OK,
-                        item.arrival,
-                        started,
-                        finished,
-                        version=self.algorithm.graph.version,
-                        worker=wid,
-                    )
-                )
+            record = self._apply_head(wid)
+            if record is None or record.status != OK:
+                return
             csr_view(self.algorithm.graph)
         finally:
             self._rwlock.release_write()
         # R11: observe outside the write hold (registry lookups extend
         # the critical section for every reader)
-        if update_elapsed_s is not None:
-            self.metrics.histogram("service.update").observe(update_elapsed_s)
+        self.metrics.histogram("service.update").observe(
+            record.finished_s - record.started_s
+        )
 
     def _fault(
         self,
@@ -1131,7 +1008,7 @@ class ServingRuntime:
         submitted_s: float,
         worker: int,
         exc: Exception,
-    ) -> None:
+    ) -> ServedRequest:
         """Record a failed update and degrade to strict FCFS.
 
         Only called inside writer critical sections (the degradation
@@ -1141,14 +1018,14 @@ class ServingRuntime:
         now = time.perf_counter()
         self._fault_counter.inc()
         self._degraded = True
-        self._record(
-            ServedRequest(
-                request,
-                FAILED,
-                submitted_s,
-                now,
-                now,
-                worker=worker,
-                error=repr(exc),
-            )
+        record = ServedRequest(
+            request,
+            FAILED,
+            submitted_s,
+            now,
+            now,
+            worker=worker,
+            error=repr(exc),
         )
+        self._record(record)
+        return record

@@ -22,6 +22,7 @@ from repro.scenarios.oracles import (
     check_simulation,
     check_staleness_budget,
     check_workload,
+    lindley_reference,
 )
 from repro.serving.runtime import (
     OK,
@@ -110,6 +111,11 @@ class TestDifferentialOracles:
             service, graph.copy(), epsilon_r=0.0, servers=1
         ).run(workload)
         assert check_modeled_equivalence("s", fcfs, seed) == []
+        # both run the one replay loop; the independent side is the
+        # Lindley recursion
+        reference = lindley_reference(workload, service)
+        assert check_modeled_equivalence("s", reference, fcfs) == []
+        assert check_modeled_equivalence("s", reference, seed) == []
 
     def test_divergent_timeline_is_caught(self, graph, workload):
         fcfs = FCFSQueueSimulator(

@@ -292,6 +292,94 @@ class TestServingRuntime:
         assert hist["serving.response"]["count"] == 1
 
 
+class TestCompletionSink:
+    """A runtime has one completion sink: ``on_complete`` or ``records``."""
+
+    def test_on_complete_replaces_the_records_list(self):
+        """A server that hands completions to a sink must not also keep
+        every result vector forever (the shard-worker leak)."""
+        seen = []
+        runtime = make_runtime(
+            workers=2, queue_capacity=0, on_complete=seen.append
+        )
+        with runtime:
+            report = runtime.serve(
+                [Request(0.0, QUERY, source=i % 4) for i in range(300)]
+            )
+        assert len(seen) == 300
+        assert all(r.status == OK for r in seen)
+        assert len(runtime.records) == 0
+        assert report.records == []
+
+    @pytest.mark.parametrize("paced", [False, True])
+    def test_reports_every_terminal_outcome_once(self, paced):
+        """Without a sink, ok / timeout / failed / shed each reach the
+        serve / serve_timed report exactly once."""
+        algorithm = make_algorithm()
+
+        def failing_update(update):
+            raise RuntimeError("injected")
+
+        algorithm.apply_update = failing_update
+        running, gate = threading.Event(), threading.Event()
+
+        def blocking_query(graph, source):
+            running.set()
+            assert gate.wait(10.0)
+            return source
+
+        metrics = MetricsRegistry()
+        runtime = make_runtime(
+            algorithm, workers=1, queue_capacity=2, deadline_s=0.02,
+            query_fn=blocking_query, metrics=metrics,
+        )
+        requests = [
+            Request(0.0, QUERY, source=0),  # ok: holds the only worker
+            Request(0.0, QUERY, source=1),  # queued past its deadline
+            Request(0.0, UPDATE, update=EdgeUpdate(0, 9)),  # raises
+            Request(0.0, QUERY, source=2),  # queue full: shed
+        ]
+
+        def held_then_rest():
+            # the rest is submitted only once the worker is held, so
+            # submission order alone fixes each request's fate
+            yield requests[0]
+            assert running.wait(10.0)
+            yield from requests[1:]
+
+        def release_after_shed():
+            try:
+                give_up = time.monotonic() + 10.0
+                shed = metrics.counter("serving.shed")
+                while shed.value < 1 and time.monotonic() < give_up:
+                    time.sleep(0.001)
+                time.sleep(0.05)  # let the queued query's deadline lapse
+            finally:
+                gate.set()
+
+        releaser = threading.Thread(target=release_after_shed)
+        with runtime:
+            releaser.start()
+            if paced:
+                report = runtime.serve_timed(
+                    requests,
+                    on_submit=lambda request, now_s: running.wait(10.0),
+                )
+            else:
+                report = runtime.serve(held_then_rest())
+            releaser.join(15.0)
+        assert not releaser.is_alive()
+        assert sorted(r.status for r in report.records) == sorted(
+            [OK, TIMEOUT, FAILED, SHED]
+        )
+        by_status = {r.status: r.request for r in report.records}
+        assert by_status[OK] is requests[0]
+        assert by_status[TIMEOUT] is requests[1]
+        assert by_status[FAILED] is requests[2]
+        assert by_status[SHED] is requests[3]
+        assert runtime.records == report.records
+
+
 class TestQuotaIntegration:
     def test_make_runtime_shares_config(self):
         graph = make_graph()
