@@ -163,5 +163,7 @@ def _scratch_copy(algorithm: DynamicPPRAlgorithm) -> DynamicPPRAlgorithm:
     for attr in ("k", "rounds", "theta", "candidate_factor", "max_rounds"):
         if hasattr(algorithm, attr):
             setattr(clone, attr, getattr(algorithm, attr))
+    # ... and the push kernel: its constants are what tau measures
+    clone.set_engine(algorithm.engine)
     clone.set_hyperparameters(**algorithm.get_hyperparameters())
     return clone

@@ -23,13 +23,17 @@ calibrated constants absorb the difference; the tunable trade-off
 
 from __future__ import annotations
 
+import copy
 import math
 from collections.abc import Callable, Mapping
+from typing import TypeVar
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from repro.ppr.base import DynamicPPRAlgorithm
+
+_W = TypeVar("_W", bound="_WrappingCostModel")
 
 
 class CostModel:
@@ -176,23 +180,28 @@ class ForaPlusCostModel(ForaCostModel):
         return {"Index Build": beta["r_max"]}
 
 
-class ForaPlusIncrementalCostModel(ForaPlusCostModel):
-    """FORA+ with incremental index maintenance (Table I, new row).
+class _IncrementalIndexUpdate(CostModel):
+    """Update row shared by the "+inc" methods (Table I, new row).
 
     The update still scales with the per-node walk budget (r_max K
     walks hang off each endpoint of the mutated edge, and the affected
     set grows with it), so the factor keeps the ``r_max`` shape of the
     rebuild row — but the calibrated tau absorbs the O(affected / m)
     advantage of resampling only the walks the edge actually carries,
-    which is what lets the Quota optimizer pick this method under
+    which is what lets the Quota optimizer pick these methods under
     update-heavy traffic.
     """
 
-    algorithm_name = "FORA+inc"
     update_subprocesses = ("Graph Update", "Index Update")
 
     def update_factors(self, beta: Mapping[str, float]) -> dict[str, float]:
         return {"Graph Update": 1.0, "Index Update": beta["r_max"]}
+
+
+class ForaPlusIncrementalCostModel(_IncrementalIndexUpdate, ForaPlusCostModel):
+    """FORA+ with incremental index maintenance."""
+
+    algorithm_name = "FORA+inc"
 
 
 class ForaTopKCostModel(ForaCostModel):
@@ -238,15 +247,12 @@ class SpeedPPRPlusCostModel(SpeedPPRCostModel):
         return {"Index Build": beta["r_max"]}
 
 
-class SpeedPPRPlusIncrementalCostModel(SpeedPPRPlusCostModel):
-    """SpeedPPR+ with incremental index maintenance — see
-    :class:`ForaPlusIncrementalCostModel` for the factor rationale."""
+class SpeedPPRPlusIncrementalCostModel(
+    _IncrementalIndexUpdate, SpeedPPRPlusCostModel
+):
+    """SpeedPPR+ with incremental index maintenance."""
 
     algorithm_name = "SpeedPPR+inc"
-    update_subprocesses = ("Graph Update", "Index Update")
-
-    def update_factors(self, beta: Mapping[str, float]) -> dict[str, float]:
-        return {"Graph Update": 1.0, "Index Update": beta["r_max"]}
 
 
 class TopPPRCostModel(CostModel):
@@ -271,7 +277,48 @@ class TopPPRCostModel(CostModel):
         return {"Graph Update": 1.0}
 
 
-class CacheAwareCostModel(CostModel):
+class _WrappingCostModel(CostModel):
+    """Base of the effective-service-time wrappers.
+
+    Mirrors the wrapped model's interface and delegates everything but
+    :meth:`query_time` — parameter names, factors, update cost,
+    calibration plumbing — so a wrapper drops into
+    :class:`~repro.core.quota.QuotaController` unchanged.
+    """
+
+    def __init__(self, inner: CostModel) -> None:
+        super().__init__(inner.n, inner.m, taus=inner.taus)
+        self.inner = inner
+        self.algorithm_name = inner.algorithm_name
+        self.param_names = inner.param_names
+        self.query_subprocesses = inner.query_subprocesses
+        self.update_subprocesses = inner.update_subprocesses
+
+    def _rewrap(self: _W, inner: CostModel) -> _W:
+        """This wrapper's own settings around another inner model."""
+        clone = copy.copy(self)
+        _WrappingCostModel.__init__(clone, inner)
+        return clone
+
+    def query_factors(
+        self, beta: Mapping[str, float], lambda_q: float, lambda_u: float
+    ) -> dict[str, float]:
+        return self.inner.query_factors(beta, lambda_q, lambda_u)
+
+    def update_factors(self, beta: Mapping[str, float]) -> dict[str, float]:
+        return self.inner.update_factors(beta)
+
+    def update_time(self, beta: Mapping[str, float]) -> float:
+        return self.inner.update_time(beta)
+
+    def without_constants(self: _W) -> _W:
+        return self._rewrap(self.inner.without_constants())
+
+    def with_taus(self: _W, taus: Mapping[str, float]) -> _W:
+        return self._rewrap(self.inner.with_taus(taus))
+
+
+class CacheAwareCostModel(_WrappingCostModel):
     """Effective-service-time wrapper over a base cost model.
 
     With a result cache in front of the algorithm, the mean query
@@ -292,10 +339,6 @@ class CacheAwareCostModel(CostModel):
     ``PPRCache.hit_rate``, the same quantity the ``cache.hit_rate``
     gauge tracks online.  The fraction is re-read on every evaluation,
     so periodic re-optimization naturally tracks cache warm-up.
-
-    Everything else — parameter names, factors, calibration plumbing —
-    delegates to the wrapped model, so the wrapper drops into
-    :class:`~repro.core.quota.QuotaController` unchanged.
     """
 
     def __init__(
@@ -311,16 +354,10 @@ class CacheAwareCostModel(CostModel):
             raise ValueError(
                 f"hit_fraction must be in [0, 1], got {hit_fraction}"
             )
-        super().__init__(inner.n, inner.m, taus=inner.taus)
-        self.inner = inner
+        super().__init__(inner)
         self.hit_time_s = hit_time_s
         self._hit_fraction_fn = hit_fraction_fn
         self._static_hit_fraction = hit_fraction
-        # mirror the wrapped model's interface surface
-        self.algorithm_name = inner.algorithm_name
-        self.param_names = inner.param_names
-        self.query_subprocesses = inner.query_subprocesses
-        self.update_subprocesses = inner.update_subprocesses
 
     def hit_fraction(self) -> float:
         """Current hit fraction h, clamped into [0, 1]."""
@@ -332,40 +369,12 @@ class CacheAwareCostModel(CostModel):
             return 0.0
         return min(h, 1.0)
 
-    # -- delegation -------------------------------------------------------
-    def query_factors(
-        self, beta: Mapping[str, float], lambda_q: float, lambda_u: float
-    ) -> dict[str, float]:
-        return self.inner.query_factors(beta, lambda_q, lambda_u)
-
-    def update_factors(self, beta: Mapping[str, float]) -> dict[str, float]:
-        return self.inner.update_factors(beta)
-
     def query_time(
         self, beta: Mapping[str, float], lambda_q: float, lambda_u: float
     ) -> float:
         h = self.hit_fraction()
         miss_time_s = self.inner.query_time(beta, lambda_q, lambda_u)
         return h * self.hit_time_s + (1.0 - h) * miss_time_s
-
-    def update_time(self, beta: Mapping[str, float]) -> float:
-        return self.inner.update_time(beta)
-
-    def without_constants(self) -> "CacheAwareCostModel":
-        return CacheAwareCostModel(
-            self.inner.without_constants(),
-            hit_time_s=self.hit_time_s,
-            hit_fraction_fn=self._hit_fraction_fn,
-            hit_fraction=self._static_hit_fraction,
-        )
-
-    def with_taus(self, taus: Mapping[str, float]) -> "CacheAwareCostModel":
-        return CacheAwareCostModel(
-            self.inner.with_taus(taus),
-            hit_time_s=self.hit_time_s,
-            hit_fraction_fn=self._hit_fraction_fn,
-            hit_fraction=self._static_hit_fraction,
-        )
 
     def __repr__(self) -> str:
         return (
@@ -375,7 +384,7 @@ class CacheAwareCostModel(CostModel):
         )
 
 
-class BatchAwareCostModel(CostModel):
+class BatchAwareCostModel(_WrappingCostModel):
     """Effective-service-time wrapper for batched query dispatch.
 
     When the serving runtime coalesces B same-snapshot queries into one
@@ -417,16 +426,10 @@ class BatchAwareCostModel(CostModel):
             )
         if batch_size < 1.0:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        super().__init__(inner.n, inner.m, taus=inner.taus)
-        self.inner = inner
+        super().__init__(inner)
         self.shared_fraction = shared_fraction
         self._batch_size_fn = batch_size_fn
         self._static_batch_size = batch_size
-        # mirror the wrapped model's interface surface
-        self.algorithm_name = inner.algorithm_name
-        self.param_names = inner.param_names
-        self.query_subprocesses = inner.query_subprocesses
-        self.update_subprocesses = inner.update_subprocesses
 
     def batch_size(self) -> float:
         """Current mean batch size B, clamped to >= 1."""
@@ -438,40 +441,12 @@ class BatchAwareCostModel(CostModel):
             return 1.0
         return b
 
-    # -- delegation -------------------------------------------------------
-    def query_factors(
-        self, beta: Mapping[str, float], lambda_q: float, lambda_u: float
-    ) -> dict[str, float]:
-        return self.inner.query_factors(beta, lambda_q, lambda_u)
-
-    def update_factors(self, beta: Mapping[str, float]) -> dict[str, float]:
-        return self.inner.update_factors(beta)
-
     def query_time(
         self, beta: Mapping[str, float], lambda_q: float, lambda_u: float
     ) -> float:
         sigma = self.shared_fraction
         scale = (1.0 - sigma) + sigma / self.batch_size()
         return scale * self.inner.query_time(beta, lambda_q, lambda_u)
-
-    def update_time(self, beta: Mapping[str, float]) -> float:
-        return self.inner.update_time(beta)
-
-    def without_constants(self) -> "BatchAwareCostModel":
-        return BatchAwareCostModel(
-            self.inner.without_constants(),
-            shared_fraction=self.shared_fraction,
-            batch_size_fn=self._batch_size_fn,
-            batch_size=self._static_batch_size,
-        )
-
-    def with_taus(self, taus: Mapping[str, float]) -> "BatchAwareCostModel":
-        return BatchAwareCostModel(
-            self.inner.with_taus(taus),
-            shared_fraction=self.shared_fraction,
-            batch_size_fn=self._batch_size_fn,
-            batch_size=self._static_batch_size,
-        )
 
     def __repr__(self) -> str:
         return (

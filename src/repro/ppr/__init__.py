@@ -17,9 +17,12 @@ FORA-TopK      no                 r_max
 TopPPR         no                 r_max, r_max_b
 =============  =================  ======================================
 
-The "+inc" variants keep the walk index patched via FIRM-style
+The index column is a property of the *class*: every index-based
+method mixes in :class:`~repro.ppr.base.WalkIndexOwner`, the one owner
+of the walk-index lifecycle, and the "+inc" variants are subclasses
+whose ``index_maintenance`` class attribute selects FIRM-style
 affected-walk resampling (:mod:`repro.ppr.incremental`) instead of a
-full per-update rebuild.
+full per-update rebuild.  The registry name is the only selector.
 """
 
 from repro.ppr.agenda import Agenda

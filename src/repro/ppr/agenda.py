@@ -28,26 +28,25 @@ Index Inaccuracy Upd.  tau_5 (O(n))
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.graph.digraph import DynamicGraph
 from repro.graph.updates import EdgeUpdate
 from repro.ppr.base import (
-    DynamicPPRAlgorithm,
     PPRParams,
     PPRVector,
     QueryStats,
+    WalkIndexOwner,
     clip_unit,
 )
 from repro.ppr.forward_push import forward_push
-from repro.ppr.pushwalk import add_walk_estimates
 from repro.ppr.random_walk import WalkIndex
 from repro.ppr.reverse_push import reverse_push
 
+_NO_NODES = np.empty(0, dtype=np.int64)
 
-class Agenda(DynamicPPRAlgorithm):
+
+class Agenda(WalkIndexOwner):
     """Dynamic PPR with inaccuracy-tracked lazy index maintenance.
 
     Hyperparameters
@@ -66,7 +65,6 @@ class Agenda(DynamicPPRAlgorithm):
     """
 
     name = "Agenda"
-    is_index_based = True
     hyperparameter_names = ("r_max", "r_max_b")
 
     def __init__(
@@ -84,9 +82,7 @@ class Agenda(DynamicPPRAlgorithm):
         defaults = self.default_hyperparameters()
         self.r_max = r_max if r_max is not None else defaults["r_max"]
         self.r_max_b = r_max_b if r_max_b is not None else defaults["r_max_b"]
-        self._index: WalkIndex | None = None
         self._sigma = np.zeros(self.view.n, dtype=np.float64)
-        self._ensure_index()
 
     # ------------------------------------------------------------------
     def default_hyperparameters(self) -> dict[str, float]:
@@ -97,11 +93,6 @@ class Agenda(DynamicPPRAlgorithm):
             "r_max": clip_unit(1.0 / (self.params.alpha * k)),
             "r_max_b": clip_unit(1.0 / max(view.n, 2)),
         }
-
-    @property
-    def index(self) -> WalkIndex:
-        self._ensure_index()
-        return self._index
 
     @property
     def sigma(self) -> np.ndarray:
@@ -115,37 +106,24 @@ class Agenda(DynamicPPRAlgorithm):
             self.theta * self.params.epsilon * self.params.resolved_delta(n)
         )
 
-    def _walks_per_unit(self) -> float:
-        return self.r_max * self.params.num_walks(self.view.n)
+    def _build_index(self) -> WalkIndex:
+        """A fresh index carries no inaccuracy: reset sigma with it."""
+        self._sigma = np.zeros(self.view.n, dtype=np.float64)
+        return super()._build_index()
 
-    def _ensure_index(self) -> None:
+    # ------------------------------------------------------------------
+    def _maintain_index(self, resolved: EdgeUpdate) -> None:
+        """Edge arrival: bound the index damage instead of repairing it."""
         view = self.view
-        if self._index is None:
-            with self.timers.measure("Index Build"):
-                self._index = WalkIndex(
-                    view, self.params.alpha, self._walks_per_unit(), self._rng
-                )
+        if self._index is not None:
+            # adopt the snapshot (rows for any node it gained) without
+            # resampling: staleness is what sigma accounts for
+            self._index.refresh_nodes(view, _NO_NODES)
         if self._sigma.size != view.n:
             # Node set grew (update introduced a node): pad with zeros.
             padded = np.zeros(view.n, dtype=np.float64)
             padded[: min(self._sigma.size, view.n)] = self._sigma[: view.n]
             self._sigma = padded
-
-    def _on_hyperparameters_changed(self) -> None:
-        """r_max resizes the walk budget: rebuild the index, reset sigma."""
-        with self.timers.measure("Index Build"):
-            self._index = WalkIndex(
-                self.view, self.params.alpha, self._walks_per_unit(), self._rng
-            )
-        self._sigma = np.zeros(self.view.n, dtype=np.float64)
-
-    # ------------------------------------------------------------------
-    def apply_update(self, update: EdgeUpdate) -> EdgeUpdate:
-        """Edge arrival: mutate graph, bound the index damage (no rebuild)."""
-        with self.timers.measure("Graph Update"):
-            resolved = update.apply(self.graph)
-        view = self.view
-        self._ensure_index()
         u_index = view.to_index(resolved.u)
         with self.timers.measure("Reverse Push"):
             back = reverse_push(
@@ -165,12 +143,10 @@ class Agenda(DynamicPPRAlgorithm):
                 self.params.alpha * d_out
             )
             self._sigma += contribution
-        return resolved
 
     # ------------------------------------------------------------------
     def query(self, source: int) -> PPRVector:
         view = self.view
-        self._ensure_index()
         stats = QueryStats()
         with self.timers.measure("Forward Push"):
             push = forward_push(
@@ -179,17 +155,7 @@ class Agenda(DynamicPPRAlgorithm):
             stats.pushes = push.pushes
         with self.timers.measure("Lazy Index Update"):
             stats.refreshed_nodes = self._lazy_refresh(push.residue)
-        with self.timers.measure("Random Walk"):
-            walk = add_walk_estimates(
-                view,
-                push.reserve,
-                push.residue,
-                self.params.alpha,
-                self.params.num_walks(view.n),
-                self._rng,
-                index=self._index,
-            )
-            stats.walks = walk.num_walks
+        self._walk_phase(view, push.reserve, push.residue, stats)
         self.last_query_stats = stats
         return PPRVector(push.reserve, view, source)
 
@@ -216,6 +182,6 @@ class Agenda(DynamicPPRAlgorithm):
         dirty = holders[self._sigma[holders] > tolerance]
         if dirty.size == 0:
             return 0
-        self._index.refresh_nodes(self.view, dirty)
+        self._walk_index().refresh_nodes(self.view, dirty)
         self._sigma[dirty] = 0.0
         return int(dirty.size)

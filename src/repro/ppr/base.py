@@ -8,7 +8,12 @@
   (Forward Push, Random Walk, ...), feeding both the tau-calibration of
   Quota (Step 1) and the Table VIII cost-balance experiment.
 * :class:`DynamicPPRAlgorithm` — the query/update interface every base
-  algorithm implements and Quota configures.
+  algorithm implements and Quota configures, plus the two Push+Walk
+  steps every method shares: the index-free update and the walk phase.
+* :class:`WalkIndexOwner` — the one owner of the
+  :class:`~repro.ppr.random_walk.WalkIndex` lifecycle (FORA+,
+  SpeedPPR+, Agenda): build on first use, version-keyed validity,
+  rebuild on reseed / retune, per-update maintenance chosen by class.
 """
 
 from __future__ import annotations
@@ -25,6 +30,9 @@ import numpy as np
 from repro.graph.digraph import DynamicGraph
 from repro.graph.updates import EdgeUpdate
 from repro.ppr.csr import CSRView, csr_view
+from repro.ppr.kernels import resolve_engine
+from repro.ppr.pushwalk import add_walk_estimates
+from repro.ppr.random_walk import WalkIndex
 
 # Default cap on the walk-count parameter K.  The paper's theoretical K
 # with delta = p_f = 1/n is Theta(n log n), far beyond what pure Python
@@ -203,10 +211,11 @@ class QueryStats:
 class DynamicPPRAlgorithm(ABC):
     """A PPR algorithm serving interleaved queries and edge updates.
 
-    Subclasses implement :meth:`query` and :meth:`apply_update` and
-    declare their tunable hyperparameters.  Quota treats instances
-    uniformly through this interface: it reads/writes hyperparameters,
-    reads the sub-process timers for calibration, and replays workloads.
+    Subclasses implement :meth:`query` and declare their tunable
+    hyperparameters; :meth:`apply_update` defaults to the index-free
+    graph mutation.  Quota treats instances uniformly through this
+    interface: it reads/writes hyperparameters, reads the sub-process
+    timers for calibration, and replays workloads.
     """
 
     #: short name used in reports ("Agenda", "FORA+", ...)
@@ -232,9 +241,9 @@ class DynamicPPRAlgorithm(ABC):
     def seed(self, seed: int) -> None:
         """Reseed the algorithm's internal randomness (reproducibility).
 
-        Index-based algorithms also rebuild their walk index from the
-        new generator (via the hyperparameter-change hook) so that two
-        identically seeded instances produce identical estimates.
+        Index-based algorithms also (re)build their walk index from
+        the new generator (via the hyperparameter-change hook) so that
+        two identically seeded instances produce identical estimates.
         """
         self._rng = np.random.default_rng(seed)
         self._on_hyperparameters_changed()
@@ -275,9 +284,9 @@ class DynamicPPRAlgorithm(ABC):
         router; on algorithms without vectorized paths it degrades to
         ``"scalar"`` (there is nothing to route).
         """
-        from repro.ppr.dispatch import AUTO, resolve_engine_choice
+        from repro.ppr.dispatch import AUTO, ENGINE_CHOICES
 
-        resolve_engine_choice(engine)
+        resolve_engine(engine, ENGINE_CHOICES)
         if engine == AUTO:
             self.engine = AUTO if len(self.supported_engines) > 1 else "scalar"
             return
@@ -299,12 +308,17 @@ class DynamicPPRAlgorithm(ABC):
     def query(self, source: int) -> PPRVector:
         """Answer an SSPPR query from ``source`` on the current graph."""
 
-    @abstractmethod
     def apply_update(self, update: EdgeUpdate) -> EdgeUpdate:
-        """Apply one edge arrival (graph + any index maintenance).
+        """Apply one edge arrival; returns the resolved insert/delete.
 
-        Returns the resolved update (insert/delete).
+        The index-free default only mutates the graph — the constant
+        ``t_u = tau_3`` row of Table I; :class:`WalkIndexOwner` adds
+        the index maintenance.
         """
+        with self.timers.measure("Graph Update"):
+            resolved = update.apply(self.graph)
+            self.view  # refresh the CSR snapshot inside the update cost
+        return resolved
 
     def query_batch(self, sources: Sequence[int]) -> list[PPRVector]:
         """Answer B same-snapshot queries (one result per source).
@@ -316,6 +330,35 @@ class DynamicPPRAlgorithm(ABC):
         batches to keep every row on one snapshot.
         """
         return [self.query(source) for source in sources]
+
+    # -- the walk phase shared by Push+Walk algorithms --------------------
+    def _num_walks(self) -> int:
+        """Walks per unit of residue: FORA's K unless overridden."""
+        return self.params.num_walks(self.view.n)
+
+    def _walk_index(self) -> WalkIndex | None:
+        """Precomputed walk store; ``None`` samples walks online."""
+        return None
+
+    def _walk_phase(
+        self,
+        view: CSRView,
+        reserve: np.ndarray,
+        residue: np.ndarray,
+        stats: QueryStats,
+    ) -> None:
+        """Fold the residues into ``reserve`` (one vector or ``(B, n)``)."""
+        with self.timers.measure("Random Walk"):
+            walk = add_walk_estimates(
+                view,
+                reserve,
+                residue,
+                self.params.alpha,
+                self._num_walks(),
+                self._rng,
+                index=self._walk_index(),
+            )
+            stats.walks += walk.num_walks
 
     # -- defaults shared by Push+Walk algorithms --------------------------
     def default_hyperparameters(self) -> dict[str, float]:
@@ -332,6 +375,97 @@ class DynamicPPRAlgorithm(ABC):
             f"{k}={v:.3g}" for k, v in self.get_hyperparameters().items()
         )
         return f"{type(self).__name__}({hps})"
+
+
+#: per-update WalkIndex policies: regenerate (the paper's Table I row
+#: and the distributional oracle) or FIRM-style affected-walk patching
+INDEX_MAINTENANCE_MODES = ("rebuild", "incremental")
+
+
+class WalkIndexOwner(DynamicPPRAlgorithm):
+    """The walk-index lifecycle of the index-based methods.
+
+    Mixed in ahead of the index-free class (``class ForaPlus(
+    WalkIndexOwner, Fora)``).  The index holds ceil(r_max * W *
+    d_out(v)) walks per node, W = :meth:`_num_walks`; it is built by
+    :meth:`seed`, the first query or the first update — whichever
+    comes first — never by the constructor, and is rebuilt whenever
+    the hyperparameters or the generator change.
+
+    ``index_maintenance`` is a *class* attribute: the registry name
+    ("FORA+" vs "FORA+inc") is the only selector of the update policy,
+    which is what ``COST_MODELS[algorithm.name]`` assumes.
+    """
+
+    is_index_based = True
+    index_maintenance = "rebuild"
+    r_max: float
+    _index: WalkIndex | None = None
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        if cls.index_maintenance not in INDEX_MAINTENANCE_MODES:
+            raise ValueError(
+                f"{cls.__name__}.index_maintenance must be one of "
+                f"{INDEX_MAINTENANCE_MODES}, got {cls.index_maintenance!r}"
+            )
+
+    def _build_index(self) -> WalkIndex:
+        with self.timers.measure("Index Build"):
+            self._index = WalkIndex(
+                self.view,
+                self.params.alpha,
+                self.r_max * self._num_walks(),
+                self._rng,
+                track_edges=self.index_maintenance == "incremental",
+            )
+        return self._index
+
+    def _walk_index(self) -> WalkIndex:
+        """The index at the graph's current version.
+
+        Keyed on the snapshot *version*, not view object identity: a
+        slack-slot compaction yields a fresh view object at the same
+        version and must not trigger an O(m r_max K) rebuild.
+        """
+        index = self._index
+        if index is None or index.view.version != self.view.version:
+            index = self._build_index()
+        return index
+
+    @property
+    def index(self) -> WalkIndex:
+        """Public name of :meth:`_walk_index` (builds on first use)."""
+        return self._walk_index()
+
+    def _on_hyperparameters_changed(self) -> None:
+        """r_max (or a reseed) changes the stored walks: rebuild them."""
+        self._build_index()
+
+    def apply_update(self, update: EdgeUpdate) -> EdgeUpdate:
+        resolved = super().apply_update(update)
+        self._maintain_index(resolved)
+        return resolved
+
+    def _maintain_index(self, resolved: EdgeUpdate) -> None:
+        """Bring the index to the post-update snapshot.
+
+        ``rebuild`` regenerates it (the ``t_u = r_max * tau_3`` row of
+        Table I); ``incremental`` resamples only the affected walks,
+        inside the caller's writer critical section (serving runtime).
+        Agenda overrides this with its inaccuracy tracking.
+        """
+        if self._index is None or self.index_maintenance == "rebuild":
+            self._build_index()
+            return
+        view = self.view
+        with self.timers.measure("Index Update"):
+            self._index.apply_edge_update(
+                view,
+                view.to_index(resolved.u),
+                view.to_index(resolved.v),
+                resolved.kind,
+            )
 
 
 def clip_unit(value: float, lo: float = 1e-12, hi: float = 1.0 - 1e-12) -> float:

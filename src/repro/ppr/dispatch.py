@@ -61,13 +61,14 @@ from __future__ import annotations
 import os
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from numpy.typing import NDArray
 
 from repro.obs import MetricsRegistry, get_metrics
 from repro.ppr.csr import CSRView
-from repro.ppr.kernels import ENGINES
+from repro.ppr.kernels import ENGINES, resolve_engine
 
 #: pseudo-engine accepted by algorithms and the CLI: let the
 #: dispatcher choose per call.
@@ -694,14 +695,8 @@ def set_dispatcher(dispatcher: KernelDispatcher | None) -> None:
     _default_dispatcher = dispatcher
 
 
-def resolve_engine_choice(engine: str) -> str:
-    """Validate an engine name against :data:`ENGINE_CHOICES`."""
-    if engine not in ENGINE_CHOICES:
-        raise ValueError(
-            f"unknown kernel engine {engine!r}; choose one of "
-            f"{ENGINE_CHOICES}"
-        )
-    return engine
+#: :func:`repro.ppr.kernels.resolve_engine` against :data:`ENGINE_CHOICES`
+resolve_engine_choice = partial(resolve_engine, allowed=ENGINE_CHOICES)
 
 
 __all__ = [

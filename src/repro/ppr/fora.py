@@ -11,6 +11,12 @@ remaining residues.
   precomputed :class:`~repro.ppr.random_walk.WalkIndex`; an edge update
   must regenerate the index (O(m r_max K) walks) — the
   ``t_u = r_max * tau_3`` row of Table I.
+* :class:`ForaPlusIncremental` ("FORA+inc") patches the index instead
+  (FIRM-style affected-walk resampling, :mod:`repro.ppr.incremental`).
+
+The index lifecycle itself lives in
+:class:`~repro.ppr.base.WalkIndexOwner`; the two ``+`` classes only
+name a policy.
 
 The paper's default threshold r_max = 1/sqrt(alpha m K) equalizes the
 two complexity terms; Quota's whole point is that this is generally
@@ -25,19 +31,17 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.graph.digraph import DynamicGraph
-from repro.graph.updates import EdgeUpdate
 from repro.ppr.base import (
     DynamicPPRAlgorithm,
     PPRParams,
     PPRVector,
     QueryStats,
+    WalkIndexOwner,
     clip_unit,
 )
 from repro.ppr.csr import CSRView
 from repro.ppr.forward_push import forward_push
 from repro.ppr.kernels import BatchPushResult, batched_frontier_push
-from repro.ppr.pushwalk import add_walk_estimates, add_walk_estimates_batch
-from repro.ppr.random_walk import WalkIndex
 
 
 class Fora(DynamicPPRAlgorithm):
@@ -90,17 +94,7 @@ class Fora(DynamicPPRAlgorithm):
                 engine=self.engine,
             )
             stats.pushes = push.pushes
-        with self.timers.measure("Random Walk"):
-            walk = add_walk_estimates(
-                view,
-                push.reserve,
-                push.residue,
-                self.params.alpha,
-                self.params.num_walks(view.n),
-                self._rng,
-                index=self._walk_index(),
-            )
-            stats.walks = walk.num_walks
+        self._walk_phase(view, push.reserve, push.residue, stats)
         self.last_query_stats = stats
         return PPRVector(push.reserve, view, source)
 
@@ -150,17 +144,7 @@ class Fora(DynamicPPRAlgorithm):
         if decision is not None:
             stats.extra["backend"] = decision.backend
             stats.extra["effective_batch"] = decision.effective_batch
-        with self.timers.measure("Random Walk"):
-            walk = add_walk_estimates_batch(
-                view,
-                push.reserve,
-                push.residue,
-                self.params.alpha,
-                self.params.num_walks(view.n),
-                self._rng,
-                index=self._walk_index(),
-            )
-            stats.walks = walk.num_walks
+        self._walk_phase(view, push.reserve, push.residue, stats)
         stats.extra["batch_size"] = len(sources)
         stats.extra["sweeps"] = push.sweeps
         self.last_query_stats = stats
@@ -197,134 +181,25 @@ class Fora(DynamicPPRAlgorithm):
             sweeps = max(sweeps, part.sweeps)
         return BatchPushResult(reserve, residue, pushes, sweeps)
 
-    def apply_update(self, update: EdgeUpdate) -> EdgeUpdate:
-        with self.timers.measure("Graph Update"):
-            resolved = update.apply(self.graph)
-            self.view  # refresh the CSR snapshot inside the update cost
-        return resolved
 
-    def _walk_index(self) -> WalkIndex | None:
-        """Index-free FORA samples online."""
-        return None
+class ForaPlus(WalkIndexOwner, Fora):
+    """Index-based FORA+ — fast queries, index regenerated per update.
 
-
-#: valid WalkIndex maintenance policies for the index-based methods
-INDEX_MAINTENANCE_MODES = ("rebuild", "incremental")
-
-
-class ForaPlus(Fora):
-    """Index-based FORA+ — fast queries, index maintained per update.
-
-    ``index_maintenance`` selects the update policy:
-
-    * ``"rebuild"`` (default) — regenerate the whole walk index on the
-      new snapshot, the paper's O(m r_max K) update cost.  This is the
-      distributional oracle the incremental path is tested against.
-    * ``"incremental"`` — FIRM-style suffix resampling of only the
-      walks the edge mutation affects (:mod:`repro.ppr.incremental`),
-      charged through ``ForaPlusIncrementalCostModel``.
+    The ``rebuild`` policy is the paper's O(m r_max K) update cost and
+    the distributional oracle the incremental path is tested against.
     """
 
     name = "FORA+"
-    is_index_based = True
-
-    def __init__(
-        self,
-        graph: DynamicGraph,
-        params: PPRParams | None = None,
-        r_max: float | None = None,
-        engine: str = "scalar",
-        index_maintenance: str = "rebuild",
-    ) -> None:
-        if index_maintenance not in INDEX_MAINTENANCE_MODES:
-            raise ValueError(
-                f"index_maintenance must be one of "
-                f"{INDEX_MAINTENANCE_MODES}, got {index_maintenance!r}"
-            )
-        self.index_maintenance = index_maintenance
-        super().__init__(graph, params, r_max, engine)
-        self._index: WalkIndex | None = None
-        self._ensure_index()
-
-    @property
-    def index(self) -> WalkIndex:
-        self._ensure_index()
-        return self._index
-
-    def _walks_per_unit(self) -> float:
-        view = self.view
-        return self.r_max * self.params.num_walks(view.n)
-
-    def _build_index(self) -> None:
-        with self.timers.measure("Index Build"):
-            self._index = WalkIndex(
-                self.view,
-                self.params.alpha,
-                self._walks_per_unit(),
-                self._rng,
-                track_edges=self.index_maintenance == "incremental",
-            )
-
-    def _ensure_index(self) -> None:
-        # keyed on the snapshot *version*, not view object identity: a
-        # slack-slot compaction yields a fresh view object at the same
-        # version and must not trigger an O(m r_max K) rebuild.
-        if (
-            self._index is None
-            or self._index.view.version != self.view.version
-        ):
-            self._build_index()
-
-    def _on_hyperparameters_changed(self) -> None:
-        """Changing r_max changes the index budget; rebuild it."""
-        self._build_index()
-
-    def _walk_index(self) -> WalkIndex:
-        self._ensure_index()
-        return self._index
-
-    def apply_update(self, update: EdgeUpdate) -> EdgeUpdate:
-        if self.index_maintenance == "incremental" and self._index is not None:
-            with self.timers.measure("Graph Update"):
-                resolved = update.apply(self.graph)
-                view = self.view
-            with self.timers.measure("Index Update"):
-                # resample only the affected walks; runs inside the
-                # caller's writer critical section (serving runtime)
-                self._index.apply_edge_update(
-                    view,
-                    view.to_index(resolved.u),
-                    view.to_index(resolved.v),
-                    resolved.kind,
-                )
-            return resolved
-        with self.timers.measure("Graph Update"):
-            resolved = update.apply(self.graph)
-        with self.timers.measure("Index Build"):
-            # rebuild policy: regenerate the walk index on the new
-            # snapshot (the O(m r_max K) update cost).
-            self._index = WalkIndex(
-                self.view, self.params.alpha, self._walks_per_unit(), self._rng
-            )
-        return resolved
 
 
 class ForaPlusIncremental(ForaPlus):
-    """FORA+ with incremental walk-index maintenance by default.
+    """FORA+ with FIRM-style incremental walk-index maintenance.
 
     Registered as its own algorithm ("FORA+inc") so the Quota
-    optimizer can weigh its much smaller t̃_u against plain FORA+ and
-    the index-free methods.
+    optimizer can weigh its much smaller t̃_u — charged through
+    ``ForaPlusIncrementalCostModel`` — against plain FORA+ and the
+    index-free methods.
     """
 
     name = "FORA+inc"
-
-    def __init__(
-        self,
-        graph: DynamicGraph,
-        params: PPRParams | None = None,
-        r_max: float | None = None,
-        engine: str = "scalar",
-        index_maintenance: str = "incremental",
-    ) -> None:
-        super().__init__(graph, params, r_max, engine, index_maintenance)
+    index_maintenance = "incremental"

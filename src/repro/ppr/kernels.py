@@ -54,11 +54,16 @@ from repro.ppr.forward_push import PushResult
 ENGINES = ("scalar", "frontier", "batched")
 
 
-def resolve_engine(engine: str) -> str:
-    """Validate an engine name against :data:`ENGINES`."""
-    if engine not in ENGINES:
+def resolve_engine(engine: str, allowed: tuple[str, ...] = ENGINES) -> str:
+    """Validate an engine name against ``allowed`` (default :data:`ENGINES`).
+
+    The one engine-name validator: :mod:`repro.ppr.dispatch` binds it to
+    ``ENGINE_CHOICES`` (``"auto"`` plus the kernels) as
+    ``resolve_engine_choice``.
+    """
+    if engine not in allowed:
         raise ValueError(
-            f"unknown kernel engine {engine!r}; choose one of {ENGINES}"
+            f"unknown kernel engine {engine!r}; choose one of {allowed}"
         )
     return engine
 

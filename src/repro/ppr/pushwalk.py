@@ -32,23 +32,25 @@ class WalkPhaseResult:
 
 def add_walk_estimates(
     view: CSRView,
-    reserve: np.ndarray,
-    residue: np.ndarray,
+    reserves: np.ndarray,
+    residues: np.ndarray,
     alpha: float,
     num_walks_k: int,
     rng: np.random.Generator,
     index: WalkIndex | None = None,
 ) -> WalkPhaseResult:
-    """Fold the residue vector into ``reserve`` via random walks.
+    """Fold residues into reserves via random walks.
 
     Parameters
     ----------
     view:
         Graph snapshot the walks run on.
-    reserve:
-        Estimate array, mutated in place.
-    residue:
-        Residue array left by the push phase (read-only).
+    reserves:
+        Estimates, mutated in place: one length-``n`` vector or a
+        ``(B, n)`` batch of push results (a single vector is the
+        ``B = 1`` batch — same holder order, same generator draws).
+    residues:
+        Residues left by the push phase, same shape (read-only).
     alpha:
         Walk termination probability (ignored when ``index`` given —
         the index was sampled with its own alpha).
@@ -58,54 +60,23 @@ def add_walk_estimates(
         Randomness for online sampling.
     index:
         When provided (index-based algorithms), terminals are read from
-        the precomputed store instead of being simulated.
-
-    Returns
-    -------
-    WalkPhaseResult
-        Number of walks consumed and number of residue nodes.
-    """
-    holders = np.flatnonzero(residue > 0.0)
-    if holders.size == 0:
-        return WalkPhaseResult(0, 0)
-    res = residue[holders]
-    counts = np.ceil(res * num_walks_k).astype(np.int64)
-    np.maximum(counts, 1, out=counts)
-    weights = res / counts
-
-    if index is None:
-        starts = np.repeat(holders, counts)
-        per_walk_weight = np.repeat(weights, counts)
-        terminals = sample_walk_terminals(view, starts, alpha, rng)
-        np.add.at(reserve, terminals, per_walk_weight)
-    else:
-        for node, count, weight in zip(holders, counts, weights):
-            terminals = index.terminals_for(int(node), int(count))
-            np.add.at(reserve, terminals, weight)
-    return WalkPhaseResult(int(counts.sum()), int(holders.size))
-
-
-def add_walk_estimates_batch(
-    view: CSRView,
-    reserves: np.ndarray,
-    residues: np.ndarray,
-    alpha: float,
-    num_walks_k: int,
-    rng: np.random.Generator,
-    index: WalkIndex | None = None,
-) -> WalkPhaseResult:
-    """Walk phase over a ``(B, n)`` batch of push results.
+        the precomputed store instead of being simulated; a node's
+        stored terminals are shared deterministic samples, so every
+        row is served per-node from the store.
 
     Residue holders of *all* rows are flattened into one
     :func:`~repro.ppr.random_walk.sample_walk_terminals` call (the
     walks are independent, so lock-step simulation across rows is
     exact), and terminals scatter into the flat reserve at
-    ``row * n + terminal``.  ``reserves`` is mutated in place.
+    ``row * n + terminal``.
 
-    With a precomputed ``index`` the terminals of a node are shared
-    deterministic samples, so rows are served per-node from the store
-    exactly as :func:`add_walk_estimates` does.
+    Returns
+    -------
+    WalkPhaseResult
+        Number of walks consumed and number of residue holders.
     """
+    reserves = np.atleast_2d(reserves)
+    residues = np.atleast_2d(residues)
     b_idx, v_idx = np.nonzero(residues > 0.0)
     if b_idx.size == 0:
         return WalkPhaseResult(0, 0)
@@ -114,16 +85,21 @@ def add_walk_estimates_batch(
     np.maximum(counts, 1, out=counts)
     weights = res / counts
 
-    n = view.n
-    flat_reserves = reserves.reshape(-1)
     if index is None:
         starts = np.repeat(v_idx, counts)
         walk_rows = np.repeat(b_idx, counts)
         per_walk_weight = np.repeat(weights, counts)
         terminals = sample_walk_terminals(view, starts, alpha, rng)
-        np.add.at(flat_reserves, walk_rows * n + terminals, per_walk_weight)
+        np.add.at(
+            reserves.reshape(-1), walk_rows * view.n + terminals, per_walk_weight
+        )
     else:
-        for row, node, count, weight in zip(b_idx, v_idx, counts, weights):
-            terminals = index.terminals_for(int(node), int(count))
-            np.add.at(flat_reserves, int(row) * n + terminals, weight)
+        # np.nonzero is row-major, so each row's holders are one slice
+        bounds = np.searchsorted(b_idx, np.arange(len(reserves) + 1))
+        for reserve, lo, hi in zip(reserves, bounds[:-1], bounds[1:]):
+            for node, count, weight in zip(
+                v_idx[lo:hi], counts[lo:hi], weights[lo:hi]
+            ):
+                terminals = index.terminals_for(int(node), int(count))
+                np.add.at(reserve, terminals, weight)
     return WalkPhaseResult(int(counts.sum()), int(b_idx.size))

@@ -150,10 +150,10 @@ class WalkIndex:
         :meth:`apply_edge_update` without paying a lazy traced rebuild
         on the first incremental update.
 
-    The index is valid only for the graph version it was built on;
-    owners (FORA+/Agenda) are responsible for rebuilding, refreshing,
-    or incrementally patching it after updates — that is precisely the
-    update cost Quota models.
+    The index is valid only for the graph version it was built on; its
+    one owner, :class:`~repro.ppr.base.WalkIndexOwner`, rebuilds,
+    refreshes or incrementally patches it after updates — that is
+    precisely the update cost Quota models.
     """
 
     def __init__(

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 
 from repro.graph.digraph import DynamicGraph
-from repro.graph.updates import EdgeUpdate
 from repro.ppr.base import (
     DynamicPPRAlgorithm,
     PPRParams,
@@ -26,7 +25,6 @@ from repro.ppr.base import (
     clip_unit,
 )
 from repro.ppr.forward_push import forward_push
-from repro.ppr.pushwalk import add_walk_estimates
 
 
 class ResAcc(DynamicPPRAlgorithm):
@@ -94,21 +92,6 @@ class ResAcc(DynamicPPRAlgorithm):
                     reserve=push.reserve,
                 )
                 stats.pushes += push.pushes
-        with self.timers.measure("Random Walk"):
-            walk = add_walk_estimates(
-                view,
-                push.reserve,
-                push.residue,
-                self.params.alpha,
-                self.params.num_walks(view.n),
-                self._rng,
-            )
-            stats.walks = walk.num_walks
+        self._walk_phase(view, push.reserve, push.residue, stats)
         self.last_query_stats = stats
         return PPRVector(push.reserve, view, source)
-
-    def apply_update(self, update: EdgeUpdate) -> EdgeUpdate:
-        with self.timers.measure("Graph Update"):
-            resolved = update.apply(self.graph)
-            self.view
-        return resolved

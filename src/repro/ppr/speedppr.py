@@ -13,6 +13,10 @@ folded into the constants.
 * :class:`SpeedPPR` — index-free; O(1)-ish updates (``tau_3``).
 * :class:`SpeedPPRPlus` — walk index; update regenerates the index
   (``r_max * tau_3``).
+* :class:`SpeedPPRPlusIncremental` ("SpeedPPR+inc") — walk index
+  patched per update (:mod:`repro.ppr.incremental`).
+
+The index lifecycle lives in :class:`~repro.ppr.base.WalkIndexOwner`.
 
 The power phase has two backend families, routed by
 :mod:`repro.ppr.dispatch` when ``engine="auto"``:
@@ -46,18 +50,16 @@ if TYPE_CHECKING:
     from repro.ppr.dispatch import RoutingDecision
 
 from repro.graph.digraph import DynamicGraph
-from repro.graph.updates import EdgeUpdate
 from repro.ppr.base import (
     DynamicPPRAlgorithm,
     PPRParams,
     PPRVector,
     QueryStats,
+    WalkIndexOwner,
     clip_unit,
 )
 from repro.ppr.kernels import power_phase
 from repro.ppr.power_iteration import transition_matrix
-from repro.ppr.pushwalk import add_walk_estimates, add_walk_estimates_batch
-from repro.ppr.random_walk import WalkIndex
 
 
 class SpeedPPR(DynamicPPRAlgorithm):
@@ -222,17 +224,7 @@ class SpeedPPR(DynamicPPRAlgorithm):
                 )
             stats.extra["sweeps"] = sweeps
             stats.extra["backend"] = decision.backend
-        with self.timers.measure("Random Walk"):
-            walk = add_walk_estimates(
-                view,
-                reserve,
-                residue,
-                alpha,
-                self._num_walks(),
-                self._rng,
-                index=self._walk_index(),
-            )
-            stats.walks = walk.num_walks
+        self._walk_phase(view, reserve, residue, stats)
         self.last_query_stats = stats
         return PPRVector(reserve, view, source)
 
@@ -277,17 +269,7 @@ class SpeedPPR(DynamicPPRAlgorithm):
             stats.extra["sweeps"] = sweeps
             stats.extra["backend"] = decision.backend
             stats.extra["effective_batch"] = decision.effective_batch
-        with self.timers.measure("Random Walk"):
-            walk = add_walk_estimates_batch(
-                view,
-                reserves_b,
-                residues_b,
-                alpha,
-                self._num_walks(),
-                self._rng,
-                index=self._walk_index(),
-            )
-            stats.walks = walk.num_walks
+        self._walk_phase(view, reserves_b, residues_b, stats)
         stats.extra["batch_size"] = b_count
         self.last_query_stats = stats
         return [
@@ -295,109 +277,15 @@ class SpeedPPR(DynamicPPRAlgorithm):
             for b, source in enumerate(sources)
         ]
 
-    def apply_update(self, update: EdgeUpdate) -> EdgeUpdate:
-        with self.timers.measure("Graph Update"):
-            resolved = update.apply(self.graph)
-            self.view  # refresh snapshot within the update cost
-        return resolved
 
-    def _walk_index(self) -> WalkIndex | None:
-        return None
-
-
-class SpeedPPRPlus(SpeedPPR):
-    """Index-based SpeedPPR+ — precomputed walks, maintained per update.
-
-    ``index_maintenance`` selects "rebuild" (the paper's full
-    regeneration, the default and test oracle) or "incremental"
-    (FIRM-style affected-walk resampling, :mod:`repro.ppr.incremental`).
-    """
+class SpeedPPRPlus(WalkIndexOwner, SpeedPPR):
+    """Index-based SpeedPPR+ — precomputed walks, regenerated per update."""
 
     name = "SpeedPPR+"
-    is_index_based = True
-
-    def __init__(
-        self,
-        graph: DynamicGraph,
-        params: PPRParams | None = None,
-        r_max: float | None = None,
-        engine: str = "scalar",
-        index_maintenance: str = "rebuild",
-    ) -> None:
-        from repro.ppr.fora import INDEX_MAINTENANCE_MODES
-
-        if index_maintenance not in INDEX_MAINTENANCE_MODES:
-            raise ValueError(
-                f"index_maintenance must be one of "
-                f"{INDEX_MAINTENANCE_MODES}, got {index_maintenance!r}"
-            )
-        self.index_maintenance = index_maintenance
-        super().__init__(graph, params, r_max, engine)
-        self._index: WalkIndex | None = None
-        self._ensure_index()
-
-    def _walks_per_unit(self) -> float:
-        return self.r_max * self._num_walks()
-
-    def _build_index(self) -> None:
-        with self.timers.measure("Index Build"):
-            self._index = WalkIndex(
-                self.view,
-                self.params.alpha,
-                self._walks_per_unit(),
-                self._rng,
-                track_edges=self.index_maintenance == "incremental",
-            )
-
-    def _ensure_index(self) -> None:
-        # version-keyed (not view identity): compaction must not force
-        # an index rebuild — see ForaPlus._ensure_index.
-        if (
-            self._index is None
-            or self._index.view.version != self.view.version
-        ):
-            self._build_index()
-
-    def _on_hyperparameters_changed(self) -> None:
-        self._build_index()
-
-    def _walk_index(self) -> WalkIndex:
-        self._ensure_index()
-        return self._index
-
-    def apply_update(self, update: EdgeUpdate) -> EdgeUpdate:
-        if self.index_maintenance == "incremental" and self._index is not None:
-            with self.timers.measure("Graph Update"):
-                resolved = update.apply(self.graph)
-                view = self.view
-            with self.timers.measure("Index Update"):
-                self._index.apply_edge_update(
-                    view,
-                    view.to_index(resolved.u),
-                    view.to_index(resolved.v),
-                    resolved.kind,
-                )
-            return resolved
-        with self.timers.measure("Graph Update"):
-            resolved = update.apply(self.graph)
-        with self.timers.measure("Index Build"):
-            self._index = WalkIndex(
-                self.view, self.params.alpha, self._walks_per_unit(), self._rng
-            )
-        return resolved
 
 
 class SpeedPPRPlusIncremental(SpeedPPRPlus):
-    """SpeedPPR+ with incremental walk-index maintenance by default."""
+    """SpeedPPR+ with FIRM-style incremental walk-index maintenance."""
 
     name = "SpeedPPR+inc"
-
-    def __init__(
-        self,
-        graph: DynamicGraph,
-        params: PPRParams | None = None,
-        r_max: float | None = None,
-        engine: str = "scalar",
-        index_maintenance: str = "incremental",
-    ) -> None:
-        super().__init__(graph, params, r_max, engine, index_maintenance)
+    index_maintenance = "incremental"

@@ -24,7 +24,6 @@ import math
 import numpy as np
 
 from repro.graph.digraph import DynamicGraph
-from repro.graph.updates import EdgeUpdate
 from repro.ppr.base import (
     DynamicPPRAlgorithm,
     PPRParams,
@@ -33,7 +32,6 @@ from repro.ppr.base import (
     clip_unit,
 )
 from repro.ppr.forward_push import forward_push
-from repro.ppr.pushwalk import add_walk_estimates
 from repro.ppr.reverse_push import reverse_push
 
 
@@ -90,16 +88,7 @@ class ForaTopK(DynamicPPRAlgorithm):
                 view, view.to_index(source), self.params.alpha, r_max
             )
             stats.pushes += push.pushes
-        with self.timers.measure("Random Walk"):
-            walk = add_walk_estimates(
-                view,
-                push.reserve,
-                push.residue,
-                self.params.alpha,
-                self.params.num_walks(view.n),
-                self._rng,
-            )
-            stats.walks += walk.num_walks
+        self._walk_phase(view, push.reserve, push.residue, stats)
         return push.reserve
 
     def query(self, source: int) -> PPRVector:
@@ -129,12 +118,6 @@ class ForaTopK(DynamicPPRAlgorithm):
         idx = np.argpartition(-estimate, k - 1)[:k]
         idx = idx[np.argsort(-estimate[idx], kind="stable")]
         return [int(i) for i in idx]
-
-    def apply_update(self, update: EdgeUpdate) -> EdgeUpdate:
-        with self.timers.measure("Graph Update"):
-            resolved = update.apply(self.graph)
-            self.view
-        return resolved
 
 
 class TopPPR(DynamicPPRAlgorithm):
@@ -201,16 +184,7 @@ class TopPPR(DynamicPPRAlgorithm):
                 view, view.to_index(source), self.params.alpha, self.r_max
             )
             stats.pushes = push.pushes
-        with self.timers.measure("Random Walk"):
-            walk = add_walk_estimates(
-                view,
-                push.reserve,
-                push.residue,
-                self.params.alpha,
-                self.params.num_walks(view.n),
-                self._rng,
-            )
-            stats.walks = walk.num_walks
+        self._walk_phase(view, push.reserve, push.residue, stats)
         estimate = push.reserve
         with self.timers.measure("Reverse Push"):
             candidates = self._candidate_set(estimate)
@@ -242,9 +216,3 @@ class TopPPR(DynamicPPRAlgorithm):
             return np.empty(0, dtype=np.int64)
         idx = np.argpartition(-estimate, count - 1)[:count]
         return idx
-
-    def apply_update(self, update: EdgeUpdate) -> EdgeUpdate:
-        with self.timers.measure("Graph Update"):
-            resolved = update.apply(self.graph)
-            self.view
-        return resolved

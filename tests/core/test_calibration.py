@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import calibrate_taus, calibrated_cost_model, cost_model_for
 from repro.graph import barabasi_albert_graph
-from repro.ppr import Agenda, Fora, ForaPlus, PPRParams
+from repro.ppr import Agenda, Fora, ForaPlus, ForaPlusIncremental, PPRParams
 
 
 @pytest.fixture
@@ -56,6 +56,37 @@ class TestCalibrateTaus:
             alg.query(i)
         measured = (time.perf_counter() - start) / runs
         assert predicted == pytest.approx(measured, rel=3.0)
+
+    def test_probes_run_the_production_kernel(self, graph, params, monkeypatch):
+        """Regression: the scratch copy dropped ``engine``, so tau was
+        fitted on the scalar deque kernel while beta was then optimized
+        for the frontier kernel's constants."""
+        from repro.core import calibration
+
+        probes = []
+        scratch_copy = calibration._scratch_copy
+
+        def recording_copy(algorithm):
+            probes.append(scratch_copy(algorithm))
+            return probes[-1]
+
+        monkeypatch.setattr(calibration, "_scratch_copy", recording_copy)
+        alg = Fora(graph.copy(), params, engine="frontier")
+        calibrate_taus(alg, num_queries=2, rng=4)
+        assert len(probes) == len(calibration.DEFAULT_PROBE_SCALES)
+        assert {probe.engine for probe in probes} == {"frontier"}
+
+    def test_incremental_probe_patches_its_index(self, graph, params):
+        """A FORA+inc probe measures the patch, not a rebuild — the
+        "Index Update" row its cost model reads."""
+        from repro.core.calibration import _scratch_copy
+        from repro.graph import EdgeUpdate
+
+        clone = _scratch_copy(ForaPlusIncremental(graph.copy(), params))
+        builds_before = clone.timers.count("Index Build")
+        clone.apply_update(EdgeUpdate(0, 75))
+        assert clone.timers.count("Index Update") == 1
+        assert clone.timers.count("Index Build") == builds_before
 
     def test_zero_updates_skips_update_taus(self, graph, params):
         alg = Fora(graph.copy(), params)

@@ -111,8 +111,12 @@ class TestForaPlus:
     def test_invalid_index_maintenance_rejected(self, small_ba_graph, params):
         import pytest
 
+        # the policy is a class attribute (the registry name is the only
+        # selector), so an unknown one is rejected where it is declared
         with pytest.raises(ValueError, match="index_maintenance"):
-            ForaPlus(small_ba_graph, params, index_maintenance="lazy")
+
+            class LazyForaPlus(ForaPlus):
+                index_maintenance = "lazy"
 
     def test_index_budget_tracks_r_max(self, small_ba_graph, params):
         alg = ForaPlus(small_ba_graph, params)
