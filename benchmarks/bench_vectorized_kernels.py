@@ -78,7 +78,7 @@ def make_dispatcher(resident_bytes: int | None = None) -> KernelDispatcher:
         if resident_bytes is not None
         else DispatchCostModel()
     )
-    return KernelDispatcher(cost_model=cost, env={}, metrics=MetricsRegistry())
+    return KernelDispatcher(cost_model=cost, metrics=MetricsRegistry())
 
 
 def execute_push_decision(view, decision, sources, r_max):

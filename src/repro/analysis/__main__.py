@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="output format",
     )
@@ -67,14 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-scope",
         action="store_true",
         help="apply scoped rules (R2, R6, R11) to every linted file",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="lint per-file rules in N worker processes "
-        "(the project-wide pass stays in-process)",
     )
     parser.add_argument(
         "--baseline",
@@ -114,9 +106,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.list_rules:
         print(list_rules())
         return 0
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
-        return 2
     select = _parse_ids(args.select)
     known = RULES.keys() | PROJECT_RULES.keys()
     unknown = (select or frozenset()) - known
@@ -128,7 +117,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         ignore=_parse_ids(args.ignore) or frozenset(),
         restrict_scopes=not args.no_scope,
     )
-    findings, errors = run_paths(args.paths, config, jobs=args.jobs)
+    findings, errors = run_paths(args.paths, config)
     if args.write_baseline:
         write_baseline(args.write_baseline, findings)
         print(

@@ -388,14 +388,10 @@ def run_source(
     return findings
 
 
-def _lint_file_worker(
+def _lint_file(
     path_str: str, config: LintConfig
 ) -> tuple[list[Finding], str | None]:
-    """Read + lint one file (top-level so ``--jobs`` can pickle it)."""
-    # worker processes import this module fresh; make sure the rule
-    # pack has populated the registry before linting
-    import repro.analysis  # noqa: F401
-
+    """Read + lint one file; ``(findings, error or None)``."""
     try:
         source = Path(path_str).read_text(encoding="utf-8")
     except OSError as exc:
@@ -409,38 +405,23 @@ def _lint_file_worker(
 def run_paths(
     paths: Sequence[str | Path],
     config: LintConfig | None = None,
-    jobs: int = 1,
 ) -> tuple[list[Finding], list[str]]:
     """Lint files/directories.
 
     Returns ``(findings, errors)`` where ``errors`` are files that
     could not be read or parsed (reported, never silently skipped).
-    ``jobs > 1`` parses and lints the per-file rules in that many
-    worker processes; the project-wide pass (rules R7-R11) always runs
-    in-process afterwards, over every file that parsed.
+    The project-wide pass (rules R7-R11) runs after the per-file
+    rules, over every file that parsed.
     """
     config = config or LintConfig()
     files = [str(p) for p in iter_python_files(paths)]
     findings: list[Finding] = []
     errors: list[str] = []
-    if jobs > 1 and len(files) > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=jobs
-        ) as pool:
-            for file_findings, error in pool.map(
-                _lint_file_worker, files, [config] * len(files)
-            ):
-                findings.extend(file_findings)
-                if error is not None:
-                    errors.append(error)
-    else:
-        for file_path in files:
-            file_findings, error = _lint_file_worker(file_path, config)
-            findings.extend(file_findings)
-            if error is not None:
-                errors.append(error)
+    for file_path in files:
+        file_findings, error = _lint_file(file_path, config)
+        findings.extend(file_findings)
+        if error is not None:
+            errors.append(error)
     findings.extend(_run_project_rules(files, config))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
     return findings, errors
@@ -469,89 +450,13 @@ def _run_project_rules(
 # ----------------------------------------------------------------------
 # Reporting
 # ----------------------------------------------------------------------
-def _rule_metadata(rule_id: str) -> tuple[str, str]:
-    """(short name, rationale) for a rule id, both families."""
-    cls: type[Rule] | type[ProjectRule] | None = RULES.get(
-        rule_id
-    ) or PROJECT_RULES.get(rule_id)
-    if cls is None:
-        return "suppression-hygiene", "unknown rule id in a suppression"
-    return cls.name, cls.rationale
-
-
-def format_sarif(findings: Iterable[Finding]) -> str:
-    """Render findings as a SARIF 2.1.0 log (one run, tool=reprolint).
-
-    The minimal profile GitHub code scanning and most SARIF viewers
-    consume: rule metadata on the driver, one result per finding with
-    a physical location (1-based line/column).
-    """
-    items = list(findings)
-    rules = []
-    for rule_id in sorted({f.rule_id for f in items}):
-        name, rationale = _rule_metadata(rule_id)
-        rules.append(
-            {
-                "id": rule_id,
-                "name": name,
-                "shortDescription": {"text": name},
-                "fullDescription": {"text": rationale},
-            }
-        )
-    results = [
-        {
-            "ruleId": f.rule_id,
-            "level": "error" if f.severity == "error" else "warning",
-            "message": {"text": f.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": Path(f.path).as_posix(),
-                        },
-                        "region": {
-                            "startLine": f.line,
-                            "startColumn": f.col + 1,
-                        },
-                    }
-                }
-            ],
-        }
-        for f in items
-    ]
-    log = {
-        "$schema": (
-            "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
-            "master/Schemata/sarif-schema-2.1.0.json"
-        ),
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "reprolint",
-                        "informationUri": (
-                            "docs/DEVELOPMENT.md#the-rules"
-                        ),
-                        "rules": rules,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(log, indent=2)
-
-
 def format_findings(
     findings: Iterable[Finding], output_format: str = "text"
 ) -> str:
-    """Render findings as text lines, a JSON array, or a SARIF log."""
+    """Render findings as text lines or a JSON array."""
     items = list(findings)
     if output_format == "json":
         return json.dumps([f.as_dict() for f in items], indent=2)
-    if output_format == "sarif":
-        return format_sarif(items)
     return "\n".join(f.format_text() for f in items)
 
 

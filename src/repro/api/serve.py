@@ -79,8 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
 async def _serve(args: argparse.Namespace) -> int:
     spec = get_dataset(args.dataset)
     graph = spec.build(seed=args.seed)
-    lambda_q = args.lambda_q if args.lambda_q is not None else spec.lambda_q
-    lambda_u = args.lambda_u if args.lambda_u is not None else spec.lambda_q
     print(
         f"building {args.shards}-shard fleet ({args.backend}) on "
         f"{spec.name} (n={graph.num_nodes}, m={graph.num_edges})...",
@@ -102,8 +100,10 @@ async def _serve(args: argparse.Namespace) -> int:
     )
     drift = (
         DriftPolicy(
-            lambda_q=lambda_q,
-            lambda_u=lambda_u,
+            lambda_q=(
+                args.lambda_q if args.lambda_q is not None else spec.lambda_q
+            ),
+            lambda_u=args.lambda_u,
             threshold=args.drift_threshold,
         )
         if args.quota
@@ -133,7 +133,12 @@ async def _serve(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.quota and args.lambda_u is None:
+        # a dataset declares a query rate only; a guessed update rate
+        # would be a wrong drift baseline
+        parser.error("--quota requires --lambda-u (the drift baseline)")
     try:
         return asyncio.run(_serve(args))
     except KeyboardInterrupt:  # pragma: no cover - interactive exit

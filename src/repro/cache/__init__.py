@@ -5,17 +5,13 @@ popularity); this package makes them cost ~0 while keeping every
 served answer within a provable distance of a fresh recompute:
 
 * :mod:`~repro.cache.store` — the size-bounded LRU/LFU-hybrid
-  :class:`PPRCache`, keyed by (source, algorithm, beta-signature,
-  result kind), carrying per-entry graph version and accumulated
-  staleness.
+  :class:`PPRCache`, keyed by (source, algorithm, beta-signature),
+  carrying per-entry graph version and accumulated staleness.
 * :mod:`~repro.cache.staleness` — :class:`StalenessTracker`, charging
   each live entry a safety-scaled Lemma-2 increment per applied edge
   update and evicting past the ``epsilon_c`` budget;
   :class:`ChargingApplier` for the Seed flush paths;
   :class:`ReplayCache` for the virtual-time simulators.
-* :mod:`~repro.cache.policy` — admission/expiry policies
-  (:class:`AlwaysAdmit`, :class:`AdmitOnSecondHit`, :class:`TTLPolicy`)
-  behind the :class:`CachePolicy` protocol.
 
 Layering: this package sits beside :mod:`repro.ppr` (it imports only
 ``repro.graph`` and ``repro.obs``), so :mod:`repro.core`,
@@ -25,12 +21,6 @@ invalidation contract and the ``epsilon_c`` vs ``epsilon_r``
 distinction.
 """
 
-from repro.cache.policy import (
-    AdmitOnSecondHit,
-    AlwaysAdmit,
-    CachePolicy,
-    TTLPolicy,
-)
 from repro.cache.staleness import (
     ChargingApplier,
     ReplayCache,
@@ -38,31 +28,21 @@ from repro.cache.staleness import (
     lemma2_increment,
 )
 from repro.cache.store import (
-    TOPK,
-    VECTOR,
     CacheEntry,
     CacheKey,
     PPRCache,
     beta_signature,
     make_key,
-    pi_from_topk,
 )
 
 __all__ = [
-    "AdmitOnSecondHit",
-    "AlwaysAdmit",
-    "CachePolicy",
     "CacheEntry",
     "CacheKey",
     "ChargingApplier",
     "PPRCache",
     "ReplayCache",
     "StalenessTracker",
-    "TOPK",
-    "TTLPolicy",
-    "VECTOR",
     "beta_signature",
     "lemma2_increment",
     "make_key",
-    "pi_from_topk",
 ]

@@ -45,7 +45,6 @@ from __future__ import annotations
 from typing import Protocol
 
 from repro.cache.store import (
-    VECTOR,
     CacheEntry,
     CacheKey,
     PiEstimate,
@@ -161,7 +160,7 @@ class ReplayCache:
     Parameters
     ----------
     cache:
-        The underlying store (its ``epsilon_c``/policy/metrics apply).
+        The underlying store (its ``epsilon_c``/metrics apply).
     graph:
         The graph the simulator mutates (`on_update` reads degrees
         from it, post-application).
@@ -197,7 +196,7 @@ class ReplayCache:
         self._tracker = StalenessTracker(cache, graph, alpha, safety=safety)
 
     def _key(self, source: int) -> CacheKey:
-        return make_key(source, self._algo, {}, VECTOR)
+        return make_key(source, self._algo, {})
 
     def hit(self, source: int) -> bool:
         """True when ``source`` is served from cache (bumps metrics)."""
@@ -206,15 +205,13 @@ class ReplayCache:
     def admit(
         self,
         source: int,
-        cost_s: float = 0.0,
         pi_estimate: PiEstimate | None = None,
-    ) -> bool:
+    ) -> None:
         """Record a computed (modeled) result for ``source``."""
-        return self.cache.insert(
+        self.cache.insert(
             self._key(source),
             None,
             self._graph.version,
-            cost_s=cost_s,
             pi_estimate=pi_estimate,
         )
 

@@ -1,10 +1,9 @@
 """Size-bounded PPR result cache with staleness metadata.
 
-:class:`PPRCache` maps ``(source, algorithm, beta-signature,
-result-kind)`` keys to computed PPR results (full vectors or top-k
-lists) plus the metadata the invalidation machinery needs: the graph
-version the result was computed at and the staleness budget it has
-accumulated since (charged by
+:class:`PPRCache` maps ``(source, algorithm, beta-signature)`` keys
+to computed PPR results plus the metadata the invalidation machinery
+needs: the graph version the result was computed at and the staleness
+budget it has accumulated since (charged by
 :class:`~repro.cache.staleness.StalenessTracker`, one increment per
 applied edge update).
 
@@ -26,8 +25,7 @@ Thread safety: every public method takes the internal lock, so the
 store can sit under :class:`~repro.serving.runtime.ServingRuntime`
 where readers insert concurrently with the writer charging staleness.
 Lock ordering note: the cache lock is a leaf — no callback invoked
-under it (policy hooks, ``pi_estimate`` closures) may call back into
-the cache.
+under it (``pi_estimate`` closures) may call back into the cache.
 """
 
 from __future__ import annotations
@@ -37,13 +35,7 @@ from collections import OrderedDict
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
-from repro.cache.policy import AlwaysAdmit, CachePolicy
 from repro.obs import MetricsRegistry, get_metrics
-
-#: result kind: a full PPR vector (``PPRVector`` or any opaque result)
-VECTOR = "vector"
-#: result kind: a top-k list of (node, score) pairs
-TOPK = "topk"
 
 #: LRU-front window scanned for the least-frequently-hit victim
 EVICTION_SAMPLE = 8
@@ -60,22 +52,6 @@ def beta_signature(beta: Mapping[str, float]) -> BetaSignature:
     return tuple(sorted((name, float(value)) for name, value in beta.items()))
 
 
-def pi_from_topk(pairs: list[tuple[int, float]]) -> PiEstimate:
-    """A ``pi_estimate`` accessor over a top-k result.
-
-    Nodes outside the stored top-k report the smallest stored score —
-    an upper bound on their true estimate (the list is sorted
-    descending), which keeps the staleness charge conservative.
-    """
-    scores = {node: score for node, score in pairs}
-    floor = min(scores.values()) if scores else 1.0
-
-    def estimate(node: int) -> float:
-        return scores.get(node, floor)
-
-    return estimate
-
-
 @dataclass(frozen=True, slots=True)
 class CacheKey:
     """Identity of one cached result."""
@@ -83,17 +59,11 @@ class CacheKey:
     source: int
     algo: str
     beta_sig: BetaSignature
-    kind: str = VECTOR
 
 
-def make_key(
-    source: int,
-    algo: str,
-    beta: Mapping[str, float],
-    kind: str = VECTOR,
-) -> CacheKey:
+def make_key(source: int, algo: str, beta: Mapping[str, float]) -> CacheKey:
     """Build a :class:`CacheKey` from a live hyperparameter mapping."""
-    return CacheKey(source, algo, beta_signature(beta), kind)
+    return CacheKey(source, algo, beta_signature(beta))
 
 
 @dataclass(slots=True)
@@ -102,19 +72,16 @@ class CacheEntry:
 
     ``version`` is the graph version the result was computed at;
     ``staleness`` the accumulated (safety-scaled) Lemma-2 budget since;
-    ``born_update`` the cache's applied-update counter at insert time
-    (the TTL clock); ``pi_estimate`` an optional ``node -> pi(s, node)``
-    accessor the staleness tracker uses for value-aware charging
+    ``pi_estimate`` an optional ``node -> pi(s, node)`` accessor the
+    staleness tracker uses for value-aware charging
     (``None`` falls back to the conservative degree-only bound).
     """
 
     key: CacheKey
     value: object
     version: int
-    cost_s: float = 0.0
     staleness: float = 0.0
     hits: int = 0
-    born_update: int = 0
     pi_estimate: PiEstimate | None = None
 
 
@@ -132,8 +99,6 @@ class PPRCache:
         :meth:`charge_staleness` — the cache-side analogue of Seed's
         ``epsilon_r``, but over *applied* updates rather than pending
         ones (docs/DEVELOPMENT.md, "The result cache").
-    policy:
-        Admission/expiry policy (default :class:`AlwaysAdmit`).
     metrics:
         Observability registry for the ``cache.*`` counters/gauges.
     """
@@ -142,7 +107,6 @@ class PPRCache:
         self,
         capacity: int = 512,
         epsilon_c: float = 0.1,
-        policy: CachePolicy | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if capacity < 1:
@@ -151,7 +115,6 @@ class PPRCache:
             raise ValueError(f"epsilon_c must be positive, got {epsilon_c}")
         self.capacity = capacity
         self.epsilon_c = epsilon_c
-        self.policy: CachePolicy = policy if policy is not None else AlwaysAdmit()
         self.metrics = metrics if metrics is not None else get_metrics()
         # imported lazily: repro.serving imports repro.cache at module
         # load, so a top-level import here would be circular
@@ -170,7 +133,7 @@ class PPRCache:
 
     @property
     def updates_seen(self) -> int:
-        """Applied updates charged so far (the TTL clock)."""
+        """Applied updates charged so far."""
         with self._lock:
             return self._updates_seen
 
@@ -186,19 +149,11 @@ class PPRCache:
     def lookup(self, key: CacheKey) -> CacheEntry | None:
         """Return the live entry for ``key`` (None on miss).
 
-        A hit bumps the entry's recency and frequency; a policy-expired
-        entry is retired here (lazily — expiry has no background
-        thread) and reported as a miss.
+        A hit bumps the entry's recency and frequency.
         """
         with self._lock:
             self._lookups += 1
             entry = self._entries.get(key)
-            if entry is not None and self.policy.should_expire(
-                entry, self._updates_seen
-            ):
-                del self._entries[key]
-                self.metrics.counter("cache.evictions_ttl").inc()
-                entry = None
             if entry is None:
                 self.metrics.counter("cache.misses").inc()
             else:
@@ -215,19 +170,15 @@ class PPRCache:
         key: CacheKey,
         value: object,
         version: int,
-        cost_s: float = 0.0,
         pi_estimate: PiEstimate | None = None,
-    ) -> bool:
-        """Admit a freshly computed result; False when the policy declines.
+    ) -> None:
+        """Admit a freshly computed result.
 
         Re-inserting an existing key replaces the entry (fresh version,
         zero staleness) while keeping its hit count — a recompute after
         a staleness eviction should not demote the source to cold.
         """
         with self._lock:
-            if not self.policy.should_admit(key, cost_s):
-                self.metrics.counter("cache.rejections").inc()
-                return False
             previous = self._entries.pop(key, None)
             while len(self._entries) >= self.capacity:
                 self._evict_one_locked()
@@ -235,15 +186,12 @@ class PPRCache:
                 key,
                 value,
                 version,
-                cost_s=cost_s,
                 hits=previous.hits if previous is not None else 0,
-                born_update=self._updates_seen,
                 pi_estimate=pi_estimate,
             )
             self._entries[key] = entry
             self.metrics.counter("cache.insertions").inc()
             self.metrics.gauge("cache.size").set(float(len(self._entries)))
-            return True
 
     def _evict_one_locked(self) -> None:
         """Evict the hybrid victim (least hits within the LRU front)."""
@@ -269,8 +217,7 @@ class PPRCache:
         ``increment(entry)`` returns the staleness charge for that
         entry (the tracker closes over the updated node and its
         post-update degree).  Entries whose accumulated budget exceeds
-        ``epsilon_c`` are evicted; their keys are returned.  Also
-        advances the applied-update counter that TTL policies read.
+        ``epsilon_c`` are evicted; their keys are returned.
         """
         with self._lock:
             self._updates_seen += 1
@@ -302,16 +249,6 @@ class PPRCache:
                 (entry.staleness for entry in self._entries.values()),
                 default=0.0,
             )
-
-    def invalidate_all(self) -> int:
-        """Drop every entry (e.g. after an out-of-band graph rebuild)."""
-        with self._lock:
-            dropped = len(self._entries)
-            self._entries.clear()
-            if dropped:
-                self.metrics.counter("cache.invalidations").inc(dropped)
-            self.metrics.gauge("cache.size").set(0.0)
-            return dropped
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, float]:

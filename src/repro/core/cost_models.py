@@ -407,7 +407,9 @@ class BatchAwareCostModel(_WrappingCostModel):
     the ``serving.batch_size`` histogram.  It is re-read per
     evaluation and clamped to >= 1, so an idle runtime (empty batches,
     NaN means) degrades to the unbatched model rather than a division
-    blow-up.
+    blow-up.  :meth:`query_time` is its only reader: the serving
+    runtime coalesces at its configured ``max_batch`` /
+    ``batch_window_s`` and does not tune them from this model.
 
     Update costs are untouched: updates flush between batches, one at
     a time, exactly as without batching.

@@ -22,7 +22,6 @@ import time
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.cache import PPRCache, StalenessTracker
 from repro.core.quota import QuotaController, QuotaDecision
@@ -31,9 +30,6 @@ from repro.obs import MetricsRegistry, get_metrics
 from repro.ppr.base import DynamicPPRAlgorithm, PPRVector
 from repro.queueing.replay import MeasuredExecutor, SimulationResult, replay
 from repro.queueing.workload import QUERY, Request, Workload
-
-if TYPE_CHECKING:  # runtime import stays lazy (serving imports core)
-    from repro.serving.runtime import ServingRuntime
 
 QueryCallback = Callable[[Request, PPRVector, int], None]
 
@@ -215,41 +211,6 @@ class QuotaSystem:
         self.algorithm.set_hyperparameters(**decision.beta)
         self.decisions.append(decision)
         return decision
-
-    # ------------------------------------------------------------------
-    def make_runtime(
-        self,
-        workers: int = 2,
-        queue_capacity: int = 256,
-        deadline_s: float | None = None,
-        drain_idle: bool = True,
-        max_batch: int = 1,
-        batch_window_s: float = 0.0,
-    ) -> "ServingRuntime":
-        """Build a live :class:`~repro.serving.ServingRuntime` sharing
-        this system's algorithm, controller, Seed budget, and metrics.
-
-        ``process`` replays a workload on a virtual clock; the runtime
-        returned here executes the same policy — Seed-aware dispatch,
-        idle draining, Quota reconfiguration — on real threads, so a
-        ``configure_static`` decision made here drives measured
-        serving directly.
-        """
-        from repro.serving.runtime import ServingRuntime
-
-        return ServingRuntime(
-            self.algorithm,
-            workers=workers,
-            epsilon_r=self.epsilon_r,
-            queue_capacity=queue_capacity,
-            deadline_s=deadline_s,
-            controller=self.controller,
-            drain_idle=drain_idle,
-            max_batch=max_batch,
-            batch_window_s=batch_window_s,
-            cache=self.cache,
-            metrics=self.metrics,
-        )
 
     # ------------------------------------------------------------------
     def process(

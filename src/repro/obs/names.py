@@ -73,13 +73,9 @@ COUNTERS = frozenset(
         "cache.hits",
         "cache.misses",
         "cache.insertions",
-        "cache.rejections",
         "cache.evictions_capacity",
         "cache.evictions_staleness",
-        "cache.evictions_ttl",
-        "cache.invalidations",
         "dispatch.decisions",
-        "dispatch.overrides",
         "dispatch.fallbacks",
         "dispatch.splits",
         # lock sanitizer (REPRO_LOCK_SANITIZER=1; repro.serving.rwlock)
@@ -136,10 +132,6 @@ GAUGES = frozenset(
         "serving.queue_depth",
         "cache.size",
         "cache.hit_rate",
-        # online batch auto-tuning (runtime reads the measured
-        # batch-size distribution back through BatchAwareCostModel)
-        "serving.effective_max_batch",
-        "serving.effective_batch_window_s",
         # sharded serving fabric (repro.shard)
         "shard.healthy",
         "shard.inflight",

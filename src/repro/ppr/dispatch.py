@@ -6,7 +6,7 @@ where the static choice is wrong: the node-major ``(n, B)`` batched
 state loses cache residency at ``n >= 20k``, and SpeedPPR's batched
 power phase regresses at ``B = 16``.  This module replaces the flag
 with a **capability-probing dispatcher** that routes every kernel call
-per ``(n, nnz, frontier density estimate, B, epsilon)``:
+per ``(n, frontier density estimate, B)``:
 
 * :data:`REGISTRY` — each backend declares its capabilities
   (:class:`BackendSpec`): which kernel *family* it serves (local push
@@ -14,16 +14,15 @@ per ``(n, nnz, frontier density estimate, B, epsilon)``:
   class** it belongs to (see below), and an optional-dependency
   ``probe`` evaluated lazily and cached (the scipy SpMM backend is the
   probed one).
-* :class:`DispatchCostModel` — cost curves calibrated from
+* :class:`DispatchCostModel` — the cost curves of
   :class:`~repro.core.cost_models.BatchAwareCostModel`: the batched
   amortization factor ``(1 - sigma) + sigma / B`` gated by a
   cache-residency cap on the ``2 * n * B`` float state, plus a
   frontier-density floor below which batching cannot win.
-* :class:`KernelDispatcher` — routing decisions with env-var override
-  (``REPRO_KERNEL_BACKEND``), per-backend disabling
-  (``REPRO_KERNEL_DISABLE``, used by the forced-fallback tests), and
-  graceful fallback when a probe fails.  Every decision is counted in
-  the ``dispatch.*`` metrics.
+* :class:`KernelDispatcher` — routing decisions with graceful
+  fallback when a probe fails (``disabled=`` forces one to, for the
+  fallback tests).  Every decision is counted in the ``dispatch.*``
+  metrics.
 
 Result invariance
 -----------------
@@ -47,8 +46,8 @@ Routing must never change answers.  Backends therefore carry a
   the scipy probe fails.
 * ``gauss-seidel`` — the scalar deque push.  It is a *different*
   schedule (results agree with sync-push only up to the r_max slack),
-  so ``auto`` never silently routes to or from it; it remains
-  selectable explicitly (``engine=scalar`` or the env override).
+  so ``auto`` never routes to or from it; it remains selectable
+  explicitly (``engine=scalar``).
 
 Switching *between* classes (e.g. the scipy probe failing on one
 machine and not another) can change low-order bits — that is the
@@ -58,9 +57,8 @@ documented cross-environment caveat, identical to the pre-dispatcher
 
 from __future__ import annotations
 
-import os
-from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -77,15 +75,6 @@ AUTO = "auto"
 #: engine names accepted at the algorithm/CLI layer: the concrete
 #: kernels plus ``auto``.
 ENGINE_CHOICES: tuple[str, ...] = (AUTO,) + ENGINES
-
-#: env var forcing one backend for every routable call (an explicit
-#: user override: it may cross result classes, unlike auto routing)
-ENV_BACKEND = "REPRO_KERNEL_BACKEND"
-#: env var with a comma-separated list of backends to treat as
-#: unavailable (probe forced to fail; exercised by the fallback tests)
-ENV_DISABLE = "REPRO_KERNEL_DISABLE"
-#: env var overriding the cache-residency budget, in KiB
-ENV_RESIDENT_KB = "REPRO_DISPATCH_RESIDENT_KB"
 
 #: kernel families a backend can serve
 PUSH = "push"
@@ -118,7 +107,7 @@ class BackendSpec:
     Attributes
     ----------
     name:
-        Registry key (also the ``REPRO_KERNEL_BACKEND`` value).
+        Registry key.
     family:
         Kernel family served: :data:`PUSH` or :data:`POWER`.
     result_class:
@@ -244,11 +233,10 @@ class DispatchCostModel:
     ----------
     sigma:
         Shared-work fraction of a batch (the BatchAwareCostModel
-        ``shared_fraction``; calibrate via :meth:`from_batch_model`).
+        ``shared_fraction``).
     resident_bytes:
         Cache budget for the ``2 * n * B * 8``-byte batch state.  The
-        default is L2-sized; override per deployment or with
-        ``REPRO_DISPATCH_RESIDENT_KB``.
+        default is L2-sized.
     min_batch:
         Smallest sub-batch worth the (n, B) bookkeeping.
     min_push_work:
@@ -286,38 +274,6 @@ class DispatchCostModel:
             raise ValueError("min_batch must be >= 2")
         if self.min_resident_rows < 1:
             raise ValueError("min_resident_rows must be >= 1")
-
-    @classmethod
-    def from_batch_model(
-        cls,
-        model: "object",
-        resident_bytes: int | None = None,
-    ) -> "DispatchCostModel":
-        """Calibrate the curves from a live BatchAwareCostModel.
-
-        Reads ``shared_fraction`` (the sigma of the amortization
-        curve); the model's measured ``batch_size()`` distribution
-        stays with the *admission* side (the serving runtime reads it
-        to tune ``max_batch``/``batch_window_s`` online).
-        """
-        sigma = float(getattr(model, "shared_fraction", 0.5))
-        kwargs: dict[str, object] = {"sigma": sigma}
-        if resident_bytes is not None:
-            kwargs["resident_bytes"] = resident_bytes
-        return cls(**kwargs)  # type: ignore[arg-type]
-
-    def with_env(self, env: Mapping[str, str]) -> "DispatchCostModel":
-        """Apply ``REPRO_DISPATCH_RESIDENT_KB`` if set (and valid)."""
-        raw = env.get(ENV_RESIDENT_KB)
-        if not raw:
-            return self
-        try:
-            kb = int(raw)
-        except ValueError:
-            return self
-        if kb < 1:
-            return self
-        return replace(self, resident_bytes=kb * 1024)
 
     # ------------------------------------------------------------------
     def batch_speedup(self, b: float) -> float:
@@ -387,8 +343,6 @@ class RoutingDecision:
     fallback:
         True when the preferred backend's probe failed and the
         decision is the graceful degradation.
-    overridden:
-        True when ``REPRO_KERNEL_BACKEND`` forced the choice.
     """
 
     backend: str
@@ -396,7 +350,6 @@ class RoutingDecision:
     chunks: tuple[NDArray[np.int64], ...] | None = None
     reason: str = ""
     fallback: bool = False
-    overridden: bool = False
 
 
 def plan_chunks(
@@ -427,49 +380,32 @@ class KernelDispatcher:
     Parameters
     ----------
     cost_model:
-        Routing cost curves; defaults to :class:`DispatchCostModel`
-        with the ``REPRO_DISPATCH_RESIDENT_KB`` override applied.
-    env:
-        Environment mapping (injectable for tests); defaults to
-        ``os.environ``, re-read per decision so tests using
-        ``monkeypatch.setenv`` behave naturally.
+        Routing cost curves; defaults to :class:`DispatchCostModel`.
     metrics:
         Observability registry for the ``dispatch.*`` metrics.
     disabled:
-        Extra backends to treat as unavailable (union of the
-        ``REPRO_KERNEL_DISABLE`` env list; forced-fallback testing).
+        Backends to treat as unavailable (forced-fallback testing).
     """
 
     def __init__(
         self,
         cost_model: DispatchCostModel | None = None,
-        env: Mapping[str, str] | None = None,
         metrics: MetricsRegistry | None = None,
         disabled: Iterable[str] = (),
     ) -> None:
-        self._env = env
-        base_env = env if env is not None else os.environ
         self.cost_model = (
             cost_model if cost_model is not None else DispatchCostModel()
-        ).with_env(base_env)
+        )
         self.metrics = metrics if metrics is not None else get_metrics()
         self._disabled = frozenset(disabled)
         self._probe_cache: dict[str, bool] = {}
 
     # ------------------------------------------------------------------
-    def _environ(self) -> Mapping[str, str]:
-        return self._env if self._env is not None else os.environ
-
-    def _env_disabled(self) -> frozenset[str]:
-        raw = self._environ().get(ENV_DISABLE, "")
-        names = {part.strip() for part in raw.split(",") if part.strip()}
-        return self._disabled | frozenset(names)
-
     def available(self, name: str) -> bool:
         """Availability of one backend: registered, not disabled, and
         its (cached) probe passed."""
         spec = REGISTRY.get(name)
-        if spec is None or name in self._env_disabled():
+        if spec is None or name in self._disabled:
             return False
         cached = self._probe_cache.get(name)
         if cached is None:
@@ -480,28 +416,8 @@ class KernelDispatcher:
             self._probe_cache[name] = cached
         return cached
 
-    def clear_probe_cache(self) -> None:
-        """Forget cached probe results (tests / dependency hot-plug)."""
-        self._probe_cache.clear()
-
-    def _override(self, family: str) -> str | None:
-        """The env-forced backend for ``family``, if usable."""
-        forced = self._environ().get(ENV_BACKEND, "").strip()
-        if not forced:
-            return None
-        spec = REGISTRY.get(forced)
-        if spec is None or spec.family != family:
-            return None
-        if not self.available(forced):
-            # forced backend unusable: count it and fall back to auto
-            self.metrics.counter("dispatch.fallbacks").inc()
-            return None
-        return forced
-
     def _count(self, decision: RoutingDecision) -> RoutingDecision:
         self.metrics.counter("dispatch.decisions").inc()
-        if decision.overridden:
-            self.metrics.counter("dispatch.overrides").inc()
         if decision.fallback:
             self.metrics.counter("dispatch.fallbacks").inc()
         if decision.chunks is not None and len(decision.chunks) > 1:
@@ -518,36 +434,15 @@ class KernelDispatcher:
         b: int,
         r_max: float,
         alpha: float = 0.2,
-        epsilon: float | None = None,
         source_indices: NDArray[np.int64] | None = None,
     ) -> RoutingDecision:
         """Route one push-family call of batch size ``b``.
 
-        ``epsilon`` is the per-request accuracy class of the multi-eps
-        direction: when given (and ``r_max`` is not already resolved
-        per-request), a looser epsilon scales the effective push
-        threshold the density estimate sees, keeping routing
-        parameterized by request accuracy.  Routing stays inside the
-        sync-push result class — ``scalar`` is never auto-chosen.
+        Routing stays inside the sync-push result class — ``scalar``
+        is never auto-chosen.
         """
         n = view.n
-        effective_r_max = r_max
-        if epsilon is not None and epsilon > 0.0:
-            # looser accuracy => proportionally coarser push threshold
-            effective_r_max = r_max * max(epsilon, 1e-12) / 0.5
-        override = self._override(PUSH)
-        if override is not None:
-            b_eff = b if REGISTRY[override].batched else 1
-            return self._count(
-                RoutingDecision(
-                    backend=override,
-                    effective_batch=max(b_eff, 1),
-                    chunks=None,
-                    reason=f"env override {ENV_BACKEND}={override}",
-                    overridden=True,
-                )
-            )
-        density = frontier_density(n, effective_r_max, alpha)
+        density = frontier_density(n, r_max, alpha)
         if b <= 1:
             return self._count(
                 RoutingDecision(
@@ -557,7 +452,7 @@ class KernelDispatcher:
                 )
             )
         b_eff = self.cost_model.effective_batch(
-            n, b, density=density, alpha=alpha, r_max=effective_r_max
+            n, b, density=density, alpha=alpha, r_max=r_max
         )
         if b_eff <= 1 or not self.available("batched"):
             return self._count(
@@ -593,7 +488,6 @@ class KernelDispatcher:
         self,
         view: CSRView,
         b: int,
-        epsilon: float | None = None,
     ) -> RoutingDecision:
         """Route one power-family call (SpeedPPR's PowerPush stage).
 
@@ -604,19 +498,7 @@ class KernelDispatcher:
         sub-batch size (the adaptive ``B`` that fixes the ``B = 16``
         regression).
         """
-        del epsilon  # accuracy does not change the power-backend choice
         n = view.n
-        override = self._override(POWER)
-        if override is not None:
-            b_eff = b if REGISTRY[override].batched else 1
-            return self._count(
-                RoutingDecision(
-                    backend=override,
-                    effective_batch=max(b_eff, 1),
-                    reason=f"env override {ENV_BACKEND}={override}",
-                    overridden=True,
-                )
-            )
         if not self.available("spmm"):
             return self._count(
                 RoutingDecision(
@@ -658,19 +540,6 @@ class KernelDispatcher:
             )
         )
 
-    # ------------------------------------------------------------------
-    def describe(self) -> list[tuple[str, str, bool, str]]:
-        """(name, family, available, description) per backend."""
-        return [
-            (
-                spec.name,
-                spec.family,
-                self.available(spec.name),
-                spec.description,
-            )
-            for spec in REGISTRY.values()
-        ]
-
     def __repr__(self) -> str:
         avail = ",".join(
             name for name in REGISTRY if self.available(name)
@@ -702,9 +571,6 @@ resolve_engine_choice = partial(resolve_engine, allowed=ENGINE_CHOICES)
 __all__ = [
     "AUTO",
     "ENGINE_CHOICES",
-    "ENV_BACKEND",
-    "ENV_DISABLE",
-    "ENV_RESIDENT_KB",
     "BackendSpec",
     "DispatchCostModel",
     "KernelDispatcher",

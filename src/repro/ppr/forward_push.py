@@ -80,11 +80,10 @@ def forward_push(
         kernel of :mod:`repro.ppr.kernels` (single-source, the two
         names coincide here), or ``"auto"`` to let the
         :mod:`repro.ppr.dispatch` router pick (single-source routing
-        stays inside the sync-push result class unless the
-        ``REPRO_KERNEL_BACKEND`` override forces ``scalar``).  The
-        scalar and synchronous schedules differ, so their results
-        agree only up to the r_max approximation slack (see kernels
-        module docstring).
+        stays inside the sync-push result class, so never
+        ``scalar``).  The scalar and synchronous schedules differ, so
+        their results agree only up to the r_max approximation slack
+        (see kernels module docstring).
 
     Returns
     -------
@@ -94,8 +93,9 @@ def forward_push(
     if engine == "auto":
         from repro.ppr.dispatch import get_dispatcher
 
-        decision = get_dispatcher().route_push(view, 1, r_max, alpha=alpha)
-        engine = "scalar" if decision.backend == "scalar" else "frontier"
+        engine = get_dispatcher().route_push(
+            view, 1, r_max, alpha=alpha
+        ).backend
     if engine != "scalar":
         from repro.ppr import kernels
 

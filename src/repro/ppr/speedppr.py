@@ -148,8 +148,7 @@ class SpeedPPR(DynamicPPRAlgorithm):
                     reason="scipy probe failed: raw-row power sweeps",
                     fallback=True,
                 )
-            # the dispatcher applies the env override and the
-            # cost-model sub-batch cap
+            # the dispatcher applies the cost-model sub-batch cap
             return dispatcher.route_power(self.view, b)
         return RoutingDecision(
             backend="power",

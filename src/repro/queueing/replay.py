@@ -54,7 +54,7 @@ from repro.cache.staleness import (
     StalenessTracker,
     SupportsApplyUpdate,
 )
-from repro.cache.store import VECTOR, CacheKey, PPRCache, make_key
+from repro.cache.store import CacheKey, PPRCache, make_key
 from repro.graph.digraph import DynamicGraph
 from repro.queueing.workload import QUERY, UPDATE, Request, Workload
 
@@ -270,7 +270,7 @@ class ModeledExecutor:
         assert source is not None  # QUERY requests carry one
         service = self._service(request)
         if self._cache is not None:
-            self._cache.admit(source, cost_s=service)
+            self._cache.admit(source)
         return service
 
     def apply(self, request: Request, flushing: bool) -> float:
@@ -324,7 +324,6 @@ class MeasuredExecutor:
             source,
             self._algorithm.name,
             self._algorithm.get_hyperparameters(),
-            VECTOR,
         )
 
     def lookup(self, request: Request) -> float | None:
@@ -354,7 +353,6 @@ class MeasuredExecutor:
                 self._key(source),
                 estimate,
                 self._algorithm.graph.version,
-                cost_s=elapsed,
                 pi_estimate=estimate.get,
             )
         self._on_answer(request, estimate)

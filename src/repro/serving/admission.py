@@ -70,10 +70,11 @@ class AdmissionQueue:
         self._shed = metrics.counter("serving.shed")
 
     # ------------------------------------------------------------------
-    def offer(self, ticket: Ticket) -> bool:
-        """Admit ``ticket``; False (and a shed count) when full."""
+    def offer(self, ticket: Ticket, wait_s: float = 0.0) -> bool:
+        """Admit ``ticket``; False (and a shed count) when the queue is
+        still full after blocking for up to ``wait_s`` seconds."""
         try:
-            self._queue.put_nowait(ticket)
+            self._queue.put(ticket, block=wait_s > 0.0, timeout=wait_s)
         except queue.Full:
             self._shed.inc()
             return False

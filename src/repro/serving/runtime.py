@@ -23,8 +23,9 @@ Concurrency discipline
   deferred into a :class:`~repro.core.seed.SeedQueue` at admission
   cost only; queries overtake them until the Lemma 2 bound for their
   source exceeds the budget, at which point the dispatching worker
-  becomes the writer and flushes.  Idle workers drain deferred updates
-  one at a time (``flush_one``) whenever the admission queue is empty.
+  becomes the writer and flushes.  Idle workers work the deferred
+  updates off back to back whenever the admission queue is empty, as
+  :func:`repro.queueing.replay.replay` does on the virtual clock.
 * **Result caching** (optional).  With a
   :class:`~repro.cache.PPRCache` attached, queries try the cache
   before taking the read lock and insert their result while still
@@ -37,7 +38,9 @@ Concurrency discipline
   when the queue is full, and a query popped after its deadline budget
   expired is dropped with a ``serving.timeout`` count instead of
   wasting a worker on an answer nobody is waiting for.  Updates are
-  never deadline-dropped — they are state, not answers.
+  never deadline-dropped — they are state, not answers — and a caller
+  that must not lose one (the shard worker) submits with ``wait_s`` so
+  a full queue blocks it instead of shedding.
 * **Graceful degradation.**  If an update application fails the
   failing update is surfaced as a ``failed`` record (and the
   ``serving.faults`` counter), discarded from the Seed queue with the
@@ -63,8 +66,7 @@ import traceback
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from repro.cache import VECTOR, CacheKey, PPRCache, StalenessTracker, make_key
-from repro.core.cost_models import BatchAwareCostModel
+from repro.cache import CacheKey, PPRCache, StalenessTracker, make_key
 from repro.core.quota import QuotaController, QuotaDecision
 from repro.core.seed import SeedQueue
 from repro.graph.digraph import DynamicGraph
@@ -207,10 +209,9 @@ class ServingRuntime:
         an internal mutex — algorithm instances keep per-query scratch
         state (timers, RNG), so unguarded sharing would race; the
         mutex trades query overlap for safety on the default path.
-    drain_idle:
-        Apply deferred updates while the admission queue is empty.
     idle_tick_s:
-        Worker poll interval when idle (also bounds stop latency).
+        How long an idle worker blocks on the empty admission queue
+        once nothing is deferred (also bounds stop latency).
     max_batch:
         Maximum queries coalesced into one dispatch (1 disables
         batching).  A worker that takes a query opportunistically pops
@@ -227,23 +228,6 @@ class ServingRuntime:
         How long a collecting worker waits for stragglers once the
         admission queue runs empty (0 = only coalesce what is already
         queued).
-    batch_model:
-        Optional :class:`~repro.core.cost_models.BatchAwareCostModel`.
-        When given, the runtime closes the loop the model was built
-        for: after every ``tune_every`` dispatched batches it reads
-        the model's *measured* batch-size distribution
-        (``batch_size()``, typically the ``serving.batch_size``
-        histogram mean) and the dispatcher residency cap, and retunes
-        the live ``max_batch``/``batch_window_s`` — the cap bounds the
-        batch at what stays cache-resident, thin measured batches
-        shrink the window toward 0, and saturated batches widen it
-        (up to ``2 * batch_window_s`` or 2 ms, whichever is larger).
-        The constructor values act as the configured ceiling/seed;
-        the live values are exported on the
-        ``serving.effective_max_batch`` /
-        ``serving.effective_batch_window_s`` gauges.
-    tune_every:
-        Batches between auto-tune evaluations (with ``batch_model``).
     cache:
         Optional :class:`~repro.cache.PPRCache`.  Queries look up
         before computing (a hit skips the read lock and the Seed flush
@@ -284,12 +268,9 @@ class ServingRuntime:
         deadline_s: float | None = None,
         controller: QuotaController | None = None,
         query_fn: QueryFn | None = None,
-        drain_idle: bool = True,
         idle_tick_s: float = 0.02,
         max_batch: int = 1,
         batch_window_s: float = 0.0,
-        batch_model: BatchAwareCostModel | None = None,
-        tune_every: int = 16,
         cache: PPRCache | None = None,
         on_complete: Callable[[ServedRequest], None] | None = None,
         metrics: MetricsRegistry | None = None,
@@ -302,30 +283,19 @@ class ServingRuntime:
             raise ValueError("max_batch must be >= 1")
         if batch_window_s < 0:
             raise ValueError("batch_window_s must be >= 0")
-        if tune_every < 1:
-            raise ValueError("tune_every must be >= 1")
         self.algorithm = algorithm
         self.workers = workers
         self.epsilon_r = epsilon_r
         self.deadline_s = deadline_s
         self.controller = controller
-        self.drain_idle = drain_idle
         self.idle_tick_s = idle_tick_s
         self.max_batch = max_batch
         self.batch_window_s = batch_window_s
-        self.batch_model = batch_model
-        self.tune_every = tune_every
         self.metrics = metrics if metrics is not None else get_metrics()
         # pre-resolved instrument: _fault runs inside writer critical
         # sections, where a registry lookup is off-limits (R11); a
         # resolved counter's inc() is O(1) and allocation-free
         self._fault_counter = self.metrics.counter("serving.faults")
-        # live (auto-tuned) batching knobs; the constructor values are
-        # the configured ceiling/seed (see class docstring)
-        self._effective_max_batch = max_batch
-        self._effective_window_s = batch_window_s
-        self._batches_since_tune = 0  # guarded-by: self._tune_lock
-        self._tune_lock = wrap_mutex(threading.Lock(), "serving.tune")
         self.decisions: list[QuotaDecision] = []
         self.records: list[ServedRequest] = []  # guarded-by: self._records_lock
 
@@ -341,7 +311,7 @@ class ServingRuntime:
         )
         # stable names feed the lock sanitizer's order graph (no-ops
         # unless REPRO_LOCK_SANITIZER=1); the established global order
-        # is rwlock -> {seed, records, algo, tune, cache}
+        # is rwlock -> {seed, records, algo, cache}
         self._rwlock = RWLock(name="serving.rwlock")
         self._seed_lock = wrap_mutex(threading.Lock(), "serving.seed")
         self._records_lock = wrap_mutex(threading.Lock(), "serving.records")
@@ -409,12 +379,17 @@ class ServingRuntime:
     # submission
     # ------------------------------------------------------------------
     def submit(
-        self, request: Request, deadline_s: float | None = None
+        self,
+        request: Request,
+        deadline_s: float | None = None,
+        wait_s: float = 0.0,
     ) -> bool:
         """Admit one request; False when shed at the admission queue.
 
         ``deadline_s`` overrides the runtime default budget for this
         request (queries only; updates never carry deadlines).
+        ``wait_s`` bounds how long a full queue may block the caller
+        before the request is shed (0 sheds at once).
         """
         if not self._threads:
             raise RuntimeError("runtime is not started")
@@ -426,20 +401,10 @@ class ServingRuntime:
             else None
         )
         ticket = Ticket(request, now, deadline)
-        if self._admission.offer(ticket):
+        if self._admission.offer(ticket, wait_s):
             return True
         self._finish(ticket, -1, SHED, now, now, shed_reason=SHED_QUEUE_FULL)
         return False
-
-    def submit_query(
-        self, source: int, deadline_s: float | None = None
-    ) -> bool:
-        return self.submit(
-            Request(time.perf_counter(), QUERY, source=source), deadline_s
-        )
-
-    def submit_update(self, update: EdgeUpdate) -> bool:
-        return self.submit(Request(time.perf_counter(), UPDATE, update=update))
 
     def drain(self) -> None:
         """Block until every admitted request finished, then flush the
@@ -565,16 +530,6 @@ class ServingRuntime:
     def queue_depth(self) -> int:
         return self._admission.depth
 
-    @property
-    def effective_max_batch(self) -> int:
-        """Live batch cap (auto-tuned when a ``batch_model`` is set)."""
-        return self._effective_max_batch
-
-    @property
-    def effective_batch_window_s(self) -> float:
-        """Live straggler window (auto-tuned with a ``batch_model``)."""
-        return self._effective_window_s
-
     # ------------------------------------------------------------------
     # worker internals
     # ------------------------------------------------------------------
@@ -642,7 +597,6 @@ class ServingRuntime:
             source,
             self.algorithm.name,
             self.algorithm.get_hyperparameters(),
-            VECTOR,
         )
 
     def _charge_cache(self, update: EdgeUpdate) -> None:
@@ -652,11 +606,16 @@ class ServingRuntime:
 
     def _worker_loop(self, wid: int) -> None:
         while not self._stop.is_set():
-            ticket = self._admission.take(self.idle_tick_s)
+            ticket = self._admission.poll()
             if ticket is None:
-                if self.drain_idle:
-                    self._idle_drain(wid)
-                continue
+                # idle: work the deferred updates off first (Algorithm
+                # 2, as replay() does), re-polling between any two so
+                # an arrival never waits for more than one of them
+                if self._idle_drain(wid):
+                    continue
+                ticket = self._admission.take(self.idle_tick_s)
+                if ticket is None:
+                    continue
             try:
                 self._dispatch(ticket, wid)
             except Exception:  # pragma: no cover - defensive; never die
@@ -674,7 +633,7 @@ class ServingRuntime:
         this method owns it for every *extra* ticket it pops while
         collecting a batch, including the non-query stopper.
         """
-        if ticket.request.kind != QUERY or self._effective_max_batch <= 1:
+        if ticket.request.kind != QUERY or self.max_batch <= 1:
             self._process(ticket, wid)
             return
         extras, stopper = self._collect_batch()
@@ -701,8 +660,8 @@ class ServingRuntime:
         """
         extras: list[Ticket] = []
         stopper: Ticket | None = None
-        deadline = time.perf_counter() + self._effective_window_s
-        while len(extras) < self._effective_max_batch - 1:
+        deadline = time.perf_counter() + self.batch_window_s
+        while len(extras) < self.max_batch - 1:
             ticket = self._admission.poll()
             if ticket is None:
                 remaining = deadline - time.perf_counter()
@@ -827,14 +786,12 @@ class ServingRuntime:
             if self._cache is not None:
                 # still under the read lock: a writer cannot apply (and
                 # charge) an update between this compute and the
-                # insert; a batch's cost is split evenly across members
-                per_query_cost = (time.perf_counter() - started) / len(live)
+                # insert
                 for source, result in zip(sources, results):
                     self._cache.insert(
                         self._cache_key(source),
                         result,
                         version,
-                        cost_s=per_query_cost,
                         pi_estimate=(
                             result.get
                             if isinstance(result, PPRVector)
@@ -858,7 +815,6 @@ class ServingRuntime:
             self.metrics.histogram("serving.batch_size").observe(
                 float(len(live))
             )
-            self._maybe_retune_batching()
             self.metrics.histogram("service.query_batch").observe(
                 finished - started
             )
@@ -874,57 +830,6 @@ class ServingRuntime:
                 version=version,
                 result=result,
             )
-
-    # -- online batch auto-tuning --------------------------------------
-    def _maybe_retune_batching(self) -> None:
-        """Retune the live batching knobs every ``tune_every`` batches."""
-        if self.batch_model is None:
-            return
-        with self._tune_lock:
-            self._batches_since_tune += 1
-            if self._batches_since_tune < self.tune_every:
-                return
-            self._batches_since_tune = 0
-        self.retune_batching()
-
-    def retune_batching(self) -> tuple[int, float]:
-        """Feed the measured batch-size distribution back into admission.
-
-        Closes the ROADMAP loop: :class:`BatchAwareCostModel` collects
-        the ``serving.batch_size`` distribution but nothing read it
-        back.  The live cap becomes the configured ``max_batch``
-        bounded by the dispatcher's cache-residency cap for the
-        current graph size; the straggler window shrinks by half when
-        measured batches are too thin to amortize anything (mean
-        < 2) and widens by half (bounded by ``2 * batch_window_s`` or
-        2 ms) when batches saturate three quarters of the cap.
-        Returns the new ``(max_batch, window_s)`` pair and exports it
-        on the ``serving.effective_*`` gauges.
-        """
-        model = self.batch_model
-        if model is None:
-            return self._effective_max_batch, self._effective_window_s
-        import os
-
-        from repro.ppr.dispatch import DispatchCostModel
-
-        cost = DispatchCostModel.from_batch_model(model).with_env(os.environ)
-        n = max(self.algorithm.graph.num_nodes, 1)
-        new_max = max(1, min(self.max_batch, cost.resident_cap(n)))
-        measured = model.batch_size()
-        window = self._effective_window_s
-        window_hi = max(2.0 * self.batch_window_s, 0.002)
-        if measured < 2.0:
-            window *= 0.5
-            if window < 1e-5:
-                window = 0.0
-        elif measured >= 0.75 * new_max:
-            window = min(max(window * 1.5, 1e-4), window_hi)
-        self._effective_max_batch = new_max
-        self._effective_window_s = window
-        self.metrics.gauge("serving.effective_max_batch").set(float(new_max))
-        self.metrics.gauge("serving.effective_batch_window_s").set(window)
-        return new_max, window
 
     # -- deferred-update machinery ------------------------------------
     def _apply_head(self, worker: int) -> ServedRequest | None:
@@ -979,20 +884,21 @@ class ServingRuntime:
                 time.perf_counter() - flush_started
             )
 
-    def _idle_drain(self, wid: int) -> None:
-        """Apply one deferred update while the admission queue idles."""
+    def _idle_drain(self, wid: int) -> bool:
+        """Apply one deferred update while the admission queue idles;
+        False when there was none to apply (or it could not be)."""
         if self.epsilon_r == 0.0 or self._degraded:
-            return
+            return False
         with self._seed_lock:
             if not len(self._seed_queue):
-                return
+                return False
         # non-blocking: if the writer side is contended, skip this tick
         if not self._rwlock.acquire_write(timeout=0.0):
-            return
+            return False
         try:
             record = self._apply_head(wid)
             if record is None or record.status != OK:
-                return
+                return False
             csr_view(self.algorithm.graph)
         finally:
             self._rwlock.release_write()
@@ -1001,6 +907,7 @@ class ServingRuntime:
         self.metrics.histogram("service.update").observe(
             record.finished_s - record.started_s
         )
+        return True
 
     def _fault(
         self,

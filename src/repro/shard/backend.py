@@ -1,8 +1,8 @@
 """Shard transports: the same command protocol over two substrates.
 
-* :class:`ProcessShard` — a real worker **process** (default start
-  method ``spawn``: the manager runs threads, and forking a threaded
-  parent inherits lock state unsafely).  Commands go down one simplex
+* :class:`ProcessShard` — a real worker **process** (started with
+  ``spawn``: the manager runs threads, and forking a threaded parent
+  inherits lock state unsafely).  Commands go down one simplex
   pipe, replies come back on another; each pipe end is owned by
   exactly one thread.  This is the backend that escapes the GIL: every
   shard has its own interpreter, so PPR compute parallelizes across
@@ -51,8 +51,9 @@ from repro.shard.worker import ShardServer, shard_worker_main
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
 
-#: default start method; ``fork`` is opt-in (threaded parent)
-DEFAULT_START_METHOD = "spawn"
+#: worker start method: the manager runs threads, and forking a
+#: threaded parent inherits lock state unsafely
+START_METHOD = "spawn"
 
 ReplyFuture = Future  # Future[ShardReply]; bare for runtime generics
 
@@ -198,11 +199,9 @@ class ShardHandle(ABC):
 class ProcessShard(ShardHandle):
     """One worker process behind two simplex pipes."""
 
-    def __init__(
-        self, spec: ShardSpec, start_method: str = DEFAULT_START_METHOD
-    ) -> None:
+    def __init__(self, spec: ShardSpec) -> None:
         super().__init__(spec)
-        ctx = multiprocessing.get_context(start_method)
+        ctx = multiprocessing.get_context(START_METHOD)
         cmd_r, cmd_w = ctx.Pipe(duplex=False)
         reply_r, reply_w = ctx.Pipe(duplex=False)
         self._cmd: "Connection" = cmd_w
@@ -366,14 +365,10 @@ class InprocShard(ShardHandle):
 BACKENDS = ("process", "inproc")
 
 
-def make_shard(
-    spec: ShardSpec,
-    backend: str = "process",
-    start_method: str = DEFAULT_START_METHOD,
-) -> ShardHandle:
+def make_shard(spec: ShardSpec, backend: str = "process") -> ShardHandle:
     """Instantiate a shard handle by backend name."""
     if backend == "process":
-        return ProcessShard(spec, start_method)
+        return ProcessShard(spec)
     if backend == "inproc":
         return InprocShard(spec)
     raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")

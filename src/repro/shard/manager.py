@@ -28,6 +28,7 @@ manager.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass, field
@@ -36,6 +37,7 @@ from typing import TYPE_CHECKING
 
 from repro.graph.updates import EdgeUpdate
 from repro.obs import MetricsRegistry, get_metrics
+from repro.ppr.dispatch import AUTO
 from repro.serving.rwlock import wrap_mutex
 from repro.shard.backend import ShardHandle, make_shard
 from repro.shard.messages import ShardReply, ShardSpec, ShardUnavailableError
@@ -44,6 +46,9 @@ from repro.shard.router import Router, make_router
 if TYPE_CHECKING:
     from repro.graph.digraph import DynamicGraph
 
+#: how long a (re)spawned worker may take to answer its first health
+#: check (spawn + imports + graph and index build + log replay)
+START_TIMEOUT_S = 120.0
 #: retry hint when the owning shard is down — dominated by respawn
 #: latency (spawn + graph rebuild + log replay), not queueing
 RETRY_AFTER_UNHEALTHY_S = 1.0
@@ -114,7 +119,7 @@ class ShardManager:
         algorithm: str = "FORA",
         walk_cap: int = 2_000,
         seed: int = 0,
-        engine: str = "scalar",
+        engine: str = AUTO,
         epsilon_r: float = 0.0,
         workers_per_shard: int = 1,
         queue_capacity: int = 1_024,
@@ -123,7 +128,6 @@ class ShardManager:
         use_controller: bool = False,
         max_inflight_per_shard: int = 64,
         auto_respawn: bool = True,
-        start_timeout_s: float = 120.0,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if num_shards < 1:
@@ -151,7 +155,6 @@ class ShardManager:
         self.backend = backend
         self.max_inflight_per_shard = max_inflight_per_shard
         self.auto_respawn = auto_respawn
-        self._start_timeout_s = start_timeout_s
         self.router: Router = (
             router
             if isinstance(router, Router)
@@ -182,23 +185,7 @@ class ShardManager:
     # lifecycle
     # ------------------------------------------------------------------
     def _spec_for(self, shard_id: int) -> ShardSpec:
-        base = self._base_spec
-        return ShardSpec(
-            shard_id=shard_id,
-            num_shards=base.num_shards,
-            num_nodes=base.num_nodes,
-            edges=base.edges,
-            algorithm=base.algorithm,
-            walk_cap=base.walk_cap,
-            seed=base.seed,
-            engine=base.engine,
-            epsilon_r=base.epsilon_r,
-            workers=base.workers,
-            queue_capacity=base.queue_capacity,
-            cache_epsilon=base.cache_epsilon,
-            query_mode=base.query_mode,
-            use_controller=base.use_controller,
-        )
+        return dataclasses.replace(self._base_spec, shard_id=shard_id)
 
     def _spawn(self, shard_id: int) -> ShardHandle:
         handle = make_shard(self._spec_for(shard_id), self.backend)
@@ -206,7 +193,7 @@ class ShardManager:
         return handle
 
     def _await_ready(self) -> None:
-        deadline = perf_counter() + self._start_timeout_s
+        deadline = perf_counter() + START_TIMEOUT_S
         for slot in self._slots:
             remaining = max(0.1, deadline - perf_counter())
             reply = slot.handle.health().result(remaining)
@@ -462,7 +449,7 @@ class ShardManager:
                     return
                 handle = self._spawn(shard_id)
                 try:
-                    handle.health().result(self._start_timeout_s)
+                    handle.health().result(START_TIMEOUT_S)
                     for version, edge_update in enumerate(
                         self._update_log, start=1
                     ):

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.ppr.dispatch import AUTO
+
 
 class UpdateOrderError(RuntimeError):
     """An update broadcast arrived out of snapshot-version order.
@@ -62,7 +64,7 @@ class ShardSpec:
     algorithm: str = "FORA"
     walk_cap: int = 2_000
     seed: int = 0
-    engine: str = "scalar"
+    engine: str = AUTO
     epsilon_r: float = 0.0
     workers: int = 1
     queue_capacity: int = 1_024

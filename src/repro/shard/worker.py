@@ -34,7 +34,7 @@ import queue
 import threading
 import time
 from collections.abc import Callable
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from repro.cache import PPRCache
 from repro.core.calibration import calibrated_cost_model
@@ -65,7 +65,7 @@ from repro.shard.messages import (
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
 
-#: how long an update retries admission before the shard declares
+#: how long an update waits for admission before the shard declares
 #: itself wedged (updates are state — dropping one would diverge)
 UPDATE_ADMIT_TIMEOUT_S = 30.0
 
@@ -280,41 +280,35 @@ class ShardServer:
         # a shed submission records SHED -> _on_record already replied
         self.runtime.submit(request, deadline_s=command.budget_s)
 
+    def _refuse_update(self, command: UpdateCommand, message: str) -> NoReturn:
+        """Reply with the error, then die rather than diverge."""
+        self._reply(
+            ShardReply(
+                command.req_id, self.spec.shard_id, False, {}, error=message
+            )
+        )
+        raise UpdateOrderError(message)
+
     def _handle_update(self, command: UpdateCommand) -> None:
         expected = self._applied_broadcasts + 1
         if command.version != expected:
-            message = (
+            self._refuse_update(
+                command,
                 f"shard {self.spec.shard_id} received update version "
                 f"{command.version}, expected {expected}: broadcast order "
-                "violated; refusing to diverge"
+                "violated; refusing to diverge",
             )
-            self._reply(
-                ShardReply(
-                    command.req_id, self.spec.shard_id, False, {},
-                    error=message,
-                )
-            )
-            raise UpdateOrderError(message)
         update = EdgeUpdate(command.u, command.v, command.kind)
         request = Request(time.perf_counter(), UPDATE, update=update)
-        deadline = time.monotonic() + UPDATE_ADMIT_TIMEOUT_S
-        # updates are never dropped: retry admission until the bounded
-        # queue has room (shed attempts leave SHED records, tag-less)
-        while not self.runtime.submit(request):
-            if time.monotonic() > deadline:
-                message = (
-                    f"shard {self.spec.shard_id} failed to admit update "
-                    f"version {command.version} within "
-                    f"{UPDATE_ADMIT_TIMEOUT_S}s"
-                )
-                self._reply(
-                    ShardReply(
-                        command.req_id, self.spec.shard_id, False, {},
-                        error=message,
-                    )
-                )
-                raise UpdateOrderError(message)
-            time.sleep(0.001)
+        # updates are never dropped: a full queue blocks this (the
+        # command-loop) thread until a worker makes room
+        if not self.runtime.submit(request, wait_s=UPDATE_ADMIT_TIMEOUT_S):
+            self._refuse_update(
+                command,
+                f"shard {self.spec.shard_id} failed to admit update "
+                f"version {command.version} within "
+                f"{UPDATE_ADMIT_TIMEOUT_S}s",
+            )
         self._applied_broadcasts = command.version
         self._reply(
             ShardReply(

@@ -179,33 +179,6 @@ class TestSuppressions:
         assert lint(src) == []
 
 
-class TestSarif:
-    def test_sarif_structure(self):
-        log = json.loads(format_findings(lint(R1_SNIPPET), "sarif"))
-        assert log["version"] == "2.1.0"
-        run = log["runs"][0]
-        assert run["tool"]["driver"]["name"] == "reprolint"
-        rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-        assert rule_ids == ["R1"]
-        result = run["results"][0]
-        assert result["ruleId"] == "R1"
-        assert result["level"] == "error"
-        loc = result["locations"][0]["physicalLocation"]
-        assert loc["artifactLocation"]["uri"] == "fixture.py"
-        assert loc["region"]["startLine"] == 2
-        assert loc["region"]["startColumn"] >= 1  # SARIF is 1-based
-
-    def test_sarif_empty_run(self):
-        log = json.loads(format_findings([], "sarif"))
-        assert log["runs"][0]["results"] == []
-
-    def test_sarif_rule_metadata_carries_rationale(self):
-        log = json.loads(format_findings(lint(R1_SNIPPET), "sarif"))
-        rule = log["runs"][0]["tool"]["driver"]["rules"][0]
-        assert rule["shortDescription"]["text"] == "global-rng"
-        assert rule["fullDescription"]["text"]
-
-
 class TestBaseline:
     def test_round_trip_suppresses_known_findings(self, tmp_path):
         findings = lint(R1_SNIPPET)
@@ -259,30 +232,6 @@ class TestBaseline:
             load_baseline(missing_key)
         with pytest.raises(ValueError):
             load_baseline(tmp_path / "absent.json")
-
-
-class TestParallelJobs:
-    def _tree(self, tmp_path):
-        (tmp_path / "a.py").write_text(R1_SNIPPET)
-        (tmp_path / "b.py").write_text(
-            "def f(acc=[]):\n    return acc\n"
-        )
-        (tmp_path / "c.py").write_text("x = 1\n")
-        return tmp_path
-
-    def test_jobs_matches_serial_results(self, tmp_path):
-        tree = self._tree(tmp_path)
-        serial, serial_errors = run_paths([tree], UNSCOPED, jobs=1)
-        parallel, parallel_errors = run_paths([tree], UNSCOPED, jobs=2)
-        assert serial == parallel
-        assert serial_errors == parallel_errors
-        assert {f.rule_id for f in serial} == {"R1", "R4"}
-
-    def test_jobs_reports_syntax_errors(self, tmp_path):
-        tree = self._tree(tmp_path)
-        (tree / "broken.py").write_text("def f(:\n")
-        _, errors = run_paths([tree], UNSCOPED, jobs=2)
-        assert len(errors) == 1 and "syntax error" in errors[0]
 
 
 class TestSelection:
@@ -373,13 +322,6 @@ class TestCli:
             assert f"R{n}" in out
         assert "per-file" in out and "project" in out
 
-    def test_sarif_output(self, tmp_path, capsys):
-        (tmp_path / "bad.py").write_text(R1_SNIPPET)
-        assert main(["--format", "sarif", str(tmp_path)]) == 1
-        log = json.loads(capsys.readouterr().out)
-        assert log["version"] == "2.1.0"
-        assert log["runs"][0]["results"][0]["ruleId"] == "R1"
-
     def test_write_baseline_then_lint_against_it(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_text(R1_SNIPPET)
         baseline = tmp_path / "baseline.json"
@@ -408,13 +350,3 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["--baseline", str(bad), str(tmp_path)]) == 2
-
-    def test_jobs_flag(self, tmp_path, capsys):
-        (tmp_path / "bad.py").write_text(R1_SNIPPET)
-        (tmp_path / "ok.py").write_text("x = 1\n")
-        assert main(["--jobs", "2", str(tmp_path)]) == 1
-        assert "R1" in capsys.readouterr().out
-
-    def test_invalid_jobs_exits_two(self, tmp_path, capsys):
-        (tmp_path / "ok.py").write_text("x = 1\n")
-        assert main(["--jobs", "0", str(tmp_path)]) == 2

@@ -133,7 +133,7 @@ class TestReplayCache:
         graph = line_graph()
         replay = ReplayCache(fresh_cache(epsilon_c=100.0), graph)
         assert not replay.hit(3)
-        assert replay.admit(3, cost_s=0.01)
+        replay.admit(3)
         assert replay.hit(3)
 
     def test_on_update_charges_conservatively(self):

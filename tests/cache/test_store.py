@@ -4,22 +4,13 @@ import threading
 
 import pytest
 
-from repro.cache import (
-    TOPK,
-    VECTOR,
-    AdmitOnSecondHit,
-    PPRCache,
-    TTLPolicy,
-    beta_signature,
-    make_key,
-    pi_from_topk,
-)
+from repro.cache import PPRCache, beta_signature, make_key
 from repro.cache.store import EVICTION_SAMPLE
 from repro.obs import MetricsRegistry
 
 
-def key(source, algo="fora", beta=None, kind=VECTOR):
-    return make_key(source, algo, beta or {}, kind)
+def key(source, algo="fora", beta=None):
+    return make_key(source, algo, beta or {})
 
 
 class TestKeys:
@@ -30,9 +21,6 @@ class TestKeys:
 
     def test_distinct_beta_distinct_key(self):
         assert key(1, beta={"rmax": 0.1}) != key(1, beta={"rmax": 0.2})
-
-    def test_distinct_kind_distinct_key(self):
-        assert key(1, kind=VECTOR) != key(1, kind=TOPK)
 
     def test_key_is_hashable_and_frozen(self):
         k = key(1)
@@ -45,7 +33,7 @@ class TestLookupInsert:
     def test_miss_then_hit(self):
         cache = PPRCache(capacity=4, epsilon_c=1.0, metrics=MetricsRegistry())
         assert cache.lookup(key(1)) is None
-        assert cache.insert(key(1), "result", version=7)
+        cache.insert(key(1), "result", version=7)
         entry = cache.lookup(key(1))
         assert entry is not None
         assert entry.value == "result"
@@ -63,7 +51,7 @@ class TestLookupInsert:
         cache.insert(key(1), "old", version=0)
         cache.lookup(key(1))
         cache.charge_staleness(lambda entry: 0.5)
-        assert cache.insert(key(1), "new", version=3)
+        cache.insert(key(1), "new", version=3)
         entry = cache.lookup(key(1))
         assert entry.value == "new"
         assert entry.staleness == 0.0
@@ -144,84 +132,6 @@ class TestStalenessCharging:
         )
         assert cache.lookup(key(1)).staleness == pytest.approx(0.2)
         assert cache.lookup(key(2)).staleness == pytest.approx(0.01)
-
-    def test_invalidate_all(self):
-        metrics = MetricsRegistry()
-        cache = PPRCache(capacity=4, epsilon_c=1.0, metrics=metrics)
-        cache.insert(key(1), "a", version=0)
-        cache.insert(key(2), "b", version=0)
-        assert cache.invalidate_all() == 2
-        assert len(cache) == 0
-        assert metrics.counter("cache.invalidations").value == 2
-
-
-class TestPolicies:
-    def test_admit_on_second_hit_rejects_first_attempt(self):
-        metrics = MetricsRegistry()
-        cache = PPRCache(
-            capacity=4,
-            epsilon_c=1.0,
-            policy=AdmitOnSecondHit(),
-            metrics=metrics,
-        )
-        assert not cache.insert(key(1), "r", version=0)
-        assert metrics.counter("cache.rejections").value == 1
-        assert cache.insert(key(1), "r", version=0)
-
-    def test_admit_on_second_hit_cost_bypass(self):
-        policy = AdmitOnSecondHit(cost_threshold_s=0.5)
-        cache = PPRCache(
-            capacity=4, epsilon_c=1.0, policy=policy, metrics=MetricsRegistry()
-        )
-        assert cache.insert(key(1), "r", version=0, cost_s=0.6)
-
-    def test_admit_on_second_hit_seen_set_bounded(self):
-        policy = AdmitOnSecondHit(seen_capacity=2)
-        assert not policy.should_admit(key(1), 0.0)
-        assert not policy.should_admit(key(2), 0.0)
-        assert not policy.should_admit(key(3), 0.0)  # evicts key(1)
-        assert not policy.should_admit(key(1), 0.0)  # forgotten: first again
-
-    def test_ttl_expires_lazily_on_lookup(self):
-        metrics = MetricsRegistry()
-        cache = PPRCache(
-            capacity=4,
-            epsilon_c=10.0,
-            policy=TTLPolicy(ttl_updates=2),
-            metrics=metrics,
-        )
-        cache.insert(key(1), "r", version=0)
-        for _ in range(3):
-            cache.charge_staleness(lambda e: 0.0)
-        assert cache.lookup(key(1)) is None
-        assert metrics.counter("cache.evictions_ttl").value == 1
-
-    def test_ttl_within_budget_survives(self):
-        cache = PPRCache(
-            capacity=4,
-            epsilon_c=10.0,
-            policy=TTLPolicy(ttl_updates=5),
-            metrics=MetricsRegistry(),
-        )
-        cache.insert(key(1), "r", version=0)
-        for _ in range(3):
-            cache.charge_staleness(lambda e: 0.0)
-        assert cache.lookup(key(1)) is not None
-
-
-class TestPiFromTopk:
-    def test_known_nodes_exact(self):
-        estimate = pi_from_topk([(3, 0.5), (7, 0.2)])
-        assert estimate(3) == 0.5
-        assert estimate(7) == 0.2
-
-    def test_unknown_nodes_get_floor(self):
-        estimate = pi_from_topk([(3, 0.5), (7, 0.2)])
-        assert estimate(42) == 0.2
-
-    def test_empty_topk_conservative(self):
-        assert pi_from_topk([])(0) == 1.0
-
 
 class TestThreadSafety:
     def test_concurrent_insert_lookup_charge(self):

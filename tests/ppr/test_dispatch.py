@@ -20,9 +20,6 @@ from repro.ppr import PPRParams, SpeedPPR, csr_view
 from repro.ppr.dispatch import (
     AUTO,
     ENGINE_CHOICES,
-    ENV_BACKEND,
-    ENV_DISABLE,
-    ENV_RESIDENT_KB,
     POWER,
     PUSH,
     REGISTRY,
@@ -138,11 +135,6 @@ class TestRegistry:
             have = False
         assert REGISTRY["spmm"].probe() is have
 
-    def test_describe_lists_every_backend(self):
-        rows = KernelDispatcher(metrics=MetricsRegistry()).describe()
-        assert {r[0] for r in rows} == set(REGISTRY)
-
-
 # ----------------------------------------------------------------------
 # cost model
 # ----------------------------------------------------------------------
@@ -202,24 +194,6 @@ class TestDispatchCostModel:
         assert model.batch_speedup(1) == pytest.approx(1.0)
         assert model.batch_speedup(8) > model.batch_speedup(2) > 1.0
 
-    def test_from_batch_model_reads_shared_fraction(self):
-        class FakeBatchModel:
-            shared_fraction = 0.75
-
-        model = DispatchCostModel.from_batch_model(FakeBatchModel())
-        assert model.sigma == 0.75
-
-    def test_env_override_resident_kb(self):
-        model = DispatchCostModel().with_env({ENV_RESIDENT_KB: "4"})
-        assert model.resident_bytes == 4096
-        # invalid and non-positive values are ignored
-        assert DispatchCostModel().with_env(
-            {ENV_RESIDENT_KB: "zero"}
-        ).resident_bytes == DispatchCostModel().resident_bytes
-        assert DispatchCostModel().with_env(
-            {ENV_RESIDENT_KB: "-3"}
-        ).resident_bytes == DispatchCostModel().resident_bytes
-
     def test_frontier_density_bounds(self):
         assert frontier_density(0, 1e-3, ALPHA) == 0.0
         assert 0.0 < frontier_density(10**6, 1e-3, ALPHA) <= 1.0
@@ -256,12 +230,12 @@ class TestPlanChunks:
 # routing: overrides, fallback, metrics
 # ----------------------------------------------------------------------
 class TestRouting:
-    def make(self, env=None, **cost_kwargs):
+    def make(self, disabled=(), **cost_kwargs):
         metrics = MetricsRegistry()
         dispatcher = KernelDispatcher(
             cost_model=DispatchCostModel(**cost_kwargs),
-            env=env if env is not None else {},
             metrics=metrics,
+            disabled=disabled,
         )
         return dispatcher, metrics
 
@@ -273,41 +247,13 @@ class TestRouting:
         assert decision.effective_batch == 1
         assert metrics.counters()["dispatch.decisions"] == 1
 
-    def test_env_override_forces_backend(self):
-        dispatcher, metrics = self.make(env={ENV_BACKEND: "scalar"})
-        view = csr_view(build_graph([(0, 1)]))
-        decision = dispatcher.route_push(view, 4, 1e-4)
-        assert decision.backend == "scalar"
-        assert decision.overridden
-        assert metrics.counters()["dispatch.overrides"] == 1
-
-    def test_env_override_wrong_family_ignored(self):
-        dispatcher, _ = self.make(env={ENV_BACKEND: "spmm"})
-        view = csr_view(build_graph([(0, 1)]))
-        assert dispatcher.route_push(view, 1, 1e-4).backend == "frontier"
-
-    def test_env_override_unknown_ignored(self):
-        dispatcher, _ = self.make(env={ENV_BACKEND: "gpu"})
-        view = csr_view(build_graph([(0, 1)]))
-        decision = dispatcher.route_push(view, 1, 1e-4)
-        assert not decision.overridden
-
-    def test_env_disable_forces_power_fallback(self):
-        dispatcher, metrics = self.make(env={ENV_DISABLE: "spmm"})
+    def test_disabled_backend_forces_power_fallback(self):
+        dispatcher, metrics = self.make(disabled=("spmm",))
         view = csr_view(build_graph([(0, 1)]))
         decision = dispatcher.route_power(view, 8)
         assert decision.backend == "power"
         assert decision.fallback
         assert metrics.counters()["dispatch.fallbacks"] == 1
-
-    def test_unavailable_override_falls_back_to_auto(self):
-        dispatcher, metrics = self.make(
-            env={ENV_BACKEND: "spmm", ENV_DISABLE: "spmm"}
-        )
-        view = csr_view(build_graph([(0, 1)]))
-        decision = dispatcher.route_power(view, 2)
-        assert decision.backend == "power"
-        assert metrics.counters()["dispatch.fallbacks"] >= 1
 
     def test_probe_failure_is_cached_and_clearable(self):
         calls = []
@@ -332,8 +278,8 @@ class TestRouting:
             assert not dispatcher.available("_test_flaky")
             assert not dispatcher.available("_test_flaky")
             assert len(calls) == 1  # cached
-            dispatcher.clear_probe_cache()
-            assert not dispatcher.available("_test_flaky")
+            other, _ = self.make()  # the cache is per dispatcher
+            assert not other.available("_test_flaky")
             assert len(calls) == 2
         finally:
             del REGISTRY["_test_flaky"]
@@ -400,7 +346,6 @@ class TestPushRoutingInvariance:
                 # shape (sequential / split / whole) on tiny graphs
                 min_resident_rows=1,
             ),
-            env={},
             metrics=MetricsRegistry(),
         )
         decision = dispatcher.route_push(
@@ -443,7 +388,6 @@ class TestPushRoutingInvariance:
                 # shape (sequential / split / whole) on tiny graphs
                 min_resident_rows=1,
             ),
-            env={},
             metrics=MetricsRegistry(),
         )
         decision = dispatcher.route_push(
@@ -523,7 +467,6 @@ class TestSpmmRoutingInvariance:
                 resident_bytes=2 * 8 * view.n * resident_rows,
                 min_push_work=0.0,
             ),
-            env={},
             metrics=MetricsRegistry(),
         )
         decision = dispatcher.route_power(view, len(sources))
@@ -557,9 +500,14 @@ class TestSpmmRoutingInvariance:
 # forced fallback through a full algorithm (scipy treated as absent)
 # ----------------------------------------------------------------------
 class TestForcedFallback:
-    def test_speedppr_auto_falls_back_without_scipy(self, monkeypatch):
-        monkeypatch.setenv(ENV_DISABLE, "spmm")
-        set_dispatcher(None)  # rebuild with the env in effect
+    @staticmethod
+    def disable_spmm():
+        set_dispatcher(
+            KernelDispatcher(metrics=MetricsRegistry(), disabled=("spmm",))
+        )
+
+    def test_speedppr_auto_falls_back_without_scipy(self):
+        self.disable_spmm()
         g = barabasi_albert_graph(60, attach=2, seed=8)
         algo = SpeedPPR(g, PPRParams(walk_cap=500), engine="auto")
         algo.seed(3)
@@ -574,9 +522,8 @@ class TestForcedFallback:
                 result.values, solo.query(source).values
             )
 
-    def test_speedppr_single_query_fallback(self, monkeypatch):
-        monkeypatch.setenv(ENV_DISABLE, "spmm")
-        set_dispatcher(None)
+    def test_speedppr_single_query_fallback(self):
+        self.disable_spmm()
         g = barabasi_albert_graph(40, attach=2, seed=9)
         algo = SpeedPPR(g, PPRParams(walk_cap=200), engine="auto")
         algo.query(1)
@@ -614,7 +561,6 @@ class TestForaChunkedAuto:
                     min_push_work=0.0,
                     min_resident_rows=2,
                 ),
-                env={},
                 metrics=MetricsRegistry(),
             )
         )
@@ -638,7 +584,6 @@ class TestForaChunkedAuto:
                 cost_model=DispatchCostModel(
                     resident_bytes=2 * 8 * 300 * 4, min_push_work=0.0
                 ),
-                env={},
                 metrics=MetricsRegistry(),
             )
         )

@@ -103,15 +103,21 @@ class TestBatchedPowerPhaseCap:
 
     SOURCES = list(range(16))
 
-    def _batch(self, graph, params, monkeypatch=None, budget_rows=None):
-        from repro.ppr.dispatch import ENV_RESIDENT_KB, set_dispatcher
+    def _batch(self, graph, params, budget_rows=None):
+        from repro.ppr.dispatch import (
+            DispatchCostModel,
+            KernelDispatcher,
+            set_dispatcher,
+        )
 
-        if monkeypatch is not None and budget_rows is not None:
-            budget_kb = max(
-                (2 * 8 * graph.num_nodes * budget_rows) // 1024, 1
+        if budget_rows is not None:
+            set_dispatcher(
+                KernelDispatcher(
+                    cost_model=DispatchCostModel(
+                        resident_bytes=2 * 8 * graph.num_nodes * budget_rows
+                    )
+                )
             )
-            monkeypatch.setenv(ENV_RESIDENT_KB, str(budget_kb))
-        set_dispatcher(None)  # rebuild with the env in effect
         try:
             alg = SpeedPPR(graph, params, engine="batched")
             alg.seed(11)
@@ -121,12 +127,10 @@ class TestBatchedPowerPhaseCap:
             set_dispatcher(None)
 
     def test_b16_capped_under_tight_residency_budget(
-        self, small_ba_graph, params, monkeypatch
+        self, small_ba_graph, params
     ):
         pytest.importorskip("scipy")
-        _, extra = self._batch(
-            small_ba_graph, params, monkeypatch, budget_rows=4
-        )
+        _, extra = self._batch(small_ba_graph, params, budget_rows=4)
         assert extra["backend"] == "spmm"
         assert extra["batch_size"] == 16
         assert extra["effective_batch"] < 16  # no constant max_batch
@@ -137,14 +141,10 @@ class TestBatchedPowerPhaseCap:
         _, extra = self._batch(small_ba_graph, params)
         assert extra["effective_batch"] == 16
 
-    def test_capped_batch_is_bit_for_bit(
-        self, small_ba_graph, params, monkeypatch
-    ):
+    def test_capped_batch_is_bit_for_bit(self, small_ba_graph, params):
         pytest.importorskip("scipy")
         whole, _ = self._batch(small_ba_graph, params)
-        capped, extra = self._batch(
-            small_ba_graph, params, monkeypatch, budget_rows=3
-        )
+        capped, extra = self._batch(small_ba_graph, params, budget_rows=3)
         assert extra["effective_batch"] < 16
         import numpy as np
 

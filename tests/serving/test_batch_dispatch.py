@@ -227,119 +227,3 @@ class TestBatchDispatch:
                 for node in graph.nodes()
             ]
             assert max(errors) < 0.1
-
-
-class TestBatchAutoTune:
-    """Online feedback: the measured batch-size distribution collected
-    by ``BatchAwareCostModel`` tunes the live admission batching knobs
-    (the ROADMAP carry-over — the distribution used to be collected
-    but never read back)."""
-
-    def make_model(self, batch_size=1.0, batch_size_fn=None, sigma=0.5):
-        from repro.core.cost_models import BatchAwareCostModel, ForaCostModel
-
-        inner = ForaCostModel(
-            n=1000,
-            m=5000,
-            taus={
-                "Forward Push": 1e-6,
-                "Random Walk": 1e-3,
-                "Graph Update": 1e-5,
-            },
-        )
-        return BatchAwareCostModel(
-            inner,
-            shared_fraction=sigma,
-            batch_size=batch_size,
-            batch_size_fn=batch_size_fn,
-        )
-
-    def test_static_knobs_without_model(self):
-        runtime = make_runtime(max_batch=4, batch_window_s=0.002)
-        assert runtime.effective_max_batch == 4
-        assert runtime.effective_batch_window_s == 0.002
-        # retune without a model is a no-op
-        assert runtime.retune_batching() == (4, 0.002)
-
-    def test_residency_cap_bounds_max_batch(self, monkeypatch):
-        from repro.graph import barabasi_albert_graph
-        from repro.ppr.dispatch import ENV_RESIDENT_KB
-
-        big = Fora(
-            barabasi_albert_graph(2000, attach=2, seed=3),
-            PPRParams(walk_cap=100),
-        )
-        runtime = make_runtime(
-            algorithm=big,
-            max_batch=8,
-            batch_model=self.make_model(batch_size=4.0),
-        )
-        monkeypatch.setenv(ENV_RESIDENT_KB, "1")  # fits < 1 batch row
-        new_max, _ = runtime.retune_batching()
-        assert new_max == 1
-        assert runtime.effective_max_batch == 1
-
-    def test_thin_batches_shrink_window_to_zero(self):
-        runtime = make_runtime(
-            max_batch=8,
-            batch_window_s=0.004,
-            batch_model=self.make_model(batch_size=1.0),
-        )
-        for _ in range(12):
-            runtime.retune_batching()
-        assert runtime.effective_batch_window_s == 0.0
-
-    def test_saturated_batches_widen_window_bounded(self):
-        runtime = make_runtime(
-            max_batch=8,
-            batch_window_s=0.001,
-            batch_model=self.make_model(batch_size=8.0),
-        )
-        for _ in range(12):
-            runtime.retune_batching()
-        hi = max(2 * 0.001, 0.002)
-        assert 0.001 <= runtime.effective_batch_window_s <= hi
-
-    def test_gauges_exported(self):
-        metrics = MetricsRegistry()
-        runtime = make_runtime(
-            max_batch=4,
-            batch_model=self.make_model(batch_size=4.0),
-            metrics=metrics,
-        )
-        runtime.retune_batching()
-        gauges = metrics.snapshot()["gauges"]
-        assert gauges["serving.effective_max_batch"]["value"] == 4.0
-        assert "serving.effective_batch_window_s" in gauges
-
-    def test_measured_distribution_closes_the_loop(self):
-        """End to end: batches dispatched by the runtime feed the
-        ``serving.batch_size`` histogram, the model reads its mean,
-        and the retune (every ``tune_every`` batches) adjusts the
-        live knobs from that measurement."""
-        metrics = MetricsRegistry()
-        model = self.make_model(
-            batch_size_fn=lambda: metrics.histogram(
-                "serving.batch_size"
-            ).mean()
-        )
-        runtime = make_runtime(
-            workers=1,
-            max_batch=4,
-            batch_window_s=0.005,
-            batch_model=model,
-            tune_every=1,
-            metrics=metrics,
-        )
-        with runtime:
-            for source in range(8):
-                runtime.submit(Request(0.0, QUERY, source=source % 4))
-            runtime.drain()
-        assert metrics.snapshot()["counters"]["serving.batches"] >= 1
-        assert model.batch_size() >= 1.0
-        gauges = metrics.snapshot()["gauges"]
-        assert "serving.effective_max_batch" in gauges
-
-    def test_tune_every_validation(self):
-        with pytest.raises(ValueError, match="tune_every"):
-            make_runtime(tune_every=0)

@@ -204,7 +204,7 @@ class TestRuntimeIntegration:
         """A full query/update workload under the sanitizer is clean.
 
         This is the dynamic witness for the static self-check: the
-        runtime's rwlock -> {seed, records, tune, cache} order and its
+        runtime's rwlock -> {seed, records, algo, cache} order and its
         no-upgrade discipline hold under real interleavings.
         """
         rng = random.Random(0xC0FFEE)
@@ -216,7 +216,6 @@ class TestRuntimeIntegration:
             epsilon_r=0.05,
             query_fn=exact_query_fn,
             metrics=metrics,
-            drain_idle=True,
             idle_tick_s=0.002,
         )
         # the runtime's locks must actually be tracked

@@ -5,7 +5,6 @@ import time
 
 import pytest
 
-from repro.core.system import QuotaSystem
 from repro.graph import DynamicGraph, EdgeUpdate
 from repro.obs import MetricsRegistry
 from repro.ppr import Fora, PPRParams
@@ -216,6 +215,28 @@ class TestServingRuntime:
         assert len(applied) == 2
         assert all(r.version > 0 for r in applied)
 
+    def test_idle_workers_drain_deferred_updates_back_to_back(self):
+        """With nothing queued, deferred updates are worked off one
+        after another (as ``replay()`` does), not one per idle tick."""
+        graph = make_graph()
+        runtime = make_runtime(
+            make_algorithm(graph), workers=1, epsilon_r=100.0,
+            queue_capacity=0, idle_tick_s=0.5,
+        )
+        with runtime:
+            for v in range(10, 20):
+                runtime.submit(Request(0.0, UPDATE, update=EdgeUpdate(0, v)))
+            deadline = time.monotonic() + 1.0
+            while time.monotonic() < deadline and not all(
+                graph.has_edge(0, v) for v in range(10, 20)
+            ):
+                time.sleep(0.005)
+            # read inside the block: leaving it flushes what is left
+            applied = [graph.has_edge(0, v) for v in range(10, 20)]
+            pending = runtime.pending_updates
+        assert all(applied)
+        assert pending == 0
+
     def test_fault_degrades_to_fcfs(self):
         graph = make_graph()
         algorithm = make_algorithm(graph)
@@ -268,7 +289,7 @@ class TestServingRuntime:
         graph = make_graph()
         runtime = make_runtime(
             make_algorithm(graph), workers=1, epsilon_r=100.0,
-            queue_capacity=0, drain_idle=False,
+            queue_capacity=0,
         )
         runtime.start()
         runtime.submit(Request(0.0, UPDATE, update=EdgeUpdate(0, 9)))
@@ -381,26 +402,6 @@ class TestCompletionSink:
 
 
 class TestQuotaIntegration:
-    def test_make_runtime_shares_config(self):
-        graph = make_graph()
-        system = QuotaSystem(make_algorithm(graph), epsilon_r=7.0)
-        runtime = system.make_runtime(workers=3, queue_capacity=11)
-        assert runtime.algorithm is system.algorithm
-        assert runtime.epsilon_r == 7.0
-        assert runtime.workers == 3
-        assert runtime.metrics is system.metrics
-        assert runtime.controller is None
-
-    def test_make_runtime_serves(self):
-        system = QuotaSystem(make_algorithm(), epsilon_r=5.0)
-        runtime = system.make_runtime(workers=1, queue_capacity=0)
-        with runtime:
-            report = runtime.serve([
-                Request(0.0, QUERY, source=0),
-                Request(0.0, UPDATE, update=EdgeUpdate(0, 9)),
-            ])
-        assert all(r.status == OK for r in report.records)
-
     def test_reconfigure_without_controller_is_noop(self):
         runtime = make_runtime()
         with runtime:

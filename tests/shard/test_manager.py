@@ -5,6 +5,7 @@ cross-process paths are covered by the stress-marked equivalence
 oracle in ``test_equivalence.py`` and the smoke in the bench.
 """
 
+import dataclasses
 import time
 
 import pytest
@@ -130,6 +131,21 @@ def test_crash_then_respawn_replays_log():
         counters = metrics.snapshot()["counters"]
         assert counters["shard.respawns"] == 1
         assert counters.get("shard.order_faults", 0) == 0
+
+
+def test_respawned_shard_keeps_every_spec_field():
+    with make_manager(num_shards=2) as manager:
+        # a non-default value in the one field no constructor option
+        # sets, so a field-by-field copy that forgets it shows
+        manager._base_spec = dataclasses.replace(
+            manager._base_spec, calibration_queries=5
+        )
+        victim = manager.shard_handle(1)
+        victim.crash()
+        assert wait_until(lambda: manager.shard_handle(1) is not victim)
+        assert manager.shard_handle(1).spec == dataclasses.replace(
+            manager._base_spec, shard_id=1
+        )
 
 
 def test_inflight_bound_sheds_and_recovers():

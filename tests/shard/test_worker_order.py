@@ -10,6 +10,7 @@ order-fault reason, manager-side fault counter, and a log-replay
 respawn that converges the replacement.
 """
 
+import threading
 import time
 
 import pytest
@@ -18,6 +19,7 @@ from repro.graph import DynamicGraph
 from repro.obs import MetricsRegistry
 from repro.shard import InprocShard, ShardManager, ShardSpec
 from repro.shard.messages import UpdateCommand
+from repro.shard.worker import ShardServer
 
 
 def ring_graph(n=24):
@@ -65,6 +67,52 @@ def test_in_order_updates_are_accepted():
         assert handle.healthy
     finally:
         handle.stop()
+
+
+def test_default_spec_serves_on_the_auto_engine():
+    """The fleet defaults to the engine ``repro run`` defaults to."""
+    server = ShardServer(make_spec(ring_graph()), reply=lambda reply: None)
+    try:
+        assert server.runtime.algorithm.engine == "auto"
+    finally:
+        server.runtime.stop()
+
+
+def test_full_queue_blocks_updates_without_shedding():
+    """An update meeting a full admission queue waits for room; it is
+    neither dropped nor counted (or recorded) as shed."""
+    replies = []
+    server = ShardServer(
+        make_spec(ring_graph(), queue_capacity=1), reply=replies.append
+    )
+    algorithm = server.runtime.algorithm
+    apply_update = algorithm.apply_update
+    stalled, release, applied = threading.Event(), threading.Event(), []
+
+    def stalling_apply(update):
+        stalled.set()
+        assert release.wait(30.0)
+        applied.append(update.v)
+        return apply_update(update)
+
+    algorithm.apply_update = stalling_apply
+    releaser = threading.Timer(0.2, release.set)
+    try:
+        server.handle(UpdateCommand(1, 1, 0, 11))
+        assert stalled.wait(30.0)  # the one worker is busy
+        server.handle(UpdateCommand(2, 2, 0, 12))  # fills the queue
+        releaser.start()
+        server.handle(UpdateCommand(3, 3, 0, 13))  # must wait for room
+        server.runtime.drain()
+    finally:
+        release.set()
+        releaser.cancel()
+        server.runtime.stop()
+    assert applied == [11, 12, 13]
+    assert [reply.ok for reply in replies] == [True, True, True]
+    assert server.applied_broadcasts == 3
+    counters = server.metrics.snapshot()["counters"]
+    assert counters.get("serving.shed", 0) == 0
 
 
 def test_version_gap_refused_and_worker_dies():

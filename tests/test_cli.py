@@ -119,6 +119,14 @@ class TestCommands:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_serve_quota_requires_lambda_u(self, capsys):
+        """A dataset declares no update rate, so the drift baseline
+        must be given — not guessed from lambda_q."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--dataset", "webs", "--quota"])
+        assert excinfo.value.code == 2
+        assert "--lambda-u" in capsys.readouterr().err
+
     def test_missing_trace_exits_cleanly(self, capsys):
         code = main(
             ["run", "--dataset", "webs", "--trace", "/no/such/file.csv"]
