@@ -7,7 +7,7 @@ updates, without distorting the walk distribution — which in turn lets
 the Quota optimizer select an index-based method under update-heavy
 traffic where the rebuild-only candidate set could not.
 
-Three sections, all asserted:
+Four sections, all asserted:
 
 1. **Update cost** — mean per-update maintenance time for FORA+ in
    ``rebuild`` mode vs ``incremental`` mode vs index-free FORA over the
@@ -24,12 +24,21 @@ Three sections, all asserted:
    index-based method while the set with FORA+inc selects one
    (argmin predicted response time).
 
-Honesty notes: this container is single-core, so absolute times are
-pessimistic; the compared quantity is the *ratio* on identical seeded
-streams, which is hardware-neutral.  The incremental path does pure
-Python map bookkeeping per affected walk while the rebuild path is
-fully vectorized numpy — the measured gap therefore *understates* the
-algorithmic O(affected / m·r_max·K) advantage.
+4. **Map footprint** — the edge→walk map is flat numpy arrays (path
+   arena + posting rows, :mod:`repro.ppr.incremental`).  Records its
+   bytes, the traced index build time and the RSS the build added, and
+   asserts ``edge_map_bytes / total_walks`` <= 160 B so a
+   Python-object layout (the dict/set/tuple one it replaced cost
+   ≈ 1.1 kB per walk) cannot come back unnoticed.
+
+Honesty notes: absolute times are this host's (see the record's
+``host``); the compared quantity is the *ratio* on identical seeded
+streams, which is hardware-neutral.  Both paths are vectorized numpy,
+but at ~14 affected walks per update the incremental path is bound by
+a fixed ~100 small-array calls, not by the walks — the measured gap
+therefore *understates* the algorithmic O(affected / m·r_max·K)
+advantage.  ``previous`` in the results is the parent commit's (dict
+layout) record on the same host, kept for the before/after read.
 
 Results land in ``BENCH_incremental_index.json`` at the repo root via
 ``benchmarks/common.py``.  Run directly or through pytest (the
@@ -49,11 +58,32 @@ from repro.core.quota import QuotaController
 from repro.graph import barabasi_albert_graph
 from repro.graph.updates import random_update_stream
 from repro.obs import get_metrics
-from repro.ppr import ALGORITHMS, PPRParams
+from repro.ppr import ALGORITHMS, PPRParams, csr_view
 from repro.ppr.random_walk import WalkIndex
 
 #: acceptance floor for t̃_u(rebuild) / t̃_u(incremental)
 SPEEDUP_FLOOR = 10.0
+
+#: ceiling on edge-map bytes per stored walk (flat arrays sit near
+#: 100 B with their slack; the dict layout sat near 1 100 B)
+MAP_BYTES_PER_WALK_CEILING = 160.0
+
+#: the same bench at the parent commit 3e12e7f (dict/set/tuple
+#: ``EdgeWalkMap``) on the host that recorded the committed JSON
+#: (2 cores, quick scope, seed 0); ``edge_map_bytes`` there is the
+#: recursive ``sys.getsizeof`` of the two dicts
+PREVIOUS = {
+    "commit": "3e12e7f",
+    "mean_update_s": {
+        "FORA+ (rebuild)": 0.018961,
+        "FORA+ (incremental)": 0.000687,
+        "FORA (index-free)": 0.0000835,
+    },
+    "rebuild_over_incremental_speedup": 27.6,
+    "edge_map_bytes": 67_811_912,
+    "index_build_s": 0.475,
+    "build_rss_delta_mb": 84.6,
+}
 
 N_NODES = 20_000
 WALK_CAP = 64
@@ -74,6 +104,14 @@ def _algorithm(name: str, graph):
     algorithm.seed(bench_seed() + 1)
     algorithm.view  # warm the CSR store so no system pays the cold build
     return algorithm
+
+
+def _rss_mb() -> float:
+    with open("/proc/self/status", encoding="ascii") as status:
+        for line in status:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) / 1024.0
+    return 0.0
 
 
 def _resampled_counter() -> int:
@@ -99,7 +137,9 @@ class MaintenanceRow:
 # ----------------------------------------------------------------------
 # section 1+2: update cost + distributional oracle
 # ----------------------------------------------------------------------
-def run_update_cost(num_updates: int) -> tuple[list[MaintenanceRow], dict]:
+def run_update_cost(
+    num_updates: int,
+) -> tuple[list[MaintenanceRow], dict, dict]:
     rows: list[MaintenanceRow] = []
 
     # rebuild-mode FORA+ (the paper's O(m r_max K) per-update cost)
@@ -123,8 +163,15 @@ def run_update_cost(num_updates: int) -> tuple[list[MaintenanceRow], dict]:
 
     # incremental FORA+ on the identical stream
     graph = _graph()
+    csr_view(graph)  # warm the CSR store: not part of the build's RSS
+    rss_before = _rss_mb()
     incremental = _algorithm("FORA+inc", graph)
     index = incremental._walk_index()
+    footprint = {
+        "edge_map_bytes": incremental.index_stats()["edge_map_bytes"],
+        "index_build_s": incremental.timers.total("Index Build"),
+        "build_rss_delta_mb": _rss_mb() - rss_before,
+    }
     resampled_before = _resampled_counter()
     for update in _updates(graph, num_updates):
         incremental.apply_update(update)
@@ -192,7 +239,7 @@ def run_update_cost(num_updates: int) -> tuple[list[MaintenanceRow], dict]:
         "two_sample_excess": worst,
         "total_walks": int(index.total_walks),
     }
-    return rows, oracle_report
+    return rows, oracle_report, footprint
 
 
 def _aggregate_histogram(index: WalkIndex, view) -> np.ndarray:
@@ -272,7 +319,7 @@ def run_quota_crossover(rebuild_mean_s: float) -> dict:
 
 def run_bench() -> dict:
     num_updates = scoped(15, 100)
-    rows, oracle_report = run_update_cost(num_updates)
+    rows, oracle_report, footprint = run_update_cost(num_updates)
     by_name = {row.system: row for row in rows}
     rebuild_mean = by_name["FORA+ (rebuild)"].mean_update_s
     incremental_mean = by_name["FORA+ (incremental)"].mean_update_s
@@ -284,6 +331,8 @@ def run_bench() -> dict:
         "rebuild_over_incremental_speedup": speedup,
         "oracle": oracle_report,
         "quota": quota,
+        **footprint,
+        "previous": PREVIOUS,
     }
 
 
@@ -309,6 +358,12 @@ def test_incremental_update_cost_at_least_10x_below_rebuild():
 def test_distributional_oracle_zero_violations():
     results = _results()
     assert results["oracle"]["violations"] == []
+
+
+def test_edge_map_is_flat_arrays_not_python_objects():
+    results = _results()
+    per_walk = results["edge_map_bytes"] / results["oracle"]["total_walks"]
+    assert per_walk <= MAP_BYTES_PER_WALK_CEILING
 
 
 def test_quota_selects_index_based_method_under_churn():
@@ -345,6 +400,12 @@ def main() -> None:
         f"(floor {SPEEDUP_FLOOR}x)"
     )
     print(f"oracle violations: {len(results['oracle']['violations'])}")
+    print(
+        f"edge map: {results['edge_map_bytes'] / 1e6:.2f} MB "
+        f"({results['edge_map_bytes'] / results['oracle']['total_walks']:.0f}"
+        f" B/walk), traced build {results['index_build_s'] * 1e3:.0f} ms, "
+        f"+{results['build_rss_delta_mb']:.1f} MB RSS"
+    )
     for cell in results["quota"]["sweep"]:
         print(
             f"  lambda_u={cell['lambda_u']:10.1f}/s  "

@@ -23,8 +23,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.stats import norm
 
 Evaluator = Callable[[dict[str, float]], float]
 
@@ -172,6 +170,8 @@ class BayesianOptimizationSearch(HyperparameterSearch):
         self, xs: np.ndarray, ys: np.ndarray, grid: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """GP posterior mean/std on ``grid`` given observations."""
+        from scipy.linalg import cho_factor, cho_solve
+
         y_mean = ys.mean()
         y_std = ys.std() or 1.0
         ys_n = (ys - y_mean) / y_std
@@ -187,6 +187,8 @@ class BayesianOptimizationSearch(HyperparameterSearch):
     def _expected_improvement(
         self, mean: np.ndarray, std: np.ndarray, best: float
     ) -> np.ndarray:
+        from scipy.stats import norm
+
         gap = best - mean
         z = gap / std
         return gap * norm.cdf(z) + std * norm.pdf(z)

@@ -27,7 +27,6 @@ from typing import Any
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import optimize
 
 FloatArray = NDArray[np.float64]
 Objective = Callable[[FloatArray], float]
@@ -117,6 +116,10 @@ class AugmentedLagrangianOptimizer:
         self, problem: ConstrainedProblem, x0: FloatArray
     ) -> OptimizationResult:
         """Run the Augmented Lagrangian loop from one starting point."""
+        # imported on first use: a serving process that never configures
+        # Quota should not pay scipy's import time and memory
+        from scipy import optimize
+
         x: FloatArray = np.clip(
             np.asarray(x0, dtype=np.float64),
             [lo for lo, _ in problem.bounds],

@@ -401,6 +401,8 @@ class WalkIndexOwner(DynamicPPRAlgorithm):
     index_maintenance = "rebuild"
     r_max: float
     _index: WalkIndex | None = None
+    _incremental_updates = 0
+    _walks_resampled = 0
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
@@ -460,12 +462,29 @@ class WalkIndexOwner(DynamicPPRAlgorithm):
             return
         view = self.view
         with self.timers.measure("Index Update"):
-            self._index.apply_edge_update(
+            resampled = self._index.apply_edge_update(
                 view,
                 view.to_index(resolved.u),
                 view.to_index(resolved.v),
                 resolved.kind,
             )
+        self._incremental_updates += 1
+        self._walks_resampled += resampled
+
+    def index_stats(self) -> dict[str, int]:
+        """Point-in-time index accounting of *this* algorithm instance
+        (a shard exports it as the ``"index"`` block of ``/metrics``;
+        the ``index.*`` counters in :mod:`repro.obs` are per process)."""
+        index = self._index
+        emap = None if index is None else index.edge_map
+        return {
+            "total_walks": 0 if index is None else index.total_walks,
+            "incremental_updates": self._incremental_updates,
+            "walks_resampled": self._walks_resampled,
+            "edge_map_bytes": 0 if emap is None else emap.nbytes,
+            "arena_live_steps": 0 if emap is None else emap.live_steps,
+            "arena_dead_steps": 0 if emap is None else emap.dead_steps,
+        }
 
 
 def clip_unit(value: float, lo: float = 1e-12, hi: float = 1.0 - 1e-12) -> float:

@@ -153,16 +153,22 @@ class CSRView:
         return _pack_rows(self.in_indptr, self.in_indices, self.in_deg, self.n)
 
 
+def ragged_indices(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Flat indices of the rows ``[starts[i], starts[i] + lens[i])``,
+    row after row — the gather every slack-row layout here needs."""
+    ends = np.cumsum(lens)
+    flat = np.repeat(starts - (ends - lens), lens)
+    flat += np.arange(flat.size, dtype=np.int64)
+    return flat
+
+
 def _pack_rows(
     starts: np.ndarray, data: np.ndarray, lens: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gather slack-slot rows into packed (indptr, indices) arrays."""
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(lens, out=indptr[1:])
-    total = int(indptr[-1])
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(indptr[:-1], lens)
-    src = np.repeat(starts[:n], lens) + offsets
-    return indptr, data[src]
+    return indptr, data[ragged_indices(starts[:n], lens)]
 
 
 def _build_packed(graph: DynamicGraph, view: CSRView) -> None:

@@ -13,20 +13,28 @@ Used for:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy import sparse
 
 from repro.graph.digraph import DynamicGraph
 from repro.ppr.base import PPRVector
 from repro.ppr.csr import CSRView, csr_view
 
+if TYPE_CHECKING:
+    from scipy import sparse
 
-def transition_matrix(view: CSRView) -> sparse.csr_matrix:
+
+def transition_matrix(view: CSRView) -> "sparse.csr_matrix":
     """Row-stochastic random-walk matrix P of a graph snapshot.
 
     Row u holds 1/d_out(u) on each out-neighbor; dangling rows hold a
-    single 1 on the diagonal (implicit self loop).
+    single 1 on the diagonal (implicit self loop).  scipy is imported
+    here, on first use: the push-family serving processes import this
+    module (the registry, the exact-mode executor) without calling it.
     """
+    from scipy import sparse
+
     n = view.n
     rows = np.repeat(np.arange(n, dtype=np.int64), view.out_deg)
     # delta-patched views carry slack slots; gather the packed columns

@@ -23,12 +23,14 @@ for adjacency rows.  Fresh builds are packed (cap == count,
 maintenance (:mod:`repro.ppr.incremental`) grows/shrinks rows in place
 and relocates a row to the array tail when it outgrows its capacity.
 A stored walk is addressed by the stable id ``(node << 32) | slot``,
-so relocation never invalidates the edge→walk map.
+so relocation never invalidates the edge→walk map's postings.
 
 When ``track_edges`` is set, every sampling pass also records which
 edges each stored walk traversed (:class:`~repro.ppr.incremental.
-EdgeWalkMap`), enabling :meth:`WalkIndex.apply_edge_update` to resample
-only the walks a single edge mutation actually affects.
+EdgeWalkMap`: a path arena whose per-walk offsets run parallel to
+``terminals`` and move with a relocated row), enabling
+:meth:`WalkIndex.apply_edge_update` to resample only the walks a single
+edge mutation actually affects.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.ppr.csr import CSRView
+from repro.ppr.csr import CSRView, ragged_indices
 
 if TYPE_CHECKING:
     from repro.ppr.incremental import EdgeWalkMap, WalkTrace
@@ -199,9 +201,9 @@ class WalkIndex:
 
     def _build_all(self) -> None:
         if self.track_edges:
-            from repro.ppr.incremental import make_edge_map
+            from repro.ppr.incremental import EdgeWalkMap
 
-            self.edge_map = make_edge_map()
+            self.edge_map = EdgeWalkMap(self)
         else:
             self.edge_map = None
         self._resample_full_rows(
@@ -222,22 +224,17 @@ class WalkIndex:
         if total == 0:
             return 0
         starts = np.repeat(node_indices, counts)
-        exclusive = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        slots = np.arange(total, dtype=np.int64) - np.repeat(
-            exclusive, counts
-        )
+        slots = ragged_indices(np.zeros_like(counts), counts)
         if self.edge_map is None:
             sampled = sample_walk_terminals(
                 view, starts, self.alpha, self._rng
             )
         else:
-            from repro.ppr.incremental import register_trace
-
             trace: "WalkTrace" = []
             sampled = sample_walk_terminals(
                 view, starts, self.alpha, self._rng, trace=trace
             )
-            register_trace(self.edge_map, starts, slots, trace)
+            self.edge_map.register(starts, slots, trace)
         dest = np.repeat(self.offsets[node_indices], counts) + slots
         self.terminals[dest] = sampled
         return total
@@ -270,6 +267,8 @@ class WalkIndex:
         self.terminals[self._tail:self._tail + length] = self.terminals[
             lo:lo + length
         ]
+        if self.edge_map is not None:
+            self.edge_map.move(lo, self._tail, length)
         self.offsets[i] = self._tail
         self.caps[i] = new_cap
         self._tail += new_cap
@@ -322,9 +321,11 @@ class WalkIndex:
             return 0
         new_counts = self._target_counts(view.out_deg[node_indices])
         if self.edge_map is not None:
-            from repro.ppr.incremental import unregister_rows
-
-            unregister_rows(self.edge_map, node_indices, self.counts)
+            self.edge_map.unregister(
+                ragged_indices(
+                    self.offsets[node_indices], self.counts[node_indices]
+                )
+            )
         for pos in range(int(node_indices.size)):
             i = int(node_indices[pos])
             need = int(new_counts[pos])

@@ -41,11 +41,6 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-try:  # optional dependency, probed at import (see dispatch.scipy_probe)
-    from scipy import sparse
-except Exception:  # pragma: no cover - import environment dependent
-    sparse = None  # type: ignore[assignment]
-
 if TYPE_CHECKING:
     from repro.ppr.dispatch import RoutingDecision
 
@@ -90,6 +85,12 @@ class SpeedPPR(DynamicPPRAlgorithm):
         self.r_max = r_max if r_max is not None else self.default_r_max()
         if engine != "scalar":
             self.set_engine(engine)
+        # every query of this class routes through the dispatcher's
+        # scipy probe: run it (and scipy's import) now, at set-up, not
+        # inside the first timed query
+        from repro.ppr.dispatch import get_dispatcher
+
+        get_dispatcher().available("spmm")
 
     def default_r_max(self) -> float:
         """Default that balances sweeps against walks: 1/sqrt(m W)."""
@@ -113,14 +114,15 @@ class SpeedPPR(DynamicPPRAlgorithm):
 
     def _transition_t(self) -> Any:
         """Cached P^T for the current snapshot (scipy CSR)."""
-        if sparse is None:  # pragma: no cover - scipy-free environments
-            raise RuntimeError(
-                "the spmm power backend needs scipy; the dispatcher "
-                "should have routed to the raw-row power backend"
-            )
         view = self.view
         if self._matrix_t is None or self._matrix_view is not view:
-            self._matrix_t = transition_matrix(view).T.tocsr()
+            try:
+                self._matrix_t = transition_matrix(view).T.tocsr()
+            except ImportError as exc:  # pragma: no cover - scipy-free
+                raise RuntimeError(
+                    "the spmm power backend needs scipy; the dispatcher "
+                    "should have routed to the raw-row power backend"
+                ) from exc
             self._matrix_view = view
         return self._matrix_t
 

@@ -43,7 +43,7 @@ from repro.evaluation.runner import build_algorithm
 from repro.graph.digraph import DynamicGraph
 from repro.graph.updates import EdgeUpdate
 from repro.obs import MetricsRegistry
-from repro.ppr.base import PPRVector
+from repro.ppr.base import PPRVector, WalkIndexOwner
 from repro.ppr.power_iteration import ppr_exact
 from repro.queueing.workload import QUERY, UPDATE, Request
 from repro.serving.runtime import OK, QueryFn, ServedRequest, ServingRuntime
@@ -353,6 +353,9 @@ class ShardServer:
         }
         if self._cache is not None:
             payload["cache"] = self._cache.stats()
+        algorithm = self.runtime.algorithm
+        if isinstance(algorithm, WalkIndexOwner):
+            payload["index"] = algorithm.index_stats()
         return payload
 
 

@@ -181,6 +181,33 @@ def test_metrics_snapshot_aggregates_workers():
             assert payload["state"]["applied_broadcasts"] == 1
 
 
+def test_metrics_snapshot_carries_per_shard_index_accounting():
+    """The ``index.*`` registry counters are per process; the "index"
+    block beside "cache" is per shard, so a fleet scrape can tell how
+    many walks each replica resampled and what its map weighs."""
+    with make_manager(num_shards=2, algorithm="FORA+inc") as manager:
+        for v in (7, 9, 11):
+            manager.update(0, v)
+        assert wait_until(
+            lambda: all(
+                payload["index"]["incremental_updates"] == 3
+                for payload in manager.metrics_snapshot()["shards"].values()
+            )
+        )
+        for payload in manager.metrics_snapshot()["shards"].values():
+            index = payload["index"]
+            assert index["total_walks"] > 0
+            assert index["walks_resampled"] > 0
+            assert index["arena_live_steps"] > 0
+            assert index["arena_dead_steps"] >= 0
+            # flat arrays, not Python objects: well under the ~1.2 kB
+            # per walk the dict/set layout cost
+            assert 0 < index["edge_map_bytes"] < 400 * index["total_walks"]
+    with make_manager(num_shards=1) as manager:  # FORA holds no index
+        (payload,) = manager.metrics_snapshot()["shards"].values()
+        assert "index" not in payload
+
+
 def test_stop_is_terminal():
     manager = make_manager(num_shards=1)
     manager.stop()
