@@ -57,7 +57,7 @@ from repro.core.calibration import calibrated_cost_model
 from repro.core.quota import QuotaController
 from repro.graph import barabasi_albert_graph
 from repro.graph.updates import random_update_stream
-from repro.obs import get_metrics
+from repro.obs import get_metrics, process_stats
 from repro.ppr import ALGORITHMS, PPRParams, csr_view
 from repro.ppr.random_walk import WalkIndex
 
@@ -104,14 +104,6 @@ def _algorithm(name: str, graph):
     algorithm.seed(bench_seed() + 1)
     algorithm.view  # warm the CSR store so no system pays the cold build
     return algorithm
-
-
-def _rss_mb() -> float:
-    with open("/proc/self/status", encoding="ascii") as status:
-        for line in status:
-            if line.startswith("VmRSS:"):
-                return int(line.split()[1]) / 1024.0
-    return 0.0
 
 
 def _resampled_counter() -> int:
@@ -164,13 +156,13 @@ def run_update_cost(
     # incremental FORA+ on the identical stream
     graph = _graph()
     csr_view(graph)  # warm the CSR store: not part of the build's RSS
-    rss_before = _rss_mb()
+    rss_before = process_stats()["rss_mb"]
     incremental = _algorithm("FORA+inc", graph)
     index = incremental._walk_index()
     footprint = {
         "edge_map_bytes": incremental.index_stats()["edge_map_bytes"],
         "index_build_s": incremental.timers.total("Index Build"),
-        "build_rss_delta_mb": _rss_mb() - rss_before,
+        "build_rss_delta_mb": process_stats()["rss_mb"] - rss_before,
     }
     resampled_before = _resampled_counter()
     for update in _updates(graph, num_updates):

@@ -16,7 +16,7 @@ from collections.abc import Sequence
 
 from repro.api.frontdoor import DriftPolicy, FrontDoor
 from repro.api.http import HttpServer
-from repro.evaluation.datasets import get_dataset
+from repro.evaluation.datasets import DatasetSpec, get_dataset
 from repro.ppr import ALGORITHMS
 from repro.shard.backend import BACKENDS
 from repro.shard.manager import ShardManager
@@ -76,15 +76,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-async def _serve(args: argparse.Namespace) -> int:
-    spec = get_dataset(args.dataset)
+def _build_manager(args: argparse.Namespace, spec: DatasetSpec) -> ShardManager:
+    """Build the dataset graph, hand it to a fleet, and let go of it.
+
+    The manager keeps the packed edges for respawns; the front door
+    never reads the graph again, so its ``DynamicGraph`` must not
+    outlive this frame.
+    """
     graph = spec.build(seed=args.seed)
     print(
         f"building {args.shards}-shard fleet ({args.backend}) on "
         f"{spec.name} (n={graph.num_nodes}, m={graph.num_edges})...",
         flush=True,
     )
-    manager = ShardManager(
+    return ShardManager(
         graph,
         args.shards,
         backend=args.backend,
@@ -98,6 +103,11 @@ async def _serve(args: argparse.Namespace) -> int:
         use_controller=args.quota,
         max_inflight_per_shard=args.max_inflight,
     )
+
+
+async def _serve(args: argparse.Namespace) -> int:
+    spec = get_dataset(args.dataset)
+    manager = _build_manager(args, spec)
     drift = (
         DriftPolicy(
             lambda_q=(

@@ -13,6 +13,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     get_metrics,
+    process_stats,
     reset_metrics,
 )
 from repro.obs.names import ALL_METRICS, COUNTERS, GAUGES, HISTOGRAMS
@@ -27,5 +28,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "get_metrics",
+    "process_stats",
     "reset_metrics",
 ]

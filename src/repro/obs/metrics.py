@@ -23,6 +23,7 @@ measurements (tests, paired benchmark cells).
 
 from __future__ import annotations
 
+import os
 import time
 from collections import deque
 from collections.abc import Iterator
@@ -246,3 +247,21 @@ def get_metrics() -> MetricsRegistry:
 def reset_metrics() -> None:
     """Zero the default registry (benchmark / test hygiene)."""
     _global_registry.reset()
+
+
+def process_stats() -> dict[str, float | int]:
+    """This process's ``pid`` and resident set size in MB.
+
+    ``VmRSS`` of ``/proc/self/status``, the number an outside ``/proc``
+    scan would read for this pid; 0.0 where there is no procfs.
+    """
+    rss_kb = 0
+    try:
+        with open("/proc/self/status", encoding="latin-1") as handle:
+            for line in handle:
+                if line.startswith("VmRSS:"):
+                    rss_kb = int(line.split()[1])
+                    break
+    except OSError:
+        pass
+    return {"pid": os.getpid(), "rss_mb": rss_kb / 1024.0}

@@ -252,10 +252,10 @@ def check_final_graph(
     actual: DynamicGraph,
 ) -> list[OracleViolation]:
     """Toggle updates commute into one final edge set per sequence."""
+    if expected == actual:
+        return []
     expected_edges = set(expected.edges())
     actual_edges = set(actual.edges())
-    if expected_edges == actual_edges:
-        return []
     missing = len(expected_edges - actual_edges)
     extra = len(actual_edges - expected_edges)
     return [

@@ -32,15 +32,23 @@ import dataclasses
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass, field
+from itertools import chain
 from time import perf_counter
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.graph.updates import EdgeUpdate
-from repro.obs import MetricsRegistry, get_metrics
+from repro.obs import MetricsRegistry, get_metrics, process_stats
 from repro.ppr.dispatch import AUTO
 from repro.serving.rwlock import wrap_mutex
 from repro.shard.backend import ShardHandle, make_shard
-from repro.shard.messages import ShardReply, ShardSpec, ShardUnavailableError
+from repro.shard.messages import (
+    ShardReply,
+    ShardSpec,
+    ShardUnavailableError,
+    pack_edges,
+)
 from repro.shard.router import Router, make_router
 
 if TYPE_CHECKING:
@@ -134,12 +142,19 @@ class ShardManager:
             raise ValueError("num_shards must be >= 1")
         if max_inflight_per_shard < 1:
             raise ValueError("max_inflight_per_shard must be >= 1")
-        edges = tuple(sorted(graph.edges()))
         self._base_spec = ShardSpec(
             shard_id=0,
             num_shards=num_shards,
             num_nodes=graph.num_nodes,
-            edges=edges,
+            # straight from the adjacency lists, no tuple per edge kept
+            edges=pack_edges(
+                graph.num_nodes,
+                np.fromiter(
+                    chain.from_iterable(graph.edges()),
+                    dtype=np.int64,
+                    count=2 * graph.num_edges,
+                ).reshape(-1, 2),
+            ),
             algorithm=algorithm,
             walk_cap=walk_cap,
             seed=seed,
@@ -526,6 +541,7 @@ class ShardManager:
                 workers[str(shard_id)] = reply.payload
         return {
             "manager": self.metrics.snapshot(),
+            "process": process_stats(),
             "shards": workers,
         }
 

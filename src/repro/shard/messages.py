@@ -24,9 +24,40 @@ manager's update log, which restores convergence by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, field
+from typing import Any
 
+import numpy as np
+from numpy.typing import NDArray
+
+from repro.graph.digraph import as_edge_array
 from repro.ppr.dispatch import AUTO
+
+
+#: element type of the packed :attr:`ShardSpec.edges` buffer
+_PACKED = np.dtype("<i4")
+
+
+def pack_edges(
+    num_nodes: int,
+    edges: "bytes | NDArray[np.integer[Any]] | Iterable[tuple[int, int]]",
+) -> bytes:
+    """The wire form of an edge list: sorted little-endian int32 pairs.
+
+    ``edges`` may be an ``(m, 2)`` integer array, any iterable of
+    ``(u, v)`` pairs, or an already packed buffer (re-validated — it
+    may come from outside).  Raises ValueError for what a worker's bulk
+    build would miscount: repeated pairs, ids outside
+    ``[0, num_nodes)`` or the int32 range, a buffer of half pairs.
+    """
+    if isinstance(edges, bytes):
+        if len(edges) % (2 * _PACKED.itemsize):
+            raise ValueError("packed edges must be whole int32 pairs")
+        edges = np.frombuffer(edges, dtype=_PACKED).reshape(-1, 2)
+    pairs = as_edge_array(num_nodes, edges)
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    return pairs.astype(_PACKED).tobytes()
 
 
 class UpdateOrderError(RuntimeError):
@@ -54,13 +85,16 @@ class ShardSpec:
 
     ``num_nodes`` + ``edges`` snapshot the graph at fabric start;
     updates broadcast after start carry the state forward identically
-    on every shard.
+    on every shard.  ``edges`` accepts whatever :func:`pack_edges`
+    does and is *stored* packed — 8 B per edge on the wire instead of
+    a tuple object per edge, still hashable and ``==``-comparable;
+    read it through :meth:`edge_array`.
     """
 
     shard_id: int
     num_shards: int
     num_nodes: int
-    edges: tuple[tuple[int, int], ...]
+    edges: bytes = field(repr=False)
     algorithm: str = "FORA"
     walk_cap: int = 2_000
     seed: int = 0
@@ -92,6 +126,13 @@ class ShardSpec:
             raise ValueError(
                 f"query_mode must be algorithm|exact, got {self.query_mode!r}"
             )
+        object.__setattr__(
+            self, "edges", pack_edges(self.num_nodes, self.edges)
+        )
+
+    def edge_array(self) -> NDArray[np.int32]:
+        """The edges as a read-only ``(m, 2)`` int32 view of the buffer."""
+        return np.frombuffer(self.edges, dtype=_PACKED).reshape(-1, 2)
 
 
 # ----------------------------------------------------------------------

@@ -42,7 +42,7 @@ from repro.core.quota import QuotaController
 from repro.evaluation.runner import build_algorithm
 from repro.graph.digraph import DynamicGraph
 from repro.graph.updates import EdgeUpdate
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, process_stats
 from repro.ppr.base import PPRVector, WalkIndexOwner
 from repro.ppr.power_iteration import ppr_exact
 from repro.queueing.workload import QUERY, UPDATE, Request
@@ -90,10 +90,7 @@ def _exact_query_fn(alpha: float) -> QueryFn:
 
 def build_graph(spec: ShardSpec) -> DynamicGraph:
     """Materialize the replicated snapshot a spec describes."""
-    graph = DynamicGraph(spec.num_nodes)
-    for u, v in spec.edges:
-        graph.add_edge(u, v)
-    return graph
+    return DynamicGraph.from_edge_array(spec.num_nodes, spec.edge_array())
 
 
 def serialize_result(result: object, top_k: int | None) -> object:
@@ -350,6 +347,7 @@ class ShardServer:
         payload: dict[str, object] = {
             "metrics": self.metrics.snapshot(),
             "state": self._health(),
+            "process": process_stats(),
         }
         if self._cache is not None:
             payload["cache"] = self._cache.stats()

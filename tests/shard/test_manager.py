@@ -6,6 +6,7 @@ oracle in ``test_equivalence.py`` and the smoke in the bench.
 """
 
 import dataclasses
+import os
 import time
 
 import pytest
@@ -206,6 +207,23 @@ def test_metrics_snapshot_carries_per_shard_index_accounting():
     with make_manager(num_shards=1) as manager:  # FORA holds no index
         (payload,) = manager.metrics_snapshot()["shards"].values()
         assert "index" not in payload
+
+
+def test_metrics_snapshot_attributes_memory_by_process():
+    """``server_rss_mb`` is a sum over processes; the "process" blocks
+    say whose RSS it is without an outside ``/proc`` scan."""
+    with make_manager(num_shards=2) as manager:
+        snapshot = manager.metrics_snapshot()
+        blocks = [snapshot["process"]] + [
+            payload["process"] for payload in snapshot["shards"].values()
+        ]
+        assert len(blocks) == 3
+        for block in blocks:
+            # inproc backend: every shard lives in this process
+            assert block["pid"] == os.getpid()
+            assert block["rss_mb"] >= 0.0
+        if os.path.exists("/proc/self/status"):
+            assert all(block["rss_mb"] > 1.0 for block in blocks)
 
 
 def test_stop_is_terminal():
