@@ -221,7 +221,6 @@ class BlockingUnderWriteRule(ProjectRule):
     KERNELS = frozenset(
         {
             "frontier_push",
-            "batched_frontier_push",
             "reference_frontier_push",
             "power_phase",
             "forward_push",
@@ -230,7 +229,7 @@ class BlockingUnderWriteRule(ProjectRule):
         }
     )
     #: algorithm methods that run a kernel
-    KERNEL_METHODS = frozenset({"query", "query_batch"})
+    KERNEL_METHODS = frozenset({"query"})
 
     def check_project(self, project: ProjectIndex) -> Iterator[Finding]:
         for info in project.functions.values():

@@ -113,10 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         default="auto",
         choices=ENGINE_CHOICES,
-        help="push-kernel engine (auto routes per call through the "
-        "cost-model dispatcher; scalar is the oracle path; frontier/"
-        "batched force the vectorized kernels where the algorithm "
-        "supports them)",
+        help="kernel engine (auto = the vectorized kernels; scalar is "
+        "the oracle path; frontier forces the raw-row vectorized "
+        "kernels where the algorithm supports them)",
     )
     run.add_argument(
         "--quota", action="store_true",

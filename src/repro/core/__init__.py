@@ -18,7 +18,6 @@ from repro.core.calibration import calibrate_taus, calibrated_cost_model
 from repro.core.cost_models import (
     COST_MODELS,
     AgendaCostModel,
-    BatchAwareCostModel,
     CacheAwareCostModel,
     CostModel,
     ForaCostModel,
@@ -51,7 +50,6 @@ __all__ = [
     "UNSTABLE",
     "AgendaCostModel",
     "AugmentedLagrangianOptimizer",
-    "BatchAwareCostModel",
     "CacheAwareCostModel",
     "ConstrainedProblem",
     "CostModel",

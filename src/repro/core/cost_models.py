@@ -26,14 +26,11 @@ from __future__ import annotations
 import copy
 import math
 from collections.abc import Callable, Mapping
-from typing import TypeVar
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from repro.ppr.base import DynamicPPRAlgorithm
-
-_W = TypeVar("_W", bound="_WrappingCostModel")
 
 
 class CostModel:
@@ -277,48 +274,7 @@ class TopPPRCostModel(CostModel):
         return {"Graph Update": 1.0}
 
 
-class _WrappingCostModel(CostModel):
-    """Base of the effective-service-time wrappers.
-
-    Mirrors the wrapped model's interface and delegates everything but
-    :meth:`query_time` — parameter names, factors, update cost,
-    calibration plumbing — so a wrapper drops into
-    :class:`~repro.core.quota.QuotaController` unchanged.
-    """
-
-    def __init__(self, inner: CostModel) -> None:
-        super().__init__(inner.n, inner.m, taus=inner.taus)
-        self.inner = inner
-        self.algorithm_name = inner.algorithm_name
-        self.param_names = inner.param_names
-        self.query_subprocesses = inner.query_subprocesses
-        self.update_subprocesses = inner.update_subprocesses
-
-    def _rewrap(self: _W, inner: CostModel) -> _W:
-        """This wrapper's own settings around another inner model."""
-        clone = copy.copy(self)
-        _WrappingCostModel.__init__(clone, inner)
-        return clone
-
-    def query_factors(
-        self, beta: Mapping[str, float], lambda_q: float, lambda_u: float
-    ) -> dict[str, float]:
-        return self.inner.query_factors(beta, lambda_q, lambda_u)
-
-    def update_factors(self, beta: Mapping[str, float]) -> dict[str, float]:
-        return self.inner.update_factors(beta)
-
-    def update_time(self, beta: Mapping[str, float]) -> float:
-        return self.inner.update_time(beta)
-
-    def without_constants(self: _W) -> _W:
-        return self._rewrap(self.inner.without_constants())
-
-    def with_taus(self: _W, taus: Mapping[str, float]) -> _W:
-        return self._rewrap(self.inner.with_taus(taus))
-
-
-class CacheAwareCostModel(_WrappingCostModel):
+class CacheAwareCostModel(CostModel):
     """Effective-service-time wrapper over a base cost model.
 
     With a result cache in front of the algorithm, the mean query
@@ -339,6 +295,11 @@ class CacheAwareCostModel(_WrappingCostModel):
     ``PPRCache.hit_rate``, the same quantity the ``cache.hit_rate``
     gauge tracks online.  The fraction is re-read on every evaluation,
     so periodic re-optimization naturally tracks cache warm-up.
+
+    Everything but :meth:`query_time` — parameter names, factors,
+    update cost, calibration plumbing — is the wrapped model's, so the
+    wrapper drops into :class:`~repro.core.quota.QuotaController`
+    unchanged.
     """
 
     def __init__(
@@ -354,10 +315,41 @@ class CacheAwareCostModel(_WrappingCostModel):
             raise ValueError(
                 f"hit_fraction must be in [0, 1], got {hit_fraction}"
             )
-        super().__init__(inner)
+        self._wrap(inner)
         self.hit_time_s = hit_time_s
         self._hit_fraction_fn = hit_fraction_fn
         self._static_hit_fraction = hit_fraction
+
+    def _wrap(self, inner: CostModel) -> None:
+        super().__init__(inner.n, inner.m, taus=inner.taus)
+        self.inner = inner
+        self.algorithm_name = inner.algorithm_name
+        self.param_names = inner.param_names
+        self.query_subprocesses = inner.query_subprocesses
+        self.update_subprocesses = inner.update_subprocesses
+
+    def _rewrap(self, inner: CostModel) -> "CacheAwareCostModel":
+        """This wrapper's own settings around another inner model."""
+        clone = copy.copy(self)
+        clone._wrap(inner)
+        return clone
+
+    def query_factors(
+        self, beta: Mapping[str, float], lambda_q: float, lambda_u: float
+    ) -> dict[str, float]:
+        return self.inner.query_factors(beta, lambda_q, lambda_u)
+
+    def update_factors(self, beta: Mapping[str, float]) -> dict[str, float]:
+        return self.inner.update_factors(beta)
+
+    def update_time(self, beta: Mapping[str, float]) -> float:
+        return self.inner.update_time(beta)
+
+    def without_constants(self) -> "CacheAwareCostModel":
+        return self._rewrap(self.inner.without_constants())
+
+    def with_taus(self, taus: Mapping[str, float]) -> "CacheAwareCostModel":
+        return self._rewrap(self.inner.with_taus(taus))
 
     def hit_fraction(self) -> float:
         """Current hit fraction h, clamped into [0, 1]."""
@@ -381,80 +373,6 @@ class CacheAwareCostModel(_WrappingCostModel):
             f"CacheAwareCostModel({self.inner!r}, "
             f"hit_time_s={self.hit_time_s:.3g}, "
             f"h={self.hit_fraction():.3f})"
-        )
-
-
-class BatchAwareCostModel(_WrappingCostModel):
-    """Effective-service-time wrapper for batched query dispatch.
-
-    When the serving runtime coalesces B same-snapshot queries into one
-    ``query_batch`` call, part of each query's work is *shared* across
-    the batch (graph scans, frontier bookkeeping, lock traffic) and the
-    rest stays per-query (the source-specific push/walk mass).  With
-    ``sigma`` the shared fraction, the mean per-query service time the
-    queue experiences becomes
-
-        t_q_eff(beta) = t_q(beta) * ((1 - sigma) + sigma / B)
-
-    which recovers t_q at B = 1 and approaches (1 - sigma) * t_q as
-    batches grow — batching amortizes only the shared part, never the
-    per-query part.  Feeding this to the M/G/1 response model lets the
-    optimizer account for the dispatch window: utilization drops with
-    B, so Quota can spend the head-room on a more accurate beta.
-
-    ``B`` is supplied either as a static ``batch_size`` (what-if
-    analysis) or live via ``batch_size_fn`` — typically the mean of
-    the ``serving.batch_size`` histogram.  It is re-read per
-    evaluation and clamped to >= 1, so an idle runtime (empty batches,
-    NaN means) degrades to the unbatched model rather than a division
-    blow-up.  :meth:`query_time` is its only reader: the serving
-    runtime coalesces at its configured ``max_batch`` /
-    ``batch_window_s`` and does not tune them from this model.
-
-    Update costs are untouched: updates flush between batches, one at
-    a time, exactly as without batching.
-    """
-
-    def __init__(
-        self,
-        inner: CostModel,
-        shared_fraction: float = 0.5,
-        batch_size_fn: Callable[[], float] | None = None,
-        batch_size: float = 1.0,
-    ) -> None:
-        if not 0.0 <= shared_fraction <= 1.0:
-            raise ValueError(
-                f"shared_fraction must be in [0, 1], got {shared_fraction}"
-            )
-        if batch_size < 1.0:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        super().__init__(inner)
-        self.shared_fraction = shared_fraction
-        self._batch_size_fn = batch_size_fn
-        self._static_batch_size = batch_size
-
-    def batch_size(self) -> float:
-        """Current mean batch size B, clamped to >= 1."""
-        if self._batch_size_fn is not None:
-            b = float(self._batch_size_fn())
-        else:
-            b = self._static_batch_size
-        if not b >= 1.0:  # guards NaN as well as sub-1 values
-            return 1.0
-        return b
-
-    def query_time(
-        self, beta: Mapping[str, float], lambda_q: float, lambda_u: float
-    ) -> float:
-        sigma = self.shared_fraction
-        scale = (1.0 - sigma) + sigma / self.batch_size()
-        return scale * self.inner.query_time(beta, lambda_q, lambda_u)
-
-    def __repr__(self) -> str:
-        return (
-            f"BatchAwareCostModel({self.inner!r}, "
-            f"shared_fraction={self.shared_fraction:.3g}, "
-            f"B={self.batch_size():.2f})"
         )
 
 

@@ -27,10 +27,9 @@ Naming conventions
   (capacity / staleness budget / TTL), admission rejections, bulk
   invalidations, plus the live size and online hit-rate gauges the
   cache-aware cost model reads.
-* ``dispatch.*``    — kernel-dispatcher routing accounting
-  (:mod:`repro.ppr.dispatch`): decision/override/fallback/split
-  counters plus the effective-sub-batch-size histogram (a count per
-  decision, not seconds).
+* ``dispatch.*``    — kernel-engine degradations
+  (:mod:`repro.ppr.kernels`): ``dispatch.fallbacks`` counts a failed
+  scipy probe, once per process.
 * ``locks.*``       — runtime lock-order sanitizer accounting
   (:mod:`repro.serving.rwlock`, enabled by ``REPRO_LOCK_SANITIZER=1``):
   tracked acquisitions and detected discipline violations.
@@ -68,16 +67,12 @@ COUNTERS = frozenset(
         "serving.shed",
         "serving.timeout",
         "serving.faults",
-        "serving.batches",
-        "serving.batched_queries",
         "cache.hits",
         "cache.misses",
         "cache.insertions",
         "cache.evictions_capacity",
         "cache.evictions_staleness",
-        "dispatch.decisions",
         "dispatch.fallbacks",
-        "dispatch.splits",
         # lock sanitizer (REPRO_LOCK_SANITIZER=1; repro.serving.rwlock)
         "locks.acquired",
         "locks.violations",
@@ -114,11 +109,6 @@ HISTOGRAMS = frozenset(
         "serving.wait",
         "serving.response",
         "service.query_hit",
-        "service.query_batch",
-        # batch sizes (a count per dispatched batch, not seconds)
-        "serving.batch_size",
-        # routed sub-batch sizes (a count per routing decision)
-        "dispatch.effective_batch",
         # manager-side shard round-trip (submit -> reply, seconds)
         "shard.roundtrip",
         # front-door end-to-end response times (seconds)

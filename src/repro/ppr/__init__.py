@@ -36,22 +36,11 @@ from repro.ppr.base import (
     SubProcessTimers,
 )
 from repro.ppr.csr import CSRView, csr_view
-from repro.ppr.dispatch import (
-    ENGINE_CHOICES,
-    BackendSpec,
-    DispatchCostModel,
-    KernelDispatcher,
-    RoutingDecision,
-    get_dispatcher,
-    register_backend,
-    set_dispatcher,
-)
 from repro.ppr.fora import Fora, ForaPlus, ForaPlusIncremental
 from repro.ppr.forward_push import PushResult, forward_push
 from repro.ppr.kernels import (
+    ENGINE_CHOICES,
     ENGINES,
-    BatchPushResult,
-    batched_frontier_push,
     frontier_push,
     reference_frontier_push,
     resolve_engine,
@@ -81,16 +70,7 @@ __all__ = [
     "ENGINES",
     "ENGINE_CHOICES",
     "Agenda",
-    "BackendSpec",
-    "BatchPushResult",
     "CSRView",
-    "DispatchCostModel",
-    "KernelDispatcher",
-    "RoutingDecision",
-    "get_dispatcher",
-    "register_backend",
-    "set_dispatcher",
-    "batched_frontier_push",
     "frontier_push",
     "reference_frontier_push",
     "resolve_engine",

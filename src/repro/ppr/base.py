@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import time
 from abc import ABC, abstractmethod
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -30,7 +30,7 @@ import numpy as np
 from repro.graph.digraph import DynamicGraph
 from repro.graph.updates import EdgeUpdate
 from repro.ppr.csr import CSRView, csr_view
-from repro.ppr.kernels import resolve_engine
+from repro.ppr.kernels import AUTO, ENGINE_CHOICES, resolve_engine
 from repro.ppr.pushwalk import add_walk_estimates
 from repro.ppr.random_walk import WalkIndex
 
@@ -280,12 +280,10 @@ class DynamicPPRAlgorithm(ABC):
 
         ``engine`` must be ``"auto"`` or a valid kernel name this
         algorithm supports (:attr:`supported_engines`).  ``"auto"``
-        hands each call to the :mod:`repro.ppr.dispatch` cost-model
-        router; on algorithms without vectorized paths it degrades to
-        ``"scalar"`` (there is nothing to route).
+        means the vectorized kernel of each family (see
+        :mod:`repro.ppr.kernels`); on algorithms without vectorized
+        paths it degrades to ``"scalar"`` (there is nothing to pick).
         """
-        from repro.ppr.dispatch import AUTO, ENGINE_CHOICES
-
         resolve_engine(engine, ENGINE_CHOICES)
         if engine == AUTO:
             self.engine = AUTO if len(self.supported_engines) > 1 else "scalar"
@@ -320,17 +318,6 @@ class DynamicPPRAlgorithm(ABC):
             self.view  # refresh the CSR snapshot inside the update cost
         return resolved
 
-    def query_batch(self, sources: Sequence[int]) -> list[PPRVector]:
-        """Answer B same-snapshot queries (one result per source).
-
-        The default loops :meth:`query`; algorithms with a ``batched``
-        engine override this to run all sources through one shared
-        ``(B, n)`` kernel sweep.  Callers must not interleave updates
-        within a batch — the serving runtime flushes updates between
-        batches to keep every row on one snapshot.
-        """
-        return [self.query(source) for source in sources]
-
     # -- the walk phase shared by Push+Walk algorithms --------------------
     def _num_walks(self) -> int:
         """Walks per unit of residue: FORA's K unless overridden."""
@@ -347,7 +334,7 @@ class DynamicPPRAlgorithm(ABC):
         residue: np.ndarray,
         stats: QueryStats,
     ) -> None:
-        """Fold the residues into ``reserve`` (one vector or ``(B, n)``)."""
+        """Fold the residues into ``reserve`` through random walks."""
         with self.timers.measure("Random Walk"):
             walk = add_walk_estimates(
                 view,

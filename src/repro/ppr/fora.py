@@ -26,9 +26,6 @@ two complexity terms; Quota's whole point is that this is generally
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-
-import numpy as np
 
 from repro.graph.digraph import DynamicGraph
 from repro.ppr.base import (
@@ -39,9 +36,7 @@ from repro.ppr.base import (
     WalkIndexOwner,
     clip_unit,
 )
-from repro.ppr.csr import CSRView
 from repro.ppr.forward_push import forward_push
-from repro.ppr.kernels import BatchPushResult, batched_frontier_push
 
 
 class Fora(DynamicPPRAlgorithm):
@@ -57,7 +52,7 @@ class Fora(DynamicPPRAlgorithm):
     name = "FORA"
     is_index_based = False
     hyperparameter_names = ("r_max",)
-    supported_engines = ("scalar", "frontier", "batched")
+    supported_engines = ("scalar", "frontier")
 
     def __init__(
         self,
@@ -97,89 +92,6 @@ class Fora(DynamicPPRAlgorithm):
         self._walk_phase(view, push.reserve, push.residue, stats)
         self.last_query_stats = stats
         return PPRVector(push.reserve, view, source)
-
-    def query_batch(self, sources: Sequence[int]) -> list[PPRVector]:
-        """Same-snapshot batch through the batched push kernel.
-
-        ``engine="batched"`` keeps the legacy single ``(B, n)`` sweep;
-        ``engine="auto"`` asks the dispatcher, which splits the batch
-        into locality-sorted cache-resident sub-batches when the whole
-        ``(n, B)`` state would spill (the documented ``n >= 20k``
-        losing cells), or falls back to sequential frontier pushes
-        when batching cannot win.  Every split is bit-for-bit
-        result-invariant: each batched row equals its single-source
-        frontier push.
-        """
-        if self.engine not in ("batched", "auto") or len(sources) <= 1:
-            return super().query_batch(sources)
-        view = self.view
-        source_indices = np.array(
-            [view.to_index(s) for s in sources], dtype=np.int64
-        )
-        if self.engine == "auto":
-            from repro.ppr.dispatch import get_dispatcher
-
-            decision = get_dispatcher().route_push(
-                view,
-                len(sources),
-                self.r_max,
-                alpha=self.params.alpha,
-                source_indices=source_indices,
-            )
-            if decision.backend != "batched":
-                return super().query_batch(sources)
-            chunks = decision.chunks
-        else:
-            decision = None
-            chunks = None
-        stats = QueryStats()
-        with self.timers.measure("Forward Push"):
-            if chunks is not None and len(chunks) > 1:
-                push = self._chunked_batch_push(view, source_indices, chunks)
-            else:
-                push = batched_frontier_push(
-                    view, source_indices, self.params.alpha, self.r_max
-                )
-            stats.pushes = push.pushes
-        if decision is not None:
-            stats.extra["backend"] = decision.backend
-            stats.extra["effective_batch"] = decision.effective_batch
-        self._walk_phase(view, push.reserve, push.residue, stats)
-        stats.extra["batch_size"] = len(sources)
-        stats.extra["sweeps"] = push.sweeps
-        self.last_query_stats = stats
-        return [
-            PPRVector(push.reserve[b], view, source)
-            for b, source in enumerate(sources)
-        ]
-
-    def _chunked_batch_push(
-        self,
-        view: "CSRView",
-        source_indices: np.ndarray,
-        chunks: Sequence[np.ndarray],
-    ) -> BatchPushResult:
-        """Run the batch as locality-sorted sub-batches.
-
-        ``chunks`` holds positions into ``source_indices`` (from
-        :func:`repro.ppr.dispatch.plan_chunks`); results scatter back
-        to input order.  Bit-for-bit identical to one whole-batch call
-        because every batched row equals its single-source push.
-        """
-        b = int(source_indices.size)
-        reserve = np.zeros((b, view.n), dtype=np.float64)
-        residue = np.zeros((b, view.n), dtype=np.float64)
-        pushes = 0
-        sweeps = 0
-        for chunk in chunks:
-            part = batched_frontier_push(
-                view, source_indices[chunk], self.params.alpha, self.r_max
-            )
-            reserve[chunk] = part.reserve
-            residue[chunk] = part.residue
-            pushes += part.pushes
-            sweeps = max(sweeps, part.sweeps)
-        return BatchPushResult(reserve, residue, pushes, sweeps)
 
 
 class ForaPlus(WalkIndexOwner, Fora):

@@ -75,12 +75,9 @@ def forward_push(
         residue[source] = 1 when omitted.  Passed arrays are mutated in
         place.
     engine:
-        ``"scalar"`` (this module's deque loop, the oracle path),
-        ``"frontier"``/``"batched"`` for the vectorized synchronous
-        kernel of :mod:`repro.ppr.kernels` (single-source, the two
-        names coincide here), or ``"auto"`` to let the
-        :mod:`repro.ppr.dispatch` router pick (single-source routing
-        stays inside the sync-push result class, so never
+        ``"scalar"`` (this module's deque loop, the oracle path), or
+        ``"frontier"`` / ``"auto"`` for the vectorized synchronous
+        kernel of :mod:`repro.ppr.kernels` (``auto`` never means
         ``scalar``).  The scalar and synchronous schedules differ, so
         their results agree only up to the r_max approximation slack
         (see kernels module docstring).
@@ -90,16 +87,10 @@ def forward_push(
     PushResult
         Final reserve/residue arrays and push count.
     """
-    if engine == "auto":
-        from repro.ppr.dispatch import get_dispatcher
-
-        engine = get_dispatcher().route_push(
-            view, 1, r_max, alpha=alpha
-        ).backend
     if engine != "scalar":
         from repro.ppr import kernels
 
-        kernels.resolve_engine(engine)
+        kernels.resolve_engine(engine, kernels.ENGINE_CHOICES)
         return kernels.frontier_push(
             view, source_index, alpha, r_max, residue=residue, reserve=reserve
         )

@@ -1,4 +1,4 @@
-"""Vectorized frontier-batched push kernels.
+"""Vectorized whole-frontier push kernels and the engine names.
 
 The scalar :func:`~repro.ppr.forward_push.forward_push` pops one node
 at a time off a FIFO deque — a Gauss–Seidel schedule whose inner loop
@@ -17,50 +17,56 @@ but they are *different* push orders, so their results agree only up
 to the r_max-scale approximation slack — not bit-for-bit.  What **is**
 bit-for-bit reproducible is the synchronous schedule itself:
 :func:`reference_frontier_push` executes it with per-node Python loops
-in ascending index order, and :func:`frontier_push` /
-:func:`batched_frontier_push` perform the exact same IEEE-754
-operations in the exact same order (``np.add.at`` applies its updates
-sequentially in index-array order).  The property tests exploit this:
-the pure-Python reference is the scalar oracle the vectorized kernels
-must match to the last bit, on packed and slack-patched views alike.
-
-Batched mode runs B sources as a ``(B, n)`` residue/reserve matrix over
-one shared scan of the graph arrays, which is how the serving runtime
-coalesces same-snapshot queries arriving within a dispatch window.
-Row ``b`` of a batched push is bit-for-bit identical to
-``frontier_push`` from ``sources[b]``: sweeps in which a row has no
-active node touch none of its entries, so each row's trajectory is its
-single-source trajectory with idle sweeps interleaved.
+in ascending index order, and :func:`frontier_push` performs the exact
+same IEEE-754 operations in the exact same order (``np.add.at`` applies
+its updates sequentially in index-array order).  The property tests
+exploit this: the pure-Python reference is the scalar oracle the
+vectorized kernel must match to the last bit, on packed and
+slack-patched views alike.
 
 :func:`power_phase` is the same machinery applied to SpeedPPR's
 PowerPush stage: whole-graph Jacobi sweeps straight over the (possibly
-slack) CSR rows, so the frontier engine never pays the packed-matrix
-rebuild that the scipy path needs after every graph delta.
+slack) CSR rows, so it never pays the packed-matrix rebuild that the
+scipy path needs after every graph delta, and it is the only power
+backend on a scipy-free install.
+
+Engines
+-------
+``scalar`` and ``frontier`` name the two push schedules above.
+``auto`` (:data:`AUTO`) picks per kernel family: a push is always
+:func:`frontier_push` — never ``scalar``, whose answers differ in the
+low-order bits — and a power phase is scipy's CSR matvec when
+:func:`scipy_available` says so, else :func:`power_phase`.  The two
+power backends sum in different orders, so which one a machine gets
+can change low-order bits across environments (never within one).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 
+from repro.obs import get_metrics
 from repro.ppr.csr import CSRView
 from repro.ppr.forward_push import PushResult
 
-#: kernel engines selectable on Push+Walk algorithms and the CLI.
-#: ``scalar`` is the deque-based reference path (the property-test
-#: oracle for algorithm-level behavior), ``frontier`` the vectorized
-#: whole-frontier kernel, ``batched`` the multi-source (B, n) kernel.
-ENGINES = ("scalar", "frontier", "batched")
+#: kernel engines selectable on Push+Walk algorithms: ``scalar`` is the
+#: deque-based reference path (the property-test oracle for
+#: algorithm-level behavior), ``frontier`` the vectorized whole-frontier
+#: kernel.
+ENGINES = ("scalar", "frontier")
+
+#: pseudo-engine accepted by algorithms and the CLI: the vectorized
+#: kernel of each family (see module docstring).
+AUTO = "auto"
+
+#: engine names accepted at the algorithm/CLI layer.
+ENGINE_CHOICES: tuple[str, ...] = (AUTO,) + ENGINES
 
 
 def resolve_engine(engine: str, allowed: tuple[str, ...] = ENGINES) -> str:
-    """Validate an engine name against ``allowed`` (default :data:`ENGINES`).
-
-    The one engine-name validator: :mod:`repro.ppr.dispatch` binds it to
-    ``ENGINE_CHOICES`` (``"auto"`` plus the kernels) as
-    ``resolve_engine_choice``.
-    """
+    """Validate an engine name against ``allowed`` (default :data:`ENGINES`)."""
     if engine not in allowed:
         raise ValueError(
             f"unknown kernel engine {engine!r}; choose one of {allowed}"
@@ -68,24 +74,26 @@ def resolve_engine(engine: str, allowed: tuple[str, ...] = ENGINES) -> str:
     return engine
 
 
-@dataclass(slots=True)
-class BatchPushResult:
-    """Outcome of a multi-source batched push.
+def scipy_probe() -> bool:
+    """Whether scipy's sparse kernels import (the optional dependency)."""
+    try:
+        from scipy import sparse  # noqa: F401
+    except Exception:  # pragma: no cover - import environment dependent
+        return False
+    return True
 
-    Attributes
-    ----------
-    reserve, residue:
-        ``(B, n)`` matrices; row ``b`` is the state of source ``b``.
-    pushes:
-        Total node-pushes across the batch (cost proxy).
-    sweeps:
-        Number of synchronous sweeps until every row went inactive.
+
+@functools.cache
+def scipy_available() -> bool:
+    """:func:`scipy_probe`, run once per process.
+
+    A failed probe is a degradation — every power phase then runs on
+    :func:`power_phase` — and counts ``dispatch.fallbacks`` once.
     """
-
-    reserve: np.ndarray
-    residue: np.ndarray
-    pushes: int
-    sweeps: int
+    available = scipy_probe()
+    if not available:
+        get_metrics().counter("dispatch.fallbacks").inc()
+    return available
 
 
 def _gather_targets(
@@ -164,107 +172,6 @@ def frontier_push(
             targets = _gather_targets(indptr, indices, nodes, d)
             np.add.at(residue, targets, np.repeat(share, d))
     return PushResult(reserve, residue, pushes)
-
-
-def batched_frontier_push(
-    view: CSRView,
-    source_indices: np.ndarray,
-    alpha: float,
-    r_max: float,
-) -> BatchPushResult:
-    """Push B sources simultaneously over one shared graph scan.
-
-    Residue/reserve live in ``(B, n)`` matrices; every sweep gathers
-    the active (row, node) pairs of the whole batch and scatters their
-    shares with a single ``np.add.at`` on the flattened residue.  Row
-    ``b`` is bit-for-bit the :func:`frontier_push` result for
-    ``source_indices[b]`` (see module docstring).
-    """
-    src = np.asarray(source_indices, dtype=np.int64)
-    n = view.n
-    b_count = int(src.size)
-    if b_count == 0 or n == 0:
-        empty = np.zeros((b_count, n), dtype=np.float64)
-        return BatchPushResult(empty, empty.copy(), 0, 0)
-
-    # State lives NODE-major — (n, B), entry (t, b) is row b's value at
-    # node t — so the B rows' entries for one node share cache lines: a
-    # sweep in which several rows push (or receive mass at) the same
-    # node touches one line instead of B distant ones, which is where
-    # the batch's wall-clock win comes from.  Sorted flat indices are
-    # (node, row)-ordered, whose per-row subsequence is ascending by
-    # node — exactly the single-source push order, keeping every row
-    # bit-for-bit equal to ``frontier_push``.
-    residue_t = np.zeros((n, b_count), dtype=np.float64)
-    reserve_t = np.zeros((n, b_count), dtype=np.float64)
-    residue_t[src, np.arange(b_count)] = 1.0
-
-    indptr = view.indptr
-    indices = view.indices
-    out_deg = view.out_deg
-    one_minus_alpha = 1.0 - alpha
-    flat_residue = residue_t.reshape(-1)
-    flat_reserve = reserve_t.reshape(-1)
-    flat_thresholds = np.repeat(r_max * np.maximum(out_deg, 1), b_count)
-
-    pushes = 0
-    sweeps = 0
-    while True:
-        active = np.flatnonzero(flat_residue > flat_thresholds)
-        if active.size == 0:
-            break
-        sweeps += 1
-        pushes += int(active.size)
-        t_idx = active // b_count
-        r = flat_residue[active]
-        flat_reserve[active] += alpha * r
-        flat_residue[active] = 0.0
-        degs = out_deg[t_idx]
-        dangling = degs == 0
-        if dangling.any():
-            # Implicit self loop: the non-teleport share stays put.
-            flat_residue[active[dangling]] = one_minus_alpha * r[dangling]
-        spreading = ~dangling
-        if spreading.any():
-            flat_spreading = active[spreading]
-            nodes = t_idx[spreading]
-            rows = flat_spreading - nodes * b_count
-            d = degs[spreading]
-            share = one_minus_alpha * r[spreading] / d
-            # ``nodes`` is non-decreasing (node-major order), so runs of
-            # rows pushing the same node gather its adjacency once and
-            # fan it out, instead of re-reading it per row.
-            first = np.empty(nodes.size, dtype=bool)
-            first[0] = True
-            np.not_equal(nodes[1:], nodes[:-1], out=first[1:])
-            uniq_nodes = nodes[first]
-            if uniq_nodes.size < nodes.size:
-                uniq_degs = out_deg[uniq_nodes]
-                uniq_targets = _gather_targets(
-                    indptr, indices, uniq_nodes, uniq_degs
-                )
-                uniq_starts = np.zeros(uniq_nodes.size, dtype=np.int64)
-                if uniq_nodes.size > 1:
-                    np.cumsum(uniq_degs[:-1], out=uniq_starts[1:])
-                starts = uniq_starts[np.cumsum(first) - 1]
-                total = int(d.sum())
-                prefix = np.zeros(nodes.size, dtype=np.int64)
-                if nodes.size > 1:
-                    np.cumsum(d[:-1], out=prefix[1:])
-                within = np.arange(total, dtype=np.int64) - np.repeat(
-                    prefix, d
-                )
-                targets = uniq_targets[np.repeat(starts, d) + within]
-            else:
-                targets = _gather_targets(indptr, indices, nodes, d)
-            flat_targets = targets * b_count + np.repeat(rows, d)
-            np.add.at(flat_residue, flat_targets, np.repeat(share, d))
-    return BatchPushResult(
-        np.ascontiguousarray(reserve_t.T),
-        np.ascontiguousarray(residue_t.T),
-        pushes,
-        sweeps,
-    )
 
 
 def reference_frontier_push(

@@ -32,24 +32,22 @@ class WalkPhaseResult:
 
 def add_walk_estimates(
     view: CSRView,
-    reserves: np.ndarray,
-    residues: np.ndarray,
+    reserve: np.ndarray,
+    residue: np.ndarray,
     alpha: float,
     num_walks_k: int,
     rng: np.random.Generator,
     index: WalkIndex | None = None,
 ) -> WalkPhaseResult:
-    """Fold residues into reserves via random walks.
+    """Fold residues into the reserve via random walks.
 
     Parameters
     ----------
     view:
         Graph snapshot the walks run on.
-    reserves:
-        Estimates, mutated in place: one length-``n`` vector or a
-        ``(B, n)`` batch of push results (a single vector is the
-        ``B = 1`` batch — same holder order, same generator draws).
-    residues:
+    reserve:
+        The length-``n`` estimate, mutated in place.
+    residue:
         Residues left by the push phase, same shape (read-only).
     alpha:
         Walk termination probability (ignored when ``index`` given —
@@ -60,46 +58,32 @@ def add_walk_estimates(
         Randomness for online sampling.
     index:
         When provided (index-based algorithms), terminals are read from
-        the precomputed store instead of being simulated; a node's
-        stored terminals are shared deterministic samples, so every
-        row is served per-node from the store.
+        the precomputed store, per residue holder, instead of being
+        simulated.
 
-    Residue holders of *all* rows are flattened into one
-    :func:`~repro.ppr.random_walk.sample_walk_terminals` call (the
-    walks are independent, so lock-step simulation across rows is
-    exact), and terminals scatter into the flat reserve at
-    ``row * n + terminal``.
+    Online, the walks of all residue holders (ascending node index) run
+    as one lock-step :func:`~repro.ppr.random_walk.sample_walk_terminals`
+    call.
 
     Returns
     -------
     WalkPhaseResult
         Number of walks consumed and number of residue holders.
     """
-    reserves = np.atleast_2d(reserves)
-    residues = np.atleast_2d(residues)
-    b_idx, v_idx = np.nonzero(residues > 0.0)
-    if b_idx.size == 0:
+    holders = np.flatnonzero(residue > 0.0)
+    if holders.size == 0:
         return WalkPhaseResult(0, 0)
-    res = residues[b_idx, v_idx]
+    res = residue[holders]
     counts = np.ceil(res * num_walks_k).astype(np.int64)
     np.maximum(counts, 1, out=counts)
     weights = res / counts
 
     if index is None:
-        starts = np.repeat(v_idx, counts)
-        walk_rows = np.repeat(b_idx, counts)
-        per_walk_weight = np.repeat(weights, counts)
+        starts = np.repeat(holders, counts)
         terminals = sample_walk_terminals(view, starts, alpha, rng)
-        np.add.at(
-            reserves.reshape(-1), walk_rows * view.n + terminals, per_walk_weight
-        )
+        np.add.at(reserve, terminals, np.repeat(weights, counts))
     else:
-        # np.nonzero is row-major, so each row's holders are one slice
-        bounds = np.searchsorted(b_idx, np.arange(len(reserves) + 1))
-        for reserve, lo, hi in zip(reserves, bounds[:-1], bounds[1:]):
-            for node, count, weight in zip(
-                v_idx[lo:hi], counts[lo:hi], weights[lo:hi]
-            ):
-                terminals = index.terminals_for(int(node), int(count))
-                np.add.at(reserve, terminals, weight)
-    return WalkPhaseResult(int(counts.sum()), int(b_idx.size))
+        for node, count, weight in zip(holders, counts, weights):
+            terminals = index.terminals_for(int(node), int(count))
+            np.add.at(reserve, terminals, weight)
+    return WalkPhaseResult(int(counts.sum()), int(holders.size))

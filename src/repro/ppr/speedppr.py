@@ -18,31 +18,22 @@ folded into the constants.
 
 The index lifecycle lives in :class:`~repro.ppr.base.WalkIndexOwner`.
 
-The power phase has two backend families, routed by
-:mod:`repro.ppr.dispatch` when ``engine="auto"``:
+The power phase has two backends (``engine`` picks, see
+:meth:`SpeedPPR._power_backend`):
 
-* ``spmm`` — scipy-sparse matvec/SpMM sweeps on the packed transition
-  matrix (optional dependency, probed at import; one ``(n, B)``
-  product per sweep for batches).  Batches are executed in
-  cost-model-capped sub-batches: scipy's CSR SpMM accumulates each
-  output column in the same index order as the single-vector matvec,
-  so chunking is bit-for-bit result-invariant while bounding the live
-  ``(n, B)`` write-set (the ``B = 16`` regression fix).
+* ``scipy`` — scipy-sparse CSR matvec sweeps on the packed transition
+  matrix (optional dependency, probed once per process).
 * ``power`` — :func:`repro.ppr.kernels.power_phase` gather/scatter on
   the raw (possibly slack) CSR rows; no packed-matrix rebuild after
-  graph deltas, and the graceful fallback when scipy is absent.
+  graph deltas, and the only backend when scipy is absent.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from repro.ppr.dispatch import RoutingDecision
 
 from repro.graph.digraph import DynamicGraph
 from repro.ppr.base import (
@@ -53,7 +44,7 @@ from repro.ppr.base import (
     WalkIndexOwner,
     clip_unit,
 )
-from repro.ppr.kernels import power_phase
+from repro.ppr.kernels import power_phase, scipy_available
 from repro.ppr.power_iteration import transition_matrix
 
 
@@ -70,7 +61,7 @@ class SpeedPPR(DynamicPPRAlgorithm):
     name = "SpeedPPR"
     is_index_based = False
     hyperparameter_names = ("r_max",)
-    supported_engines = ("scalar", "frontier", "batched")
+    supported_engines = ("scalar", "frontier")
 
     def __init__(
         self,
@@ -85,12 +76,10 @@ class SpeedPPR(DynamicPPRAlgorithm):
         self.r_max = r_max if r_max is not None else self.default_r_max()
         if engine != "scalar":
             self.set_engine(engine)
-        # every query of this class routes through the dispatcher's
-        # scipy probe: run it (and scipy's import) now, at set-up, not
-        # inside the first timed query
-        from repro.ppr.dispatch import get_dispatcher
-
-        get_dispatcher().available("spmm")
+        # every query of this class asks the scipy probe: run it (and
+        # scipy's import) now, at set-up, not inside the first timed
+        # query
+        scipy_available()
 
     def default_r_max(self) -> float:
         """Default that balances sweeps against walks: 1/sqrt(m W)."""
@@ -120,83 +109,22 @@ class SpeedPPR(DynamicPPRAlgorithm):
                 self._matrix_t = transition_matrix(view).T.tocsr()
             except ImportError as exc:  # pragma: no cover - scipy-free
                 raise RuntimeError(
-                    "the spmm power backend needs scipy; the dispatcher "
-                    "should have routed to the raw-row power backend"
+                    "the scipy power backend needs scipy; the probe "
+                    "should have selected the raw-row power backend"
                 ) from exc
             self._matrix_view = view
         return self._matrix_t
 
-    def _route_power(self, b: int) -> "RoutingDecision":
-        """Routing decision for a power-phase call of batch size b.
+    def _power_backend(self) -> str:
+        """Power-phase kernel of this query: ``"scipy"`` or ``"power"``.
 
-        ``engine="auto"`` asks the dispatcher; the static engines are
-        honored as overrides (``scalar`` = spmm family, ``frontier`` /
-        ``batched`` = raw-row family for singles, spmm for batches as
-        before) but still degrade to the raw-row backend when the
-        scipy probe fails, and static batches still get the
-        cost-model sub-batch cap — chunked SpMM is bit-for-bit equal
-        to the unchunked product, so the cap is a pure perf fix.
+        ``engine="frontier"`` names the raw-row sweeps; ``scalar`` and
+        ``auto`` the scipy matvec, degrading to the raw rows when the
+        scipy probe fails.
         """
-        from repro.ppr.dispatch import RoutingDecision, get_dispatcher
-
-        dispatcher = get_dispatcher()
-        if self.engine == "auto":
-            return dispatcher.route_power(self.view, b)
-        if self.engine == "scalar" or b > 1:
-            if not dispatcher.available("spmm"):
-                return RoutingDecision(
-                    backend="power",
-                    effective_batch=1,
-                    reason="scipy probe failed: raw-row power sweeps",
-                    fallback=True,
-                )
-            # the dispatcher applies the cost-model sub-batch cap
-            return dispatcher.route_power(self.view, b)
-        return RoutingDecision(
-            backend="power",
-            effective_batch=1,
-            reason=f"static engine {self.engine}: raw-row power sweeps",
-        )
-
-    def _spmm_sweeps(
-        self,
-        source_indices: np.ndarray,
-        alpha: float,
-        stop_mass: float,
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Power sweeps for one sub-batch through the scipy kernels.
-
-        Returns row-major ``(B, n)`` reserves/residues.  PowerPush is
-        mass-preserving, so every column's residue mass after k sweeps
-        is exactly ``(1 - alpha)^k`` — all sources cross ``stop_mass``
-        on the same sweep and one matrix product per sweep serves the
-        whole sub-batch.
-        """
-        view = self.view
-        matrix_t = self._transition_t()
-        b = int(source_indices.size)
-        sweeps = 0
-        if b == 1:
-            residue = np.zeros(view.n, dtype=np.float64)
-            residue[source_indices[0]] = 1.0
-            reserve = np.zeros(view.n, dtype=np.float64)
-            while residue.sum() > stop_mass and sweeps < 200:
-                reserve += alpha * residue
-                residue = (1.0 - alpha) * (matrix_t @ residue)
-                sweeps += 1
-            return reserve[None, :], residue[None, :], sweeps
-        residues = np.zeros((view.n, b), dtype=np.float64)
-        residues[source_indices, np.arange(b)] = 1.0
-        reserves = np.zeros((view.n, b), dtype=np.float64)
-        while residues[:, 0].sum() > stop_mass and sweeps < 200:
-            reserves += alpha * residues
-            residues = (1.0 - alpha) * (matrix_t @ residues)
-            sweeps += 1
-        return (
-            np.ascontiguousarray(reserves.T),
-            np.ascontiguousarray(residues.T),
-            sweeps,
-        )
+        if self.engine == "frontier" or not scipy_available():
+            return "power"
+        return "scipy"
 
     # ------------------------------------------------------------------
     def query(self, source: int) -> PPRVector:
@@ -204,79 +132,30 @@ class SpeedPPR(DynamicPPRAlgorithm):
         stats = QueryStats()
         alpha = self.params.alpha
         stop_mass = min(self.r_max * max(view.m, 1), 0.999)
-        decision = self._route_power(1)
+        backend = self._power_backend()
         with self.timers.measure("Power Iteration"):
-            if decision.backend == "spmm":
-                reserves, residues, sweeps = self._spmm_sweeps(
-                    np.array([view.to_index(source)], dtype=np.int64),
-                    alpha,
-                    stop_mass,
-                )
-                reserve, residue = reserves[0], residues[0]
+            residue = np.zeros(view.n, dtype=np.float64)
+            residue[view.to_index(source)] = 1.0
+            reserve = np.zeros(view.n, dtype=np.float64)
+            if backend == "scipy":
+                matrix_t = self._transition_t()
+                sweeps = 0
+                while residue.sum() > stop_mass and sweeps < 200:
+                    reserve += alpha * residue
+                    residue = (1.0 - alpha) * (matrix_t @ residue)
+                    sweeps += 1
             else:
                 # raw-row backend: sweep the (possibly slack) CSR rows
                 # directly — no packed scipy matrix to rebuild after
                 # graph deltas, and the scipy-free fallback.
-                residue = np.zeros(view.n, dtype=np.float64)
-                residue[view.to_index(source)] = 1.0
-                reserve = np.zeros(view.n, dtype=np.float64)
                 reserve, residue, sweeps = power_phase(
                     view, residue, reserve, alpha, stop_mass
                 )
             stats.extra["sweeps"] = sweeps
-            stats.extra["backend"] = decision.backend
+            stats.extra["backend"] = backend
         self._walk_phase(view, reserve, residue, stats)
         self.last_query_stats = stats
         return PPRVector(reserve, view, source)
-
-    def query_batch(self, sources: Sequence[int]) -> list[PPRVector]:
-        """Same-snapshot batch through cost-model-capped SpMM sweeps.
-
-        The batch runs in sub-batches of the dispatcher's effective
-        batch size rather than all B columns at once: scipy's CSR SpMM
-        accumulates each output column in the same index order as the
-        single-vector matvec, so the split changes no bits while
-        keeping the live ``(n, B)`` write-set cache-resident (the
-        documented ``B = 16`` regression).  When the scipy probe fails
-        (or an env override forces the raw-row backend) the batch
-        degrades to per-source queries.
-        """
-        if self.engine not in ("batched", "auto") or len(sources) <= 1:
-            return super().query_batch(sources)
-        b_count = len(sources)
-        decision = self._route_power(b_count)
-        if decision.backend != "spmm":
-            return super().query_batch(sources)
-        view = self.view
-        stats = QueryStats()
-        alpha = self.params.alpha
-        source_indices = np.array(
-            [view.to_index(s) for s in sources], dtype=np.int64
-        )
-        stop_mass = min(self.r_max * max(view.m, 1), 0.999)
-        with self.timers.measure("Power Iteration"):
-            reserves_b = np.zeros((b_count, view.n), dtype=np.float64)
-            residues_b = np.zeros((b_count, view.n), dtype=np.float64)
-            sweeps = 0
-            chunks = decision.chunks or (
-                np.arange(b_count, dtype=np.int64),
-            )
-            for chunk in chunks:
-                res, rem, sweeps = self._spmm_sweeps(
-                    source_indices[chunk], alpha, stop_mass
-                )
-                reserves_b[chunk] = res
-                residues_b[chunk] = rem
-            stats.extra["sweeps"] = sweeps
-            stats.extra["backend"] = decision.backend
-            stats.extra["effective_batch"] = decision.effective_batch
-        self._walk_phase(view, reserves_b, residues_b, stats)
-        stats.extra["batch_size"] = b_count
-        self.last_query_stats = stats
-        return [
-            PPRVector(reserves_b[b], view, source)
-            for b, source in enumerate(sources)
-        ]
 
 
 class SpeedPPRPlus(WalkIndexOwner, SpeedPPR):

@@ -93,8 +93,9 @@ class AdmissionQueue:
     def poll(self) -> Ticket | None:
         """Pop the oldest waiting ticket without blocking; None if empty.
 
-        Used by the batch-dispatch path to opportunistically coalesce
-        already-queued queries behind the one just taken.
+        The worker loop's first look each turn: an empty queue sends it
+        to the idle drain of deferred updates instead of blocking in
+        :meth:`take`.
         """
         try:
             ticket = self._queue.get_nowait()

@@ -212,22 +212,6 @@ class ServingRuntime:
     idle_tick_s:
         How long an idle worker blocks on the empty admission queue
         once nothing is deferred (also bounds stop latency).
-    max_batch:
-        Maximum queries coalesced into one dispatch (1 disables
-        batching).  A worker that takes a query opportunistically pops
-        further *consecutive* queries from the admission queue — up to
-        this many, within ``batch_window_s`` — and serves them through
-        ``algorithm.query_batch`` on one snapshot.  The first
-        non-query ticket ends collection and is processed right after
-        the batch (its FIFO position: it arrived after every query in
-        the batch), so updates flush *between* batches and every row
-        of a batch observes one graph version.  Best paired with an
-        algorithm on the ``batched`` kernel engine; with the default
-        looping ``query_batch`` it still amortizes lock traffic.
-    batch_window_s:
-        How long a collecting worker waits for stragglers once the
-        admission queue runs empty (0 = only coalesce what is already
-        queued).
     cache:
         Optional :class:`~repro.cache.PPRCache`.  Queries look up
         before computing (a hit skips the read lock and the Seed flush
@@ -269,8 +253,6 @@ class ServingRuntime:
         controller: QuotaController | None = None,
         query_fn: QueryFn | None = None,
         idle_tick_s: float = 0.02,
-        max_batch: int = 1,
-        batch_window_s: float = 0.0,
         cache: PPRCache | None = None,
         on_complete: Callable[[ServedRequest], None] | None = None,
         metrics: MetricsRegistry | None = None,
@@ -279,18 +261,12 @@ class ServingRuntime:
             raise ValueError("workers must be >= 1")
         if deadline_s is not None and deadline_s <= 0:
             raise ValueError("deadline_s must be positive")
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if batch_window_s < 0:
-            raise ValueError("batch_window_s must be >= 0")
         self.algorithm = algorithm
         self.workers = workers
         self.epsilon_r = epsilon_r
         self.deadline_s = deadline_s
         self.controller = controller
         self.idle_tick_s = idle_tick_s
-        self.max_batch = max_batch
-        self.batch_window_s = batch_window_s
         self.metrics = metrics if metrics is not None else get_metrics()
         # pre-resolved instrument: _fault runs inside writer critical
         # sections, where a registry lookup is off-limits (R11); a
@@ -617,7 +593,7 @@ class ServingRuntime:
                 if ticket is None:
                     continue
             try:
-                self._dispatch(ticket, wid)
+                self._process(ticket, wid)
             except Exception:  # pragma: no cover - defensive; never die
                 now = time.perf_counter()
                 error = traceback.format_exc(limit=3)
@@ -626,60 +602,11 @@ class ServingRuntime:
             finally:
                 self._admission.task_done()
 
-    def _dispatch(self, ticket: Ticket, wid: int) -> None:
-        """Route one taken ticket, coalescing queries when enabled.
-
-        The caller (the worker loop) owns ``task_done`` for ``ticket``;
-        this method owns it for every *extra* ticket it pops while
-        collecting a batch, including the non-query stopper.
-        """
-        if ticket.request.kind != QUERY or self.max_batch <= 1:
-            self._process(ticket, wid)
-            return
-        extras, stopper = self._collect_batch()
-        try:
-            self._process_queries([ticket, *extras], wid)
-        finally:
-            for _ in extras:
-                self._admission.task_done()
-            if stopper is not None:
-                # arrived after every query in the batch, so running it
-                # now preserves FIFO; updates therefore flush *between*
-                # batches, never inside one
-                try:
-                    self._process(stopper, wid)
-                finally:
-                    self._admission.task_done()
-
-    def _collect_batch(self) -> tuple[list[Ticket], Ticket | None]:
-        """Pop up to ``max_batch - 1`` further consecutive queries.
-
-        Collection ends at the batch cap, at the first non-query
-        ticket (returned as the *stopper*), or once the admission queue
-        stays empty past ``batch_window_s``.
-        """
-        extras: list[Ticket] = []
-        stopper: Ticket | None = None
-        deadline = time.perf_counter() + self.batch_window_s
-        while len(extras) < self.max_batch - 1:
-            ticket = self._admission.poll()
-            if ticket is None:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0.0:
-                    break
-                time.sleep(min(remaining, 0.001))
-                continue
-            if ticket.request.kind != QUERY:
-                stopper = ticket
-                break
-            extras.append(ticket)
-        return extras, stopper
-
     def _process(self, ticket: Ticket, wid: int) -> None:
         if ticket.request.kind == UPDATE:
             self._process_update(ticket, wid)
         else:
-            self._process_queries([ticket], wid)
+            self._process_query(ticket, wid)
 
     # -- updates -------------------------------------------------------
     def _process_update(self, ticket: Ticket, wid: int) -> None:
@@ -731,37 +658,27 @@ class ServingRuntime:
         )
         return True
 
-    def _process_queries(self, tickets: list[Ticket], wid: int) -> None:
-        """Serve the queries of one dispatch on one graph snapshot.
+    def _process_query(self, ticket: Ticket, wid: int) -> None:
+        """Serve one query on one graph snapshot.
 
-        ``tickets`` is a single query or a coalesced batch.  Per-ticket
-        QoS holds either way: expired tickets are timed out and cache
-        hits answered individually before the remainder executes under
-        one read-lock hold — through ``algorithm.query`` for a lone
-        ticket, as a single ``query_batch`` call (with the batch
-        metrics) for a collected batch.
+        An expired ticket is timed out and a cache hit answered before
+        the Seed flush check; the kernel call and the cache insert share
+        one read-lock hold.
         """
-        batched = len(tickets) > 1
         now = time.perf_counter()
-        live: list[Ticket] = []
-        for ticket in tickets:
-            if ticket.expired(now):
-                self.metrics.counter("serving.timeout").inc()
-                self._finish(
-                    ticket, wid, TIMEOUT, now, now, shed_reason=SHED_DEADLINE
-                )
-            elif not self._try_cache(ticket, wid):
-                live.append(ticket)
-        if not live:
+        if ticket.expired(now):
+            self.metrics.counter("serving.timeout").inc()
+            self._finish(
+                ticket, wid, TIMEOUT, now, now, shed_reason=SHED_DEADLINE
+            )
             return
-        sources: list[int] = []
-        for ticket in live:
-            source = ticket.request.source
-            assert source is not None  # QUERY requests carry one
-            sources.append(source)
+        if self._try_cache(ticket, wid):
+            return
+        source = ticket.request.source
+        assert source is not None  # QUERY requests carry one
         with self._seed_lock:
-            must_flush = len(self._seed_queue) > 0 and any(
-                self._seed_queue.should_flush(s) for s in sources
+            must_flush = len(self._seed_queue) > 0 and (
+                self._seed_queue.should_flush(source)
             )
         if must_flush:
             self._flush_deferred(worker=wid)
@@ -770,66 +687,40 @@ class ServingRuntime:
         self._rwlock.acquire_read()
         try:
             version = self.algorithm.graph.version
-            results: list[object]
+            result: object
             if self._query_fn is not None:
-                results = [
-                    self._query_fn(self.algorithm.graph, s) for s in sources
-                ]
+                result = self._query_fn(self.algorithm.graph, source)
             else:
                 # default path: algorithm instances keep per-query
                 # scratch state, so serialize (see class docstring)
                 with self._algo_lock:
-                    if batched:
-                        results = list(self.algorithm.query_batch(sources))
-                    else:
-                        results = [self.algorithm.query(sources[0])]
+                    result = self.algorithm.query(source)
             if self._cache is not None:
                 # still under the read lock: a writer cannot apply (and
                 # charge) an update between this compute and the
                 # insert
-                for source, result in zip(sources, results):
-                    self._cache.insert(
-                        self._cache_key(source),
-                        result,
-                        version,
-                        pi_estimate=(
-                            result.get
-                            if isinstance(result, PPRVector)
-                            else None
-                        ),
-                    )
+                self._cache.insert(
+                    self._cache_key(source),
+                    result,
+                    version,
+                    pi_estimate=(
+                        result.get if isinstance(result, PPRVector) else None
+                    ),
+                )
         except Exception as exc:
             finished = time.perf_counter()
-            for ticket in live:
-                self.metrics.counter("serving.faults").inc()
-                self._finish(
-                    ticket, wid, FAILED, started, finished, error=repr(exc)
-                )
+            self.metrics.counter("serving.faults").inc()
+            self._finish(
+                ticket, wid, FAILED, started, finished, error=repr(exc)
+            )
             return
         finally:
             self._rwlock.release_read()
         finished = time.perf_counter()
-        if batched:
-            self.metrics.counter("serving.batches").inc()
-            self.metrics.counter("serving.batched_queries").inc(len(live))
-            self.metrics.histogram("serving.batch_size").observe(
-                float(len(live))
-            )
-            self.metrics.histogram("service.query_batch").observe(
-                finished - started
-            )
-        else:
-            self.metrics.histogram("service.query").observe(finished - started)
-        for ticket, result in zip(live, results):
-            self._finish(
-                ticket,
-                wid,
-                OK,
-                started,
-                finished,
-                version=version,
-                result=result,
-            )
+        self.metrics.histogram("service.query").observe(finished - started)
+        self._finish(
+            ticket, wid, OK, started, finished, version=version, result=result
+        )
 
     # -- deferred-update machinery ------------------------------------
     def _apply_head(self, worker: int) -> ServedRequest | None:

@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.graph.updates import EdgeUpdate
 from repro.obs import MetricsRegistry, get_metrics, process_stats
-from repro.ppr.dispatch import AUTO
+from repro.ppr.kernels import AUTO
 from repro.serving.rwlock import wrap_mutex
 from repro.shard.backend import ShardHandle, make_shard
 from repro.shard.messages import (

@@ -32,7 +32,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.graph.digraph import as_edge_array
-from repro.ppr.dispatch import AUTO
+from repro.ppr.kernels import AUTO
 
 
 #: element type of the packed :attr:`ShardSpec.edges` buffer

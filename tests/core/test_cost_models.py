@@ -7,7 +7,7 @@ import pytest
 from repro.core import (
     COST_MODELS,
     AgendaCostModel,
-    BatchAwareCostModel,
+    CacheAwareCostModel,
     ForaCostModel,
     ForaPlusCostModel,
     SpeedPPRCostModel,
@@ -217,7 +217,9 @@ class TestModelInfrastructure:
             cost_model_for(alg)
 
 
-class TestBatchAwareCostModel:
+class TestCacheAwareCostModel:
+    BETA = {"r_max": 1e-3}
+
     def make_inner(self):
         return ForaCostModel(
             n=1000, m=5000,
@@ -228,112 +230,34 @@ class TestBatchAwareCostModel:
             },
         )
 
-    BETA = {"r_max": 1e-3}
-
-    def test_recovers_inner_at_batch_one(self):
+    def test_mirrors_inner_interface_but_mixes_query_time(self):
         inner = self.make_inner()
-        wrapped = BatchAwareCostModel(inner, shared_fraction=0.7)
-        assert wrapped.query_time(self.BETA, 10, 20) == pytest.approx(
-            inner.query_time(self.BETA, 10, 20)
+        wrapped = CacheAwareCostModel(
+            inner, hit_time_s=1e-5, hit_fraction=0.25
         )
-
-    def test_effective_time_formula(self):
-        inner = self.make_inner()
-        wrapped = BatchAwareCostModel(
-            inner, shared_fraction=0.6, batch_size=4.0
-        )
-        scale = (1.0 - 0.6) + 0.6 / 4.0
-        assert wrapped.query_time(self.BETA, 10, 20) == pytest.approx(
-            scale * inner.query_time(self.BETA, 10, 20)
-        )
-
-    def test_large_batch_limit(self):
-        """As B grows only the shared fraction amortizes away."""
-        inner = self.make_inner()
-        wrapped = BatchAwareCostModel(
-            inner, shared_fraction=0.5, batch_size=1e9
-        )
-        assert wrapped.query_time(self.BETA, 10, 20) == pytest.approx(
-            0.5 * inner.query_time(self.BETA, 10, 20), rel=1e-6
-        )
-
-    def test_update_time_untouched(self):
-        inner = self.make_inner()
-        wrapped = BatchAwareCostModel(
-            inner, shared_fraction=0.9, batch_size=16.0
-        )
-        assert wrapped.update_time(self.BETA) == inner.update_time(self.BETA)
-
-    def test_live_batch_size_fn_reread_per_call(self):
-        inner = self.make_inner()
-        sizes = iter([1.0, 8.0])
-        wrapped = BatchAwareCostModel(
-            inner, shared_fraction=0.5, batch_size_fn=lambda: next(sizes)
-        )
-        unbatched = wrapped.query_time(self.BETA, 10, 20)
-        batched = wrapped.query_time(self.BETA, 10, 20)
-        assert batched < unbatched
-
-    def test_nan_and_sub_one_batch_sizes_clamp(self):
-        inner = self.make_inner()
-        for bad in (float("nan"), 0.0, 0.5, -3.0):
-            wrapped = BatchAwareCostModel(
-                inner, shared_fraction=0.5, batch_size_fn=lambda: bad
-            )
-            assert wrapped.batch_size() == 1.0
-            assert wrapped.query_time(self.BETA, 10, 20) == pytest.approx(
-                inner.query_time(self.BETA, 10, 20)
-            )
-
-    def test_invalid_arguments_rejected(self):
-        inner = self.make_inner()
-        with pytest.raises(ValueError, match="shared_fraction"):
-            BatchAwareCostModel(inner, shared_fraction=1.5)
-        with pytest.raises(ValueError, match="batch_size"):
-            BatchAwareCostModel(inner, batch_size=0.0)
-
-    def test_mirrors_inner_interface(self):
-        wrapped = BatchAwareCostModel(self.make_inner())
         assert wrapped.algorithm_name == "FORA"
         assert wrapped.param_names == ("r_max",)
         assert wrapped.query_subprocesses == ("Forward Push", "Random Walk")
         assert wrapped.query_factors(self.BETA, 10, 20) == (
-            self.make_inner().query_factors(self.BETA, 10, 20)
+            inner.query_factors(self.BETA, 10, 20)
+        )
+        assert wrapped.update_time(self.BETA) == inner.update_time(self.BETA)
+        assert wrapped.query_time(self.BETA, 10, 20) == pytest.approx(
+            0.25 * 1e-5 + 0.75 * inner.query_time(self.BETA, 10, 20)
         )
 
     def test_without_constants_and_with_taus_stay_wrapped(self):
-        wrapped = BatchAwareCostModel(
-            self.make_inner(), shared_fraction=0.6, batch_size=4.0
+        wrapped = CacheAwareCostModel(
+            self.make_inner(), hit_time_s=1e-5, hit_fraction=0.25
         )
         stripped = wrapped.without_constants()
-        assert isinstance(stripped, BatchAwareCostModel)
-        assert stripped.shared_fraction == 0.6
+        assert isinstance(stripped, CacheAwareCostModel)
+        assert stripped.hit_time_s == 1e-5
+        assert stripped.inner.taus == self.make_inner().without_constants().taus
         retau = wrapped.with_taus(
             {"Forward Push": 2e-6, "Random Walk": 1e-3,
              "Graph Update": 1e-5}
         )
-        assert isinstance(retau, BatchAwareCostModel)
-        assert retau.query_time(self.BETA, 10, 20) > 0.0
-
-    def test_optimizer_sees_lower_utilization(self):
-        """The whole point: a batched t_q_eff lowers rho, so a stable
-        configuration exists at rates where the unbatched model
-        saturates."""
-        from repro.queueing import traffic_intensity
-
-        inner = self.make_inner()
-        wrapped = BatchAwareCostModel(
-            inner, shared_fraction=0.8, batch_size=8.0
-        )
-        beta = {"r_max": 1e-4}
-        lambda_q, lambda_u = 150.0, 50.0
-        t_u = inner.update_time(beta)
-        rho_plain = traffic_intensity(
-            lambda_q, lambda_u, inner.query_time(beta, lambda_q, lambda_u),
-            t_u,
-        )
-        rho_batched = traffic_intensity(
-            lambda_q, lambda_u,
-            wrapped.query_time(beta, lambda_q, lambda_u), t_u,
-        )
-        assert rho_batched < rho_plain
+        assert isinstance(retau, CacheAwareCostModel)
+        assert retau.inner.taus["Forward Push"] == 2e-6
+        assert wrapped.inner.taus["Forward Push"] == 1e-6  # copy, not alias

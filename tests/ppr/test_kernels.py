@@ -1,12 +1,10 @@
-"""Property tests for the vectorized frontier/batched push kernels.
+"""Property tests for the vectorized whole-frontier push kernel.
 
 The contract under test (see ``repro.ppr.kernels``): the vectorized
-kernels perform the exact IEEE-754 operations of the pure-Python
+kernel performs the exact IEEE-754 operations of the pure-Python
 synchronous reference, in the exact same order, so reserve *and*
 residue must match :func:`reference_frontier_push` **bit-for-bit** —
 on packed views, on slack-slot patched views, and with dangling nodes.
-Row ``b`` of a batched push must likewise be bit-for-bit the
-single-source frontier push of ``sources[b]``.
 """
 
 import numpy as np
@@ -15,10 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import DynamicGraph, barabasi_albert_graph, ring_graph
-from repro.ppr import csr_view, forward_push, ppr_exact_all_pairs
+from repro.ppr import csr_view, ppr_exact_all_pairs
 from repro.ppr.kernels import (
     ENGINES,
-    batched_frontier_push,
     frontier_push,
     power_phase,
     reference_frontier_push,
@@ -75,7 +72,7 @@ def assert_bit_for_bit(result, oracle):
 # ----------------------------------------------------------------------
 class TestEngineRegistry:
     def test_known_engines(self):
-        assert ENGINES == ("scalar", "frontier", "batched")
+        assert ENGINES == ("scalar", "frontier")
         for engine in ENGINES:
             assert resolve_engine(engine) == engine
 
@@ -164,85 +161,6 @@ class TestFrontierBitForBit:
         pi_all = ppr_exact_all_pairs(g, alpha=ALPHA)
         reconstructed = result.reserve + result.residue @ pi_all
         np.testing.assert_allclose(reconstructed, pi_all[0], atol=1e-8)
-
-
-# ----------------------------------------------------------------------
-# batched kernel: per-row equality + mass conservation
-# ----------------------------------------------------------------------
-class TestBatchedKernel:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        edges=edges_strategy,
-        sources=st.lists(st.integers(0, 9), min_size=1, max_size=6),
-        r_max_exp=st.integers(-5, -1),
-    )
-    def test_rows_match_single_source_push(self, edges, sources, r_max_exp):
-        view = csr_view(build_graph(edges))
-        r_max = 10.0**r_max_exp
-        batch = batched_frontier_push(
-            view, np.asarray(sources), ALPHA, r_max
-        )
-        for b, source in enumerate(sources):
-            single = frontier_push(view, source, ALPHA, r_max)
-            np.testing.assert_array_equal(batch.reserve[b], single.reserve)
-            np.testing.assert_array_equal(batch.residue[b], single.residue)
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        edges=edges_strategy,
-        extra=st.lists(
-            st.tuples(st.integers(0, 9), st.integers(0, 9)),
-            min_size=1,
-            max_size=15,
-        ),
-        sources=st.lists(st.integers(0, 9), min_size=2, max_size=5),
-        r_max_exp=st.integers(-5, -1),
-    )
-    def test_rows_match_reference_on_slack_views(
-        self, edges, extra, sources, r_max_exp
-    ):
-        view = slack_view(edges, extra)
-        r_max = 10.0**r_max_exp
-        batch = batched_frontier_push(
-            view, np.asarray(sources), ALPHA, r_max
-        )
-        for b, source in enumerate(sources):
-            oracle = reference_frontier_push(view, source, ALPHA, r_max)
-            np.testing.assert_array_equal(batch.reserve[b], oracle.reserve)
-            np.testing.assert_array_equal(batch.residue[b], oracle.residue)
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        edges=edges_strategy,
-        sources=st.lists(st.integers(0, 9), min_size=1, max_size=8),
-        r_max_exp=st.integers(-6, -1),
-    )
-    def test_mass_conservation_per_row(self, edges, sources, r_max_exp):
-        view = csr_view(build_graph(edges))
-        batch = batched_frontier_push(
-            view, np.asarray(sources), ALPHA, 10.0**r_max_exp
-        )
-        totals = batch.reserve.sum(axis=1) + batch.residue.sum(axis=1)
-        np.testing.assert_allclose(totals, 1.0, atol=1e-12)
-        assert np.all(batch.reserve >= 0)
-        assert np.all(batch.residue >= -1e-15)
-
-    def test_duplicate_sources_identical_rows(self):
-        view = csr_view(barabasi_albert_graph(50, attach=2, seed=6))
-        batch = batched_frontier_push(
-            view, np.asarray([3, 3, 3]), ALPHA, 1e-4
-        )
-        np.testing.assert_array_equal(batch.reserve[0], batch.reserve[1])
-        np.testing.assert_array_equal(batch.reserve[0], batch.reserve[2])
-
-    def test_empty_batch(self):
-        view = csr_view(ring_graph(5))
-        batch = batched_frontier_push(
-            view, np.asarray([], dtype=np.int64), ALPHA, 1e-4
-        )
-        assert batch.reserve.shape == (0, 5)
-        assert batch.pushes == 0
-        assert batch.sweeps == 0
 
 
 # ----------------------------------------------------------------------

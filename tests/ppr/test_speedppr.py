@@ -1,7 +1,5 @@
 """Tests for SpeedPPR and SpeedPPR+."""
 
-import pytest
-
 from repro.graph import EdgeUpdate
 from repro.ppr import SpeedPPR, SpeedPPRPlus, ppr_exact
 
@@ -87,66 +85,3 @@ class TestSpeedPPRPlus:
         builds_before = alg.timers.count("Index Build")
         alg.set_hyperparameters(r_max=alg.r_max / 2)
         assert alg.timers.count("Index Build") == builds_before + 1
-
-
-class TestBatchedPowerPhaseCap:
-    """The documented B = 16 batched power-phase regression.
-
-    The whole-batch SpMM keeps a live ``(n, B)`` float write-set; at
-    B = 16 it spills cache and the batch loses to sequential frontier
-    runs.  The fix: the dispatcher caps the effective sub-batch size
-    from its cost model (calibrated from ``BatchAwareCostModel``)
-    instead of honoring the constant ``max_batch`` — and because
-    scipy's CSR SpMM accumulates each output column in the same index
-    order as the single-vector matvec, the split changes no bits.
-    """
-
-    SOURCES = list(range(16))
-
-    def _batch(self, graph, params, budget_rows=None):
-        from repro.ppr.dispatch import (
-            DispatchCostModel,
-            KernelDispatcher,
-            set_dispatcher,
-        )
-
-        if budget_rows is not None:
-            set_dispatcher(
-                KernelDispatcher(
-                    cost_model=DispatchCostModel(
-                        resident_bytes=2 * 8 * graph.num_nodes * budget_rows
-                    )
-                )
-            )
-        try:
-            alg = SpeedPPR(graph, params, engine="batched")
-            alg.seed(11)
-            results = alg.query_batch(self.SOURCES)
-            return results, dict(alg.last_query_stats.extra)
-        finally:
-            set_dispatcher(None)
-
-    def test_b16_capped_under_tight_residency_budget(
-        self, small_ba_graph, params
-    ):
-        pytest.importorskip("scipy")
-        _, extra = self._batch(small_ba_graph, params, budget_rows=4)
-        assert extra["backend"] == "spmm"
-        assert extra["batch_size"] == 16
-        assert extra["effective_batch"] < 16  # no constant max_batch
-
-    def test_b16_runs_whole_when_resident(self, small_ba_graph, params):
-        pytest.importorskip("scipy")
-        # n = 120: the (n, 16) state is far below the default budget
-        _, extra = self._batch(small_ba_graph, params)
-        assert extra["effective_batch"] == 16
-
-    def test_capped_batch_is_bit_for_bit(self, small_ba_graph, params):
-        pytest.importorskip("scipy")
-        whole, _ = self._batch(small_ba_graph, params)
-        capped, extra = self._batch(small_ba_graph, params, budget_rows=3)
-        assert extra["effective_batch"] < 16
-        import numpy as np
-
-        for a, b in zip(whole, capped):
-            np.testing.assert_array_equal(a.values, b.values)

@@ -121,6 +121,19 @@ class TestAdmissionQueue:
         q = AdmissionQueue(capacity=1, metrics=MetricsRegistry())
         assert q.take(0.01) is None
 
+    def test_poll_empty_returns_none(self):
+        q = AdmissionQueue(capacity=2, metrics=MetricsRegistry())
+        assert q.poll() is None
+
+    def test_poll_pops_and_tracks_depth(self):
+        q = AdmissionQueue(capacity=4, metrics=MetricsRegistry())
+        t = Ticket(Request(0.0, QUERY, source=0), 0.0)
+        q.offer(t)
+        q.offer(t)
+        assert q.poll() is t
+        assert q.depth == 1
+        q.task_done()
+
     def test_ticket_expiry(self):
         t = Ticket(Request(0.0, QUERY, source=0), 0.0, deadline_s=1.0)
         assert not t.expired(now_s=0.5)

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.ppr.dispatch import ENGINE_CHOICES
-from repro.ppr.kernels import ENGINES
+from repro.ppr.kernels import ENGINE_CHOICES, ENGINES
 
 
 class TestParser:
@@ -27,12 +26,26 @@ class TestParser:
             build_parser().parse_args(["configure"])
 
     def test_engine_default_is_auto(self):
-        """The dispatcher routes by default; static engines override."""
+        """The vectorized kernels by default; static engines override."""
         assert build_parser().parse_args(["run"]).engine == "auto"
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--engine", "simd"])
+
+    def test_batched_engine_is_a_parser_error(self, capsys):
+        """The query-batching engine is gone: ``run`` names the three
+        choices that remain, ``serve`` (always ``auto``) has no flag."""
+        with pytest.raises(SystemExit) as run_exit:
+            build_parser().parse_args(["run", "--engine", "batched"])
+        assert run_exit.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'batched'" in err
+        for choice in ("auto", "scalar", "frontier"):
+            assert repr(choice) in err
+        with pytest.raises(SystemExit) as serve_exit:
+            build_parser().parse_args(["serve", "--engine", "batched"])
+        assert serve_exit.value.code == 2
 
 
 class TestEngineGuard:
