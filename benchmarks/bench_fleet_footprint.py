@@ -1,14 +1,23 @@
-"""Benchmark: what one fleet process pays, stage by stage, to hold the graph.
+"""Benchmark: what each fleet process pays, stage by stage, and their sum.
 
 ``server_rss_mb`` of the end-to-end benchmark is a sum of ``VmRSS``
-over the front door and its workers, and every one of those processes
-goes through the same start-up: import the serving stack, unpickle a
-:class:`~repro.shard.messages.ShardSpec`, ``build_graph``, then
-``build_algorithm``.  This bench runs exactly those four stages in a
-fresh interpreter (one per algorithm, FORA and FORA+inc on ``lj``) and
-records the seconds each took and the RSS it added, plus the pickled
-spec's size.  It starts no fleet and leaves no process behind: each
-child is a ``subprocess.run`` with a timeout.
+over the front door and its workers.  Three kinds of row:
+
+* per algorithm (FORA and FORA+inc on ``lj``): a **worker**'s start-up
+  in a fresh interpreter — import the serving stack, unpickle a
+  :class:`~repro.shard.messages.ShardSpec`, ``build_graph``,
+  ``build_algorithm`` — seconds each took, RSS it added, and the
+  pickled spec's size;
+* ``frontdoor``: the **control plane**'s start-up in a fresh
+  interpreter — import :mod:`repro.api.serve`, receive the graph image
+  from the builder child, bring up a 2-shard manager — with the module
+  count and whether numpy got loaded at each stage;
+* ``fleet``: a real, idle ``repro serve --dataset lj --shards 2`` —
+  which processes it is made of and the ``VmRSS`` of each (Linux only).
+
+Every child runs under a timeout and the fleet is torn down before its
+row is returned; the row says how many of its processes were left
+(asserted 0).
 
 Asserted (the bench-smoke CI job runs this at quick scope):
 
@@ -17,14 +26,19 @@ Asserted (the bench-smoke CI job runs this at quick scope):
   edge of Python objects);
 * ``build_graph`` adds <= 100 B of RSS per edge (adjacency lists over
   shared ``int`` objects sit near 57; with the edge set and the
-  build-time update log it was ~190).
+  build-time update log it was ~190);
+* the front door never loads numpy and idles at <= 30 MB, and a fleet
+  is ``1 + shards`` processes (it was 49 MB beside a 12 MB
+  ``multiprocessing`` resource tracker).
 
 Honesty notes: RSS deltas are page-granular and depend on what the
 allocator already had free, so they repeat to about +-0.3 MB, not to
 the byte; quick scope is one child per algorithm, full scope reports
-the median of five.  ``previous`` is the parent commit 347b957 on the
-host that recorded the committed JSON (tuple-valued ``ShardSpec.edges``,
-``DynamicGraph`` with an edge set, edge-by-edge ``build_graph``).
+the median of five.  ``previous`` holds the worker rows of commit
+347b957 (tuple-valued ``ShardSpec.edges``, ``DynamicGraph`` with an edge
+set, edge-by-edge ``build_graph``) and the ``fleet`` row of commit
+4ac86f4 (``multiprocessing`` spawn workers, a front door that built the
+graph itself), both on the host that recorded the committed JSON.
 
 Results land in ``BENCH_fleet_footprint.json`` at the repo root via
 ``benchmarks/common.py``.  Run directly or through pytest.
@@ -35,13 +49,18 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from statistics import median
 
+import pytest
+
 from benchmarks.common import REPO_ROOT, scoped, write_bench_json
+from benchmarks.e2e import procfs
 from repro.evaluation.datasets import get_dataset
 from repro.shard.messages import ShardSpec
 
@@ -49,8 +68,12 @@ DATASET = "lj"
 ALGORITHMS = ("FORA", "FORA+inc")
 STAGES = ("imports", "spec_unpickle", "build_graph", "build_algorithm")
 
+SHARDS = 2
+FRONTDOOR_STAGES = ("imports", "image_received", "manager_ready")
+
 SPEC_BYTES_PER_EDGE_CEILING = 10.0
 GRAPH_RSS_BYTES_PER_EDGE_CEILING = 100.0
+FRONTDOOR_RSS_MB_CEILING = 30.0
 
 #: the same stages at the parent commit 347b957 on the recording host
 #: (2 cores, seed 0, median of three children per algorithm)
@@ -70,6 +93,23 @@ PREVIOUS = {
         "build_graph": {"seconds": 0.0795, "added_mb": 13.1, "rss_mb": 52.0},
         "build_algorithm": {"seconds": 0.123, "added_mb": 18.6, "rss_mb": 70.6},
         "graph": {"version": 72062, "num_edges": 72062, "log_entries": 39294},
+    },
+}
+
+#: the idle fleet of the parent commit 4ac86f4 on the recording host,
+#: by `run_fleet` with that commit's `src` on PYTHONPATH (median of three
+#: starts), and its front door's import stage (`import repro.cli,
+#: repro.api.serve` in a fresh interpreter)
+PREVIOUS["fleet"] = {
+    "commit": "4ac86f4",
+    "processes": 4,
+    "frontdoor_mb": 49.5,
+    "resource_tracker_mb": 12.1,
+    "worker_mb": [42.7, 42.6],
+    "total_mb": 147.0,
+    "ready_s": 1.73,
+    "frontdoor_imports": {
+        "seconds": 0.452, "rss_mb": 37.3, "modules": 324, "numpy": True,
     },
 }
 
@@ -107,6 +147,41 @@ print(json.dumps({
     "log_entries": len(graph._log),
     "caught_up": graph.updates_since(graph.version) == [],
 }))
+"""
+
+#: the control plane's start-up one stage at a time, so each is attributable
+#: (`repro.api.serve._build_manager` overlaps the image build with worker boot;
+#: the `fleet` row times that)
+FRONTDOOR_CHILD = """
+import sys, time
+started = time.perf_counter()
+import json
+import repro.api.serve as serve
+from repro.evaluation.datasets import get_dataset
+from repro.obs import process_stats
+from repro.shard.image import ImageBuild
+
+marks = []
+
+def mark(name, begin):
+    marks.append({"stage": name, "seconds": time.perf_counter() - begin,
+                  "rss_mb": process_stats()["rss_mb"],
+                  "modules": len(sys.modules),
+                  "numpy": "numpy" in sys.modules})
+
+mark("imports", started)
+begin = time.perf_counter()
+dataset = get_dataset(sys.argv[1])
+image = ImageBuild(dataset.name, 0).result()
+mark("image_received", begin)
+begin = time.perf_counter()
+manager = serve.ShardManager(
+    image, int(sys.argv[2]), algorithm="FORA", walk_cap=dataset.walk_cap)
+try:
+    mark("manager_ready", begin)
+finally:
+    manager.stop()
+print(json.dumps(marks))
 """
 
 
@@ -154,6 +229,103 @@ def run_stages(spec_pickle: bytes) -> dict:
     return {"stages": stages, **report}
 
 
+def _child_env() -> dict[str, str]:
+    return {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+
+
+def run_frontdoor() -> dict:
+    """The front door's three start-up stages in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", FRONTDOOR_CHILD, DATASET, str(SHARDS)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=_child_env(),
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"front-door child failed:\n{proc.stderr[-2000:]}")
+    row: dict[str, dict[str, object]] = {}
+    before = None
+    for mark in json.loads(proc.stdout.splitlines()[-1]):
+        name = mark.pop("stage")
+        row[name] = mark
+        if before is not None:
+            mark["added_mb"] = mark["rss_mb"] - before
+        before = mark["rss_mb"]
+    return row
+
+
+def _argv(pid: int) -> str:
+    try:
+        with open(f"/proc/{pid}/cmdline", "rb") as handle:
+            return handle.read().replace(b"\0", b" ").decode().strip()
+    except OSError:
+        return ""
+
+
+def run_fleet(idle_s: float = 2.0) -> dict:
+    """Start the shipped server, let it idle, weigh every process, stop it."""
+    started = time.perf_counter()
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--dataset", DATASET,
+         "--shards", str(SHARDS), "--port", "0", "--algorithm", "FORA"],
+        env=_child_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        start_new_session=True,
+    )
+    try:
+        assert server.stdout is not None
+        for line in server.stdout:
+            if b"serving on" in line:
+                break
+        else:
+            raise RuntimeError("repro serve exited before it was ready")
+        ready_s = time.perf_counter() - started
+        time.sleep(idle_s)
+        members = sorted(
+            pid for pid, state, ppid, _ in procfs.proc_table()
+            if ppid == server.pid and state != "Z"
+        )
+        row = {
+            "processes": 1 + len(members),
+            "ready_s": ready_s,
+            "frontdoor_mb": procfs.rss_mb([server.pid]),
+            "children": [
+                {"argv": _argv(pid)[-70:], "rss_mb": procfs.rss_mb([pid])}
+                for pid in members
+            ],
+        }
+        row["total_mb"] = row["frontdoor_mb"] + sum(
+            child["rss_mb"] for child in row["children"]
+        )
+        server.send_signal(signal.SIGTERM)
+        server.wait(30.0)
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait(10.0)
+        if server.stdout is not None:
+            server.stdout.close()
+    # the server was its own session leader: anything still in that
+    # session, parent or not, is a process the fleet left behind
+    deadline = time.monotonic() + 5.0
+    while (left := _alive_in_session(server.pid)) and (
+        time.monotonic() < deadline
+    ):
+        time.sleep(0.05)
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    row["left_behind"] = len(left)
+    return row
+
+
+def _alive_in_session(sid: int) -> list[int]:
+    return [
+        pid for pid, state in procfs.session_pids({sid}) if state != "Z"
+    ]
+
+
 def run_bench() -> dict:
     repeats = scoped(1, 5)
     results: dict[str, object] = {"dataset": DATASET, "repeats": repeats}
@@ -174,6 +346,9 @@ def run_bench() -> dict:
             key: first[key]
             for key in ("num_edges", "version", "log_entries", "caught_up")
         }
+    results["frontdoor"] = run_frontdoor()
+    if os.path.isdir("/proc/self"):
+        results["fleet"] = run_fleet()
     results["previous"] = PREVIOUS
     return results
 
@@ -208,6 +383,23 @@ def test_build_graph_holds_the_graph_once():
         assert graph["log_entries"] == 0 and graph["caught_up"]
 
 
+def test_front_door_is_a_control_plane():
+    row = _results()["frontdoor"]
+    for name in FRONTDOOR_STAGES:
+        assert not row[name]["numpy"], f"numpy loaded by stage {name}"
+    assert row["manager_ready"]["rss_mb"] <= FRONTDOOR_RSS_MB_CEILING
+
+
+def test_fleet_is_the_front_door_and_its_workers():
+    row = _results().get("fleet")
+    if row is None:
+        pytest.skip("the fleet row reads /proc (Linux)")
+    assert row["processes"] == 1 + SHARDS, row["children"]
+    assert all("spawn_main" in child["argv"] for child in row["children"])
+    assert row["frontdoor_mb"] <= FRONTDOOR_RSS_MB_CEILING
+    assert row["left_behind"] == 0
+
+
 def main() -> None:
     results = _results()
     edges = results["num_edges"]
@@ -227,6 +419,23 @@ def main() -> None:
                 f"  {name:<16} {row['seconds'] * 1e3:7.1f} ms  {added}  "
                 f"-> {row['rss_mb']:6.1f} MB"
             )
+    print("frontdoor:")
+    for name in FRONTDOOR_STAGES:
+        row = results["frontdoor"][name]
+        print(
+            f"  {name:<16} {row['seconds'] * 1e3:7.1f} ms  "
+            f"-> {row['rss_mb']:6.1f} MB  {row['modules']} modules, "
+            f"numpy {'loaded' if row['numpy'] else 'absent'}"
+        )
+    fleet = results.get("fleet")
+    if fleet is not None:
+        was = PREVIOUS["fleet"]
+        print(
+            f"fleet: {fleet['processes']} processes (was {was['processes']}), "
+            f"{fleet['total_mb']:.1f} MB (was {was['total_mb']}), front door "
+            f"{fleet['frontdoor_mb']:.1f} MB (was {was['frontdoor_mb']}), "
+            f"ready in {fleet['ready_s']:.2f} s (was {was['ready_s']})"
+        )
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ Three QoS behaviors live here rather than in the manager:
   worker admission queue) carries a ``retry_after_s`` hint mapped onto
   the HTTP ``Retry-After`` header.
 * **Drift-driven reconfiguration** — arrivals feed a
-  :class:`~repro.core.system.RateDriftDetector`; once the observed
+  :class:`~repro.core.rates.RateDriftDetector`; once the observed
   (lambda_q, lambda_u) drifts past threshold, the fleet's
   QuotaControllers are re-solved via
   :meth:`~repro.shard.ShardManager.reconfigure` on a worker thread
@@ -32,9 +32,9 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.system import RateDriftDetector
+from repro.core.rates import RateDriftDetector
 from repro.obs import MetricsRegistry
-from repro.queueing.workload import QUERY, UPDATE
+from repro.queueing.kinds import QUERY, UPDATE
 
 if TYPE_CHECKING:
     from repro.shard.manager import QueryOutcome, ShardManager

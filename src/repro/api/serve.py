@@ -1,10 +1,15 @@
 """``python -m repro.cli serve`` — stand up the sharded HTTP service.
 
-Builds a dataset graph, spins up a :class:`~repro.shard.ShardManager`
-(worker processes by default), wraps it in the asyncio front door, and
-serves until interrupted.  Drift-driven reconfiguration is armed
-whenever ``--quota`` is given (the workers then build calibrated
-QuotaControllers at start).
+Has the dataset's graph image built in a throwaway child
+(:class:`repro.shard.image.ImageBuild`), spins up a
+:class:`~repro.shard.ShardManager` on it (worker processes by default,
+launched while the image is built), wraps it in the asyncio front door,
+and serves until interrupted.  This
+process is the control plane: it holds sockets, pipes, versions and the
+update log — never a graph, an index or numpy
+(``tests/test_import_hygiene.py`` holds it to that).  Drift-driven
+reconfiguration is armed whenever ``--quota`` is given (the workers then
+build calibrated QuotaControllers at start).
 """
 
 from __future__ import annotations
@@ -17,8 +22,9 @@ from collections.abc import Sequence
 from repro.api.frontdoor import DriftPolicy, FrontDoor
 from repro.api.http import HttpServer
 from repro.evaluation.datasets import DatasetSpec, get_dataset
-from repro.ppr import ALGORITHMS
+from repro.ppr.names import ALGORITHM_NAMES
 from repro.shard.backend import BACKENDS
+from repro.shard.image import ImageBuild
 from repro.shard.manager import ShardManager
 from repro.shard.router import ROUTERS
 
@@ -30,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--dataset", default="dblp")
     parser.add_argument(
-        "--algorithm", default="FORA", choices=sorted(ALGORITHMS)
+        "--algorithm", default="FORA", choices=sorted(ALGORITHM_NAMES)
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--shards", type=int, default=2)
@@ -77,20 +83,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_manager(args: argparse.Namespace, spec: DatasetSpec) -> ShardManager:
-    """Build the dataset graph, hand it to a fleet, and let go of it.
+    """Have the dataset's image built and hand the build to a fleet.
 
-    The manager keeps the packed edges for respawns; the front door
-    never reads the graph again, so its ``DynamicGraph`` must not
-    outlive this frame.
+    The manager keeps the packed edges for respawns; nothing in this
+    process ever decodes them.
     """
-    graph = spec.build(seed=args.seed)
     print(
         f"building {args.shards}-shard fleet ({args.backend}) on "
-        f"{spec.name} (n={graph.num_nodes}, m={graph.num_edges})...",
+        f"{spec.name}...",
         flush=True,
     )
     return ShardManager(
-        graph,
+        ImageBuild(spec.name, args.seed),
         args.shards,
         backend=args.backend,
         router=args.router,

@@ -48,17 +48,19 @@ import argparse
 import sys
 from collections.abc import Sequence
 
-from repro.cache import PPRCache
-from repro.core.calibration import calibrated_cost_model
-from repro.core.quota import QuotaController
-from repro.core.system import QuotaSystem
 from repro.evaluation.datasets import DATASETS, get_dataset
-from repro.evaluation.metrics import ResponseTimeSummary, improvement_percent
 from repro.evaluation.report import format_table
-from repro.evaluation.runner import build_algorithm
-from repro.ppr import ALGORITHMS, ENGINE_CHOICES
-from repro.queueing.trace_io import load_workload_trace, save_workload_trace
-from repro.queueing.workload import QUERY, UPDATE, generate_workload
+from repro.ppr.names import ALGORITHM_NAMES, ENGINE_CHOICES
+from repro.queueing.kinds import QUERY, UPDATE
+
+# Everything that computes is imported by the subcommand that needs it:
+# `datasets` and the parser load no numpy, and `serve` — whose process
+# stays up as the fleet's front door — never does.
+
+#: ``QuotaController.RESPONSE_MODELS``, spelled out so the parser can
+#: reject a typo without importing the controller (tests/test_cli.py
+#: holds the two equal)
+RESPONSE_MODELS = ("pk", "mm1", "heavy-traffic")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--algorithm",
         default="Agenda",
-        choices=sorted(ALGORITHMS),
+        choices=sorted(ALGORITHM_NAMES),
         help="base PPR algorithm",
     )
     common.add_argument("--seed", type=int, default=0, help="random seed")
@@ -98,8 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     conf.add_argument("--lambda-q", type=float, required=True)
     conf.add_argument("--lambda-u", type=float, required=True)
     conf.add_argument(
-        "--response-model", default="pk",
-        choices=QuotaController.RESPONSE_MODELS,
+        "--response-model", default="pk", choices=RESPONSE_MODELS,
     )
 
     run = sub.add_parser(
@@ -189,6 +190,9 @@ def cmd_datasets() -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
+    from repro.core.calibration import calibrated_cost_model
+    from repro.evaluation.runner import build_algorithm
+
     spec = get_dataset(args.dataset)
     graph = spec.build(seed=args.seed)
     algorithm = build_algorithm(
@@ -211,6 +215,10 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_configure(args: argparse.Namespace) -> int:
+    from repro.core.calibration import calibrated_cost_model
+    from repro.core.quota import QuotaController
+    from repro.evaluation.runner import build_algorithm
+
     spec = get_dataset(args.dataset)
     graph = spec.build(seed=args.seed)
     algorithm = build_algorithm(
@@ -237,6 +245,8 @@ def cmd_configure(args: argparse.Namespace) -> int:
 
 
 def _summarize(label: str, result) -> list[object]:
+    from repro.evaluation.metrics import ResponseTimeSummary
+
     summary = ResponseTimeSummary.from_result(result)
     return [
         label,
@@ -250,6 +260,15 @@ def _summarize(label: str, result) -> list[object]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from repro.cache import PPRCache
+    from repro.core.calibration import calibrated_cost_model
+    from repro.core.quota import QuotaController
+    from repro.core.system import QuotaSystem
+    from repro.evaluation.metrics import improvement_percent
+    from repro.evaluation.runner import build_algorithm
+    from repro.queueing.trace_io import load_workload_trace, save_workload_trace
+    from repro.queueing.workload import generate_workload
+
     spec = get_dataset(args.dataset)
     graph = spec.build(seed=args.seed)
     lambda_q = args.lambda_q if args.lambda_q is not None else spec.lambda_q

@@ -14,35 +14,40 @@ The paper's primary contribution.  Typical wiring:
     print(result.mean_query_response_time())
 """
 
-from repro.core.calibration import calibrate_taus, calibrated_cost_model
-from repro.core.cost_models import (
-    COST_MODELS,
-    AgendaCostModel,
-    CacheAwareCostModel,
-    CostModel,
-    ForaCostModel,
-    ForaPlusCostModel,
-    ForaPlusIncrementalCostModel,
-    ForaTopKCostModel,
-    SpeedPPRCostModel,
-    SpeedPPRPlusCostModel,
-    SpeedPPRPlusIncrementalCostModel,
-    TopPPRCostModel,
-    cost_model_for,
-)
-from repro.core.optimizer import (
-    AugmentedLagrangianOptimizer,
-    ConstrainedProblem,
-    OptimizationResult,
-)
-from repro.core.quota import STABLE, UNSTABLE, QuotaController, QuotaDecision
-from repro.core.seed import (
-    PendingUpdate,
-    SeedQueue,
-    degree_adjustment_factor,
-    source_excess,
-)
-from repro.core.system import QuotaSystem, RateEstimator
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.calibration import calibrate_taus, calibrated_cost_model
+    from repro.core.cost_models import (
+        COST_MODELS,
+        AgendaCostModel,
+        CacheAwareCostModel,
+        CostModel,
+        ForaCostModel,
+        ForaPlusCostModel,
+        ForaPlusIncrementalCostModel,
+        ForaTopKCostModel,
+        SpeedPPRCostModel,
+        SpeedPPRPlusCostModel,
+        SpeedPPRPlusIncrementalCostModel,
+        TopPPRCostModel,
+        cost_model_for,
+    )
+    from repro.core.optimizer import (
+        AugmentedLagrangianOptimizer,
+        ConstrainedProblem,
+        OptimizationResult,
+    )
+    from repro.core.quota import STABLE, UNSTABLE, QuotaController, QuotaDecision
+    from repro.core.seed import (
+        PendingUpdate,
+        SeedQueue,
+        degree_adjustment_factor,
+        source_excess,
+    )
+    from repro.core.system import QuotaSystem, RateEstimator
 
 __all__ = [
     "COST_MODELS",
@@ -74,3 +79,38 @@ __all__ = [
     "degree_adjustment_factor",
     "source_excess",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "calibration": ["calibrate_taus", "calibrated_cost_model"],
+        "cost_models": [
+            "COST_MODELS",
+            "AgendaCostModel",
+            "CacheAwareCostModel",
+            "CostModel",
+            "ForaCostModel",
+            "ForaPlusCostModel",
+            "ForaPlusIncrementalCostModel",
+            "ForaTopKCostModel",
+            "SpeedPPRCostModel",
+            "SpeedPPRPlusCostModel",
+            "SpeedPPRPlusIncrementalCostModel",
+            "TopPPRCostModel",
+            "cost_model_for",
+        ],
+        "optimizer": [
+            "AugmentedLagrangianOptimizer",
+            "ConstrainedProblem",
+            "OptimizationResult",
+        ],
+        "quota": ["STABLE", "UNSTABLE", "QuotaController", "QuotaDecision"],
+        "seed": [
+            "PendingUpdate",
+            "SeedQueue",
+            "degree_adjustment_factor",
+            "source_excess",
+        ],
+        "system": ["QuotaSystem", "RateEstimator"],
+    },
+)

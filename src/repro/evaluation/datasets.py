@@ -20,9 +20,10 @@ further for quick runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.graph.digraph import DynamicGraph
-from repro.graph.generators import barabasi_albert_graph, erdos_renyi_graph
+if TYPE_CHECKING:
+    from repro.graph.digraph import DynamicGraph
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,6 +64,12 @@ class DatasetSpec:
         ``scale`` < 1 shrinks node/edge counts proportionally — handy
         for smoke tests and CI.
         """
+        # the registry is read by processes that never build a graph
+        from repro.graph.generators import (
+            barabasi_albert_graph,
+            erdos_renyi_graph,
+        )
+
         if scale <= 0:
             raise ValueError("scale must be positive")
         n = max(int(self.nodes * scale), 16)

@@ -7,18 +7,23 @@ paper).  It also provides synthetic generators used as stand-ins for the
 paper's real datasets, and plain-text edge-list I/O.
 """
 
-from repro.graph.digraph import DynamicGraph
-from repro.graph.updates import EdgeUpdate, UpdateStream, random_update_stream
-from repro.graph.generators import (
-    barabasi_albert_graph,
-    complete_graph,
-    erdos_renyi_graph,
-    grid_graph,
-    ring_graph,
-    star_graph,
-    watts_strogatz_graph,
-)
-from repro.graph.io import load_edge_list, save_edge_list
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.graph.digraph import DynamicGraph
+    from repro.graph.generators import (
+        barabasi_albert_graph,
+        complete_graph,
+        erdos_renyi_graph,
+        grid_graph,
+        ring_graph,
+        star_graph,
+        watts_strogatz_graph,
+    )
+    from repro.graph.io import load_edge_list, save_edge_list
+    from repro.graph.updates import EdgeUpdate, UpdateStream, random_update_stream
 
 __all__ = [
     "DynamicGraph",
@@ -35,3 +40,21 @@ __all__ = [
     "load_edge_list",
     "save_edge_list",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "digraph": ["DynamicGraph"],
+        "generators": [
+            "barabasi_albert_graph",
+            "complete_graph",
+            "erdos_renyi_graph",
+            "grid_graph",
+            "ring_graph",
+            "star_graph",
+            "watts_strogatz_graph",
+        ],
+        "io": ["load_edge_list", "save_edge_list"],
+        "updates": ["EdgeUpdate", "UpdateStream", "random_update_stream"],
+    },
+)

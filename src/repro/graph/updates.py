@@ -10,8 +10,10 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.graph.digraph import DynamicGraph
+if TYPE_CHECKING:
+    from repro.graph.digraph import DynamicGraph
 
 
 @dataclass(frozen=True, slots=True)

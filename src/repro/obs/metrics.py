@@ -29,8 +29,6 @@ from collections import deque
 from collections.abc import Iterator
 from contextlib import contextmanager
 
-import numpy as np
-
 #: samples retained per histogram for percentile estimates
 DEFAULT_MAX_SAMPLES = 4096
 
@@ -136,7 +134,17 @@ class Histogram:
             )
         if not self._samples:
             return 0.0
-        return float(np.percentile(np.fromiter(self._samples, dtype=float), q))
+        # numpy's default ("linear") rule, in its operation order, without
+        # numpy: the front door keeps histograms and must not load it
+        ordered = sorted(self._samples)
+        rank = (len(ordered) - 1) * (q / 100.0)
+        below = int(rank)
+        if below + 1 == len(ordered):
+            return ordered[below]
+        low, high, weight = ordered[below], ordered[below + 1], rank - below
+        if weight >= 0.5:
+            return high - (high - low) * (1.0 - weight)
+        return low + (high - low) * weight
 
     def reset(self) -> None:
         self.count = 0

@@ -25,45 +25,41 @@ affected-walk resampling (:mod:`repro.ppr.incremental`) instead of a
 full per-update rebuild.  The registry name is the only selector.
 """
 
-from repro.ppr.agenda import Agenda
-from repro.ppr.bippr import PairEstimate, ppr_single_pair
-from repro.ppr.tracking import TrackedPPR, signed_forward_push
-from repro.ppr.base import (
-    DynamicPPRAlgorithm,
-    PPRParams,
-    PPRVector,
-    QueryStats,
-    SubProcessTimers,
-)
-from repro.ppr.csr import CSRView, csr_view
-from repro.ppr.fora import Fora, ForaPlus, ForaPlusIncremental
-from repro.ppr.forward_push import PushResult, forward_push
-from repro.ppr.kernels import (
-    ENGINE_CHOICES,
-    ENGINES,
-    frontier_push,
-    reference_frontier_push,
-    resolve_engine,
-)
-from repro.ppr.power_iteration import ppr_exact, ppr_exact_all_pairs
-from repro.ppr.random_walk import WalkIndex, sample_walk_terminals
-from repro.ppr.resacc import ResAcc
-from repro.ppr.reverse_push import ReversePushResult, reverse_push
-from repro.ppr.speedppr import SpeedPPR, SpeedPPRPlus, SpeedPPRPlusIncremental
-from repro.ppr.topk import ForaTopK, TopPPR
+from typing import TYPE_CHECKING
 
-ALGORITHMS = {
-    "FORA": Fora,
-    "FORA+": ForaPlus,
-    "FORA+inc": ForaPlusIncremental,
-    "SpeedPPR": SpeedPPR,
-    "SpeedPPR+": SpeedPPRPlus,
-    "SpeedPPR+inc": SpeedPPRPlusIncremental,
-    "Agenda": Agenda,
-    "ResAcc": ResAcc,
-    "FORA-TopK": ForaTopK,
-    "TopPPR": TopPPR,
-}
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.ppr.agenda import Agenda
+    from repro.ppr.base import (
+        DynamicPPRAlgorithm,
+        PPRParams,
+        PPRVector,
+        QueryStats,
+        SubProcessTimers,
+    )
+    from repro.ppr.bippr import PairEstimate, ppr_single_pair
+    from repro.ppr.csr import CSRView, csr_view
+    from repro.ppr.fora import Fora, ForaPlus, ForaPlusIncremental
+    from repro.ppr.forward_push import PushResult, forward_push
+    from repro.ppr.kernels import (
+        frontier_push,
+        reference_frontier_push,
+        resolve_engine,
+    )
+    from repro.ppr.names import ENGINE_CHOICES, ENGINES
+    from repro.ppr.power_iteration import ppr_exact, ppr_exact_all_pairs
+    from repro.ppr.random_walk import WalkIndex, sample_walk_terminals
+    from repro.ppr.registry import ALGORITHMS
+    from repro.ppr.resacc import ResAcc
+    from repro.ppr.reverse_push import ReversePushResult, reverse_push
+    from repro.ppr.speedppr import (
+        SpeedPPR,
+        SpeedPPRPlus,
+        SpeedPPRPlusIncremental,
+    )
+    from repro.ppr.topk import ForaTopK, TopPPR
+    from repro.ppr.tracking import TrackedPPR, signed_forward_push
 
 __all__ = [
     "ALGORITHMS",
@@ -102,3 +98,35 @@ __all__ = [
     "reverse_push",
     "sample_walk_terminals",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "agenda": ["Agenda"],
+        "base": [
+            "DynamicPPRAlgorithm",
+            "PPRParams",
+            "PPRVector",
+            "QueryStats",
+            "SubProcessTimers",
+        ],
+        "bippr": ["PairEstimate", "ppr_single_pair"],
+        "csr": ["CSRView", "csr_view"],
+        "fora": ["Fora", "ForaPlus", "ForaPlusIncremental"],
+        "forward_push": ["PushResult", "forward_push"],
+        "kernels": [
+            "frontier_push",
+            "reference_frontier_push",
+            "resolve_engine",
+        ],
+        "names": ["ENGINE_CHOICES", "ENGINES"],
+        "power_iteration": ["ppr_exact", "ppr_exact_all_pairs"],
+        "random_walk": ["WalkIndex", "sample_walk_terminals"],
+        "registry": ["ALGORITHMS"],
+        "resacc": ["ResAcc"],
+        "reverse_push": ["ReversePushResult", "reverse_push"],
+        "speedppr": ["SpeedPPR", "SpeedPPRPlus", "SpeedPPRPlusIncremental"],
+        "topk": ["ForaTopK", "TopPPR"],
+        "tracking": ["TrackedPPR", "signed_forward_push"],
+    },
+)

@@ -50,19 +50,10 @@ import numpy as np
 from repro.obs import get_metrics
 from repro.ppr.csr import CSRView
 from repro.ppr.forward_push import PushResult
-
-#: kernel engines selectable on Push+Walk algorithms: ``scalar`` is the
-#: deque-based reference path (the property-test oracle for
-#: algorithm-level behavior), ``frontier`` the vectorized whole-frontier
-#: kernel.
-ENGINES = ("scalar", "frontier")
-
-#: pseudo-engine accepted by algorithms and the CLI: the vectorized
-#: kernel of each family (see module docstring).
-AUTO = "auto"
-
-#: engine names accepted at the algorithm/CLI layer.
-ENGINE_CHOICES: tuple[str, ...] = (AUTO,) + ENGINES
+# re-exported: the names live in a leaf a numpy-free process can import
+from repro.ppr.names import AUTO as AUTO
+from repro.ppr.names import ENGINE_CHOICES as ENGINE_CHOICES
+from repro.ppr.names import ENGINES as ENGINES
 
 
 def resolve_engine(engine: str, allowed: tuple[str, ...] = ENGINES) -> str:

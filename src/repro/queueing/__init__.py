@@ -11,43 +11,44 @@ queueing delay plus service time.  This subpackage provides:
   and its two simulator front ends: strict FCFS and Seed-aware.
 """
 
-from repro.queueing.arrivals import (
-    ArrivalProcess,
-    GammaArrivals,
-    GeometricArrivals,
-    NormalArrivals,
-    PoissonArrivals,
-    TraceArrivals,
-    UniformArrivals,
-    wikipedia_like_trace,
-)
-from repro.queueing.simulator import (
-    CompletedRequest,
-    FCFSQueueSimulator,
-    MeasuredParallelWarning,
-    SimulationResult,
-)
-from repro.queueing.theory import (
-    expected_response_time,
-    heavy_traffic_response_time,
-    is_stable,
-    mm1_response_time,
-    traffic_intensity,
-    unstable_response_growth,
-)
-from repro.queueing.workload import (
-    Request,
-    Workload,
-    WorkloadSegment,
-    dynamic_pattern_segments,
-    generate_segmented_workload,
-    generate_workload,
-)
+from typing import TYPE_CHECKING
 
-# imported last: seed_simulator pulls in repro.core (Seed), which in
-# turn imports repro.queueing.replay/workload — both fully loaded by
-# this point, keeping the package import acyclic
-from repro.queueing.seed_simulator import SeedAwareQueueSimulator  # noqa: E402
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.queueing.arrivals import (
+        ArrivalProcess,
+        GammaArrivals,
+        GeometricArrivals,
+        NormalArrivals,
+        PoissonArrivals,
+        TraceArrivals,
+        UniformArrivals,
+        wikipedia_like_trace,
+    )
+    from repro.queueing.seed_simulator import SeedAwareQueueSimulator
+    from repro.queueing.simulator import (
+        CompletedRequest,
+        FCFSQueueSimulator,
+        MeasuredParallelWarning,
+        SimulationResult,
+    )
+    from repro.queueing.theory import (
+        expected_response_time,
+        heavy_traffic_response_time,
+        is_stable,
+        mm1_response_time,
+        traffic_intensity,
+        unstable_response_growth,
+    )
+    from repro.queueing.workload import (
+        Request,
+        Workload,
+        WorkloadSegment,
+        dynamic_pattern_segments,
+        generate_segmented_workload,
+        generate_workload,
+    )
 
 __all__ = [
     "ArrivalProcess",
@@ -76,3 +77,42 @@ __all__ = [
     "unstable_response_growth",
     "wikipedia_like_trace",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "arrivals": [
+            "ArrivalProcess",
+            "GammaArrivals",
+            "GeometricArrivals",
+            "NormalArrivals",
+            "PoissonArrivals",
+            "TraceArrivals",
+            "UniformArrivals",
+            "wikipedia_like_trace",
+        ],
+        "seed_simulator": ["SeedAwareQueueSimulator"],
+        "simulator": [
+            "CompletedRequest",
+            "FCFSQueueSimulator",
+            "MeasuredParallelWarning",
+            "SimulationResult",
+        ],
+        "theory": [
+            "expected_response_time",
+            "heavy_traffic_response_time",
+            "is_stable",
+            "mm1_response_time",
+            "traffic_intensity",
+            "unstable_response_growth",
+        ],
+        "workload": [
+            "Request",
+            "Workload",
+            "WorkloadSegment",
+            "dynamic_pattern_segments",
+            "generate_segmented_workload",
+            "generate_workload",
+        ],
+    },
+)

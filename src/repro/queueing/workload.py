@@ -20,9 +20,7 @@ from numpy.typing import NDArray
 from repro.graph.digraph import DynamicGraph
 from repro.graph.updates import EdgeUpdate
 from repro.queueing.arrivals import ArrivalProcess, PoissonArrivals
-
-QUERY = "query"
-UPDATE = "update"
+from repro.queueing.kinds import QUERY, UPDATE
 
 FloatArray = NDArray[np.float64]
 NodeArray = NDArray[np.int64]

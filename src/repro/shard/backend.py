@@ -1,12 +1,13 @@
 """Shard transports: the same command protocol over two substrates.
 
-* :class:`ProcessShard` — a real worker **process** (started with
-  ``spawn``: the manager runs threads, and forking a threaded parent
-  inherits lock state unsafely).  Commands go down one simplex
-  pipe, replies come back on another; each pipe end is owned by
-  exactly one thread.  This is the backend that escapes the GIL: every
-  shard has its own interpreter, so PPR compute parallelizes across
-  cores.
+* :class:`ProcessShard` — a real worker **process**: a plain
+  ``python -c`` child (:func:`repro.shard.launch.python_child` — never
+  a fork of this threaded parent, and no ``multiprocessing`` bootstrap
+  around it).  Commands go down one simplex pipe, replies come back on
+  another; each pipe end is owned by exactly one thread at a time.  The
+  :class:`~repro.shard.messages.ShardSpec` is the first message on the
+  command pipe.  This is the backend that escapes the GIL: every shard
+  has its own interpreter, so PPR compute parallelizes across cores.
 * :class:`InprocShard` — the identical :class:`~repro.shard.worker.ShardServer`
   on a plain thread in this process.  Deterministic (no pickling, no
   scheduler variance beyond threads), instant startup; the backend the
@@ -23,16 +24,19 @@ and respawn.
 
 from __future__ import annotations
 
-import multiprocessing
+import os
 import queue
+import subprocess
 import threading
 from abc import ABC, abstractmethod
 from collections.abc import Callable
 from concurrent.futures import Future
+from multiprocessing.connection import Connection
 from typing import TYPE_CHECKING
 
 from repro.graph.updates import EdgeUpdate
 from repro.serving.rwlock import wrap_mutex
+from repro.shard.launch import python_child
 from repro.shard.messages import (
     Command,
     CrashCommand,
@@ -46,14 +50,13 @@ from repro.shard.messages import (
     StopCommand,
     UpdateCommand,
 )
-from repro.shard.worker import ShardServer, shard_worker_main
 
 if TYPE_CHECKING:
-    from multiprocessing.connection import Connection
+    from repro.shard.worker import ShardServer
 
-#: worker start method: the manager runs threads, and forking a
-#: threaded parent inherits lock state unsafely
-START_METHOD = "spawn"
+#: how long a worker whose reply pipe hit EOF gets to finish exiting
+#: before it is killed (the receiver thread reaps it either way)
+REAP_TIMEOUT_S = 10.0
 
 ReplyFuture = Future  # Future[ShardReply]; bare for runtime generics
 
@@ -196,28 +199,75 @@ class ShardHandle(ABC):
 
 
 # ----------------------------------------------------------------------
-class ProcessShard(ShardHandle):
-    """One worker process behind two simplex pipes."""
+class WorkerProcess:
+    """A launched worker child and our ends of its two pipes.
 
-    def __init__(self, spec: ShardSpec) -> None:
+    It imports, then blocks reading its first message — the spec a
+    :class:`ProcessShard` sends it.  Launching is split from adoption
+    so a manager whose graph image is still being built can start its
+    interpreters meanwhile.
+    """
+
+    def __init__(self) -> None:
+        cmd_r, cmd_w = os.pipe()
+        reply_r, reply_w = os.pipe()
+        self.cmd = Connection(cmd_w, readable=False)
+        self.reply = Connection(reply_r, writable=False)
+        try:
+            self.process = python_child(
+                "from repro.shard.worker import spawn_main; "
+                f"spawn_main({cmd_r}, {reply_w})",
+                pass_fds=(cmd_r, reply_w),
+            )
+        finally:
+            # the child's ends: ours must go, or a dead child is a hang
+            # on the reply pipe instead of EOF
+            os.close(cmd_r)
+            os.close(reply_w)
+
+    def reap(self) -> int:
+        """Exit code of a child that is exiting (killed if it does not)."""
+        try:
+            return self.process.wait(REAP_TIMEOUT_S)
+        except subprocess.TimeoutExpired:  # pragma: no cover - stuck worker
+            self.process.kill()
+            return self.process.wait()
+
+    def discard(self) -> None:
+        """Drop a worker no shard adopted: EOF instead of a spec ends it."""
+        self.cmd.close()
+        self.reply.close()
+        self.reap()
+
+
+class ProcessShard(ShardHandle):
+    """One worker process behind two simplex pipes.
+
+    The constructor launches the child (or adopts an already launched
+    ``worker``); the spec travels as the first pipe message on a boot
+    thread that holds the send lock, so ``N`` constructors return at
+    once and ``N`` workers import and build concurrently, while every
+    later command queues behind the spec.  The receiver thread reaps
+    the child when the reply pipe hits EOF.  A worker needs no kill
+    switch for a dead parent: its command pipe hits EOF and it exits.
+    """
+
+    def __init__(
+        self, spec: ShardSpec, worker: WorkerProcess | None = None
+    ) -> None:
         super().__init__(spec)
-        ctx = multiprocessing.get_context(START_METHOD)
-        cmd_r, cmd_w = ctx.Pipe(duplex=False)
-        reply_r, reply_w = ctx.Pipe(duplex=False)
-        self._cmd: "Connection" = cmd_w
-        self._reply: "Connection" = reply_r
+        if worker is None:
+            worker = WorkerProcess()
+        self._worker = worker
         self._send_lock = wrap_mutex(threading.Lock(), "shard.send")
-        self._process = ctx.Process(
-            target=shard_worker_main,
-            args=(spec, cmd_r, reply_w),
-            name=f"shard-worker-{spec.shard_id}",
+        boot_holds_lock = threading.Event()
+        threading.Thread(
+            target=self._boot,
+            args=(boot_holds_lock,),
+            name=f"shard-{spec.shard_id}-boot",
             daemon=True,
-        )
-        self._process.start()
-        # close our copies of the child's ends so a dead child turns
-        # into EOF on the reply pipe instead of a hang
-        cmd_r.close()
-        reply_w.close()
+        ).start()
+        boot_holds_lock.wait()
         self._receiver = threading.Thread(
             target=self._receive_loop,
             name=f"shard-{spec.shard_id}-receiver",
@@ -225,14 +275,23 @@ class ProcessShard(ShardHandle):
         )
         self._receiver.start()
 
+    def _boot(self, holds_lock: threading.Event) -> None:
+        """Send the spec: blocks until the child has imported and reads."""
+        try:
+            with self._send_lock:
+                holds_lock.set()
+                self._worker.cmd.send(self.spec)
+        except (BrokenPipeError, OSError) as exc:
+            self._mark_dead(f"command pipe broken at boot: {exc!r}")
+
     def _receive_loop(self) -> None:
         while True:
             try:
-                reply = self._reply.recv()
+                reply = self._worker.reply.recv()
             except (EOFError, OSError):
-                exit_code = self._process.exitcode
                 self._mark_dead(
-                    f"worker process exited (exitcode={exit_code})"
+                    "worker process exited "
+                    f"(exitcode={self._worker.reap()})"
                 )
                 return
             self._resolve(reply)
@@ -244,7 +303,7 @@ class ProcessShard(ShardHandle):
             )
         try:
             with self._send_lock:
-                self._cmd.send(command)
+                self._worker.cmd.send(command)
         except (BrokenPipeError, OSError) as exc:
             self._mark_dead(f"command pipe broken: {exc!r}")
             raise ShardUnavailableError(
@@ -257,15 +316,15 @@ class ProcessShard(ShardHandle):
                 self.submit(lambda rid: StopCommand(rid)).result(timeout_s)
             except Exception:
                 pass
-        self._process.join(timeout_s)
-        if self._process.is_alive():  # pragma: no cover - stuck worker
-            self._process.terminate()
-            self._process.join(5.0)
+        try:
+            self._worker.process.wait(timeout_s)
+        except subprocess.TimeoutExpired:  # pragma: no cover - stuck worker
+            self.kill()
         self._mark_dead("stopped")
 
     def kill(self) -> None:
-        self._process.terminate()
-        self._process.join(5.0)
+        self._worker.process.terminate()
+        self._worker.reap()
         self._mark_dead("killed")
 
 
@@ -279,7 +338,7 @@ class InprocShard(ShardHandle):
             queue.SimpleQueue()
         )
         self._ready = threading.Event()
-        self._server: ShardServer | None = None
+        self._server: "ShardServer | None" = None
         self._paused = threading.Event()
         self._unpaused = threading.Event()
         self._unpaused.set()
@@ -294,6 +353,10 @@ class InprocShard(ShardHandle):
             self._mark_dead("worker thread failed to initialize")
 
     def _run(self) -> None:
+        # imported here: the process backend's parent is a control plane
+        # that never loads the data plane (graph, kernels, numpy)
+        from repro.shard.worker import ShardServer
+
         try:
             server = ShardServer(self.spec, reply=self._resolve)
         except Exception as exc:  # pragma: no cover - bad spec
@@ -328,7 +391,7 @@ class InprocShard(ShardHandle):
         self._unpaused.set()
 
     @property
-    def server(self) -> ShardServer | None:
+    def server(self) -> "ShardServer | None":
         """The live server (tests probe applied_broadcasts etc.)."""
         return self._server
 

@@ -28,27 +28,24 @@ manager.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from itertools import chain
 from time import perf_counter
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.graph.updates import EdgeUpdate
 from repro.obs import MetricsRegistry, get_metrics, process_stats
-from repro.ppr.kernels import AUTO
+from repro.ppr.names import AUTO
 from repro.serving.rwlock import wrap_mutex
-from repro.shard.backend import ShardHandle, make_shard
-from repro.shard.messages import (
-    ShardReply,
-    ShardSpec,
-    ShardUnavailableError,
-    pack_edges,
+from repro.shard.backend import (
+    ProcessShard,
+    ShardHandle,
+    WorkerProcess,
+    make_shard,
 )
+from repro.shard.image import GraphImage, ImageBuild, graph_image
+from repro.shard.messages import ShardReply, ShardSpec, ShardUnavailableError
 from repro.shard.router import Router, make_router
 
 if TYPE_CHECKING:
@@ -115,11 +112,22 @@ class _ShardSlot:
 
 
 class ShardManager:
-    """Route queries and broadcast updates across shard workers."""
+    """Route queries and broadcast updates across shard workers.
+
+    ``graph`` is the fleet's start state: a
+    :class:`~repro.shard.image.GraphImage` or a running
+    :class:`~repro.shard.image.ImageBuild` (what ``repro serve`` has —
+    this process then never holds a graph), or a ``DynamicGraph``, which
+    is packed into one here.  A process fleet on an ``ImageBuild``
+    launches its workers before it waits for the image, so they import
+    while it is built.  Either way the image is validated once, when
+    the base :class:`ShardSpec` is built; per-shard specs for spawns and
+    respawns are derived from it without another pass.
+    """
 
     def __init__(
         self,
-        graph: "DynamicGraph",
+        graph: "DynamicGraph | GraphImage | ImageBuild",
         num_shards: int,
         *,
         backend: str = "process",
@@ -142,44 +150,49 @@ class ShardManager:
             raise ValueError("num_shards must be >= 1")
         if max_inflight_per_shard < 1:
             raise ValueError("max_inflight_per_shard must be >= 1")
-        self._base_spec = ShardSpec(
-            shard_id=0,
-            num_shards=num_shards,
-            num_nodes=graph.num_nodes,
-            # straight from the adjacency lists, no tuple per edge kept
-            edges=pack_edges(
-                graph.num_nodes,
-                np.fromiter(
-                    chain.from_iterable(graph.edges()),
-                    dtype=np.int64,
-                    count=2 * graph.num_edges,
-                ).reshape(-1, 2),
-            ),
-            algorithm=algorithm,
-            walk_cap=walk_cap,
-            seed=seed,
-            engine=engine,
-            epsilon_r=epsilon_r,
-            workers=workers_per_shard,
-            queue_capacity=queue_capacity,
-            cache_epsilon=cache_epsilon,
-            query_mode=query_mode,
-            use_controller=use_controller,
+        # a worker imports for ~0.3 s before it reads its first message
+        # (the spec): time a builder child needs anyway
+        launched = (
+            [WorkerProcess() for _ in range(num_shards)]
+            if backend == "process" and isinstance(graph, ImageBuild)
+            else []
         )
+        try:
+            image = graph_image(graph)
+            self._base_spec = ShardSpec(
+                shard_id=0,
+                num_shards=num_shards,
+                num_nodes=image.num_nodes,
+                edges=image.edges,
+                algorithm=algorithm,
+                walk_cap=walk_cap,
+                seed=seed,
+                engine=engine,
+                epsilon_r=epsilon_r,
+                workers=workers_per_shard,
+                queue_capacity=queue_capacity,
+                cache_epsilon=cache_epsilon,
+                query_mode=query_mode,
+                use_controller=use_controller,
+            )
+            self.router: Router = (
+                router
+                if isinstance(router, Router)
+                else make_router(router, num_shards, image.num_nodes)
+            )
+            if self.router.num_shards != num_shards:
+                raise ValueError(
+                    f"router covers {self.router.num_shards} shards, "
+                    f"manager has {num_shards}"
+                )
+        except BaseException:
+            for worker in launched:
+                worker.discard()
+            raise
         self.num_shards = num_shards
         self.backend = backend
         self.max_inflight_per_shard = max_inflight_per_shard
         self.auto_respawn = auto_respawn
-        self.router: Router = (
-            router
-            if isinstance(router, Router)
-            else make_router(router, num_shards, graph.num_nodes)
-        )
-        if self.router.num_shards != num_shards:
-            raise ValueError(
-                f"router covers {self.router.num_shards} shards, "
-                f"manager has {num_shards}"
-            )
         self.metrics = metrics if metrics is not None else get_metrics()
         self._stopped = False  # guarded-by: self._update_lock
         # fabric-wide version assignment + log; held across the whole
@@ -190,8 +203,9 @@ class ShardManager:
         self._update_log: list[EdgeUpdate] = []  # guarded-by: self._update_lock
         self._slots: list[_ShardSlot] = []
         for shard_id in range(num_shards):
+            worker = launched.pop() if launched else None
             self._slots.append(
-                _ShardSlot(handle=self._spawn(shard_id))
+                _ShardSlot(handle=self._spawn(shard_id, worker))
             )
         self._await_ready()
         self._publish_health_gauge()
@@ -199,11 +213,15 @@ class ShardManager:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def _spec_for(self, shard_id: int) -> ShardSpec:
-        return dataclasses.replace(self._base_spec, shard_id=shard_id)
-
-    def _spawn(self, shard_id: int) -> ShardHandle:
-        handle = make_shard(self._spec_for(shard_id), self.backend)
+    def _spawn(
+        self, shard_id: int, worker: WorkerProcess | None = None
+    ) -> ShardHandle:
+        spec = self._base_spec.for_shard(shard_id)
+        handle = (
+            make_shard(spec, self.backend)
+            if worker is None
+            else ProcessShard(spec, worker)
+        )
         handle.on_death = self._on_shard_death
         return handle
 

@@ -3,9 +3,10 @@
 Everything that crosses a process boundary lives here: the
 :class:`ShardSpec` a worker is built from, the command dataclasses the
 manager sends, and the :class:`ShardReply` envelope workers send back.
-All types are plain frozen dataclasses of primitives so they pickle
-under the ``spawn`` start method (the safe default for a parent that
-already runs threads) without dragging graph or algorithm state along.
+All types are plain frozen dataclasses of primitives, so they pickle
+onto a pipe without dragging graph or algorithm state along — and this
+module loads no numpy until an edge list is actually packed or decoded,
+because the front door imports it too.
 
 Versioned update broadcast
 --------------------------
@@ -24,19 +25,48 @@ manager's update log, which restores convergence by construction.
 
 from __future__ import annotations
 
+import copy
+import operator
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-import numpy as np
-from numpy.typing import NDArray
+from repro.ppr.names import AUTO
 
-from repro.graph.digraph import as_edge_array
-from repro.ppr.kernels import AUTO
+if TYPE_CHECKING:
+    import numpy as np
+    from numpy.typing import NDArray
+
+#: numpy dtype string of the packed :attr:`ShardSpec.edges` buffer
+_PACKED = "<i4"
+
+#: int32 values :func:`_is_packed` decodes at a time: the check runs in
+#: the front door, where one list of every id would cost megabytes of
+#: small objects the allocator does not give back
+_CHECK_CHUNK = 8_192
 
 
-#: element type of the packed :attr:`ShardSpec.edges` buffer
-_PACKED = np.dtype("<i4")
+def _is_packed(num_nodes: int, edges: bytes) -> bool:
+    """Whether ``edges`` already is what :func:`pack_edges` returns.
+
+    Checked without numpy (a ``memoryview`` of native int32, hence
+    little-endian hosts only): whole pairs, ids in ``[0, num_nodes)``,
+    pairs strictly increasing — which rules out duplicates too.
+    """
+    if sys.byteorder != "little" or len(edges) % 8:
+        return False
+    ids = memoryview(edges).cast("i")
+    last = -1
+    for start in range(0, len(ids), _CHECK_CHUNK):
+        flat = ids[start:start + _CHECK_CHUNK].tolist()
+        if min(flat) < 0 or max(flat) >= num_nodes:
+            return False
+        keys = [u * num_nodes + v for u, v in zip(flat[0::2], flat[1::2])]
+        if keys[0] <= last or not all(map(operator.lt, keys, keys[1:])):
+            return False
+        last = keys[-1]
+    return True
 
 
 def pack_edges(
@@ -50,9 +80,19 @@ def pack_edges(
     may come from outside).  Raises ValueError for what a worker's bulk
     build would miscount: repeated pairs, ids outside
     ``[0, num_nodes)`` or the int32 range, a buffer of half pairs.
+
+    A buffer that is already canonical is returned as it is, checked by
+    :func:`_is_packed`; everything else — an unsorted or invalid buffer
+    included — takes the numpy path, which sorts or says what is wrong.
     """
+    if isinstance(edges, bytes) and _is_packed(num_nodes, edges):
+        return edges
+    import numpy as np
+
+    from repro.graph.digraph import as_edge_array
+
     if isinstance(edges, bytes):
-        if len(edges) % (2 * _PACKED.itemsize):
+        if len(edges) % 8:
             raise ValueError("packed edges must be whole int32 pairs")
         edges = np.frombuffer(edges, dtype=_PACKED).reshape(-1, 2)
     pairs = as_edge_array(num_nodes, edges)
@@ -130,8 +170,25 @@ class ShardSpec:
             self, "edges", pack_edges(self.num_nodes, self.edges)
         )
 
-    def edge_array(self) -> NDArray[np.int32]:
+    def for_shard(self, shard_id: int) -> "ShardSpec":
+        """This spec for another shard of the same fleet.
+
+        Unlike :func:`dataclasses.replace` it does not run
+        ``__post_init__`` again: the edge buffer was validated when this
+        spec was built and is carried over as it is.
+        """
+        if not 0 <= shard_id < self.num_shards:
+            raise ValueError(
+                f"shard_id {shard_id} outside [0, {self.num_shards})"
+            )
+        twin = copy.copy(self)
+        object.__setattr__(twin, "shard_id", shard_id)
+        return twin
+
+    def edge_array(self) -> "NDArray[np.int32]":
         """The edges as a read-only ``(m, 2)`` int32 view of the buffer."""
+        import numpy as np
+
         return np.frombuffer(self.edges, dtype=_PACKED).reshape(-1, 2)
 
 

@@ -6,11 +6,16 @@ replicated graph, the PPR algorithm, a :class:`~repro.serving.ServingRuntime`
 optional :class:`~repro.core.quota.QuotaController`), and turns
 commands into replies.  Two hosts drive it:
 
-* :func:`shard_worker_main` — the ``multiprocessing`` entry point.
-  Commands arrive on a simplex pipe; replies leave through an
-  unbounded in-process queue drained by a dedicated sender thread, so
-  the runtime's ``on_complete`` hook (which may fire inside a writer
-  critical section) never blocks on pipe backpressure.
+* :func:`spawn_main` — what a worker process runs (``python -c``,
+  started by :class:`~repro.shard.backend.ProcessShard`): it wraps the
+  two inherited pipe descriptors, reads its
+  :class:`~repro.shard.messages.ShardSpec` as the first message and
+  enters :func:`shard_worker_main`.  Commands arrive on a simplex pipe;
+  replies leave through an unbounded in-process queue drained by a
+  dedicated sender thread, so the runtime's ``on_complete`` hook (which
+  may fire inside a writer critical section) never blocks on pipe
+  backpressure.  The loop ends on ``StopCommand`` or when the command
+  pipe hits EOF, which is also how a worker learns its parent is gone.
 * :class:`~repro.shard.backend.InprocShard` — the same server on a
   plain thread, used by deterministic tests and the in-memory
   transport.
@@ -30,11 +35,13 @@ instead of letting a diverged replica keep answering.
 
 from __future__ import annotations
 
+import os
 import queue
 import threading
 import time
 from collections.abc import Callable
-from typing import TYPE_CHECKING, NoReturn
+from multiprocessing.connection import Connection
+from typing import NoReturn
 
 from repro.cache import PPRCache
 from repro.core.calibration import calibrated_cost_model
@@ -61,9 +68,6 @@ from repro.shard.messages import (
     UpdateCommand,
     UpdateOrderError,
 )
-
-if TYPE_CHECKING:
-    from multiprocessing.connection import Connection
 
 #: how long an update waits for admission before the shard declares
 #: itself wedged (updates are state — dropping one would diverge)
@@ -380,8 +384,6 @@ def shard_worker_main(
     command pipe is read by exactly this (main) thread — each
     connection end stays single-threaded, the documented safe usage.
     """
-    import os
-
     outbox: "queue.SimpleQueue[ShardReply | None]" = queue.SimpleQueue()
     sender = threading.Thread(
         target=_drain_replies,
@@ -405,3 +407,19 @@ def shard_worker_main(
         outbox.put(None)
         sender.join(timeout=5.0)
         reply_conn.close()
+
+
+def spawn_main(cmd_fd: int, reply_fd: int) -> None:
+    """Worker-process body: the spec is the first command-pipe message.
+
+    ``cmd_fd`` / ``reply_fd`` are the inherited pipe ends.  A parent
+    that died before sending the spec leaves EOF; the worker then just
+    exits.
+    """
+    cmd_conn = Connection(cmd_fd, writable=False)
+    reply_conn = Connection(reply_fd, readable=False)
+    try:
+        spec = cmd_conn.recv()
+    except (EOFError, OSError):
+        return
+    shard_worker_main(spec, cmd_conn, reply_conn)

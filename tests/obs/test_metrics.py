@@ -1,5 +1,8 @@
 """Tests for the observability registry (counters / histograms)."""
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.obs import Histogram, MetricsRegistry, get_metrics
@@ -45,6 +48,21 @@ class TestHistogram:
             hist.percentile(101)
         with pytest.raises(ValueError):
             hist.percentile(-1)
+
+    def test_percentile_is_numpys_without_numpy(self):
+        """The front door keeps histograms and loads no numpy; the pure
+        Python interpolation must be ``np.percentile``'s default rule."""
+        rng = random.Random(20261003)
+        lengths = [1, 2] + [rng.randint(3, 400) for _ in range(198)]
+        for length in lengths:
+            samples = [rng.lognormvariate(-6.0, 2.0) for _ in range(length)]
+            hist = Histogram("h")
+            for value in samples:
+                hist.observe(value)
+            for q in (0, 1, 50, 95, 99, 100):
+                assert hist.percentile(q) == pytest.approx(
+                    float(np.percentile(samples, q)), rel=0.0, abs=1e-12
+                ), (length, q)
 
     def test_empty_percentile_is_zero(self):
         assert MetricsRegistry().histogram("h").percentile(99) == 0.0

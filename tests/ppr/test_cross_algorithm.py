@@ -8,10 +8,17 @@ import pytest
 
 from repro.graph import EdgeUpdate, barabasi_albert_graph, random_update_stream
 from repro.ppr import ALGORITHMS, PPRParams, ppr_exact
+from repro.ppr.names import ALGORITHM_NAMES
 
 SSPPR_ALGORITHMS = [
     name for name in ALGORITHMS if name not in ("FORA-TopK", "TopPPR")
 ]
+
+
+def test_names_leaf_lists_the_registry():
+    """The front door offers ``--algorithm`` choices from the names-only
+    leaf; a class registered without its name could not be served."""
+    assert tuple(ALGORITHMS) == ALGORITHM_NAMES
 
 
 @pytest.fixture

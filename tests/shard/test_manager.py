@@ -1,20 +1,33 @@
 """ShardManager control plane: routing, admission, health, respawn.
 
-Everything here runs on the deterministic in-process backend; the
-cross-process paths are covered by the stress-marked equivalence
-oracle in ``test_equivalence.py`` and the smoke in the bench.
+Most of this runs on the deterministic in-process backend; the
+cross-process answers are covered by the stress-marked equivalence
+oracle in ``test_equivalence.py`` and the smoke in the bench.  The
+process-hygiene tests at the end start real workers (and one real
+``repro serve``) and read ``/proc``: which processes a fleet is made
+of, and that none outlives it.
 """
 
 import dataclasses
 import os
+import pathlib
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
 from repro.graph import DynamicGraph
 from repro.obs import MetricsRegistry
-from repro.shard import ShardManager
+from repro.shard import ShardManager, messages
+from repro.shard.image import ImageBuild, graph_image
 from repro.shard.manager import RETRY_AFTER_UNHEALTHY_S
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
+needs_procfs = pytest.mark.skipif(
+    not os.path.exists("/proc/self/stat"), reason="reads /proc (Linux)"
+)
 
 
 def ring_graph(n=24):
@@ -31,7 +44,8 @@ def make_manager(num_shards=2, **overrides):
         metrics=MetricsRegistry(),
     )
     options.update(overrides)
-    return ShardManager(ring_graph(), num_shards, **options)
+    graph = options.pop("graph", None) or ring_graph()
+    return ShardManager(graph, num_shards, **options)
 
 
 def wait_until(predicate, timeout_s=30.0, interval_s=0.005):
@@ -231,3 +245,170 @@ def test_stop_is_terminal():
     manager.stop()
     with pytest.raises(RuntimeError):
         manager.update(0, 7)
+
+
+
+def test_image_is_validated_once_for_spawns_and_respawns(monkeypatch):
+    """Per-shard specs are derived from the validated base spec: the
+    12 ms lexsort + duplicate scan of ``lj`` used to run on every spawn
+    and every respawn, for a buffer the manager itself had packed."""
+    image = graph_image(ring_graph())
+    calls = []
+    real = messages.pack_edges
+
+    def counting(num_nodes, edges):
+        calls.append(len(edges))
+        return real(num_nodes, edges)
+
+    monkeypatch.setattr(messages, "pack_edges", counting)
+    with make_manager(num_shards=2, graph=image) as manager:
+        victim = manager.shard_handle(1)
+        victim.crash()
+        assert wait_until(lambda: manager.shard_handle(1) is not victim)
+        assert wait_until(lambda: manager.healthy_shard_count() == 2)
+        assert manager.shard_handle(1).spec.edges is image.edges
+    assert calls == [len(image.edges)]
+
+
+# ----------------------------------------------------------------------
+# process hygiene on the real backend
+# ----------------------------------------------------------------------
+def process_state(pid):
+    """One-letter state from ``/proc/<pid>/stat``; None when it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="latin-1") as handle:
+            stat = handle.read()
+    except OSError:
+        return None
+    return stat[stat.rfind(")") + 2:].split()[0]
+
+
+def children_of(parent):
+    """``(pid, state, cmdline)`` of every process whose parent is ``parent``."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="latin-1") as handle:
+                stat = handle.read()
+            with open(f"/proc/{entry}/cmdline", "rb") as handle:
+                cmdline = handle.read().replace(b"\0", b" ").decode()
+        except OSError:
+            continue
+        fields = stat[stat.rfind(")") + 2:].split()
+        if int(fields[1]) == parent:
+            found.append((int(entry), fields[0], cmdline))
+    return found
+
+
+@needs_procfs
+def test_process_fleet_is_its_workers_and_nothing_else():
+    before = {pid for pid, _, _ in children_of(os.getpid())}
+    manager = make_manager(num_shards=2, backend="process")
+    try:
+        fleet = [
+            child for child in children_of(os.getpid())
+            if child[0] not in before
+        ]
+        assert len(fleet) == 2, fleet
+        for _, _, cmdline in fleet:
+            assert "spawn_main" in cmdline
+            assert "resource_tracker" not in cmdline
+        assert manager.query_sync(3, timeout_s=60.0).ok
+    finally:
+        manager.stop()
+    left = [c for c in children_of(os.getpid()) if c[0] not in before]
+    assert not left, left
+
+
+@needs_procfs
+def test_workers_boot_while_the_image_is_built():
+    """A manager handed a running build launches its interpreters
+    before it waits for the image: builder + 2 workers side by side."""
+    before = {pid for pid, _, _ in children_of(os.getpid())}
+    beside_the_builder = []
+
+    class Watched(ImageBuild):
+        def result(self):
+            beside_the_builder.extend(
+                cmdline for pid, _, cmdline in children_of(os.getpid())
+                if pid not in before
+            )
+            return super().result()
+
+    with make_manager(
+        num_shards=2, backend="process", graph=Watched("webs", 0)
+    ) as manager:
+        assert sum("spawn_main" in c for c in beside_the_builder) == 2
+        assert sum("write_image" in c for c in beside_the_builder) == 1
+        fleet = [c for c in children_of(os.getpid()) if c[0] not in before]
+        assert len(fleet) == 2, fleet
+        assert manager.query_sync(3, timeout_s=60.0).ok
+        assert manager.shard_handle(0).spec.num_nodes == 280
+
+
+@needs_procfs
+def test_a_failed_image_build_leaves_no_worker_behind(capfd):
+    before = {pid for pid, _, _ in children_of(os.getpid())}
+    with pytest.raises(RuntimeError, match="exited with 1"):
+        make_manager(
+            num_shards=2, backend="process",
+            graph=ImageBuild("no-such-dataset", 0),
+        )
+    assert "no-such-dataset" in capfd.readouterr().err
+    left = [c for c in children_of(os.getpid()) if c[0] not in before]
+    assert not left, left
+
+
+@needs_procfs
+def test_crashed_worker_is_reaped_with_its_exit_code():
+    before = {pid for pid, _, _ in children_of(os.getpid())}
+    with make_manager(num_shards=2, backend="process") as manager:
+        victim = manager.shard_handle(1)
+        victim.crash()
+        assert wait_until(lambda: not victim.healthy)
+        assert "exitcode=13" in victim.death_reason
+        assert wait_until(lambda: manager.shard_handle(1) is not victim)
+        assert wait_until(lambda: manager.healthy_shard_count() == 2)
+        fleet = [
+            child for child in children_of(os.getpid())
+            if child[0] not in before
+        ]
+        # the dead worker is gone, not a zombie beside its replacement
+        assert len(fleet) == 2, fleet
+        assert all(state != "Z" for _, state, _ in fleet), fleet
+        source = next(s for s in range(24) if manager.router.route(s) == 1)
+        assert manager.query_sync(source, timeout_s=60.0).ok
+
+
+@needs_procfs
+def test_workers_do_not_outlive_a_killed_front_door():
+    """No ``daemon`` flag and no tracker: a worker exits because its
+    command pipe hits EOF, which a SIGKILLed parent causes as well."""
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--dataset", "webs",
+         "--shards", "2", "--port", "0"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+    )
+    try:
+        for line in server.stdout:
+            if b"serving on" in line:
+                break
+        else:
+            pytest.fail("repro serve exited before it was ready")
+        workers = [pid for pid, _, _ in children_of(server.pid)]
+        assert len(workers) == 2, workers
+        server.send_signal(signal.SIGKILL)
+        server.wait(10.0)
+        # an orphan nobody reaps stays in /proc as a zombie: also dead
+        assert wait_until(
+            lambda: all(process_state(pid) in (None, "Z") for pid in workers),
+            timeout_s=2.0,
+        ), [(pid, process_state(pid)) for pid in workers]
+    finally:
+        server.kill()
+        server.wait(10.0)
+        server.stdout.close()

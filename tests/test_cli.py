@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import RESPONSE_MODELS, build_parser, main
+from repro.core.quota import QuotaController
 from repro.ppr.kernels import ENGINE_CHOICES, ENGINES
 
 
@@ -24,6 +25,17 @@ class TestParser:
     def test_configure_requires_rates(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["configure"])
+
+    def test_response_model_choices_are_the_controllers(self, capsys):
+        """The parser spells the models out (it must not import the
+        controller) and rejects a typo before anything is built."""
+        assert RESPONSE_MODELS == QuotaController.RESPONSE_MODELS
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["configure", "--lambda-q", "1", "--lambda-u", "1",
+                 "--response-model", "mm2"]
+            )
+        assert "heavy-traffic" in capsys.readouterr().err
 
     def test_engine_default_is_auto(self):
         """The vectorized kernels by default; static engines override."""

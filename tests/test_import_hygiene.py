@@ -1,14 +1,19 @@
-"""scipy is loaded by the code that calls it, not by ``import repro``.
+"""Each process of the fleet loads what it uses, and nothing else.
 
-The serving fleet is three processes (front door + workers); FORA /
+The serving fleet is three processes (front door + workers).  FORA /
 FORA+inc without ``--quota`` never call scipy, yet every process used
 to import all of it (≈ 320 modules, ≈ 50 MB RSS, ≈ 0.5 s) because four
-modules imported it at module level.  Each check runs in a fresh
+modules imported it at module level.  The front door is a control
+plane — sockets, pipes, versions, the update log — yet it used to load
+numpy, the kernels and a ``DynamicGraph`` (≈ 25 MB) to build a graph it
+only forwarded; and every worker re-imported ``repro.cli`` with asyncio
+and argparse as ``__mp_main__``.  Each check runs in a fresh
 interpreter — ``sys.modules`` of the test process proves nothing.
 """
 
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 
@@ -54,6 +59,57 @@ speed = build_algorithm("SpeedPPR", graph, 500, seed=0, engine="auto")
 assert speed.query(0).total_mass() > 0.99
 """
 
+NUMERICS = """
+def numerics_loaded():
+    import sys
+    return sorted(
+        name for name in sys.modules
+        if name.split(".")[0] in ("numpy", "scipy")
+        or (name.startswith("repro.ppr.") and name != "repro.ppr.names")
+        or name in ("repro.graph.digraph", "repro.evaluation.runner",
+                    "repro.shard.worker")
+    )
+"""
+
+# what `repro serve` does, with a live process fleet behind it
+FRONT_DOOR_WITHOUT_NUMERICS = NUMERICS + """
+import repro.api.serve as serve
+from repro.evaluation.datasets import get_dataset
+
+args = serve.build_parser().parse_args(
+    ["--dataset", "webs", "--shards", "2", "--port", "0"]
+)
+manager = serve._build_manager(args, get_dataset(args.dataset))
+try:
+    frontdoor = serve.FrontDoor(manager, default_top_k=args.top_k)
+    serve.HttpServer(frontdoor, args.host, args.port)
+    assert manager.query_sync(0, top_k=3, timeout_s=60.0).ok
+    assert manager.update(0, 5).acked_shards == (0, 1)
+    snapshot = manager.metrics_snapshot()
+    assert snapshot["manager"]["histograms"]["shard.roundtrip"]["count"] == 1
+    assert len(snapshot["shards"]) == 2
+finally:
+    manager.stop()
+assert not numerics_loaded(), numerics_loaded()[:8]
+"""
+
+CLI_LISTING_WITHOUT_NUMPY = NUMERICS + """
+from repro.cli import main
+
+assert main(["datasets"]) == 0
+assert not numerics_loaded(), numerics_loaded()[:8]
+"""
+
+LAZY_PACKAGES_IMPORT_NOTHING = NUMERICS + """
+import repro.core, repro.evaluation, repro.graph
+import repro.ppr, repro.queueing, repro.serving, repro.shard
+
+assert not numerics_loaded(), numerics_loaded()[:8]
+from repro.graph import EdgeUpdate
+from repro.shard import ShardSpec
+assert not numerics_loaded(), numerics_loaded()[:8]
+"""
+
 
 def run_fresh_interpreter(code: str) -> None:
     proc = subprocess.run(
@@ -72,3 +128,52 @@ def test_push_family_serving_never_imports_scipy():
 
 def test_scipy_users_still_work_and_load_it_on_first_use():
     run_fresh_interpreter(SCIPY_LOADS_ON_FIRST_USE)
+
+
+def test_front_door_of_a_live_fleet_holds_no_numerics():
+    run_fresh_interpreter(FRONT_DOOR_WITHOUT_NUMERICS)
+
+
+def test_cli_dataset_listing_loads_no_numpy():
+    run_fresh_interpreter(CLI_LISTING_WITHOUT_NUMPY)
+
+
+def test_lazy_packages_import_nothing_until_asked():
+    run_fresh_interpreter(LAZY_PACKAGES_IMPORT_NOTHING)
+
+
+def test_workers_never_load_the_front_door_stack(tmp_path):
+    """``-X importtime`` reaches the children (the launcher copies
+    interpreter flags) and prints one line per module per process:
+    asyncio, argparse and ``repro.api`` belong to the front door and
+    must be imported exactly once fleet-wide — workers that re-imported
+    their parent's main module made it three."""
+    trace = tmp_path / "importtime.txt"
+    with open(trace, "wb") as sink:
+        server = subprocess.Popen(
+            [sys.executable, "-X", "importtime", "-m", "repro.cli", "serve",
+             "--dataset", "webs", "--shards", "2", "--port", "0"],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            stdout=subprocess.PIPE,
+            stderr=sink,
+        )
+    try:
+        for line in server.stdout:
+            if b"serving on" in line:
+                break
+        else:
+            raise AssertionError(trace.read_text()[-2000:])
+        server.send_signal(signal.SIGTERM)
+        server.wait(60.0)
+    finally:
+        server.kill()
+        server.wait(10.0)
+        server.stdout.close()
+    imported = [
+        line.rsplit("|", 1)[1].strip()
+        for line in trace.read_text().splitlines()
+        if line.startswith("import time:")
+    ]
+    assert imported.count("repro.shard.worker") == 2, "both workers traced"
+    for module in ("asyncio", "argparse", "repro.api"):
+        assert imported.count(module) == 1, (module, imported.count(module))
