@@ -8,6 +8,14 @@ over the front door and its workers.  Three kinds of row:
   :class:`~repro.shard.messages.ShardSpec`, ``build_graph``,
   ``build_algorithm`` — seconds each took, RSS it added, and the
   pickled spec's size;
+* ``FORA+inc`` → ``update_stream``: the same worker *after* start-up —
+  index built on the main thread, then ``update_heavy``'s share of
+  updates and queries applied from a second thread, as the serving
+  runtime does — ``VmRSS`` idle and at the end, and (in a second child,
+  ``tracemalloc`` on) live bytes after the build, the build's peak and
+  the worst ``EdgeWalkMap._compact()`` peak above what was live when it
+  began.  The child is started by :func:`repro.shard.launch.python_child`,
+  so it runs under the environment a real worker gets;
 * ``frontdoor``: the **control plane**'s start-up in a fresh
   interpreter — import :mod:`repro.api.serve`, receive the graph image
   from the builder child, bring up a 2-shard manager — with the module
@@ -27,6 +35,9 @@ Asserted (the bench-smoke CI job runs this at quick scope):
 * ``build_graph`` adds <= 100 B of RSS per edge (adjacency lists over
   shared ``int`` objects sit near 57; with the edge set and the
   build-time update log it was ~190);
+* one index compaction peaks <= 8 MB above what was live before it
+  (``tracemalloc``; the walk-step-sized int64 temporaries it used to
+  hold at once made it 10.6);
 * the front door never loads numpy and idles at <= 30 MB, and a fleet
   is ``1 + shards`` processes (it was 49 MB beside a 12 MB
   ``multiprocessing`` resource tracker).
@@ -38,7 +49,9 @@ the median of five.  ``previous`` holds the worker rows of commit
 347b957 (tuple-valued ``ShardSpec.edges``, ``DynamicGraph`` with an edge
 set, edge-by-edge ``build_graph``) and the ``fleet`` row of commit
 4ac86f4 (``multiprocessing`` spawn workers, a front door that built the
-graph itself), both on the host that recorded the committed JSON.
+graph itself), both on the host that recorded the committed JSON; its
+``update_stream`` row is commit eb8ce24 (per-thread malloc arenas, int64
+walk recorder, doubling slack stores) through this file's child.
 
 Results land in ``BENCH_fleet_footprint.json`` at the repo root via
 ``benchmarks/common.py``.  Run directly or through pytest.
@@ -62,6 +75,7 @@ import pytest
 from benchmarks.common import REPO_ROOT, scoped, write_bench_json
 from benchmarks.e2e import procfs
 from repro.evaluation.datasets import get_dataset
+from repro.shard.launch import python_child
 from repro.shard.messages import ShardSpec
 
 DATASET = "lj"
@@ -112,6 +126,97 @@ PREVIOUS["fleet"] = {
         "seconds": 0.452, "rss_mb": 37.3, "modules": 324, "numpy": True,
     },
 }
+
+#: the FORA+inc worker under ``update_heavy``'s write load at the parent
+#: commit eb8ce24 (this file's STREAM_CHILD with that commit's `src`,
+#: median of three children; the /proc scan of a real `contract.py
+#: --workload update_heavy` run at that commit read 54 MB idle and
+#: 64.3 MB at the end for each worker)
+PREVIOUS["FORA+inc"]["update_stream"] = {
+    "commit": "eb8ce24",
+    "idle_rss_mb": 53.7,
+    "end_rss_mb": 64.6,
+    "live_after_build_mb": 9.68,
+    "build_peak_mb": 24.6,
+    "compactions": 2,
+    "compaction_peak_mb": 10.6,
+    "walks_resampled": 56_973,
+}
+
+COMPACTION_PEAK_MB_CEILING = 8.0
+
+#: `update_heavy` offers 60 upd/s for 24 s to every worker and 15 q/s
+#: to the fleet (7.5 per worker): one query per eight updates
+STREAM_UPDATES = 1_500
+STREAM_UPDATES_PER_QUERY = 8
+
+#: runs under `python_child`: argv = [pickled spec path, "rss" | "trace",
+#: updates, updates per query]
+STREAM_CHILD = """
+import gc, json, pickle, sys, threading, tracemalloc
+traced = sys.argv[2] == "trace"
+if traced:
+    tracemalloc.start()
+import numpy as np
+import repro.ppr.incremental as incremental
+from repro.evaluation.runner import build_algorithm
+from repro.graph.updates import EdgeUpdate
+from repro.obs import process_stats
+from repro.shard.worker import build_graph
+
+MB = 1e6
+report = {}
+with open(sys.argv[1], "rb") as handle:
+    spec = pickle.load(handle)
+gc.collect()
+if traced:
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+graph = build_graph(spec)
+algorithm = build_algorithm(
+    spec.algorithm, graph, spec.walk_cap, seed=spec.seed, engine=spec.engine)
+algorithm.query(0)
+gc.collect()
+if traced:
+    live, peak = tracemalloc.get_traced_memory()
+    report["live_after_build_mb"] = (live - base) / MB
+    report["build_peak_mb"] = (peak - base) / MB
+else:
+    report["idle_rss_mb"] = process_stats()["rss_mb"]
+
+peaks = []
+compact = incremental.EdgeWalkMap._compact
+
+def weighed(self):
+    before = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    compact(self)
+    peaks.append((tracemalloc.get_traced_memory()[1] - before) / MB)
+
+if traced:
+    incremental.EdgeWalkMap._compact = weighed
+
+def serve():
+    rng = np.random.default_rng(5)
+    n = graph.num_nodes
+    for i in range(sys.argv[3]):
+        u, v = (int(x) for x in rng.integers(0, n, 2))
+        if u != v:
+            algorithm.apply_update(EdgeUpdate(u, v))
+        if i % sys.argv[4] == 0:
+            algorithm.query(int(rng.integers(0, n)))
+
+thread = threading.Thread(target=serve)
+thread.start()
+thread.join()
+if traced:
+    report["compactions"] = len(peaks)
+    report["compaction_peak_mb"] = max(peaks, default=0.0)
+else:
+    report["end_rss_mb"] = process_stats()["rss_mb"]
+report.update(algorithm.index_stats())
+print(json.dumps(report))
+"""
 
 #: runs in the fresh interpreter: argv = [pickled spec path]
 CHILD = """
@@ -227,6 +332,31 @@ def run_stages(spec_pickle: bytes) -> dict:
             stages[name]["added_mb"] = rss_mb - before
         before = rss_mb
     return {"stages": stages, **report}
+
+
+def run_update_stream(spec_pickle: bytes) -> dict:
+    """A worker's footprint under ``update_heavy``'s write load: one
+    child weighed by ``VmRSS``, one by ``tracemalloc`` (which inflates
+    RSS, so never both in one process)."""
+    row: dict[str, float] = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "spec.pickle"
+        path.write_bytes(spec_pickle)
+        for mode in ("rss", "trace"):
+            argv = [str(path), mode, STREAM_UPDATES, STREAM_UPDATES_PER_QUERY]
+            child = python_child(
+                f"sys.argv[1:] = {argv!r}{STREAM_CHILD}", stdout=subprocess.PIPE
+            )
+            try:
+                out, _ = child.communicate(timeout=300)
+            finally:
+                if child.poll() is None:
+                    child.kill()
+                    child.wait(10.0)
+            if child.returncode != 0:
+                raise RuntimeError(f"update-stream child ({mode}) failed")
+            row.update(json.loads(out.splitlines()[-1]))
+    return row
 
 
 def _child_env() -> dict[str, str]:
@@ -346,6 +476,11 @@ def run_bench() -> dict:
             key: first[key]
             for key in ("num_edges", "version", "log_entries", "caught_up")
         }
+        if algorithm == "FORA+inc":
+            streams = [run_update_stream(spec_pickle) for _ in range(repeats)]
+            results[algorithm]["update_stream"] = {
+                key: median(run[key] for run in streams) for key in streams[0]
+            }
     results["frontdoor"] = run_frontdoor()
     if os.path.isdir("/proc/self"):
         results["fleet"] = run_fleet()
@@ -381,6 +516,12 @@ def test_build_graph_holds_the_graph_once():
         graph = results[algorithm]["graph"]
         assert graph["version"] == graph["num_edges"] == results["num_edges"]
         assert graph["log_entries"] == 0 and graph["caught_up"]
+
+
+def test_index_compaction_holds_few_temporaries():
+    row = _results()["FORA+inc"]["update_stream"]
+    assert row["compactions"] >= 1, "the stream never crossed the rule"
+    assert 0.0 < row["compaction_peak_mb"] <= COMPACTION_PEAK_MB_CEILING
 
 
 def test_front_door_is_a_control_plane():
@@ -419,6 +560,16 @@ def main() -> None:
                 f"  {name:<16} {row['seconds'] * 1e3:7.1f} ms  {added}  "
                 f"-> {row['rss_mb']:6.1f} MB"
             )
+    stream = results["FORA+inc"]["update_stream"]
+    was = PREVIOUS["FORA+inc"]["update_stream"]
+    print(f"FORA+inc worker, {STREAM_UPDATES} updates from a serving thread:")
+    for key, unit in (
+        ("idle_rss_mb", "MB RSS idle"), ("end_rss_mb", "MB RSS at the end"),
+        ("live_after_build_mb", "MB live after build"),
+        ("build_peak_mb", "MB build peak"),
+        ("compaction_peak_mb", "MB worst compaction peak above its base"),
+    ):
+        print(f"  {stream[key]:6.1f} {unit} (was {was[key]})")
     print("frontdoor:")
     for name in FRONTDOOR_STAGES:
         row = results["frontdoor"][name]

@@ -31,6 +31,13 @@ Four sections, all asserted:
    Python-object layout (the dict/set/tuple one it replaced cost
    ≈ 1.1 kB per walk) cannot come back unnoticed.
 
+5. **Query cost** — what the index buys: the same seeded sources on
+   index-free FORA and on FORA+ / FORA+inc, mean query time and the
+   "Random Walk" share of it.  Asserts the paper's premise (Table I): a
+   method that pays on update answers no slower than one that walks at
+   query time — the walk phase reads its stored terminals in one gather
+   (:func:`repro.ppr.pushwalk.add_walk_estimates`).
+
 Honesty notes: absolute times are this host's (see the record's
 ``host``); the compared quantity is the *ratio* on identical seeded
 streams, which is hardware-neutral.  Both paths are vectorized numpy,
@@ -83,6 +90,24 @@ PREVIOUS = {
     "edge_map_bytes": 67_811_912,
     "index_build_s": 0.475,
     "build_rss_delta_mb": 84.6,
+}
+
+#: section 5 at the parent commit eb8ce24 (per-holder read loop: one
+#: ``terminals_for`` slice and one ``np.add.at`` per residue holder),
+#: this bench file with that commit's ``src`` on PYTHONPATH, same host
+#: (quick scope, seed 0, median of three runs)
+PREVIOUS["query"] = {
+    "commit": "eb8ce24",
+    "mean_query_s": {
+        "FORA (index-free)": 0.001433,
+        "FORA+ (rebuild)": 0.004658,
+        "FORA+ (incremental)": 0.004506,
+    },
+    "mean_walk_phase_s": {
+        "FORA (index-free)": 0.000936,
+        "FORA+ (rebuild)": 0.004049,
+        "FORA+ (incremental)": 0.003883,
+    },
 }
 
 N_NODES = 20_000
@@ -309,6 +334,52 @@ def run_quota_crossover(rebuild_mean_s: float) -> dict:
     return {"sweep": sweep, "top_lambda_u": top_lambda_u}
 
 
+# ----------------------------------------------------------------------
+# section 5: query cost, indexed vs index-free
+# ----------------------------------------------------------------------
+#: the serving fleet's setting (``get_dataset("lj").walk_cap``) at the
+#: default r_max: thousands of walks over hundreds of residue holders
+#: per query, where sections 1-4 keep the index small on purpose
+QUERY_WALK_CAP = 6_000
+
+QUERY_SYSTEMS = {
+    "FORA (index-free)": "FORA",
+    "FORA+ (rebuild)": "FORA+",
+    "FORA+ (incremental)": "FORA+inc",
+}
+
+
+def run_query_cost(num_queries: int) -> list[dict]:
+    graph = _graph()
+    sources = np.random.default_rng(bench_seed() + 5).integers(
+        0, graph.num_nodes, num_queries
+    )
+    rows = []
+    for system, name in QUERY_SYSTEMS.items():
+        algorithm = ALGORITHMS[name](
+            graph.copy(), PPRParams(walk_cap=QUERY_WALK_CAP), engine="auto"
+        )
+        algorithm.seed(bench_seed() + 1)
+        algorithm.query(int(sources[0]))  # builds the index, warms the view
+        algorithm.timers.reset()
+        walks = 0
+        for source in sources:
+            algorithm.query(int(source))
+            walks += algorithm.last_query_stats.walks
+        walk_s = algorithm.timers.total("Random Walk")
+        total_s = walk_s + algorithm.timers.total("Forward Push")
+        rows.append(
+            {
+                "system": system,
+                "queries": num_queries,
+                "mean_query_s": total_s / num_queries,
+                "mean_walk_phase_s": walk_s / num_queries,
+                "walks_per_query": walks / num_queries,
+            }
+        )
+    return rows
+
+
 def run_bench() -> dict:
     num_updates = scoped(15, 100)
     rows, oracle_report, footprint = run_update_cost(num_updates)
@@ -323,6 +394,7 @@ def run_bench() -> dict:
         "rebuild_over_incremental_speedup": speedup,
         "oracle": oracle_report,
         "quota": quota,
+        "query": run_query_cost(scoped(60, 300)),
         **footprint,
         "previous": PREVIOUS,
     }
@@ -356,6 +428,16 @@ def test_edge_map_is_flat_arrays_not_python_objects():
     results = _results()
     per_walk = results["edge_map_bytes"] / results["oracle"]["total_walks"]
     assert per_walk <= MAP_BYTES_PER_WALK_CEILING
+
+
+def test_indexed_query_is_no_slower_than_index_free():
+    by_system = {row["system"]: row for row in _results()["query"]}
+    online = by_system["FORA (index-free)"]
+    for system in ("FORA+ (rebuild)", "FORA+ (incremental)"):
+        indexed = by_system[system]
+        assert indexed["walks_per_query"] == online["walks_per_query"]
+        assert indexed["mean_walk_phase_s"] <= online["mean_walk_phase_s"]
+        assert indexed["mean_query_s"] <= online["mean_query_s"]
 
 
 def test_quota_selects_index_based_method_under_churn():
@@ -398,6 +480,15 @@ def main() -> None:
         f" B/walk), traced build {results['index_build_s'] * 1e3:.0f} ms, "
         f"+{results['build_rss_delta_mb']:.1f} MB RSS"
     )
+    was = PREVIOUS["query"]
+    for row in results["query"]:
+        print(
+            f"  query {row['system']:<22} {row['mean_query_s'] * 1e3:6.3f} ms"
+            f" (walk phase {row['mean_walk_phase_s'] * 1e3:6.3f} ms, "
+            f"{row['walks_per_query']:.0f} walks)   was "
+            f"{was['mean_query_s'][row['system']] * 1e3:6.3f} / "
+            f"{was['mean_walk_phase_s'][row['system']] * 1e3:6.3f} ms"
+        )
     for cell in results["quota"]["sweep"]:
         print(
             f"  lambda_u={cell['lambda_u']:10.1f}/s  "

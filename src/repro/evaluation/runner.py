@@ -19,8 +19,7 @@ from repro.core.system import QuotaSystem
 from repro.evaluation.datasets import DatasetSpec
 from repro.evaluation.metrics import AccuracySummary, ResponseTimeSummary
 from repro.graph.digraph import DynamicGraph
-from repro.ppr import ALGORITHMS, PPRParams
-from repro.ppr.base import DynamicPPRAlgorithm
+from repro.ppr.registry import build_algorithm
 from repro.queueing.simulator import SimulationResult
 from repro.queueing.workload import UPDATE, Workload, generate_workload
 
@@ -67,27 +66,6 @@ class ExperimentOutcome:
         return float(
             np.mean([a.max_absolute_error for a in self.accuracy])
         )
-
-
-def build_algorithm(
-    name: str,
-    graph: DynamicGraph,
-    walk_cap: int,
-    seed: int = 0,
-    engine: str = "scalar",
-) -> DynamicPPRAlgorithm:
-    """Instantiate a registered algorithm with standard paper params.
-
-    ``engine`` selects the push-kernel implementation (see
-    ``repro.ppr.kernels.ENGINES``); algorithms without a vectorized
-    path reject anything but ``"scalar"``.
-    """
-    params = PPRParams(alpha=0.2, epsilon=0.5, walk_cap=walk_cap)
-    algorithm = ALGORITHMS[name](graph, params)
-    if engine != "scalar":
-        algorithm.set_engine(engine)
-    algorithm.seed(seed)
-    return algorithm
 
 
 def run_experiment(

@@ -17,7 +17,8 @@ log :class:`~repro.graph.DynamicGraph` publishes:
   degree inside one flat array.  An insert appends into the row's
   spare slots; a full row is relocated to the array tail with doubled
   capacity (classic amortized growth), abandoning its old slots as
-  *slack*.  A delete swap-removes within the row.
+  *slack*; the array itself grows by an eighth (:func:`growth`).  A
+  delete swap-removes within the row.
 * **Lazy catch-up** — :func:`csr_view` replays only the log entries
   since the store's version, at query (or update) time.  Between
   updates, repeated calls are pure cache hits.
@@ -48,6 +49,8 @@ Instrumentation: the module records ``csr_cache_hits``,
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -153,13 +156,28 @@ class CSRView:
         return _pack_rows(self.in_indptr, self.in_indices, self.in_deg, self.n)
 
 
-def ragged_indices(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+def ragged_indices(
+    starts: np.ndarray, lens: np.ndarray, dtype: type = np.int64
+) -> np.ndarray:
     """Flat indices of the rows ``[starts[i], starts[i] + lens[i])``,
-    row after row — the gather every slack-row layout here needs."""
+    row after row — the gather every slack-row layout here needs.
+
+    ``dtype=np.int32`` halves the result (and the temporary beside it)
+    for callers whose positions are known to stay below 2**31.
+    """
     ends = np.cumsum(lens)
-    flat = np.repeat(starts - (ends - lens), lens)
-    flat += np.arange(flat.size, dtype=np.int64)
+    flat = np.repeat((starts - (ends - lens)).astype(dtype, copy=False), lens)
+    flat += np.arange(flat.size, dtype=dtype)
     return flat
+
+
+def growth(size: int, need: int) -> int:
+    """Entries to add to a ``size``-entry backing array that must take
+    ``need`` more: an eighth of it at least, so appends stay O(1)
+    amortised, where doubling would pin a second copy of the whole
+    store (the old array lives on in the snapshot being replaced) the
+    first time one row outgrows a packed build."""
+    return max(size // 8, need, 64)
 
 
 def _pack_rows(
@@ -194,35 +212,33 @@ def _build_packed(graph: DynamicGraph, view: CSRView) -> None:
     else:
         view.index = {int(v): i for i, v in enumerate(view.nodes)}
 
-    out_deg = np.empty(view.n, dtype=np.int64)
-    in_deg = np.empty(view.n, dtype=np.int64)
-    for i in range(view.n):
-        v = int(view.nodes[i])
-        out_deg[i] = graph.out_degree(v)
-        in_deg[i] = graph.in_degree(v)
-    view.out_deg = out_deg
-    view.in_deg = in_deg
+    # No Python-level loop over nodes or edges: this runs at every boot,
+    # respawn, restore and slack compaction.  Rows keep the adjacency
+    # lists' own order, which seeded answers depend on.
+    nodes = view.nodes.tolist()
+    view.indptr, view.indices, view.out_deg = _pack_lists(
+        list(map(graph.out_neighbors, nodes)), view.index
+    )
+    view.in_indptr, view.in_indices, view.in_deg = _pack_lists(
+        list(map(graph.in_neighbors, nodes)), view.index
+    )
 
-    view.indptr = np.zeros(view.n + 1, dtype=np.int64)
-    np.cumsum(out_deg, out=view.indptr[1:])
-    view.indices = np.empty(int(view.indptr[-1]), dtype=np.int64)
-    view.in_indptr = np.zeros(view.n + 1, dtype=np.int64)
-    np.cumsum(in_deg, out=view.in_indptr[1:])
-    view.in_indices = np.empty(int(view.in_indptr[-1]), dtype=np.int64)
 
-    to_index = view.to_index
-    pos = view.indptr[:-1].copy()
-    in_pos = view.in_indptr[:-1].copy()
-    for i in range(view.n):
-        v = int(view.nodes[i])
-        for w in graph.out_neighbors(v):
-            j = to_index(w)
-            view.indices[pos[i]] = j
-            pos[i] += 1
-        for w in graph.in_neighbors(v):
-            j = to_index(w)
-            view.in_indices[in_pos[i]] = j
-            in_pos[i] += 1
+def _pack_lists(
+    rows: list[list[int]], index: dict[int, int] | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Packed ``(indptr, indices, degrees)`` of per-node neighbor-id
+    lists; ids go through ``index`` unless they are dense already."""
+    degrees = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    flat = chain.from_iterable(rows)
+    indices = np.fromiter(
+        flat if index is None else map(index.__getitem__, flat),
+        dtype=np.int64,
+        count=int(indptr[-1]),
+    )
+    return indptr, indices, degrees
 
 
 class _Adjacency:
@@ -258,7 +274,7 @@ class _Adjacency:
         """Move row ``i`` to the tail with doubled capacity."""
         new_cap = max(4, 2 * int(self.caps[i]))
         if self.tail + new_cap > self.data.size:
-            grow = max(self.data.size, new_cap, 64)
+            grow = growth(self.data.size, new_cap)
             self.data = np.concatenate(
                 [self.data, np.empty(grow, dtype=np.int64)]
             )

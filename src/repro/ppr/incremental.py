@@ -85,7 +85,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.obs import get_metrics
-from repro.ppr.csr import SLACK_FLOOR, CSRView, ragged_indices
+from repro.ppr.csr import SLACK_FLOOR, CSRView, growth, ragged_indices
 from repro.ppr.random_walk import (
     WalkIndex,
     sample_walk_terminals,
@@ -116,7 +116,13 @@ def _reserve(data: np.ndarray, used: int, extra: int) -> np.ndarray:
     """``data`` with room for ``extra`` more entries past ``used``."""
     if used + extra <= data.size:
         return data
-    return _fit(data, data.size + max(data.size // 2, extra, 64))
+    return _fit(data, data.size + growth(data.size, used + extra - data.size))
+
+
+def _position_dtype(array: np.ndarray) -> type:
+    """Narrowest index type addressing every slot of ``array``: the
+    walk-sized position temporaries are most of a compaction's peak."""
+    return np.int32 if array.size < 2**31 else np.int64
 
 
 def _fit(data: np.ndarray, size: int) -> np.ndarray:
@@ -187,6 +193,8 @@ class EdgeWalkMap:
         return int(1.05 * walk_steps_estimate(rows.total_walks, rows.alpha))
 
     def _reset_postings(self) -> None:
+        # drop the old rows before their replacement is allocated
+        self.posts = _EMPTY
         self.posts = np.zeros(2 * self._expected_steps(), dtype=np.int64)
         self.post_off = np.zeros(0, dtype=np.int64)
         self.post_cnt = np.zeros(0, dtype=np.int64)
@@ -239,9 +247,13 @@ class EdgeWalkMap:
         firsts[i] + lens[i])`` (``nodes`` are the walks' start nodes)."""
         lens = self.path_len[positions]
         firsts = np.cumsum(lens) - lens
-        flat = ragged_indices(self.path_off[positions], lens)
+        flat = ragged_indices(
+            self.path_off[positions], lens, _position_dtype(self.steps)
+        )
         dst = self.steps[flat]
-        src = self.steps[flat - 1]
+        flat -= 1
+        src = self.steps[flat]
+        del flat
         stepped = lens > 0
         src[firsts[stepped]] = nodes[stepped]
         return lens, firsts, src, dst
@@ -336,22 +348,25 @@ class EdgeWalkMap:
         new_len = keep + hop + traced
         total = int(new_len.sum())
         self.steps = _reserve(self.steps, self._steps_tail, total)
+        narrow = _position_dtype(self.steps)
         new_off = self._steps_tail + np.cumsum(new_len) - new_len
-        self.steps[ragged_indices(new_off, keep)] = self.steps[
-            ragged_indices(self.path_off[positions], keep)
+        self.steps[ragged_indices(new_off, keep, narrow)] = self.steps[
+            ragged_indices(self.path_off[positions], keep, narrow)
         ]
         if hops is not None:
             self.steps[new_off + keep] = hops
-        # one stable sort puts every walk's traced steps in step order
-        self.steps[ragged_indices(new_off + keep + hop, traced)] = dst[
-            np.argsort(batch, kind="stable")
-        ]
+        # one stable sort puts every walk's traced steps in step order;
+        # each walk-step-sized temporary dies before the next is born
+        dst = dst[np.argsort(batch, kind="stable")]
+        self.steps[ragged_indices(new_off + keep + hop, traced, narrow)] = dst
+        del dst, traced
         self._steps_tail += total
         self._steps_live += total - int(self.path_len[positions].sum())
         self.path_off[positions] = new_off
         self.path_len[positions] = new_len
+        del new_off, new_len
         # the kept prefix and the hop's source are already posted
-        self._post(src, wids[batch])
+        self._post(src, batch, wids)
         live = self._steps_live
         if (
             self._steps_tail > 2 * live + SLACK_FLOOR
@@ -359,22 +374,32 @@ class EdgeWalkMap:
         ):
             self._compact()
 
-    def _post(self, srcs: np.ndarray, wids: np.ndarray) -> None:
-        """Append ``wids[i]`` to posting row ``srcs[i]``, all at once."""
+    def _post(
+        self, srcs: np.ndarray, walks: np.ndarray, wids: np.ndarray
+    ) -> None:
+        """Append walk id ``wids[walks[i]]`` to posting row ``srcs[i]``,
+        all at once (a step names its walk by batch position, so no
+        step-sized array of 8-byte ids exists until the final store)."""
         if srcs.size == 0:
             return
         order = np.argsort(srcs, kind="stable")
         grouped = srcs[order]
+        walks = walks[order]
+        del order
         firsts = np.flatnonzero(np.diff(grouped, prepend=-1))
         nodes = grouped[firsts]
         add = np.diff(firsts, append=grouped.size)
+        del grouped
         need = self.post_cnt[nodes] + add
         full = need > self.post_cap[nodes]
         if full.any():
             self._relocate_posts(nodes[full], need[full])
-        self.posts[
-            ragged_indices(self.post_off[nodes] + self.post_cnt[nodes], add)
-        ] = wids[order]
+        slots = ragged_indices(
+            self.post_off[nodes] + self.post_cnt[nodes],
+            add,
+            _position_dtype(self.posts),
+        )
+        self.posts[slots] = wids[walks]
         self.post_cnt[nodes] = need
 
     def _relocate_posts(self, nodes: np.ndarray, need: np.ndarray) -> None:
@@ -384,10 +409,11 @@ class EdgeWalkMap:
         caps = 2 * need
         total = int(caps.sum())
         self.posts = _reserve(self.posts, self._posts_tail, total)
+        narrow = _position_dtype(self.posts)
         new_off = self._posts_tail + np.cumsum(caps) - caps
         held = self.post_cnt[nodes]
-        self.posts[ragged_indices(new_off, held)] = self.posts[
-            ragged_indices(self.post_off[nodes], held)
+        self.posts[ragged_indices(new_off, held, narrow)] = self.posts[
+            ragged_indices(self.post_off[nodes], held, narrow)
         ]
         self.post_off[nodes] = new_off
         self.post_cap[nodes] = caps
@@ -412,8 +438,12 @@ class EdgeWalkMap:
         self.steps = dst
         self.path_off[positions] = firsts
         self._steps_tail = self._steps_live = int(dst.size)
+        del dst, firsts, positions, nodes
         self._reset_postings()
-        self._post(src, np.repeat(wids, lens))
+        # an unnamed argument: `_post` drops it as soon as it has sorted it
+        self._post(
+            src, np.repeat(np.arange(wids.size, dtype=np.int32), lens), wids
+        )
 
 
 def apply_edge_update(

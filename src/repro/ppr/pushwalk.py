@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ppr.csr import CSRView
+from repro.ppr.csr import CSRView, ragged_indices
 from repro.ppr.random_walk import WalkIndex, sample_walk_terminals
 
 
@@ -58,12 +58,16 @@ def add_walk_estimates(
         Randomness for online sampling.
     index:
         When provided (index-based algorithms), terminals are read from
-        the precomputed store, per residue holder, instead of being
-        simulated.
+        the precomputed store instead of being simulated.
 
     Online, the walks of all residue holders (ascending node index) run
     as one lock-step :func:`~repro.ppr.random_walk.sample_walk_terminals`
-    call.
+    call.  Indexed, every holder's first ``count`` stored terminals are
+    read in one ragged gather over the index's slack rows; a holder that
+    needs more walks than it stores recycles its row round-robin (slot
+    modulo the stored count, :meth:`WalkIndex.terminals_for`'s rule).
+    Both branches end in one ``np.add.at`` that adds in holder order,
+    stored order within a holder — the order a per-holder loop would.
 
     Returns
     -------
@@ -81,9 +85,14 @@ def add_walk_estimates(
     if index is None:
         starts = np.repeat(holders, counts)
         terminals = sample_walk_terminals(view, starts, alpha, rng)
-        np.add.at(reserve, terminals, np.repeat(weights, counts))
     else:
-        for node, count, weight in zip(holders, counts, weights):
-            terminals = index.terminals_for(int(node), int(count))
-            np.add.at(reserve, terminals, weight)
+        slots = ragged_indices(np.zeros_like(counts), counts)
+        stored = index.counts[holders]
+        short = counts > stored
+        if short.any():
+            recycled = np.repeat(short, counts)
+            slots[recycled] %= np.repeat(stored[short], counts[short])
+        slots += np.repeat(index.offsets[holders], counts)
+        terminals = index.terminals[slots]
+    np.add.at(reserve, terminals, np.repeat(weights, counts))
     return WalkPhaseResult(int(counts.sum()), int(holders.size))

@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.ppr.csr import CSRView, ragged_indices
+from repro.ppr.csr import CSRView, growth, ragged_indices
 
 if TYPE_CHECKING:
     from repro.ppr.incremental import EdgeWalkMap, WalkTrace
@@ -76,7 +76,9 @@ def sample_walk_terminals(
         walks that moved, plus a ``(positions, node, node)`` pseudo-step
         for walks retired *in place at a dangling node* (survived the
         coin, nowhere to go) — the event an edge insert at that node
-        would have changed.  Tracing consumes the generator identically
+        would have changed.  Columns are int32, the width the edge→walk
+        map stores them at: a full build's recorder is the build's
+        largest transient.  Tracing consumes the generator identically
         to the untraced path, so seeded runs are bit-for-bit equal
         either way.
 
@@ -112,8 +114,8 @@ def sample_walk_terminals(
         if trace is not None:
             held = survive & (degs == 0)
             if held.any():
-                spots = current[held]
-                trace.append((active[held], spots, spots))
+                spots = current[held].astype(np.int32)
+                trace.append((active[held].astype(np.int32), spots, spots))
         if not moving.any():
             active = active[np.zeros(active.size, dtype=bool)]
             break
@@ -123,7 +125,13 @@ def sample_walk_terminals(
         dest = indices[indptr[cur] + offsets]
         terminals[movers] = dest
         if trace is not None:
-            trace.append((movers, cur, dest))
+            trace.append(
+                (
+                    movers.astype(np.int32),
+                    cur.astype(np.int32),
+                    dest.astype(np.int32),
+                )
+            )
         active = movers
     return terminals
 
@@ -259,7 +267,7 @@ class WalkIndex:
         """Move row ``i`` to the tail with capacity >= ``need``."""
         new_cap = max(4, 2 * need, 2 * int(self.caps[i]))
         if self._tail + new_cap > self.terminals.size:
-            grow = max(self.terminals.size, new_cap, 64)
+            grow = growth(self.terminals.size, new_cap)
             self.terminals = np.concatenate(
                 [self.terminals, np.empty(grow, dtype=np.int64)]
             )
@@ -295,7 +303,7 @@ class WalkIndex:
         self.caps = np.concatenate([self.caps, new_counts])
         need = self._tail + int(new_counts.sum())
         if need > self.terminals.size:
-            grow = max(self.terminals.size, need - self.terminals.size, 64)
+            grow = growth(self.terminals.size, need - self.terminals.size)
             self.terminals = np.concatenate(
                 [self.terminals, np.empty(grow, dtype=np.int64)]
             )
@@ -361,6 +369,9 @@ class WalkIndex:
     def terminals_for(self, node_index: int, count: int) -> np.ndarray:
         """Up to ``count`` stored terminals for walks starting at a node.
 
+        The per-row statement of what the query path reads for all
+        residue holders at once (:func:`~repro.ppr.pushwalk.
+        add_walk_estimates`), kept as that gather's test oracle.
         If the caller needs more walks than stored (possible when the
         push left more residue than the index budget anticipated), the
         stored sample is recycled round-robin — a standard index-based

@@ -10,6 +10,7 @@ module, and nothing pickled onto the command line.
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from collections.abc import Sequence
@@ -17,6 +18,15 @@ from pathlib import Path
 from typing import IO
 
 import repro
+
+#: glibc gives every thread that allocates under contention a malloc
+#: arena of its own.  A worker builds its graph and walk index on the
+#: main thread and serves from the runtime's threads: with several
+#: arenas, what the build and each index compaction free stays stranded
+#: in the main arena while the serving threads grow a second heap
+#: (≈ 16 MB of a 64 MB FORA+inc worker).  One arena lets them reuse it.
+#: Only glibc reads the variable; an operator's own setting wins.
+CHILD_ENV_DEFAULTS = {"MALLOC_ARENA_MAX": "1"}
 
 
 def python_child(
@@ -33,7 +43,9 @@ def python_child(
     pass on only to have the child (given the same flag) ignore it.
     Only ``pass_fds`` (and the standard streams; stdin is ``/dev/null``)
     cross into the child, so a pipe end meant for one worker is never
-    held open by another.
+    held open by another.  The child inherits this process's
+    environment plus :data:`CHILD_ENV_DEFAULTS` where it sets no value
+    of its own.
     """
     root = str(Path(repro.__file__).resolve().parents[1])
     return subprocess.Popen(
@@ -47,4 +59,5 @@ def python_child(
         stdin=subprocess.DEVNULL,
         stdout=stdout,
         pass_fds=tuple(pass_fds),
+        env={**CHILD_ENV_DEFAULTS, **os.environ},
     )

@@ -41,17 +41,15 @@ import threading
 import time
 from collections.abc import Callable
 from multiprocessing.connection import Connection
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
 from repro.cache import PPRCache
-from repro.core.calibration import calibrated_cost_model
-from repro.core.quota import QuotaController
-from repro.evaluation.runner import build_algorithm
 from repro.graph.digraph import DynamicGraph
 from repro.graph.updates import EdgeUpdate
 from repro.obs import MetricsRegistry, process_stats
 from repro.ppr.base import PPRVector, WalkIndexOwner
 from repro.ppr.power_iteration import ppr_exact
+from repro.ppr.registry import build_algorithm
 from repro.queueing.workload import QUERY, UPDATE, Request
 from repro.serving.runtime import OK, QueryFn, ServedRequest, ServingRuntime
 from repro.serving.rwlock import wrap_mutex
@@ -68,6 +66,9 @@ from repro.shard.messages import (
     UpdateCommand,
     UpdateOrderError,
 )
+
+if TYPE_CHECKING:
+    from repro.core.quota import QuotaController
 
 #: how long an update waits for admission before the shard declares
 #: itself wedged (updates are state — dropping one would diverge)
@@ -154,6 +155,11 @@ class ShardServer:
         )
         controller: QuotaController | None = None
         if spec.use_controller:
+            # the only worker that needs the cost model and its
+            # calibration probes is one started with --quota
+            from repro.core.calibration import calibrated_cost_model
+            from repro.core.quota import QuotaController
+
             model = calibrated_cost_model(
                 algorithm,
                 num_queries=spec.calibration_queries,

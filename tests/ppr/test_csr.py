@@ -248,3 +248,85 @@ def test_large_graph_consistency():
     assert pairs == set(g.edges())
     assert int(view.out_deg.sum()) == g.num_edges
     assert int(view.in_deg.sum()) == g.num_edges
+
+
+# ----------------------------------------------------------------------
+# the packed build against the per-element loop it replaced
+# ----------------------------------------------------------------------
+def loop_build(graph: DynamicGraph, view: CSRView) -> dict[str, np.ndarray]:
+    """The CSR arrays filled one ``to_index`` call and one element
+    store at a time — the reference for the C-level build (which must
+    keep every row in adjacency-list order: seeded walks index into
+    it)."""
+    nodes = [int(v) for v in view.nodes]
+    out_deg = np.array([graph.out_degree(v) for v in nodes], dtype=np.int64)
+    in_deg = np.array([graph.in_degree(v) for v in nodes], dtype=np.int64)
+    indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
+    in_indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
+    np.cumsum(out_deg, out=indptr[1:])
+    np.cumsum(in_deg, out=in_indptr[1:])
+    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    in_indices = np.empty(int(in_indptr[-1]), dtype=np.int64)
+    pos, in_pos = indptr[:-1].copy(), in_indptr[:-1].copy()
+    for i, v in enumerate(nodes):
+        for w in graph.out_neighbors(v):
+            indices[pos[i]] = view.to_index(w)
+            pos[i] += 1
+        for w in graph.in_neighbors(v):
+            in_indices[in_pos[i]] = view.to_index(w)
+            in_pos[i] += 1
+    return {
+        "out_deg": out_deg, "in_deg": in_deg, "indptr": indptr,
+        "indices": indices, "in_indptr": in_indptr, "in_indices": in_indices,
+    }
+
+
+def churned(graph: DynamicGraph, seed: int) -> DynamicGraph:
+    """Deletes and re-inserts, so list order is not sorted order."""
+    for update in random_update_stream(graph, 150, random.Random(seed)):
+        update.apply(graph)
+    return graph
+
+
+def with_edges(graph: DynamicGraph, edges) -> DynamicGraph:
+    for u, v in edges:
+        graph.add_edge(u, v)
+    return graph
+
+
+PACKED_BUILD_GRAPHS = {
+    "empty": lambda: DynamicGraph(),
+    "edgeless": lambda: DynamicGraph(num_nodes=4),
+    "identity ids": lambda: churned(
+        barabasi_albert_graph(60, attach=3, seed=3), 1
+    ),
+    "identity ids, self-loops and dangling nodes": lambda: with_edges(
+        DynamicGraph(num_nodes=6),
+        [(0, 0), (0, 3), (3, 3), (3, 0), (1, 0), (4, 4), (0, 1)],
+    ),
+    "sparse ids": lambda: DynamicGraph.from_edges(
+        [(10, 20), (20, 30), (30, 10), (10, 30), (7, 7), (90, 10), (20, 7)]
+    ),
+    "sparse ids, churned": lambda: churned(
+        DynamicGraph.from_edges(
+            [(3 * u + 5, 3 * v + 5)
+             for u, v in barabasi_albert_graph(40, attach=2, seed=8).edges()]
+        ),
+        2,
+    ),
+    "ids dense but out of order": lambda: DynamicGraph.from_edges(
+        [(2, 0), (0, 1), (1, 2), (2, 2)]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PACKED_BUILD_GRAPHS))
+def test_packed_build_equals_the_per_element_loop(name):
+    graph = PACKED_BUILD_GRAPHS[name]()
+    view = CSRView(graph)
+    assert view.n == graph.num_nodes and view.m == graph.num_edges
+    assert view.is_packed
+    for field, expected in loop_build(graph, view).items():
+        built = getattr(view, field)
+        assert built.dtype == np.int64, field
+        assert np.array_equal(built, expected), field

@@ -71,6 +71,44 @@ def numerics_loaded():
     )
 """
 
+# what a worker process does with its spec (spawn_main minus the pipes)
+WORKER_WITHOUT_THE_HARNESS = """
+import sys
+from repro.graph import barabasi_albert_graph
+from repro.shard.messages import QueryCommand, ShardSpec, UpdateCommand
+from repro.shard.worker import ShardServer
+
+HARNESS = ("repro.evaluation.runner", "repro.core.calibration",
+           "repro.core.system", "repro.queueing.simulator")
+graph = barabasi_albert_graph(200, attach=3, seed=1)
+for name in ("FORA", "FORA+inc"):
+    replies = []
+    server = ShardServer(
+        ShardSpec(0, 1, graph.num_nodes, list(graph.edges()), algorithm=name,
+                  walk_cap=500),
+        replies.append,
+    )
+    try:
+        server.handle(UpdateCommand(1, 1, 0, 150))
+        server.handle(QueryCommand(2, 3, top_k=5))
+        server.runtime.drain()
+    finally:
+        server.runtime.stop()
+    assert [r.ok for r in replies] == [True, True], replies
+    loaded = [name for name in HARNESS if name in sys.modules]
+    assert not loaded, loaded
+
+# --quota is what needs the calibration stack, and still gets it
+server = ShardServer(
+    ShardSpec(0, 1, graph.num_nodes, list(graph.edges()), walk_cap=500,
+              use_controller=True),
+    replies.append,
+)
+server.runtime.stop()
+assert server.runtime.controller is not None
+assert "repro.core.calibration" in sys.modules
+"""
+
 # what `repro serve` does, with a live process fleet behind it
 FRONT_DOOR_WITHOUT_NUMERICS = NUMERICS + """
 import repro.api.serve as serve
@@ -128,6 +166,13 @@ def test_push_family_serving_never_imports_scipy():
 
 def test_scipy_users_still_work_and_load_it_on_first_use():
     run_fresh_interpreter(SCIPY_LOADS_ON_FIRST_USE)
+
+
+def test_worker_without_quota_loads_no_experiment_harness():
+    """``repro.shard.worker`` used to import ``repro.evaluation.runner``
+    for the seven lines of ``build_algorithm`` — and with it
+    ``QuotaSystem``, both simulators and the calibration probes."""
+    run_fresh_interpreter(WORKER_WITHOUT_THE_HARNESS)
 
 
 def test_front_door_of_a_live_fleet_holds_no_numerics():
