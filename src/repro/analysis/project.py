@@ -1,14 +1,16 @@
-"""Project-wide analysis: module graph, call graph, lock-context dataflow.
+"""Project index: module graph, call graph, lock-context dataflow.
 
-The per-file rules (R1-R6) see one AST at a time; the concurrency
-rules (R7-R11, :mod:`repro.analysis.concurrency`) need to know what a
+Every reprolint rule (:mod:`repro.analysis.rules`) runs over one
+:class:`ProjectIndex`; the concurrency rules need to know what a
 *call* does — does ``self._record(...)`` take a mutex, does
 ``flush_one`` mutate the graph, may ``_charge_cache`` already be
 inside a writer critical section?  This module builds that knowledge:
 
-* :class:`ProjectIndex` parses every file into a symbol table
-  (module-level functions plus class methods, qualified as
-  ``module.Class.method``) and resolves call sites against it.
+* :class:`ProjectModule` parses one file (tree, import aliases,
+  ``# guarded-by:`` annotations); :class:`ProjectIndex` builds a
+  symbol table over them (module-level functions plus class methods,
+  qualified as ``module.Class.method``) and resolves call sites
+  against it.
 * A structural walk of each function body tracks the **lock context**
   — the ordered set of ``(lock, mode)`` pairs held at every statement
   — through ``with lock.read_locked()/write_locked():`` blocks, plain
@@ -19,8 +21,7 @@ inside a writer critical section?  This module builds that knowledge:
   graph: a function called only from writer critical sections is known
   to run under the write lock, transitively.
 * Per-function summaries (``returns_view``, ``mutates_graph``) let the
-  interprocedural CSR-snapshot rule (R10) see through helper calls the
-  per-function R3 cannot.
+  CSR-snapshot rule (R10) see through helper calls.
 
 Lock identity
 -------------
@@ -55,11 +56,11 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import io
 import re
+import tokenize
 from collections.abc import Iterator, Mapping, Sequence
 from pathlib import Path
-
-from repro.analysis.engine import Finding, LintConfig, LintModule
 
 # lock-context modes
 READ = "read"
@@ -85,7 +86,16 @@ LOCK_API = frozenset(
 #: (``_seed_lock``, ``lock_a``; not ``blocked`` or ``deadlock``)
 _LOCKISH_RE = re.compile(r"(?:^|_)(?:lock|mutex)(?:_|$)", re.IGNORECASE)
 
-#: DynamicGraph mutators (mirrors rules.CsrViewLifetimeRule.MUTATORS)
+#: ``# guarded-by: self._lock`` / ``# guarded-by: self._rwlock[write]``
+#: — declares the lock context required to *write* the attribute
+#: assigned on that line (rule R9; see docs/DEVELOPMENT.md)
+_GUARDED_BY_RE = re.compile(
+    r"#\s*guarded-by:\s*(?P<expr>[A-Za-z_][\w.]*)"
+    r"(?:\[(?P<mode>read|write)\])?"
+)
+
+#: methods that mutate a graph: DynamicGraph's, an algorithm's
+#: ``apply_update``, and ``EdgeUpdate.apply(graph)``
 GRAPH_MUTATORS = frozenset(
     {
         "add_edge",
@@ -151,6 +161,16 @@ def expr_text(node: ast.AST) -> str | None:
     return None
 
 
+def is_csr_view_call(node: ast.AST) -> bool:
+    """``csr_view(...)`` or ``x.csr_view(...)``."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id == "csr_view"
+    return isinstance(func, ast.Attribute) and func.attr == "csr_view"
+
+
 @dataclasses.dataclass(frozen=True, slots=True)
 class Held:
     """One lock held in a context: identity plus acquisition mode."""
@@ -209,24 +229,36 @@ class FunctionInfo:
 
 
 class ProjectModule:
-    """One parsed file: LintModule + module name + symbol ownership."""
+    """One parsed file: tree, module name, imports, lock annotations.
 
-    def __init__(self, lint: LintModule, name: str) -> None:
-        self.lint = lint
-        self.name = name
+    Raises ``SyntaxError`` when ``source`` does not parse.
+    """
+
+    def __init__(self, path: str, source: str) -> None:
+        self.path = path
+        self.name = module_name_for(path)
+        self.tree = ast.parse(source, filename=path)
         #: names assigned at module level (for lock qualification)
         self.globals: set[str] = {
             target.id
-            for node in lint.tree.body
+            for node in self.tree.body
             if isinstance(node, ast.Assign)
             for target in node.targets
             if isinstance(target, ast.Name)
         }
-        self.aliases = _import_aliases(lint.tree)
-
-    @property
-    def path(self) -> str:
-        return self.lint.path
+        self.aliases = _import_aliases(self.tree)
+        #: line -> (lock expression, mode or None) from ``# guarded-by:``
+        self.guard_annotations: dict[int, tuple[str, str | None]] = {}
+        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+        for tok in tokens:
+            if tok.type != tokenize.COMMENT:
+                continue
+            guard = _GUARDED_BY_RE.search(tok.string)
+            if guard is not None:
+                self.guard_annotations[tok.start[0]] = (
+                    guard.group("expr"),
+                    guard.group("mode"),
+                )
 
 
 def _import_aliases(tree: ast.Module) -> dict[str, str]:
@@ -382,15 +414,6 @@ class _ContextWalker:
                 self._emit("load", node, held, node.id)
         return held
 
-    @staticmethod
-    def _is_csr_view_call(value: ast.AST) -> bool:
-        if not isinstance(value, ast.Call):
-            return False
-        func = value.func
-        if isinstance(func, ast.Name):
-            return func.id == "csr_view"
-        return isinstance(func, ast.Attribute) and func.attr == "csr_view"
-
     def _handle_targets(
         self,
         targets: Sequence[ast.expr],
@@ -413,10 +436,8 @@ class _ContextWalker:
                 ):
                     self._emit("attr_write", target, held, inner.attr)
             elif isinstance(target, ast.Name):
-                if value is not None and (
-                    self._is_csr_view_call(value)
-                    or isinstance(value, ast.Call)
-                ):
+                # every call result may be a view; R10 asks the index
+                if isinstance(value, ast.Call):
                     self._emit(
                         "view_assign", stmt, held, (target.id, value)
                     )
@@ -537,15 +558,12 @@ class ProjectIndex:
 
     def __init__(self, modules: Sequence[ProjectModule]) -> None:
         self.modules = list(modules)
-        self._by_path = {m.path: m for m in self.modules}
         #: qualname -> FunctionInfo
         self.functions: dict[str, FunctionInfo] = {}
         #: simple name -> [qualnames]
         self._by_simple: dict[str, list[str]] = {}
         #: (module, Class) -> {method name -> qualname}
         self._methods: dict[tuple[str, str], dict[str, str]] = {}
-        #: class name -> [(module, Class)] (for self-resolution)
-        self._classes: dict[str, list[tuple[str, str]]] = {}
         #: (class name, attr) -> (lock id, mode|None, path, line)
         self.guarded: dict[
             tuple[str, str], tuple[str, str | None, str, int]
@@ -556,54 +574,18 @@ class ProjectIndex:
         self._propagate_entry_holds()
         self._summarize()
 
-    # -- construction helpers ------------------------------------------
     @classmethod
-    def from_files(
-        cls, files: Sequence[str | Path], config: LintConfig | None = None
-    ) -> "ProjectIndex":
-        config = config or LintConfig()
-        modules = []
-        for file_path in files:
-            path = str(file_path)
-            try:
-                source = Path(path).read_text(encoding="utf-8")
-                lint = LintModule(path, source, config)
-            except (OSError, SyntaxError):
-                continue  # run_paths already reported it
-            modules.append(ProjectModule(lint, module_name_for(path)))
-        return cls(modules)
-
-    @classmethod
-    def from_sources(
-        cls,
-        sources: Mapping[str, str],
-        config: LintConfig | None = None,
-    ) -> "ProjectIndex":
+    def from_sources(cls, sources: Mapping[str, str]) -> "ProjectIndex":
         """Build an index from in-memory ``{path: source}`` (tests)."""
-        config = config or LintConfig()
-        return cls(
-            [
-                ProjectModule(
-                    LintModule(path, source, config), module_name_for(path)
-                )
-                for path, source in sources.items()
-            ]
-        )
-
-    def lint_module(self, path: str) -> LintModule | None:
-        module = self._by_path.get(path)
-        return module.lint if module is not None else None
+        return cls([ProjectModule(path, src) for path, src in sources.items()])
 
     # -- pass 1: symbols ----------------------------------------------
     def _collect(self) -> None:
         for module in self.modules:
-            for node in module.lint.tree.body:
+            for node in module.tree.body:
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     self._add_function(module, node, None)
                 elif isinstance(node, ast.ClassDef):
-                    self._classes.setdefault(node.name, []).append(
-                        (module.name, node.name)
-                    )
                     methods: dict[str, str] = {}
                     for item in node.body:
                         if isinstance(
@@ -633,7 +615,7 @@ class ProjectIndex:
         self, module: ProjectModule, cls: ast.ClassDef
     ) -> None:
         """``# guarded-by:`` annotations on attribute assignments."""
-        annotations = module.lint.guard_annotations
+        annotations = module.guard_annotations
         if not annotations:
             return
         for node in ast.walk(cls):
@@ -768,16 +750,8 @@ class ProjectIndex:
 
     def _mutates_locally(self, info: FunctionInfo) -> bool:
         for event in info.iter_events("call"):
-            call = event.data
-            assert isinstance(call, ast.Call)
-            func = call.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in GRAPH_MUTATORS
-            ):
-                return True
-            target = self.resolve_call(call, info)
-            if target is not None and self.functions[target].mutates_graph:
+            assert isinstance(event.data, ast.Call)
+            if self.call_mutates_graph(event.data, info) is not None:
                 return True
         return False
 
@@ -808,45 +782,24 @@ class ProjectIndex:
         self, call: ast.Call, info: FunctionInfo
     ) -> bool:
         """Does this call produce a CSR view (directly or via helper)?"""
-        if _ContextWalker._is_csr_view_call(call):
+        if is_csr_view_call(call):
             return True
         target = self.resolve_call(call, info)
         return target is not None and self.functions[target].returns_view
 
     def call_mutates_graph(
         self, call: ast.Call, info: FunctionInfo
-    ) -> tuple[bool, bool, str] | None:
-        """(mutates, direct, label) for a call, None when it does not."""
+    ) -> tuple[bool, str] | None:
+        """(direct, label) for a call that mutates the graph, else None.
+
+        ``direct`` is a mutator method called right here; otherwise the
+        label names the project function that (transitively) mutates.
+        """
         func = call.func
         if isinstance(func, ast.Attribute) and func.attr in GRAPH_MUTATORS:
-            return True, True, func.attr
+            return True, func.attr
         target = self.resolve_call(call, info)
         if target is not None and self.functions[target].mutates_graph:
-            return True, False, self.functions[target].simple_name
+            return False, self.functions[target].simple_name
         return None
 
-
-def run_project_sources(
-    sources: Mapping[str, str],
-    config: LintConfig | None = None,
-    rule_ids: Sequence[str] | None = None,
-) -> list[Finding]:
-    """Run the project rules over in-memory sources (test entry point).
-
-    Suppression comments in the fixture sources are honored, matching
-    :func:`repro.analysis.engine.run_paths` semantics.
-    """
-    from repro.analysis.engine import selected_project_rules
-
-    config = config or LintConfig(restrict_scopes=False)
-    if rule_ids is not None:
-        config = dataclasses.replace(config, select=frozenset(rule_ids))
-    index = ProjectIndex.from_sources(sources, config)
-    findings: list[Finding] = []
-    for rule in selected_project_rules(config):
-        for finding in rule.check_project(index):
-            module = index.lint_module(finding.path)
-            if module is None or not module.is_suppressed(finding):
-                findings.append(finding)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    return findings

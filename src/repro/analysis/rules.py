@@ -1,418 +1,120 @@
-"""The reprolint rule pack: this repository's domain invariants.
+"""The reprolint rules, each run once over the whole project index.
 
-Each rule encodes an invariant the Python runtime never checks but the
-reproduction's correctness depends on (see docs/DEVELOPMENT.md for the
-per-rule rationale, examples, and suppression policy):
+=====  ====================  ===============================================
+R5     metric-name           metric-name literals must be registered in
+                             repro.obs.names, under the right kind
+R7     lock-order            self-deadlocks (read→write upgrade, recursive
+                             acquisition) and cyclic acquisition order
+R8     blocking-under-write  PPR kernels / IO / sleeps inside write
+                             critical sections
+R9     guarded-by            writes to ``# guarded-by:`` attributes outside
+                             the declared lock context
+R10    snapshot-escape       a CSR view used after a graph mutation or
+                             after the lock it was captured under
+R11    metric-in-critical    metric-registry access inside serving critical
+                             sections
+=====  ====================  ===============================================
 
-=====  =================  ====================================================
-R1     global-rng         no draws from the global NumPy / stdlib RNG state
-R2     float-compare      no ``==``/``!=`` against floats on hot paths
-R3     csr-view-lifetime  no CSR view held across a graph mutation
-R4     mutable-default    no mutable default arguments / shadowed builtins
-R5     metric-name        metric literals must be registered in repro.obs.names
-R6     unit-suffix        queueing/cost identifiers carry unit suffixes
-=====  =================  ====================================================
+The concurrency rules are *may*-analyses over the union of contexts a
+function can be entered under; the model's assumptions and limits are
+documented in :mod:`repro.analysis.project` and docs/DEVELOPMENT.md.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
+from collections import deque
 from collections.abc import Iterator
 from pathlib import Path
 
-from repro.analysis.engine import (
-    Finding,
-    LintModule,
-    Rule,
-    register,
+from repro.analysis.project import (
+    MUTATING_METHODS,
+    MUTEX,
+    READ,
+    WRITE,
+    Event,
+    FunctionInfo,
+    Held,
+    ProjectIndex,
+    expr_text,
+    is_csr_view_call,
 )
 
-# ----------------------------------------------------------------------
-# helpers
-# ----------------------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class Finding:
+    """One rule violation at a source location."""
+
+    rule_id: str
+    path: str
+    line: int
+    col: int
+    message: str
+
+    def format_text(self) -> str:
+        return (
+            f"{self.path}:{self.line}:{self.col + 1}: "
+            f"{self.rule_id} {self.message}"
+        )
 
 
-def dotted_name(node: ast.AST) -> str | None:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
+class Rule:
+    """One invariant, checked over the whole :class:`ProjectIndex`."""
+
+    rule_id: str = ""
+
+    def check(self, project: ProjectIndex) -> Iterator[Finding]:
+        raise NotImplementedError
+
+    def finding(
+        self, path: str, line: int, col: int, message: str
+    ) -> Finding:
+        return Finding(self.rule_id, path, line, col, message)
 
 
-def import_aliases(tree: ast.Module) -> dict[str, str]:
-    """Map local alias -> imported dotted module name (module imports only)."""
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                aliases[alias.asname or alias.name.split(".")[0]] = alias.name
-        elif isinstance(node, ast.ImportFrom) and node.module is not None:
-            for alias in node.names:
-                aliases[alias.asname or alias.name] = (
-                    f"{node.module}.{alias.name}"
-                )
-    return aliases
-
-
-# ----------------------------------------------------------------------
-# R1: no global RNG
-# ----------------------------------------------------------------------
-@register
-class GlobalRngRule(Rule):
-    """Draws must come from an injected ``np.random.Generator``.
-
-    The paper's methodology replays *identical* seeded workloads
-    through every compared system; a single draw from global RNG state
-    silently couples runs and destroys paired comparisons.
-    """
-
-    rule_id = "R1"
-    name = "global-rng"
-    severity = "error"
-    rationale = (
-        "Randomized kernels (walks, FORA, workload generators) must be "
-        "deterministic under a seeded generator; global RNG state makes "
-        "runs order-dependent and benchmark pairs invalid."
-    )
-    example = "np.random.choice(nodes)  ->  rng.choice(nodes)"
-
-    #: generator/bit-generator constructors and types (not global state)
-    NUMPY_ALLOWED = frozenset(
-        {
-            "default_rng",
-            "Generator",
-            "SeedSequence",
-            "BitGenerator",
-            "RandomState",
-            "PCG64",
-            "PCG64DXSM",
-            "MT19937",
-            "Philox",
-            "SFC64",
-        }
-    )
-    STDLIB_ALLOWED = frozenset({"Random", "SystemRandom"})
-
-    def check(self, module: LintModule) -> Iterator[Finding]:
-        aliases = import_aliases(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = dotted_name(node.func)
-            if name is None or "." not in name:
-                continue
-            head, rest = name.split(".", 1)
-            resolved = f"{aliases.get(head, head)}.{rest}"
-            parts = resolved.split(".")
-            if (
-                len(parts) >= 3
-                and parts[0] == "numpy"
-                and parts[1] == "random"
-                and parts[2] not in self.NUMPY_ALLOWED
-            ):
-                yield self.finding(
-                    module,
-                    node,
-                    f"call to numpy global RNG '{resolved}'; draw from an "
-                    "injected np.random.Generator (seeded) instead",
-                )
-            elif (
-                len(parts) == 2
-                and parts[0] == "random"
-                and parts[1] not in self.STDLIB_ALLOWED
-            ):
-                yield self.finding(
-                    module,
-                    node,
-                    f"call to stdlib global RNG 'random.{parts[1]}'; use a "
-                    "seeded random.Random instance instead",
-                )
-
-
-# ----------------------------------------------------------------------
-# R2: no float equality on hot paths
-# ----------------------------------------------------------------------
-@register
-class FloatCompareRule(Rule):
-    """``==``/``!=`` against a float literal in ``ppr``/``core``.
-
-    Residues and reserves are accumulated floating-point quantities;
-    equality against computed values is order-of-operations dependent.
-    Exact-zero *sentinel* tests (a slot never written stays exactly
-    0.0) are legitimate — allowlist them with an inline
-    ``# reprolint: disable=R2`` plus a justifying comment.
-    """
-
-    rule_id = "R2"
-    name = "float-compare"
-    severity = "error"
-    rationale = (
-        "Accumulated float quantities on PPR/cost-model hot paths must "
-        "not be compared with ==/!=; results depend on summation order."
-    )
-    example = "if residue[v] == 0.1:  ->  math.isclose(residue[v], 0.1, ...)"
-
-    def applies_to(self, module: LintModule) -> bool:
-        if not module.config.restrict_scopes:
-            return True
-        parts = module.path_parts()
-        return any(p in parts for p in module.config.float_compare_parts)
-
-    def check(self, module: LintModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Compare):
-                continue
-            operands = [node.left, *node.comparators]
-            for op, left, right in zip(node.ops, operands, operands[1:]):
-                if not isinstance(op, (ast.Eq, ast.NotEq)):
-                    continue
-                for side in (left, right):
-                    if isinstance(side, ast.Constant) and isinstance(
-                        side.value, float
-                    ):
-                        symbol = "==" if isinstance(op, ast.Eq) else "!="
-                        yield self.finding(
-                            module,
-                            node,
-                            f"float {symbol} comparison against "
-                            f"{side.value!r}; use a tolerance "
-                            "(math.isclose / np.isclose) or allowlist an "
-                            "exact-zero sentinel with "
-                            "'# reprolint: disable=R2' and a justification",
-                        )
-                        break
-
-
-# ----------------------------------------------------------------------
-# R3: CSR-view lifetime across graph mutations
-# ----------------------------------------------------------------------
-@register
-class CsrViewLifetimeRule(Rule):
-    """A ``csr_view`` result must not be read after a graph mutation.
-
-    The incremental CSR store patches its arrays in place; adjacency
-    reads through a pre-mutation facade are undefined (the stale-view
-    bug class PR 1 fixed by hand).
-    """
-
-    rule_id = "R3"
-    name = "csr-view-lifetime"
-    severity = "error"
-    rationale = (
-        "csr_view() facades share the per-graph store's arrays; any "
-        "DynamicGraph mutation invalidates adjacency reads through "
-        "views obtained earlier."
-    )
-    example = (
-        "view = csr_view(g); g.add_edge(u, v); view.out_neighbors_of(i)"
-        "  ->  re-obtain the view after the mutation"
-    )
-
-    MUTATORS = frozenset(
-        {
-            "add_edge",
-            "remove_edge",
-            "toggle_edge",
-            "add_node",
-            "remove_node",
-            "restore",
-            "apply_update",
-            "apply",  # EdgeUpdate.apply(graph) mutates the graph
-        }
-    )
-
-    def check(self, module: LintModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_function(module, node)
-
-    @staticmethod
-    def _is_csr_view_call(value: ast.AST) -> bool:
-        if not isinstance(value, ast.Call):
-            return False
-        func = value.func
-        if isinstance(func, ast.Name):
-            return func.id == "csr_view"
-        return isinstance(func, ast.Attribute) and func.attr == "csr_view"
-
-    def _check_function(
-        self, module: LintModule, func: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> Iterator[Finding]:
-        # ordered event stream over the function body: view acquisition,
-        # graph mutation, view use.  Linear order by source position is
-        # a sound-enough approximation for this codebase's straight-line
-        # update paths (loops re-run the same order).
-        events: list[tuple[int, int, str, str]] = []
-        view_vars: set[str] = set()
-        for node in ast.walk(func):
-            if isinstance(node, ast.Assign) and self._is_csr_view_call(
-                node.value
-            ):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        view_vars.add(target.id)
-                        events.append(
-                            (node.lineno, node.col_offset, "acquire", target.id)
-                        )
-            elif isinstance(node, ast.Call) and isinstance(
-                node.func, ast.Attribute
-            ):
-                if node.func.attr in self.MUTATORS:
-                    events.append(
-                        (node.lineno, node.col_offset, "mutate", node.func.attr)
-                    )
-        if not view_vars:
-            return
-        for node in ast.walk(func):
-            if (
-                isinstance(node, ast.Name)
-                and isinstance(node.ctx, ast.Load)
-                and node.id in view_vars
-            ):
-                events.append((node.lineno, node.col_offset, "use", node.id))
-
-        events.sort(key=lambda e: (e[0], e[1]))
-        stale: dict[str, str] = {}  # view var -> mutator that staled it
-        fresh: set[str] = set()
-        for lineno, col, kind, name in events:
-            if kind == "acquire":
-                fresh.add(name)
-                stale.pop(name, None)
-            elif kind == "mutate":
-                for var in fresh:
-                    stale[var] = name
-                fresh.clear()
-            elif kind == "use" and name in stale:
-                marker = ast.Name(id=name)
-                marker.lineno = lineno
-                marker.col_offset = col
-                yield self.finding(
-                    module,
-                    marker,
-                    f"CSR view '{name}' used after graph mutation "
-                    f"'{stale[name]}()'; re-obtain the view after mutating "
-                    "(stale facades have undefined adjacency)",
-                )
-                stale.pop(name)  # one report per staling, not per use
-
-
-# ----------------------------------------------------------------------
-# R4: mutable defaults and shadowed builtins
-# ----------------------------------------------------------------------
-@register
-class MutableDefaultRule(Rule):
-    """Mutable default arguments and shadowed builtin names."""
-
-    rule_id = "R4"
-    name = "mutable-default"
-    severity = "error"
-    rationale = (
-        "A mutable default is shared across calls (state leaks between "
-        "requests); shadowing a builtin makes later uses of the builtin "
-        "in the same scope silently wrong."
-    )
-    example = "def f(acc=[]):  ->  def f(acc=None): acc = [] if acc is None ..."
-
-    MUTABLE_CALLS = frozenset({"list", "dict", "set", "bytearray", "deque"})
-    #: builtins whose shadowing has actually bitten review in the wild
-    SHADOWED = frozenset(
-        {
-            "list", "dict", "set", "tuple", "str", "int", "float", "bool",
-            "bytes", "id", "type", "input", "filter", "map", "sum", "min",
-            "max", "len", "next", "iter", "range", "vars", "hash", "object",
-            "print", "all", "any", "sorted", "dir", "open", "format",
-            "slice", "property", "round", "abs", "pow", "compile", "eval",
-            "exec", "bin", "hex", "oct", "repr", "zip",
-        }
-    )
-
-    def check(self, module: LintModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_defaults(module, node)
-                yield from self._check_params(module, node)
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    yield from self._check_store(module, target)
-            elif isinstance(node, (ast.For, ast.AsyncFor)):
-                yield from self._check_store(module, node.target)
-
-    def _check_defaults(
-        self, module: LintModule, func: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> Iterator[Finding]:
-        defaults = list(func.args.defaults) + [
-            d for d in func.args.kw_defaults if d is not None
-        ]
-        for default in defaults:
-            bad = isinstance(default, (ast.List, ast.Dict, ast.Set)) or (
-                isinstance(default, ast.Call)
-                and isinstance(default.func, ast.Name)
-                and default.func.id in self.MUTABLE_CALLS
-            )
-            if bad:
-                yield self.finding(
-                    module,
-                    default,
-                    f"mutable default argument in '{func.name}()'; default "
-                    "to None and construct inside the function",
-                )
-
-    def _check_params(
-        self, module: LintModule, func: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> Iterator[Finding]:
-        args = func.args
-        for arg in (
-            *args.posonlyargs, *args.args, *args.kwonlyargs,
-            *( [args.vararg] if args.vararg else [] ),
-            *( [args.kwarg] if args.kwarg else [] ),
-        ):
-            if arg.arg in self.SHADOWED:
-                yield self.finding(
-                    module,
-                    arg,
-                    f"parameter '{arg.arg}' of '{func.name}()' shadows a "
-                    "builtin; rename it",
-                )
-
-    def _check_store(
-        self, module: LintModule, target: ast.AST
-    ) -> Iterator[Finding]:
-        if isinstance(target, ast.Name) and target.id in self.SHADOWED:
-            yield self.finding(
-                module,
-                target,
-                f"assignment to '{target.id}' shadows a builtin; rename it",
-            )
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                yield from self._check_store(module, element)
+def _ordered_events(info: FunctionInfo) -> list[Event]:
+    """Events in source order (walk order is close; sorting pins it)."""
+    return sorted(info.events, key=lambda e: (e.line, e.col))
 
 
 # ----------------------------------------------------------------------
 # R5: metric-name literals must be registered
 # ----------------------------------------------------------------------
-@register
+def metric_registry() -> dict[str, frozenset[str]]:
+    """``COUNTERS``/``HISTOGRAMS``/``GAUGES`` of repro/obs/names.py.
+
+    Parsed with :mod:`ast`, not imported, so linting needs no package
+    import; read once per lint run.
+    """
+    names_path = Path(__file__).resolve().parent.parent / "obs" / "names.py"
+    registry: dict[str, frozenset[str]] = {
+        kind: frozenset() for kind in MetricNameRule.KINDS
+    }
+    tree = ast.parse(names_path.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            if isinstance(target, ast.Name) and target.id in registry:
+                registry[target.id] = frozenset(
+                    n.value
+                    for n in ast.walk(node.value)
+                    if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                )
+    return registry
+
+
 class MetricNameRule(Rule):
     """Metric-name literals must match :mod:`repro.obs.names`.
 
-    A typo'd counter or a histogram observed under a counter's name
-    silently splits a time series; reports then attribute cost to a
-    metric nobody charts.
+    Counter/histogram/gauge names are the contract between instrumented
+    code and reports: a typo'd counter, or a histogram observed under a
+    counter's name, silently splits a time series and attributes cost
+    to a metric nobody charts.
     """
 
     rule_id = "R5"
-    name = "metric-name"
-    severity = "error"
-    rationale = (
-        "Counter/histogram names are the contract between instrumented "
-        "code and reports; drift is invisible at runtime."
-    )
-    example = 'metrics.histogram("service.qurey")  ->  "service.query"'
 
     METHODS = {
         "counter": "COUNTERS",
@@ -422,165 +124,521 @@ class MetricNameRule(Rule):
     }
     KINDS = ("COUNTERS", "HISTOGRAMS", "GAUGES")
 
-    _registry_cache: dict[str, frozenset[str]] | None = None
-
-    @classmethod
-    def load_registry(cls) -> dict[str, frozenset[str]]:
-        """Parse repro/obs/names.py statically (no package import)."""
-        if cls._registry_cache is not None:
-            return cls._registry_cache
-        names_path = (
-            Path(__file__).resolve().parent.parent / "obs" / "names.py"
-        )
-        registry: dict[str, frozenset[str]] = {
-            kind: frozenset() for kind in cls.KINDS
-        }
-        try:
-            tree = ast.parse(names_path.read_text(encoding="utf-8"))
-        except (OSError, SyntaxError):  # pragma: no cover - packaging error
-            cls._registry_cache = registry
-            return registry
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Assign):
-                continue
-            for target in node.targets:
-                if (
-                    isinstance(target, ast.Name)
-                    and target.id in registry
+    def check(self, project: ProjectIndex) -> Iterator[Finding]:
+        registry = metric_registry()
+        for module in project.modules:
+            for node in ast.walk(module.tree):
+                if not isinstance(node, ast.Call) or not isinstance(
+                    node.func, ast.Attribute
                 ):
-                    literals = {
-                        n.value
-                        for n in ast.walk(node.value)
-                        if isinstance(n, ast.Constant)
-                        and isinstance(n.value, str)
-                    }
-                    registry[target.id] = frozenset(literals)
-        cls._registry_cache = registry
-        return registry
-
-    def _registry_for(
-        self, module: LintModule, kind: str
-    ) -> frozenset[str]:
-        config = module.config
-        if kind == "COUNTERS" and config.metric_counters is not None:
-            return config.metric_counters
-        if kind == "HISTOGRAMS" and config.metric_histograms is not None:
-            return config.metric_histograms
-        if kind == "GAUGES" and config.metric_gauges is not None:
-            return config.metric_gauges
-        return self.load_registry()[kind]
-
-    def check(self, module: LintModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call) or not isinstance(
-                node.func, ast.Attribute
-            ):
-                continue
-            kind = self.METHODS.get(node.func.attr)
-            if kind is None or not node.args:
-                continue
-            first = node.args[0]
-            if not (
-                isinstance(first, ast.Constant)
-                and isinstance(first.value, str)
-            ):
-                continue
-            registered = self._registry_for(module, kind)
-            if first.value in registered:
-                continue
-            hint = "; register it in repro/obs/names.py"
-            for other in self.KINDS:
-                if other == kind:
                     continue
-                if first.value in self._registry_for(module, other):
-                    hint = (
-                        f" (registered as a {other.lower()[:-1]} — "
-                        "wrong metric kind)"
-                    )
-                    break
-            yield self.finding(
-                module,
-                first,
-                f"metric name '{first.value}' passed to "
-                f".{node.func.attr}() is not a registered "
-                f"{kind.lower()[:-1]} name{hint}",
-            )
+                kind = self.METHODS.get(node.func.attr)
+                if kind is None or not node.args:
+                    continue
+                first = node.args[0]
+                if not (
+                    isinstance(first, ast.Constant)
+                    and isinstance(first.value, str)
+                ) or first.value in registry[kind]:
+                    continue
+                hint = "; register it in repro/obs/names.py"
+                for other in self.KINDS:
+                    if other != kind and first.value in registry[other]:
+                        hint = (
+                            f" (registered as a {other.lower()[:-1]} — "
+                            "wrong metric kind)"
+                        )
+                        break
+                yield self.finding(
+                    module.path,
+                    first.lineno,
+                    first.col_offset,
+                    f"metric name '{first.value}' passed to "
+                    f".{node.func.attr}() is not a registered "
+                    f"{kind.lower()[:-1]} name{hint}",
+                )
 
 
 # ----------------------------------------------------------------------
-# R6: unit-suffix convention for queueing/cost-model identifiers
+# R7: lock order / self-deadlock
 # ----------------------------------------------------------------------
-@register
-class UnitSuffixRule(Rule):
-    """Rate/time identifiers in cost-model code must carry unit suffixes.
+class LockOrderRule(Rule):
+    """Self-deadlocks and cyclic lock-acquisition order.
 
-    The Table I / Eq. 2 terms mix rates (lambda, per second) and mean
-    times (t-tilde, seconds); a unitless name like ``timeout`` or
-    ``rate_ms`` is how the two get multiplied in the wrong units.
-    Approved suffixes: ``_s`` / ``_seconds`` / ``_time`` (seconds),
-    ``_rate`` / ``_per_s`` / ``_hz`` (per second).  The paper's bare
-    notation (``lambda_q``, ``t_u``, ``cv_q``, ``rho``) is exempt.
+    Two failure classes the write-preferring RWLock makes concrete:
+
+    * **Self-deadlock** — re-acquiring a lock this thread may already
+      hold.  A read→write *upgrade* waits for all readers to drain,
+      including the upgrading thread; a *recursive read* blocks behind
+      any waiting writer (write preference stalls new readers); write
+      and mutex re-acquisition block on themselves outright.
+    * **Order cycle** — thread 1 takes A then B while thread 2 takes B
+      then A.  Every acquisition made while another lock is held
+      contributes a directed edge; any cycle in that graph is a
+      potential deadlock regardless of modes (even read-read, again
+      because of write preference).
     """
 
-    rule_id = "R6"
-    name = "unit-suffix"
-    severity = "error"
-    rationale = (
-        "Cost-model terms must stay in consistent units (rates vs mean "
-        "times, Table I / Eq. 2); names carry the units in this codebase."
+    rule_id = "R7"
+
+    def check(self, project: ProjectIndex) -> Iterator[Finding]:
+        #: (from_lock, to_lock) -> first acquisition site
+        edges: dict[tuple[str, str], tuple[str, int, int, str]] = {}
+        for info in project.functions.values():
+            for event in info.iter_events("acquire"):
+                acquired = event.data
+                assert isinstance(acquired, Held)
+                held = info.effective(event)
+                yield from self._self_deadlocks(info, event, acquired, held)
+                for prior in sorted(held, key=lambda h: h.lock):
+                    if prior.lock == acquired.lock:
+                        continue
+                    edge = (prior.lock, acquired.lock)
+                    edges.setdefault(
+                        edge,
+                        (
+                            info.module.path,
+                            event.line,
+                            event.col,
+                            f"{acquired.describe()} while holding "
+                            f"{prior.describe()} in {info.qualname}",
+                        ),
+                    )
+        yield from self._order_cycles(edges)
+
+    def _self_deadlocks(
+        self,
+        info: FunctionInfo,
+        event: Event,
+        acquired: Held,
+        held: frozenset[Held],
+    ) -> Iterator[Finding]:
+        for prior in sorted(held, key=lambda h: (h.lock, h.mode)):
+            if prior.lock != acquired.lock:
+                continue
+            if prior.mode == READ and acquired.mode == WRITE:
+                why = (
+                    "read->write upgrade self-deadlocks: the writer "
+                    "waits for all readers to drain, including this "
+                    "thread's own read hold"
+                )
+            elif prior.mode == READ and acquired.mode == READ:
+                why = (
+                    "recursive read acquisition deadlocks behind a "
+                    "waiting writer (write preference blocks new readers)"
+                )
+            else:
+                why = (
+                    f"re-acquiring non-reentrant {acquired.describe()} "
+                    f"while already holding {prior.describe()} blocks "
+                    "this thread on itself"
+                )
+            yield self.finding(
+                info.module.path,
+                event.line,
+                event.col,
+                f"acquiring {acquired.describe()} while "
+                f"{prior.describe()} may be held in {info.qualname}: "
+                f"{why}",
+            )
+
+    def _order_cycles(
+        self, edges: dict[tuple[str, str], tuple[str, int, int, str]]
+    ) -> Iterator[Finding]:
+        graph: dict[str, set[str]] = {}
+        for src, dst in edges:
+            graph.setdefault(src, set()).add(dst)
+        for (src, dst), (path, line, col, label) in sorted(edges.items()):
+            cycle = self._path(graph, dst, src)
+            if cycle is None:
+                continue
+            chain = " -> ".join([src, *cycle])
+            yield self.finding(
+                path,
+                line,
+                col,
+                f"lock-order cycle: acquiring {label} conflicts with "
+                f"the reverse acquisition order {chain} elsewhere in "
+                "the project; pick one global order",
+            )
+
+    @staticmethod
+    def _path(
+        graph: dict[str, set[str]], start: str, goal: str
+    ) -> list[str] | None:
+        """Shortest edge path start..goal, or None (BFS, deterministic)."""
+        queue = deque([[start]])
+        seen = {start}
+        while queue:
+            trail = queue.popleft()
+            node = trail[-1]
+            if node == goal:
+                return trail
+            for succ in sorted(graph.get(node, ())):
+                if succ not in seen:
+                    seen.add(succ)
+                    queue.append(trail + [succ])
+        return None
+
+
+# ----------------------------------------------------------------------
+# R8: blocking / unbounded compute under a write lock
+# ----------------------------------------------------------------------
+class BlockingUnderWriteRule(Rule):
+    """No kernels, IO, or sleeps inside a write critical section.
+
+    Queries run under read holds and scale out; everything under the
+    write lock serializes the whole runtime — the paper's QoS target
+    (Section V's update/query interleaving) dies the moment a PPR
+    kernel or a blocking syscall runs there.  The write section should
+    contain the CSR patch and nothing else.
+    """
+
+    rule_id = "R8"
+
+    #: dotted stdlib calls that block (module-resolved via import aliases)
+    BLOCKING_DOTTED = frozenset({"time.sleep", "os.system"})
+    #: any call into these modules blocks or may block on the network
+    BLOCKING_MODULES = frozenset(
+        {"socket", "subprocess", "requests", "urllib"}
     )
-    example = "wait = ...  # seconds  ->  wait_s = ..."
-
-    STEMS = frozenset(
-        {"time", "rate", "delay", "latency", "interval", "period", "timeout"}
+    #: builtins that block on IO
+    BLOCKING_NAMES = frozenset({"open", "input"})
+    #: PPR kernel entry points (unbounded compute; repro.ppr)
+    KERNELS = frozenset(
+        {
+            "frontier_push",
+            "reference_frontier_push",
+            "power_phase",
+            "forward_push",
+            "ppr_exact",
+        }
     )
-    SUFFIXES = ("_s", "_seconds", "_per_s", "_rate", "_time", "_hz")
-    #: the paper's notation, used verbatim across Section IV
-    NOTATION = frozenset(
-        {"lambda_q", "lambda_u", "t_q", "t_u", "rho", "mu", "tau"}
-    )
+    #: algorithm methods that run a kernel
+    KERNEL_METHODS = frozenset({"query"})
 
-    def applies_to(self, module: LintModule) -> bool:
-        if not module.config.restrict_scopes:
-            return True
-        return module.filename() in module.config.unit_suffix_files
+    def check(self, project: ProjectIndex) -> Iterator[Finding]:
+        for info in project.functions.values():
+            for event in info.iter_events("call"):
+                write_holds = [
+                    h
+                    for h in info.effective(event)
+                    if h.mode == WRITE
+                ]
+                if not write_holds:
+                    continue
+                call = event.data
+                assert isinstance(call, ast.Call)
+                label = self._blocking_label(call, info)
+                if label is None:
+                    continue
+                lock = sorted(write_holds, key=lambda h: h.lock)[0]
+                yield self.finding(
+                    info.module.path,
+                    event.line,
+                    event.col,
+                    f"{label} inside the {lock.describe()} critical "
+                    f"section in {info.qualname}; the write hold "
+                    "serializes all readers — move it outside the lock",
+                )
 
-    def _violates(self, name: str) -> bool:
-        if name in self.NOTATION or name.startswith("_"):
-            return False
-        parts = name.lower().split("_")
-        if not any(part in self.STEMS for part in parts):
-            return False
-        lowered = name.lower()
-        if lowered in self.STEMS:  # a bare stem is always ambiguous
-            return True
-        return not any(lowered.endswith(suffix) for suffix in self.SUFFIXES)
+    def _blocking_label(
+        self, call: ast.Call, info: FunctionInfo
+    ) -> str | None:
+        func = call.func
+        if isinstance(func, ast.Name):
+            if func.id in self.BLOCKING_NAMES:
+                return f"blocking IO call '{func.id}()'"
+            if func.id in self.KERNELS:
+                return f"PPR kernel call '{func.id}()' (unbounded compute)"
+            return None
+        dotted = expr_text(func)
+        if dotted is not None and "." in dotted:
+            head, rest = dotted.split(".", 1)
+            resolved = f"{info.module.aliases.get(head, head)}.{rest}"
+            if resolved in self.BLOCKING_DOTTED:
+                return f"blocking call '{resolved}()'"
+            if resolved.split(".", 1)[0] in self.BLOCKING_MODULES:
+                return f"blocking call '{resolved}()'"
+        if isinstance(func, ast.Attribute):
+            if func.attr in self.KERNELS:
+                return (
+                    f"PPR kernel call '.{func.attr}()' (unbounded compute)"
+                )
+            if func.attr in self.KERNEL_METHODS:
+                return (
+                    f"PPR query call '.{func.attr}()' (unbounded compute)"
+                )
+        return None
 
-    def check(self, module: LintModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                args = node.args
-                for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
-                    if self._violates(arg.arg):
-                        yield self.finding(
-                            module,
-                            arg,
-                            self._message(f"parameter '{arg.arg}'"),
-                        )
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Name) and self._violates(
-                        target.id
-                    ):
-                        yield self.finding(
-                            module,
-                            target,
-                            self._message(f"variable '{target.id}'"),
-                        )
 
-    def _message(self, what: str) -> str:
-        return (
-            f"{what} names a rate/time quantity without a unit suffix; "
-            f"use one of {', '.join(self.SUFFIXES)} (or the paper "
-            "notation lambda_*/t_*/cv_*)"
-        )
+# ----------------------------------------------------------------------
+# R9: guarded-by annotations
+# ----------------------------------------------------------------------
+class GuardedByRule(Rule):
+    """Writes to ``# guarded-by:`` attributes need the declared lock.
+
+    ``self._degraded = False  # guarded-by: self._rwlock[write]`` on
+    the attribute's assignment in ``__init__`` declares the contract;
+    every other method that assigns, augments, deletes, subscript-
+    stores, or calls a mutating container method on the attribute must
+    do so in a context where the declared lock may be held (``[read]``/
+    ``[write]`` pin the RWLock mode; bare names accept any mode).
+    ``__init__``/``__new__`` are exempt — the object is not shared yet.
+    """
+
+    rule_id = "R9"
+
+    EXEMPT = frozenset({"__init__", "__new__"})
+
+    def check(self, project: ProjectIndex) -> Iterator[Finding]:
+        if not project.guarded:
+            return
+        for info in project.functions.values():
+            if info.class_name is None or info.simple_name in self.EXEMPT:
+                continue
+            for event in info.events:
+                attr = self._written_attr(event)
+                if attr is None:
+                    continue
+                guard = project.guarded.get((info.class_name, attr))
+                if guard is None:
+                    continue
+                lock, mode, decl_path, decl_line = guard
+                if self._satisfied(lock, mode, info.effective(event)):
+                    continue
+                need = f"{lock}[{mode}]" if mode else lock
+                yield self.finding(
+                    info.module.path,
+                    event.line,
+                    event.col,
+                    f"write to 'self.{attr}' in {info.qualname} outside "
+                    f"its declared lock context {need} (declared at "
+                    f"{decl_path}:{decl_line}); acquire the lock or fix "
+                    "the annotation",
+                )
+
+    @staticmethod
+    def _written_attr(event: Event) -> str | None:
+        if event.kind == "attr_write":
+            attr = event.data
+            assert isinstance(attr, str)
+            return attr
+        if event.kind == "call":
+            call = event.data
+            assert isinstance(call, ast.Call)
+            func = call.func
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr in MUTATING_METHODS
+                and isinstance(func.value, ast.Attribute)
+                and isinstance(func.value.value, ast.Name)
+                and func.value.value.id in ("self", "cls")
+            ):
+                return func.value.attr
+        return None
+
+    @staticmethod
+    def _satisfied(
+        lock: str, mode: str | None, held: frozenset[Held]
+    ) -> bool:
+        for h in held:
+            if h.lock != lock:
+                continue
+            if mode is None:
+                return True
+            if h.mode == mode:
+                return True
+            # a write hold subsumes a declared read requirement
+            if mode == READ and h.mode == WRITE:
+                return True
+        return False
+
+
+# ----------------------------------------------------------------------
+# R10: CSR-snapshot escape
+# ----------------------------------------------------------------------
+class SnapshotEscapeRule(Rule):
+    """A CSR view must not outlive its snapshot.
+
+    ``csr_view()`` facades share the per-graph store's arrays, which
+    the incremental CSR layer patches in place, so adjacency reads
+    through a view obtained before a mutation are undefined.  Flagged:
+
+    * **stale use** — ``view = csr_view(g); g.add_edge(...);
+      view.use()``, also when the mutation hides in a project function
+      that (transitively) mutates the graph, or the view came from a
+      helper that (transitively) returns ``csr_view(...)``;
+    * **lock escape** — the view was captured under a read/write hold
+      and is still used after that hold is released (the writer may
+      have refreshed the snapshot the moment the lock dropped).
+    """
+
+    rule_id = "R10"
+
+    def check(self, project: ProjectIndex) -> Iterator[Finding]:
+        for info in project.functions.values():
+            yield from self._check_function(project, info)
+
+    def _check_function(
+        self, project: ProjectIndex, info: FunctionInfo
+    ) -> Iterator[Finding]:
+        #: var -> (acquired-directly, snapshot locks, acquisition line)
+        views: dict[str, tuple[bool, frozenset[Held], int]] = {}
+        #: var -> (stale label, staled-by-direct-mutator)
+        stale: dict[str, tuple[str, bool]] = {}
+        escape_reported: set[str] = set()
+        for event in _ordered_events(info):
+            if event.kind == "view_assign":
+                varname, call = event.data  # type: ignore[misc]
+                assert isinstance(call, ast.Call)
+                if project.call_yields_view(call, info):
+                    locks = frozenset(
+                        h for h in event.held if h.mode in (READ, WRITE)
+                    )
+                    views[varname] = (
+                        is_csr_view_call(call),
+                        locks,
+                        event.line,
+                    )
+                    stale.pop(varname, None)
+                    escape_reported.discard(varname)
+                else:
+                    views.pop(varname, None)
+                    stale.pop(varname, None)
+            elif event.kind == "call":
+                call = event.data
+                assert isinstance(call, ast.Call)
+                verdict = project.call_mutates_graph(call, info)
+                if verdict is None:
+                    continue
+                direct_mut, label = verdict
+                for varname in views:
+                    if varname not in stale:
+                        stale[varname] = (label, direct_mut)
+            elif event.kind == "load":
+                varname = event.data
+                assert isinstance(varname, str)
+                if varname not in views:
+                    continue
+                direct_acq, locks, acq_line = views[varname]
+                if varname in stale:
+                    label, direct_mut = stale.pop(varname)
+                    how = (
+                        f"graph mutation '{label}()'"
+                        if direct_mut
+                        else f"call to '{label}()' which mutates the graph"
+                    )
+                    via = (
+                        ""
+                        if direct_acq
+                        else " (view obtained via a helper that "
+                        "returns csr_view)"
+                    )
+                    yield self.finding(
+                        info.module.path,
+                        event.line,
+                        event.col,
+                        f"CSR view '{varname}' in {info.qualname} "
+                        f"used after {how}{via}; re-obtain the view "
+                        "after mutating",
+                    )
+                missing = locks - frozenset(event.held)
+                if missing and varname not in escape_reported:
+                    escape_reported.add(varname)
+                    lost = ", ".join(
+                        h.describe()
+                        for h in sorted(missing, key=lambda h: h.lock)
+                    )
+                    yield self.finding(
+                        info.module.path,
+                        event.line,
+                        event.col,
+                        f"CSR view '{varname}' in {info.qualname} "
+                        f"(captured under {lost} at line {acq_line}) "
+                        "used after the lock was released; the writer "
+                        "may have refreshed the snapshot — re-obtain "
+                        "the view inside the critical section",
+                    )
+
+
+# ----------------------------------------------------------------------
+# R11: metric-registry access in serving critical sections
+# ----------------------------------------------------------------------
+class MetricInCriticalSectionRule(Rule):
+    """No metric-registry calls inside serving critical sections.
+
+    ``MetricsRegistry`` is shared across every worker; ``histogram()``
+    / ``counter()`` lookups allocate on first use and contend on the
+    registry dict.  Inside a write hold or a mutex on the serving hot
+    path that contention extends the critical section for *all*
+    readers.  Record the duration first, observe after release.
+    """
+
+    rule_id = "R11"
+
+    REGISTRY_METHODS = frozenset({"counter", "histogram", "gauge", "time"})
+    #: path components of the serving hot paths (runtime, shard fabric,
+    #: front door); files elsewhere are not checked
+    SCOPE = ("serving", "shard", "api")
+
+    def check(self, project: ProjectIndex) -> Iterator[Finding]:
+        for info in project.functions.values():
+            if not set(self.SCOPE) & set(Path(info.module.path).parts):
+                continue
+            for event in info.iter_events("call"):
+                critical = [
+                    h
+                    for h in info.effective(event)
+                    if h.mode in (WRITE, MUTEX)
+                ]
+                if not critical:
+                    continue
+                call = event.data
+                assert isinstance(call, ast.Call)
+                method = self._registry_call(call)
+                if method is None:
+                    continue
+                lock = sorted(critical, key=lambda h: h.lock)[0]
+                yield self.finding(
+                    info.module.path,
+                    event.line,
+                    event.col,
+                    f"metric-registry call '.{method}()' inside the "
+                    f"{lock.describe()} critical section in "
+                    f"{info.qualname}; record the value and observe "
+                    "after releasing the lock",
+                )
+
+    def _registry_call(self, call: ast.Call) -> str | None:
+        func = call.func
+        if (
+            not isinstance(func, ast.Attribute)
+            or func.attr not in self.REGISTRY_METHODS
+        ):
+            return None
+        receiver = expr_text(func.value)
+        if receiver is None:
+            return None
+        leaf = receiver.rsplit(".", 1)[-1].lower()
+        if "metric" in leaf or "registry" in leaf:
+            return func.attr
+        return None
+
+
+#: the one rule registry
+RULES: tuple[Rule, ...] = (
+    MetricNameRule(),
+    LockOrderRule(),
+    BlockingUnderWriteRule(),
+    GuardedByRule(),
+    SnapshotEscapeRule(),
+    MetricInCriticalSectionRule(),
+)
+
+
+def lint(project: ProjectIndex) -> list[Finding]:
+    """Every rule's findings over ``project``, sorted by location."""
+    findings = [f for rule in RULES for f in rule.check(project)]
+    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
+    return findings

@@ -196,7 +196,7 @@ class SeedQueue:
         """True when the query must wait for the pending updates."""
         # exact-zero sentinel: epsilon_r = 0 is the documented "disable
         # reordering" switch, set verbatim by callers — never computed.
-        if self.epsilon_r == 0.0:  # reprolint: disable=R2
+        if self.epsilon_r == 0.0:
             return len(self._pending) > 0
         return self.error_bound(source) > self.epsilon_r
 

@@ -1,16 +1,18 @@
 """Canonical registry of metric names used across the repository.
 
-Every counter/histogram name passed to
+Every metric name passed to
 :meth:`repro.obs.MetricsRegistry.counter`,
-:meth:`~repro.obs.MetricsRegistry.histogram` or
-:meth:`~repro.obs.MetricsRegistry.time` as a string literal must be
-listed here.  The ``reprolint`` rule R5 (``metric-name``) statically
-checks call sites against this module, so a typo'd or renamed metric
+:meth:`~repro.obs.MetricsRegistry.histogram`,
+:meth:`~repro.obs.MetricsRegistry.time` or
+:meth:`~repro.obs.MetricsRegistry.gauge` as a string literal must be
+listed here, in the set of its kind.  The ``reprolint`` rule R5
+(``metric-name``, :mod:`repro.analysis.rules`) checks every call site
+in ``src`` against this module, so a typo'd or renamed metric
 ("service.qurey", a counter observed as a histogram) fails the lint
 gate instead of silently splitting a time series.
 
-This module is deliberately dependency-free: the lint engine parses it
-with :mod:`ast` rather than importing the package.
+This module is deliberately dependency-free: reprolint parses it with
+:mod:`ast` rather than importing the package.
 
 Naming conventions
 ------------------
@@ -24,9 +26,8 @@ Naming conventions
 * ``calibration.*`` — tau-calibration accounting.
 * ``cache.*``       — result-cache accounting (:mod:`repro.cache`):
   hit/miss/insertion counters, eviction counters split by cause
-  (capacity / staleness budget / TTL), admission rejections, bulk
-  invalidations, plus the live size and online hit-rate gauges the
-  cache-aware cost model reads.
+  (capacity / staleness budget), plus the live size and online
+  hit-rate gauges the cache-aware cost model reads.
 * ``dispatch.*``    — kernel-engine degradations
   (:mod:`repro.ppr.kernels`): ``dispatch.fallbacks`` counts a failed
   scipy probe, once per process.

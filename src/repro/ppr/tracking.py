@@ -194,7 +194,7 @@ class TrackedPPR:
         # exact-zero sentinel: reserve[u] stays exactly 0.0 until a push
         # writes it, so this only skips provably-no-op corrections; a
         # tolerance would wrongly drop small but real corrections.
-        if coefficient != 0.0:  # reprolint: disable=R2
+        if coefficient != 0.0:
             for w, d in delta.items():
                 self.residue[w] += coefficient * d
 
@@ -217,7 +217,7 @@ class TrackedPPR:
         )
         # exact-zero sparsity mask: push writes exactly 0.0 into settled
         # slots, so != 0.0 selects precisely the walk-needing residues.
-        holders = np.flatnonzero(self.residue != 0.0)  # reprolint: disable=R2
+        holders = np.flatnonzero(self.residue != 0.0)
         if holders.size:
             res = self.residue[holders]
             counts = np.maximum(

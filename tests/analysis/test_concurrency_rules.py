@@ -3,31 +3,31 @@
 Every rule gets fixture code with an injected violation asserted at
 the right file:line, plus a clean variant that must not flag.  The
 cross-function snapshot-escape case additionally proves the
-interprocedural pass catches what the per-function R3 cannot.
+interprocedural pass catches what a single-function view cannot.
 """
 
 import textwrap
+from pathlib import Path
 
-import repro.analysis  # noqa: F401  (registers both rule packs)
-from repro.analysis import LintConfig, run_source
-from repro.analysis.project import run_project_sources
-
-UNSCOPED = LintConfig(restrict_scopes=False)
+from repro.analysis import run_sources
 
 
 def lint_project(rule_ids=None, **sources):
-    return run_project_sources(
+    """Findings of ``rule_ids`` over ``name="source"`` fixtures.
+
+    Fixtures live under ``serving/`` so the path-scoped R11 applies.
+    """
+    findings = run_sources(
         {
-            f"{name}.py": textwrap.dedent(source)
+            f"serving/{name}.py": textwrap.dedent(source)
             for name, source in sources.items()
-        },
-        UNSCOPED,
-        rule_ids=rule_ids,
+        }
     )
+    return [f for f in findings if rule_ids is None or f.rule_id in rule_ids]
 
 
 def locations(findings):
-    return [(f.rule_id, f.path, f.line) for f in findings]
+    return [(f.rule_id, Path(f.path).name, f.line) for f in findings]
 
 
 class TestR7LockOrder:
@@ -297,14 +297,17 @@ class TestR10SnapshotEscape:
         assert "mutates the graph" in findings[0].message
 
     def test_single_function_pass_misses_it(self):
-        # the acceptance-criterion demonstration: R3 (per-file, per-
-        # function) sees neither the csr_view acquisition nor the
-        # mutation, so it reports nothing on the same fixture
-        r3_only = LintConfig(
-            select=frozenset({"R3"}), restrict_scopes=False
-        )
-        findings = run_source(
-            textwrap.dedent(self.CROSS_FUNCTION), "mod.py", r3_only
+        # the same caller without the helpers' bodies in the project:
+        # neither call resolves, so nothing is known to return a view or
+        # to mutate — the finding above needs the whole-project index
+        findings = lint_project(
+            ["R10"],
+            mod="""
+            def serve(g):
+                view = get_view(g)
+                flush(g)
+                return view.out_neighbors_of(0)
+            """,
         )
         assert findings == []
 
@@ -336,8 +339,8 @@ class TestR10SnapshotEscape:
         assert findings == []
 
     def test_local_direct_case_left_to_r3(self):
-        # both acquisition and mutation are direct and local: R3's
-        # territory, R10 must not double-report
+        # both acquisition and mutation are direct and local: the case
+        # the former per-file R3 covered, reported by R10 once
         findings = lint_project(
             ["R10"],
             mod="""
@@ -347,7 +350,8 @@ class TestR10SnapshotEscape:
                 return view.out_neighbors_of(0)
             """,
         )
-        assert findings == []
+        assert locations(findings) == [("R10", "mod.py", 5)]
+        assert "graph mutation 'add_edge()'" in findings[0].message
 
     def test_reobtained_view_is_clean(self):
         findings = lint_project(
@@ -431,28 +435,12 @@ class TestR11MetricInCritical:
                         self.metrics.counter("cache.hits").inc()
             """
         )
-        scoped = LintConfig()  # restrict_scopes=True
-        in_scope = run_project_sources(
-            {"src/repro/serving/thing.py": source}, scoped, ["R11"]
+        findings = run_sources(
+            {
+                "src/repro/serving/thing.py": source,
+                "src/repro/cache/thing.py": source,
+            }
         )
-        out_of_scope = run_project_sources(
-            {"src/repro/cache/thing.py": source}, scoped, ["R11"]
-        )
-        assert [f.rule_id for f in in_scope] == ["R11"]
-        assert out_of_scope == []
-
-
-class TestSuppressionsApply:
-    def test_project_findings_honor_line_suppressions(self):
-        findings = lint_project(
-            None,
-            mod="""
-            import time
-
-            class R:
-                def f(self):
-                    with self._rwlock.write_locked():
-                        time.sleep(0.1)  # reprolint: disable=R8  startup only
-            """,
-        )
-        assert findings == []
+        assert [(f.rule_id, f.path) for f in findings] == [
+            ("R11", "src/repro/serving/thing.py")
+        ]

@@ -7,8 +7,6 @@ entry-context fixpoint, and the transitive function summaries.
 
 import textwrap
 
-import repro.analysis  # noqa: F401  (registers both rule packs)
-from repro.analysis import LintConfig
 from repro.analysis.project import (
     MUTEX,
     READ,
@@ -19,17 +17,13 @@ from repro.analysis.project import (
     module_name_for,
 )
 
-UNSCOPED = LintConfig(restrict_scopes=False)
-
-
 def build(**sources):
     """ProjectIndex from ``name="source"`` kwargs (name -> name.py)."""
     return ProjectIndex.from_sources(
         {
             f"{name}.py": textwrap.dedent(source)
             for name, source in sources.items()
-        },
-        UNSCOPED,
+        }
     )
 
 

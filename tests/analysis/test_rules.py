@@ -1,91 +1,20 @@
-"""Per-rule fixture tests: positive, negative, and suppression cases."""
+"""Fixture tests for R5 (metric names) and the local CSR-view case."""
 
 import textwrap
 
-import repro.analysis  # noqa: F401  (registers the rule pack)
-from repro.analysis import LintConfig, run_source
+import pytest
 
-UNSCOPED = LintConfig(restrict_scopes=False)
-
-
-def ids(source, config=UNSCOPED, path="fixture.py"):
-    return [
-        f.rule_id for f in run_source(textwrap.dedent(source), path, config)
-    ]
+import repro.analysis.rules as rules_module
+import repro.obs.names as names
+from repro.analysis import run_sources
 
 
-class TestR1GlobalRng:
-    def test_numpy_global_draw_flagged(self):
-        assert ids(
-            """
-            import numpy as np
-            x = np.random.choice([1, 2, 3])
-            """
-        ) == ["R1"]
-
-    def test_numpy_alias_resolved(self):
-        assert ids(
-            """
-            import numpy
-            x = numpy.random.random()
-            """
-        ) == ["R1"]
-
-    def test_stdlib_global_draw_flagged(self):
-        assert ids(
-            """
-            import random
-            x = random.randint(0, 10)
-            """
-        ) == ["R1"]
-
-    def test_generator_construction_allowed(self):
-        assert ids(
-            """
-            import numpy as np
-            import random
-            rng = np.random.default_rng(7)
-            local = random.Random(7)
-            x = rng.choice([1, 2])
-            y = local.randint(0, 10)
-            """
-        ) == []
-
-    def test_suppression(self):
-        assert ids(
-            """
-            import numpy as np
-            x = np.random.choice([1])  # reprolint: disable=R1 (fixture)
-            """
-        ) == []
+def lint(source, path="fixture.py"):
+    return run_sources({path: textwrap.dedent(source)})
 
 
-class TestR2FloatCompare:
-    def test_equality_against_float_flagged(self):
-        assert ids("ok = value == 0.5\n") == ["R2"]
-
-    def test_inequality_against_float_flagged(self):
-        assert ids("ok = 0.0 != residue\n") == ["R2"]
-
-    def test_chained_comparison_flagged(self):
-        assert ids("ok = a < b == 1.5\n") == ["R2"]
-
-    def test_integer_compare_not_flagged(self):
-        assert ids("ok = degree == 0\n") == []
-
-    def test_ordering_compare_not_flagged(self):
-        assert ids("ok = value > 0.5\n") == []
-
-    def test_scoped_to_hot_paths(self):
-        scoped = LintConfig()  # restrict_scopes=True
-        assert ids("ok = v == 0.5\n", scoped, "src/repro/ppr/x.py") == ["R2"]
-        assert ids("ok = v == 0.5\n", scoped, "src/repro/core/x.py") == ["R2"]
-        assert ids("ok = v == 0.5\n", scoped, "src/repro/obs/x.py") == []
-
-    def test_suppression(self):
-        assert ids(
-            "ok = v != 0.0  # reprolint: disable=R2 (exact-zero sentinel)\n"
-        ) == []
+def ids(source, path="fixture.py"):
+    return [f.rule_id for f in lint(source, path)]
 
 
 R3_POSITIVE = """
@@ -106,8 +35,12 @@ def refresh(graph, u, v):
 
 
 class TestR3CsrViewLifetime:
+    """The one-function case of the former R3, now reported by R10."""
+
     def test_stale_use_after_mutation_flagged(self):
-        assert ids(R3_POSITIVE) == ["R3"]
+        findings = lint(R3_POSITIVE)
+        assert [(f.rule_id, f.line) for f in findings] == [("R10", 5)]
+        assert "graph mutation 'add_edge()'" in findings[0].message
 
     def test_reacquired_view_not_flagged(self):
         assert ids(R3_NEGATIVE) == []
@@ -131,56 +64,16 @@ class TestR3CsrViewLifetime:
                 algorithm.apply_update(update)
                 return view.n
             """
-        ) == ["R3"]
-
-    def test_suppression_file_wide(self):
-        src = "# reprolint: disable-file=R3 (fixture)\n" + R3_POSITIVE
-        assert ids(src) == []
-
-
-class TestR4MutableDefault:
-    def test_list_default_flagged(self):
-        assert ids("def f(acc=[]):\n    return acc\n") == ["R4"]
-
-    def test_dict_call_default_flagged(self):
-        assert ids("def f(acc=dict()):\n    return acc\n") == ["R4"]
-
-    def test_none_default_not_flagged(self):
-        assert ids("def f(acc=None):\n    return acc or []\n") == []
-
-    def test_shadowed_builtin_parameter_flagged(self):
-        assert ids("def f(list):\n    return list\n") == ["R4"]
-
-    def test_shadowed_builtin_assignment_flagged(self):
-        assert ids("sum = 3\n") == ["R4"]
-
-    def test_ordinary_names_not_flagged(self):
-        assert ids("def f(items):\n    total = 0\n    return total\n") == []
-
-    def test_suppression(self):
-        assert ids(
-            "def f(acc=[]):  # reprolint: disable=R4 (fixture)\n"
-            "    return acc\n"
-        ) == []
-
-
-# R5 fixtures pin the registry via config so the test is independent of
-# what repro/obs/names.py happens to contain.
-R5_CONFIG = LintConfig(
-    restrict_scopes=False,
-    metric_counters=frozenset({"csr_rebuilds"}),
-    metric_histograms=frozenset({"service.query"}),
-)
+        ) == ["R10"]
 
 
 class TestR5MetricName:
     def test_unregistered_name_flagged(self):
         src = 'metrics.histogram("service.qurey").observe(1.0)\n'
-        assert ids(src, R5_CONFIG) == ["R5"]
+        assert ids(src) == ["R5"]
 
     def test_wrong_kind_flagged_with_hint(self):
-        src = 'metrics.counter("service.query").inc()\n'
-        findings = run_source(src, "fixture.py", R5_CONFIG)
+        findings = lint('metrics.counter("service.query").inc()\n')
         assert [f.rule_id for f in findings] == ["R5"]
         assert "wrong metric kind" in findings[0].message
 
@@ -191,33 +84,37 @@ class TestR5MetricName:
             'with metrics.time("service.query"):\n'
             "    pass\n"
         )
-        assert ids(src, R5_CONFIG) == []
+        assert ids(src) == []
 
     def test_non_literal_names_ignored(self):
-        assert ids("metrics.counter(name).inc()\n", R5_CONFIG) == []
+        assert ids("metrics.counter(name).inc()\n") == []
 
     def test_default_registry_parses_names_module(self):
-        # without a config override the registry comes from
-        # src/repro/obs/names.py, which registers service.query
+        # the registry is read from src/repro/obs/names.py with ast;
+        # it must agree with what importing the module gives
+        registry = rules_module.metric_registry()
+        assert registry == {
+            "COUNTERS": names.COUNTERS,
+            "HISTOGRAMS": names.HISTOGRAMS,
+            "GAUGES": names.GAUGES,
+        }
         assert ids(
             'metrics.histogram("service.query").observe(1.0)\n'
         ) == []
 
-    def test_suppression(self):
-        src = (
-            'metrics.counter("adhoc").inc()'
-            "  # reprolint: disable=R5 (fixture)\n"
-        )
-        assert ids(src, R5_CONFIG) == []
 
-
-# the cache.* namespace rides on the same registry: names registered in
-# src/repro/obs/names.py extend R5 coverage automatically
-R5_CACHE_CONFIG = LintConfig(
-    restrict_scopes=False,
-    metric_counters=frozenset({"cache.hits", "cache.evictions_staleness"}),
-    metric_gauges=frozenset({"cache.hit_rate"}),
-)
+@pytest.fixture
+def cache_registry(monkeypatch):
+    """Pin R5's registry so a test does not depend on names.py."""
+    monkeypatch.setattr(
+        rules_module,
+        "metric_registry",
+        lambda: {
+            "COUNTERS": frozenset({"cache.hits", "cache.evictions_staleness"}),
+            "HISTOGRAMS": frozenset(),
+            "GAUGES": frozenset({"cache.hit_rate"}),
+        },
+    )
 
 
 class TestR5CacheMetrics:
@@ -236,64 +133,23 @@ class TestR5CacheMetrics:
     def test_unregistered_cache_name_flagged(self):
         assert ids('metrics.counter("cache.hit").inc()\n') == ["R5"]
 
-    def test_cache_counter_as_histogram_flagged(self):
-        findings = run_source(
-            'metrics.histogram("cache.hits").observe(1.0)\n',
-            "fixture.py",
-            R5_CACHE_CONFIG,
-        )
+    def test_cache_counter_as_histogram_flagged(self, cache_registry):
+        findings = lint('metrics.histogram("cache.hits").observe(1.0)\n')
         assert [f.rule_id for f in findings] == ["R5"]
         assert "wrong metric kind" in findings[0].message
 
-    def test_cache_gauge_as_counter_flagged(self):
-        findings = run_source(
-            'metrics.counter("cache.hit_rate").inc()\n',
-            "fixture.py",
-            R5_CACHE_CONFIG,
-        )
+    def test_cache_gauge_as_counter_flagged(self, cache_registry):
+        findings = lint('metrics.counter("cache.hit_rate").inc()\n')
         assert [f.rule_id for f in findings] == ["R5"]
         assert "wrong metric kind" in findings[0].message
 
-    def test_pinned_cache_registry_accepts_its_names(self):
+    def test_pinned_cache_registry_accepts_its_names(self, cache_registry):
         src = (
             'metrics.counter("cache.hits").inc()\n'
             'metrics.gauge("cache.hit_rate").set(0.1)\n'
         )
-        assert ids(src, R5_CACHE_CONFIG) == []
-
-
-class TestR6UnitSuffix:
-    def test_bare_stem_parameter_flagged(self):
-        assert ids("def f(timeout):\n    return timeout\n") == ["R6"]
-
-    def test_stem_without_suffix_flagged(self):
-        assert ids("queue_delay = 3\n") == ["R6"]
-
-    def test_approved_suffixes_not_flagged(self):
-        assert ids(
-            """
-            arrival_rate = 2.0
-            wait_time = 0.5
-            horizon_s = 10.0
-            poll_interval_s = 0.1
-            sweep_hz = 50.0
-            """
-        ) == []
-
-    def test_paper_notation_exempt(self):
-        assert ids("def f(lambda_q, lambda_u, t_q, t_u, rho):\n    pass\n") == []
-
-    def test_private_names_exempt(self):
-        assert ids("_delay = 1\n") == []
-
-    def test_scoped_to_configured_files(self):
-        scoped = LintConfig()  # restrict_scopes=True
-        assert ids("timeout = 1\n", scoped, "src/repro/core/quota.py") == [
-            "R6"
+        assert ids(src) == []
+        # ...and nothing else: service.query is not in the pinned one
+        assert ids('metrics.histogram("service.query").observe(1)\n') == [
+            "R5"
         ]
-        assert ids("timeout = 1\n", scoped, "src/repro/core/system.py") == []
-
-    def test_suppression(self):
-        assert ids(
-            "timeout = 1  # reprolint: disable=R6 (fixture)\n"
-        ) == []

@@ -2,17 +2,73 @@
 
 The CI gate runs ``python -m repro.analysis src`` and fails the build on
 any finding; this test keeps that contract visible in the test suite and
-proves the gate actually fires when a violation is introduced.
+proves the gate actually fires, for every rule, when a violation is
+introduced.
 """
 
+import ast
+import textwrap
 from pathlib import Path
 
+import pytest
+
 import repro
-import repro.analysis  # noqa: F401  (registers the rule pack)
-from repro.analysis import LintConfig, exit_code, run_paths
+from repro.analysis import exit_code, run_paths
 from repro.analysis.__main__ import main
+from repro.analysis.project import GRAPH_MUTATORS
+from repro.analysis.rules import BlockingUnderWriteRule, MetricInCriticalSectionRule
 
 SRC = Path(repro.__file__).resolve().parent
+
+#: one injected violation per kept rule (written under ``serving/`` so
+#: the path-scoped R11 applies); R8's is
+#: ``test_gate_fires_on_injected_concurrency_violation``
+INJECTED = {
+    "R5": """
+        def record(metrics):
+            metrics.counter("no.such.metric").inc()
+        """,
+    "R7": """
+        class Runtime:
+            def upgrade(self):
+                with self._rwlock.read_locked():
+                    with self._rwlock.write_locked():
+                        pass
+        """,
+    "R9": """
+        class Runtime:
+            def __init__(self):
+                self._degraded = False  # guarded-by: self._rwlock[write]
+
+            def degrade(self):
+                self._degraded = True
+        """,
+    "R10": """
+        def get_view(g):
+            return csr_view(g)
+
+        def flush(g):
+            g.add_edge(1, 2)
+
+        def serve(g):
+            view = get_view(g)
+            flush(g)
+            return view.out_neighbors_of(0)
+        """,
+    # acquisition and mutation both direct, in one function
+    "R10-local": """
+        def refresh(g):
+            view = csr_view(g)
+            g.add_edge(1, 2)
+            return view.out_neighbors_of(0)
+        """,
+    "R11": """
+        class Runtime:
+            def fault(self):
+                with self._records_lock:
+                    self.metrics.counter("serving.faults").inc()
+        """,
+}
 
 
 class TestSelfCheck:
@@ -26,13 +82,14 @@ class TestSelfCheck:
         assert main([str(SRC)]) == 0
 
     def test_gate_fires_on_injected_violation(self, tmp_path):
-        # a copy of a real module with one R1 violation injected must
-        # flip the exit code to non-zero
+        # a copy of a real module with one unregistered metric name
+        # injected must flip the exit code to non-zero
         victim = SRC / "core" / "seed.py"
         patched = tmp_path / "seed.py"
         patched.write_text(
             victim.read_text(encoding="utf-8")
-            + "\n\nimport numpy as _np\n_noise = _np.random.random()\n",
+            + "\n\ndef _probe(metrics):\n"
+            + '    metrics.counter("seed.unregistered").inc()\n',
             encoding="utf-8",
         )
         assert main([str(patched)]) == 1
@@ -55,6 +112,19 @@ class TestSelfCheck:
         )
         assert main([str(serving)]) == 1
 
+    @pytest.mark.parametrize("case", sorted(INJECTED))
+    def test_gate_fires_for_each_kept_rule(self, case, tmp_path, capsys):
+        serving = tmp_path / "serving"
+        serving.mkdir()
+        (serving / "bad.py").write_text(
+            textwrap.dedent(INJECTED[case]), encoding="utf-8"
+        )
+        assert main([str(serving)]) == 1
+        rule_ids = {
+            line.split()[1] for line in capsys.readouterr().out.splitlines()
+        }
+        assert rule_ids == {case.split("-")[0]}
+
     def test_guarded_by_annotations_exist_in_serving(self):
         # the runtime declares its lock discipline; if these vanish,
         # R9 silently stops checking anything real
@@ -64,14 +134,23 @@ class TestSelfCheck:
         assert "# guarded-by:" in runtime
 
     def test_scoped_rules_cover_their_targets(self):
-        # the R2/R6/R11 scoping in LintConfig must keep matching the
-        # tree layout; if these files move, the lint gate silently
-        # loses them
-        config = LintConfig()
-        for name in config.unit_suffix_files:
-            matches = list(SRC.rglob(name))
-            assert matches, f"R6 target {name} missing from src tree"
-        for part in config.float_compare_parts:
-            assert (SRC / part).is_dir(), f"R2 scope {part}/ missing"
-        for part in config.metric_critical_parts:
+        # R11's path scope must keep matching the tree layout; if these
+        # packages move, the lint gate silently loses them
+        for part in MetricInCriticalSectionRule.SCOPE:
             assert (SRC / part).is_dir(), f"R11 scope {part}/ missing"
+
+    def test_kernel_and_mutator_names_are_defined(self):
+        # a name in these lists that nothing defines can never match:
+        # the rule silently checks less than it says
+        defined = {
+            node.name
+            for path in SRC.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        names = (
+            BlockingUnderWriteRule.KERNELS
+            | BlockingUnderWriteRule.KERNEL_METHODS
+            | GRAPH_MUTATORS
+        )
+        assert names - defined == set()
