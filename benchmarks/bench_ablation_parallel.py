@@ -1,9 +1,9 @@
-"""Extension bench: parallel serving — modeled and measured.
+"""Extension bench: parallel serving, modeled.
 
 The paper's single-server queue is the bottleneck its whole design
 optimizes; the natural deployment question is how far parallelism (the
 "parallel PPR processing" direction [23]) moves the stability frontier.
-Three progressively more realistic views:
+Two views, both virtual-time k-server replays:
 
 1. **Modeled FCFS** — k = 1, 2, 4, 8 virtual servers replaying
    deterministic modeled service times (``modeled=True``: the timeline
@@ -12,18 +12,10 @@ Three progressively more realistic views:
    :class:`~repro.queueing.SeedAwareQueueSimulator`: same k servers
    plus Seed deferral/reordering and idle-time draining, updates
    really mutating the graph so the Lemma 2 bound tracks true degrees.
-3. **Measured concurrent** — the real thing:
-   :class:`~repro.serving.ServingRuntime` worker threads over
-   snapshot-isolated CSR views, with a structural equivalence oracle
-   (updates replayed by observed graph version must reproduce the
-   final edge set exactly).
 
-Honesty note for (3): this container is single-core and CPython's GIL
-interleaves pure-Python bytecode, so wall-clock throughput does NOT
-scale with k here — the k sweep demonstrates *correctness under
-concurrency* (zero oracle violations, no sheds of admitted work), and
-the architecture only pays off on multi-core / free-threaded builds.
-The modeled tables are where the k-scaling shape lives.
+There is no measured k-thread view: the serving runtime is one thread
+per shard, and on CPython the measured unit of parallelism is the
+process fleet (``benchmarks/bench_shard_scaling.py``).
 
 Expected shape: response time collapses once k pushes the per-server
 load below 1; beyond that, extra servers yield diminishing returns —
@@ -33,24 +25,19 @@ the *work per request*, which parallelism cannot.
 
 from __future__ import annotations
 
-from benchmarks.common import bench_seed, scoped
+from benchmarks.common import scoped
 from repro.core.calibration import calibrated_cost_model
 from repro.core.quota import QuotaController
 from repro.evaluation import banner, format_table, get_dataset
 from repro.evaluation.runner import build_algorithm
-from repro.graph.generators import barabasi_albert_graph
-from repro.ppr.csr import csr_view
-from repro.ppr.forward_push import forward_push
 from repro.queueing import (
     FCFSQueueSimulator,
     SeedAwareQueueSimulator,
     generate_workload,
 )
 from repro.queueing.workload import QUERY
-from repro.serving import OK, ServingRuntime
 
 SERVER_COUNTS = (1, 2, 4, 8)
-MEASURED_WORKERS = (1, 2, 4)
 
 
 def modeled_service_fn(model, beta, lq, lu):
@@ -135,123 +122,4 @@ def test_ablation_parallel_serving(benchmark, report):
         "-> parallelism moves the stability frontier; Quota reduces "
         "work per request on top of it at every k, and Seed reordering "
         "stacks on both."
-    )
-
-
-def _measured_query_fn(alpha: float, r_max: float):
-    """Pure (graph, source) executor: safe to share across workers."""
-
-    def run_query(graph, source):
-        view = csr_view(graph)
-        return forward_push(view, view.to_index(source), alpha, r_max)
-
-    return run_query
-
-
-def _oracle_violations(initial_graph, final_graph, report_obj) -> int:
-    """Structural equivalence oracle for a measured run.
-
-    Replays the OK update records in observed graph-version order on a
-    shadow copy of the pre-run graph; a correct runtime (single
-    serialized writer, snapshot-isolated readers) must reproduce the
-    final edge set exactly, with strictly increasing versions.
-    """
-    violations = 0
-    applied = sorted(
-        (r for r in report_obj.records if r.status == OK and r.kind != QUERY),
-        key=lambda r: r.version,
-    )
-    versions = [r.version for r in applied]
-    if len(set(versions)) != len(versions):
-        violations += 1  # two updates claim the same snapshot
-    shadow = initial_graph
-    for record in applied:
-        record.request.update.apply(shadow)
-    if set(shadow.edges()) != set(final_graph.edges()):
-        violations += 1
-    newest = max(max(versions, default=0), final_graph.version)
-    for record in report_obj.records:
-        if record.status == OK and record.kind == QUERY:
-            if not 0 <= record.version <= newest:
-                violations += 1
-    return violations
-
-
-def test_measured_concurrent_serving(benchmark, report):
-    report(banner("Extension: measured concurrent serving (real threads)"))
-    n = scoped(2_000, 20_000)
-    num_queries = scoped(40, 200)
-    num_updates = scoped(20, 100)
-    alpha, r_max = 0.2, 1e-3
-
-    def experiment():
-        import random
-
-        from repro.graph.updates import random_update_stream
-        from repro.ppr.fora import Fora
-        from repro.queueing.workload import UPDATE, Request
-
-        rows = []
-        for workers in MEASURED_WORKERS:
-            graph = barabasi_albert_graph(n, 3, seed=bench_seed() + 1)
-            initial = graph.copy()
-            rng = random.Random(bench_seed() + 2)
-            nodes = list(graph.nodes())
-            updates = iter(
-                random_update_stream(graph, num_updates, rng=rng)
-            )
-            requests = []
-            for i in range(num_queries + num_updates):
-                if i % ((num_queries + num_updates) // num_updates) == 0 and (
-                    i // ((num_queries + num_updates) // num_updates)
-                    < num_updates
-                ):
-                    requests.append(
-                        Request(i * 1e-4, UPDATE, update=next(updates))
-                    )
-                else:
-                    requests.append(
-                        Request(i * 1e-4, QUERY, source=rng.choice(nodes))
-                    )
-
-            runtime = ServingRuntime(
-                Fora(graph),
-                workers=workers,
-                epsilon_r=100.0,
-                queue_capacity=0,
-                query_fn=_measured_query_fn(alpha, r_max),
-            )
-            with runtime:
-                run_report = runtime.serve(requests)
-            violations = _oracle_violations(initial, graph, run_report)
-            rows.append(
-                [
-                    f"{workers} worker(s)",
-                    run_report.query_throughput(),
-                    run_report.mean_query_response_s() * 1e3,
-                    len(run_report.completed_queries()),
-                    violations,
-                ]
-            )
-        return rows
-
-    rows = benchmark.pedantic(experiment, rounds=1, iterations=1)
-    report(
-        format_table(
-            [
-                "workers",
-                "throughput (q/s)",
-                "mean R (ms)",
-                "queries ok",
-                "oracle violations",
-            ],
-            rows,
-            title=f"ServingRuntime on BA n={n} (measured wall clock)",
-        )
-    )
-    report(
-        "-> single-core container + GIL: throughput does not scale with "
-        "workers here; the sweep certifies snapshot-isolation "
-        "correctness (zero oracle violations) under real interleaving. "
-        "k-scaling shape: see the modeled tables above."
     )

@@ -165,8 +165,7 @@ def test_cache_measured_serving(benchmark, report):
         )
         runtime = ServingRuntime(
             algorithm,
-            workers=2,
-            queue_capacity=len(workload) + 8,
+                queue_capacity=len(workload) + 8,
             cache=cache,
             metrics=metrics,
         ).start()

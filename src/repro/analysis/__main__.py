@@ -17,9 +17,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="reprolint",
         description=(
-            "Project lint for the Quota/Seed codebase: metric names (R5) "
-            "and the serving lock discipline (R7-R11); see "
-            "docs/DEVELOPMENT.md"
+            "Project lint for the Quota/Seed codebase: metric names (R5), "
+            "the mutex discipline (R7, R9, R11) and CSR-view lifetime "
+            "(R10); see docs/DEVELOPMENT.md"
         ),
     )
     parser.add_argument(

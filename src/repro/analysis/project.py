@@ -3,8 +3,8 @@
 Every reprolint rule (:mod:`repro.analysis.rules`) runs over one
 :class:`ProjectIndex`; the concurrency rules need to know what a
 *call* does — does ``self._record(...)`` take a mutex, does
-``flush_one`` mutate the graph, may ``_charge_cache`` already be
-inside a writer critical section?  This module builds that knowledge:
+``flush_one`` mutate the graph, may ``_observe`` already run under a
+mutex?  This module builds that knowledge:
 
 * :class:`ProjectModule` parses one file (tree, import aliases,
   ``# guarded-by:`` annotations); :class:`ProjectIndex` builds a
@@ -12,21 +12,20 @@ inside a writer critical section?  This module builds that knowledge:
   qualified as ``module.Class.method``) and resolves call sites
   against it.
 * A structural walk of each function body tracks the **lock context**
-  — the ordered set of ``(lock, mode)`` pairs held at every statement
-  — through ``with lock.read_locked()/write_locked():`` blocks, plain
-  ``with some_lock:`` mutexes, and explicit ``acquire_*``/``release_*``
+  — the ordered set of mutexes held at every statement — through
+  ``with some_lock:`` blocks and explicit ``acquire``/``release``
   pairs, recording an event stream (acquisitions, calls, attribute
   writes, CSR-view assignments, name loads) annotated with the context.
 * A fixpoint pass propagates **entry contexts** through the call
-  graph: a function called only from writer critical sections is known
-  to run under the write lock, transitively.
+  graph: a function called only under a mutex is known to run under
+  it, transitively.
 * Per-function summaries (``returns_view``, ``mutates_graph``) let the
   CSR-snapshot rule (R10) see through helper calls.
 
 Lock identity
 -------------
-Locks are named by their *owner*: ``self._rwlock`` inside class
-``ServingRuntime`` becomes ``ServingRuntime._rwlock``; a module-level
+Locks are named by their *owner*: ``self._lock`` inside class
+``PPRCache`` becomes ``PPRCache._lock``; a module-level
 ``LOCK`` becomes ``module.LOCK``; a function-local lock is qualified
 by the function.  Two instances of the same class therefore share a
 lock name — a deliberately conservative choice (per-instance aliasing
@@ -38,8 +37,8 @@ Soundness model (assumptions and limits)
 This is a *may*-analysis tuned to this codebase's straight-line
 locking style; docs/DEVELOPMENT.md states the contract in full:
 
-* ``acquire_*`` / ``release_*`` pairs are matched linearly in source
-  order (conditional acquisition via ``if not lock.acquire_write(...):
+* ``acquire`` / ``release`` pairs are matched linearly in source
+  order (conditional acquisition via ``if not lock.acquire(...):
   return`` is handled; release on one branch only is not).
 * A callee's entry context is the **union** over its call sites —
   a function called both under and outside a lock is treated as
@@ -62,37 +61,18 @@ import tokenize
 from collections.abc import Iterator, Mapping, Sequence
 from pathlib import Path
 
-# lock-context modes
-READ = "read"
-WRITE = "write"
-MUTEX = "mutex"
-
-#: attribute names that are the RW-lock API (never resolved as calls)
-LOCK_API = frozenset(
-    {
-        "read_locked",
-        "write_locked",
-        "acquire_read",
-        "acquire_write",
-        "release_read",
-        "release_write",
-        "acquire",
-        "release",
-    }
-)
+#: attribute names that are the lock API (never resolved as calls)
+LOCK_API = frozenset({"acquire", "release"})
 
 #: receiver names treated as mutexes in ``with X:`` / ``X.acquire()``
 #: — ``lock``/``mutex`` as a whole ``_``-separated component
 #: (``_seed_lock``, ``lock_a``; not ``blocked`` or ``deadlock``)
 _LOCKISH_RE = re.compile(r"(?:^|_)(?:lock|mutex)(?:_|$)", re.IGNORECASE)
 
-#: ``# guarded-by: self._lock`` / ``# guarded-by: self._rwlock[write]``
-#: — declares the lock context required to *write* the attribute
-#: assigned on that line (rule R9; see docs/DEVELOPMENT.md)
-_GUARDED_BY_RE = re.compile(
-    r"#\s*guarded-by:\s*(?P<expr>[A-Za-z_][\w.]*)"
-    r"(?:\[(?P<mode>read|write)\])?"
-)
+#: ``# guarded-by: self._lock`` — declares the mutex required to
+#: *write* the attribute assigned on that line (rule R9; see
+#: docs/DEVELOPMENT.md)
+_GUARDED_BY_RE = re.compile(r"#\s*guarded-by:\s*(?P<expr>[A-Za-z_][\w.]*)")
 
 #: methods that mutate a graph: DynamicGraph's, an algorithm's
 #: ``apply_update``, and ``EdgeUpdate.apply(graph)``
@@ -171,35 +151,24 @@ def is_csr_view_call(node: ast.AST) -> bool:
     return isinstance(func, ast.Attribute) and func.attr == "csr_view"
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class Held:
-    """One lock held in a context: identity plus acquisition mode."""
-
-    lock: str
-    mode: str
-
-    def describe(self) -> str:
-        return f"{self.lock}[{self.mode}]"
-
-
 @dataclasses.dataclass(slots=True)
 class Event:
     """One context-annotated occurrence inside a function body.
 
     ``kind`` is one of ``acquire`` (lock acquisition; ``data`` is the
-    :class:`Held`), ``call`` (``data`` is the ``ast.Call``),
+    lock's owner-qualified name), ``call`` (``data`` is the ``ast.Call``),
     ``attr_write`` (``data`` is the attribute name; covers plain
     assignment, augmented assignment, subscript stores, ``del``, and
     mutating method calls on the attribute), ``view_assign`` (``data``
     is ``(varname, call_node)``), and ``load`` (``data`` is the name).
-    ``held`` is the *local* context; add the function's entry context
-    for the effective one.
+    ``held`` is the *local* context (lock names); add the function's
+    entry context for the effective one.
     """
 
     kind: str
     line: int
     col: int
-    held: tuple[Held, ...]
+    held: tuple[str, ...]
     data: object
 
 
@@ -214,13 +183,13 @@ class FunctionInfo:
     class_name: str | None
     events: list[Event] = dataclasses.field(default_factory=list)
     #: union of contexts this function may be entered under
-    entry_holds: set[Held] = dataclasses.field(default_factory=set)
+    entry_holds: set[str] = dataclasses.field(default_factory=set)
     #: resolved callees (qualnames), populated by ProjectIndex
     callees: set[str] = dataclasses.field(default_factory=set)
     returns_view: bool = False
     mutates_graph: bool = False
 
-    def effective(self, event: Event) -> frozenset[Held]:
+    def effective(self, event: Event) -> frozenset[str]:
         """Locks that may be held when ``event`` executes."""
         return frozenset(event.held) | frozenset(self.entry_holds)
 
@@ -247,18 +216,15 @@ class ProjectModule:
             if isinstance(target, ast.Name)
         }
         self.aliases = _import_aliases(self.tree)
-        #: line -> (lock expression, mode or None) from ``# guarded-by:``
-        self.guard_annotations: dict[int, tuple[str, str | None]] = {}
+        #: line -> lock expression from ``# guarded-by:``
+        self.guard_annotations: dict[int, str] = {}
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)
         for tok in tokens:
             if tok.type != tokenize.COMMENT:
                 continue
             guard = _GUARDED_BY_RE.search(tok.string)
             if guard is not None:
-                self.guard_annotations[tok.start[0]] = (
-                    guard.group("expr"),
-                    guard.group("mode"),
-                )
+                self.guard_annotations[tok.start[0]] = guard.group("expr")
 
 
 def _import_aliases(tree: ast.Module) -> dict[str, str]:
@@ -314,7 +280,7 @@ class _ContextWalker:
         if head == "self" and self.info.class_name is not None:
             if rest:
                 return f"{self.info.class_name}.{rest}"
-            # ``self`` itself is the lock (RWLock's own methods)
+            # ``self`` itself is the lock (a lock class's own methods)
             return self.info.class_name
         if head == "cls" and self.info.class_name is not None and rest:
             return f"{self.info.class_name}.{rest}"
@@ -324,59 +290,24 @@ class _ContextWalker:
         return f"{self.info.qualname}:{text}"
 
     # -- recognizers ---------------------------------------------------
-    def _with_item_lock(self, expr: ast.expr) -> Held | None:
-        """Held context established by one ``with`` item, if any."""
-        if isinstance(expr, ast.Call):
-            func = expr.func
-            if isinstance(func, ast.Attribute) and func.attr in (
-                "read_locked",
-                "write_locked",
-            ):
-                lock = self.lock_id(func.value)
-                if lock is not None:
-                    mode = READ if func.attr == "read_locked" else WRITE
-                    return Held(lock, mode)
-            return None
+    def _lockish_id(self, expr: ast.expr) -> str | None:
+        """The lock a mutex-named expression denotes, if it is one."""
         text = expr_text(expr)
-        if text is not None and lockish(text.rsplit(".", 1)[-1]):
-            lock = self.lock_id(expr)
-            if lock is not None:
-                return Held(lock, MUTEX)
-        return None
-
-    def _call_lock_op(self, call: ast.Call) -> tuple[Held, str] | None:
-        """(held, "acquire"/"release") for explicit lock-API calls."""
-        func = call.func
-        if not isinstance(func, ast.Attribute):
+        if text is None or not lockish(text.rsplit(".", 1)[-1]):
             return None
-        attr = func.attr
-        if attr in ("acquire_read", "acquire_write"):
-            lock = self.lock_id(func.value)
-            if lock is None:
-                return None
-            mode = READ if attr == "acquire_read" else WRITE
-            return Held(lock, mode), "acquire"
-        if attr in ("release_read", "release_write"):
-            lock = self.lock_id(func.value)
-            if lock is None:
-                return None
-            mode = READ if attr == "release_read" else WRITE
-            return Held(lock, mode), "release"
-        if attr in ("acquire", "release"):
-            text = expr_text(func.value)
-            if text is None or not lockish(text.rsplit(".", 1)[-1]):
-                return None
-            lock = self.lock_id(func.value)
-            if lock is None:
-                return None
-            return Held(lock, MUTEX), "acquire" if attr == "acquire" else (
-                "release"
-            )
-        return None
+        return self.lock_id(expr)
+
+    def _call_lock_op(self, call: ast.Call) -> tuple[str, str] | None:
+        """(lock, "acquire"/"release") for explicit lock-API calls."""
+        func = call.func
+        if not isinstance(func, ast.Attribute) or func.attr not in LOCK_API:
+            return None
+        lock = self._lockish_id(func.value)
+        return None if lock is None else (lock, func.attr)
 
     # -- event emission ------------------------------------------------
     def _emit(
-        self, kind: str, node: ast.AST, held: tuple[Held, ...], data: object
+        self, kind: str, node: ast.AST, held: tuple[str, ...], data: object
     ) -> None:
         self.info.events.append(
             Event(
@@ -389,11 +320,11 @@ class _ContextWalker:
         )
 
     def _scan_expr(
-        self, expr: ast.expr, held: tuple[Held, ...]
-    ) -> tuple[Held, ...]:
+        self, expr: ast.expr, held: tuple[str, ...]
+    ) -> tuple[str, ...]:
         """Record events inside an expression; returns the (possibly
-        extended) held tuple — explicit ``acquire_*`` calls inside an
-        expression (``if not lock.acquire_write(0):``) take effect."""
+        extended) held tuple — explicit ``acquire`` calls inside an
+        expression (``if not lock.acquire(timeout=0):``) take effect."""
         for node in ast.walk(expr):
             if isinstance(node, (ast.Lambda, ast.FunctionDef)):
                 continue
@@ -419,7 +350,7 @@ class _ContextWalker:
         targets: Sequence[ast.expr],
         value: ast.expr | None,
         stmt: ast.stmt,
-        held: tuple[Held, ...],
+        held: tuple[str, ...],
     ) -> None:
         for target in targets:
             if isinstance(target, ast.Attribute) and isinstance(
@@ -450,15 +381,15 @@ class _ContextWalker:
         self._walk_body(body, ())
 
     def _walk_body(
-        self, stmts: Sequence[ast.stmt], held: tuple[Held, ...]
-    ) -> tuple[Held, ...]:
+        self, stmts: Sequence[ast.stmt], held: tuple[str, ...]
+    ) -> tuple[str, ...]:
         for stmt in stmts:
             held = self._walk_stmt(stmt, held)
         return held
 
     def _union(
-        self, base: tuple[Held, ...], *branches: tuple[Held, ...]
-    ) -> tuple[Held, ...]:
+        self, base: tuple[str, ...], *branches: tuple[str, ...]
+    ) -> tuple[str, ...]:
         merged = list(base)
         for branch in branches:
             for h in branch:
@@ -467,14 +398,14 @@ class _ContextWalker:
         return tuple(merged)
 
     def _walk_stmt(
-        self, stmt: ast.stmt, held: tuple[Held, ...]
-    ) -> tuple[Held, ...]:
+        self, stmt: ast.stmt, held: tuple[str, ...]
+    ) -> tuple[str, ...]:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             return held  # nested defs run later, under unknown context
         if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            entered: list[Held] = []
+            entered: list[str] = []
             for item in stmt.items:
-                lock = self._with_item_lock(item.context_expr)
+                lock = self._lockish_id(item.context_expr)
                 if lock is not None:
                     self._emit("acquire", item.context_expr, held, lock)
                     entered.append(lock)
@@ -564,10 +495,8 @@ class ProjectIndex:
         self._by_simple: dict[str, list[str]] = {}
         #: (module, Class) -> {method name -> qualname}
         self._methods: dict[tuple[str, str], dict[str, str]] = {}
-        #: (class name, attr) -> (lock id, mode|None, path, line)
-        self.guarded: dict[
-            tuple[str, str], tuple[str, str | None, str, int]
-        ] = {}
+        #: (class name, attr) -> (lock id, path, line)
+        self.guarded: dict[tuple[str, str], tuple[str, str, int]] = {}
         self._collect()
         self._walk_all()
         self._resolve_calls()
@@ -625,10 +554,9 @@ class ProjectIndex:
                 targets = [node.target]
             else:
                 continue
-            note = annotations.get(node.lineno)
-            if note is None:
+            expr = annotations.get(node.lineno)
+            if expr is None:
                 continue
-            expr, mode = note
             lock = self._qualify_guard(expr, cls.name, module)
             for target in targets:
                 if (
@@ -638,7 +566,6 @@ class ProjectIndex:
                 ):
                     self.guarded[(cls.name, target.attr)] = (
                         lock,
-                        mode,
                         module.path,
                         node.lineno,
                     )

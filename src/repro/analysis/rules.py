@@ -3,19 +3,16 @@
 =====  ====================  ===============================================
 R5     metric-name           metric-name literals must be registered in
                              repro.obs.names, under the right kind
-R7     lock-order            self-deadlocks (read→write upgrade, recursive
-                             acquisition) and cyclic acquisition order
-R8     blocking-under-write  PPR kernels / IO / sleeps inside write
-                             critical sections
+R7     lock-order            self-deadlocks (re-acquiring a held mutex) and
+                             cyclic acquisition order
 R9     guarded-by            writes to ``# guarded-by:`` attributes outside
-                             the declared lock context
-R10    snapshot-escape       a CSR view used after a graph mutation or
-                             after the lock it was captured under
-R11    metric-in-critical    metric-registry access inside serving critical
-                             sections
+                             the declared mutex
+R10    snapshot-escape       a CSR view used after a graph mutation
+R11    metric-in-critical    metric-registry access under a mutex on the
+                             serving paths
 =====  ====================  ===============================================
 
-The concurrency rules are *may*-analyses over the union of contexts a
+The lock rules are *may*-analyses over the union of contexts a
 function can be entered under; the model's assumptions and limits are
 documented in :mod:`repro.analysis.project` and docs/DEVELOPMENT.md.
 """
@@ -30,12 +27,8 @@ from pathlib import Path
 
 from repro.analysis.project import (
     MUTATING_METHODS,
-    MUTEX,
-    READ,
-    WRITE,
     Event,
     FunctionInfo,
-    Held,
     ProjectIndex,
     expr_text,
     is_csr_view_call,
@@ -165,18 +158,12 @@ class MetricNameRule(Rule):
 class LockOrderRule(Rule):
     """Self-deadlocks and cyclic lock-acquisition order.
 
-    Two failure classes the write-preferring RWLock makes concrete:
-
-    * **Self-deadlock** — re-acquiring a lock this thread may already
-      hold.  A read→write *upgrade* waits for all readers to drain,
-      including the upgrading thread; a *recursive read* blocks behind
-      any waiting writer (write preference stalls new readers); write
-      and mutex re-acquisition block on themselves outright.
+    * **Self-deadlock** — re-acquiring a mutex this thread may already
+      hold blocks the thread on itself.
     * **Order cycle** — thread 1 takes A then B while thread 2 takes B
       then A.  Every acquisition made while another lock is held
       contributes a directed edge; any cycle in that graph is a
-      potential deadlock regardless of modes (even read-read, again
-      because of write preference).
+      potential deadlock.
     """
 
     rule_id = "R7"
@@ -187,60 +174,29 @@ class LockOrderRule(Rule):
         for info in project.functions.values():
             for event in info.iter_events("acquire"):
                 acquired = event.data
-                assert isinstance(acquired, Held)
+                assert isinstance(acquired, str)
                 held = info.effective(event)
-                yield from self._self_deadlocks(info, event, acquired, held)
-                for prior in sorted(held, key=lambda h: h.lock):
-                    if prior.lock == acquired.lock:
-                        continue
-                    edge = (prior.lock, acquired.lock)
+                if acquired in held:
+                    yield self.finding(
+                        info.module.path,
+                        event.line,
+                        event.col,
+                        f"acquiring {acquired} while it may already be "
+                        f"held in {info.qualname}: re-acquiring a "
+                        "non-reentrant mutex blocks this thread on itself",
+                    )
+                for prior in sorted(held - {acquired}):
                     edges.setdefault(
-                        edge,
+                        (prior, acquired),
                         (
                             info.module.path,
                             event.line,
                             event.col,
-                            f"{acquired.describe()} while holding "
-                            f"{prior.describe()} in {info.qualname}",
+                            f"{acquired} while holding {prior} in "
+                            f"{info.qualname}",
                         ),
                     )
         yield from self._order_cycles(edges)
-
-    def _self_deadlocks(
-        self,
-        info: FunctionInfo,
-        event: Event,
-        acquired: Held,
-        held: frozenset[Held],
-    ) -> Iterator[Finding]:
-        for prior in sorted(held, key=lambda h: (h.lock, h.mode)):
-            if prior.lock != acquired.lock:
-                continue
-            if prior.mode == READ and acquired.mode == WRITE:
-                why = (
-                    "read->write upgrade self-deadlocks: the writer "
-                    "waits for all readers to drain, including this "
-                    "thread's own read hold"
-                )
-            elif prior.mode == READ and acquired.mode == READ:
-                why = (
-                    "recursive read acquisition deadlocks behind a "
-                    "waiting writer (write preference blocks new readers)"
-                )
-            else:
-                why = (
-                    f"re-acquiring non-reentrant {acquired.describe()} "
-                    f"while already holding {prior.describe()} blocks "
-                    "this thread on itself"
-                )
-            yield self.finding(
-                info.module.path,
-                event.line,
-                event.col,
-                f"acquiring {acquired.describe()} while "
-                f"{prior.describe()} may be held in {info.qualname}: "
-                f"{why}",
-            )
 
     def _order_cycles(
         self, edges: dict[tuple[str, str], tuple[str, int, int, str]]
@@ -282,109 +238,17 @@ class LockOrderRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# R8: blocking / unbounded compute under a write lock
-# ----------------------------------------------------------------------
-class BlockingUnderWriteRule(Rule):
-    """No kernels, IO, or sleeps inside a write critical section.
-
-    Queries run under read holds and scale out; everything under the
-    write lock serializes the whole runtime — the paper's QoS target
-    (Section V's update/query interleaving) dies the moment a PPR
-    kernel or a blocking syscall runs there.  The write section should
-    contain the CSR patch and nothing else.
-    """
-
-    rule_id = "R8"
-
-    #: dotted stdlib calls that block (module-resolved via import aliases)
-    BLOCKING_DOTTED = frozenset({"time.sleep", "os.system"})
-    #: any call into these modules blocks or may block on the network
-    BLOCKING_MODULES = frozenset(
-        {"socket", "subprocess", "requests", "urllib"}
-    )
-    #: builtins that block on IO
-    BLOCKING_NAMES = frozenset({"open", "input"})
-    #: PPR kernel entry points (unbounded compute; repro.ppr)
-    KERNELS = frozenset(
-        {
-            "frontier_push",
-            "reference_frontier_push",
-            "power_phase",
-            "forward_push",
-            "ppr_exact",
-        }
-    )
-    #: algorithm methods that run a kernel
-    KERNEL_METHODS = frozenset({"query"})
-
-    def check(self, project: ProjectIndex) -> Iterator[Finding]:
-        for info in project.functions.values():
-            for event in info.iter_events("call"):
-                write_holds = [
-                    h
-                    for h in info.effective(event)
-                    if h.mode == WRITE
-                ]
-                if not write_holds:
-                    continue
-                call = event.data
-                assert isinstance(call, ast.Call)
-                label = self._blocking_label(call, info)
-                if label is None:
-                    continue
-                lock = sorted(write_holds, key=lambda h: h.lock)[0]
-                yield self.finding(
-                    info.module.path,
-                    event.line,
-                    event.col,
-                    f"{label} inside the {lock.describe()} critical "
-                    f"section in {info.qualname}; the write hold "
-                    "serializes all readers — move it outside the lock",
-                )
-
-    def _blocking_label(
-        self, call: ast.Call, info: FunctionInfo
-    ) -> str | None:
-        func = call.func
-        if isinstance(func, ast.Name):
-            if func.id in self.BLOCKING_NAMES:
-                return f"blocking IO call '{func.id}()'"
-            if func.id in self.KERNELS:
-                return f"PPR kernel call '{func.id}()' (unbounded compute)"
-            return None
-        dotted = expr_text(func)
-        if dotted is not None and "." in dotted:
-            head, rest = dotted.split(".", 1)
-            resolved = f"{info.module.aliases.get(head, head)}.{rest}"
-            if resolved in self.BLOCKING_DOTTED:
-                return f"blocking call '{resolved}()'"
-            if resolved.split(".", 1)[0] in self.BLOCKING_MODULES:
-                return f"blocking call '{resolved}()'"
-        if isinstance(func, ast.Attribute):
-            if func.attr in self.KERNELS:
-                return (
-                    f"PPR kernel call '.{func.attr}()' (unbounded compute)"
-                )
-            if func.attr in self.KERNEL_METHODS:
-                return (
-                    f"PPR query call '.{func.attr}()' (unbounded compute)"
-                )
-        return None
-
-
-# ----------------------------------------------------------------------
 # R9: guarded-by annotations
 # ----------------------------------------------------------------------
 class GuardedByRule(Rule):
-    """Writes to ``# guarded-by:`` attributes need the declared lock.
+    """Writes to ``# guarded-by:`` attributes need the declared mutex.
 
-    ``self._degraded = False  # guarded-by: self._rwlock[write]`` on
-    the attribute's assignment in ``__init__`` declares the contract;
-    every other method that assigns, augments, deletes, subscript-
-    stores, or calls a mutating container method on the attribute must
-    do so in a context where the declared lock may be held (``[read]``/
-    ``[write]`` pin the RWLock mode; bare names accept any mode).
-    ``__init__``/``__new__`` are exempt — the object is not shared yet.
+    ``self._hits = 0  # guarded-by: self._lock`` on the attribute's
+    assignment in ``__init__`` declares the contract; every other
+    method that assigns, augments, deletes, subscript-stores, or calls
+    a mutating container method on the attribute must do so in a
+    context where the declared mutex may be held.  ``__init__``/
+    ``__new__`` are exempt — the object is not shared yet.
     """
 
     rule_id = "R9"
@@ -404,16 +268,15 @@ class GuardedByRule(Rule):
                 guard = project.guarded.get((info.class_name, attr))
                 if guard is None:
                     continue
-                lock, mode, decl_path, decl_line = guard
-                if self._satisfied(lock, mode, info.effective(event)):
+                lock, decl_path, decl_line = guard
+                if lock in info.effective(event):
                     continue
-                need = f"{lock}[{mode}]" if mode else lock
                 yield self.finding(
                     info.module.path,
                     event.line,
                     event.col,
                     f"write to 'self.{attr}' in {info.qualname} outside "
-                    f"its declared lock context {need} (declared at "
+                    f"its declared lock {lock} (declared at "
                     f"{decl_path}:{decl_line}); acquire the lock or fix "
                     "the annotation",
                 )
@@ -438,22 +301,6 @@ class GuardedByRule(Rule):
                 return func.value.attr
         return None
 
-    @staticmethod
-    def _satisfied(
-        lock: str, mode: str | None, held: frozenset[Held]
-    ) -> bool:
-        for h in held:
-            if h.lock != lock:
-                continue
-            if mode is None:
-                return True
-            if h.mode == mode:
-                return True
-            # a write hold subsumes a declared read requirement
-            if mode == READ and h.mode == WRITE:
-                return True
-        return False
-
 
 # ----------------------------------------------------------------------
 # R10: CSR-snapshot escape
@@ -463,15 +310,11 @@ class SnapshotEscapeRule(Rule):
 
     ``csr_view()`` facades share the per-graph store's arrays, which
     the incremental CSR layer patches in place, so adjacency reads
-    through a view obtained before a mutation are undefined.  Flagged:
-
-    * **stale use** — ``view = csr_view(g); g.add_edge(...);
-      view.use()``, also when the mutation hides in a project function
-      that (transitively) mutates the graph, or the view came from a
-      helper that (transitively) returns ``csr_view(...)``;
-    * **lock escape** — the view was captured under a read/write hold
-      and is still used after that hold is released (the writer may
-      have refreshed the snapshot the moment the lock dropped).
+    through a view obtained before a mutation are undefined.
+    ``view = csr_view(g); g.add_edge(...); view.use()`` is flagged,
+    also when the mutation hides in a project function that
+    (transitively) mutates the graph, or the view came from a helper
+    that (transitively) returns ``csr_view(...)``.
     """
 
     rule_id = "R10"
@@ -483,26 +326,17 @@ class SnapshotEscapeRule(Rule):
     def _check_function(
         self, project: ProjectIndex, info: FunctionInfo
     ) -> Iterator[Finding]:
-        #: var -> (acquired-directly, snapshot locks, acquisition line)
-        views: dict[str, tuple[bool, frozenset[Held], int]] = {}
+        #: var -> the view was acquired directly (not via a helper)
+        views: dict[str, bool] = {}
         #: var -> (stale label, staled-by-direct-mutator)
         stale: dict[str, tuple[str, bool]] = {}
-        escape_reported: set[str] = set()
         for event in _ordered_events(info):
             if event.kind == "view_assign":
                 varname, call = event.data  # type: ignore[misc]
                 assert isinstance(call, ast.Call)
                 if project.call_yields_view(call, info):
-                    locks = frozenset(
-                        h for h in event.held if h.mode in (READ, WRITE)
-                    )
-                    views[varname] = (
-                        is_csr_view_call(call),
-                        locks,
-                        event.line,
-                    )
+                    views[varname] = is_csr_view_call(call)
                     stale.pop(varname, None)
-                    escape_reported.discard(varname)
                 else:
                     views.pop(varname, None)
                     stale.pop(varname, None)
@@ -519,60 +353,40 @@ class SnapshotEscapeRule(Rule):
             elif event.kind == "load":
                 varname = event.data
                 assert isinstance(varname, str)
-                if varname not in views:
+                if varname not in views or varname not in stale:
                     continue
-                direct_acq, locks, acq_line = views[varname]
-                if varname in stale:
-                    label, direct_mut = stale.pop(varname)
-                    how = (
-                        f"graph mutation '{label}()'"
-                        if direct_mut
-                        else f"call to '{label}()' which mutates the graph"
-                    )
-                    via = (
-                        ""
-                        if direct_acq
-                        else " (view obtained via a helper that "
-                        "returns csr_view)"
-                    )
-                    yield self.finding(
-                        info.module.path,
-                        event.line,
-                        event.col,
-                        f"CSR view '{varname}' in {info.qualname} "
-                        f"used after {how}{via}; re-obtain the view "
-                        "after mutating",
-                    )
-                missing = locks - frozenset(event.held)
-                if missing and varname not in escape_reported:
-                    escape_reported.add(varname)
-                    lost = ", ".join(
-                        h.describe()
-                        for h in sorted(missing, key=lambda h: h.lock)
-                    )
-                    yield self.finding(
-                        info.module.path,
-                        event.line,
-                        event.col,
-                        f"CSR view '{varname}' in {info.qualname} "
-                        f"(captured under {lost} at line {acq_line}) "
-                        "used after the lock was released; the writer "
-                        "may have refreshed the snapshot — re-obtain "
-                        "the view inside the critical section",
-                    )
+                label, direct_mut = stale.pop(varname)
+                how = (
+                    f"graph mutation '{label}()'"
+                    if direct_mut
+                    else f"call to '{label}()' which mutates the graph"
+                )
+                via = (
+                    ""
+                    if views[varname]
+                    else " (view obtained via a helper that returns csr_view)"
+                )
+                yield self.finding(
+                    info.module.path,
+                    event.line,
+                    event.col,
+                    f"CSR view '{varname}' in {info.qualname} "
+                    f"used after {how}{via}; re-obtain the view "
+                    "after mutating",
+                )
 
 
 # ----------------------------------------------------------------------
 # R11: metric-registry access in serving critical sections
 # ----------------------------------------------------------------------
 class MetricInCriticalSectionRule(Rule):
-    """No metric-registry calls inside serving critical sections.
+    """No metric-registry calls under a mutex on the serving paths.
 
-    ``MetricsRegistry`` is shared across every worker; ``histogram()``
-    / ``counter()`` lookups allocate on first use and contend on the
-    registry dict.  Inside a write hold or a mutex on the serving hot
-    path that contention extends the critical section for *all*
-    readers.  Record the duration first, observe after release.
+    ``MetricsRegistry`` is shared by every thread of a process;
+    ``histogram()`` / ``counter()`` lookups allocate on first use and
+    contend on the registry dict.  Under a mutex on the serving hot
+    path that contention extends the critical section for every thread
+    waiting on it.  Record the value first, observe after release.
     """
 
     rule_id = "R11"
@@ -587,25 +401,20 @@ class MetricInCriticalSectionRule(Rule):
             if not set(self.SCOPE) & set(Path(info.module.path).parts):
                 continue
             for event in info.iter_events("call"):
-                critical = [
-                    h
-                    for h in info.effective(event)
-                    if h.mode in (WRITE, MUTEX)
-                ]
-                if not critical:
+                held = info.effective(event)
+                if not held:
                     continue
                 call = event.data
                 assert isinstance(call, ast.Call)
                 method = self._registry_call(call)
                 if method is None:
                     continue
-                lock = sorted(critical, key=lambda h: h.lock)[0]
                 yield self.finding(
                     info.module.path,
                     event.line,
                     event.col,
                     f"metric-registry call '.{method}()' inside the "
-                    f"{lock.describe()} critical section in "
+                    f"{min(held)} critical section in "
                     f"{info.qualname}; record the value and observe "
                     "after releasing the lock",
                 )
@@ -630,7 +439,6 @@ class MetricInCriticalSectionRule(Rule):
 RULES: tuple[Rule, ...] = (
     MetricNameRule(),
     LockOrderRule(),
-    BlockingUnderWriteRule(),
     GuardedByRule(),
     SnapshotEscapeRule(),
     MetricInCriticalSectionRule(),

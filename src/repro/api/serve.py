@@ -45,10 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8080)
     parser.add_argument(
-        "--workers-per-shard", type=int, default=1,
-        help="runtime worker threads inside each shard process",
-    )
-    parser.add_argument(
         "--max-inflight", type=int, default=64,
         help="per-shard inflight bound before the front door sheds",
     )
@@ -102,7 +98,6 @@ def _build_manager(args: argparse.Namespace, spec: DatasetSpec) -> ShardManager:
         walk_cap=spec.walk_cap,
         seed=args.seed,
         epsilon_r=args.epsilon_r,
-        workers_per_shard=args.workers_per_shard,
         cache_epsilon=args.cache_epsilon,
         use_controller=args.quota,
         max_inflight_per_shard=args.max_inflight,

@@ -31,9 +31,9 @@ no ``pi_estimate`` and fall back to the conservative degree-only bound
 ``pi_hat = 1``, which over-charges and never under-protects.
 
 Call :meth:`StalenessTracker.observe` *after* the update is applied —
-the charge reads the post-update out-degree — and from within the same
-critical section that mutated the graph, so no query can observe a
-mutated graph before the cache was charged for it.
+the charge reads the post-update out-degree — and before anything
+else runs on the thread that mutated the graph, so no query can
+observe a mutated graph before the cache was charged for it.
 :class:`ChargingApplier` packages that ordering for the Seed flush
 paths (it satisfies the structural ``UpdateApplier`` protocol of
 :mod:`repro.core.seed` without importing it — this package stays below

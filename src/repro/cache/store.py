@@ -22,8 +22,9 @@ both and stays deterministic — no randomized sampling, so replays are
 reproducible.
 
 Thread safety: every public method takes the internal lock, so the
-store can sit under :class:`~repro.serving.runtime.ServingRuntime`
-where readers insert concurrently with the writer charging staleness.
+store may be read (``stats()``, ``worst_staleness()``) from other
+threads while the runtime thread of
+:class:`~repro.serving.runtime.ServingRuntime` inserts and charges.
 Lock ordering note: the cache lock is a leaf — no callback invoked
 under it (``pi_estimate`` closures) may call back into the cache.
 """
@@ -116,12 +117,8 @@ class PPRCache:
         self.capacity = capacity
         self.epsilon_c = epsilon_c
         self.metrics = metrics if metrics is not None else get_metrics()
-        # imported lazily: repro.serving imports repro.cache at module
-        # load, so a top-level import here would be circular
-        from repro.serving.rwlock import wrap_mutex
-
         self._entries: OrderedDict[CacheKey, CacheEntry] = OrderedDict()  # guarded-by: self._lock
-        self._lock = wrap_mutex(threading.Lock(), "cache.store")
+        self._lock = threading.Lock()
         self._updates_seen = 0  # guarded-by: self._lock
         self._hits = 0  # guarded-by: self._lock
         self._lookups = 0  # guarded-by: self._lock

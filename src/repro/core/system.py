@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
+from typing import cast
 
 from repro.cache import PPRCache, StalenessTracker
 from repro.core.quota import QuotaController, QuotaDecision
@@ -137,9 +138,13 @@ class QuotaSystem:
             self.algorithm.graph, self.algorithm.params.alpha, self.epsilon_r
         )
 
-        def on_answer(request: Request, estimate: PPRVector) -> None:
+        def on_answer(
+            request: Request, estimate: object, _cached_version: int | None
+        ) -> None:
             if query_callback is not None:
-                query_callback(request, estimate, len(seed_queue))
+                query_callback(
+                    request, cast(PPRVector, estimate), len(seed_queue)
+                )
 
         self._last_reoptimize = 0.0
         return replay(

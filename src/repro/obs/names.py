@@ -18,10 +18,11 @@ Naming conventions
 ------------------
 * ``csr_*``         — counters of the incremental CSR maintenance layer.
 * ``service.*``     — per-operation service-time histograms (seconds)
-  recorded by :class:`repro.core.system.QuotaSystem` and the concurrent
-  serving runtime (:mod:`repro.serving`).
-* ``serving.*``     — admission/shedding accounting of the concurrent
-  serving runtime (queue-depth gauge, wait/response histograms,
+  recorded by :class:`repro.queueing.replay.MeasuredExecutor`, which
+  :class:`repro.core.system.QuotaSystem` and the serving runtime
+  (:mod:`repro.serving`) both execute through.
+* ``serving.*``     — admission/shedding accounting of the serving
+  runtime (queue-depth gauge, wait/response histograms,
   shed/timeout/fault counters).
 * ``calibration.*`` — tau-calibration accounting.
 * ``cache.*``       — result-cache accounting (:mod:`repro.cache`):
@@ -31,9 +32,6 @@ Naming conventions
 * ``dispatch.*``    — kernel-engine degradations
   (:mod:`repro.ppr.kernels`): ``dispatch.fallbacks`` counts a failed
   scipy probe, once per process.
-* ``locks.*``       — runtime lock-order sanitizer accounting
-  (:mod:`repro.serving.rwlock`, enabled by ``REPRO_LOCK_SANITIZER=1``):
-  tracked acquisitions and detected discipline violations.
 * ``scenario.*``    — scenario-fuzz harness accounting
   (:mod:`repro.scenarios`): replayed scenarios, oracle violations,
   and drift-triggered QuotaController reconfigurations.
@@ -74,9 +72,6 @@ COUNTERS = frozenset(
         "cache.evictions_capacity",
         "cache.evictions_staleness",
         "dispatch.fallbacks",
-        # lock sanitizer (REPRO_LOCK_SANITIZER=1; repro.serving.rwlock)
-        "locks.acquired",
-        "locks.violations",
         # scenario fuzzing (repro.scenarios)
         "scenario.runs",
         "scenario.violations",

@@ -440,8 +440,8 @@ class WalkIndexOwner(DynamicPPRAlgorithm):
         """Bring the index to the post-update snapshot.
 
         ``rebuild`` regenerates it (the ``t_u = r_max * tau_3`` row of
-        Table I); ``incremental`` resamples only the affected walks,
-        inside the caller's writer critical section (serving runtime).
+        Table I); ``incremental`` resamples only the affected walks, on
+        the thread that applied the update (the serving runtime's).
         Agenda overrides this with its inaccuracy tracking.
         """
         if self._index is None or self.index_maintenance == "rebuild":

@@ -76,8 +76,8 @@ terminals array is repacked.
 
 Everything here mutates only the owning :class:`~repro.ppr.random_walk.
 WalkIndex` and is called from algorithm ``apply_update`` paths, which
-the serving runtime already runs under the write lock — the repair is
-inside the writer critical section by construction (rules R7-R11).
+the serving runtime runs on its one thread — no query overlaps the
+repair, by construction.
 """
 
 from __future__ import annotations
@@ -103,8 +103,7 @@ WalkTrace = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 SLOT_BITS = 32
 _SLOT_MASK = (1 << SLOT_BITS) - 1
 
-# module-level pre-resolved counters: looking metrics up per update
-# would be a registry access inside the writer critical section (R11).
+# module-level pre-resolved counters: no registry lookup per update
 _incremental_updates = get_metrics().counter("index.incremental_updates")
 _walks_resampled = get_metrics().counter("index.walks_resampled")
 _map_builds = get_metrics().counter("index.map_builds")

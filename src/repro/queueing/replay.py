@@ -30,10 +30,13 @@ Schedule
 * **End of window** — still-pending updates are flushed after the last
   arrival, so every submitted request completes exactly once.
 
-Single-writer approximation: in the threaded runtime updates and
-flushes serialize through one writer and briefly exclude readers; here
-a flush occupies only the server that triggered it, which biases k > 1
-replays slightly optimistic under heavy update traffic.
+The per-request branch (defer or apply an update; cache lookup, Lemma 2
+flush check, query) is :func:`serve_request`, and the oldest deferred
+update runs through :func:`apply_head`: the wall-clock
+:class:`~repro.serving.runtime.ServingRuntime` calls both on its one
+thread, so the two engines differ only in their clocks.  k > 1 servers
+exist only here, as a modeled what-if; a flush then occupies only the
+server that triggered it.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, Protocol, cast
+from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
 from numpy.typing import NDArray
@@ -54,14 +57,14 @@ from repro.cache.staleness import (
     StalenessTracker,
     SupportsApplyUpdate,
 )
-from repro.cache.store import CacheKey, PPRCache, make_key
+from repro.cache.store import CacheKey, PiEstimate, PPRCache, make_key
 from repro.graph.digraph import DynamicGraph
 from repro.queueing.workload import QUERY, UPDATE, Request, Workload
 
 if TYPE_CHECKING:  # type-only: repro.core imports this package
     from repro.core.seed import SeedQueue
     from repro.obs import MetricsRegistry
-    from repro.ppr.base import DynamicPPRAlgorithm, PPRVector
+    from repro.ppr.base import DynamicPPRAlgorithm
 
 
 @dataclass(frozen=True, slots=True)
@@ -287,6 +290,15 @@ class ModeledExecutor:
         pass
 
 
+#: ``on_answer(request, answer, cached_version)``: fired after every
+#: served query; ``cached_version`` is the graph version a cache hit was
+#: computed at, None for an answer computed now
+AnswerHook = Callable[[Request, object, "int | None"], None]
+
+#: a query executor over the live graph, ``(graph, source) -> answer``
+QueryFn = Callable[[DynamicGraph, int], object]
+
+
 class MeasuredExecutor:
     """Service time = measured wall time of the real algorithm.
 
@@ -294,19 +306,22 @@ class MeasuredExecutor:
     (a hit costs the measured lookup) and insert after; updates go
     through a :class:`~repro.cache.ChargingApplier` when a staleness
     tracker is given, so each one is charged against the degrees it
-    actually saw.  Durations land on the ``service.*`` histograms the
-    way the threaded runtime reports them: ``service.update`` for an
-    update served on its own, one ``service.flush`` total per flush.
-    ``on_answer(request, estimate)`` fires after every served query.
+    actually saw.  Durations land on the ``service.*`` histograms:
+    ``service.update`` for an update served on its own, one
+    ``service.flush`` total per flush.  ``query_fn`` replaces
+    ``algorithm.query`` (the exact mode of the equivalence oracle); its
+    answers are opaque to the cache, which then charges them the
+    degree-only staleness bound.
     """
 
     def __init__(
         self,
         algorithm: DynamicPPRAlgorithm,
         metrics: MetricsRegistry,
-        on_answer: Callable[[Request, PPRVector], None],
+        on_answer: AnswerHook,
         cache: PPRCache | None = None,
         staleness: StalenessTracker | None = None,
+        query_fn: QueryFn | None = None,
     ) -> None:
         self._algorithm = algorithm
         self._metrics = metrics
@@ -317,6 +332,7 @@ class MeasuredExecutor:
             else algorithm
         )
         self._on_answer = on_answer
+        self._query_fn = query_fn
 
     def _key(self, source: int) -> CacheKey:
         """Cache identity of a query at the current configuration."""
@@ -338,24 +354,30 @@ class MeasuredExecutor:
         if entry is None:
             return None
         self._metrics.histogram("service.query_hit").observe(elapsed)
-        self._on_answer(request, cast("PPRVector", entry.value))
+        self._on_answer(request, entry.value, entry.version)
         return elapsed
 
     def query(self, request: Request) -> float:
         source = request.source
         assert source is not None  # QUERY requests carry one
         started = perf_counter()
-        estimate = self._algorithm.query(source)
+        answer: object
+        pi_estimate: PiEstimate | None = None
+        if self._query_fn is None:
+            estimate = self._algorithm.query(source)
+            answer, pi_estimate = estimate, estimate.get
+        else:
+            answer = self._query_fn(self._algorithm.graph, source)
         elapsed = perf_counter() - started
         self._metrics.histogram("service.query").observe(elapsed)
         if self._cache is not None:
             self._cache.insert(
                 self._key(source),
-                estimate,
+                answer,
                 self._algorithm.graph.version,
-                pi_estimate=estimate.get,
+                pi_estimate=pi_estimate,
             )
-        self._on_answer(request, estimate)
+        self._on_answer(request, answer, None)
         return elapsed
 
     def apply(self, request: Request, flushing: bool) -> float:
@@ -379,6 +401,59 @@ class MeasuredExecutor:
 #: the seconds of out-of-band work (a reconfiguration) the earliest-free
 #: server must absorb first
 ArrivalHook = Callable[[Request], float]
+
+
+def apply_head(
+    executor: Executor, pending: SeedQueue, flushing: bool
+) -> tuple[Request, float]:
+    """Run the oldest deferred update; returns it with its service time.
+
+    Apply, then pop: a raising apply leaves the head queued, for the
+    caller to discard.  Forced flushes, idle drains and the closing
+    flush all go through here.
+    """
+    head = pending.peek()
+    assert head is not None  # callers checked len(pending)
+    request = Request(head.arrival, UPDATE, update=head.update)
+    service = executor.apply(request, flushing)
+    pending.discard_one()
+    return request, service
+
+
+def serve_request(
+    request: Request,
+    executor: Executor,
+    pending: SeedQueue | None,
+    flush: Callable[[], None],
+    arrival: float,
+) -> float | None:
+    """Algorithm 2's branch for one request: its service time, or None
+    when the update was deferred.
+
+    ``pending`` is the Seed queue, or None for strict FCFS.  An update
+    is deferred into it at ``arrival``, at no server cost, or without
+    one applied inline.  A query is answered from the cache when it can
+    be; a hit skips the flush check, because the ``epsilon_c`` budget
+    covers every applied update and deferred ones are invisible to a
+    fresh recompute too.  Otherwise, when the Lemma 2 bound for its
+    source exceeds the budget, ``flush()`` first runs every deferred
+    update, and then the query runs.
+    """
+    if request.kind == UPDATE:
+        if pending is None:
+            return executor.apply(request, flushing=False)
+        update = request.update
+        assert update is not None  # UPDATE requests carry one
+        pending.add(update, arrival)
+        return None
+    hit = executor.lookup(request)
+    if hit is not None:
+        return hit
+    source = request.source
+    assert source is not None  # QUERY requests carry one
+    if pending is not None and len(pending) and pending.should_flush(source):
+        flush()
+    return executor.query(request)
 
 
 def replay(
@@ -417,25 +492,28 @@ def replay(
         completed.append(CompletedRequest(request, start, finish, service))
         return finish
 
-    def apply_head(clock: float, flushing: bool) -> float:
+    def run_head(clock: float, flushing: bool) -> float:
         """Run the oldest deferred update from ``clock``; returns its end."""
         assert pending is not None
-        head = pending.peek()
-        assert head is not None  # callers checked len(pending)
-        request = Request(head.arrival, UPDATE, update=head.update)
-        # apply, then pop: a raising apply leaves the head queued
-        service = executor.apply(request, flushing)
-        pending.discard_one()
-        return occupy(request, max(clock, head.arrival), service)
+        request, service = apply_head(executor, pending, flushing)
+        return occupy(request, max(clock, request.arrival), service)
 
     def flush_all(clock: float) -> float:
         """Run every deferred update back to back; returns the end."""
         assert pending is not None
         begun = clock
         while len(pending):
-            clock = apply_head(clock, flushing=True)
+            clock = run_head(clock, flushing=True)
         executor.flushed(clock - begun)
         return clock
+
+    start = 0.0
+
+    def flush() -> None:
+        # the deferred updates occupy this query's server first, then
+        # the query runs
+        nonlocal start
+        start = flush_all(start)
 
     for request in requests:
         if on_arrival is not None:
@@ -450,33 +528,14 @@ def replay(
             # arrival work the queue off first
             while len(pending) and free_at[0] < request.arrival:
                 heapq.heapreplace(
-                    free_at, apply_head(free_at[0], flushing=False)
+                    free_at, run_head(free_at[0], flushing=False)
                 )
-            if request.kind == UPDATE:
-                update = request.update
-                assert update is not None  # UPDATE requests carry one
-                pending.add(update, request.arrival)
-                continue
         start = max(request.arrival, free_at[0])
-        if request.kind == UPDATE:
-            service = executor.apply(request, flushing=False)
-        else:
-            hit = executor.lookup(request)
-            if hit is not None:
-                service = hit
-            else:
-                source = request.source
-                assert source is not None  # QUERY requests carry one
-                if (
-                    pending is not None
-                    and len(pending)
-                    and pending.should_flush(source)
-                ):
-                    # the deferred updates occupy this query's server
-                    # first, then the query runs
-                    start = flush_all(start)
-                service = executor.query(request)
-        heapq.heapreplace(free_at, occupy(request, start, service))
+        service = serve_request(
+            request, executor, pending, flush, request.arrival
+        )
+        if service is not None:
+            heapq.heapreplace(free_at, occupy(request, start, service))
 
     if pending is not None and len(pending):
         flush_all(

@@ -404,7 +404,6 @@ def run_measured(
     cache = PPRCache(capacity=128, epsilon_c=FUZZ_EPSILON_C, metrics=quiet)
     runtime = ServingRuntime(
         algorithm,
-        workers=2,
         epsilon_r=scenario.epsilon_r,
         queue_capacity=len(trimmed) + 8,
         cache=cache,
@@ -461,7 +460,6 @@ def run_drift_demo(
     )
     runtime = ServingRuntime(
         algorithm,
-        workers=2,
         queue_capacity=len(workload) + 8,
         controller=controller,
         metrics=quiet,

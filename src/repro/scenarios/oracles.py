@@ -33,8 +33,7 @@ The oracle set, and why each holds:
   replayed in observed graph-version order on a shadow copy of the
   pre-run graph, must reproduce the final edge set exactly with
   distinct versions, and every OK query must report a version inside
-  the run's span (the single-serialized-writer contract; mirrors the
-  ablation bench's oracle).
+  the run's span (the one-thread-owns-the-graph contract).
 * **no shed under capacity** — an admission queue at least as large as
   the whole workload can never legitimately shed.
 * **staleness budget** — no live cache entry may carry accumulated

@@ -1,15 +1,12 @@
-"""Concurrent serving runtime for PPR queries and edge updates.
+"""Wall-clock serving runtime for PPR queries and edge updates.
 
-The paper's replay layer (:class:`~repro.core.system.QuotaSystem`, the
-queueing simulators) advances a *virtual* clock in one thread; this
-package is the measured counterpart: a real worker pool executing
-queries concurrently over snapshot-isolated CSR views while a single
-writer applies edge updates through the incremental CSR delta log.
+The paper's replay layer (:func:`repro.queueing.replay.replay`) advances
+a *virtual* clock; this package is the measured counterpart: one thread
+per shard that owns the graph and runs the same per-request decision
+on the wall clock.
 
 Components
 ----------
-* :class:`~repro.serving.rwlock.RWLock` — write-preferring
-  readers-writer lock; queries share, the writer excludes.
 * :class:`~repro.serving.admission.AdmissionQueue` — bounded FIFO with
   shed-on-full backpressure and a queue-depth gauge.
 * :class:`~repro.serving.runtime.ServingRuntime` — the runtime itself:
@@ -44,7 +41,6 @@ if TYPE_CHECKING:
         ServingReport,
         ServingRuntime,
     )
-    from repro.serving.rwlock import RWLock
 
 __all__ = [
     "FAILED",
@@ -55,7 +51,6 @@ __all__ = [
     "TIMEOUT",
     "AdmissionQueue",
     "QueryFn",
-    "RWLock",
     "ServedRequest",
     "ServingReport",
     "ServingRuntime",
@@ -81,6 +76,5 @@ __getattr__, __dir__ = lazy_exports(
             "ServingReport",
             "ServingRuntime",
         ],
-        "rwlock": ["RWLock"],
     },
 )

@@ -24,6 +24,9 @@ SHED_QUEUE_FULL = "queue-full"
 #: shed because the request's deadline budget expired before execution
 SHED_DEADLINE = "deadline"
 
+#: what :meth:`AdmissionQueue.wake` enqueues; never handed out
+_WAKE = object()
+
 
 @dataclass(frozen=True, slots=True)
 class Ticket:
@@ -45,7 +48,7 @@ class Ticket:
 
 
 class AdmissionQueue:
-    """Bounded FIFO in front of the worker pool.
+    """Bounded FIFO in front of the runtime thread.
 
     Parameters
     ----------
@@ -64,7 +67,9 @@ class AdmissionQueue:
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
         self.capacity = capacity
-        self._queue: queue.Queue[Ticket] = queue.Queue(maxsize=capacity)
+        self._queue: queue.Queue[Ticket | object] = queue.Queue(
+            maxsize=capacity
+        )
         metrics = metrics if metrics is not None else get_metrics()
         self._depth = metrics.gauge("serving.queue_depth")
         self._shed = metrics.counter("serving.shed")
@@ -82,27 +87,44 @@ class AdmissionQueue:
         return True
 
     def take(self, timeout_s: float) -> Ticket | None:
-        """Pop the oldest waiting ticket; None after ``timeout_s``."""
+        """Pop the oldest waiting ticket; None after ``timeout_s``, or
+        at once when :meth:`wake` was called."""
         try:
-            ticket = self._queue.get(timeout=timeout_s)
+            item = self._queue.get(timeout=timeout_s)
         except queue.Empty:
             return None
-        self._depth.set(self._queue.qsize())
-        return ticket
+        return self._popped(item)
 
     def poll(self) -> Ticket | None:
         """Pop the oldest waiting ticket without blocking; None if empty.
 
-        The worker loop's first look each turn: an empty queue sends it
+        The runtime loop's first look each turn: an empty queue sends it
         to the idle drain of deferred updates instead of blocking in
         :meth:`take`.
         """
         try:
-            ticket = self._queue.get_nowait()
+            item = self._queue.get_nowait()
         except queue.Empty:
             return None
+        return self._popped(item)
+
+    def _popped(self, item: Ticket | object) -> Ticket | None:
         self._depth.set(self._queue.qsize())
-        return ticket
+        if item is _WAKE:
+            self._queue.task_done()
+            return None
+        assert isinstance(item, Ticket)
+        return item
+
+    def wake(self) -> None:
+        """Return a blocked :meth:`take` now, admitting nothing.
+
+        A full queue needs no wake-up: its consumer is not waiting.
+        """
+        try:
+            self._queue.put_nowait(_WAKE)
+        except queue.Full:
+            pass
 
     def task_done(self) -> None:
         """Mark the most recently taken ticket as fully processed."""

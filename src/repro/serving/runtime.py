@@ -1,79 +1,70 @@
-"""ServingRuntime: concurrent query/update execution with QoS controls.
+"""ServingRuntime: one thread per shard serving PPR queries and edge updates.
 
-Where :class:`~repro.core.system.QuotaSystem` *models* serving on a
-virtual clock in one thread, this runtime *executes* it: a pool of
-worker threads serves SSPPR queries over snapshot-isolated CSR views
-while edge updates funnel through a single logical writer that patches
-the incremental CSR delta log (:mod:`repro.ppr.csr`).
+Where :func:`repro.queueing.replay.replay` schedules Algorithm 2 on a
+virtual clock, this runtime runs the same decision on the wall clock.
+One thread owns the graph, the index, the result cache and the Seed
+queue, and takes requests from a bounded admission queue in FCFS
+order.  Each request goes through
+:func:`~repro.queueing.replay.serve_request` with a
+:class:`~repro.queueing.replay.MeasuredExecutor` (the pair
+:class:`~repro.core.system.QuotaSystem` replays with), and every
+deferred update through :func:`~repro.queueing.replay.apply_head`.
+What is left here is what only a wall clock has:
 
-Concurrency discipline
-----------------------
-* **Snapshot isolation (epoch granularity).**  All graph mutation —
-  applying an update, flushing the Seed queue, rebuilding an index on
-  reconfiguration — happens under the exclusive side of a
-  write-preferring :class:`~repro.serving.rwlock.RWLock`; immediately
-  after mutating, and still under the lock, the writer catches the CSR
-  store up (``csr_view``).  Query workers hold the shared side, so
-  every ``csr_view`` call they make is a pure cache hit on an
-  immutable-for-the-duration snapshot: no torn adjacency reads, and
-  the graph version observed under the read lock uniquely identifies
-  the snapshot a query ran against (the equivalence-oracle hook the
-  stress tests use).
-* **Seed-aware dispatch.**  With ``epsilon_r > 0`` updates are
-  deferred into a :class:`~repro.core.seed.SeedQueue` at admission
-  cost only; queries overtake them until the Lemma 2 bound for their
-  source exceeds the budget, at which point the dispatching worker
-  becomes the writer and flushes.  Idle workers work the deferred
-  updates off back to back whenever the admission queue is empty, as
-  :func:`repro.queueing.replay.replay` does on the virtual clock.
-* **Result caching** (optional).  With a
-  :class:`~repro.cache.PPRCache` attached, queries try the cache
-  before taking the read lock and insert their result while still
-  holding it; every writer critical section charges the cache's
-  staleness tracker immediately after mutating, so served-from-cache
-  answers provably stay within the ``epsilon_c`` budget of a fresh
-  recompute (see docs/DEVELOPMENT.md, "The result cache").
+* **Snapshot isolation by construction.**  Every graph mutation
+  (an update, a Seed flush, new hyperparameters) and every kernel call
+  runs on the runtime thread, so no query overlaps a write, and the
+  graph version read right after a query names the snapshot it ran on.
+  Callers on other threads that must mutate — :meth:`reconfigure` and
+  the closing flush of :meth:`drain` — hand the work to the thread
+  through a control queue.  The loop drains it before each admission
+  poll, so a control item runs after the request in flight and ahead
+  of the queued ones.  Before :meth:`start` and after :meth:`stop` it
+  runs inline.
+* **Idle drain.**  While the admission queue is empty the thread
+  applies deferred updates one at a time, re-polling between any two,
+  as ``replay`` does when a server idles before the next arrival.
 * **Backpressure and deadlines.**  Admission is bounded
   (:class:`~repro.serving.admission.AdmissionQueue`); submission sheds
   when the queue is full, and a query popped after its deadline budget
   expired is dropped with a ``serving.timeout`` count instead of
-  wasting a worker on an answer nobody is waiting for.  Updates are
-  never deadline-dropped — they are state, not answers — and a caller
-  that must not lose one (the shard worker) submits with ``wait_s`` so
-  a full queue blocks it instead of shedding.
-* **Graceful degradation.**  If an update application fails the
-  failing update is surfaced as a ``failed`` record (and the
-  ``serving.faults`` counter), discarded from the Seed queue with the
-  degree overlay kept consistent, and the runtime falls back to strict
-  FCFS (no further reordering) — correctness of what remains beats
-  optimizing a queue whose invariants just proved shaky.
+  computing an answer nobody is waiting for.  Updates are never
+  deadline-dropped — they are state, not answers — and a caller that
+  must not lose one (the shard worker) submits with ``wait_s`` so a
+  full queue blocks it instead of shedding.
+* **Graceful degradation.**  An update that raises is surfaced as a
+  ``failed`` record (and the ``serving.faults`` counter) and discarded
+  from the Seed queue with the degree overlay kept consistent.  The
+  runtime then falls back to strict FCFS: what is still deferred is
+  applied at once, and later updates apply inline.
 
-The GIL caveat, stated honestly: CPython threads interleave rather
-than parallelize pure-Python bytecode, so measured speedups from
-``workers > 1`` come only from the numpy-released portions of query
-work.  The architecture (snapshot views + single writer) is what a
-free-threaded or multi-process deployment needs either way, and the
-runtime reports measured numbers — it never presents an interleaved
-timeline as parallel (that is the simulator's
-:class:`~repro.queueing.simulator.MeasuredParallelWarning` contract).
+On CPython the unit of parallelism is the process fleet
+(:mod:`repro.shard`), one runtime per shard process; ``replay`` models
+k > 1 servers where a what-if needs them.
 """
 
 from __future__ import annotations
 
+import queue
 import threading
 import time
 import traceback
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import Any, TypeVar, cast
 
-from repro.cache import CacheKey, PPRCache, StalenessTracker, make_key
+from repro.cache import PPRCache, StalenessTracker
 from repro.core.quota import QuotaController, QuotaDecision
 from repro.core.seed import SeedQueue
-from repro.graph.digraph import DynamicGraph
-from repro.graph.updates import EdgeUpdate
 from repro.obs import MetricsRegistry, get_metrics
-from repro.ppr.base import DynamicPPRAlgorithm, PPRVector
+from repro.ppr.base import DynamicPPRAlgorithm
 from repro.ppr.csr import csr_view
+from repro.queueing.replay import (
+    MeasuredExecutor,
+    QueryFn,
+    apply_head,
+    serve_request,
+)
 from repro.queueing.workload import QUERY, UPDATE, Request, Workload
 from repro.serving.admission import (
     SHED_DEADLINE,
@@ -81,7 +72,6 @@ from repro.serving.admission import (
     AdmissionQueue,
     Ticket,
 )
-from repro.serving.rwlock import RWLock, wrap_mutex
 
 #: request completed normally
 OK = "ok"
@@ -92,9 +82,7 @@ TIMEOUT = "timeout"
 #: execution raised; the error is carried on the record
 FAILED = "failed"
 
-#: a query executor over the live graph — must be a pure function of
-#: (graph snapshot, source) to be safely shared across workers
-QueryFn = Callable[[DynamicGraph, int], object]
+_T = TypeVar("_T")
 
 
 @dataclass(slots=True)
@@ -110,7 +98,6 @@ class ServedRequest:
     #: graph version the operation observed/produced (-1 when shed);
     #: for cache hits, the version the cached result was *computed* at
     version: int = -1
-    worker: int = -1
     error: str | None = None
     shed_reason: str | None = None
     #: True when the result was served from the PPR result cache
@@ -119,10 +106,6 @@ class ServedRequest:
     @property
     def kind(self) -> str:
         return self.request.kind
-
-    @property
-    def waiting_s(self) -> float:
-        return max(self.started_s - self.submitted_s, 0.0)
 
     @property
     def response_s(self) -> float:
@@ -135,7 +118,6 @@ class ServingReport:
 
     records: list[ServedRequest]
     wall_s: float
-    workers: int
     degraded: bool
     decisions: list[QuotaDecision] = field(default_factory=list)
 
@@ -146,10 +128,6 @@ class ServingReport:
         return [
             r for r in self.records if r.kind == QUERY and r.status == OK
         ]
-
-    def cached_queries(self) -> list[ServedRequest]:
-        """Completed queries answered from the result cache."""
-        return [r for r in self.completed_queries() if r.cached]
 
     def cache_hit_rate(self) -> float:
         """Fraction of completed queries served from cache."""
@@ -182,15 +160,16 @@ class ServingReport:
 
 
 class ServingRuntime:
-    """A worker pool serving PPR queries and edge updates concurrently.
+    """One thread serving PPR queries and edge updates in FCFS order.
 
     Parameters
     ----------
     algorithm:
-        The PPR algorithm instance (owns the graph; its
-        ``apply_update`` is the single-writer mutation path).
+        The PPR algorithm instance (owns the graph); only the runtime
+        thread calls it once the runtime is started.
     workers:
-        Worker-thread count (k of the parallel-serving experiments).
+        Accepted for compatibility and must be 1: the runtime is
+        single-threaded, and a fleet scales out by shards.
     epsilon_r:
         Seed reorder budget; 0 keeps strict FCFS (updates apply
         inline, in admission order).
@@ -201,28 +180,18 @@ class ServingRuntime:
         A query still waiting past its budget is dropped.
     controller:
         Optional :class:`~repro.core.quota.QuotaController`;
-        :meth:`reconfigure` applies its decisions to the live runtime
-        under the write lock.
+        :meth:`reconfigure` applies its decisions to the live runtime.
     query_fn:
-        Pure query executor ``(graph, source) -> result`` shared by
-        all workers.  When omitted, ``algorithm.query`` is used under
-        an internal mutex — algorithm instances keep per-query scratch
-        state (timers, RNG), so unguarded sharing would race; the
-        mutex trades query overlap for safety on the default path.
+        Query executor ``(graph, source) -> result`` used instead of
+        ``algorithm.query`` (the exact mode of the equivalence oracle).
     idle_tick_s:
-        How long an idle worker blocks on the empty admission queue
-        once nothing is deferred (also bounds stop latency).
+        How long the idle thread blocks on the empty admission queue
+        once nothing is deferred.
     cache:
         Optional :class:`~repro.cache.PPRCache`.  Queries look up
-        before computing (a hit skips the read lock and the Seed flush
-        check entirely — its staleness budget already covers every
-        *applied* update, and the not-yet-applied deferred ones are
-        invisible to a fresh recompute too) and insert after computing,
-        while still under the read lock so no writer can slip a charge
-        between compute and insert.  Every write path — inline update,
-        forced flush, idle drain — charges the tracker inside its
-        writer critical section, so a query can never observe a
-        mutated graph whose updates the cache was not yet charged for.
+        before computing (a hit skips the Seed flush check) and insert
+        after; every applied update charges the staleness tracker
+        before the next request runs.
     on_complete:
         Optional completion sink, called once per
         :class:`ServedRequest` — every terminal outcome (ok, shed,
@@ -232,10 +201,10 @@ class ServingRuntime:
         there (:attr:`records` stays empty and ``serve`` reports carry
         no records — a long-running server must not retain every
         result vector it ever produced); without it they accumulate in
-        :attr:`records`.  The callback may run inside a writer critical
-        section (the deferred-flush path), so it must be fast and must
-        never block or take locks that can invert the runtime's order;
-        the shard worker (:mod:`repro.shard.worker`) uses it to push
+        :attr:`records`.  It runs on the runtime thread, except for a
+        shed, which the submitting thread reports; it must be fast and
+        must never block, since the next request waits for it.  The
+        shard worker (:mod:`repro.shard.worker`) uses it to push
         completions onto an unbounded outbound queue.  Exceptions are
         swallowed (a broken observer must not take down a worker).
     metrics:
@@ -246,7 +215,7 @@ class ServingRuntime:
         self,
         algorithm: DynamicPPRAlgorithm,
         *,
-        workers: int = 2,
+        workers: int = 1,
         epsilon_r: float = 0.0,
         queue_capacity: int = 256,
         deadline_s: float | None = None,
@@ -257,55 +226,57 @@ class ServingRuntime:
         on_complete: Callable[[ServedRequest], None] | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+        if workers != 1:
+            raise ValueError(
+                f"workers={workers}: the serving runtime is single-threaded "
+                "(one thread per shard); scale out with shards"
+            )
         if deadline_s is not None and deadline_s <= 0:
             raise ValueError("deadline_s must be positive")
         self.algorithm = algorithm
-        self.workers = workers
         self.epsilon_r = epsilon_r
         self.deadline_s = deadline_s
         self.controller = controller
         self.idle_tick_s = idle_tick_s
         self.metrics = metrics if metrics is not None else get_metrics()
-        # pre-resolved instrument: _fault runs inside writer critical
-        # sections, where a registry lookup is off-limits (R11); a
-        # resolved counter's inc() is O(1) and allocation-free
-        self._fault_counter = self.metrics.counter("serving.faults")
         self.decisions: list[QuotaDecision] = []
-        self.records: list[ServedRequest] = []  # guarded-by: self._records_lock
+        self.records: list[ServedRequest] = []
 
-        self._query_fn = query_fn
         self._on_complete = on_complete
-        self._cache = cache
-        self._staleness = (
-            StalenessTracker(
-                cache, algorithm.graph, algorithm.params.alpha
-            )
-            if cache is not None
-            else None
-        )
-        # stable names feed the lock sanitizer's order graph (no-ops
-        # unless REPRO_LOCK_SANITIZER=1); the established global order
-        # is rwlock -> {seed, records, algo, cache}
-        self._rwlock = RWLock(name="serving.rwlock")
-        self._seed_lock = wrap_mutex(threading.Lock(), "serving.seed")
-        self._records_lock = wrap_mutex(threading.Lock(), "serving.records")
-        self._algo_lock = wrap_mutex(threading.Lock(), "serving.algo")
-        self._admission = AdmissionQueue(queue_capacity, self.metrics)
         self._seed_queue = SeedQueue(
             algorithm.graph, algorithm.params.alpha, epsilon_r
         )
+        self._executor = MeasuredExecutor(
+            algorithm,
+            self.metrics,
+            self._on_answer,
+            cache=cache,
+            staleness=(
+                StalenessTracker(
+                    cache, algorithm.graph, algorithm.params.alpha
+                )
+                if cache is not None
+                else None
+            ),
+            query_fn=query_fn,
+        )
+        #: the last query's (answer, cached_version), from the executor
+        self._answer: tuple[object, int | None] = (None, None)
+        self._admission = AdmissionQueue(queue_capacity, self.metrics)
+        #: (callable, reply queue) pairs for the runtime thread to run
+        self._controls: queue.SimpleQueue[
+            tuple[Callable[[], object], queue.SimpleQueue[tuple[bool, Any]]]
+        ] = queue.SimpleQueue()
         self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
-        self._degraded = False  # guarded-by: self._rwlock[write]
+        self._thread: threading.Thread | None = None
+        self._degraded = False
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     @property
     def running(self) -> bool:
-        return bool(self._threads) and not self._stop.is_set()
+        return self._thread is not None and not self._stop.is_set()
 
     @property
     def degraded(self) -> bool:
@@ -313,37 +284,35 @@ class ServingRuntime:
         return self._degraded
 
     def start(self) -> "ServingRuntime":
-        if self._threads:
+        if self._thread is not None:
             raise RuntimeError("runtime already started")
         self._stop.clear()
-        # warm the CSR store so the first queries hit a ready snapshot
-        with self._rwlock.write_locked():
-            csr_view(self.algorithm.graph)
-        for wid in range(self.workers):
-            thread = threading.Thread(
-                target=self._worker_loop,
-                args=(wid,),
-                name=f"serving-worker-{wid}",
-                daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
+        # warm the CSR store so the first query hits a ready snapshot
+        # (no runtime thread exists yet to race it)
+        csr_view(self.algorithm.graph)
+        self._thread = threading.Thread(
+            target=self._loop, name="serving-runtime", daemon=True
+        )
+        self._thread.start()
         return self
 
     def stop(self, timeout_s: float = 30.0, flush: bool = True) -> None:
-        """Stop the pool; optionally apply still-deferred updates."""
+        """Stop the thread; optionally apply still-deferred updates.
+
+        Call it from the thread that drives the runtime, not alongside
+        another thread's :meth:`drain` or :meth:`reconfigure`.
+        """
         if flush:
             self.drain()
+        thread = self._thread
+        if thread is None:
+            return
         self._stop.set()
-        deadline = time.monotonic() + timeout_s
-        for thread in self._threads:
-            remaining = max(deadline - time.monotonic(), 0.0)
-            thread.join(remaining)
-            if thread.is_alive():
-                raise RuntimeError(
-                    f"worker {thread.name} failed to stop in {timeout_s}s"
-                )
-        self._threads.clear()
+        self._admission.wake()
+        thread.join(timeout_s)
+        if thread.is_alive():
+            raise RuntimeError(f"{thread.name} failed to stop in {timeout_s}s")
+        self._thread = None
 
     def __enter__(self) -> "ServingRuntime":
         return self.start()
@@ -367,7 +336,7 @@ class ServingRuntime:
         ``wait_s`` bounds how long a full queue may block the caller
         before the request is shed (0 sheds at once).
         """
-        if not self._threads:
+        if self._thread is None:
             raise RuntimeError("runtime is not started")
         now = time.perf_counter()
         budget = deadline_s if deadline_s is not None else self.deadline_s
@@ -379,21 +348,21 @@ class ServingRuntime:
         ticket = Ticket(request, now, deadline)
         if self._admission.offer(ticket, wait_s):
             return True
-        self._finish(ticket, -1, SHED, now, now, shed_reason=SHED_QUEUE_FULL)
+        self._finish(ticket, SHED, now, now, shed_reason=SHED_QUEUE_FULL)
         return False
 
     def drain(self) -> None:
         """Block until every admitted request finished, then flush the
         still-deferred updates."""
-        if self._threads:
+        if self._thread is not None:
             self._admission.join()
-        self._flush_deferred()
+        self._call(self._flush)
 
     # ------------------------------------------------------------------
     # convenience replay
     # ------------------------------------------------------------------
     def serve(self, workload: Workload | list[Request]) -> ServingReport:
-        """Feed ``workload`` through the pool as fast as it admits.
+        """Feed ``workload`` through the runtime as fast as it admits.
 
         Closed-loop replay (arrival times are ignored): measures the
         saturation throughput and per-request latencies of the real
@@ -409,13 +378,14 @@ class ServingRuntime:
     ) -> ServingReport:
         """Feed ``workload`` at its recorded arrival times (open loop).
 
-        Where :meth:`serve` saturates the pool (arrival times ignored),
-        this replay sleeps until each request's arrival — scaled by
-        ``time_scale`` wall seconds per virtual second — so shed rate,
-        deadline misses, and queue depth reflect the workload's *rate
-        structure* rather than the submission loop's speed.  This is
-        the replay mode the scenario fuzzer uses: a flash crowd only
-        stresses admission if the spike actually arrives as a spike.
+        Where :meth:`serve` saturates the runtime (arrival times
+        ignored), this replay sleeps until each request's arrival —
+        scaled by ``time_scale`` wall seconds per virtual second — so
+        shed rate, deadline misses, and queue depth reflect the
+        workload's *rate structure* rather than the submission loop's
+        speed.  This is the replay mode the scenario fuzzer uses: a
+        flash crowd only stresses admission if the spike actually
+        arrives as a spike.
 
         ``on_submit(request, now_s)`` fires after each submission with
         the wall-clock submission time — the hook the drift-detector
@@ -453,13 +423,9 @@ class ServingRuntime:
             if on_submit is not None:
                 on_submit(request, time.perf_counter() - started)
         self.drain()
-        wall = time.perf_counter() - started
-        with self._records_lock:
-            records = self.records[first_record:]
         return ServingReport(
-            records=records,
-            wall_s=wall,
-            workers=self.workers,
+            records=self.records[first_record:],
+            wall_s=time.perf_counter() - started,
             degraded=self._degraded,
             decisions=list(self.decisions),
         )
@@ -472,48 +438,196 @@ class ServingRuntime:
     ) -> QuotaDecision | None:
         """Solve for beta at the given rates and apply it live.
 
-        The controller's solve runs out-of-band (no lock held); only
-        applying the hyperparameters — an index rebuild for
-        index-based algorithms — excludes queries, mirroring what
+        The controller's solve runs on the caller's thread; applying the
+        hyperparameters — an index rebuild for index-based algorithms —
+        runs on the runtime thread between two requests, mirroring what
         ``QuotaSystem`` charges to its virtual clock.
         """
         if self.controller is None:
             return None
-        warm = self.algorithm.get_hyperparameters()
         decision = self.controller.configure(
-            lambda_q, lambda_u, warm_start=warm, quick=quick
+            lambda_q,
+            lambda_u,
+            warm_start=self.algorithm.get_hyperparameters(),
+            quick=quick,
         )
-        with self._rwlock.write_locked():
-            apply_started = time.perf_counter()
-            self.algorithm.set_hyperparameters(**decision.beta)
-            csr_view(self.algorithm.graph)
-            apply_elapsed_s = time.perf_counter() - apply_started
-        # R11: observe outside the write hold (registry lookups extend
-        # the critical section for every reader)
-        self.metrics.histogram("service.reconfigure").observe(apply_elapsed_s)
+        elapsed_s = self._call(lambda: self._set_beta(decision.beta))
+        self.metrics.histogram("service.reconfigure").observe(elapsed_s)
         self.decisions.append(decision)
         return decision
+
+    def _set_beta(self, beta: dict[str, float]) -> float:
+        started = time.perf_counter()
+        self.algorithm.set_hyperparameters(**beta)
+        return time.perf_counter() - started
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
     @property
     def pending_updates(self) -> int:
-        with self._seed_lock:
-            return len(self._seed_queue)
+        return len(self._seed_queue)
 
     @property
     def queue_depth(self) -> int:
         return self._admission.depth
 
     # ------------------------------------------------------------------
-    # worker internals
+    # the runtime thread
     # ------------------------------------------------------------------
+    def _call(self, fn: Callable[[], _T]) -> _T:
+        """Run ``fn`` on the runtime thread and return its result.
+
+        Inline when no thread runs, or when called from the runtime
+        thread itself (a completion sink, say).
+        """
+        if not self.running or threading.current_thread() is self._thread:
+            return fn()
+        reply: queue.SimpleQueue[tuple[bool, Any]] = queue.SimpleQueue()
+        self._controls.put((fn, reply))
+        self._admission.wake()
+        ok, value = reply.get()
+        if not ok:
+            raise value
+        return cast(_T, value)
+
+    def _run_controls(self) -> None:
+        while not self._controls.empty():
+            fn, reply = self._controls.get()
+            try:
+                reply.put((True, fn()))
+            except Exception as exc:
+                reply.put((False, exc))
+
+    def _loop(self) -> None:
+        while not self._stop.is_set():
+            self._run_controls()
+            ticket = self._admission.poll()
+            if ticket is None:
+                # idle: work the deferred updates off first (Algorithm
+                # 2, as replay() does), re-polling between any two so
+                # an arrival never waits for more than one of them
+                if not self._idle_drain():
+                    ticket = self._admission.take(self.idle_tick_s)
+                if ticket is None:
+                    continue
+            try:
+                self._process(ticket)
+            except Exception:  # pragma: no cover - defensive; never die
+                now = time.perf_counter()
+                error = traceback.format_exc(limit=3)
+                self._finish(ticket, FAILED, now, now, error=error)
+                self.metrics.counter("serving.faults").inc()
+            finally:
+                self._admission.task_done()
+        self._run_controls()  # handed over while the thread stopped
+
+    def _process(self, ticket: Ticket) -> None:
+        """One admitted request through ``serve_request``."""
+        now = time.perf_counter()
+        if ticket.expired(now):
+            self.metrics.counter("serving.timeout").inc()
+            self._finish(
+                ticket, TIMEOUT, now, now, shed_reason=SHED_DEADLINE
+            )
+            return
+        request = ticket.request
+        pending = (
+            None
+            if self._degraded or self.epsilon_r == 0.0
+            else self._seed_queue
+        )
+        self._answer = (None, None)
+        try:
+            service = serve_request(
+                request, self._executor, pending, self._flush,
+                ticket.submitted_s,
+            )
+        except Exception as exc:
+            if request.kind == UPDATE:
+                self._fault(request, ticket.submitted_s, exc)
+            else:
+                now = time.perf_counter()
+                self.metrics.counter("serving.faults").inc()
+                self._finish(ticket, FAILED, now, now, error=repr(exc))
+            return
+        if service is None:
+            return  # deferred: recorded when it is applied
+        finished = time.perf_counter()
+        answer, cached_version = self._answer
+        self._finish(
+            ticket,
+            OK,
+            finished - service,
+            finished,
+            version=(
+                self.algorithm.graph.version
+                if cached_version is None
+                else cached_version
+            ),
+            result=answer,
+            cached=cached_version is not None,
+        )
+
+    def _on_answer(
+        self, request: Request, answer: object, cached_version: int | None
+    ) -> None:
+        self._answer = (answer, cached_version)
+
+    # -- deferred updates ---------------------------------------------
+    def _apply_head(self, flushing: bool) -> bool:
+        """Apply the oldest deferred update and record it; False when it
+        raised — it is then discarded and the runtime degraded."""
+        try:
+            request, service = apply_head(
+                self._executor, self._seed_queue, flushing
+            )
+        except Exception as exc:
+            failed = self._seed_queue.discard_one()
+            assert failed is not None
+            self._fault(
+                Request(failed.arrival, UPDATE, update=failed.update),
+                failed.arrival,
+                exc,
+            )
+            return False
+        finished = time.perf_counter()
+        self._record(
+            ServedRequest(
+                request,
+                OK,
+                request.arrival,
+                finished - service,
+                finished,
+                version=self.algorithm.graph.version,
+            )
+        )
+        return True
+
+    def _flush(self) -> None:
+        """Apply every deferred update back to back."""
+        started = time.perf_counter()
+        applied = 0
+        while len(self._seed_queue):
+            applied += self._apply_head(flushing=True)
+        if applied:
+            self._executor.flushed(time.perf_counter() - started)
+
+    def _idle_drain(self) -> bool:
+        """Apply one deferred update while the admission queue idles;
+        False when none is deferred."""
+        if not len(self._seed_queue):
+            return False
+        if not self._apply_head(flushing=False):
+            # strict FCFS from here on: nothing may stay deferred
+            self._flush()
+        return True
+
+    # -- records -------------------------------------------------------
     def _record(self, record: ServedRequest) -> None:
         """Hand ``record`` to the one completion sink (class docstring)."""
         if self._on_complete is None:
-            with self._records_lock:
-                self.records.append(record)
+            self.records.append(record)
             return
         try:
             self._on_complete(record)
@@ -523,7 +637,6 @@ class ServingRuntime:
     def _finish(
         self,
         ticket: Ticket,
-        wid: int,
         status: str,
         started: float,
         finished: float,
@@ -554,276 +667,21 @@ class ServingRuntime:
                 finished,
                 result=result,
                 version=version,
-                worker=wid,
                 error=error,
                 shed_reason=shed_reason,
                 cached=cached,
             )
         )
 
-    def _cache_key(self, source: int) -> CacheKey:
-        """Cache identity of a query under the current configuration.
-
-        The beta signature read here may race a concurrent
-        ``reconfigure`` (which swaps hyperparameters under the write
-        lock); a torn read can only produce a signature that matches
-        nothing — a spurious miss, never a wrong hit.
-        """
-        return make_key(
-            source,
-            self.algorithm.name,
-            self.algorithm.get_hyperparameters(),
-        )
-
-    def _charge_cache(self, update: EdgeUpdate) -> None:
-        """Charge one applied update (call inside the writer section)."""
-        if self._staleness is not None:
-            self._staleness.observe(update)
-
-    def _worker_loop(self, wid: int) -> None:
-        while not self._stop.is_set():
-            ticket = self._admission.poll()
-            if ticket is None:
-                # idle: work the deferred updates off first (Algorithm
-                # 2, as replay() does), re-polling between any two so
-                # an arrival never waits for more than one of them
-                if self._idle_drain(wid):
-                    continue
-                ticket = self._admission.take(self.idle_tick_s)
-                if ticket is None:
-                    continue
-            try:
-                self._process(ticket, wid)
-            except Exception:  # pragma: no cover - defensive; never die
-                now = time.perf_counter()
-                error = traceback.format_exc(limit=3)
-                self._finish(ticket, wid, FAILED, now, now, error=error)
-                self.metrics.counter("serving.faults").inc()
-            finally:
-                self._admission.task_done()
-
-    def _process(self, ticket: Ticket, wid: int) -> None:
-        if ticket.request.kind == UPDATE:
-            self._process_update(ticket, wid)
-        else:
-            self._process_query(ticket, wid)
-
-    # -- updates -------------------------------------------------------
-    def _process_update(self, ticket: Ticket, wid: int) -> None:
-        update = ticket.request.update
-        assert update is not None  # UPDATE requests carry one
-        if self.epsilon_r > 0.0 and not self._degraded:
-            # Seed: defer at admission cost only; applied at flush time
-            with self._seed_lock:
-                self._seed_queue.add(update, ticket.submitted_s)
-            return
-        started = time.perf_counter()
-        with self._rwlock.write_locked():
-            try:
-                resolved = self.algorithm.apply_update(update)
-            except Exception as exc:
-                self._fault(ticket.request, ticket.submitted_s, wid, exc)
-                return
-            self._charge_cache(resolved)
-            version = self.algorithm.graph.version
-            csr_view(self.algorithm.graph)
-        finished = time.perf_counter()
-        self.metrics.histogram("service.update").observe(finished - started)
-        self._finish(ticket, wid, OK, started, finished, version=version)
-
-    # -- queries -------------------------------------------------------
-    def _try_cache(self, ticket: Ticket, wid: int) -> bool:
-        """Serve one query from the result cache; False on a miss."""
-        if self._cache is None:
-            return False
-        source = ticket.request.source
-        assert source is not None
-        lookup_started = time.perf_counter()
-        entry = self._cache.lookup(self._cache_key(source))
-        if entry is None:
-            return False
-        finished = time.perf_counter()
-        self.metrics.histogram("service.query_hit").observe(
-            finished - lookup_started
-        )
-        self._finish(
-            ticket,
-            wid,
-            OK,
-            lookup_started,
-            finished,
-            version=entry.version,
-            result=entry.value,
-            cached=True,
-        )
-        return True
-
-    def _process_query(self, ticket: Ticket, wid: int) -> None:
-        """Serve one query on one graph snapshot.
-
-        An expired ticket is timed out and a cache hit answered before
-        the Seed flush check; the kernel call and the cache insert share
-        one read-lock hold.
-        """
-        now = time.perf_counter()
-        if ticket.expired(now):
-            self.metrics.counter("serving.timeout").inc()
-            self._finish(
-                ticket, wid, TIMEOUT, now, now, shed_reason=SHED_DEADLINE
-            )
-            return
-        if self._try_cache(ticket, wid):
-            return
-        source = ticket.request.source
-        assert source is not None  # QUERY requests carry one
-        with self._seed_lock:
-            must_flush = len(self._seed_queue) > 0 and (
-                self._seed_queue.should_flush(source)
-            )
-        if must_flush:
-            self._flush_deferred(worker=wid)
-
-        started = time.perf_counter()
-        self._rwlock.acquire_read()
-        try:
-            version = self.algorithm.graph.version
-            result: object
-            if self._query_fn is not None:
-                result = self._query_fn(self.algorithm.graph, source)
-            else:
-                # default path: algorithm instances keep per-query
-                # scratch state, so serialize (see class docstring)
-                with self._algo_lock:
-                    result = self.algorithm.query(source)
-            if self._cache is not None:
-                # still under the read lock: a writer cannot apply (and
-                # charge) an update between this compute and the
-                # insert
-                self._cache.insert(
-                    self._cache_key(source),
-                    result,
-                    version,
-                    pi_estimate=(
-                        result.get if isinstance(result, PPRVector) else None
-                    ),
-                )
-        except Exception as exc:
-            finished = time.perf_counter()
-            self.metrics.counter("serving.faults").inc()
-            self._finish(
-                ticket, wid, FAILED, started, finished, error=repr(exc)
-            )
-            return
-        finally:
-            self._rwlock.release_read()
-        finished = time.perf_counter()
-        self.metrics.histogram("service.query").observe(finished - started)
-        self._finish(
-            ticket, wid, OK, started, finished, version=version, result=result
-        )
-
-    # -- deferred-update machinery ------------------------------------
-    def _apply_head(self, worker: int) -> ServedRequest | None:
-        """Apply the oldest deferred update (the writer role).
-
-        The caller holds the write lock.  Returns the record emitted —
-        ``OK``, or ``FAILED`` when the update raised: the failing head
-        is then discarded and the runtime degraded to strict FCFS — or
-        None when nothing is deferred.
-        """
-        with self._seed_lock:
-            if self._seed_queue.peek() is None:
-                return None
-            started = time.perf_counter()
-            try:
-                item = self._seed_queue.flush_one(self.algorithm)
-            except Exception as exc:
-                failed = self._seed_queue.discard_one()
-                assert failed is not None
-                return self._fault(
-                    Request(0.0, UPDATE, update=failed.update),
-                    failed.arrival,
-                    worker,
-                    exc,
-                )
-            assert item is not None
-            self._charge_cache(item.update)
-            record = ServedRequest(
-                Request(0.0, UPDATE, update=item.update),
-                OK,
-                item.arrival,
-                started,
-                time.perf_counter(),
-                version=self.algorithm.graph.version,
-                worker=worker,
-            )
-            self._record(record)
-            return record
-
-    def _flush_deferred(self, worker: int = -1) -> None:
-        """Apply every deferred update; faults degrade to strict FCFS."""
-        applied = 0
-        flush_started = time.perf_counter()
-        with self._rwlock.write_locked():
-            while (record := self._apply_head(worker)) is not None:
-                if record.status == OK:
-                    applied += 1
-            if applied:
-                csr_view(self.algorithm.graph)
-        if applied:
-            self.metrics.histogram("service.flush").observe(
-                time.perf_counter() - flush_started
-            )
-
-    def _idle_drain(self, wid: int) -> bool:
-        """Apply one deferred update while the admission queue idles;
-        False when there was none to apply (or it could not be)."""
-        if self.epsilon_r == 0.0 or self._degraded:
-            return False
-        with self._seed_lock:
-            if not len(self._seed_queue):
-                return False
-        # non-blocking: if the writer side is contended, skip this tick
-        if not self._rwlock.acquire_write(timeout=0.0):
-            return False
-        try:
-            record = self._apply_head(wid)
-            if record is None or record.status != OK:
-                return False
-            csr_view(self.algorithm.graph)
-        finally:
-            self._rwlock.release_write()
-        # R11: observe outside the write hold (registry lookups extend
-        # the critical section for every reader)
-        self.metrics.histogram("service.update").observe(
-            record.finished_s - record.started_s
-        )
-        return True
-
     def _fault(
-        self,
-        request: Request,
-        submitted_s: float,
-        worker: int,
-        exc: Exception,
-    ) -> ServedRequest:
-        """Record a failed update and degrade to strict FCFS.
-
-        Only called inside writer critical sections (the degradation
-        flag is guarded by the write lock), hence the pre-resolved
-        fault counter instead of a registry lookup.
-        """
+        self, request: Request, submitted_s: float, exc: Exception
+    ) -> None:
+        """Record a failed update and degrade to strict FCFS."""
         now = time.perf_counter()
-        self._fault_counter.inc()
+        self.metrics.counter("serving.faults").inc()
         self._degraded = True
-        record = ServedRequest(
-            request,
-            FAILED,
-            submitted_s,
-            now,
-            now,
-            worker=worker,
-            error=repr(exc),
+        self._record(
+            ServedRequest(
+                request, FAILED, submitted_s, now, now, error=repr(exc)
+            )
         )
-        self._record(record)
-        return record

@@ -35,7 +35,6 @@ from multiprocessing.connection import Connection
 from typing import TYPE_CHECKING
 
 from repro.graph.updates import EdgeUpdate
-from repro.serving.rwlock import wrap_mutex
 from repro.shard.launch import python_child
 from repro.shard.messages import (
     Command,
@@ -71,9 +70,7 @@ class ShardHandle(ABC):
         self.shard_id = spec.shard_id
         self._next_req = 0  # guarded-by: self._pending_lock
         self._pending: dict[int, ReplyFuture] = {}  # guarded-by: self._pending_lock
-        self._pending_lock = wrap_mutex(
-            threading.Lock(), "shard.pending"
-        )
+        self._pending_lock = threading.Lock()
         self._dead = threading.Event()
         self._death_reason = ""
         self.on_death: DeathCallback | None = None
@@ -259,7 +256,7 @@ class ProcessShard(ShardHandle):
         if worker is None:
             worker = WorkerProcess()
         self._worker = worker
-        self._send_lock = wrap_mutex(threading.Lock(), "shard.send")
+        self._send_lock = threading.Lock()
         boot_holds_lock = threading.Event()
         threading.Thread(
             target=self._boot,

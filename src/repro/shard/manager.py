@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING
 from repro.graph.updates import EdgeUpdate
 from repro.obs import MetricsRegistry, get_metrics, process_stats
 from repro.ppr.names import AUTO
-from repro.serving.rwlock import wrap_mutex
 from repro.shard.backend import (
     ProcessShard,
     ShardHandle,
@@ -137,7 +136,6 @@ class ShardManager:
         seed: int = 0,
         engine: str = AUTO,
         epsilon_r: float = 0.0,
-        workers_per_shard: int = 1,
         queue_capacity: int = 1_024,
         cache_epsilon: float | None = None,
         query_mode: str = "algorithm",
@@ -169,7 +167,6 @@ class ShardManager:
                 seed=seed,
                 engine=engine,
                 epsilon_r=epsilon_r,
-                workers=workers_per_shard,
                 queue_capacity=queue_capacity,
                 cache_epsilon=cache_epsilon,
                 query_mode=query_mode,
@@ -197,9 +194,7 @@ class ShardManager:
         self._stopped = False  # guarded-by: self._update_lock
         # fabric-wide version assignment + log; held across the whole
         # broadcast so per-shard delivery order matches version order
-        self._update_lock = wrap_mutex(
-            threading.RLock(), "manager.updates"
-        )
+        self._update_lock = threading.RLock()
         self._update_log: list[EdgeUpdate] = []  # guarded-by: self._update_lock
         self._slots: list[_ShardSlot] = []
         for shard_id in range(num_shards):

@@ -30,7 +30,7 @@ import operator
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, ClassVar
 
 from repro.ppr.names import AUTO
 
@@ -140,7 +140,9 @@ class ShardSpec:
     seed: int = 0
     engine: str = AUTO
     epsilon_r: float = 0.0
-    workers: int = 1
+    #: runtime threads per shard: always 1, a class constant kept for
+    #: callers that still pass ``ServingRuntime(workers=spec.workers)``
+    workers: ClassVar[int] = 1
     queue_capacity: int = 1_024
     cache_epsilon: float | None = None
     #: "algorithm" serves queries through the spec'd algorithm;

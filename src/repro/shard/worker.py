@@ -2,7 +2,7 @@
 
 :class:`ShardServer` is the transport-agnostic core — it owns the
 replicated graph, the PPR algorithm, a :class:`~repro.serving.ServingRuntime`
-(worker threads, Seed queue, optional :class:`~repro.cache.PPRCache`,
+(one thread, Seed queue, optional :class:`~repro.cache.PPRCache`,
 optional :class:`~repro.core.quota.QuotaController`), and turns
 commands into replies.  Two hosts drive it:
 
@@ -12,10 +12,10 @@ commands into replies.  Two hosts drive it:
   :class:`~repro.shard.messages.ShardSpec` as the first message and
   enters :func:`shard_worker_main`.  Commands arrive on a simplex pipe;
   replies leave through an unbounded in-process queue drained by a
-  dedicated sender thread, so the runtime's ``on_complete`` hook (which
-  may fire inside a writer critical section) never blocks on pipe
-  backpressure.  The loop ends on ``StopCommand`` or when the command
-  pipe hits EOF, which is also how a worker learns its parent is gone.
+  dedicated sender thread, so the runtime's ``on_complete`` hook never
+  blocks the runtime thread on pipe backpressure.  The loop ends on
+  ``StopCommand`` or when the command pipe hits EOF, which is also how
+  a worker learns its parent is gone.
 * :class:`~repro.shard.backend.InprocShard` — the same server on a
   plain thread, used by deterministic tests and the in-memory
   transport.
@@ -52,7 +52,6 @@ from repro.ppr.power_iteration import ppr_exact
 from repro.ppr.registry import build_algorithm
 from repro.queueing.workload import QUERY, UPDATE, Request
 from repro.serving.runtime import OK, QueryFn, ServedRequest, ServingRuntime
-from repro.serving.rwlock import wrap_mutex
 from repro.shard.messages import (
     Command,
     CrashCommand,
@@ -178,7 +177,6 @@ class ShardServer:
             query_fn = _exact_query_fn(algorithm.params.alpha)
         self.runtime = ServingRuntime(
             algorithm,
-            workers=spec.workers,
             epsilon_r=spec.epsilon_r,
             queue_capacity=spec.queue_capacity,
             controller=controller,
@@ -190,7 +188,7 @@ class ShardServer:
         self._cache = cache
         # req_id -> requested top_k for queries awaiting completion
         self._meta: dict[int, int | None] = {}  # guarded-by: self._meta_lock
-        self._meta_lock = wrap_mutex(threading.Lock(), "shard.meta")
+        self._meta_lock = threading.Lock()
         self.runtime.start()
 
     # ------------------------------------------------------------------
@@ -202,8 +200,8 @@ class ShardServer:
     def _on_record(self, record: ServedRequest) -> None:
         """Runtime completion hook: map tagged records to replies.
 
-        Runs on runtime worker threads, possibly inside a writer
-        critical section — keep it allocation-light and never block.
+        Runs on the runtime thread (a shed: on the command-loop thread)
+        — keep it allocation-light and never block.
         """
         tag = record.request.tag
         if tag is None or record.request.kind != QUERY:

@@ -1,4 +1,4 @@
-"""Positive + negative tests for the concurrency rules R7-R11.
+"""Positive + negative tests for the rules R7, R9, R10 and R11.
 
 Every rule gets fixture code with an injected violation asserted at
 the right file:line, plus a clean variant that must not flag.  The
@@ -31,35 +31,21 @@ def locations(findings):
 
 
 class TestR7LockOrder:
-    def test_read_write_upgrade_flagged(self):
+    def test_recursive_mutex_flagged(self):
         findings = lint_project(
             ["R7"],
             mod="""
             class R:
                 def f(self):
-                    with self._rwlock.read_locked():
-                        with self._rwlock.write_locked():
+                    with self._lock:
+                        with self._lock:
                             pass
             """,
         )
         assert locations(findings) == [("R7", "mod.py", 5)]
-        assert "upgrade" in findings[0].message
+        assert "non-reentrant" in findings[0].message
 
-    def test_recursive_read_flagged(self):
-        findings = lint_project(
-            ["R7"],
-            mod="""
-            class R:
-                def f(self):
-                    with self._rwlock.read_locked():
-                        with self._rwlock.read_locked():
-                            pass
-            """,
-        )
-        assert locations(findings) == [("R7", "mod.py", 5)]
-        assert "recursive read" in findings[0].message
-
-    def test_interprocedural_upgrade_flagged(self):
+    def test_interprocedural_reacquire_flagged(self):
         # the acquisition and the held context live in different
         # functions — only the entry-context fixpoint can see this
         findings = lint_project(
@@ -67,11 +53,11 @@ class TestR7LockOrder:
             mod="""
             class R:
                 def top(self):
-                    with self._rwlock.read_locked():
+                    with self._lock:
                         self.helper()
 
                 def helper(self):
-                    with self._rwlock.write_locked():
+                    with self._lock:
                         pass
             """,
         )
@@ -103,12 +89,12 @@ class TestR7LockOrder:
             mod="""
             class R:
                 def one(self):
-                    with self._rwlock.write_locked():
+                    with self._update_lock:
                         with self._seed_lock:
                             pass
 
                 def two(self):
-                    with self._rwlock.read_locked():
+                    with self._update_lock:
                         with self._records_lock:
                             pass
             """,
@@ -122,82 +108,10 @@ class TestR7LockOrder:
             mod="""
             class R:
                 def f(self):
-                    with self._rwlock.read_locked():
+                    with self._lock:
                         pass
-                    with self._rwlock.write_locked():
+                    with self._lock:
                         pass
-            """,
-        )
-        assert findings == []
-
-
-class TestR8BlockingUnderWrite:
-    def test_sleep_under_write_flagged(self):
-        findings = lint_project(
-            ["R8"],
-            mod="""
-            import time
-
-            class R:
-                def f(self):
-                    with self._rwlock.write_locked():
-                        time.sleep(0.1)
-            """,
-        )
-        assert locations(findings) == [("R8", "mod.py", 7)]
-
-    def test_kernel_under_write_flagged(self):
-        findings = lint_project(
-            ["R8"],
-            mod="""
-            from repro.ppr.kernels import frontier_push
-
-            class R:
-                def f(self, view, s):
-                    with self._rwlock.write_locked():
-                        frontier_push(view, s, 0.2, 1e-4)
-            """,
-        )
-        assert locations(findings) == [("R8", "mod.py", 7)]
-
-    def test_query_method_under_write_flagged(self):
-        findings = lint_project(
-            ["R8"],
-            mod="""
-            class R:
-                def f(self, s):
-                    with self._rwlock.write_locked():
-                        return self.algorithm.query(s)
-            """,
-        )
-        assert locations(findings) == [("R8", "mod.py", 5)]
-
-    def test_interprocedural_sleep_flagged(self):
-        # the sleep sits in a helper entered from a write section
-        findings = lint_project(
-            ["R8"],
-            mod="""
-            import time
-
-            class R:
-                def top(self):
-                    with self._rwlock.write_locked():
-                        self.helper()
-
-                def helper(self):
-                    time.sleep(0.1)
-            """,
-        )
-        assert locations(findings) == [("R8", "mod.py", 10)]
-
-    def test_kernel_under_read_is_clean(self):
-        findings = lint_project(
-            ["R8"],
-            mod="""
-            class R:
-                def f(self, s):
-                    with self._rwlock.read_locked():
-                        return self.algorithm.query(s)
             """,
         )
         assert findings == []
@@ -207,18 +121,18 @@ class TestR9GuardedBy:
     FIXTURE = """
     class R:
         def __init__(self):
-            self._degraded = False  # guarded-by: self._rwlock[write]
+            self._degraded = False  # guarded-by: self._state_lock
             self.records = []  # guarded-by: self._records_lock
 
         def good_flag(self):
-            with self._rwlock.write_locked():
+            with self._state_lock:
                 self._degraded = True
 
         def bad_flag(self):
             self._degraded = True
 
-        def bad_flag_read_hold(self):
-            with self._rwlock.read_locked():
+        def bad_flag_wrong_lock(self):
+            with self._records_lock:
                 self._degraded = True
 
         def good_append(self, r):
@@ -229,11 +143,11 @@ class TestR9GuardedBy:
             self.records.append(r)
     """
 
-    def test_unlocked_and_wrong_mode_writes_flagged(self):
+    def test_unlocked_and_wrong_lock_writes_flagged(self):
         findings = lint_project(["R9"], mod=self.FIXTURE)
         assert locations(findings) == [
             ("R9", "mod.py", 12),  # bad_flag
-            ("R9", "mod.py", 16),  # bad_flag_read_hold (read != write)
+            ("R9", "mod.py", 16),  # bad_flag_wrong_lock
             ("R9", "mod.py", 23),  # bad_append
         ]
 
@@ -242,16 +156,16 @@ class TestR9GuardedBy:
         assert all(f.line > 5 for f in findings)
 
     def test_interprocedural_guard_satisfied(self):
-        # writer helper only ever entered under the write lock
+        # helper only ever entered under the declared mutex
         findings = lint_project(
             ["R9"],
             mod="""
             class R:
                 def __init__(self):
-                    self._flag = False  # guarded-by: self._rwlock[write]
+                    self._flag = False  # guarded-by: self._lock
 
                 def top(self):
-                    with self._rwlock.write_locked():
+                    with self._lock:
                         self._set()
 
                 def _set(self):
@@ -311,33 +225,6 @@ class TestR10SnapshotEscape:
         )
         assert findings == []
 
-    def test_lock_escape_flagged(self):
-        findings = lint_project(
-            ["R10"],
-            mod="""
-            class R:
-                def f(self, g):
-                    with self._rwlock.read_locked():
-                        view = csr_view(g)
-                    return view.out_neighbors_of(0)
-            """,
-        )
-        assert locations(findings) == [("R10", "mod.py", 6)]
-        assert "released" in findings[0].message
-
-    def test_use_inside_critical_section_is_clean(self):
-        findings = lint_project(
-            ["R10"],
-            mod="""
-            class R:
-                def f(self, g):
-                    with self._rwlock.read_locked():
-                        view = csr_view(g)
-                        return view.out_neighbors_of(0)
-            """,
-        )
-        assert findings == []
-
     def test_local_direct_case_left_to_r3(self):
         # both acquisition and mutation are direct and local: the case
         # the former per-file R3 covered, reported by R10 once
@@ -374,18 +261,6 @@ class TestR10SnapshotEscape:
 
 
 class TestR11MetricInCritical:
-    def test_registry_call_under_write_flagged(self):
-        findings = lint_project(
-            ["R11"],
-            mod="""
-            class R:
-                def f(self, dt):
-                    with self._rwlock.write_locked():
-                        self.metrics.histogram("service.update").observe(dt)
-            """,
-        )
-        assert locations(findings) == [("R11", "mod.py", 5)]
-
     def test_registry_call_under_mutex_flagged(self):
         findings = lint_project(
             ["R11"],
@@ -397,20 +272,6 @@ class TestR11MetricInCritical:
             """,
         )
         assert locations(findings) == [("R11", "mod.py", 5)]
-
-    def test_read_hold_is_clean(self):
-        # read holds are shared; registry contention there does not
-        # serialize the pool
-        findings = lint_project(
-            ["R11"],
-            mod="""
-            class R:
-                def f(self, dt):
-                    with self._rwlock.read_locked():
-                        self.metrics.histogram("service.query").observe(dt)
-            """,
-        )
-        assert findings == []
 
     def test_time_module_not_confused_with_registry(self):
         findings = lint_project(

@@ -21,16 +21,16 @@ MATCHER = (
 
 
 class TestRegistry:
-    def test_all_six_rules_registered(self):
+    def test_all_five_rules_registered(self):
         assert [rule.rule_id for rule in RULES] == [
-            "R5", "R7", "R8", "R9", "R10", "R11",
+            "R5", "R7", "R9", "R10", "R11",
         ]
 
-    def test_all_five_project_rules_registered(self):
-        # the concurrency rules, like every rule, are one Rule family
+    def test_all_four_project_rules_registered(self):
+        # the lock and view rules, like every rule, are one Rule family
         # run over the project index
         ids = {rule.rule_id for rule in RULES}
-        assert {"R7", "R8", "R9", "R10", "R11"} <= ids
+        assert {"R7", "R9", "R10", "R11"} <= ids
         assert all(isinstance(rule, Rule) for rule in RULES)
 
     def test_duplicate_id_rejected(self):

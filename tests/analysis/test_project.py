@@ -7,15 +7,7 @@ entry-context fixpoint, and the transitive function summaries.
 
 import textwrap
 
-from repro.analysis.project import (
-    MUTEX,
-    READ,
-    WRITE,
-    Held,
-    ProjectIndex,
-    lockish,
-    module_name_for,
-)
+from repro.analysis.project import ProjectIndex, lockish, module_name_for
 
 def build(**sources):
     """ProjectIndex from ``name="source"`` kwargs (name -> name.py)."""
@@ -126,22 +118,6 @@ class TestSymbolsAndCalls:
 
 
 class TestLockContext:
-    def test_with_read_locked_context(self):
-        index = build(
-            mod="""
-            class R:
-                def f(self):
-                    with self._rwlock.read_locked():
-                        self.g()
-
-                def g(self): pass
-            """
-        )
-        f = index.functions["mod.R.f"]
-        calls = list(f.iter_events("call"))
-        assert calls, "call event missing"
-        assert Held("R._rwlock", READ) in calls[0].held
-
     def test_plain_mutex_with_block(self):
         index = build(
             mod="""
@@ -154,16 +130,16 @@ class TestLockContext:
             """
         )
         call = next(index.functions["mod.R.f"].iter_events("call"))
-        assert Held("R._seed_lock", MUTEX) in call.held
+        assert "R._seed_lock" in call.held
 
     def test_explicit_acquire_release_pair(self):
         index = build(
             mod="""
             class R:
                 def f(self):
-                    self._rwlock.acquire_write()
+                    self._lock.acquire()
                     self.inside()
-                    self._rwlock.release_write()
+                    self._lock.release()
                     self.outside()
 
                 def inside(self): pass
@@ -175,7 +151,7 @@ class TestLockContext:
             for e in index.functions["mod.R.f"].iter_events("call")
         ]
         held_by_line = {e.line: e.held for e in events}
-        assert Held("R._rwlock", WRITE) in held_by_line[5]
+        assert "R._lock" in held_by_line[5]
         assert held_by_line[7] == ()
 
     def test_release_in_finally_clears_context_after_try(self):
@@ -183,11 +159,11 @@ class TestLockContext:
             mod="""
             class R:
                 def f(self):
-                    self._rwlock.acquire_write(timeout=0.0)
+                    self._lock.acquire(timeout=0.0)
                     try:
                         self.inside()
                     finally:
-                        self._rwlock.release_write()
+                        self._lock.release()
                     self.outside()
 
                 def inside(self): pass
@@ -196,7 +172,7 @@ class TestLockContext:
         )
         events = list(index.functions["mod.R.f"].iter_events("call"))
         by_line = {e.line: e.held for e in events}
-        assert Held("R._rwlock", WRITE) in by_line[6]
+        assert "R._lock" in by_line[6]
         assert by_line[9] == ()
 
     def test_nested_defs_not_walked_under_context(self):
@@ -204,7 +180,7 @@ class TestLockContext:
             mod="""
             class R:
                 def f(self):
-                    with self._rwlock.write_locked():
+                    with self._lock:
                         def later():
                             self.g()
                         return later
@@ -213,7 +189,7 @@ class TestLockContext:
             """
         )
         # the nested def's body runs later, under unknown context —
-        # no call event attributed to f's write section
+        # no call event attributed to f's critical section
         assert list(index.functions["mod.R.f"].iter_events("call")) == []
 
 
@@ -223,7 +199,7 @@ class TestEntryHoldsFixpoint:
             mod="""
             class R:
                 def top(self):
-                    with self._rwlock.write_locked():
+                    with self._lock:
                         self.mid()
 
                 def mid(self):
@@ -232,19 +208,15 @@ class TestEntryHoldsFixpoint:
                 def leaf(self): pass
             """
         )
-        assert Held("R._rwlock", WRITE) in (
-            index.functions["mod.R.mid"].entry_holds
-        )
-        assert Held("R._rwlock", WRITE) in (
-            index.functions["mod.R.leaf"].entry_holds
-        )
+        assert "R._lock" in index.functions["mod.R.mid"].entry_holds
+        assert "R._lock" in index.functions["mod.R.leaf"].entry_holds
 
     def test_entry_context_is_union_over_sites(self):
         index = build(
             mod="""
             class R:
                 def locked_caller(self):
-                    with self._rwlock.read_locked():
+                    with self._lock:
                         self.shared()
 
                 def unlocked_caller(self):
@@ -254,9 +226,7 @@ class TestEntryHoldsFixpoint:
             """
         )
         # may-analysis: called from both contexts -> possibly under lock
-        assert Held("R._rwlock", READ) in (
-            index.functions["mod.R.shared"].entry_holds
-        )
+        assert "R._lock" in index.functions["mod.R.shared"].entry_holds
 
 
 class TestSummaries:
@@ -307,17 +277,16 @@ class TestSummaries:
 
 
 class TestGuardAnnotations:
-    def test_guard_collected_with_mode(self):
+    def test_guard_collected(self):
         index = build(
             mod="""
             class R:
                 def __init__(self):
-                    self._flag = False  # guarded-by: self._rwlock[write]
+                    self._flag = False  # guarded-by: self._state_lock
                     self._items = []  # guarded-by: self._lock
             """
         )
-        lock, mode, path, line = index.guarded[("R", "_flag")]
-        assert (lock, mode) == ("R._rwlock", "write")
-        assert path == "mod.py" and line == 4
-        lock2, mode2, _, _ = index.guarded[("R", "_items")]
-        assert (lock2, mode2) == ("R._lock", None)
+        assert index.guarded[("R", "_flag")] == (
+            "R._state_lock", "mod.py", 4
+        )
+        assert index.guarded[("R", "_items")][0] == "R._lock"

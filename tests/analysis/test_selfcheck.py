@@ -16,13 +16,12 @@ import repro
 from repro.analysis import exit_code, run_paths
 from repro.analysis.__main__ import main
 from repro.analysis.project import GRAPH_MUTATORS
-from repro.analysis.rules import BlockingUnderWriteRule, MetricInCriticalSectionRule
+from repro.analysis.rules import MetricInCriticalSectionRule
 
 SRC = Path(repro.__file__).resolve().parent
 
 #: one injected violation per kept rule (written under ``serving/`` so
-#: the path-scoped R11 applies); R8's is
-#: ``test_gate_fires_on_injected_concurrency_violation``
+#: the path-scoped R11 applies)
 INJECTED = {
     "R5": """
         def record(metrics):
@@ -30,15 +29,15 @@ INJECTED = {
         """,
     "R7": """
         class Runtime:
-            def upgrade(self):
-                with self._rwlock.read_locked():
-                    with self._rwlock.write_locked():
+            def reenter(self):
+                with self._lock:
+                    with self._lock:
                         pass
         """,
     "R9": """
         class Runtime:
             def __init__(self):
-                self._degraded = False  # guarded-by: self._rwlock[write]
+                self._degraded = False  # guarded-by: self._lock
 
             def degrade(self):
                 self._degraded = True
@@ -95,21 +94,23 @@ class TestSelfCheck:
         assert main([str(patched)]) == 1
 
     def test_gate_fires_on_injected_concurrency_violation(self, tmp_path):
-        # the project rules run through the same gate: a serving-path
-        # module that sleeps inside a write section must fail the build.
-        # (the path must contain a "serving" part so scoped rules apply)
+        # the project rules run through the same gate: two serving-path
+        # modules taking the same two mutexes in opposite orders must
+        # fail the build, though neither file is wrong on its own
         serving = tmp_path / "serving"
         serving.mkdir()
-        (serving / "bad_runtime.py").write_text(
-            "import time\n"
-            "\n"
-            "\n"
-            "class Runtime:\n"
-            "    def reconfigure(self):\n"
-            "        with self._rwlock.write_locked():\n"
-            "            time.sleep(1.0)\n",
-            encoding="utf-8",
-        )
+        for name, first, second in (
+            ("one", "_lock_a", "_lock_b"),
+            ("two", "_lock_b", "_lock_a"),
+        ):
+            (serving / f"{name}.py").write_text(
+                "class Fabric:\n"
+                f"    def {name}(self):\n"
+                f"        with self.{first}:\n"
+                f"            with self.{second}:\n"
+                "                pass\n",
+                encoding="utf-8",
+            )
         assert main([str(serving)]) == 1
 
     @pytest.mark.parametrize("case", sorted(INJECTED))
@@ -126,12 +127,12 @@ class TestSelfCheck:
         assert rule_ids == {case.split("-")[0]}
 
     def test_guarded_by_annotations_exist_in_serving(self):
-        # the runtime declares its lock discipline; if these vanish,
-        # R9 silently stops checking anything real
-        runtime = (SRC / "serving" / "runtime.py").read_text(
-            encoding="utf-8"
-        )
-        assert "# guarded-by:" in runtime
+        # the serving fabric declares its mutex discipline (the runtime
+        # itself holds no lock); if these vanish, R9 silently stops
+        # checking anything real
+        for module in ("manager.py", "backend.py", "worker.py"):
+            text = (SRC / "shard" / module).read_text(encoding="utf-8")
+            assert "# guarded-by:" in text, module
 
     def test_scoped_rules_cover_their_targets(self):
         # R11's path scope must keep matching the tree layout; if these
@@ -148,9 +149,4 @@ class TestSelfCheck:
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         }
-        names = (
-            BlockingUnderWriteRule.KERNELS
-            | BlockingUnderWriteRule.KERNEL_METHODS
-            | GRAPH_MUTATORS
-        )
-        assert names - defined == set()
+        assert GRAPH_MUTATORS - defined == set()

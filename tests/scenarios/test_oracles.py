@@ -138,7 +138,7 @@ class TestDifferentialOracles:
 class TestRuntimeReportOracle:
     def _report(self, records):
         return ServingReport(
-            records=records, wall_s=1.0, workers=2, degraded=False
+            records=records, wall_s=1.0, degraded=False
         )
 
     def test_shed_under_capacity_is_violation(self, graph):

@@ -1,7 +1,8 @@
-"""Tests for the concurrent serving runtime and its building blocks."""
+"""Tests for the serving runtime and its building blocks."""
 
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,7 +17,6 @@ from repro.serving import (
     SHED_QUEUE_FULL,
     TIMEOUT,
     AdmissionQueue,
-    RWLock,
     ServingRuntime,
     Ticket,
 )
@@ -39,60 +39,6 @@ def make_runtime(algorithm=None, **kwargs):
     return ServingRuntime(
         algorithm if algorithm is not None else make_algorithm(), **kwargs
     )
-
-
-class TestRWLock:
-    def test_readers_share(self):
-        lock = RWLock()
-        assert lock.acquire_read()
-        assert lock.acquire_read()
-        lock.release_read()
-        lock.release_read()
-
-    def test_writer_excludes_readers(self):
-        lock = RWLock()
-        lock.acquire_write()
-        assert not lock.acquire_read(timeout=0.01)
-        lock.release_write()
-        assert lock.acquire_read()
-        lock.release_read()
-
-    def test_write_preference_blocks_new_readers(self):
-        """Once a writer waits, later readers queue behind it."""
-        lock = RWLock()
-        lock.acquire_read()
-        got_write = []
-
-        def writer():
-            got_write.append(lock.acquire_write(timeout=2.0))
-            lock.release_write()
-
-        thread = threading.Thread(target=writer)
-        thread.start()
-        time.sleep(0.05)  # writer is now waiting
-        assert not lock.acquire_read(timeout=0.01)
-        lock.release_read()  # writer proceeds
-        thread.join()
-        assert got_write == [True]
-
-    def test_write_timeout(self):
-        lock = RWLock()
-        lock.acquire_read()
-        assert not lock.acquire_write(timeout=0.01)
-        lock.release_read()
-        assert lock.acquire_write(timeout=0.01)
-        lock.release_write()
-
-    def test_contextmanagers(self):
-        lock = RWLock()
-        with lock.write_locked():
-            pass
-        with lock.read_locked():
-            with lock.read_locked():
-                pass
-        # fully released afterwards
-        assert lock.acquire_write(timeout=0.01)
-        lock.release_write()
 
 
 class TestAdmissionQueue:
@@ -150,8 +96,7 @@ class TestAdmissionQueue:
 class TestServingRuntime:
     def test_serves_queries_and_updates(self):
         graph = make_graph()
-        runtime = make_runtime(make_algorithm(graph), workers=2,
-                               queue_capacity=0)
+        runtime = make_runtime(make_algorithm(graph), queue_capacity=0)
         requests = [
             Request(0.0, QUERY, source=0),
             Request(0.0, UPDATE, update=EdgeUpdate(0, 9)),
@@ -180,7 +125,7 @@ class TestServingRuntime:
             runtime.stop()
 
     def test_sheds_on_full_queue(self):
-        runtime = make_runtime(workers=1, queue_capacity=1)
+        runtime = make_runtime(queue_capacity=1)
         with runtime:
             results = [
                 runtime.submit(Request(0.0, QUERY, source=0))
@@ -195,7 +140,7 @@ class TestServingRuntime:
         metrics = MetricsRegistry()
         slow = lambda graph, source: time.sleep(0.05)  # noqa: E731
         runtime = make_runtime(
-            workers=1, queue_capacity=0, deadline_s=0.01,
+            queue_capacity=0, deadline_s=0.01,
             query_fn=slow, metrics=metrics,
         )
         with runtime:
@@ -211,7 +156,7 @@ class TestServingRuntime:
         the time drain() returns."""
         graph = make_graph()
         runtime = make_runtime(
-            make_algorithm(graph), workers=2, epsilon_r=100.0,
+            make_algorithm(graph), epsilon_r=100.0,
             queue_capacity=0,
         )
         with runtime:
@@ -233,7 +178,7 @@ class TestServingRuntime:
         after another (as ``replay()`` does), not one per idle tick."""
         graph = make_graph()
         runtime = make_runtime(
-            make_algorithm(graph), workers=1, epsilon_r=100.0,
+            make_algorithm(graph), epsilon_r=100.0,
             queue_capacity=0, idle_tick_s=0.5,
         )
         with runtime:
@@ -265,7 +210,7 @@ class TestServingRuntime:
         algorithm.apply_update = flaky
         metrics = MetricsRegistry()
         runtime = make_runtime(
-            algorithm, workers=2, epsilon_r=100.0, queue_capacity=0,
+            algorithm, epsilon_r=100.0, queue_capacity=0,
             metrics=metrics,
         )
         updates = [EdgeUpdate(0, 9), EdgeUpdate(9, 5), EdgeUpdate(5, 4)]
@@ -289,7 +234,7 @@ class TestServingRuntime:
     def test_query_results_returned(self):
         seen = []
         runtime = make_runtime(
-            workers=1, queue_capacity=0,
+            queue_capacity=0,
             query_fn=lambda graph, source: ("answer", source),
         )
         with runtime:
@@ -301,7 +246,7 @@ class TestServingRuntime:
     def test_stop_flushes_pending(self):
         graph = make_graph()
         runtime = make_runtime(
-            make_algorithm(graph), workers=1, epsilon_r=100.0,
+            make_algorithm(graph), epsilon_r=100.0,
             queue_capacity=0,
         )
         runtime.start()
@@ -318,7 +263,7 @@ class TestServingRuntime:
 
     def test_wait_and_response_histograms(self):
         metrics = MetricsRegistry()
-        runtime = make_runtime(workers=1, queue_capacity=0, metrics=metrics)
+        runtime = make_runtime(queue_capacity=0, metrics=metrics)
         with runtime:
             runtime.serve([Request(0.0, QUERY, source=0)])
         hist = metrics.snapshot()["histograms"]
@@ -334,7 +279,7 @@ class TestCompletionSink:
         every result vector forever (the shard-worker leak)."""
         seen = []
         runtime = make_runtime(
-            workers=2, queue_capacity=0, on_complete=seen.append
+            queue_capacity=0, on_complete=seen.append
         )
         with runtime:
             report = runtime.serve(
@@ -364,7 +309,7 @@ class TestCompletionSink:
 
         metrics = MetricsRegistry()
         runtime = make_runtime(
-            algorithm, workers=1, queue_capacity=2, deadline_s=0.02,
+            algorithm, queue_capacity=2, deadline_s=0.02,
             query_fn=blocking_query, metrics=metrics,
         )
         requests = [
@@ -419,3 +364,71 @@ class TestQuotaIntegration:
         runtime = make_runtime()
         with runtime:
             assert runtime.reconfigure(1.0, 1.0) is None
+
+
+class FixedController:
+    """A QuotaController stand-in that always decides ``beta``."""
+
+    def __init__(self, beta):
+        self.beta = beta
+
+    def configure(self, lambda_q, lambda_u, warm_start=None, quick=True):
+        return SimpleNamespace(beta=dict(self.beta))
+
+
+def threads_started_by(action):
+    """Threads alive after ``action()`` that were not alive before."""
+    before = set(threading.enumerate())
+    action()
+    return [t for t in threading.enumerate() if t not in before]
+
+
+class TestOneThread:
+    def test_default_runtime_runs_exactly_one_thread(self):
+        runtime = make_runtime()
+        started = threads_started_by(runtime.start)
+        try:
+            assert len(started) == 1
+            assert started[0].is_alive()
+        finally:
+            runtime.stop()
+        assert not started[0].is_alive()
+
+    def test_more_than_one_worker_raises(self):
+        with pytest.raises(ValueError, match="single-threaded"):
+            make_runtime(workers=2)
+
+    def test_every_kernel_call_and_mutation_runs_on_the_runtime_thread(self):
+        algorithm = make_algorithm()
+        calls = []
+        for name in ("query", "apply_update", "set_hyperparameters"):
+
+            def traced(*args, _original=getattr(algorithm, name),
+                       _name=name, **kwargs):
+                calls.append((_name, threading.get_ident()))
+                return _original(*args, **kwargs)
+
+            setattr(algorithm, name, traced)
+        runtime = make_runtime(
+            algorithm, epsilon_r=100.0, queue_capacity=0,
+            controller=FixedController({"r_max": algorithm.r_max * 2}),
+        )
+        (thread,) = threads_started_by(runtime.start)
+        report = runtime.serve(
+            [Request(0.0, QUERY, source=s % 4) for s in range(6)]
+            + [Request(0.0, UPDATE, update=EdgeUpdate(0, v))
+               for v in range(10, 14)]
+        )
+        assert report.fault_count == 0
+        for v in range(14, 17):
+            runtime.submit(Request(0.0, UPDATE, update=EdgeUpdate(1, v)))
+        assert runtime.reconfigure(1.0, 1.0) is not None
+        runtime.submit(Request(0.0, QUERY, source=0))
+        runtime.drain()
+        runtime.submit(Request(0.0, UPDATE, update=EdgeUpdate(2, 17)))
+        runtime.stop()
+        kinds = [name for name, _ in calls]
+        assert kinds.count("apply_update") == 8
+        assert kinds.count("query") == 7
+        assert kinds.count("set_hyperparameters") == 1
+        assert {ident for _, ident in calls} == {thread.ident}

@@ -17,7 +17,7 @@ def make_runtime(**kwargs):
     algorithm = Fora(graph, PPRParams(alpha=0.2, epsilon=0.5, walk_cap=16))
     algorithm.seed(0)
     kwargs.setdefault("metrics", MetricsRegistry())
-    return ServingRuntime(algorithm, workers=2, **kwargs)
+    return ServingRuntime(algorithm, **kwargs)
 
 
 def spaced_workload(count=8, gap=0.2):

@@ -1,21 +1,20 @@
-"""Concurrency stress tests for the serving runtime.
+"""Stress tests for the serving runtime's one thread.
 
-Randomized query/update interleavings on a multi-worker pool, checked
-against a *sequential oracle*: every completed query records the graph
-version it observed under the read lock; replaying the applied updates
-in version order on a shadow copy of the initial graph reconstructs
-each snapshot, and the query's answer must equal ``ppr_exact`` on that
-snapshot.  Zero tolerance beyond float noise — any torn read, lost
-update, or mis-versioned snapshot shows up as a violation.
+Randomized query/update interleavings — several producer threads
+racing their submissions into one runtime — checked against a
+*sequential oracle*: every completed query records the graph version
+it ran on; replaying the applied updates in version order on a shadow
+copy of the initial graph reconstructs each snapshot, and the query's
+answer must equal ``ppr_exact`` on that snapshot.  Zero tolerance
+beyond float noise — any torn read, lost update, or mis-versioned
+snapshot shows up as a violation.
 
 Marked ``stress`` (see pyproject) so CI can run them in a dedicated
-job; they stay fast enough for the default suite too.  No wall-clock
-speedup assertions: this container is single-core and the GIL
-serializes pure-Python work, so the tests certify correctness under
-interleaving, not scaling.
+job; they stay fast enough for the default suite too.
 """
 
 import random
+import sys
 import threading
 
 import numpy as np
@@ -59,6 +58,25 @@ def make_workload(graph, rng, num_queries=60, num_updates=30):
         requests.append(Request(i * 1e-4, UPDATE, update=EdgeUpdate(u, v)))
     rng.shuffle(requests)
     return requests
+
+
+def submit_concurrently(runtime, chunks):
+    """Submit each chunk from its own thread, switching threads far more
+    often than the interpreter's default; returns once all are in."""
+    threads = [
+        threading.Thread(target=lambda c=chunk: [runtime.submit(r) for r in c])
+        for chunk in chunks
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
 
 
 def check_oracle(initial_graph, final_graph, records):
@@ -111,25 +129,30 @@ def check_oracle(initial_graph, final_graph, records):
 
 @pytest.mark.stress
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("workers", [3, 4])
-def test_randomized_interleavings_match_sequential_oracle(seed, workers):
+@pytest.mark.parametrize("producers", [3, 4])
+def test_randomized_interleavings_match_sequential_oracle(seed, producers):
     rng = random.Random(seed)
     graph = make_graph(rng)
     initial = graph.copy()
     runtime = ServingRuntime(
         Fora(graph, PPRParams(walk_cap=100)),
-        workers=workers,
         epsilon_r=50.0,
         queue_capacity=0,
         query_fn=exact_query_fn,
         idle_tick_s=0.002,
         metrics=MetricsRegistry(),
     )
+    workload = make_workload(graph, rng)
     with runtime:
-        report = runtime.serve(make_workload(graph, rng))
-    assert report.shed_count == 0 and report.fault_count == 0
-    assert runtime.pending_updates == 0
-    violations = check_oracle(initial, graph, report.records)
+        submit_concurrently(runtime, [
+            workload[i::producers] for i in range(producers)
+        ])
+        runtime.drain()
+        assert runtime.pending_updates == 0
+    records = runtime.records
+    assert len(records) == len(workload)
+    assert all(r.status == OK for r in records)
+    violations = check_oracle(initial, graph, records)
     assert violations == []
 
 
@@ -141,7 +164,6 @@ def test_concurrent_producers(dummy=None):
     initial = graph.copy()
     runtime = ServingRuntime(
         Fora(graph, PPRParams(walk_cap=100)),
-        workers=3,
         epsilon_r=50.0,
         queue_capacity=0,
         query_fn=exact_query_fn,
@@ -151,16 +173,7 @@ def test_concurrent_producers(dummy=None):
     chunks = [make_workload(graph, random.Random(100 + i), 20, 10)
               for i in range(4)]
     with runtime:
-        threads = [
-            threading.Thread(
-                target=lambda c=chunk: [runtime.submit(r) for r in c]
-            )
-            for chunk in chunks
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        submit_concurrently(runtime, chunks)
         runtime.drain()
     total = sum(len(c) for c in chunks)
     assert len(runtime.records) == total
@@ -188,7 +201,6 @@ def test_injected_faults_keep_survivors_consistent():
     algorithm.apply_update = flaky
     runtime = ServingRuntime(
         algorithm,
-        workers=3,
         epsilon_r=50.0,
         queue_capacity=0,
         query_fn=exact_query_fn,
@@ -215,7 +227,6 @@ def test_fcfs_mode_applies_updates_inline():
     initial = graph.copy()
     runtime = ServingRuntime(
         Fora(graph, PPRParams(walk_cap=100)),
-        workers=4,
         epsilon_r=0.0,
         queue_capacity=0,
         query_fn=exact_query_fn,
@@ -238,7 +249,6 @@ def test_deterministic_result_values():
         graph = make_graph(rng)
         runtime = ServingRuntime(
             Fora(graph, PPRParams(walk_cap=100)),
-            workers=3,
             epsilon_r=50.0,
             queue_capacity=0,
             query_fn=exact_query_fn,
@@ -261,11 +271,11 @@ def test_deterministic_result_values():
 @pytest.mark.stress
 @pytest.mark.parametrize("seed", [0, 3])
 def test_incremental_fora_plus_under_concurrency(seed):
-    """Incremental walk-index maintenance inside the writer critical
-    section: FORA+inc serves a racing query/update mix (Seed-deferred
-    flushes included via epsilon_r) with zero snapshot-version
-    violations, and the edge→walk map plus the per-node walk-budget
-    invariant hold on the final graph."""
+    """Incremental walk-index maintenance on the runtime thread: FORA+inc
+    serves a query/update mix (Seed-deferred flushes included via
+    epsilon_r) with zero snapshot-version violations, and the edge→walk
+    map plus the per-node walk-budget invariant hold on the final
+    graph."""
     from repro.ppr import ForaPlusIncremental, csr_view
 
     rng = random.Random(seed)
@@ -275,7 +285,6 @@ def test_incremental_fora_plus_under_concurrency(seed):
     algorithm.seed(seed)
     runtime = ServingRuntime(
         algorithm,
-        workers=3,
         epsilon_r=50.0,
         queue_capacity=0,
         query_fn=exact_query_fn,
