@@ -1,7 +1,7 @@
 """Benchmark: what each fleet process pays, stage by stage, and their sum.
 
 ``server_rss_mb`` of the end-to-end benchmark is a sum of ``VmRSS``
-over the front door and its workers.  Three kinds of row:
+over the front door and its workers.  Five kinds of row:
 
 * per algorithm (FORA and FORA+inc on ``lj``): a **worker**'s start-up
   in a fresh interpreter — import the serving stack, unpickle a
@@ -16,6 +16,10 @@ over the front door and its workers.  Three kinds of row:
   the worst ``EdgeWalkMap._compact()`` peak above what was live when it
   began.  The child is started by :func:`repro.shard.launch.python_child`,
   so it runs under the environment a real worker gets;
+* ``image_build``: the **graph-image builder** child ``repro serve``
+  starts, on its own — wall seconds from launch to exit (imports,
+  generating the dataset's pairs, packing them, writing them out) and
+  whether it loaded numpy;
 * ``frontdoor``: the **control plane**'s start-up in a fresh
   interpreter — import :mod:`repro.api.serve`, receive the graph image
   from the builder child, bring up a 2-shard manager — with the module
@@ -40,7 +44,9 @@ Asserted (the bench-smoke CI job runs this at quick scope):
   hold at once made it 10.6);
 * the front door never loads numpy and idles at <= 30 MB, and a fleet
   is ``1 + shards`` processes (it was 49 MB beside a 12 MB
-  ``multiprocessing`` resource tracker).
+  ``multiprocessing`` resource tracker);
+* the image builder never loads numpy (it built a ``DynamicGraph``
+  edge by edge and imported numpy to flatten it into sorted pairs).
 
 Honesty notes: RSS deltas are page-granular and depend on what the
 allocator already had free, so they repeat to about +-0.3 MB, not to
@@ -51,7 +57,11 @@ set, edge-by-edge ``build_graph``) and the ``fleet`` row of commit
 4ac86f4 (``multiprocessing`` spawn workers, a front door that built the
 graph itself), both on the host that recorded the committed JSON; its
 ``update_stream`` row is commit eb8ce24 (per-thread malloc arenas, int64
-walk recorder, doubling slack stores) through this file's child.
+walk recorder, doubling slack stores) through this file's child; its
+``image_build`` row is commit d399fb7 (the builder generated a
+``DynamicGraph`` and packed it with numpy) through this file's
+``run_image_build`` and ``run_fleet``.  Start-up seconds are CPU-bound
+on a 2-vCPU host and move by ~0.1 s with whatever else runs on it.
 
 Results land in ``BENCH_fleet_footprint.json`` at the repo root via
 ``benchmarks/common.py``.  Run directly or through pytest.
@@ -75,6 +85,7 @@ import pytest
 from benchmarks.common import REPO_ROOT, scoped, write_bench_json
 from benchmarks.e2e import procfs
 from repro.evaluation.datasets import get_dataset
+from repro.shard.image import _HEADER
 from repro.shard.launch import python_child
 from repro.shard.messages import ShardSpec
 
@@ -143,7 +154,27 @@ PREVIOUS["FORA+inc"]["update_stream"] = {
     "walks_resampled": 56_973,
 }
 
+#: the builder child and the idle fleet of the parent commit d399fb7 on
+#: the recording host: median of three `run_image_build` rows and of three
+#: `run_fleet` starts, alternated with this commit's (0.361 s, 1.109 s)
+PREVIOUS["image_build"] = {
+    "commit": "d399fb7",
+    "seconds": 0.619,
+    "numpy_loaded": True,
+    "fleet_ready_s": 1.51,
+}
+
 COMPACTION_PEAK_MB_CEILING = 8.0
+
+#: builder children timed per run (each is ~0.3 s)
+IMAGE_BUILDS = 9
+
+#: the builder child `ImageBuild` starts, plus one byte after the image:
+#: whether numpy got loaded
+IMAGE_CHILD = (
+    f"from repro.shard.image import write_image; write_image({DATASET!r}, 0); "
+    "sys.stdout.buffer.write(b'%d' % ('numpy' in sys.modules))"
+)
 
 #: `update_heavy` offers 60 upd/s for 24 s to every worker and 15 q/s
 #: to the fleet (7.5 per worker): one query per eight updates
@@ -359,6 +390,32 @@ def run_update_stream(spec_pickle: bytes) -> dict:
     return row
 
 
+def run_image_build() -> dict:
+    """The graph-image builder, launched as ``ImageBuild`` launches it,
+    timed from ``Popen`` to exit."""
+    runs = []
+    for _ in range(IMAGE_BUILDS):
+        begin = time.perf_counter()
+        child = python_child(IMAGE_CHILD, stdout=subprocess.PIPE)
+        try:
+            out, _ = child.communicate(timeout=120)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait(10.0)
+        seconds = time.perf_counter() - begin
+        if child.returncode != 0:
+            raise RuntimeError("image-builder child failed")
+        num_nodes, size = _HEADER.unpack_from(out)
+        runs.append((seconds, out[_HEADER.size + size:]))
+    return {
+        "seconds": median(seconds for seconds, _ in runs),
+        "num_nodes": num_nodes,
+        "num_edges": size // 8,
+        "numpy_loaded": any(flag == b"1" for _, flag in runs),
+    }
+
+
 def _child_env() -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
 
@@ -481,6 +538,7 @@ def run_bench() -> dict:
             results[algorithm]["update_stream"] = {
                 key: median(run[key] for run in streams) for key in streams[0]
             }
+    results["image_build"] = run_image_build()
     results["frontdoor"] = run_frontdoor()
     if os.path.isdir("/proc/self"):
         results["fleet"] = run_fleet()
@@ -522,6 +580,12 @@ def test_index_compaction_holds_few_temporaries():
     row = _results()["FORA+inc"]["update_stream"]
     assert row["compactions"] >= 1, "the stream never crossed the rule"
     assert 0.0 < row["compaction_peak_mb"] <= COMPACTION_PEAK_MB_CEILING
+
+
+def test_image_builder_loads_no_numpy():
+    row = _results()["image_build"]
+    assert row["numpy_loaded"] is False
+    assert row["num_edges"] == _results()["num_edges"]
 
 
 def test_front_door_is_a_control_plane():
@@ -570,6 +634,11 @@ def main() -> None:
         ("compaction_peak_mb", "MB worst compaction peak above its base"),
     ):
         print(f"  {stream[key]:6.1f} {unit} (was {was[key]})")
+    row, was = results["image_build"], PREVIOUS["image_build"]
+    print(
+        f"image builder: {row['seconds']:.3f} s (was {was['seconds']}), "
+        f"numpy {'loaded' if row['numpy_loaded'] else 'absent'}"
+    )
     print("frontdoor:")
     for name in FRONTDOOR_STAGES:
         row = results["frontdoor"][name]
@@ -585,7 +654,8 @@ def main() -> None:
             f"fleet: {fleet['processes']} processes (was {was['processes']}), "
             f"{fleet['total_mb']:.1f} MB (was {was['total_mb']}), front door "
             f"{fleet['frontdoor_mb']:.1f} MB (was {was['frontdoor_mb']}), "
-            f"ready in {fleet['ready_s']:.2f} s (was {was['ready_s']})"
+            f"ready in {fleet['ready_s']:.2f} s (was "
+            f"{PREVIOUS['image_build']['fleet_ready_s']})"
         )
 
 

@@ -58,16 +58,19 @@ class DatasetSpec:
     window: float
     walk_cap: int
 
-    def build(self, seed: int = 0, scale: float = 1.0) -> DynamicGraph:
-        """Materialize the graph (deterministic per seed).
+    def edge_list(
+        self, seed: int = 0, scale: float = 1.0
+    ) -> tuple[int, list[tuple[int, int]]]:
+        """``(num_nodes, pairs)`` of the graph, pairs in insertion order
+        (deterministic per seed).
 
         ``scale`` < 1 shrinks node/edge counts proportionally — handy
         for smoke tests and CI.
         """
         # the registry is read by processes that never build a graph
         from repro.graph.generators import (
-            barabasi_albert_graph,
-            erdos_renyi_graph,
+            barabasi_albert_edges,
+            erdos_renyi_edges,
         )
 
         if scale <= 0:
@@ -76,15 +79,21 @@ class DatasetSpec:
         m = max(int(self.edges * scale), 2 * n)
         if self.kind == "ba":
             attach = max(round(m / (1.5 * n)), 1)
-            return barabasi_albert_graph(
+            return n, barabasi_albert_edges(
                 n, attach=attach, directed=self.directed, seed=seed
             )
         if self.kind == "er":
-            return erdos_renyi_graph(
+            return n, erdos_renyi_edges(
                 n, m=m if self.directed else m // 2,
                 directed=self.directed, seed=seed,
             )
         raise ValueError(f"unknown dataset kind {self.kind!r}")
+
+    def build(self, seed: int = 0, scale: float = 1.0) -> DynamicGraph:
+        """Materialize the graph of :meth:`edge_list`."""
+        from repro.graph.digraph import DynamicGraph
+
+        return DynamicGraph.from_edge_array(*self.edge_list(seed, scale))
 
 
 # Sizes are the paper's divided by ~1000 (Twitter by 10000); rates are

@@ -25,8 +25,10 @@ Conventions
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: log entries kept before the oldest half is discarded; derived views
 #: older than the retained window fall back to a full rebuild
@@ -52,6 +54,10 @@ def as_edge_array(
     the int32 range, and repeated pairs: ``add_edge`` ignores a
     duplicate, a consumer that counts rows would count it.
     """
+    # numpy is loaded by the three bulk-build helpers only: the graph-image
+    # builder imports this module through the generators and never calls them
+    import numpy as np
+
     arr = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs))
     if arr.size == 0:
         return np.empty((0, 2), dtype=np.int32)
@@ -79,6 +85,8 @@ def _adjacency(
 ) -> dict[int, list[int]]:
     """``{node: [values[i] for i where keys[i] == node]}``, each list in
     row order, its entries drawn from the object array ``table``."""
+    import numpy as np
+
     order = np.argsort(keys, kind="stable")
     flat = table[values[order]].tolist()
     ends = np.cumsum(np.bincount(keys, minlength=len(nodes))).tolist()
@@ -202,6 +210,8 @@ class DynamicGraph:
         have seen an earlier version of a graph that did not exist.
         ``pairs`` is validated by :func:`as_edge_array`.
         """
+        import numpy as np
+
         pairs = as_edge_array(num_nodes, pairs)
         nodes = list(range(num_nodes))
         # every list entry references these int objects instead of

@@ -11,7 +11,12 @@ ladder of synthetic graphs with matching *relative* properties:
 * plus tiny deterministic graphs (star, ring, grid, complete) used by
   unit tests where exact PPR values are known or easy to reason about.
 
-All generators are deterministic given a seed.
+All generators are deterministic given a seed.  The two random ones
+the datasets use are recipes for a list of ``(u, v)`` pairs
+(``barabasi_albert_edges``, ``erdos_renyi_edges``) that
+``DynamicGraph.from_edge_array`` turns into the graph the ``add_edge``
+loop over those pairs would build, so a process that only needs the
+edges (the fleet's image builder) never builds a graph.
 """
 
 from __future__ import annotations
@@ -19,6 +24,44 @@ from __future__ import annotations
 import random
 
 from repro.graph.digraph import DynamicGraph
+
+
+def erdos_renyi_edges(
+    n: int,
+    p: float | None = None,
+    m: int | None = None,
+    directed: bool = True,
+    seed: int | None = None,
+) -> list[tuple[int, int]]:
+    """The pairs of :func:`erdos_renyi_graph`, in insertion order.
+
+    ``edges`` is an ordered set: a pair drawn again keeps its first
+    place, as ``add_edge`` skips an edge that is already there.
+    """
+    if (p is None) == (m is None):
+        raise ValueError("specify exactly one of p or m")
+    rng = random.Random(seed)
+    edges: dict[tuple[int, int], None] = {}
+    if p is not None:
+        for u in range(n):
+            for v in range(n):
+                if u != v and rng.random() < p:
+                    edges[u, v] = None
+                    if not directed:
+                        edges[v, u] = None
+        return list(edges)
+    max_edges = n * (n - 1)
+    if m > max_edges:
+        raise ValueError(f"m={m} exceeds the maximum {max_edges}")
+    while len(edges) < (m if directed else 2 * m):
+        u = rng.randrange(n)
+        v = rng.randrange(n)
+        if u == v:
+            continue
+        edges[u, v] = None
+        if not directed:
+            edges[v, u] = None
+    return list(edges)
 
 
 def erdos_renyi_graph(
@@ -34,30 +77,41 @@ def erdos_renyi_graph(
     be given.  ``m``-mode samples edges without replacement, which is
     the natural way to hit a target |E| for a benchmark dataset.
     """
-    if (p is None) == (m is None):
-        raise ValueError("specify exactly one of p or m")
+    return DynamicGraph.from_edge_array(
+        n, erdos_renyi_edges(n, p, m, directed, seed)
+    )
+
+
+def barabasi_albert_edges(
+    n: int,
+    attach: int = 3,
+    directed: bool = True,
+    seed: int | None = None,
+) -> list[tuple[int, int]]:
+    """The pairs of :func:`barabasi_albert_graph`, in insertion order.
+
+    None repeats: a new node's out-edges and the reverse edges into it
+    are all born in its own step, to distinct targets.
+    """
+    if attach < 1:
+        raise ValueError("attach must be >= 1")
+    if n <= attach:
+        raise ValueError("n must exceed attach")
     rng = random.Random(seed)
-    graph = DynamicGraph(num_nodes=n)
-    if p is not None:
-        for u in range(n):
-            for v in range(n):
-                if u != v and rng.random() < p:
-                    graph.add_edge(u, v)
-                    if not directed:
-                        graph.add_edge(v, u)
-        return graph
-    max_edges = n * (n - 1)
-    if m > max_edges:
-        raise ValueError(f"m={m} exceeds the maximum {max_edges}")
-    while graph.num_edges < (m if directed else 2 * m):
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u == v:
-            continue
-        graph.add_edge(u, v)
-        if not directed:
-            graph.add_edge(v, u)
-    return graph
+    # Seed clique among the first attach+1 nodes.
+    clique = range(attach + 1)
+    pairs = [(u, v) for u in clique for v in clique if u != v]
+    targets_pool = [u for u in clique for _ in range(attach)]
+    for u in range(attach + 1, n):
+        chosen: set[int] = set()
+        while len(chosen) < attach:
+            chosen.add(rng.choice(targets_pool))
+        for v in chosen:
+            pairs.append((u, v))
+            targets_pool.extend([u, v])
+            if not directed or rng.random() < 0.5:
+                pairs.append((v, u))
+    return pairs
 
 
 def barabasi_albert_graph(
@@ -74,29 +128,9 @@ def barabasi_albert_graph(
     with probability 0.5, giving a realistic (partially reciprocal)
     social-network shape.
     """
-    if attach < 1:
-        raise ValueError("attach must be >= 1")
-    if n <= attach:
-        raise ValueError("n must exceed attach")
-    rng = random.Random(seed)
-    graph = DynamicGraph(num_nodes=n)
-    # Seed clique among the first attach+1 nodes.
-    targets_pool: list[int] = []
-    for u in range(attach + 1):
-        for v in range(attach + 1):
-            if u != v:
-                graph.add_edge(u, v)
-        targets_pool.extend([u] * attach)
-    for u in range(attach + 1, n):
-        chosen: set[int] = set()
-        while len(chosen) < attach:
-            chosen.add(rng.choice(targets_pool))
-        for v in chosen:
-            graph.add_edge(u, v)
-            targets_pool.extend([u, v])
-            if not directed or rng.random() < 0.5:
-                graph.add_edge(v, u)
-    return graph
+    return DynamicGraph.from_edge_array(
+        n, barabasi_albert_edges(n, attach, directed, seed)
+    )
 
 
 def watts_strogatz_graph(

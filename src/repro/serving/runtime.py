@@ -51,10 +51,9 @@ import time
 import traceback
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Any, TypeVar, cast
+from typing import TYPE_CHECKING, Any, TypeVar, cast
 
 from repro.cache import PPRCache, StalenessTracker
-from repro.core.quota import QuotaController, QuotaDecision
 from repro.core.seed import SeedQueue
 from repro.obs import MetricsRegistry, get_metrics
 from repro.ppr.base import DynamicPPRAlgorithm
@@ -72,6 +71,10 @@ from repro.serving.admission import (
     AdmissionQueue,
     Ticket,
 )
+
+if TYPE_CHECKING:
+    # a worker started without --quota never loads the Quota stack
+    from repro.core.quota import QuotaController, QuotaDecision
 
 #: request completed normally
 OK = "ok"

@@ -4,9 +4,9 @@ A :class:`GraphImage` is ``num_nodes`` plus the packed edge buffer of
 :func:`~repro.shard.messages.pack_edges`: what a
 :class:`~repro.shard.messages.ShardSpec` carries and what a worker's
 :func:`~repro.shard.worker.build_graph` decodes.  ``repro serve`` gets
-one from an :class:`ImageBuild`, which generates the dataset graph in a
-child process that exits — the front door itself never holds a graph or
-loads numpy.  Code that already has a
+one from an :class:`ImageBuild`, which generates the dataset's edge list
+in a child process that exits — neither that child nor the front door
+builds a graph or loads numpy.  Code that already has a
 :class:`~repro.graph.digraph.DynamicGraph` (tests, scenarios, benches)
 hands it to :class:`~repro.shard.manager.ShardManager`, which packs it
 through :func:`graph_image`.
@@ -17,7 +17,6 @@ from __future__ import annotations
 import struct
 import subprocess
 import sys
-from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
 from repro.shard.launch import python_child
@@ -47,27 +46,22 @@ def graph_image(graph: "DynamicGraph | GraphImage | ImageBuild") -> GraphImage:
         return graph
     if isinstance(graph, ImageBuild):
         return graph.result()
-    import numpy as np
-
-    # straight from the adjacency lists, no tuple per edge kept
-    flat = np.fromiter(
-        chain.from_iterable(graph.edges()),
-        dtype=np.int64,
-        count=2 * graph.num_edges,
-    )
-    return GraphImage(
-        graph.num_nodes, pack_edges(graph.num_nodes, flat.reshape(-1, 2))
-    )
+    return GraphImage(graph.num_nodes, pack_edges(graph.num_nodes, graph.edges()))
 
 
 def write_image(dataset: str, seed: int) -> None:
-    """Builder-child body: the dataset's image on stdout."""
+    """Builder-child body: the dataset's image on stdout.
+
+    The dataset's pairs go straight to :func:`pack_edges`: no
+    ``DynamicGraph`` is built and no numpy is loaded.
+    """
     from repro.evaluation.datasets import get_dataset
 
-    image = graph_image(get_dataset(dataset).build(seed=seed))
+    num_nodes, pairs = get_dataset(dataset).edge_list(seed)
+    edges = pack_edges(num_nodes, pairs)
     out = sys.stdout.buffer
-    out.write(_HEADER.pack(image.num_nodes, len(image.edges)))
-    out.write(image.edges)
+    out.write(_HEADER.pack(num_nodes, len(edges)))
+    out.write(edges)
     out.flush()
 
 

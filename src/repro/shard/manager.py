@@ -148,8 +148,8 @@ class ShardManager:
             raise ValueError("num_shards must be >= 1")
         if max_inflight_per_shard < 1:
             raise ValueError("max_inflight_per_shard must be >= 1")
-        # a worker imports for ~0.3 s before it reads its first message
-        # (the spec): time a builder child needs anyway
+        # a worker imports for ~0.25 s before it reads its first message
+        # (the spec), about as long as the builder child takes anyway
         launched = (
             [WorkerProcess() for _ in range(num_shards)]
             if backend == "process" and isinstance(graph, ImageBuild)

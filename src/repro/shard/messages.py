@@ -5,8 +5,9 @@ Everything that crosses a process boundary lives here: the
 manager sends, and the :class:`ShardReply` envelope workers send back.
 All types are plain frozen dataclasses of primitives, so they pickle
 onto a pipe without dragging graph or algorithm state along — and this
-module loads no numpy until an edge list is actually packed or decoded,
-because the front door imports it too.
+module loads no numpy until an edge list is decoded into an array
+(:meth:`ShardSpec.edge_array`, in a worker), because the front door and
+the graph-image builder import it too.
 
 Versioned update broadcast
 --------------------------
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import copy
 import operator
+import struct
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -78,26 +80,40 @@ def pack_edges(
     ``edges`` may be an ``(m, 2)`` integer array, any iterable of
     ``(u, v)`` pairs, or an already packed buffer (re-validated — it
     may come from outside).  Raises ValueError for what a worker's bulk
-    build would miscount: repeated pairs, ids outside
+    build would miscount: repeated pairs, non-integer ids, ids outside
     ``[0, num_nodes)`` or the int32 range, a buffer of half pairs.
 
     A buffer that is already canonical is returned as it is, checked by
-    :func:`_is_packed`; everything else — an unsorted or invalid buffer
-    included — takes the numpy path, which sorts or says what is wrong.
+    :func:`_is_packed`; everything else is sorted and checked here in
+    plain Python — the front door and the graph-image builder call this
+    and load no numpy.
     """
-    if isinstance(edges, bytes) and _is_packed(num_nodes, edges):
-        return edges
-    import numpy as np
-
-    from repro.graph.digraph import as_edge_array
-
     if isinstance(edges, bytes):
+        if _is_packed(num_nodes, edges):
+            return edges
         if len(edges) % 8:
             raise ValueError("packed edges must be whole int32 pairs")
-        edges = np.frombuffer(edges, dtype=_PACKED).reshape(-1, 2)
-    pairs = as_edge_array(num_nodes, edges)
-    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-    return pairs.astype(_PACKED).tobytes()
+        edges = struct.iter_unpack("<ii", edges)
+    limit = min(num_nodes, 2**31)
+    keys = []
+    try:
+        for u, v in edges:
+            u, v = operator.index(u), operator.index(v)
+            if not (0 <= u < limit and 0 <= v < limit):
+                raise ValueError(
+                    f"edge ({u}, {v}) has an endpoint outside [0, {limit})"
+                )
+            keys.append(u * num_nodes + v)
+    except TypeError as exc:
+        raise ValueError(f"edges must be integer (u, v) pairs: {exc}") from None
+    keys.sort()
+    for key, following in zip(keys, keys[1:]):
+        if key == following:
+            raise ValueError(f"duplicate edge {divmod(key, num_nodes)}")
+    ids = [0] * (2 * len(keys))
+    ids[0::2] = [key // num_nodes for key in keys]
+    ids[1::2] = [key % num_nodes for key in keys]
+    return struct.pack(f"<{len(ids)}i", *ids)
 
 
 class UpdateOrderError(RuntimeError):

@@ -54,6 +54,11 @@ def test_repr_does_not_print_the_graph():
         (3, [(0, 3)]),
         (3, [(-1, 0)]),
         (3, [(0, 2**40)]),
+        (2**31 + 2, [(0, 2**31)]),  # in range, still not an int32
+        (3, [(0.0, 1.0)]),  # not integers
+        (3, np.array([[0.0, 1.0]])),
+        (3, [(0, 1, 2)]),  # not pairs
+        (3, np.array([0, 1])),
         (3, b"\x00" * 12),  # not whole pairs
         (3, np.array([[0, 1], [0, 1]], dtype="<i4").tobytes()),
         (3, np.array([[0, 7]], dtype="<i4").tobytes()),

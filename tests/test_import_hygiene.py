@@ -78,8 +78,11 @@ from repro.graph import barabasi_albert_graph
 from repro.shard.messages import QueryCommand, ShardSpec, UpdateCommand
 from repro.shard.worker import ShardServer
 
-HARNESS = ("repro.evaluation.runner", "repro.core.calibration",
-           "repro.core.system", "repro.queueing.simulator")
+# what only --quota needs: the calibrated QuotaController and its solver
+QUOTA_STACK = ("repro.core.calibration", "repro.core.quota",
+               "repro.core.cost_models", "repro.core.optimizer")
+HARNESS = ("repro.evaluation.runner", "repro.core.system",
+           "repro.queueing.simulator") + QUOTA_STACK
 graph = barabasi_albert_graph(200, attach=3, seed=1)
 for name in ("FORA", "FORA+inc"):
     replies = []
@@ -106,7 +109,8 @@ server = ShardServer(
 )
 server.runtime.stop()
 assert server.runtime.controller is not None
-assert "repro.core.calibration" in sys.modules
+missing = [name for name in QUOTA_STACK if name not in sys.modules]
+assert not missing, missing
 """
 
 # what `repro serve` does, with a live process fleet behind it
@@ -148,6 +152,30 @@ from repro.shard import ShardSpec
 assert not numerics_loaded(), numerics_loaded()[:8]
 """
 
+# the graph-image builder child: dataset pairs, packed, on stdout
+BUILDER_WITHOUT_NUMPY = """
+import os, sys
+sys.stdout = open(os.devnull, "w")
+from repro.shard.image import write_image
+
+write_image("lj", 0)
+assert "numpy" not in sys.modules
+"""
+
+# a front door handed an image that is not canonical yet sorts it itself
+UNSORTED_SPEC_WITHOUT_NUMERICS = NUMERICS + """
+from array import array
+from repro.shard.messages import ShardSpec
+
+pairs = [(u, v) for u in range(40) for v in (0, (u * 7) % 40, 39) if u != v]
+pairs = sorted(set(pairs))
+canonical = array("i", [i for pair in pairs for i in pair]).tobytes()
+shuffled = array("i", [i for pair in pairs[::-1] for i in pair]).tobytes()
+spec = ShardSpec(0, 1, 40, shuffled)
+assert spec.edges == ShardSpec(0, 1, 40, canonical).edges == canonical
+assert not numerics_loaded(), numerics_loaded()[:8]
+"""
+
 
 def run_fresh_interpreter(code: str) -> None:
     proc = subprocess.run(
@@ -185,6 +213,16 @@ def test_cli_dataset_listing_loads_no_numpy():
 
 def test_lazy_packages_import_nothing_until_asked():
     run_fresh_interpreter(LAZY_PACKAGES_IMPORT_NOTHING)
+
+
+def test_graph_image_builder_loads_no_numpy():
+    """The builder child used to build a ``DynamicGraph`` edge by edge
+    and load numpy only to flatten it back into sorted pairs."""
+    run_fresh_interpreter(BUILDER_WITHOUT_NUMPY)
+
+
+def test_unsorted_packed_image_is_sorted_without_numerics():
+    run_fresh_interpreter(UNSORTED_SPEC_WITHOUT_NUMERICS)
 
 
 def test_workers_never_load_the_front_door_stack(tmp_path):
