@@ -26,9 +26,10 @@ from repro.core.calibration import calibrate_taus, calibrated_cost_model
 from repro.core.cost_models import cost_model_for
 from repro.core.quota import QuotaController
 from repro.core.system import QuotaSystem
-from repro.evaluation import banner, format_table, get_dataset
-from repro.evaluation.runner import build_algorithm
-from repro.queueing import generate_workload
+from repro.evaluation.datasets import get_dataset
+from repro.evaluation.report import banner, format_table
+from repro.ppr.registry import build_algorithm
+from repro.queueing.workload import generate_workload
 
 
 def run_with_model(model, spec, graph, workload, lq, lu):

@@ -9,8 +9,8 @@ Two views, both virtual-time k-server replays:
    deterministic modeled service times (``modeled=True``: the timeline
    is a cost-model projection, not a measurement).
 2. **Modeled Seed-aware** — the event-driven
-   :class:`~repro.queueing.SeedAwareQueueSimulator`: same k servers
-   plus Seed deferral/reordering and idle-time draining, updates
+   :class:`~repro.queueing.seed_simulator.SeedAwareQueueSimulator`: same
+   k servers plus Seed deferral/reordering and idle-time draining, updates
    really mutating the graph so the Lemma 2 bound tracks true degrees.
 
 There is no measured k-thread view: the serving runtime is one thread
@@ -28,14 +28,13 @@ from __future__ import annotations
 from benchmarks.common import scoped
 from repro.core.calibration import calibrated_cost_model
 from repro.core.quota import QuotaController
-from repro.evaluation import banner, format_table, get_dataset
-from repro.evaluation.runner import build_algorithm
-from repro.queueing import (
-    FCFSQueueSimulator,
-    SeedAwareQueueSimulator,
-    generate_workload,
-)
-from repro.queueing.workload import QUERY
+from repro.evaluation.datasets import get_dataset
+from repro.evaluation.report import banner, format_table
+from repro.ppr.registry import build_algorithm
+from repro.queueing.kinds import QUERY
+from repro.queueing.seed_simulator import SeedAwareQueueSimulator
+from repro.queueing.simulator import FCFSQueueSimulator
+from repro.queueing.workload import generate_workload
 
 SERVER_COUNTS = (1, 2, 4, 8)
 

@@ -25,12 +25,12 @@ import numpy as np
 
 from benchmarks.common import scoped
 from repro.core.system import QuotaSystem
-from repro.evaluation import banner, format_table
 from repro.evaluation.datasets import DatasetSpec
-from repro.evaluation.runner import build_algorithm
-from repro.ppr import ppr_exact
-from repro.queueing import generate_workload
-from repro.queueing.workload import UPDATE
+from repro.evaluation.report import banner, format_table
+from repro.ppr.power_iteration import ppr_exact
+from repro.ppr.registry import build_algorithm
+from repro.queueing.kinds import UPDATE
+from repro.queueing.workload import generate_workload
 
 DENSE = DatasetSpec(
     name="dblp-dense", nodes=300, edges=9000, directed=True, kind="er",

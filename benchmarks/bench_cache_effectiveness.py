@@ -32,17 +32,19 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.common import scoped
-from repro.cache import PPRCache, ReplayCache
+from repro.cache.staleness import ReplayCache
+from repro.cache.store import PPRCache
 from repro.core.system import QuotaSystem
-from repro.evaluation import banner, format_table
-from repro.evaluation.runner import build_algorithm
-from repro.graph import erdos_renyi_graph
-from repro.obs import MetricsRegistry
-from repro.ppr import ppr_exact
+from repro.evaluation.report import banner, format_table
+from repro.graph.generators import erdos_renyi_graph
+from repro.obs.metrics import MetricsRegistry
 from repro.ppr.base import DynamicPPRAlgorithm, PPRParams, PPRVector
-from repro.queueing import FCFSQueueSimulator, generate_workload
-from repro.queueing.workload import QUERY, Request, Workload
-from repro.serving import ServingRuntime
+from repro.ppr.power_iteration import ppr_exact
+from repro.ppr.registry import build_algorithm
+from repro.queueing.kinds import QUERY
+from repro.queueing.simulator import FCFSQueueSimulator
+from repro.queueing.workload import generate_workload, Request, Workload
+from repro.serving.runtime import ServingRuntime
 
 ALPHA = 0.2
 HIT_SERVICE_S = 50e-6  # modeled dict-lookup cost of a cache hit

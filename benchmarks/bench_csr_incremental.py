@@ -17,12 +17,11 @@ import random
 import time
 
 from benchmarks.common import scoped
-from repro.evaluation import banner, format_series
-from repro.graph import barabasi_albert_graph
+from repro.evaluation.report import banner, format_series
+from repro.graph.generators import barabasi_albert_graph
 from repro.graph.updates import random_update_stream
-from repro.obs import get_metrics
-from repro.ppr import csr_view
-from repro.ppr.csr import CSRView
+from repro.obs.metrics import get_metrics
+from repro.ppr.csr import csr_view, CSRView
 
 N_NODES = 20_000
 ATTACH = 3

@@ -14,11 +14,16 @@ import numpy as np
 from benchmarks.common import FULL_RATIOS, scoped
 from repro.core.calibration import calibrated_cost_model
 from repro.core.quota import QuotaController
-from repro.core.system import QuotaSystem, RateDriftDetector
-from repro.evaluation import banner, format_series, get_dataset
-from repro.evaluation.runner import build_algorithm
-from repro.queueing import generate_segmented_workload
-from repro.queueing.workload import QUERY, WorkloadSegment
+from repro.core.rates import RateDriftDetector
+from repro.core.system import QuotaSystem
+from repro.evaluation.datasets import get_dataset
+from repro.evaluation.report import banner, format_series
+from repro.ppr.registry import build_algorithm
+from repro.queueing.kinds import QUERY
+from repro.queueing.workload import (
+    generate_segmented_workload,
+    WorkloadSegment,
+)
 
 TRANCHE = 10.0
 

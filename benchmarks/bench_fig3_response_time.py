@@ -21,7 +21,7 @@ from benchmarks.common import (
     ratio_sweep,
     run_system,
 )
-from repro.evaluation import banner, format_series
+from repro.evaluation.report import banner, format_series
 
 
 SEEDS = (0, 1)  # average replays: measured-time jitter is material

@@ -19,15 +19,15 @@ from benchmarks.common import scoped
 from repro.core.calibration import calibrated_cost_model
 from repro.core.quota import QuotaController
 from repro.core.system import QuotaSystem
-from repro.evaluation import (
-    AccuracySummary,
-    banner,
-    format_series,
-    get_dataset,
+from repro.evaluation.datasets import get_dataset
+from repro.evaluation.metrics import AccuracySummary
+from repro.evaluation.report import banner, format_series
+from repro.ppr.registry import build_algorithm
+from repro.queueing.kinds import QUERY, UPDATE
+from repro.queueing.workload import (
+    dynamic_pattern_segments,
+    generate_segmented_workload,
 )
-from repro.evaluation.runner import build_algorithm
-from repro.queueing import dynamic_pattern_segments, generate_segmented_workload
-from repro.queueing.workload import QUERY, UPDATE
 
 PATTERNS = (
     "query-inclined",

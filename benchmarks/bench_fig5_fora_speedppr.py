@@ -19,7 +19,8 @@ from benchmarks.common import (
     ratio_sweep,
     run_system,
 )
-from repro.evaluation import banner, format_series, improvement_percent
+from repro.evaluation.metrics import improvement_percent
+from repro.evaluation.report import banner, format_series
 
 ALGORITHMS = ("FORA", "FORA+", "SpeedPPR", "SpeedPPR+")
 

@@ -18,7 +18,8 @@ from benchmarks.common import (
     run_system,
     scoped,
 )
-from repro.evaluation import banner, format_series, improvement_percent
+from repro.evaluation.metrics import improvement_percent
+from repro.evaluation.report import banner, format_series
 
 ALGORITHMS = ("FORA-TopK", "TopPPR")
 

@@ -29,16 +29,13 @@ from benchmarks.common import scoped
 from repro.core.calibration import calibrated_cost_model
 from repro.core.quota import QuotaController
 from repro.core.system import QuotaSystem
-from repro.evaluation import (
-    AccuracySummary,
-    banner,
-    format_series,
-)
 from repro.evaluation.datasets import DatasetSpec
-from repro.evaluation.runner import build_algorithm
-from repro.graph import erdos_renyi_graph
-from repro.queueing import generate_workload
-from repro.queueing.workload import UPDATE
+from repro.evaluation.metrics import AccuracySummary
+from repro.evaluation.report import banner, format_series
+from repro.graph.generators import erdos_renyi_graph
+from repro.ppr.registry import build_algorithm
+from repro.queueing.kinds import UPDATE
+from repro.queueing.workload import generate_workload
 
 DENSE = DatasetSpec(
     name="dblp-dense", nodes=400, edges=16000, directed=True, kind="er",

@@ -14,15 +14,15 @@ import numpy as np
 
 from benchmarks.common import scoped
 from repro.core.system import QuotaSystem
-from repro.evaluation import (
+from repro.evaluation.datasets import get_dataset
+from repro.evaluation.report import (
     ascii_histogram,
     banner,
     format_series,
     format_table,
-    get_dataset,
 )
-from repro.evaluation.runner import build_algorithm
-from repro.queueing import generate_workload
+from repro.ppr.registry import build_algorithm
+from repro.queueing.workload import generate_workload
 
 EPSILON_R = 0.5
 

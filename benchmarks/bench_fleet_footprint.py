@@ -190,9 +190,9 @@ if traced:
     tracemalloc.start()
 import numpy as np
 import repro.ppr.incremental as incremental
-from repro.evaluation.runner import build_algorithm
 from repro.graph.updates import EdgeUpdate
-from repro.obs import process_stats
+from repro.obs.metrics import process_stats
+from repro.ppr.registry import build_algorithm
 from repro.shard.worker import build_graph
 
 MB = 1e6
@@ -254,8 +254,8 @@ CHILD = """
 import sys, time
 started = time.perf_counter()
 import json, pickle
-from repro.evaluation.runner import build_algorithm
-from repro.obs import process_stats
+from repro.obs.metrics import process_stats
+from repro.ppr.registry import build_algorithm
 from repro.shard.worker import build_graph
 
 marks = [("imports", time.perf_counter() - started,
@@ -294,7 +294,7 @@ started = time.perf_counter()
 import json
 import repro.api.serve as serve
 from repro.evaluation.datasets import get_dataset
-from repro.obs import process_stats
+from repro.obs.metrics import process_stats
 from repro.shard.image import ImageBuild
 
 marks = []

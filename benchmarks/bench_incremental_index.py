@@ -62,11 +62,13 @@ import numpy as np
 from benchmarks.common import bench_seed, scoped, write_bench_json
 from repro.core.calibration import calibrated_cost_model
 from repro.core.quota import QuotaController
-from repro.graph import barabasi_albert_graph
+from repro.graph.generators import barabasi_albert_graph
 from repro.graph.updates import random_update_stream
-from repro.obs import get_metrics, process_stats
-from repro.ppr import ALGORITHMS, PPRParams, csr_view
+from repro.obs.metrics import get_metrics, process_stats
+from repro.ppr.base import PPRParams
+from repro.ppr.csr import csr_view
 from repro.ppr.random_walk import WalkIndex
+from repro.ppr.registry import ALGORITHMS
 
 #: acceptance floor for t̃_u(rebuild) / t̃_u(incremental)
 SPEEDUP_FLOOR = 10.0

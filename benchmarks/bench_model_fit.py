@@ -16,8 +16,10 @@ from __future__ import annotations
 
 from benchmarks.common import scoped
 from repro.core.calibration import calibrated_cost_model
-from repro.evaluation import banner, format_table, get_dataset, model_fit_report
-from repro.evaluation.runner import build_algorithm
+from repro.evaluation.datasets import get_dataset
+from repro.evaluation.report import banner, format_table
+from repro.evaluation.validation import model_fit_report
+from repro.ppr.registry import build_algorithm
 
 ALGORITHMS = (
     "Agenda", "FORA", "FORA+", "SpeedPPR", "SpeedPPR+", "FORA-TopK",

@@ -35,12 +35,13 @@ import time
 from dataclasses import dataclass
 
 from benchmarks.common import bench_seed, scoped, write_bench_json
-from repro.evaluation import banner, format_table
-from repro.graph import erdos_renyi_graph
-from repro.obs import MetricsRegistry
-from repro.queueing.workload import QUERY, UPDATE, Workload
-from repro.scenarios import zipf_hotset
-from repro.shard import ShardManager
+from repro.evaluation.report import banner, format_table
+from repro.graph.generators import erdos_renyi_graph
+from repro.obs.metrics import MetricsRegistry
+from repro.queueing.kinds import QUERY, UPDATE
+from repro.queueing.workload import Workload
+from repro.scenarios.dsl import zipf_hotset
+from repro.shard.manager import ShardManager
 
 SHARD_COUNTS = (1, 2, 4)
 CLIENTS = 8

@@ -17,15 +17,17 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.common import SystemSpec, run_system, scoped
-from repro.evaluation import banner, format_table, get_dataset, improvement_percent
-from repro.queueing import (
+from repro.evaluation.datasets import get_dataset
+from repro.evaluation.metrics import improvement_percent
+from repro.evaluation.report import banner, format_table
+from repro.queueing.arrivals import (
     GammaArrivals,
     GeometricArrivals,
     NormalArrivals,
     UniformArrivals,
-    generate_workload,
     wikipedia_like_trace,
 )
+from repro.queueing.workload import generate_workload
 
 
 #: contention multiplier — the paper's Table III runs on a crowded

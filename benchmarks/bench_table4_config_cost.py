@@ -13,7 +13,7 @@ magnitude faster — and the configurations found are comparable.
 from __future__ import annotations
 
 from benchmarks.common import scoped
-from repro.baselines import (
+from repro.baselines.search import (
     BayesianOptimizationSearch,
     GridSearch,
     RandomSearch,
@@ -21,9 +21,10 @@ from repro.baselines import (
 from repro.core.calibration import calibrated_cost_model
 from repro.core.quota import QuotaController
 from repro.core.system import QuotaSystem
-from repro.evaluation import banner, format_table, get_dataset
-from repro.evaluation.runner import build_algorithm
-from repro.queueing import generate_workload
+from repro.evaluation.datasets import get_dataset
+from repro.evaluation.report import banner, format_table
+from repro.ppr.registry import build_algorithm
+from repro.queueing.workload import generate_workload
 
 
 def make_evaluator(spec, graph, workload, lq, lu):

@@ -13,8 +13,9 @@ intensity (Lemma 1 objective).
 from __future__ import annotations
 
 from benchmarks.common import SystemSpec, run_system, scoped
-from repro.evaluation import banner, format_table, get_dataset
-from repro.queueing import generate_workload
+from repro.evaluation.datasets import get_dataset
+from repro.evaluation.report import banner, format_table
+from repro.queueing.workload import generate_workload
 
 
 def test_table7_extreme(benchmark, report):

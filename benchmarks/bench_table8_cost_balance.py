@@ -17,10 +17,11 @@ from benchmarks.common import SystemSpec, scoped
 from repro.core.calibration import calibrated_cost_model
 from repro.core.quota import QuotaController
 from repro.core.system import QuotaSystem
-from repro.evaluation import banner, format_table, get_dataset
-from repro.evaluation.runner import build_algorithm
-from repro.queueing import generate_workload
-from repro.queueing.workload import QUERY, UPDATE
+from repro.evaluation.datasets import get_dataset
+from repro.evaluation.report import banner, format_table
+from repro.ppr.registry import build_algorithm
+from repro.queueing.kinds import QUERY, UPDATE
+from repro.queueing.workload import generate_workload
 
 SUBPROCESSES = (
     "Forward Push",
@@ -91,7 +92,7 @@ def test_table8_cost_balance(benchmark, report):
     report(format_table(headers, rows, title=f"dataset: {dataset}"))
     for lu in lambda_us:
         agenda, quota = results[lu]
-        from repro.evaluation import improvement_percent
+        from repro.evaluation.metrics import improvement_percent
 
         report(
             f"-> lu={lu:g}: response time reduced "

@@ -28,9 +28,11 @@ import time
 import numpy as np
 
 from benchmarks.common import bench_seed, scoped
-from repro.evaluation import banner, format_table
-from repro.graph import DynamicGraph, barabasi_albert_graph, erdos_renyi_graph
-from repro.ppr import csr_view, forward_push
+from repro.evaluation.report import banner, format_table
+from repro.graph.digraph import DynamicGraph
+from repro.graph.generators import barabasi_albert_graph, erdos_renyi_graph
+from repro.ppr.csr import csr_view
+from repro.ppr.forward_push import forward_push
 from repro.ppr.kernels import (
     frontier_push,
     reference_frontier_push,

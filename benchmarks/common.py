@@ -27,9 +27,9 @@ from repro.core.calibration import calibrated_cost_model
 from repro.core.quota import QuotaController
 from repro.core.system import QuotaSystem
 from repro.evaluation.datasets import DatasetSpec, get_dataset
-from repro.evaluation.runner import build_algorithm
 from repro.graph.digraph import DynamicGraph
-from repro.queueing.simulator import SimulationResult
+from repro.ppr.registry import build_algorithm
+from repro.queueing.replay import SimulationResult
 from repro.queueing.workload import Workload, generate_workload
 
 #: the paper's lambda_u / lambda_q sweep (Figure 3)

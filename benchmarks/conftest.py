@@ -22,8 +22,9 @@ def _warm_up_interpreter():
     caches, lazy numpy/scipy imports, and CPU frequency ramp-up, which
     skews its comparison against later cells.
     """
-    from repro.evaluation.runner import build_algorithm
-    from repro.graph import EdgeUpdate, barabasi_albert_graph
+    from repro.graph.generators import barabasi_albert_graph
+    from repro.graph.updates import EdgeUpdate
+    from repro.ppr.registry import build_algorithm
 
     graph = barabasi_albert_graph(200, attach=3, seed=99)
     for name in ("Agenda", "FORA+"):

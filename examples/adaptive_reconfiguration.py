@@ -19,12 +19,18 @@ Run:  python examples/adaptive_reconfiguration.py
 
 import numpy as np
 
-from repro.core import QuotaController, QuotaSystem, calibrated_cost_model
-from repro.evaluation import format_series
-from repro.graph import barabasi_albert_graph
-from repro.ppr import Agenda, PPRParams
-from repro.queueing import dynamic_pattern_segments, generate_segmented_workload
-from repro.queueing.workload import QUERY
+from repro.core.calibration import calibrated_cost_model
+from repro.core.quota import QuotaController
+from repro.core.system import QuotaSystem
+from repro.evaluation.report import format_series
+from repro.graph.generators import barabasi_albert_graph
+from repro.ppr.agenda import Agenda
+from repro.ppr.base import PPRParams
+from repro.queueing.kinds import QUERY
+from repro.queueing.workload import (
+    dynamic_pattern_segments,
+    generate_segmented_workload,
+)
 
 TOTAL_TIME = 40.0
 TRANCHE = 10.0

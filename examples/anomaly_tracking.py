@@ -6,7 +6,7 @@ tracking [21]) watches how a node's proximity distribution *shifts* as
 the graph evolves: a sudden change in who a node is close to is an
 anomaly signal (fake-engagement rings, compromised accounts, ...).
 
-This example uses :class:`repro.ppr.TrackedPPR` — the incrementally
+This example uses :class:`repro.ppr.tracking.TrackedPPR` — the incrementally
 maintained fixed-source estimate with its exact invariant correction —
 to follow a monitored account through two phases:
 
@@ -24,8 +24,12 @@ Run:  python examples/anomaly_tracking.py
 
 import numpy as np
 
-from repro.graph import EdgeUpdate, barabasi_albert_graph
-from repro.ppr import PPRParams, TrackedPPR, ppr_exact, ppr_single_pair
+from repro.graph.generators import barabasi_albert_graph
+from repro.graph.updates import EdgeUpdate
+from repro.ppr.base import PPRParams
+from repro.ppr.bippr import ppr_single_pair
+from repro.ppr.power_iteration import ppr_exact
+from repro.ppr.tracking import TrackedPPR
 
 MONITORED = 7
 RING = (180, 181, 182, 183, 184)

@@ -17,11 +17,14 @@ Run:  python examples/gaming_incentive.py
 
 import numpy as np
 
-from repro.core import QuotaController, QuotaSystem, calibrated_cost_model
-from repro.evaluation import improvement_percent
-from repro.graph import barabasi_albert_graph
-from repro.ppr import ForaTopK, PPRParams
-from repro.queueing import generate_workload
+from repro.core.calibration import calibrated_cost_model
+from repro.core.quota import QuotaController
+from repro.core.system import QuotaSystem
+from repro.evaluation.metrics import improvement_percent
+from repro.graph.generators import barabasi_albert_graph
+from repro.ppr.base import PPRParams
+from repro.ppr.topk import ForaTopK
+from repro.queueing.workload import generate_workload
 
 NUM_PLAYERS = 600
 INACTIVE_FRACTION = 0.3

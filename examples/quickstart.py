@@ -19,12 +19,15 @@ past the ``epsilon_c`` budget.
 Run:  python examples/quickstart.py [--cache] [--cache-epsilon 0.2]
 """
 
-from repro.cache import PPRCache
-from repro.core import QuotaController, QuotaSystem, calibrated_cost_model
-from repro.evaluation import improvement_percent
-from repro.graph import barabasi_albert_graph
-from repro.ppr import Agenda, PPRParams
-from repro.queueing import generate_workload
+from repro.cache.store import PPRCache
+from repro.core.calibration import calibrated_cost_model
+from repro.core.quota import QuotaController
+from repro.core.system import QuotaSystem
+from repro.evaluation.metrics import improvement_percent
+from repro.graph.generators import barabasi_albert_graph
+from repro.ppr.agenda import Agenda
+from repro.ppr.base import PPRParams
+from repro.queueing.workload import generate_workload
 
 LAMBDA_Q = 20.0  # queries per (virtual) second
 LAMBDA_U = 40.0  # edge updates per second

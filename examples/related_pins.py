@@ -21,11 +21,14 @@ Run:  python examples/related_pins.py
 
 import numpy as np
 
-from repro.core import QuotaController, QuotaSystem, calibrated_cost_model
-from repro.evaluation import improvement_percent
-from repro.graph import DynamicGraph
-from repro.ppr import ForaPlus, PPRParams
-from repro.queueing import generate_workload
+from repro.core.calibration import calibrated_cost_model
+from repro.core.quota import QuotaController
+from repro.core.system import QuotaSystem
+from repro.evaluation.metrics import improvement_percent
+from repro.graph.digraph import DynamicGraph
+from repro.ppr.base import PPRParams
+from repro.ppr.fora import ForaPlus
+from repro.queueing.workload import generate_workload
 
 NUM_USERS = 300
 NUM_PINS = 400

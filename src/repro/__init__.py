@@ -5,6 +5,9 @@ Graphs — The Case for Optimizing Quality of Service" (ICDE 2024).
 
 Layout
 ------
+A package exports nothing: each name is imported from the module that
+defines it (``from repro.ppr.agenda import Agenda``).
+
 ``repro.graph``
     Dynamic directed graph, generators, edge-update streams.
 ``repro.ppr``
@@ -22,15 +25,18 @@ Layout
 ``repro.baselines``
     Grid / Random / Bayesian hyperparameter search competitors.
 ``repro.evaluation``
-    Dataset recipes, the experiment runner, metrics, and report
+    Dataset recipes, metrics, cost-model fit diagnostics, and report
     formatting used by the ``benchmarks/`` reproduction suite.
 
 Quickstart
 ----------
->>> from repro.graph import barabasi_albert_graph
->>> from repro.ppr import Agenda, PPRParams
->>> from repro.core import QuotaController, QuotaSystem, calibrated_cost_model
->>> from repro.queueing import generate_workload
+>>> from repro.core.calibration import calibrated_cost_model
+>>> from repro.core.quota import QuotaController
+>>> from repro.core.system import QuotaSystem
+>>> from repro.graph.generators import barabasi_albert_graph
+>>> from repro.ppr.agenda import Agenda
+>>> from repro.ppr.base import PPRParams
+>>> from repro.queueing.workload import generate_workload
 >>> graph = barabasi_albert_graph(500, attach=3, seed=7)
 >>> algorithm = Agenda(graph, PPRParams(walk_cap=2000))
 >>> controller = QuotaController(calibrated_cost_model(algorithm, rng=0))
@@ -43,13 +49,3 @@ True
 """
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "baselines",
-    "core",
-    "evaluation",
-    "graph",
-    "obs",
-    "ppr",
-    "queueing",
-]

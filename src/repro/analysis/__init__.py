@@ -12,8 +12,3 @@ them (R10), and metric-registry access under a mutex (R11).
 Run it as ``python -m repro.analysis src``; see docs/DEVELOPMENT.md
 for each rule's rationale.
 """
-
-from repro.analysis.engine import exit_code, run_paths, run_sources
-from repro.analysis.rules import RULES, Finding, Rule
-
-__all__ = ["Finding", "RULES", "Rule", "exit_code", "run_paths", "run_sources"]

@@ -3,7 +3,7 @@
 * :mod:`repro.api.frontdoor` — :class:`FrontDoor`, the transport-
   independent service layer (admission, deadline propagation,
   Retry-After shedding, drift-driven reconfiguration) over a
-  :class:`~repro.shard.ShardManager`.  Tests drive its coroutines
+  :class:`~repro.shard.manager.ShardManager`.  Tests drive its coroutines
   directly; this is the "in-memory transport".
 * :mod:`repro.api.http` — :class:`HttpServer`, a dependency-free
   HTTP/1.1 serialization of the front door (``/query`` ``/update``
@@ -11,8 +11,3 @@
 * :mod:`repro.api.serve` — the ``python -m repro.cli serve`` entry
   point.
 """
-
-from repro.api.frontdoor import ApiResponse, DriftPolicy, FrontDoor
-from repro.api.http import HttpServer
-
-__all__ = ["ApiResponse", "DriftPolicy", "FrontDoor", "HttpServer"]

@@ -1,4 +1,4 @@
-"""Asyncio front door over a :class:`~repro.shard.ShardManager`.
+"""Asyncio front door over a :class:`~repro.shard.manager.ShardManager`.
 
 :class:`FrontDoor` is the transport-independent service layer — every
 HTTP endpoint in :mod:`repro.api.http` is a thin serialization of one
@@ -20,7 +20,7 @@ Three QoS behaviors live here rather than in the manager:
   :class:`~repro.core.rates.RateDriftDetector`; once the observed
   (lambda_q, lambda_u) drifts past threshold, the fleet's
   QuotaControllers are re-solved via
-  :meth:`~repro.shard.ShardManager.reconfigure` on a worker thread
+  :meth:`~repro.shard.manager.ShardManager.reconfigure` on a worker thread
   (never on the event loop) and the detector re-arms at the new pair.
 """
 
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.rates import RateDriftDetector
-from repro.obs import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.queueing.kinds import QUERY, UPDATE
 
 if TYPE_CHECKING:

@@ -2,7 +2,7 @@
 
 Has the dataset's graph image built in a throwaway child
 (:class:`repro.shard.image.ImageBuild`), spins up a
-:class:`~repro.shard.ShardManager` on it (worker processes by default,
+:class:`~repro.shard.manager.ShardManager` on it (worker processes by default,
 launched while the image is built), wraps it in the asyncio front door,
 and serves until interrupted.  This
 process is the control plane: it holds sockets, pipes, versions and the

@@ -6,19 +6,3 @@ candidate configuration by actually running the PPR system and
 measuring response time, so their cost is many full workload replays —
 versus Quota's closed-form model solve.
 """
-
-from repro.baselines.search import (
-    BayesianOptimizationSearch,
-    GridSearch,
-    HyperparameterSearch,
-    RandomSearch,
-    SearchResult,
-)
-
-__all__ = [
-    "BayesianOptimizationSearch",
-    "GridSearch",
-    "HyperparameterSearch",
-    "RandomSearch",
-    "SearchResult",
-]

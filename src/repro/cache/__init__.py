@@ -20,29 +20,3 @@ See docs/DEVELOPMENT.md ("The result cache") for the key/staleness/
 invalidation contract and the ``epsilon_c`` vs ``epsilon_r``
 distinction.
 """
-
-from repro.cache.staleness import (
-    ChargingApplier,
-    ReplayCache,
-    StalenessTracker,
-    lemma2_increment,
-)
-from repro.cache.store import (
-    CacheEntry,
-    CacheKey,
-    PPRCache,
-    beta_signature,
-    make_key,
-)
-
-__all__ = [
-    "CacheEntry",
-    "CacheKey",
-    "ChargingApplier",
-    "PPRCache",
-    "ReplayCache",
-    "StalenessTracker",
-    "beta_signature",
-    "lemma2_increment",
-    "make_key",
-]

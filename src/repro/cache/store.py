@@ -36,7 +36,7 @@ from collections import OrderedDict
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
-from repro.obs import MetricsRegistry, get_metrics
+from repro.obs.metrics import MetricsRegistry, get_metrics
 
 #: LRU-front window scanned for the least-frequently-hit victim
 EVICTION_SAMPLE = 8

@@ -191,7 +191,7 @@ def cmd_datasets() -> int:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     from repro.core.calibration import calibrated_cost_model
-    from repro.evaluation.runner import build_algorithm
+    from repro.ppr.registry import build_algorithm
 
     spec = get_dataset(args.dataset)
     graph = spec.build(seed=args.seed)
@@ -217,7 +217,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 def cmd_configure(args: argparse.Namespace) -> int:
     from repro.core.calibration import calibrated_cost_model
     from repro.core.quota import QuotaController
-    from repro.evaluation.runner import build_algorithm
+    from repro.ppr.registry import build_algorithm
 
     spec = get_dataset(args.dataset)
     graph = spec.build(seed=args.seed)
@@ -260,12 +260,12 @@ def _summarize(label: str, result) -> list[object]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from repro.cache import PPRCache
+    from repro.cache.store import PPRCache
     from repro.core.calibration import calibrated_cost_model
     from repro.core.quota import QuotaController
     from repro.core.system import QuotaSystem
     from repro.evaluation.metrics import improvement_percent
-    from repro.evaluation.runner import build_algorithm
+    from repro.ppr.registry import build_algorithm
     from repro.queueing.trace_io import load_workload_trace, save_workload_trace
     from repro.queueing.workload import generate_workload
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.core.cost_models import CostModel, cost_model_for
 from repro.graph.updates import EdgeUpdate
-from repro.obs import get_metrics
+from repro.obs.metrics import get_metrics
 from repro.ppr.base import DynamicPPRAlgorithm, clip_unit
 
 #: default multiplicative spread of probe points around the current beta
@@ -94,7 +94,7 @@ def calibrate_taus(
 
     metrics = get_metrics()
     for scale in probe_scales:
-        probe = _scratch_copy(algorithm)
+        probe = scratch_copy(algorithm)
         beta = {
             name: clip_unit(value * scale) for name, value in base_beta.items()
         }
@@ -155,8 +155,9 @@ def calibrated_cost_model(
     return model.with_taus(taus)
 
 
-def _scratch_copy(algorithm: DynamicPPRAlgorithm) -> DynamicPPRAlgorithm:
-    """A same-configuration instance on a copy of the graph."""
+def scratch_copy(algorithm: DynamicPPRAlgorithm) -> DynamicPPRAlgorithm:
+    """A same-configuration instance on a copy of the graph: what every
+    calibration and fit probe measures."""
     clone = type(algorithm)(algorithm.graph.copy(), algorithm.params)
     # carry over the cost-relevant tuning knobs that are not part of the
     # beta vector (top-k size, accumulation rounds, laziness threshold)

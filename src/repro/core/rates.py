@@ -3,7 +3,7 @@
 A leaf module (standard library only): the virtual-time
 :class:`~repro.core.system.QuotaSystem` and the HTTP front door both
 watch rates, and the front door is a control-plane process that never
-loads numpy.  :mod:`repro.core.system` re-exports both names.
+loads numpy.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class RateDriftDetector:
     ``threshold`` (relative), :meth:`check` returns the monitored pair
     so the caller can re-run the Quota controller — through
     :meth:`QuotaSystem._maybe_reoptimize` on the virtual clock, or
-    :meth:`repro.serving.ServingRuntime.reconfigure` on the measured
+    :meth:`repro.serving.runtime.ServingRuntime.reconfigure` on the measured
     one — and :meth:`rearm` the detector at the new configuration.
 
     ``min_events`` guards the cold window: a handful of arrivals says

@@ -22,14 +22,15 @@ import time
 from collections.abc import Callable
 from typing import cast
 
-from repro.cache import PPRCache, StalenessTracker
+from repro.cache.staleness import StalenessTracker
+from repro.cache.store import PPRCache
 from repro.core.quota import QuotaController, QuotaDecision
 from repro.core.rates import RateDriftDetector, RateEstimator
 from repro.core.seed import SeedQueue
-from repro.obs import MetricsRegistry, get_metrics
+from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.ppr.base import DynamicPPRAlgorithm, PPRVector
 from repro.queueing.replay import MeasuredExecutor, SimulationResult, replay
-from repro.queueing.workload import QUERY, Request, Workload
+from repro.queueing.workload import Request, Workload
 
 QueryCallback = Callable[[Request, PPRVector, int], None]
 
@@ -52,13 +53,13 @@ class QuotaSystem:
     rate_window:
         Sliding-window length (virtual seconds) of the rate monitor.
     cache:
-        Optional :class:`~repro.cache.PPRCache`.  Queries look up
+        Optional :class:`~repro.cache.store.PPRCache`.  Queries look up
         before computing (a hit costs only the measured lookup time on
         the virtual clock and skips the Seed flush check — the budget
         ``epsilon_c`` already covers every applied update) and insert
         after computing; every update-application path charges the
         staleness tracker immediately, via a
-        :class:`~repro.cache.ChargingApplier` on the flush paths so a
+        :class:`~repro.cache.staleness.ChargingApplier` on the flush paths so a
         batch flush charges each update against the degrees it saw.
     metrics:
         Observability registry receiving the per-operation service-time
@@ -66,7 +67,7 @@ class QuotaSystem:
         ``service.flush`` / ``service.reconfigure``) that let reports
         attribute time to sub-processes as the paper's Table I does.
         Defaults to the process-wide registry from
-        :func:`repro.obs.get_metrics`.
+        :func:`repro.obs.metrics.get_metrics`.
     """
 
     def __init__(

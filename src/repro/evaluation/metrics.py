@@ -9,7 +9,7 @@ import numpy as np
 from repro.graph.digraph import DynamicGraph
 from repro.ppr.base import PPRVector
 from repro.ppr.power_iteration import ppr_exact
-from repro.queueing.simulator import SimulationResult
+from repro.queueing.replay import SimulationResult
 
 
 @dataclass(frozen=True, slots=True)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.calibration import scratch_copy
 from repro.core.cost_models import CostModel
 from repro.graph.updates import EdgeUpdate
 from repro.ppr.base import DynamicPPRAlgorithm, clip_unit
@@ -101,7 +102,9 @@ def model_fit_report(
     Parameters
     ----------
     algorithm:
-        Live algorithm (probing runs on scratch copies).
+        Live algorithm; each point probes a
+        :func:`~repro.core.calibration.scratch_copy` of it (same engine
+        and knobs outside beta, as calibration measured).
     model:
         The (calibrated) cost model under test.
     scales:
@@ -116,7 +119,7 @@ def model_fit_report(
     base_beta = algorithm.get_hyperparameters()
     report = FitReport()
     for scale in scales:
-        probe = type(algorithm)(algorithm.graph.copy(), algorithm.params)
+        probe = scratch_copy(algorithm)
         beta = {k: clip_unit(v * scale) for k, v in base_beta.items()}
         probe.set_hyperparameters(**beta)
         nodes = probe.view.nodes

@@ -7,27 +7,5 @@ harness records ``calibration.*`` timings — the attribution substrate
 behind the paper's Table I style cost breakdowns.
 """
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_metrics,
-    process_stats,
-    reset_metrics,
-)
-from repro.obs.names import ALL_METRICS, COUNTERS, GAUGES, HISTOGRAMS
-
-__all__ = [
-    "ALL_METRICS",
-    "COUNTERS",
-    "Counter",
-    "GAUGES",
-    "Gauge",
-    "HISTOGRAMS",
-    "Histogram",
-    "MetricsRegistry",
-    "get_metrics",
-    "process_stats",
-    "reset_metrics",
-]
+# kept for benchmarks/e2e/probe.py, which imports these two from the package
+from repro.obs.metrics import MetricsRegistry, get_metrics  # noqa: F401

@@ -1,10 +1,10 @@
 """Canonical registry of metric names used across the repository.
 
 Every metric name passed to
-:meth:`repro.obs.MetricsRegistry.counter`,
-:meth:`~repro.obs.MetricsRegistry.histogram`,
-:meth:`~repro.obs.MetricsRegistry.time` or
-:meth:`~repro.obs.MetricsRegistry.gauge` as a string literal must be
+:meth:`repro.obs.metrics.MetricsRegistry.counter`,
+:meth:`~repro.obs.metrics.MetricsRegistry.histogram`,
+:meth:`~repro.obs.metrics.MetricsRegistry.time` or
+:meth:`~repro.obs.metrics.MetricsRegistry.gauge` as a string literal must be
 listed here, in the set of its kind.  The ``reprolint`` rule R5
 (``metric-name``, :mod:`repro.analysis.rules`) checks every call site
 in ``src`` against this module, so a typo'd or renamed metric

@@ -30,7 +30,8 @@ import numpy as np
 from repro.graph.digraph import DynamicGraph
 from repro.graph.updates import EdgeUpdate
 from repro.ppr.csr import CSRView, csr_view
-from repro.ppr.kernels import AUTO, ENGINE_CHOICES, resolve_engine
+from repro.ppr.kernels import resolve_engine
+from repro.ppr.names import AUTO, ENGINE_CHOICES
 from repro.ppr.pushwalk import add_walk_estimates
 from repro.ppr.random_walk import WalkIndex
 
@@ -225,7 +226,7 @@ class DynamicPPRAlgorithm(ABC):
     #: names of tunable hyperparameters, in beta-vector order
     hyperparameter_names: tuple[str, ...] = ()
     #: kernel engines this algorithm can execute (subset of
-    #: ``repro.ppr.kernels.ENGINES``); algorithms opt in per engine
+    #: ``repro.ppr.names.ENGINES``); algorithms opt in per engine
     supported_engines: tuple[str, ...] = ("scalar",)
 
     def __init__(

@@ -11,7 +11,7 @@ loops on *every* version bump, so the paper's update service time t̃u
 dominated by an O(n + m) artifact of the reproduction.  This module
 instead keeps one mutable :class:`_CSRStore` per graph and patches it
 in O(deg) amortized per edge arrival, consuming the structural update
-log :class:`~repro.graph.DynamicGraph` publishes:
+log :class:`~repro.graph.digraph.DynamicGraph` publishes:
 
 * **Slack-slot layout** — each adjacency row owns a capacity ≥ its
   degree inside one flat array.  An insert appends into the row's
@@ -25,7 +25,7 @@ log :class:`~repro.graph.DynamicGraph` publishes:
 * **Threshold rebuild** — when accumulated slack exceeds
   ``REBUILD_SLACK_RATIO`` × live entries the store compacts via a full
   rebuild, as do rare non-incremental events (node removal,
-  :meth:`~repro.graph.DynamicGraph.restore`, log-window overflow).
+  :meth:`~repro.graph.digraph.DynamicGraph.restore`, log-window overflow).
 
 Array contract (changed from the seed): the out-row of node index
 ``i`` occupies ``indices[indptr[i] : indptr[i] + out_deg[i]]`` (same
@@ -56,7 +56,7 @@ import numpy as np
 
 from repro.graph import digraph as _digraph
 from repro.graph.digraph import DynamicGraph
-from repro.obs import get_metrics
+from repro.obs.metrics import get_metrics
 
 #: compact (full rebuild) once slack exceeds this fraction of the live
 #: entries in either direction's adjacency array

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ppr.csr import CSRView
+from repro.ppr.names import ENGINE_CHOICES
 
 
 @dataclass(slots=True)
@@ -90,7 +91,7 @@ def forward_push(
     if engine != "scalar":
         from repro.ppr import kernels
 
-        kernels.resolve_engine(engine, kernels.ENGINE_CHOICES)
+        kernels.resolve_engine(engine, ENGINE_CHOICES)
         return kernels.frontier_push(
             view, source_index, alpha, r_max, residue=residue, reserve=reserve
         )

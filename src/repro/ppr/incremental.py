@@ -84,7 +84,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.obs import get_metrics
+from repro.obs.metrics import get_metrics
 from repro.ppr.csr import SLACK_FLOOR, CSRView, growth, ragged_indices
 from repro.ppr.random_walk import (
     WalkIndex,

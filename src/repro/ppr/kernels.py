@@ -33,9 +33,9 @@ backend on a scipy-free install.
 Engines
 -------
 ``scalar`` and ``frontier`` name the two push schedules above.
-``auto`` (:data:`AUTO`) picks per kernel family: a push is always
-:func:`frontier_push` — never ``scalar``, whose answers differ in the
-low-order bits — and a power phase is scipy's CSR matvec when
+``auto`` (:data:`~repro.ppr.names.AUTO`) picks per kernel family: a
+push is always :func:`frontier_push` — never ``scalar``, whose answers
+differ in the low-order bits — and a power phase is scipy's CSR matvec when
 :func:`scipy_available` says so, else :func:`power_phase`.  The two
 power backends sum in different orders, so which one a machine gets
 can change low-order bits across environments (never within one).
@@ -47,13 +47,10 @@ import functools
 
 import numpy as np
 
-from repro.obs import get_metrics
+from repro.obs.metrics import get_metrics
 from repro.ppr.csr import CSRView
 from repro.ppr.forward_push import PushResult
-# re-exported: the names live in a leaf a numpy-free process can import
-from repro.ppr.names import AUTO as AUTO
-from repro.ppr.names import ENGINE_CHOICES as ENGINE_CHOICES
-from repro.ppr.names import ENGINES as ENGINES
+from repro.ppr.names import ENGINES
 
 
 def resolve_engine(engine: str, allowed: tuple[str, ...] = ENGINES) -> str:

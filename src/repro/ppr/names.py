@@ -4,7 +4,7 @@ The serving front door offers ``--algorithm`` choices and stamps an
 engine name into every :class:`~repro.shard.messages.ShardSpec`, but
 holds no graph and loads no numpy; the classes behind these names live
 in :data:`repro.ppr.registry.ALGORITHMS` and the kernels in
-:mod:`repro.ppr.kernels`, both of which re-export from here.
+:mod:`repro.ppr.kernels`; import these names from here.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ def build_algorithm(
     """Instantiate a registered algorithm with standard paper params.
 
     ``engine`` selects the push-kernel implementation (see
-    ``repro.ppr.kernels.ENGINES``); algorithms without a vectorized
+    ``repro.ppr.names.ENGINES``); algorithms without a vectorized
     path reject anything but ``"scalar"``.
     """
     params = PPRParams(alpha=0.2, epsilon=0.5, walk_cap=walk_cap)

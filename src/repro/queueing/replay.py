@@ -59,11 +59,12 @@ from repro.cache.staleness import (
 )
 from repro.cache.store import CacheKey, PiEstimate, PPRCache, make_key
 from repro.graph.digraph import DynamicGraph
-from repro.queueing.workload import QUERY, UPDATE, Request, Workload
+from repro.queueing.kinds import QUERY, UPDATE
+from repro.queueing.workload import Request, Workload
 
 if TYPE_CHECKING:  # type-only: repro.core imports this package
     from repro.core.seed import SeedQueue
-    from repro.obs import MetricsRegistry
+    from repro.obs.metrics import MetricsRegistry
     from repro.ppr.base import DynamicPPRAlgorithm
 
 
@@ -242,7 +243,7 @@ class ModeledExecutor:
         nothing is mutated here — the FCFS contract, where a measured
         ``service_fn`` executes the work itself.
     cache:
-        Optional :class:`~repro.cache.ReplayCache`: a hit is charged
+        Optional :class:`~repro.cache.staleness.ReplayCache`: a hit is charged
         ``cache.hit_service_s`` and ``service_fn`` is *not* invoked; a
         miss is admitted at its service cost; every update charges the
         staleness tracker right after it was applied.
@@ -302,9 +303,9 @@ QueryFn = Callable[[DynamicGraph, int], object]
 class MeasuredExecutor:
     """Service time = measured wall time of the real algorithm.
 
-    Queries look up the :class:`~repro.cache.PPRCache` before computing
+    Queries look up the :class:`~repro.cache.store.PPRCache` before computing
     (a hit costs the measured lookup) and insert after; updates go
-    through a :class:`~repro.cache.ChargingApplier` when a staleness
+    through a :class:`~repro.cache.staleness.ChargingApplier` when a staleness
     tracker is given, so each one is charged against the degrees it
     actually saw.  Durations land on the ``service.*`` histograms:
     ``service.update`` for an update served on its own, one

@@ -3,7 +3,7 @@
 :class:`~repro.queueing.simulator.FCFSQueueSimulator` replays strict
 FCFS; the measured serving loop
 (:class:`~repro.core.system.QuotaSystem` and the concurrent
-:class:`~repro.serving.ServingRuntime`) additionally defers updates
+:class:`~repro.serving.runtime.ServingRuntime`) additionally defers updates
 through the Seed queue, forces a flush when a query's ordering-error
 budget is exceeded, and drains deferred updates while servers idle.
 :class:`SeedAwareQueueSimulator` runs *those* semantics in modeled
@@ -49,7 +49,7 @@ class SeedAwareQueueSimulator:
     servers:
         Number of modeled servers (k of the parallel-serving bench).
     cache:
-        Optional :class:`~repro.cache.ReplayCache` reproducing the
+        Optional :class:`~repro.cache.staleness.ReplayCache` reproducing the
         serving runtime's hit/miss mixture: a query that hits is
         charged ``cache.hit_service_s`` and skips the Seed flush
         check; a miss runs normally and is admitted.  Every applied

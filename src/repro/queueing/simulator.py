@@ -21,12 +21,10 @@ from collections.abc import Iterable
 
 from repro.cache.staleness import ReplayCache
 from repro.queueing.replay import (
-    CompletedRequest,
     ModeledExecutor,
     ServiceFn,
     SimulationResult,
     replay,
-    validate_service,
 )
 from repro.queueing.workload import Request, Workload
 
@@ -39,8 +37,8 @@ class MeasuredParallelWarning(UserWarning):
     runs sequentially in this process, so presenting its output as a
     parallel measurement mislabels the result.  Pass ``modeled=True``
     to assert the service durations are modeled (cost-function) values,
-    or use :class:`repro.serving.ServingRuntime` for genuinely
-    concurrent measured execution.
+    or serve from the process fleet (:mod:`repro.shard`, one runtime
+    per shard process) for measured parallel execution.
     """
 
 
@@ -69,10 +67,10 @@ class FCFSQueueSimulator:
         parallel — so a k > 1 run without ``modeled=True`` emits
         :class:`MeasuredParallelWarning` instead of letting benches
         mislabel a sequential-execution timeline as parallel.  For
-        genuinely concurrent measured serving use
-        :class:`repro.serving.ServingRuntime`.
+        measured parallel serving use the process fleet
+        (:mod:`repro.shard`).
     cache:
-        Optional :class:`~repro.cache.ReplayCache` reproducing the
+        Optional :class:`~repro.cache.staleness.ReplayCache` reproducing the
         serving runtime's hit/miss service-time mixture in virtual
         time: a query that hits is charged ``cache.hit_service_s``
         and ``service_fn`` is *not* invoked (mirroring
@@ -108,8 +106,8 @@ class FCFSQueueSimulator:
                 "FCFSQueueSimulator with servers > 1 executes service_fn "
                 "sequentially; only the virtual timeline is parallel. "
                 "Pass modeled=True to declare modeled service durations, "
-                "or use repro.serving.ServingRuntime for measured "
-                "concurrency.",
+                "or serve from the process fleet (repro.shard) for "
+                "measured parallelism.",
                 MeasuredParallelWarning,
                 stacklevel=2,
             )
@@ -119,13 +117,3 @@ class FCFSQueueSimulator:
             servers=self._servers,
             t_end=t_end,
         )
-
-
-__all__ = [
-    "CompletedRequest",
-    "FCFSQueueSimulator",
-    "MeasuredParallelWarning",
-    "ServiceFn",
-    "SimulationResult",
-    "validate_service",
-]

@@ -31,7 +31,8 @@ import math
 import os
 
 from repro.graph.updates import EdgeUpdate
-from repro.queueing.workload import QUERY, UPDATE, Request, Workload
+from repro.queueing.kinds import QUERY, UPDATE
+from repro.queueing.workload import Request, Workload
 
 _HEADER = ["timestamp", "kind", "a", "b", "update_kind"]
 #: pre-update_kind layout, still accepted on read (updates as toggle)

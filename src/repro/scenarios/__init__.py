@@ -9,55 +9,3 @@ them through every serving engine in the repo under differential and
 invariant oracles (``python -m repro.scenarios fuzz``).  See
 docs/DEVELOPMENT.md, "Scenario fuzzing".
 """
-
-from repro.scenarios.dsl import (
-    FAMILIES,
-    PAPER_PATTERNS,
-    Scenario,
-    SourceSampler,
-    build_scenario,
-    cache_buster,
-    diurnal,
-    edge_replay,
-    flash_crowd,
-    load_edge_stream,
-    paper_pattern,
-    parse_scenario,
-    update_storm,
-    zipf_hotset,
-)
-from repro.scenarios.fuzz import (
-    FuzzReport,
-    ReportCard,
-    jittered_scenario,
-    run_drift_demo,
-    run_fuzz,
-    run_measured,
-    run_modeled,
-)
-from repro.scenarios.oracles import OracleViolation
-
-__all__ = [
-    "FAMILIES",
-    "FuzzReport",
-    "OracleViolation",
-    "PAPER_PATTERNS",
-    "ReportCard",
-    "Scenario",
-    "SourceSampler",
-    "build_scenario",
-    "cache_buster",
-    "diurnal",
-    "edge_replay",
-    "flash_crowd",
-    "jittered_scenario",
-    "load_edge_stream",
-    "paper_pattern",
-    "parse_scenario",
-    "run_drift_demo",
-    "run_fuzz",
-    "run_measured",
-    "run_modeled",
-    "update_storm",
-    "zipf_hotset",
-]

@@ -29,7 +29,6 @@ from repro.graph.generators import barabasi_albert_graph
 from repro.scenarios.dsl import FAMILIES, parse_scenario
 from repro.scenarios.fuzz import (
     SCALE_NODES,
-    FuzzReport,
     ReportCard,
     run_fuzz,
     run_measured,
@@ -238,7 +237,3 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 if __name__ == "__main__":
     sys.exit(main())
-
-
-# re-exported so ``repro.cli scenarios ...`` can delegate here
-__all__ = ["FuzzReport", "build_parser", "main"]

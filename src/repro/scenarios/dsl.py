@@ -43,9 +43,8 @@ import numpy as np
 from repro.graph.digraph import DynamicGraph
 from repro.graph.updates import EdgeUpdate
 from repro.queueing.arrivals import wikipedia_like_trace
+from repro.queueing.kinds import QUERY, UPDATE
 from repro.queueing.workload import (
-    QUERY,
-    UPDATE,
     FloatArray,
     NodeArray,
     Request,

@@ -9,10 +9,10 @@ replays it through three engines:
    one server);
 2. :class:`~repro.queueing.seed_simulator.SeedAwareQueueSimulator`
    (modeled, two servers, the scenario's ``epsilon_r``, a
-   :class:`~repro.cache.ReplayCache` in front) — plus a quiet
+   :class:`~repro.cache.staleness.ReplayCache` in front) — plus a quiet
    ``epsilon_r=0`` single-server run used purely for the FCFS
    differential;
-3. the measured :class:`~repro.serving.ServingRuntime` (real threads,
+3. the measured :class:`~repro.serving.runtime.ServingRuntime` (real threads,
    open-loop paced replay via :meth:`serve_timed`, result cache,
    snapshot-version equivalence oracle) — rotated across the seed axis
    so one ``fuzz --seeds 20`` sweep exercises every family through the
@@ -25,9 +25,9 @@ hit rate) so a fuzz sweep doubles as an SLO regression table.
 
 The drift demo closes the ROADMAP online re-optimization loop: a flash
 crowd replayed through the measured runtime with a
-:class:`~repro.core.system.RateDriftDetector` watching empirical rates
+:class:`~repro.core.rates.RateDriftDetector` watching empirical rates
 from the ``on_submit`` hook; the spike must trigger at least one
-:meth:`~repro.serving.ServingRuntime.reconfigure` (asserted as an
+:meth:`~repro.serving.runtime.ServingRuntime.reconfigure` (asserted as an
 oracle) — the QuotaController's re-solve is driven by observed drift,
 not a fixed period.
 
@@ -46,18 +46,16 @@ from repro.cache.staleness import ReplayCache
 from repro.cache.store import PPRCache
 from repro.core.calibration import calibrated_cost_model
 from repro.core.quota import QuotaController
-from repro.core.system import RateDriftDetector
-from repro.evaluation.runner import build_algorithm
+from repro.core.rates import RateDriftDetector
 from repro.graph.digraph import DynamicGraph
 from repro.graph.generators import barabasi_albert_graph
-from repro.obs import MetricsRegistry, get_metrics
-from repro.queueing.simulator import (
-    FCFSQueueSimulator,
-    ServiceFn,
-    SimulationResult,
-)
+from repro.obs.metrics import MetricsRegistry, get_metrics
+from repro.ppr.registry import build_algorithm
+from repro.queueing.kinds import QUERY
+from repro.queueing.replay import ServiceFn, SimulationResult
 from repro.queueing.seed_simulator import SeedAwareQueueSimulator
-from repro.queueing.workload import QUERY, Request, Workload
+from repro.queueing.simulator import FCFSQueueSimulator
+from repro.queueing.workload import Request, Workload
 from repro.scenarios.dsl import (
     FAMILIES,
     PAPER_PATTERNS,

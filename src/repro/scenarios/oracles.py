@@ -1,7 +1,7 @@
 """Differential and invariant oracles for scenario replays.
 
 Each checker inspects one replay artifact — the generated workload, a
-modeled :class:`~repro.queueing.simulator.SimulationResult`, or a
+modeled :class:`~repro.queueing.replay.SimulationResult`, or a
 measured :class:`~repro.serving.runtime.ServingReport` — and returns a
 list of :class:`OracleViolation` (empty = healthy).  The fuzz harness
 (:mod:`repro.scenarios.fuzz`) aggregates them across engines; CI fails
@@ -46,12 +46,9 @@ from dataclasses import dataclass
 
 from repro.cache.store import PPRCache
 from repro.graph.digraph import DynamicGraph
-from repro.queueing.simulator import (
-    CompletedRequest,
-    ServiceFn,
-    SimulationResult,
-)
-from repro.queueing.workload import QUERY, UPDATE, Workload
+from repro.queueing.kinds import QUERY, UPDATE
+from repro.queueing.replay import CompletedRequest, ServiceFn, SimulationResult
+from repro.queueing.workload import Workload
 from repro.serving.runtime import FAILED, OK, SHED, TIMEOUT, ServingReport
 
 #: slack for comparing virtual timestamps (pure float arithmetic)

@@ -19,62 +19,3 @@ Components
 See docs/DEVELOPMENT.md ("The concurrent serving runtime") for the
 snapshot-isolation contract and the backpressure knobs.
 """
-
-from typing import TYPE_CHECKING
-
-from repro._lazy import lazy_exports
-
-if TYPE_CHECKING:
-    from repro.serving.admission import (
-        SHED_DEADLINE,
-        SHED_QUEUE_FULL,
-        AdmissionQueue,
-        Ticket,
-    )
-    from repro.serving.runtime import (
-        FAILED,
-        OK,
-        SHED,
-        TIMEOUT,
-        QueryFn,
-        ServedRequest,
-        ServingReport,
-        ServingRuntime,
-    )
-
-__all__ = [
-    "FAILED",
-    "OK",
-    "SHED",
-    "SHED_DEADLINE",
-    "SHED_QUEUE_FULL",
-    "TIMEOUT",
-    "AdmissionQueue",
-    "QueryFn",
-    "ServedRequest",
-    "ServingReport",
-    "ServingRuntime",
-    "Ticket",
-]
-
-__getattr__, __dir__ = lazy_exports(
-    __name__,
-    {
-        "admission": [
-            "SHED_DEADLINE",
-            "SHED_QUEUE_FULL",
-            "AdmissionQueue",
-            "Ticket",
-        ],
-        "runtime": [
-            "FAILED",
-            "OK",
-            "SHED",
-            "TIMEOUT",
-            "QueryFn",
-            "ServedRequest",
-            "ServingReport",
-            "ServingRuntime",
-        ],
-    },
-)

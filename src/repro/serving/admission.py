@@ -16,7 +16,7 @@ import queue
 import time
 from dataclasses import dataclass
 
-from repro.obs import MetricsRegistry, get_metrics
+from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.queueing.workload import Request
 
 #: shed because the bounded admission queue was full at submission

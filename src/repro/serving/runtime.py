@@ -53,18 +53,20 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, TypeVar, cast
 
-from repro.cache import PPRCache, StalenessTracker
+from repro.cache.staleness import StalenessTracker
+from repro.cache.store import PPRCache
 from repro.core.seed import SeedQueue
-from repro.obs import MetricsRegistry, get_metrics
+from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.ppr.base import DynamicPPRAlgorithm
 from repro.ppr.csr import csr_view
+from repro.queueing.kinds import QUERY, UPDATE
 from repro.queueing.replay import (
     MeasuredExecutor,
     QueryFn,
     apply_head,
     serve_request,
 )
-from repro.queueing.workload import QUERY, UPDATE, Request, Workload
+from repro.queueing.workload import Request, Workload
 from repro.serving.admission import (
     SHED_DEADLINE,
     SHED_QUEUE_FULL,
@@ -191,7 +193,7 @@ class ServingRuntime:
         How long the idle thread blocks on the empty admission queue
         once nothing is deferred.
     cache:
-        Optional :class:`~repro.cache.PPRCache`.  Queries look up
+        Optional :class:`~repro.cache.store.PPRCache`.  Queries look up
         before computing (a hit skips the Seed flush check) and insert
         after; every applied update charges the staleness tracker
         before the next request runs.

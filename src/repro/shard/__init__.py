@@ -1,8 +1,7 @@
 """Sharded serving fabric: scale the runtime past one process.
 
-The concurrent :class:`~repro.serving.ServingRuntime` scales PPR
-queries across threads but stays pinned inside one interpreter; this
-package partitions the *source-id space* across N worker processes
+A :class:`~repro.serving.runtime.ServingRuntime` is one thread inside
+one interpreter; this package partitions the *source-id space* across N worker processes
 that each replicate the graph — the deployment shape the paper's
 multi-core allocation analysis assumes — and keeps the replicas
 convergent through a fabric-wide versioned update broadcast.
@@ -31,84 +30,3 @@ Layering (each importable without the ones above it):
 The asyncio front door in :mod:`repro.api` exposes a manager over
 HTTP; ``benchmarks/bench_shard_scaling.py`` drives one closed-loop.
 """
-
-from typing import TYPE_CHECKING
-
-from repro._lazy import lazy_exports
-
-if TYPE_CHECKING:
-    from repro.shard.backend import (
-        BACKENDS,
-        InprocShard,
-        ProcessShard,
-        ShardHandle,
-        make_shard,
-    )
-    from repro.shard.manager import (
-        QueryOutcome,
-        ShardManager,
-        UpdateOutcome,
-    )
-    from repro.shard.messages import (
-        ShardReply,
-        ShardSpec,
-        ShardUnavailableError,
-        UpdateOrderError,
-    )
-    from repro.shard.router import (
-        ROUTERS,
-        HashRouter,
-        RangeRouter,
-        Router,
-        make_router,
-    )
-    from repro.shard.worker import ShardServer
-
-__all__ = [
-    "BACKENDS",
-    "ROUTERS",
-    "HashRouter",
-    "InprocShard",
-    "ProcessShard",
-    "QueryOutcome",
-    "RangeRouter",
-    "Router",
-    "ShardHandle",
-    "ShardManager",
-    "ShardReply",
-    "ShardServer",
-    "ShardSpec",
-    "ShardUnavailableError",
-    "UpdateOrderError",
-    "UpdateOutcome",
-    "make_router",
-    "make_shard",
-]
-
-__getattr__, __dir__ = lazy_exports(
-    __name__,
-    {
-        "backend": [
-            "BACKENDS",
-            "InprocShard",
-            "ProcessShard",
-            "ShardHandle",
-            "make_shard",
-        ],
-        "manager": ["QueryOutcome", "ShardManager", "UpdateOutcome"],
-        "messages": [
-            "ShardReply",
-            "ShardSpec",
-            "ShardUnavailableError",
-            "UpdateOrderError",
-        ],
-        "router": [
-            "ROUTERS",
-            "HashRouter",
-            "RangeRouter",
-            "Router",
-            "make_router",
-        ],
-        "worker": ["ShardServer"],
-    },
-)

@@ -35,7 +35,7 @@ from time import perf_counter
 from typing import TYPE_CHECKING
 
 from repro.graph.updates import EdgeUpdate
-from repro.obs import MetricsRegistry, get_metrics, process_stats
+from repro.obs.metrics import MetricsRegistry, get_metrics, process_stats
 from repro.ppr.names import AUTO
 from repro.shard.backend import (
     ProcessShard,

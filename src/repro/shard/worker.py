@@ -1,10 +1,11 @@
 """Shard worker: one ServingRuntime behind a command pipe.
 
 :class:`ShardServer` is the transport-agnostic core — it owns the
-replicated graph, the PPR algorithm, a :class:`~repro.serving.ServingRuntime`
-(one thread, Seed queue, optional :class:`~repro.cache.PPRCache`,
-optional :class:`~repro.core.quota.QuotaController`), and turns
-commands into replies.  Two hosts drive it:
+replicated graph, the PPR algorithm, a
+:class:`~repro.serving.runtime.ServingRuntime` (one thread, Seed
+queue, optional :class:`~repro.cache.store.PPRCache`, optional
+:class:`~repro.core.quota.QuotaController`), and turns commands into
+replies.  Two hosts drive it:
 
 * :func:`spawn_main` — what a worker process runs (``python -c``,
   started by :class:`~repro.shard.backend.ProcessShard`): it wraps the
@@ -43,15 +44,17 @@ from collections.abc import Callable
 from multiprocessing.connection import Connection
 from typing import TYPE_CHECKING, NoReturn
 
-from repro.cache import PPRCache
+from repro.cache.store import PPRCache
 from repro.graph.digraph import DynamicGraph
 from repro.graph.updates import EdgeUpdate
-from repro.obs import MetricsRegistry, process_stats
+from repro.obs.metrics import MetricsRegistry, process_stats
 from repro.ppr.base import PPRVector, WalkIndexOwner
 from repro.ppr.power_iteration import ppr_exact
 from repro.ppr.registry import build_algorithm
-from repro.queueing.workload import QUERY, UPDATE, Request
-from repro.serving.runtime import OK, QueryFn, ServedRequest, ServingRuntime
+from repro.queueing.kinds import QUERY, UPDATE
+from repro.queueing.replay import QueryFn
+from repro.queueing.workload import Request
+from repro.serving.runtime import OK, ServedRequest, ServingRuntime
 from repro.shard.messages import (
     Command,
     CrashCommand,

@@ -9,7 +9,7 @@ interprocedural pass catches what a single-function view cannot.
 import textwrap
 from pathlib import Path
 
-from repro.analysis import run_sources
+from repro.analysis.engine import run_sources
 
 
 def lint_project(rule_ids=None, **sources):

@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import repro.analysis.rules as rules_module
-from repro.analysis import RULES, Finding, Rule, exit_code, run_paths, run_sources
 from repro.analysis.__main__ import main
+from repro.analysis.engine import exit_code, run_paths, run_sources
+from repro.analysis.rules import RULES, Finding, Rule
 
 # an R5 violation usable anywhere (R5 is unscoped)
 R5_SNIPPET = 'def f(metrics):\n    metrics.counter("no.such.metric").inc()\n'

@@ -6,7 +6,7 @@ import pytest
 
 import repro.analysis.rules as rules_module
 import repro.obs.names as names
-from repro.analysis import run_sources
+from repro.analysis.engine import run_sources
 
 
 def lint(source, path="fixture.py"):

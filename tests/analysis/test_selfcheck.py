@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.analysis import exit_code, run_paths
 from repro.analysis.__main__ import main
+from repro.analysis.engine import exit_code, run_paths
 from repro.analysis.project import GRAPH_MUTATORS
 from repro.analysis.rules import MetricInCriticalSectionRule
 

@@ -9,10 +9,10 @@ drift-driven reconfiguration loop.
 import asyncio
 import time
 
-from repro.api import ApiResponse, DriftPolicy, FrontDoor
-from repro.graph import DynamicGraph
-from repro.obs import MetricsRegistry
-from repro.shard import ShardManager
+from repro.api.frontdoor import ApiResponse, DriftPolicy, FrontDoor
+from repro.graph.digraph import DynamicGraph
+from repro.obs.metrics import MetricsRegistry
+from repro.shard.manager import ShardManager
 
 
 def ring_graph(n=24):

@@ -9,10 +9,11 @@ exercised exactly as a closed-loop client would see it.
 import asyncio
 import json
 
-from repro.api import FrontDoor, HttpServer
-from repro.graph import DynamicGraph
-from repro.obs import MetricsRegistry
-from repro.shard import ShardManager
+from repro.api.frontdoor import FrontDoor
+from repro.api.http import HttpServer
+from repro.graph.digraph import DynamicGraph
+from repro.obs.metrics import MetricsRegistry
+from repro.shard.manager import ShardManager
 
 
 def ring_graph(n=24):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.baselines import (
+from repro.baselines.search import (
     BayesianOptimizationSearch,
     GridSearch,
     RandomSearch,

@@ -17,14 +17,14 @@ charge).
 import numpy as np
 import pytest
 
-from repro.cache import PPRCache
+from repro.cache.store import PPRCache
 from repro.core.system import QuotaSystem
-from repro.graph import erdos_renyi_graph
-from repro.obs import MetricsRegistry
-from repro.ppr import ppr_exact
+from repro.graph.generators import erdos_renyi_graph
+from repro.obs.metrics import MetricsRegistry
 from repro.ppr.base import DynamicPPRAlgorithm, PPRParams, PPRVector
-from repro.queueing import generate_workload
-from repro.queueing.workload import QUERY, Request, Workload
+from repro.ppr.power_iteration import ppr_exact
+from repro.queueing.kinds import QUERY
+from repro.queueing.workload import generate_workload, Request, Workload
 
 
 class ExactPPR(DynamicPPRAlgorithm):

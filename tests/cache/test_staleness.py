@@ -4,16 +4,16 @@ import math
 
 import pytest
 
-from repro.cache import (
+from repro.cache.staleness import (
     ChargingApplier,
-    PPRCache,
     ReplayCache,
     StalenessTracker,
     lemma2_increment,
-    make_key,
 )
-from repro.graph import DynamicGraph, EdgeUpdate
-from repro.obs import MetricsRegistry
+from repro.cache.store import PPRCache, make_key
+from repro.graph.digraph import DynamicGraph
+from repro.graph.updates import EdgeUpdate
+from repro.obs.metrics import MetricsRegistry
 
 
 def line_graph(n=6):

@@ -4,9 +4,13 @@ import threading
 
 import pytest
 
-from repro.cache import PPRCache, beta_signature, make_key
-from repro.cache.store import EVICTION_SAMPLE
-from repro.obs import MetricsRegistry
+from repro.cache.store import (
+    PPRCache,
+    beta_signature,
+    make_key,
+    EVICTION_SAMPLE,
+)
+from repro.obs.metrics import MetricsRegistry
 
 
 def key(source, algo="fora", beta=None):

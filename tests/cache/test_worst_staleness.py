@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cache.store import PPRCache, make_key
-from repro.obs import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 
 def make_cache(epsilon_c=0.3):

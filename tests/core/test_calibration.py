@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.core import calibrate_taus, calibrated_cost_model, cost_model_for
-from repro.graph import barabasi_albert_graph
-from repro.ppr import Agenda, Fora, ForaPlus, ForaPlusIncremental, PPRParams
+from repro.core.calibration import calibrate_taus, calibrated_cost_model
+from repro.core.cost_models import cost_model_for
+from repro.graph.generators import barabasi_albert_graph
+from repro.ppr.agenda import Agenda
+from repro.ppr.base import PPRParams
+from repro.ppr.fora import Fora, ForaPlus, ForaPlusIncremental
 
 
 @pytest.fixture
@@ -64,13 +67,13 @@ class TestCalibrateTaus:
         from repro.core import calibration
 
         probes = []
-        scratch_copy = calibration._scratch_copy
+        scratch_copy = calibration.scratch_copy
 
         def recording_copy(algorithm):
             probes.append(scratch_copy(algorithm))
             return probes[-1]
 
-        monkeypatch.setattr(calibration, "_scratch_copy", recording_copy)
+        monkeypatch.setattr(calibration, "scratch_copy", recording_copy)
         alg = Fora(graph.copy(), params, engine="frontier")
         calibrate_taus(alg, num_queries=2, rng=4)
         assert len(probes) == len(calibration.DEFAULT_PROBE_SCALES)
@@ -79,10 +82,10 @@ class TestCalibrateTaus:
     def test_incremental_probe_patches_its_index(self, graph, params):
         """A FORA+inc probe measures the patch, not a rebuild — the
         "Index Update" row its cost model reads."""
-        from repro.core.calibration import _scratch_copy
-        from repro.graph import EdgeUpdate
+        from repro.core.calibration import scratch_copy
+        from repro.graph.updates import EdgeUpdate
 
-        clone = _scratch_copy(ForaPlusIncremental(graph.copy(), params))
+        clone = scratch_copy(ForaPlusIncremental(graph.copy(), params))
         builds_before = clone.timers.count("Index Build")
         clone.apply_update(EdgeUpdate(0, 75))
         assert clone.timers.count("Index Update") == 1

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core import (
+from repro.core.cost_models import (
     COST_MODELS,
     AgendaCostModel,
     CacheAwareCostModel,
@@ -14,14 +14,13 @@ from repro.core import (
     SpeedPPRPlusCostModel,
     TopPPRCostModel,
     cost_model_for,
-)
-from repro.core.cost_models import (
     ForaPlusIncrementalCostModel,
     SpeedPPRPlusIncrementalCostModel,
 )
 from repro.core.quota import QuotaController
-from repro.graph import barabasi_albert_graph
-from repro.ppr import ALGORITHMS, PPRParams
+from repro.graph.generators import barabasi_albert_graph
+from repro.ppr.base import PPRParams
+from repro.ppr.registry import ALGORITHMS
 
 
 class TestAgendaModel:

@@ -3,12 +3,15 @@
 import pytest
 
 from repro.core.quota import QuotaDecision
-from repro.core.system import QuotaSystem, RateDriftDetector
+from repro.core.rates import RateDriftDetector
+from repro.core.system import QuotaSystem
 from repro.graph.generators import barabasi_albert_graph
 from repro.ppr.base import PPRParams
 from repro.ppr.fora import Fora
-from repro.queueing.workload import generate_segmented_workload
-from repro.queueing.workload import WorkloadSegment
+from repro.queueing.workload import (
+    generate_segmented_workload,
+    WorkloadSegment,
+)
 
 
 def make_detector(**overrides):

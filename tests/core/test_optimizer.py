@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
+from repro.core.optimizer import (
     AugmentedLagrangianOptimizer,
     ConstrainedProblem,
     OptimizationResult,

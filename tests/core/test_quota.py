@@ -5,15 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import (
-    STABLE,
-    UNSTABLE,
+from repro.core.cost_models import (
     AgendaCostModel,
     ForaCostModel,
     ForaPlusCostModel,
-    QuotaController,
 )
-from repro.queueing import expected_response_time
+from repro.core.quota import STABLE, UNSTABLE, QuotaController
+from repro.queueing.theory import expected_response_time
 
 
 def fora_model(tau_push=1e-5, tau_walk=1e-3, tau_update=1e-4):

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from repro.core import ForaPlusCostModel, QuotaController
+from repro.core.cost_models import ForaPlusCostModel
+from repro.core.quota import QuotaController
 
 
 def model(tau_push=1e-5, tau_walk=1e-3, tau_index=1e-2):

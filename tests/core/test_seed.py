@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import SeedQueue, degree_adjustment_factor, source_excess
-from repro.graph import DynamicGraph, EdgeUpdate, barabasi_albert_graph
-from repro.ppr import Fora, PPRParams, ppr_exact
+from repro.core.seed import SeedQueue, degree_adjustment_factor, source_excess
+from repro.graph.digraph import DynamicGraph
+from repro.graph.generators import barabasi_albert_graph
+from repro.graph.updates import EdgeUpdate
+from repro.ppr.base import PPRParams
+from repro.ppr.fora import Fora
+from repro.ppr.power_iteration import ppr_exact
 
 ALPHA = 0.2
 

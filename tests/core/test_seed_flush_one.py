@@ -3,9 +3,11 @@ overlay unwinding it requires."""
 
 import pytest
 
-from repro.core import SeedQueue, degree_adjustment_factor
-from repro.graph import DynamicGraph, EdgeUpdate
-from repro.ppr import Fora, PPRParams
+from repro.core.seed import SeedQueue, degree_adjustment_factor
+from repro.graph.digraph import DynamicGraph
+from repro.graph.updates import EdgeUpdate
+from repro.ppr.base import PPRParams
+from repro.ppr.fora import Fora
 
 ALPHA = 0.2
 

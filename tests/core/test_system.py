@@ -3,16 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    QuotaController,
-    QuotaSystem,
-    RateEstimator,
-    calibrated_cost_model,
-)
-from repro.graph import barabasi_albert_graph
-from repro.ppr import Agenda, Fora, PPRParams, ppr_exact
-from repro.queueing import generate_workload
-from repro.queueing.workload import QUERY, UPDATE
+from repro.core.calibration import calibrated_cost_model
+from repro.core.quota import QuotaController
+from repro.core.rates import RateEstimator
+from repro.core.system import QuotaSystem
+from repro.graph.generators import barabasi_albert_graph
+from repro.ppr.agenda import Agenda
+from repro.ppr.base import PPRParams
+from repro.ppr.fora import Fora
+from repro.ppr.power_iteration import ppr_exact
+from repro.queueing.kinds import QUERY, UPDATE
+from repro.queueing.workload import generate_workload
 
 
 @pytest.fixture
@@ -129,8 +130,8 @@ class TestSeedIntegration:
           failed attempt is retried at most twice before failing for
           real.  A genuine Lemma 3 regression fails all attempts.
         """
-        from repro.obs import MetricsRegistry
-        from repro.ppr import ForaPlus
+        from repro.obs.metrics import MetricsRegistry
+        from repro.ppr.fora import ForaPlus
 
         # heavily contended cell: rates are matched to this tiny
         # fixture graph's sub-millisecond service times so queueing

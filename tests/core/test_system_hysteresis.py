@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.core import QuotaSystem
-from repro.graph import barabasi_albert_graph
-from repro.ppr import Fora, PPRParams
+from repro.core.system import QuotaSystem
+from repro.graph.generators import barabasi_albert_graph
+from repro.ppr.base import PPRParams
+from repro.ppr.fora import Fora
 
 
 @pytest.fixture

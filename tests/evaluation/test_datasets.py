@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.evaluation import DATASETS, get_dataset
+from repro.evaluation.datasets import DATASETS, get_dataset
 
 
 class TestRegistry:

@@ -3,16 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.evaluation import (
+from repro.evaluation.metrics import (
     AccuracySummary,
     ResponseTimeSummary,
     improvement_percent,
     precision_at_k,
 )
-from repro.graph import EdgeUpdate, ring_graph
-from repro.ppr import Fora, PPRParams, ppr_exact
-from repro.queueing import FCFSQueueSimulator, Request
-from repro.queueing.workload import QUERY
+from repro.graph.generators import ring_graph
+from repro.graph.updates import EdgeUpdate
+from repro.ppr.base import PPRParams
+from repro.ppr.fora import Fora
+from repro.ppr.power_iteration import ppr_exact
+from repro.queueing.kinds import QUERY
+from repro.queueing.simulator import FCFSQueueSimulator
+from repro.queueing.workload import Request
 
 
 def make_result(response_times):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.evaluation import banner, format_series, format_table
+from repro.evaluation.report import banner, format_series, format_table
 
 
 class TestFormatTable:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.evaluation import ascii_histogram, sparkline
+from repro.evaluation.report import ascii_histogram, sparkline
 
 
 class TestSparkline:

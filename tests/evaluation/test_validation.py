@@ -2,10 +2,13 @@
 
 import pytest
 
-from repro.core import calibrated_cost_model, cost_model_for
-from repro.evaluation import FitPoint, FitReport, model_fit_report
-from repro.graph import barabasi_albert_graph
-from repro.ppr import Fora, PPRParams
+from repro.core.calibration import calibrated_cost_model
+from repro.core.cost_models import cost_model_for
+from repro.evaluation.validation import FitPoint, FitReport, model_fit_report
+from repro.graph.generators import barabasi_albert_graph
+from repro.ppr.base import PPRParams
+from repro.ppr.fora import Fora
+from repro.ppr.topk import ForaTopK
 
 
 @pytest.fixture(scope="module")
@@ -75,3 +78,28 @@ class TestModelFitReport:
         report = model_fit_report(algorithm, model, scales=(0.5, 2.0), rng=3)
         r_values = [p.beta["r_max"] for p in report.points]
         assert r_values[0] < r_values[1]
+
+    def test_probes_run_the_algorithm_as_configured(self, monkeypatch):
+        """Regression: probes were rebuilt from (graph, params) alone, so a
+        model calibrated on the frontier kernel was scored against
+        scalar-push timings, and a top-3 model against top-10 probes."""
+        graph = barabasi_albert_graph(120, attach=3, seed=50)
+        params = PPRParams(walk_cap=500)
+        probed = []
+        for cls in (Fora, ForaTopK):
+            def spy(self, source, query=cls.query):
+                k = getattr(self, "k", None)
+                probed.append((self.name, self.engine, k))
+                return query(self, source)
+
+            monkeypatch.setattr(cls, "query", spy)
+        fora = Fora(graph.copy(), params, engine="frontier")
+        topk = ForaTopK(graph.copy(), params, k=3)
+        for algorithm in (fora, topk):
+            model_fit_report(
+                algorithm, cost_model_for(algorithm), scales=(0.5, 2.0),
+                num_queries=2, rng=4,
+            )
+        assert probed == [("FORA", "frontier", None)] * 4 + [
+            ("FORA-TopK", "scalar", 3)
+        ] * 4

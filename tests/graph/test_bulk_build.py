@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.evaluation.datasets import get_dataset
-from repro.graph import DynamicGraph
-from repro.ppr import csr_view
+from repro.graph.digraph import DynamicGraph
+from repro.ppr.csr import csr_view
 
 
 def loop_build(num_nodes, pairs):

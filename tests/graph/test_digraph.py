@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import DynamicGraph
+from repro.graph.digraph import DynamicGraph
 
 
 class TestConstruction:

@@ -9,7 +9,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.graph import DynamicGraph
+from repro.graph.digraph import DynamicGraph
 
 NODE = st.integers(0, 7)
 

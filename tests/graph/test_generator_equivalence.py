@@ -19,7 +19,8 @@ import sys
 import pytest
 
 from repro.evaluation.datasets import DATASETS
-from repro.graph import DynamicGraph, barabasi_albert_graph, erdos_renyi_graph
+from repro.graph.digraph import DynamicGraph
+from repro.graph.generators import barabasi_albert_graph, erdos_renyi_graph
 from repro.shard.image import write_image
 
 

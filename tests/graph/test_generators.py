@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.graph import (
+from repro.graph.generators import (
     barabasi_albert_graph,
     complete_graph,
     erdos_renyi_graph,

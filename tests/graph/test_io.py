@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.graph import DynamicGraph, load_edge_list, save_edge_list
+from repro.graph.digraph import DynamicGraph
+from repro.graph.io import load_edge_list, save_edge_list
 
 
 def test_round_trip(tmp_path):

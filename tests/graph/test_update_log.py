@@ -1,7 +1,7 @@
 """Tests for the structural update log backing incremental CSR catch-up."""
 
-from repro.graph import DynamicGraph
 from repro.graph.digraph import (
+    DynamicGraph,
     ADD_EDGE,
     ADD_NODE,
     MAX_UPDATE_LOG,

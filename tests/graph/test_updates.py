@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import DynamicGraph, EdgeUpdate, UpdateStream, random_update_stream
+from repro.graph.digraph import DynamicGraph
+from repro.graph.updates import EdgeUpdate, UpdateStream, random_update_stream
 
 
 class TestEdgeUpdate:

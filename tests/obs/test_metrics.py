@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.obs import Histogram, MetricsRegistry, get_metrics
+from repro.obs.metrics import Histogram, MetricsRegistry, get_metrics
 
 
 class TestCounter:

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.graph import barabasi_albert_graph, erdos_renyi_graph
-from repro.ppr import PPRParams
+from repro.graph.generators import barabasi_albert_graph, erdos_renyi_graph
+from repro.ppr.base import PPRParams
 
 
 @pytest.fixture

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.graph import EdgeUpdate
-from repro.ppr import Agenda, ppr_exact
+from repro.graph.updates import EdgeUpdate
+from repro.ppr.agenda import Agenda
+from repro.ppr.power_iteration import ppr_exact
 
 
 class TestAgendaQuery:

@@ -6,9 +6,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.graph import DynamicGraph
-from repro.ppr import PPRParams, PPRVector, SubProcessTimers, csr_view
-from repro.ppr.base import clip_unit
+from repro.graph.digraph import DynamicGraph
+from repro.ppr.base import PPRParams, PPRVector, SubProcessTimers, clip_unit
+from repro.ppr.csr import csr_view
 
 
 class TestPPRParams:

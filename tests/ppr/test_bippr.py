@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.graph import DynamicGraph, barabasi_albert_graph, ring_graph
-from repro.ppr import PPRParams, ppr_exact, ppr_single_pair
+from repro.graph.digraph import DynamicGraph
+from repro.graph.generators import barabasi_albert_graph, ring_graph
+from repro.ppr.base import PPRParams
+from repro.ppr.bippr import ppr_single_pair
+from repro.ppr.power_iteration import ppr_exact
 
 ALPHA = 0.2
 

@@ -6,9 +6,12 @@ import random
 import numpy as np
 import pytest
 
-from repro.graph import EdgeUpdate, barabasi_albert_graph, random_update_stream
-from repro.ppr import ALGORITHMS, PPRParams, ppr_exact
+from repro.graph.generators import barabasi_albert_graph
+from repro.graph.updates import EdgeUpdate, random_update_stream
+from repro.ppr.base import PPRParams
 from repro.ppr.names import ALGORITHM_NAMES
+from repro.ppr.power_iteration import ppr_exact
+from repro.ppr.registry import ALGORITHMS
 
 SSPPR_ALGORITHMS = [
     name for name in ALGORITHMS if name not in ("FORA-TopK", "TopPPR")

@@ -5,11 +5,11 @@ import random
 import numpy as np
 import pytest
 
-from repro.graph import DynamicGraph, barabasi_albert_graph
+from repro.graph.digraph import DynamicGraph
+from repro.graph.generators import barabasi_albert_graph
 from repro.graph.updates import random_update_stream
-from repro.ppr import csr_view
-from repro.ppr.csr import CSRView
-from repro.obs import get_metrics
+from repro.obs.metrics import get_metrics
+from repro.ppr.csr import csr_view, CSRView
 
 
 def assert_views_equivalent(patched: CSRView, fresh: CSRView) -> None:

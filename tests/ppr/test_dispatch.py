@@ -11,23 +11,17 @@ patching that probe.
 import numpy as np
 import pytest
 
-from repro.graph import DynamicGraph, barabasi_albert_graph
-from repro.obs import get_metrics
-from repro.ppr import (
-    Fora,
-    PPRParams,
-    SpeedPPR,
-    csr_view,
-    forward_push,
-    kernels,
-)
-from repro.ppr.kernels import (
-    AUTO,
-    ENGINE_CHOICES,
-    ENGINES,
-    frontier_push,
-    resolve_engine,
-)
+from repro.graph.digraph import DynamicGraph
+from repro.graph.generators import barabasi_albert_graph
+from repro.obs.metrics import get_metrics
+from repro.ppr import kernels
+from repro.ppr.base import PPRParams
+from repro.ppr.csr import csr_view
+from repro.ppr.fora import Fora
+from repro.ppr.forward_push import forward_push
+from repro.ppr.kernels import frontier_push, resolve_engine
+from repro.ppr.names import AUTO, ENGINE_CHOICES, ENGINES
+from repro.ppr.speedppr import SpeedPPR
 
 ALPHA = 0.2
 
@@ -142,7 +136,7 @@ class TestForcedFallback:
         assert algo.last_query_stats.extra["backend"] == "power"
 
     def test_scalar_only_algorithms_degrade_auto_to_scalar(self):
-        from repro.ppr import ResAcc
+        from repro.ppr.resacc import ResAcc
 
         g = barabasi_albert_graph(30, attach=2, seed=1)
         algo = ResAcc(g, PPRParams(walk_cap=100))

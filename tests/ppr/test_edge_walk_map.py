@@ -20,10 +20,9 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.graph import EdgeUpdate, barabasi_albert_graph
-from repro.graph.updates import random_update_stream
-from repro.ppr import csr_view
-from repro.ppr.csr import SLACK_FLOOR
+from repro.graph.generators import barabasi_albert_graph
+from repro.graph.updates import EdgeUpdate, random_update_stream
+from repro.ppr.csr import csr_view, SLACK_FLOOR
 from repro.ppr.incremental import SLOT_BITS, EdgeWalkMap
 from repro.ppr.random_walk import WalkIndex
 

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.graph import EdgeUpdate
-from repro.ppr import Fora, ForaPlus, ppr_exact
+from repro.graph.updates import EdgeUpdate
+from repro.ppr.fora import Fora, ForaPlus
+from repro.ppr.power_iteration import ppr_exact
 
 
 class TestFora:
@@ -37,7 +38,7 @@ class TestFora:
         assert alg.timers.count("Index Build") == 0
 
     def test_query_reflects_update(self, params):
-        from repro.graph import DynamicGraph
+        from repro.graph.digraph import DynamicGraph
 
         g = DynamicGraph.from_edges([(0, 1), (1, 0)])
         alg = Fora(g, params)
@@ -125,7 +126,7 @@ class TestForaPlus:
         assert alg.index.total_walks > walks_default
 
     def test_query_after_update_uses_fresh_index(self, params):
-        from repro.graph import DynamicGraph
+        from repro.graph.digraph import DynamicGraph
 
         g = DynamicGraph.from_edges([(0, 1), (1, 0), (1, 2), (2, 0)])
         alg = ForaPlus(g, params)

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import DynamicGraph, barabasi_albert_graph, ring_graph
-from repro.ppr import csr_view, forward_push, ppr_exact_all_pairs
+from repro.graph.digraph import DynamicGraph
+from repro.graph.generators import barabasi_albert_graph, ring_graph
+from repro.ppr.csr import csr_view
+from repro.ppr.forward_push import forward_push
+from repro.ppr.power_iteration import ppr_exact_all_pairs
 
 ALPHA = 0.2
 

@@ -8,8 +8,9 @@ cannot slip through.
 
 import pytest
 
-from repro.graph import DynamicGraph, ring_graph, star_graph
-from repro.ppr import ppr_exact
+from repro.graph.digraph import DynamicGraph
+from repro.graph.generators import ring_graph, star_graph
+from repro.ppr.power_iteration import ppr_exact
 
 ALPHA = 0.2
 

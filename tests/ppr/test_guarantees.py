@@ -10,8 +10,10 @@ all the push/walk machinery.
 import numpy as np
 import pytest
 
-from repro.graph import barabasi_albert_graph
-from repro.ppr import ALGORITHMS, PPRParams, ppr_exact
+from repro.graph.generators import barabasi_albert_graph
+from repro.ppr.base import PPRParams
+from repro.ppr.power_iteration import ppr_exact
+from repro.ppr.registry import ALGORITHMS
 
 SSPPR = ["FORA", "FORA+", "SpeedPPR", "SpeedPPR+", "Agenda", "ResAcc"]
 

@@ -22,8 +22,9 @@ import numpy as np
 import pytest
 
 from repro.evaluation.datasets import get_dataset
-from repro.evaluation.runner import build_algorithm
-from repro.graph import EdgeUpdate, barabasi_albert_graph
+from repro.graph.generators import barabasi_albert_graph
+from repro.graph.updates import EdgeUpdate
+from repro.ppr.registry import build_algorithm
 
 NUM_UPDATES = 500
 NUM_QUERIES = 5

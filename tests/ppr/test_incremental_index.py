@@ -21,12 +21,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.graph import barabasi_albert_graph
 from repro.graph.digraph import DynamicGraph
+from repro.graph.generators import barabasi_albert_graph
 from repro.graph.updates import EdgeUpdate, random_update_stream
-from repro.ppr import ALGORITHMS, PPRParams, csr_view
+from repro.ppr.base import PPRParams
+from repro.ppr.csr import csr_view
 from repro.ppr.fora import ForaPlusIncremental
 from repro.ppr.random_walk import WalkIndex
+from repro.ppr.registry import ALGORITHMS
 from repro.ppr.speedppr import SpeedPPRPlusIncremental
 
 ALPHA = 0.2

@@ -15,9 +15,9 @@ import random
 
 import numpy as np
 
-from repro.graph import barabasi_albert_graph
+from repro.graph.generators import barabasi_albert_graph
 from repro.graph.updates import EdgeUpdate
-from repro.ppr import csr_view
+from repro.ppr.csr import csr_view
 from repro.ppr.random_walk import WalkIndex
 from tests.ppr.test_incremental_index import (
     ALPHA,

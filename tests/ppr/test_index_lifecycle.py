@@ -12,10 +12,11 @@ import random
 import numpy as np
 import pytest
 
-from repro.evaluation.runner import build_algorithm
-from repro.graph import EdgeUpdate, barabasi_albert_graph, random_update_stream
-from repro.obs import get_metrics
-from repro.ppr import ALGORITHMS, PPRParams
+from repro.graph.generators import barabasi_albert_graph
+from repro.graph.updates import EdgeUpdate, random_update_stream
+from repro.obs.metrics import get_metrics
+from repro.ppr.base import PPRParams
+from repro.ppr.registry import build_algorithm, ALGORITHMS
 
 INDEX_BASED = ("FORA+", "FORA+inc", "SpeedPPR+", "SpeedPPR+inc", "Agenda")
 WALK_CAP = 1500

@@ -12,15 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import DynamicGraph, barabasi_albert_graph, ring_graph
-from repro.ppr import csr_view, ppr_exact_all_pairs
+from repro.graph.digraph import DynamicGraph
+from repro.graph.generators import barabasi_albert_graph, ring_graph
+from repro.ppr.csr import csr_view
 from repro.ppr.kernels import (
-    ENGINES,
     frontier_push,
     power_phase,
     reference_frontier_push,
     resolve_engine,
 )
+from repro.ppr.names import ENGINES
+from repro.ppr.power_iteration import ppr_exact_all_pairs
 
 ALPHA = 0.2
 

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.graph import DynamicGraph, complete_graph, ring_graph, star_graph
-from repro.ppr import ppr_exact, ppr_exact_all_pairs
+from repro.graph.digraph import DynamicGraph
+from repro.graph.generators import complete_graph, ring_graph, star_graph
+from repro.ppr.power_iteration import ppr_exact, ppr_exact_all_pairs
 
 ALPHA = 0.2
 

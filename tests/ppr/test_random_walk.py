@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.graph import DynamicGraph, complete_graph, ring_graph
-from repro.ppr import csr_view, ppr_exact, sample_walk_terminals
-from repro.ppr.random_walk import WalkIndex, walk_steps_estimate
+from repro.graph.digraph import DynamicGraph
+from repro.graph.generators import complete_graph, ring_graph
+from repro.ppr.csr import csr_view
+from repro.ppr.power_iteration import ppr_exact
+from repro.ppr.random_walk import (
+    sample_walk_terminals,
+    WalkIndex,
+    walk_steps_estimate,
+)
 
 ALPHA = 0.2
 

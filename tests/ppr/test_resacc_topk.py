@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.graph import EdgeUpdate
-from repro.ppr import ForaTopK, ResAcc, TopPPR, ppr_exact
+from repro.graph.updates import EdgeUpdate
+from repro.ppr.power_iteration import ppr_exact
+from repro.ppr.resacc import ResAcc
+from repro.ppr.topk import ForaTopK, TopPPR
 
 
 class TestResAcc:

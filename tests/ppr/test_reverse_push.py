@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import DynamicGraph, barabasi_albert_graph, ring_graph
-from repro.ppr import csr_view, ppr_exact_all_pairs, reverse_push
+from repro.graph.digraph import DynamicGraph
+from repro.graph.generators import barabasi_albert_graph, ring_graph
+from repro.ppr.csr import csr_view
+from repro.ppr.power_iteration import ppr_exact_all_pairs
+from repro.ppr.reverse_push import reverse_push
 
 ALPHA = 0.2
 

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.graph import barabasi_albert_graph
+from repro.graph.generators import barabasi_albert_graph
 from repro.ppr.csr import CSRView, _Adjacency, growth
 from repro.ppr.incremental import _reserve
 from repro.ppr.random_walk import WalkIndex

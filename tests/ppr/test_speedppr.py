@@ -1,7 +1,8 @@
 """Tests for SpeedPPR and SpeedPPR+."""
 
-from repro.graph import EdgeUpdate
-from repro.ppr import SpeedPPR, SpeedPPRPlus, ppr_exact
+from repro.graph.updates import EdgeUpdate
+from repro.ppr.power_iteration import ppr_exact
+from repro.ppr.speedppr import SpeedPPR, SpeedPPRPlus
 
 
 class TestSpeedPPR:
@@ -46,7 +47,7 @@ class TestSpeedPPR:
         assert alg._matrix_t is not matrix_a
 
     def test_query_reflects_update(self, params):
-        from repro.graph import DynamicGraph
+        from repro.graph.digraph import DynamicGraph
 
         g = DynamicGraph.from_edges([(0, 1), (1, 0)])
         alg = SpeedPPR(g, params)

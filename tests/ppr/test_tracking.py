@@ -7,15 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import (
-    DynamicGraph,
-    EdgeUpdate,
-    barabasi_albert_graph,
-    random_update_stream,
-)
-from repro.ppr import PPRParams, ppr_exact, ppr_exact_all_pairs
-from repro.ppr.tracking import TrackedPPR, signed_forward_push
+from repro.graph.digraph import DynamicGraph
+from repro.graph.generators import barabasi_albert_graph
+from repro.graph.updates import EdgeUpdate, random_update_stream
+from repro.ppr.base import PPRParams
 from repro.ppr.csr import csr_view
+from repro.ppr.power_iteration import ppr_exact, ppr_exact_all_pairs
+from repro.ppr.tracking import TrackedPPR, signed_forward_push
 
 ALPHA = 0.2
 
@@ -31,7 +29,7 @@ def invariant_error(tracker, graph):
 
 class TestSignedForwardPush:
     def test_matches_unsigned_push_for_positive_residue(self):
-        from repro.ppr import forward_push
+        from repro.ppr.forward_push import forward_push
 
         graph = barabasi_albert_graph(50, attach=2, seed=1)
         view = csr_view(graph)

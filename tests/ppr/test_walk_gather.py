@@ -21,8 +21,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.evaluation.datasets import get_dataset
-from repro.graph import EdgeUpdate, barabasi_albert_graph
-from repro.ppr import csr_view
+from repro.graph.generators import barabasi_albert_graph
+from repro.graph.updates import EdgeUpdate
+from repro.ppr.csr import csr_view
 from repro.ppr.forward_push import forward_push
 from repro.ppr.pushwalk import add_walk_estimates
 from repro.ppr.random_walk import WalkIndex

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.queueing import (
+from repro.queueing.arrivals import (
     GammaArrivals,
     GeometricArrivals,
     NormalArrivals,

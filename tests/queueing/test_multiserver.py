@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from repro.queueing import FCFSQueueSimulator, PoissonArrivals, Request, Workload
-from repro.queueing.workload import QUERY
+from repro.queueing.arrivals import PoissonArrivals
+from repro.queueing.kinds import QUERY
+from repro.queueing.simulator import FCFSQueueSimulator
+from repro.queueing.workload import Request, Workload
 
 
 def queries(arrivals):

@@ -15,18 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.system import QuotaSystem
-from repro.graph import EdgeUpdate
 from repro.graph.generators import barabasi_albert_graph
-from repro.obs import MetricsRegistry
-from repro.ppr import PPRParams, ppr_exact
-from repro.ppr.base import DynamicPPRAlgorithm
-from repro.queueing import (
-    FCFSQueueSimulator,
-    Request,
-    SeedAwareQueueSimulator,
-    Workload,
-)
-from repro.queueing.workload import QUERY, UPDATE
+from repro.graph.updates import EdgeUpdate
+from repro.obs.metrics import MetricsRegistry
+from repro.ppr.base import PPRParams, DynamicPPRAlgorithm
+from repro.ppr.power_iteration import ppr_exact
+from repro.queueing.kinds import QUERY, UPDATE
+from repro.queueing.seed_simulator import SeedAwareQueueSimulator
+from repro.queueing.simulator import FCFSQueueSimulator
+from repro.queueing.workload import Request, Workload
 from repro.scenarios.oracles import lindley_reference
 
 NODES = 24

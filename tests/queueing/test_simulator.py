@@ -6,15 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import EdgeUpdate
-from repro.queueing import (
-    FCFSQueueSimulator,
-    PoissonArrivals,
-    Request,
-    Workload,
-    expected_response_time,
-)
-from repro.queueing.workload import QUERY, UPDATE
+from repro.graph.updates import EdgeUpdate
+from repro.queueing.arrivals import PoissonArrivals
+from repro.queueing.kinds import QUERY, UPDATE
+from repro.queueing.simulator import FCFSQueueSimulator
+from repro.queueing.theory import expected_response_time
+from repro.queueing.workload import Request, Workload
 
 
 def make_requests(arrivals, kind=QUERY):

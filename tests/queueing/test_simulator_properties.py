@@ -10,13 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.queueing import (
-    FCFSQueueSimulator,
-    PoissonArrivals,
-    Request,
-    Workload,
-)
-from repro.queueing.workload import QUERY
+from repro.queueing.arrivals import PoissonArrivals
+from repro.queueing.kinds import QUERY
+from repro.queueing.simulator import FCFSQueueSimulator
+from repro.queueing.workload import Request, Workload
 
 
 def poisson_workload(lam, t_end, seed, service_seed=None):

@@ -14,15 +14,16 @@ import math
 
 import pytest
 
-from repro.graph import DynamicGraph, EdgeUpdate
-from repro.queueing import (
+from repro.graph.digraph import DynamicGraph
+from repro.graph.updates import EdgeUpdate
+from repro.queueing.kinds import QUERY, UPDATE
+from repro.queueing.replay import validate_service
+from repro.queueing.seed_simulator import SeedAwareQueueSimulator
+from repro.queueing.simulator import (
     FCFSQueueSimulator,
     MeasuredParallelWarning,
-    Request,
-    SeedAwareQueueSimulator,
 )
-from repro.queueing.simulator import validate_service
-from repro.queueing.workload import QUERY, UPDATE
+from repro.queueing.workload import Request
 
 
 def queries(arrivals):

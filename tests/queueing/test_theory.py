@@ -4,13 +4,11 @@ import math
 
 import pytest
 
-from repro.queueing import (
+from repro.queueing.theory import (
     expected_response_time,
     is_stable,
     traffic_intensity,
     unstable_response_growth,
-)
-from repro.queueing.theory import (
     heavy_traffic_response_time,
     mm1_response_time,
 )

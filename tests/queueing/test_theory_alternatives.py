@@ -5,16 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from repro.queueing import (
-    FCFSQueueSimulator,
-    PoissonArrivals,
-    Request,
-    Workload,
+from repro.queueing.arrivals import PoissonArrivals
+from repro.queueing.kinds import QUERY
+from repro.queueing.simulator import FCFSQueueSimulator
+from repro.queueing.theory import (
     expected_response_time,
     heavy_traffic_response_time,
     mm1_response_time,
 )
-from repro.queueing.workload import QUERY
+from repro.queueing.workload import Request, Workload
 
 
 class TestMM1Estimate:
@@ -96,7 +95,8 @@ def test_all_estimates_agree_with_simulation():
 
 class TestControllerResponseModels:
     def _controller(self, model_name):
-        from repro.core import ForaCostModel, QuotaController
+        from repro.core.cost_models import ForaCostModel
+        from repro.core.quota import QuotaController
 
         model = ForaCostModel(
             1000, 5000,

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import barabasi_albert_graph
+from repro.graph.generators import barabasi_albert_graph
 from repro.graph.updates import EdgeUpdate
-from repro.queueing import generate_workload
+from repro.queueing.kinds import QUERY, UPDATE
 from repro.queueing.trace_io import load_workload_trace, save_workload_trace
-from repro.queueing.workload import QUERY, UPDATE, Request, Workload
+from repro.queueing.workload import generate_workload, Request, Workload
 
 
 @pytest.fixture
@@ -266,9 +266,10 @@ class TestRoundTripProperties:
 
 def test_loaded_trace_replays_through_system(workload, tmp_path):
     """A persisted trace drives QuotaSystem identically to the original."""
-    from repro.core import QuotaSystem
-    from repro.graph import barabasi_albert_graph
-    from repro.ppr import Fora, PPRParams
+    from repro.core.system import QuotaSystem
+    from repro.graph.generators import barabasi_albert_graph
+    from repro.ppr.base import PPRParams
+    from repro.ppr.fora import Fora
 
     path = tmp_path / "trace.csv"
     save_workload_trace(workload, path)

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.graph import DynamicGraph, EdgeUpdate, barabasi_albert_graph
-from repro.queueing import (
+from repro.graph.digraph import DynamicGraph
+from repro.graph.generators import barabasi_albert_graph
+from repro.graph.updates import EdgeUpdate
+from repro.queueing.kinds import QUERY, UPDATE
+from repro.queueing.workload import (
     Request,
     Workload,
     WorkloadSegment,
@@ -12,7 +15,6 @@ from repro.queueing import (
     generate_segmented_workload,
     generate_workload,
 )
-from repro.queueing.workload import QUERY, UPDATE
 
 
 @pytest.fixture
@@ -199,7 +201,7 @@ class TestProcessWithZeroRateRegression:
     with no error)."""
 
     def test_query_process_with_zero_rate_hint(self, graph):
-        from repro.queueing import TraceArrivals
+        from repro.queueing.arrivals import TraceArrivals
 
         stamps = [0.5, 1.5, 2.5, 3.5]
         w = generate_workload(
@@ -212,7 +214,7 @@ class TestProcessWithZeroRateRegression:
         assert w.lambda_u == 0.0
 
     def test_update_process_with_zero_rate_hint(self, graph):
-        from repro.queueing import TraceArrivals
+        from repro.queueing.arrivals import TraceArrivals
 
         w = generate_workload(
             graph, 0.0, 0.0, 4.0, rng=0,
@@ -222,7 +224,7 @@ class TestProcessWithZeroRateRegression:
         assert w.lambda_u == pytest.approx(0.5)
 
     def test_positive_hint_still_recorded_as_configured(self, graph):
-        from repro.queueing import UniformArrivals
+        from repro.queueing.arrivals import UniformArrivals
 
         w = generate_workload(
             graph, 8.0, 0.0, 20.0, rng=3,

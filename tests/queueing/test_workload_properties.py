@@ -13,9 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.generators import barabasi_albert_graph
+from repro.queueing.kinds import QUERY, UPDATE
 from repro.queueing.workload import (
-    QUERY,
-    UPDATE,
     WorkloadSegment,
     dynamic_pattern_segments,
     generate_segmented_workload,

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.graph.generators import barabasi_albert_graph
-from repro.queueing.workload import QUERY, UPDATE, dynamic_pattern_segments
+from repro.queueing.kinds import QUERY, UPDATE
+from repro.queueing.workload import dynamic_pattern_segments
 from repro.scenarios.dsl import (
     FAMILIES,
     Scenario,

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.graph.generators import barabasi_albert_graph
-from repro.obs import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.scenarios.__main__ import main as scenarios_main
 from repro.scenarios.dsl import FAMILIES, flash_crowd
 from repro.scenarios.fuzz import (

@@ -5,14 +5,12 @@ import pytest
 from repro.cache.store import PPRCache, make_key
 from repro.graph.generators import barabasi_albert_graph
 from repro.graph.updates import EdgeUpdate
-from repro.obs import MetricsRegistry
-from repro.queueing.simulator import (
-    CompletedRequest,
-    FCFSQueueSimulator,
-    SimulationResult,
-)
+from repro.obs.metrics import MetricsRegistry
+from repro.queueing.kinds import QUERY, UPDATE
+from repro.queueing.replay import CompletedRequest, SimulationResult
 from repro.queueing.seed_simulator import SeedAwareQueueSimulator
-from repro.queueing.workload import QUERY, UPDATE, Request, Workload
+from repro.queueing.simulator import FCFSQueueSimulator
+from repro.queueing.workload import Request, Workload
 from repro.scenarios.dsl import flash_crowd
 from repro.scenarios.fuzz import modeled_service_fn
 from repro.scenarios.oracles import (
@@ -24,12 +22,7 @@ from repro.scenarios.oracles import (
     check_workload,
     lindley_reference,
 )
-from repro.serving.runtime import (
-    OK,
-    SHED,
-    ServedRequest,
-    ServingReport,
-)
+from repro.serving.runtime import OK, SHED, ServedRequest, ServingReport
 
 
 @pytest.fixture(scope="module")

@@ -6,20 +6,15 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.graph import DynamicGraph, EdgeUpdate
-from repro.obs import MetricsRegistry
-from repro.ppr import Fora, PPRParams
-from repro.queueing.workload import QUERY, UPDATE, Request
-from repro.serving import (
-    FAILED,
-    OK,
-    SHED,
-    SHED_QUEUE_FULL,
-    TIMEOUT,
-    AdmissionQueue,
-    ServingRuntime,
-    Ticket,
-)
+from repro.graph.digraph import DynamicGraph
+from repro.graph.updates import EdgeUpdate
+from repro.obs.metrics import MetricsRegistry
+from repro.ppr.base import PPRParams
+from repro.ppr.fora import Fora
+from repro.queueing.kinds import QUERY, UPDATE
+from repro.queueing.workload import Request
+from repro.serving.admission import SHED_QUEUE_FULL, AdmissionQueue, Ticket
+from repro.serving.runtime import FAILED, OK, SHED, TIMEOUT, ServingRuntime
 
 
 def make_graph():

@@ -5,10 +5,11 @@ import time
 import pytest
 
 from repro.graph.generators import barabasi_albert_graph
-from repro.obs import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.ppr.base import PPRParams
 from repro.ppr.fora import Fora
-from repro.queueing.workload import QUERY, Request, Workload
+from repro.queueing.kinds import QUERY
+from repro.queueing.workload import Request, Workload
 from repro.serving.runtime import OK, ServingRuntime
 
 

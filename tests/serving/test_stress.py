@@ -20,12 +20,15 @@ import threading
 import numpy as np
 import pytest
 
-from repro.graph import DynamicGraph, EdgeUpdate
-from repro.obs import MetricsRegistry
-from repro.ppr import Fora, PPRParams
+from repro.graph.digraph import DynamicGraph
+from repro.graph.updates import EdgeUpdate
+from repro.obs.metrics import MetricsRegistry
+from repro.ppr.base import PPRParams
+from repro.ppr.fora import Fora
 from repro.ppr.power_iteration import ppr_exact
-from repro.queueing.workload import QUERY, UPDATE, Request
-from repro.serving import FAILED, OK, ServingRuntime
+from repro.queueing.kinds import QUERY, UPDATE
+from repro.queueing.workload import Request
+from repro.serving.runtime import FAILED, OK, ServingRuntime
 
 ALPHA = 0.2
 
@@ -276,7 +279,8 @@ def test_incremental_fora_plus_under_concurrency(seed):
     epsilon_r) with zero snapshot-version violations, and the edge→walk
     map plus the per-node walk-budget invariant hold on the final
     graph."""
-    from repro.ppr import ForaPlusIncremental, csr_view
+    from repro.ppr.csr import csr_view
+    from repro.ppr.fora import ForaPlusIncremental
 
     rng = random.Random(seed)
     graph = make_graph(rng)

@@ -18,17 +18,16 @@ import time
 
 import pytest
 
-from repro.evaluation.runner import build_algorithm
-from repro.graph import DynamicGraph, EdgeUpdate
-from repro.obs import MetricsRegistry
-from repro.queueing.workload import QUERY, UPDATE, Request
-from repro.serving import ServingRuntime
-from repro.shard import ShardManager, ShardSpec
-from repro.shard.worker import (
-    _exact_query_fn,
-    build_graph,
-    serialize_result,
-)
+from repro.graph.digraph import DynamicGraph
+from repro.graph.updates import EdgeUpdate
+from repro.obs.metrics import MetricsRegistry
+from repro.ppr.registry import build_algorithm
+from repro.queueing.kinds import QUERY, UPDATE
+from repro.queueing.workload import Request
+from repro.serving.runtime import ServingRuntime
+from repro.shard.manager import ShardManager
+from repro.shard.messages import ShardSpec
+from repro.shard.worker import _exact_query_fn, build_graph, serialize_result
 
 WALK_CAP = 64
 NUM_NODES = 30

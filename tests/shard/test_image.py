@@ -10,10 +10,14 @@ import numpy as np
 import pytest
 
 from repro.evaluation.datasets import get_dataset
-from repro.graph import DynamicGraph
-from repro.shard import ShardSpec
+from repro.graph.digraph import DynamicGraph
 from repro.shard.image import GraphImage, ImageBuild, graph_image
-from repro.shard.messages import _CHECK_CHUNK, _is_packed, pack_edges
+from repro.shard.messages import (
+    ShardSpec,
+    _CHECK_CHUNK,
+    _is_packed,
+    pack_edges,
+)
 from repro.shard.worker import build_graph
 
 

@@ -18,11 +18,11 @@ import time
 
 import pytest
 
-from repro.graph import DynamicGraph
-from repro.obs import MetricsRegistry
-from repro.shard import ShardManager, messages
+from repro.graph.digraph import DynamicGraph
+from repro.obs.metrics import MetricsRegistry
+from repro.shard import messages
 from repro.shard.image import ImageBuild, graph_image
-from repro.shard.manager import RETRY_AFTER_UNHEALTHY_S
+from repro.shard.manager import ShardManager, RETRY_AFTER_UNHEALTHY_S
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 needs_procfs = pytest.mark.skipif(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.shard import HashRouter, RangeRouter, make_router
+from repro.shard.router import HashRouter, RangeRouter, make_router
 
 
 def test_hash_router_covers_every_source():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.evaluation.datasets import get_dataset
-from repro.shard import ShardSpec
+from repro.shard.messages import ShardSpec
 from repro.shard.worker import build_graph
 
 

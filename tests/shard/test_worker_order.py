@@ -15,10 +15,11 @@ import time
 
 import pytest
 
-from repro.graph import DynamicGraph
-from repro.obs import MetricsRegistry
-from repro.shard import InprocShard, ShardManager, ShardSpec
-from repro.shard.messages import UpdateCommand
+from repro.graph.digraph import DynamicGraph
+from repro.obs.metrics import MetricsRegistry
+from repro.shard.backend import InprocShard
+from repro.shard.manager import ShardManager
+from repro.shard.messages import ShardSpec, UpdateCommand
 from repro.shard.worker import ShardServer
 
 

@@ -16,7 +16,7 @@ from benchmarks.common import (
     scoped,
     window_for,
 )
-from repro.evaluation import get_dataset
+from repro.evaluation.datasets import get_dataset
 
 
 class TestScopeControl:

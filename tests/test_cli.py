@@ -4,7 +4,7 @@ import pytest
 
 from repro.cli import RESPONSE_MODELS, build_parser, main
 from repro.core.quota import QuotaController
-from repro.ppr.kernels import ENGINE_CHOICES, ENGINES
+from repro.ppr.names import ENGINE_CHOICES, ENGINES
 
 
 class TestParser:

@@ -13,13 +13,14 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import QuotaSystem
-from repro.graph import barabasi_albert_graph, erdos_renyi_graph
+from repro.core.system import QuotaSystem
+from repro.graph.generators import barabasi_albert_graph, erdos_renyi_graph
 from repro.graph.updates import random_update_stream
-from repro.ppr import ALGORITHMS, PPRParams, csr_view
-from repro.ppr.csr import CSRView
-from repro.queueing import generate_workload
-from repro.queueing.workload import QUERY, UPDATE
+from repro.ppr.base import PPRParams
+from repro.ppr.csr import csr_view, CSRView
+from repro.ppr.registry import ALGORITHMS
+from repro.queueing.kinds import QUERY, UPDATE
+from repro.queueing.workload import generate_workload
 from tests.ppr.test_csr import assert_views_equivalent
 
 FAST_ALGORITHMS = ["FORA", "FORA+", "SpeedPPR", "Agenda", "ResAcc"]

@@ -22,8 +22,9 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 SERVING_WITHOUT_SCIPY = """
 import sys
 import repro.cli, repro.api.serve, repro.shard.worker
-from repro.evaluation.runner import build_algorithm
-from repro.graph import EdgeUpdate, barabasi_albert_graph
+from repro.graph.generators import barabasi_albert_graph
+from repro.graph.updates import EdgeUpdate
+from repro.ppr.registry import build_algorithm
 
 graph = barabasi_albert_graph(200, attach=3, seed=1)
 for name in ("FORA", "FORA+inc"):
@@ -39,9 +40,9 @@ SCIPY_LOADS_ON_FIRST_USE = """
 import sys
 from repro.core.calibration import calibrated_cost_model
 from repro.core.quota import QuotaController
-from repro.evaluation.runner import build_algorithm
-from repro.graph import barabasi_albert_graph
-from repro.ppr import ppr_exact
+from repro.graph.generators import barabasi_albert_graph
+from repro.ppr.power_iteration import ppr_exact
+from repro.ppr.registry import build_algorithm
 
 graph = barabasi_albert_graph(120, attach=3, seed=1)
 assert "scipy" not in sys.modules
@@ -74,7 +75,7 @@ def numerics_loaded():
 # what a worker process does with its spec (spawn_main minus the pipes)
 WORKER_WITHOUT_THE_HARNESS = """
 import sys
-from repro.graph import barabasi_albert_graph
+from repro.graph.generators import barabasi_albert_graph
 from repro.shard.messages import QueryCommand, ShardSpec, UpdateCommand
 from repro.shard.worker import ShardServer
 
@@ -142,13 +143,20 @@ assert main(["datasets"]) == 0
 assert not numerics_loaded(), numerics_loaded()[:8]
 """
 
-LAZY_PACKAGES_IMPORT_NOTHING = NUMERICS + """
-import repro.core, repro.evaluation, repro.graph
-import repro.ppr, repro.queueing, repro.serving, repro.shard
+# a package re-exports nothing, so importing one loads only itself
+# (repro.obs keeps the two metrics names benchmarks/e2e/probe.py asks it for)
+PACKAGES_IMPORT_NOTHING = NUMERICS + """
+import sys
+import repro.analysis, repro.api, repro.baselines, repro.cache, repro.core
+import repro.evaluation, repro.graph, repro.obs, repro.ppr, repro.queueing
+import repro.scenarios, repro.serving, repro.shard
 
-assert not numerics_loaded(), numerics_loaded()[:8]
-from repro.graph import EdgeUpdate
-from repro.shard import ShardSpec
+packages = {"repro", "repro.analysis", "repro.api", "repro.baselines",
+            "repro.cache", "repro.core", "repro.evaluation", "repro.graph",
+            "repro.obs", "repro.ppr", "repro.queueing", "repro.scenarios",
+            "repro.serving", "repro.shard"}
+loaded = {name for name in sys.modules if name.split(".")[0] == "repro"}
+assert loaded == packages | {"repro.obs.metrics"}, sorted(loaded - packages)
 assert not numerics_loaded(), numerics_loaded()[:8]
 """
 
@@ -211,8 +219,8 @@ def test_cli_dataset_listing_loads_no_numpy():
     run_fresh_interpreter(CLI_LISTING_WITHOUT_NUMPY)
 
 
-def test_lazy_packages_import_nothing_until_asked():
-    run_fresh_interpreter(LAZY_PACKAGES_IMPORT_NOTHING)
+def test_packages_import_nothing():
+    run_fresh_interpreter(PACKAGES_IMPORT_NOTHING)
 
 
 def test_graph_image_builder_loads_no_numpy():

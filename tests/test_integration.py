@@ -8,23 +8,17 @@ timings, so they are robust to machine speed.
 import numpy as np
 import pytest
 
-from repro.core import (
-    QuotaController,
-    QuotaSystem,
-    calibrated_cost_model,
-)
-from repro.evaluation import (
-    AccuracySummary,
-    improvement_percent,
-)
-from repro.graph import barabasi_albert_graph
-from repro.ppr import Agenda, Fora, ForaPlus, PPRParams
-from repro.queueing import (
-    expected_response_time,
-    generate_workload,
-    traffic_intensity,
-)
-from repro.queueing.workload import QUERY, UPDATE
+from repro.core.calibration import calibrated_cost_model
+from repro.core.quota import QuotaController
+from repro.core.system import QuotaSystem
+from repro.evaluation.metrics import AccuracySummary, improvement_percent
+from repro.graph.generators import barabasi_albert_graph
+from repro.ppr.agenda import Agenda
+from repro.ppr.base import PPRParams
+from repro.ppr.fora import Fora, ForaPlus
+from repro.queueing.kinds import QUERY, UPDATE
+from repro.queueing.theory import expected_response_time, traffic_intensity
+from repro.queueing.workload import generate_workload
 
 
 @pytest.fixture(scope="module")
@@ -184,7 +178,10 @@ class TestSeedEndToEnd:
 class TestOnlineLoopEndToEnd:
     def test_online_tracks_rate_shift(self, graph, params):
         """After a big rate shift, the online loop must reconfigure."""
-        from repro.queueing import WorkloadSegment, generate_segmented_workload
+        from repro.queueing.workload import (
+            WorkloadSegment,
+            generate_segmented_workload,
+        )
 
         segments = [
             WorkloadSegment(4.0, 30.0, 5.0),
