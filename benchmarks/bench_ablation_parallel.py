@@ -3,15 +3,16 @@
 The paper's single-server queue is the bottleneck its whole design
 optimizes; the natural deployment question is how far parallelism (the
 "parallel PPR processing" direction [23]) moves the stability frontier.
-Two views, both virtual-time k-server replays:
+Two views, both ``replay(..., servers=k)`` in virtual time:
 
 1. **Modeled FCFS** — k = 1, 2, 4, 8 virtual servers replaying
-   deterministic modeled service times (``modeled=True``: the timeline
-   is a cost-model projection, not a measurement).
-2. **Modeled Seed-aware** — the event-driven
-   :class:`~repro.queueing.seed_simulator.SeedAwareQueueSimulator`: same
-   k servers plus Seed deferral/reordering and idle-time draining, updates
-   really mutating the graph so the Lemma 2 bound tracks true degrees.
+   deterministic modeled service times (a
+   :class:`~repro.queueing.replay.ModeledExecutor`: the timeline is a
+   cost-model projection, not a measurement).
+2. **Modeled Seed-aware** — the same k servers plus a
+   :class:`~repro.core.seed.SeedQueue`: Seed deferral/reordering and
+   idle-time draining, updates really mutating the graph so the Lemma 2
+   bound tracks true degrees.
 
 There is no measured k-thread view: the serving runtime is one thread
 per shard, and on CPython the measured unit of parallelism is the
@@ -28,12 +29,12 @@ from __future__ import annotations
 from benchmarks.common import scoped
 from repro.core.calibration import calibrated_cost_model
 from repro.core.quota import QuotaController
+from repro.core.seed import SeedQueue
 from repro.evaluation.datasets import get_dataset
 from repro.evaluation.report import banner, format_table
 from repro.ppr.registry import build_algorithm
 from repro.queueing.kinds import QUERY
-from repro.queueing.seed_simulator import SeedAwareQueueSimulator
-from repro.queueing.simulator import FCFSQueueSimulator
+from repro.queueing.replay import ModeledExecutor, replay
 from repro.queueing.workload import generate_workload
 
 SERVER_COUNTS = (1, 2, 4, 8)
@@ -65,31 +66,32 @@ def test_ablation_parallel_serving(benchmark, report):
         for servers in SERVER_COUNTS:
             row = [f"{servers} server(s)"]
             for beta in (default_beta, quota_beta):
-                sim = FCFSQueueSimulator(
-                    modeled_service_fn(model, beta, lq, lu),
+                result = replay(
+                    workload,
+                    ModeledExecutor(modeled_service_fn(model, beta, lq, lu)),
                     servers=servers,
-                    modeled=True,
                 )
-                result = sim.run(workload)
                 row.append(result.mean_query_response_time() * 1e3)
             rows.append(row)
 
         # Seed-aware event-driven replay: same servers, updates now
         # deferred/reordered within epsilon_r and drained during idle
-        # gaps.  Fresh graph per cell — the simulator mutates it.
+        # gaps.  Fresh graph per cell — the executor mutates it.
         seed_rows = []
         alpha = probe.params.alpha
         for servers in SERVER_COUNTS:
             row = [f"{servers} server(s)"]
             for eps in (0.0, 0.5):  # FCFS vs the Fig. 8 Seed budget
-                sim = SeedAwareQueueSimulator(
-                    modeled_service_fn(model, quota_beta, lq, lu),
-                    spec.build(seed=13),
-                    alpha=alpha,
-                    epsilon_r=eps,
+                cell_graph = spec.build(seed=13)
+                result = replay(
+                    workload,
+                    ModeledExecutor(
+                        modeled_service_fn(model, quota_beta, lq, lu),
+                        graph=cell_graph,
+                    ),
+                    seed_queue=SeedQueue(cell_graph, alpha, eps),
                     servers=servers,
                 )
-                result = sim.run(workload)
                 row.append(result.mean_query_response_time() * 1e3)
             seed_rows.append(row)
 

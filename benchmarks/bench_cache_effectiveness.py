@@ -3,15 +3,17 @@
 Three views of ``repro.cache`` (ISSUE 4):
 
 1. **Modeled sweep** — FCFS replays over Zipf query skew x update rate
-   x ``epsilon_c``, cached vs no-cache, on the virtual clock.  Modeled
-   entries carry no vector, so staleness charging falls back to the
-   conservative degree-only bound (``pi_hat = 1``) — orders of
+   x ``epsilon_c``, cached vs no-cache, on the virtual clock; the
+   cached replay's updates toggle the graph its cache is charged on.
+   Modeled entries carry no vector, so staleness charging falls back to
+   the conservative degree-only bound (``pi_hat = 1``) — orders of
    magnitude above typical true mass, so this table *understates* the
    cache (over-eviction by design, never under-protection).  Read the
    shape, not the absolute hit rates.
-2. **Measured serving** — the real :class:`~repro.serving.
-   ServingRuntime` worker pool, cached vs no-cache, with value-aware
-   charging (the cached vector prices its own staleness).  Includes a
+2. **Measured serving** — the real
+   :class:`~repro.serving.runtime.ServingRuntime` (one thread), cached
+   vs no-cache, with value-aware charging (the cached vector prices
+   its own staleness).  Includes a
    deliberately cache-hostile regime (uniform sources, tight budget,
    update-heavy) reported alongside the win.
 3. **Exactness oracle** — an exact power-iteration algorithm serves a
@@ -32,7 +34,6 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.common import scoped
-from repro.cache.staleness import ReplayCache
 from repro.cache.store import PPRCache
 from repro.core.system import QuotaSystem
 from repro.evaluation.report import banner, format_table
@@ -42,7 +43,7 @@ from repro.ppr.base import DynamicPPRAlgorithm, PPRParams, PPRVector
 from repro.ppr.power_iteration import ppr_exact
 from repro.ppr.registry import build_algorithm
 from repro.queueing.kinds import QUERY
-from repro.queueing.simulator import FCFSQueueSimulator
+from repro.queueing.replay import ModeledExecutor, replay
 from repro.queueing.workload import generate_workload, Request, Workload
 from repro.serving.runtime import ServingRuntime
 
@@ -91,30 +92,28 @@ def test_cache_modeled_sweep(benchmark, report):
                 workload = zipf_skewed(
                     base, graph.num_nodes, skew, np.random.default_rng(13)
                 )
-                plain = FCFSQueueSimulator(service_fn, modeled=True).run(
-                    workload
-                )
+                plain = replay(workload, ModeledExecutor(service_fn))
                 r_plain = plain.mean_query_response_time() * 1e3
                 for eps in epsilons:
                     metrics = MetricsRegistry()
                     cache = PPRCache(
                         capacity=256, epsilon_c=eps, metrics=metrics
                     )
-                    replay = ReplayCache(
-                        cache,
-                        graph.copy(),
-                        alpha=ALPHA,
-                        hit_service_s=HIT_SERVICE_S,
+                    cached = replay(
+                        workload,
+                        ModeledExecutor(
+                            service_fn,
+                            graph=graph.copy(),
+                            cache=cache,
+                            hit_service_s=HIT_SERVICE_S,
+                        ),
                     )
-                    cached = FCFSQueueSimulator(
-                        service_fn, modeled=True, cache=replay
-                    ).run(workload)
                     rows.append(
                         [
                             f"s={skew:.1f} lu={lambda_u:.0f} eps={eps}",
                             r_plain,
                             cached.mean_query_response_time() * 1e3,
-                            replay.hit_rate(),
+                            cache.hit_rate(),
                             float(
                                 metrics.counter(
                                     "cache.evictions_staleness"

@@ -14,7 +14,8 @@ defines it (``from repro.ppr.agenda import Agenda``).
     Base PPR algorithms (FORA/+, SpeedPPR/+, Agenda, ResAcc,
     FORA-TopK, TopPPR) plus push primitives and the exact oracle.
 ``repro.queueing``
-    Arrival processes, workloads, queueing theory, FCFS simulator.
+    Arrival processes, workloads, queueing theory, and ``replay``, the
+    one virtual-time loop (FCFS, Seed-aware, cached, k servers).
 ``repro.core``
     The paper's contribution: cost models, tau calibration, Augmented
     Lagrangian optimization, the Quota controller, Seed reordering,

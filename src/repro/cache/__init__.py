@@ -10,8 +10,9 @@ served answer within a provable distance of a fresh recompute:
 * :mod:`~repro.cache.staleness` — :class:`StalenessTracker`, charging
   each live entry a safety-scaled Lemma-2 increment per applied edge
   update and evicting past the ``epsilon_c`` budget;
-  :class:`ChargingApplier` for the Seed flush paths;
-  :class:`ReplayCache` for the virtual-time simulators.
+  :class:`ChargingApplier` for the Seed flush paths.  Both executors
+  of :mod:`repro.queueing.replay` take a plain :class:`PPRCache` and
+  build their tracker over the graph their updates change.
 
 Layering: this package sits beside :mod:`repro.ppr` (it imports only
 ``repro.graph`` and ``repro.obs``), so :mod:`repro.core`,

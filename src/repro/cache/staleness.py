@@ -26,7 +26,7 @@ near half the coupling factor).
 
 ``pi_hat(s, u)`` is the *cached* estimate — the value computed when the
 entry was admitted.  Entries whose result cannot be indexed by node
-(opaque ``query_fn`` results, modeled entries in the simulators) carry
+(opaque ``query_fn`` results, modeled entries in a virtual-time replay) carry
 no ``pi_estimate`` and fall back to the conservative degree-only bound
 ``pi_hat = 1``, which over-charges and never under-protects.
 
@@ -44,13 +44,7 @@ from __future__ import annotations
 
 from typing import Protocol
 
-from repro.cache.store import (
-    CacheEntry,
-    CacheKey,
-    PiEstimate,
-    PPRCache,
-    make_key,
-)
+from repro.cache.store import CacheEntry, CacheKey, PPRCache
 from repro.graph.digraph import DynamicGraph
 from repro.graph.updates import EdgeUpdate
 
@@ -140,84 +134,3 @@ class ChargingApplier:
         resolved = self._inner.apply_update(update)
         self._tracker.observe(resolved)
         return resolved
-
-
-class ReplayCache:
-    """Cache adapter for the virtual-time queue simulators.
-
-    Bundles a :class:`~repro.cache.store.PPRCache` with a
-    :class:`StalenessTracker` over the graph a simulated replay
-    mutates, exposing exactly what the simulators need: a hit test, an
-    admission hook, an update hook, and the modeled hit service time.
-    Simulated entries store no vector (``value=None``) by default, so
-    charging uses the conservative degree-only bound ``pi_hat = 1`` —
-    orders of magnitude above typical true values, so modeled replays
-    over-evict (and under-report hit rates) relative to measured runs,
-    never the reverse.  Callers that do hold a vector can pass a
-    ``pi_estimate`` accessor to :meth:`admit` to recover value-aware
-    charging.
-
-    Parameters
-    ----------
-    cache:
-        The underlying store (its ``epsilon_c``/metrics apply).
-    graph:
-        The graph the simulator mutates (`on_update` reads degrees
-        from it, post-application).
-    alpha:
-        Teleport probability (for the staleness increment).
-    algo:
-        Key namespace; keep distinct per simulated configuration when
-        one store is shared.
-    hit_service_s:
-        Modeled service duration of a cache hit, in virtual seconds
-        (default 0.0 — a hit is free on the virtual clock).
-    safety:
-        Forwarded to :class:`StalenessTracker`.
-    """
-
-    def __init__(
-        self,
-        cache: PPRCache,
-        graph: DynamicGraph,
-        alpha: float = 0.2,
-        algo: str = "modeled",
-        hit_service_s: float = 0.0,
-        safety: float | None = None,
-    ) -> None:
-        if hit_service_s < 0.0:
-            raise ValueError(
-                f"hit_service_s must be >= 0, got {hit_service_s}"
-            )
-        self.cache = cache
-        self.hit_service_s = hit_service_s
-        self._graph = graph
-        self._algo = algo
-        self._tracker = StalenessTracker(cache, graph, alpha, safety=safety)
-
-    def _key(self, source: int) -> CacheKey:
-        return make_key(source, self._algo, {})
-
-    def hit(self, source: int) -> bool:
-        """True when ``source`` is served from cache (bumps metrics)."""
-        return self.cache.lookup(self._key(source)) is not None
-
-    def admit(
-        self,
-        source: int,
-        pi_estimate: PiEstimate | None = None,
-    ) -> None:
-        """Record a computed (modeled) result for ``source``."""
-        self.cache.insert(
-            self._key(source),
-            None,
-            self._graph.version,
-            pi_estimate=pi_estimate,
-        )
-
-    def on_update(self, update: EdgeUpdate) -> list[CacheKey]:
-        """Charge one applied update (call after the graph mutated)."""
-        return self._tracker.observe(update)
-
-    def hit_rate(self) -> float:
-        return self.cache.hit_rate()

@@ -41,6 +41,22 @@ LOG_HI = -1e-6
 STABLE = "stable"
 UNSTABLE = "unstable"
 
+#: relative change of some hyperparameter below which a new beta is not
+#: worth re-applying (an index rebuild for the index-based algorithms)
+BETA_CHANGE_THRESHOLD = 0.10
+
+
+def beta_moved(current: dict[str, float], proposed: dict[str, float]) -> bool:
+    """True when any hyperparameter of ``proposed`` moved past
+    :data:`BETA_CHANGE_THRESHOLD` relative to ``current``."""
+    for name, new in proposed.items():
+        old = current.get(name, 0.0)
+        if old <= 0:
+            return True
+        if abs(new - old) / old > BETA_CHANGE_THRESHOLD:
+            return True
+    return False
+
 
 @dataclass(slots=True)
 class QuotaDecision:

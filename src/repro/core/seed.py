@@ -35,8 +35,8 @@ class UpdateApplier(Protocol):
 
     Structurally satisfied by every
     :class:`~repro.ppr.base.DynamicPPRAlgorithm` (graph + index
-    maintenance) and by the lightweight graph-only adapters the
-    queueing simulators use for modeled replays.
+    maintenance) and by the lightweight graph-only adapters
+    modeled replays use.
     """
 
     def apply_update(self, update: EdgeUpdate) -> EdgeUpdate: ...

@@ -1,11 +1,11 @@
-"""QuotaSystem: the end-to-end serving loop (Algorithm 2 + simulator).
+"""QuotaSystem: the end-to-end serving loop (Algorithm 2, virtual time).
 
 Glues everything together: a base PPR algorithm, the Quota controller
 (optional — omit it to replay the algorithm at its default setting, the
 paper's baselines), the Seed reordering queue (epsilon_r > 0), online
 arrival-rate monitoring with periodic re-optimization, and the
 virtual-time FCFS clock (:func:`repro.queueing.replay.replay`, the
-schedule shared with the modeled simulators).
+schedule modeled replays run too).
 
 Timing model (the DESIGN.md substitution): the server's virtual clock
 advances by the *measured wall time* of each executed operation —
@@ -22,9 +22,8 @@ import time
 from collections.abc import Callable
 from typing import cast
 
-from repro.cache.staleness import StalenessTracker
 from repro.cache.store import PPRCache
-from repro.core.quota import QuotaController, QuotaDecision
+from repro.core.quota import QuotaController, QuotaDecision, beta_moved
 from repro.core.rates import RateDriftDetector, RateEstimator
 from repro.core.seed import SeedQueue
 from repro.obs.metrics import MetricsRegistry, get_metrics
@@ -33,6 +32,10 @@ from repro.queueing.replay import MeasuredExecutor, SimulationResult, replay
 from repro.queueing.workload import Request, Workload
 
 QueryCallback = Callable[[Request, PPRVector, int], None]
+
+#: relative change of a monitored rate below which the periodic online
+#: loop does not re-solve
+RATE_CHANGE_THRESHOLD = 0.15
 
 
 class QuotaSystem:
@@ -77,8 +80,6 @@ class QuotaSystem:
         epsilon_r: float = 0.0,
         reoptimize_every: float | None = None,
         rate_window: float = 10.0,
-        rate_change_threshold: float = 0.15,
-        beta_change_threshold: float = 0.10,
         cache: PPRCache | None = None,
         metrics: MetricsRegistry | None = None,
         drift_detector: RateDriftDetector | None = None,
@@ -91,20 +92,7 @@ class QuotaSystem:
         self.reoptimize_every = reoptimize_every
         self.drift_detector = drift_detector
         self.rate_estimator = RateEstimator(window=rate_window)
-        # hysteresis for the online loop: skip re-solving when the
-        # monitored rates barely moved, and skip re-applying beta (an
-        # index rebuild for index-based algorithms) when the solution
-        # barely moved
-        self.rate_change_threshold = rate_change_threshold
-        self.beta_change_threshold = beta_change_threshold
         self.cache = cache
-        self._staleness = (
-            StalenessTracker(
-                cache, algorithm.graph, algorithm.params.alpha
-            )
-            if cache is not None
-            else None
-        )
         self.metrics = metrics if metrics is not None else get_metrics()
         self.decisions: list[QuotaDecision] = []
         self._last_reoptimize = 0.0
@@ -155,7 +143,6 @@ class QuotaSystem:
                 self.metrics,
                 on_answer,
                 cache=self.cache,
-                staleness=self._staleness,
             ),
             seed_queue=seed_queue,
             on_arrival=self._on_arrival,
@@ -212,7 +199,7 @@ class QuotaSystem:
         )
         self._configured_rates = (lambda_q, lambda_u)
         self.decisions.append(decision)
-        if not self._beta_moved(current, decision.beta):
+        if not beta_moved(current, decision.beta):
             return 0.0
         started = time.perf_counter()
         self.algorithm.set_hyperparameters(**decision.beta)
@@ -224,24 +211,10 @@ class QuotaSystem:
         """True when either monitored rate drifted past the threshold."""
         assert self._configured_rates is not None  # caller checked
         last_q, last_u = self._configured_rates
-        threshold = self.rate_change_threshold
 
         def moved(new: float, old: float) -> bool:
             if old <= 0:
                 return new > 0
-            return abs(new - old) / old > threshold
+            return abs(new - old) / old > RATE_CHANGE_THRESHOLD
 
         return moved(lambda_q, last_q) or moved(lambda_u, last_u)
-
-    def _beta_moved(
-        self, current: dict[str, float], proposed: dict[str, float]
-    ) -> bool:
-        """True when any hyperparameter changed enough to be worth the
-        re-application cost (index rebuild for index-based methods)."""
-        for name, new in proposed.items():
-            old = current.get(name, 0.0)
-            if old <= 0:
-                return True
-            if abs(new - old) / old > self.beta_change_threshold:
-                return True
-        return False

@@ -12,6 +12,26 @@ import os
 from repro.graph.digraph import DynamicGraph
 
 
+def load_edge_stream(
+    path: str | os.PathLike[str],
+) -> list[tuple[int, int]]:
+    """Read a whitespace-separated edge list, preserving line order.
+
+    Columns past the first two (SNAP weights, timestamps) are ignored.
+    """
+    stream: list[tuple[int, int]] = []
+    with open(path, encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) < 2:
+                raise ValueError(f"{path}:{line_no}: expected 'u v', got {line!r}")
+            stream.append((int(parts[0]), int(parts[1])))
+    return stream
+
+
 def load_edge_list(
     path: str | os.PathLike[str], directed: bool = True
 ) -> DynamicGraph:
@@ -26,18 +46,10 @@ def load_edge_list(
         paper treats its undirected datasets (DBLP, Orkut).
     """
     graph = DynamicGraph()
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise ValueError(f"{path}:{line_no}: expected 'u v', got {line!r}")
-            u, v = int(parts[0]), int(parts[1])
-            graph.add_edge(u, v)
-            if not directed:
-                graph.add_edge(v, u)
+    for u, v in load_edge_stream(path):
+        graph.add_edge(u, v)
+        if not directed:
+            graph.add_edge(v, u)
     return graph
 
 

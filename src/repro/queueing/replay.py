@@ -1,11 +1,11 @@
 """The virtual-time replay loop: one schedule, two sources of service time.
 
-Every single-threaded engine of this package — strict FCFS
-(:class:`~repro.queueing.simulator.FCFSQueueSimulator`), the Seed-aware
-simulator (:class:`~repro.queueing.seed_simulator.SeedAwareQueueSimulator`)
-and the measured :meth:`QuotaSystem.process
-<repro.core.system.QuotaSystem.process>` — is :func:`replay` with a
-different :class:`Executor`.  The loop owns the *schedule* (Algorithm 2
+Virtual time has one entry point, :func:`replay`: a modeled run is
+``replay(workload, ModeledExecutor(service_fn, graph=g, cache=c),
+seed_queue=SeedQueue(g, alpha, epsilon_r), servers=k)`` with whatever
+it does not use left out, and the measured :meth:`QuotaSystem.process
+<repro.core.system.QuotaSystem.process>` is the same call with a
+:class:`MeasuredExecutor`.  The loop owns the *schedule* (Algorithm 2
 on k FCFS servers); the executor only says how long each operation
 took.
 
@@ -53,7 +53,6 @@ from numpy.typing import NDArray
 
 from repro.cache.staleness import (
     ChargingApplier,
-    ReplayCache,
     StalenessTracker,
     SupportsApplyUpdate,
 )
@@ -227,6 +226,15 @@ class Executor(Protocol):
         ...
 
 
+#: teleport probability a modeled cache charges staleness at
+MODELED_ALPHA = 0.2
+
+
+def modeled_key(source: int) -> CacheKey:
+    """Cache identity of a modeled query result for ``source``."""
+    return make_key(source, "modeled", {})
+
+
 class ModeledExecutor:
     """Service time from a cost function; structure optionally real.
 
@@ -243,21 +251,38 @@ class ModeledExecutor:
         nothing is mutated here — the FCFS contract, where a measured
         ``service_fn`` executes the work itself.
     cache:
-        Optional :class:`~repro.cache.staleness.ReplayCache`: a hit is charged
-        ``cache.hit_service_s`` and ``service_fn`` is *not* invoked; a
+        Optional :class:`~repro.cache.store.PPRCache`, charged by a
+        :class:`~repro.cache.staleness.StalenessTracker` over ``graph``
+        (required with a cache) at ``alpha = MODELED_ALPHA``: a hit
+        costs ``hit_service_s`` and ``service_fn`` is *not* invoked; a
         miss is admitted at its service cost; every update charges the
-        staleness tracker right after it was applied.
+        tracker right after it was applied, against post-update
+        degrees.  Modeled entries store no vector, so charging uses the
+        degree-only bound ``pi_hat = 1`` — modeled replays over-evict
+        relative to measured runs, never the reverse.
+    hit_service_s:
+        Modeled service duration of a cache hit, in virtual seconds.
     """
 
     def __init__(
         self,
         service_fn: ServiceFn,
         graph: DynamicGraph | None = None,
-        cache: ReplayCache | None = None,
+        cache: PPRCache | None = None,
+        hit_service_s: float = 0.0,
     ) -> None:
+        if hit_service_s < 0.0:
+            raise ValueError(
+                f"hit_service_s must be >= 0, got {hit_service_s}"
+            )
         self._service_fn = service_fn
         self._graph = graph
-        self._cache = cache
+        self._hit_service_s = hit_service_s
+        self._staleness: StalenessTracker | None = None
+        if cache is not None:
+            if graph is None:
+                raise ValueError("a modeled cache needs the graph it charges")
+            self._staleness = StalenessTracker(cache, graph, MODELED_ALPHA)
 
     def _service(self, request: Request) -> float:
         return validate_service(float(self._service_fn(request)), request)
@@ -265,16 +290,20 @@ class ModeledExecutor:
     def lookup(self, request: Request) -> float | None:
         source = request.source
         assert source is not None  # QUERY requests carry one
-        if self._cache is not None and self._cache.hit(source):
-            return self._cache.hit_service_s
-        return None
+        if self._staleness is None:
+            return None
+        if self._staleness.cache.lookup(modeled_key(source)) is None:
+            return None
+        return self._hit_service_s
 
     def query(self, request: Request) -> float:
         source = request.source
         assert source is not None  # QUERY requests carry one
         service = self._service(request)
-        if self._cache is not None:
-            self._cache.admit(source)
+        if self._staleness is not None:
+            self._staleness.cache.insert(
+                modeled_key(source), None, self._staleness.graph.version
+            )
         return service
 
     def apply(self, request: Request, flushing: bool) -> float:
@@ -283,8 +312,8 @@ class ModeledExecutor:
         service = self._service(request)
         if self._graph is not None:
             update = update.apply(self._graph)
-        if self._cache is not None:
-            self._cache.on_update(update)
+        if self._staleness is not None:
+            self._staleness.observe(update)
         return service
 
     def flushed(self, seconds: float) -> None:
@@ -304,10 +333,11 @@ class MeasuredExecutor:
     """Service time = measured wall time of the real algorithm.
 
     Queries look up the :class:`~repro.cache.store.PPRCache` before computing
-    (a hit costs the measured lookup) and insert after; updates go
-    through a :class:`~repro.cache.staleness.ChargingApplier` when a staleness
-    tracker is given, so each one is charged against the degrees it
-    actually saw.  Durations land on the ``service.*`` histograms:
+    (a hit costs the measured lookup) and insert after; with a cache,
+    updates go through a :class:`~repro.cache.staleness.ChargingApplier`
+    over ``algorithm.graph`` at ``algorithm.params.alpha``, so each one
+    is charged against the degrees it actually saw.  Durations land on
+    the ``service.*`` histograms:
     ``service.update`` for an update served on its own, one
     ``service.flush`` total per flush.  ``query_fn`` replaces
     ``algorithm.query`` (the exact mode of the equivalence oracle); its
@@ -321,15 +351,19 @@ class MeasuredExecutor:
         metrics: MetricsRegistry,
         on_answer: AnswerHook,
         cache: PPRCache | None = None,
-        staleness: StalenessTracker | None = None,
         query_fn: QueryFn | None = None,
     ) -> None:
         self._algorithm = algorithm
         self._metrics = metrics
         self._cache = cache
         self._applier: SupportsApplyUpdate = (
-            ChargingApplier(algorithm, staleness)
-            if staleness is not None
+            ChargingApplier(
+                algorithm,
+                StalenessTracker(
+                    cache, algorithm.graph, algorithm.params.alpha
+                ),
+            )
+            if cache is not None
             else algorithm
         )
         self._on_answer = on_answer
@@ -473,6 +507,8 @@ def replay(
     extends past it) and inflate the load metrics above 1 for an
     underloaded system.
     """
+    if servers < 1:
+        raise ValueError("servers must be >= 1")
     if isinstance(workload, Workload):
         requests = workload.requests
         horizon = workload.t_end if t_end is None else t_end

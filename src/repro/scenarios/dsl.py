@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.graph.digraph import DynamicGraph
+from repro.graph.io import load_edge_stream
 from repro.graph.updates import EdgeUpdate
 from repro.queueing.arrivals import wikipedia_like_trace
 from repro.queueing.kinds import QUERY, UPDATE
@@ -84,7 +85,7 @@ class Scenario:
         Registry key this scenario was built from.
     segments:
         Piecewise-constant rate schedule (the ``WorkloadSegment`` form
-        every existing bench and simulator consumes).
+        every existing bench and replay consumes).
     description:
         One-line human summary for report cards.
     source_sampler:
@@ -450,25 +451,6 @@ def paper_pattern(
     )
 
 
-def load_edge_stream(
-    path: str | os.PathLike[str],
-) -> list[tuple[int, int]]:
-    """Read a SNAP-style edge list preserving stream order."""
-    stream: list[tuple[int, int]] = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise ValueError(
-                    f"{path}:{line_no}: expected 'u v', got {line!r}"
-                )
-            stream.append((int(parts[0]), int(parts[1])))
-    return stream
-
-
 # ----------------------------------------------------------------------
 # registry + text-spec parsing
 # ----------------------------------------------------------------------
@@ -549,7 +531,6 @@ __all__ = [
     "diurnal",
     "edge_replay",
     "flash_crowd",
-    "load_edge_stream",
     "paper_pattern",
     "parse_scenario",
     "update_storm",

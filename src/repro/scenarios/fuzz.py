@@ -5,15 +5,15 @@ scenario (a flash crowd draws its spike factor from the 10-100x range,
 a Zipf family its exponent, ...), compiles it to a workload, and
 replays it through three engines:
 
-1. :class:`~repro.queueing.simulator.FCFSQueueSimulator` (modeled,
-   one server);
-2. :class:`~repro.queueing.seed_simulator.SeedAwareQueueSimulator`
-   (modeled, two servers, the scenario's ``epsilon_r``, a
-   :class:`~repro.cache.staleness.ReplayCache` in front) — plus a quiet
-   ``epsilon_r=0`` single-server run used purely for the FCFS
-   differential;
-3. the measured :class:`~repro.serving.runtime.ServingRuntime` (real threads,
-   open-loop paced replay via :meth:`serve_timed`, result cache,
+1. ``fcfs`` — :func:`~repro.queueing.replay.replay` with a
+   :class:`~repro.queueing.replay.ModeledExecutor` and nothing else
+   (modeled, one server, strict FCFS);
+2. ``seed-aware`` — the same loop with a real graph, a
+   :class:`~repro.core.seed.SeedQueue` at the scenario's ``epsilon_r``,
+   a result cache and two servers — plus a quiet ``epsilon_r=0``
+   single-server run used purely for the FCFS differential;
+3. the measured :class:`~repro.serving.runtime.ServingRuntime` (one
+   thread, open-loop paced replay via :meth:`serve_timed`, result cache,
    snapshot-version equivalence oracle) — rotated across the seed axis
    so one ``fuzz --seeds 20`` sweep exercises every family through the
    measured stack without paying a measured run per cell.
@@ -42,19 +42,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cache.staleness import ReplayCache
 from repro.cache.store import PPRCache
 from repro.core.calibration import calibrated_cost_model
 from repro.core.quota import QuotaController
 from repro.core.rates import RateDriftDetector
+from repro.core.seed import SeedQueue
 from repro.graph.digraph import DynamicGraph
 from repro.graph.generators import barabasi_albert_graph
 from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.ppr.registry import build_algorithm
 from repro.queueing.kinds import QUERY
-from repro.queueing.replay import ServiceFn, SimulationResult
-from repro.queueing.seed_simulator import SeedAwareQueueSimulator
-from repro.queueing.simulator import FCFSQueueSimulator
+from repro.queueing.replay import (
+    ModeledExecutor,
+    ServiceFn,
+    SimulationResult,
+    replay,
+)
 from repro.queueing.workload import Request, Workload
 from repro.scenarios.dsl import (
     FAMILIES,
@@ -298,32 +301,30 @@ def run_modeled(
     service = modeled_service_fn()
     violations = check_workload(scenario.name, workload)
 
-    fcfs = FCFSQueueSimulator(service, servers=1, modeled=True).run(workload)
+    fcfs = replay(workload, ModeledExecutor(service))
     violations += check_simulation(
         scenario.name, "fcfs", workload, fcfs, servers=1
     )
 
-    quiet = MetricsRegistry()
     seed_graph = graph.copy()
-    replay_cache = ReplayCache(
-        PPRCache(capacity=96, epsilon_c=FUZZ_EPSILON_C, metrics=quiet),
-        seed_graph,
-        alpha=0.2,
-        hit_service_s=MODELED_QUERY_S * 0.25,
+    cache = PPRCache(
+        capacity=96, epsilon_c=FUZZ_EPSILON_C, metrics=MetricsRegistry()
     )
-    seed_sim = SeedAwareQueueSimulator(
-        service,
-        seed_graph,
-        epsilon_r=scenario.epsilon_r,
+    seed_sim = replay(
+        workload,
+        ModeledExecutor(
+            service,
+            graph=seed_graph,
+            cache=cache,
+            hit_service_s=MODELED_QUERY_S * 0.25,
+        ),
+        seed_queue=SeedQueue(seed_graph, 0.2, scenario.epsilon_r),
         servers=2,
-        cache=replay_cache,
-    ).run(workload)
+    )
     violations += check_simulation(
         scenario.name, "seed-aware", workload, seed_sim, servers=2
     )
-    violations += check_staleness_budget(
-        scenario.name, "seed-aware", replay_cache.cache
-    )
+    violations += check_staleness_budget(scenario.name, "seed-aware", cache)
 
     # toggle updates commute into one final edge set: the Seed-aware
     # replay (defer/flush/drain paths) must land where a plain
@@ -338,9 +339,12 @@ def run_modeled(
 
     # the coincidence contract: epsilon_r=0, k=1, no cache => FCFS,
     # both held against the Lindley recursion (they share the loop)
-    differential = SeedAwareQueueSimulator(
-        service, graph.copy(), epsilon_r=0.0, servers=1
-    ).run(workload)
+    differential_graph = graph.copy()
+    differential = replay(
+        workload,
+        ModeledExecutor(service, graph=differential_graph),
+        seed_queue=SeedQueue(differential_graph, 0.2, 0.0),
+    )
     lindley = lindley_reference(workload, service)
     violations += check_modeled_equivalence(scenario.name, lindley, fcfs)
     violations += check_modeled_equivalence(
@@ -362,8 +366,8 @@ def run_modeled(
             seed,
             "seed-aware",
             seed_sim,
-            hit_rate=replay_cache.hit_rate(),
-            staleness_spent=replay_cache.cache.worst_staleness(),
+            hit_rate=cache.hit_rate(),
+            staleness_spent=cache.worst_staleness(),
             violations=sum(1 for v in violations if v.engine == "seed-aware"),
         ),
     ]

@@ -15,14 +15,14 @@ The oracle set, and why each holds:
 * **simulation invariants** — per-request time monotonicity (``arrival
   <= start <= finish``), finite non-negative service, conservation
   (every submitted request completes exactly once: Seed defers updates
-  but the simulators drain every queue before returning), and busy
-  time bounded by ``servers * horizon`` (no simulator may manufacture
+  but the replay drains every queue before returning), and busy
+  time bounded by ``servers * horizon`` (no replay may manufacture
   capacity).
 * **modeled differential** — with ``epsilon_r = 0``, one server, no
-  cache, the Seed-aware simulator *is* FCFS: identical per-request
-  timelines (the documented coincidence contract of
-  :class:`~repro.queueing.seed_simulator.SeedAwareQueueSimulator`).
-  Both simulators run the one replay loop, so the independent side of
+  cache, a Seed-aware :func:`~repro.queueing.replay.replay` *is* FCFS:
+  identical per-request timelines (the coincidence contract: a
+  ``SeedQueue`` at ``epsilon_r = 0`` never defers).  Both runs are
+  the one replay loop, so the independent side of
   the differential is :func:`lindley_reference` — the recursion
   ``start_i = max(arrival_i, finish_{i-1})`` computed straight from
   the workload, sharing no code with the loop.

@@ -53,7 +53,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, TypeVar, cast
 
-from repro.cache.staleness import StalenessTracker
 from repro.cache.store import PPRCache
 from repro.core.seed import SeedQueue
 from repro.obs.metrics import MetricsRegistry, get_metrics
@@ -256,13 +255,6 @@ class ServingRuntime:
             self.metrics,
             self._on_answer,
             cache=cache,
-            staleness=(
-                StalenessTracker(
-                    cache, algorithm.graph, algorithm.params.alpha
-                )
-                if cache is not None
-                else None
-            ),
             query_fn=query_fn,
         )
         #: the last query's (answer, cached_version), from the executor
@@ -446,18 +438,22 @@ class ServingRuntime:
         The controller's solve runs on the caller's thread; applying the
         hyperparameters — an index rebuild for index-based algorithms —
         runs on the runtime thread between two requests, mirroring what
-        ``QuotaSystem`` charges to its virtual clock.
+        ``QuotaSystem`` charges to its virtual clock.  As there, a beta
+        that :func:`~repro.core.quota.beta_moved` does not call moved is
+        recorded but not applied.
         """
         if self.controller is None:
             return None
+        # only a runtime with a controller loads the Quota stack
+        from repro.core.quota import beta_moved
+
+        current = self.algorithm.get_hyperparameters()
         decision = self.controller.configure(
-            lambda_q,
-            lambda_u,
-            warm_start=self.algorithm.get_hyperparameters(),
-            quick=quick,
+            lambda_q, lambda_u, warm_start=current, quick=quick
         )
-        elapsed_s = self._call(lambda: self._set_beta(decision.beta))
-        self.metrics.histogram("service.reconfigure").observe(elapsed_s)
+        if beta_moved(current, decision.beta):
+            elapsed_s = self._call(lambda: self._set_beta(decision.beta))
+            self.metrics.histogram("service.reconfigure").observe(elapsed_s)
         self.decisions.append(decision)
         return decision
 

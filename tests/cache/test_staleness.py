@@ -6,7 +6,6 @@ import pytest
 
 from repro.cache.staleness import (
     ChargingApplier,
-    ReplayCache,
     StalenessTracker,
     lemma2_increment,
 )
@@ -14,6 +13,9 @@ from repro.cache.store import PPRCache, make_key
 from repro.graph.digraph import DynamicGraph
 from repro.graph.updates import EdgeUpdate
 from repro.obs.metrics import MetricsRegistry
+from repro.queueing.kinds import QUERY, UPDATE
+from repro.queueing.replay import ModeledExecutor, modeled_key
+from repro.queueing.workload import Request
 
 
 def line_graph(n=6):
@@ -128,35 +130,45 @@ class TestChargingApplier:
         assert cache.updates_seen == 1
 
 
-class TestReplayCache:
+class TestModeledCache:
+    """The cache contract of :class:`ModeledExecutor`: it builds its own
+    tracker over the graph its updates toggle."""
+
     def test_hit_after_admit(self):
-        graph = line_graph()
-        replay = ReplayCache(fresh_cache(epsilon_c=100.0), graph)
-        assert not replay.hit(3)
-        replay.admit(3)
-        assert replay.hit(3)
+        executor = ModeledExecutor(
+            lambda r: 1.0,
+            graph=line_graph(),
+            cache=fresh_cache(epsilon_c=100.0),
+            hit_service_s=0.25,
+        )
+        query = Request(0.0, QUERY, source=3)
+        assert executor.lookup(query) is None
+        assert executor.query(query) == 1.0
+        assert executor.lookup(query) == 0.25
 
     def test_on_update_charges_conservatively(self):
         graph = line_graph()
         cache = fresh_cache(epsilon_c=100.0)
-        replay = ReplayCache(cache, graph, alpha=0.2, safety=1.0)
-        replay.admit(3)
-        replay.on_update(EdgeUpdate(1, 5).apply(graph))
-        entry = cache.lookup(replay._key(3))
-        # no vector stored -> degree-only bound with pi_hat = 1
-        expected = lemma2_increment(0.2, 1.0, graph.out_degree(1))
-        assert entry.staleness == pytest.approx(expected)
-
-    def test_pi_estimate_passthrough(self):
-        graph = line_graph()
-        cache = fresh_cache(epsilon_c=100.0)
-        replay = ReplayCache(cache, graph, alpha=0.2, safety=1.0)
-        replay.admit(3, pi_estimate=lambda node: 0.1)
-        replay.on_update(EdgeUpdate(1, 5).apply(graph))
-        entry = cache.lookup(replay._key(3))
-        expected = 0.1 * lemma2_increment(0.2, 1.0, graph.out_degree(1))
+        executor = ModeledExecutor(lambda r: 1.0, graph=graph, cache=cache)
+        executor.query(Request(0.0, QUERY, source=3))
+        update = Request(0.0, UPDATE, update=EdgeUpdate(1, 5))
+        executor.apply(update, flushing=False)
+        assert graph.has_edge(1, 5)  # the charged graph is the mutated one
+        entry = cache.lookup(modeled_key(3))
+        # no vector stored -> degree-only bound with pi_hat = 1, scaled
+        # by the default safety 2 / alpha, at the post-update degree
+        expected = 10.0 * lemma2_increment(0.2, 1.0, graph.out_degree(1))
         assert entry.staleness == pytest.approx(expected)
 
     def test_negative_hit_service_rejected(self):
         with pytest.raises(ValueError):
-            ReplayCache(fresh_cache(), line_graph(), hit_service_s=-1.0)
+            ModeledExecutor(
+                lambda r: 1.0,
+                graph=line_graph(),
+                cache=fresh_cache(),
+                hit_service_s=-1.0,
+            )
+
+    def test_cache_without_graph_rejected(self):
+        with pytest.raises(ValueError, match="graph"):
+            ModeledExecutor(lambda r: 1.0, cache=fresh_cache())

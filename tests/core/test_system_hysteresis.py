@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.quota import beta_moved
 from repro.core.system import QuotaSystem
 from repro.graph.generators import barabasi_albert_graph
 from repro.ppr.base import PPRParams
@@ -11,11 +12,7 @@ from repro.ppr.fora import Fora
 @pytest.fixture
 def system():
     graph = barabasi_albert_graph(60, attach=2, seed=0)
-    return QuotaSystem(
-        Fora(graph, PPRParams(walk_cap=200)),
-        rate_change_threshold=0.15,
-        beta_change_threshold=0.10,
-    )
+    return QuotaSystem(Fora(graph, PPRParams(walk_cap=200)))
 
 
 class TestRatesMoved:
@@ -36,19 +33,19 @@ class TestRatesMoved:
 
 
 class TestBetaMoved:
-    def test_tiny_change_skipped(self, system):
-        assert not system._beta_moved({"r_max": 1e-3}, {"r_max": 1.05e-3})
+    def test_tiny_change_skipped(self):
+        assert not beta_moved({"r_max": 1e-3}, {"r_max": 1.05e-3})
 
-    def test_material_change_applied(self, system):
-        assert system._beta_moved({"r_max": 1e-3}, {"r_max": 2e-3})
+    def test_material_change_applied(self):
+        assert beta_moved({"r_max": 1e-3}, {"r_max": 2e-3})
 
-    def test_new_parameter_is_movement(self, system):
-        assert system._beta_moved({}, {"r_max": 1e-3})
+    def test_new_parameter_is_movement(self):
+        assert beta_moved({}, {"r_max": 1e-3})
 
-    def test_zero_old_value_is_movement(self, system):
-        assert system._beta_moved({"r_max": 0.0}, {"r_max": 1e-3})
+    def test_zero_old_value_is_movement(self):
+        assert beta_moved({"r_max": 0.0}, {"r_max": 1e-3})
 
-    def test_multi_parameter_any_moves(self, system):
+    def test_multi_parameter_any_moves(self):
         current = {"r_max": 1e-3, "r_max_b": 1e-3}
         proposed = {"r_max": 1.01e-3, "r_max_b": 5e-3}
-        assert system._beta_moved(current, proposed)
+        assert beta_moved(current, proposed)

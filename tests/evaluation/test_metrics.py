@@ -15,7 +15,7 @@ from repro.ppr.base import PPRParams
 from repro.ppr.fora import Fora
 from repro.ppr.power_iteration import ppr_exact
 from repro.queueing.kinds import QUERY
-from repro.queueing.simulator import FCFSQueueSimulator
+from repro.queueing.replay import ModeledExecutor, replay
 from repro.queueing.workload import Request
 
 
@@ -26,8 +26,7 @@ def make_result(response_times):
         for i in range(len(response_times))
     ]
     services = iter(response_times)
-    sim = FCFSQueueSimulator(lambda r: next(services))
-    return sim.run(spaced, t_end=1e6)
+    return replay(spaced, ModeledExecutor(lambda r: next(services)), t_end=1e6)
 
 
 class TestResponseTimeSummary:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.graph.digraph import DynamicGraph
-from repro.graph.io import load_edge_list, save_edge_list
+from repro.graph.io import load_edge_list, load_edge_stream, save_edge_list
 
 
 def test_round_trip(tmp_path):
@@ -48,3 +48,16 @@ def test_header_written(tmp_path):
     path = tmp_path / "graph.txt"
     save_edge_list(g, path)
     assert path.read_text().startswith("# nodes: 2 edges: 1\n")
+
+
+def test_edge_stream_keeps_file_order(tmp_path):
+    path = tmp_path / "stream.txt"
+    path.write_text("# comment\n4 5\n0 1\n\n2 3\n0 1\n")
+    assert load_edge_stream(path) == [(4, 5), (0, 1), (2, 3), (0, 1)]
+
+
+def test_edge_stream_malformed_line_raises(tmp_path):
+    path = tmp_path / "stream.txt"
+    path.write_text("0 1\nnonsense\n")
+    with pytest.raises(ValueError, match="stream.txt:2: expected 'u v'"):
+        load_edge_stream(path)

@@ -14,6 +14,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.seed import SeedQueue
 from repro.core.system import QuotaSystem
 from repro.graph.generators import barabasi_albert_graph
 from repro.graph.updates import EdgeUpdate
@@ -21,8 +22,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.ppr.base import PPRParams, DynamicPPRAlgorithm
 from repro.ppr.power_iteration import ppr_exact
 from repro.queueing.kinds import QUERY, UPDATE
-from repro.queueing.seed_simulator import SeedAwareQueueSimulator
-from repro.queueing.simulator import FCFSQueueSimulator
+from repro.queueing.replay import ModeledExecutor, replay
 from repro.queueing.workload import Request, Workload
 from repro.scenarios.oracles import lindley_reference
 
@@ -67,11 +67,14 @@ def timeline(result):
 @given(workload=workloads())
 def test_strict_fcfs_configurations_match_the_lindley_recursion(workload):
     expected = timeline(lindley_reference(workload, service_fn))
-    fcfs = FCFSQueueSimulator(service_fn).run(workload)
+    fcfs = replay(workload, ModeledExecutor(service_fn))
     assert timeline(fcfs) == expected
-    seed_off = SeedAwareQueueSimulator(
-        service_fn, barabasi_albert_graph(NODES, attach=2, seed=1)
-    ).run(workload)
+    graph = barabasi_albert_graph(NODES, attach=2, seed=1)
+    seed_off = replay(
+        workload,
+        ModeledExecutor(service_fn, graph=graph),
+        seed_queue=SeedQueue(graph, 0.2, 0.0),
+    )
     assert timeline(seed_off) == expected
 
 
@@ -105,9 +108,11 @@ def test_measured_and_modeled_executors_agree(workload, epsilon_r):
     measured or modeled."""
     modeled_graph = barabasi_albert_graph(NODES, attach=2, seed=1)
     measured_graph = modeled_graph.copy()
-    modeled = SeedAwareQueueSimulator(
-        service_fn, modeled_graph, epsilon_r=epsilon_r
-    ).run(workload)
+    modeled = replay(
+        workload,
+        ModeledExecutor(service_fn, graph=modeled_graph),
+        seed_queue=SeedQueue(modeled_graph, 0.2, epsilon_r),
+    )
 
     clock = [0.0]
     system = QuotaSystem(

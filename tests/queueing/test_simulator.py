@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.graph.updates import EdgeUpdate
 from repro.queueing.arrivals import PoissonArrivals
 from repro.queueing.kinds import QUERY, UPDATE
-from repro.queueing.simulator import FCFSQueueSimulator
+from repro.queueing.replay import ModeledExecutor, replay
 from repro.queueing.theory import expected_response_time
 from repro.queueing.workload import Request, Workload
 
@@ -25,8 +25,9 @@ def make_requests(arrivals, kind=QUERY):
 
 class TestBasics:
     def test_single_request(self):
-        sim = FCFSQueueSimulator(lambda r: 2.0)
-        result = sim.run(make_requests([1.0]), t_end=10.0)
+        result = replay(
+            make_requests([1.0]), ModeledExecutor(lambda r: 2.0), t_end=10.0
+        )
         (done,) = result.completed
         assert done.start == 1.0
         assert done.finish == 3.0
@@ -35,15 +36,17 @@ class TestBasics:
 
     def test_queueing_delay(self):
         """Back-to-back arrivals wait for the server."""
-        sim = FCFSQueueSimulator(lambda r: 5.0)
-        result = sim.run(make_requests([0.0, 1.0, 2.0]), t_end=30.0)
+        result = replay(
+            make_requests([0.0, 1.0, 2.0]), ModeledExecutor(lambda r: 5.0), t_end=30.0
+        )
         starts = [c.start for c in result.completed]
         assert starts == [0.0, 5.0, 10.0]
         assert [c.response_time for c in result.completed] == [5.0, 9.0, 13.0]
 
     def test_idle_gap(self):
-        sim = FCFSQueueSimulator(lambda r: 1.0)
-        result = sim.run(make_requests([0.0, 100.0]), t_end=200.0)
+        result = replay(
+            make_requests([0.0, 100.0]), ModeledExecutor(lambda r: 1.0), t_end=200.0
+        )
         assert result.completed[1].start == 100.0
         assert result.completed[1].waiting_time == 0.0
 
@@ -53,18 +56,17 @@ class TestBasics:
             Request(0.5, QUERY, source=3),
         ]
         order = []
-        sim = FCFSQueueSimulator(lambda r: order.append(r.kind) or 1.0)
-        sim.run(requests, t_end=10.0)
+        replay(
+            requests, ModeledExecutor(lambda r: order.append(r.kind) or 1.0), t_end=10.0
+        )
         assert order == [UPDATE, QUERY]
 
     def test_negative_service_rejected(self):
-        sim = FCFSQueueSimulator(lambda r: -1.0)
         with pytest.raises(ValueError):
-            sim.run(make_requests([0.0]), t_end=1.0)
+            replay(make_requests([0.0]), ModeledExecutor(lambda r: -1.0), t_end=1.0)
 
     def test_empty_workload(self):
-        sim = FCFSQueueSimulator(lambda r: 1.0)
-        result = sim.run([], t_end=5.0)
+        result = replay([], ModeledExecutor(lambda r: 1.0), t_end=5.0)
         assert len(result) == 0
         assert result.mean_query_response_time() == 0.0
         assert result.utilization() == 0.0
@@ -75,8 +77,11 @@ class TestResultMetrics:
         requests = make_requests([0.0, 0.0, 0.0]) + make_requests(
             [0.0], kind=UPDATE
         )
-        sim = FCFSQueueSimulator(lambda r: 1.0 if r.kind == QUERY else 2.0)
-        return sim.run(requests, t_end=10.0)
+        return replay(
+            requests,
+            ModeledExecutor(lambda r: 1.0 if r.kind == QUERY else 2.0),
+            t_end=10.0,
+        )
 
     def test_kind_filter(self):
         result = self._result()
@@ -128,35 +133,32 @@ class TestHorizonAccounting:
         last *arrival*, so an underloaded system could report rho > 1
         (e.g. one request arriving at t=0 with 1s of service gave
         busy/horizon = 1/0)."""
-        sim = FCFSQueueSimulator(lambda r: 1.0)
-        result = sim.run(make_requests([0.0, 0.5]))
+        result = replay(make_requests([0.0, 0.5]), ModeledExecutor(lambda r: 1.0))
         # arrivals end at 0.5 but service runs until t=2
         assert result.t_end == pytest.approx(2.0)
         assert result.utilization() <= 1.0
         assert result.empirical_load() <= 1.0
 
     def test_load_and_utilization_share_denominator(self):
-        sim = FCFSQueueSimulator(lambda r: 3.0)
-        result = sim.run(make_requests([0.0, 1.0, 2.0]))
+        result = replay(make_requests([0.0, 1.0, 2.0]), ModeledExecutor(lambda r: 3.0))
         assert result.empirical_load() == pytest.approx(result.utilization())
 
     def test_busy_server_full_utilization(self):
         """Back-to-back work: utilization exactly 1 once the horizon
         spans arrivals and service."""
-        sim = FCFSQueueSimulator(lambda r: 2.0)
-        result = sim.run(make_requests([0.0, 0.0, 0.0]))
+        result = replay(make_requests([0.0, 0.0, 0.0]), ModeledExecutor(lambda r: 2.0))
         assert result.utilization() == pytest.approx(1.0)
 
     def test_explicit_t_end_still_respected(self):
-        sim = FCFSQueueSimulator(lambda r: 1.0)
-        result = sim.run(make_requests([0.0]), t_end=10.0)
+        result = replay(
+            make_requests([0.0]), ModeledExecutor(lambda r: 1.0), t_end=10.0
+        )
         assert result.t_end == 10.0
         assert result.empirical_load() == pytest.approx(0.1)
 
     def test_overrun_extends_horizon_for_both_metrics(self):
         """Service past the window extends the shared denominator."""
-        sim = FCFSQueueSimulator(lambda r: 8.0)
-        result = sim.run(make_requests([0.0]), t_end=2.0)
+        result = replay(make_requests([0.0]), ModeledExecutor(lambda r: 8.0), t_end=2.0)
         assert result.horizon == pytest.approx(8.0)
         assert result.utilization() == pytest.approx(1.0)
         assert result.empirical_load() == pytest.approx(1.0)
@@ -173,8 +175,7 @@ class TestHorizonAccounting:
 def test_lindley_invariants(arrivals, services):
     requests = make_requests(sorted(arrivals))
     queue = iter(services)
-    sim = FCFSQueueSimulator(lambda r: next(queue))
-    result = sim.run(requests, t_end=200.0)
+    result = replay(requests, ModeledExecutor(lambda r: next(queue)), t_end=200.0)
     previous_finish = 0.0
     for done in result.completed:
         # no service before arrival, no overlap, FCFS completion order
@@ -188,8 +189,7 @@ def test_lindley_invariants(arrivals, services):
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(0, 50), min_size=2, max_size=30))
 def test_unsorted_iterable_is_sorted(arrivals):
-    sim = FCFSQueueSimulator(lambda r: 0.1)
-    result = sim.run(make_requests(arrivals))
+    result = replay(make_requests(arrivals), ModeledExecutor(lambda r: 0.1))
     processed = [c.arrival for c in result.completed]
     assert processed == sorted(processed)
 
@@ -203,8 +203,10 @@ def test_simulator_matches_eq2_for_mm1():
     t_end = 4000.0
     times = PoissonArrivals(lam).generate(t_end, rng)
     requests = make_requests(times)
-    sim = FCFSQueueSimulator(lambda r: float(rng.exponential(1.0 / mu)))
-    result = sim.run(Workload(requests, t_end, lam, 0.0))
+    result = replay(
+        Workload(requests, t_end, lam, 0.0),
+        ModeledExecutor(lambda r: float(rng.exponential(1.0 / mu))),
+    )
     theory = expected_response_time(lam, 0.0, 1.0 / mu, 0.0, cv_q=1.0)
     assert result.mean_query_response_time() == pytest.approx(theory, rel=0.1)
 
@@ -219,8 +221,10 @@ def test_simulator_matches_eq2_for_mixed_stream():
     u_times = PoissonArrivals(lam_u).generate(t_end, rng)
     requests = make_requests(q_times) + make_requests(u_times, kind=UPDATE)
     requests.sort(key=lambda r: r.arrival)
-    sim = FCFSQueueSimulator(lambda r: t_q if r.kind == QUERY else t_u)
-    result = sim.run(Workload(requests, t_end, lam_q, lam_u))
+    result = replay(
+        Workload(requests, t_end, lam_q, lam_u),
+        ModeledExecutor(lambda r: t_q if r.kind == QUERY else t_u),
+    )
     theory = expected_response_time(lam_q, lam_u, t_q, t_u, cv_q=0.0, cv_u=0.0)
     assert result.mean_query_response_time() == pytest.approx(theory, rel=0.15)
 
@@ -233,8 +237,9 @@ def test_unstable_queue_grows_linearly():
     rng = np.random.default_rng(9)
     times = PoissonArrivals(lam).generate(t_end, rng)
     requests = make_requests(times)
-    sim = FCFSQueueSimulator(lambda r: service)
-    result = sim.run(Workload(requests, t_end, lam, 0.0))
+    result = replay(
+        Workload(requests, t_end, lam, 0.0), ModeledExecutor(lambda r: service)
+    )
     n = len(result.completed)
     last = result.completed[-1]
     growth = last.response_time / n

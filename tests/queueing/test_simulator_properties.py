@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.queueing.arrivals import PoissonArrivals
 from repro.queueing.kinds import QUERY
-from repro.queueing.simulator import FCFSQueueSimulator
+from repro.queueing.replay import ModeledExecutor, replay
 from repro.queueing.workload import Request, Workload
 
 
@@ -31,8 +31,7 @@ class TestLittlesLaw:
     def test_littles_law_holds(self, lam, service):
         t_end = 2000.0
         workload = poisson_workload(lam, t_end, seed=1)
-        sim = FCFSQueueSimulator(lambda r: service)
-        result = sim.run(workload)
+        result = replay(workload, ModeledExecutor(lambda r: service))
         # time-average number in system via the completion intervals
         horizon = max(c.finish for c in result.completed)
         total_sojourn = sum(c.response_time for c in result.completed)
@@ -52,7 +51,7 @@ class TestWorkConservation:
             services[id(request)] = float(rng.uniform(0.01, 0.2))
             return services[id(request)]
 
-        result = FCFSQueueSimulator(service_fn).run(workload)
+        result = replay(workload, ModeledExecutor(service_fn))
         assert result.total_busy_time() == pytest.approx(
             sum(services.values())
         )
@@ -60,7 +59,7 @@ class TestWorkConservation:
     def test_no_server_idling_while_work_waits(self):
         """If a request waited, the server was busy the whole wait."""
         workload = poisson_workload(20.0, 50.0, seed=4)
-        result = FCFSQueueSimulator(lambda r: 0.08).run(workload)
+        result = replay(workload, ModeledExecutor(lambda r: 0.08))
         completions = result.completed
         for prev, cur in zip(completions, completions[1:]):
             if cur.waiting_time > 1e-12:
@@ -75,14 +74,15 @@ class TestScalingLaws:
         lam = 5.0
         t_end = 500.0
         base_workload = poisson_workload(lam, t_end, seed=5)
-        base = FCFSQueueSimulator(lambda r: 0.1).run(base_workload)
+        base = replay(base_workload, ModeledExecutor(lambda r: 0.1))
 
         scaled_requests = [
             Request(r.arrival * 2.0, r.kind, source=r.source)
             for r in base_workload
         ]
-        scaled = FCFSQueueSimulator(lambda r: 0.2).run(
-            Workload(scaled_requests, t_end * 2.0, lam / 2.0, 0.0)
+        scaled = replay(
+            Workload(scaled_requests, t_end * 2.0, lam / 2.0, 0.0),
+            ModeledExecutor(lambda r: 0.2),
         )
         assert scaled.mean_query_response_time() == pytest.approx(
             2.0 * base.mean_query_response_time(), rel=1e-9
@@ -91,7 +91,7 @@ class TestScalingLaws:
     def test_utilization_approaches_offered_load(self):
         lam, service = 6.0, 0.1  # rho = 0.6
         workload = poisson_workload(lam, 2000.0, seed=6)
-        result = FCFSQueueSimulator(lambda r: service).run(workload)
+        result = replay(workload, ModeledExecutor(lambda r: service))
         assert result.utilization() == pytest.approx(0.6, rel=0.05)
 
 
@@ -103,6 +103,6 @@ class TestScalingLaws:
 )
 def test_response_time_at_least_service(lam, service, seed):
     workload = poisson_workload(lam, 20.0, seed=seed)
-    result = FCFSQueueSimulator(lambda r: service).run(workload)
+    result = replay(workload, ModeledExecutor(lambda r: service))
     for completed in result.completed:
         assert completed.response_time >= service - 1e-12

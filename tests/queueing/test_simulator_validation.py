@@ -1,28 +1,21 @@
-"""Regression tests for the Issue-3 simulator fixes and the
-event-driven Seed-aware simulator.
+"""Regression tests for service validation and the Seed-aware replay.
 
-Bug 3: ``FCFSQueueSimulator.run`` silently accepted NaN/inf service
-durations, poisoning every downstream mean/percentile; it now raises
-immediately, naming the offending request.
-
-Bug 4: ``servers > 1`` with a *measured* service_fn mislabels a
-sequential timeline as parallel; the simulator now requires an explicit
-``modeled=True`` acknowledgement or emits ``MeasuredParallelWarning``.
+A modeled replay used to accept NaN/inf service durations silently,
+poisoning every downstream mean/percentile; it now raises immediately,
+naming the offending request.  The Seed-aware tests drive
+:func:`~repro.queueing.replay.replay` with a real graph and a
+:class:`~repro.core.seed.SeedQueue`.
 """
 
 import math
 
 import pytest
 
+from repro.core.seed import SeedQueue
 from repro.graph.digraph import DynamicGraph
 from repro.graph.updates import EdgeUpdate
 from repro.queueing.kinds import QUERY, UPDATE
-from repro.queueing.replay import validate_service
-from repro.queueing.seed_simulator import SeedAwareQueueSimulator
-from repro.queueing.simulator import (
-    FCFSQueueSimulator,
-    MeasuredParallelWarning,
-)
+from repro.queueing.replay import ModeledExecutor, replay, validate_service
 from repro.queueing.workload import Request
 
 
@@ -34,64 +27,49 @@ def make_graph():
     return DynamicGraph.from_edges([(0, 1), (1, 2), (2, 0), (0, 2)])
 
 
+def seed_aware(requests, svc, graph, epsilon_r, **kwargs):
+    """Replay with ``graph`` really mutated and a Seed queue over it."""
+    return replay(
+        requests,
+        ModeledExecutor(svc, graph=graph),
+        seed_queue=SeedQueue(graph, 0.2, epsilon_r),
+        **kwargs,
+    )
+
+
 class TestServiceValidation:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
     def test_rejects_non_finite_and_negative(self, bad):
-        sim = FCFSQueueSimulator(lambda r: bad)
         with pytest.raises(ValueError, match="service_fn"):
-            sim.run(queries([0.0]), t_end=1.0)
+            replay(queries([0.0]), ModeledExecutor(lambda r: bad), t_end=1.0)
 
     def test_error_names_the_request(self):
-        sim = FCFSQueueSimulator(lambda r: float("nan"))
+        executor = ModeledExecutor(lambda r: float("nan"))
         request = Request(0.25, QUERY, source=7)
         with pytest.raises(ValueError, match="source=7"):
-            sim.run([request], t_end=1.0)
+            replay([request], executor, t_end=1.0)
 
     def test_validate_service_passthrough(self):
         request = Request(0.0, QUERY, source=0)
         assert validate_service(0.5, request) == 0.5
         assert validate_service(0.0, request) == 0.0
 
-    def test_seed_simulator_validates_too(self):
-        graph = make_graph()
-        sim = SeedAwareQueueSimulator(lambda r: math.inf, graph)
+    def test_seed_aware_replay_validates_too(self):
         with pytest.raises(ValueError, match="service_fn"):
-            sim.run(queries([0.0]))
-
-
-class TestMeasuredParallelWarning:
-    def test_multiserver_without_modeled_warns(self):
-        sim = FCFSQueueSimulator(lambda r: 1.0, servers=2)
-        with pytest.warns(MeasuredParallelWarning):
-            sim.run(queries([0.0, 0.0]), t_end=5.0)
-
-    def test_modeled_flag_silences(self, recwarn):
-        sim = FCFSQueueSimulator(lambda r: 1.0, servers=2, modeled=True)
-        sim.run(queries([0.0, 0.0]), t_end=5.0)
-        assert not [
-            w for w in recwarn if w.category is MeasuredParallelWarning
-        ]
-
-    def test_single_server_never_warns(self, recwarn):
-        FCFSQueueSimulator(lambda r: 1.0).run(queries([0.0]), t_end=5.0)
-        assert not [
-            w for w in recwarn if w.category is MeasuredParallelWarning
-        ]
+            seed_aware(queries([0.0]), lambda r: math.inf, make_graph(), 0.0)
 
 
 class TestSeedAwareSimulator:
     def test_matches_fcfs_when_disabled(self):
-        """eps_r=0, servers=1 must coincide with FCFSQueueSimulator."""
+        """eps_r=0, servers=1 must coincide with strict FCFS."""
         arrivals = [0.0, 0.3, 0.31, 1.0, 1.5]
         requests = queries(arrivals) + [
             Request(0.5, UPDATE, update=EdgeUpdate(0, 9))
         ]
         requests.sort(key=lambda r: r.arrival)
         svc = lambda r: 0.2 if r.kind == QUERY else 0.05  # noqa: E731
-        fcfs = FCFSQueueSimulator(svc).run(list(requests), t_end=10.0)
-        seed = SeedAwareQueueSimulator(svc, make_graph()).run(
-            list(requests), t_end=10.0
-        )
+        fcfs = replay(list(requests), ModeledExecutor(svc), t_end=10.0)
+        seed = seed_aware(list(requests), svc, make_graph(), 0.0, t_end=10.0)
         assert [
             (c.request.arrival, c.start, c.finish) for c in fcfs.completed
         ] == [
@@ -113,9 +91,7 @@ class TestSeedAwareSimulator:
             Request(0.2, QUERY, source=2),                 # overtakes it
         ]
         svc = lambda r: 1.0 if r.kind == QUERY else 0.5  # noqa: E731
-        result = SeedAwareQueueSimulator(
-            svc, graph, epsilon_r=100.0
-        ).run(requests)
+        result = seed_aware(requests, svc, graph, 100.0)
         second_query = next(
             c for c in result.completed
             if c.request.kind == QUERY and c.request.arrival == 0.2
@@ -135,9 +111,7 @@ class TestSeedAwareSimulator:
             Request(0.2, QUERY, source=2),                 # must flush
         ]
         svc = lambda r: 1.0 if r.kind == QUERY else 0.5  # noqa: E731
-        result = SeedAwareQueueSimulator(
-            svc, graph, epsilon_r=tiny
-        ).run(requests)
+        result = seed_aware(requests, svc, graph, tiny)
         second_query = next(
             c for c in result.completed
             if c.request.kind == QUERY and c.request.arrival == 0.2
@@ -155,9 +129,7 @@ class TestSeedAwareSimulator:
             Request(5.0, QUERY, source=2),
         ]
         svc = lambda r: 1.0 if r.kind == QUERY else 0.5  # noqa: E731
-        result = SeedAwareQueueSimulator(
-            svc, graph, epsilon_r=100.0
-        ).run(requests)
+        result = seed_aware(requests, svc, graph, 100.0)
         update = next(c for c in result.completed if c.request.kind == UPDATE)
         query = next(c for c in result.completed if c.request.kind == QUERY)
         assert update.finish <= 5.0  # drained during the idle gap
@@ -167,20 +139,23 @@ class TestSeedAwareSimulator:
         """Updates still pending when the workload ends are applied."""
         graph = make_graph()
         requests = [Request(0.0, UPDATE, update=EdgeUpdate(0, 9))]
-        result = SeedAwareQueueSimulator(
-            lambda r: 0.5, graph, epsilon_r=100.0
-        ).run(requests)
+        result = seed_aware(requests, lambda r: 0.5, graph, 100.0)
         assert graph.has_edge(0, 9)
         assert len(result.completed) == 1
 
     def test_multiserver_overlap(self):
         """k=2 serves two simultaneous queries without queueing."""
-        result = SeedAwareQueueSimulator(
-            lambda r: 1.0, make_graph(), servers=2
-        ).run(queries([0.0, 0.0, 0.0]), t_end=10.0)
+        result = seed_aware(
+            queries([0.0, 0.0, 0.0]),
+            lambda r: 1.0,
+            make_graph(),
+            0.0,
+            servers=2,
+            t_end=10.0,
+        )
         starts = sorted(c.start for c in result.completed)
         assert starts == [0.0, 0.0, 1.0]
 
     def test_invalid_server_count(self):
         with pytest.raises(ValueError):
-            SeedAwareQueueSimulator(lambda r: 1.0, make_graph(), servers=0)
+            seed_aware(queries([0.0]), lambda r: 1.0, make_graph(), 0.0, servers=0)

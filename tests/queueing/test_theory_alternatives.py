@@ -7,7 +7,7 @@ import pytest
 
 from repro.queueing.arrivals import PoissonArrivals
 from repro.queueing.kinds import QUERY
-from repro.queueing.simulator import FCFSQueueSimulator
+from repro.queueing.replay import ModeledExecutor, replay
 from repro.queueing.theory import (
     expected_response_time,
     heavy_traffic_response_time,
@@ -81,9 +81,9 @@ def test_all_estimates_agree_with_simulation():
     t_end = 3000.0
     times = PoissonArrivals(lam).generate(t_end, rng)
     requests = [Request(float(t), QUERY, source=0) for t in times]
-    sim = FCFSQueueSimulator(lambda r: float(rng.exponential(1.0 / mu)))
-    measured = sim.run(
-        Workload(requests, t_end, lam, 0.0)
+    measured = replay(
+        Workload(requests, t_end, lam, 0.0),
+        ModeledExecutor(lambda r: float(rng.exponential(1.0 / mu))),
     ).mean_query_response_time()
     for estimate in (
         expected_response_time(lam, 0.0, 1.0 / mu, 0.0),

@@ -14,7 +14,6 @@ from repro.scenarios.dsl import (
     diurnal,
     edge_replay,
     flash_crowd,
-    load_edge_stream,
     paper_pattern,
     parse_scenario,
     update_storm,
@@ -162,13 +161,8 @@ class TestCompile:
     def test_edge_replay_loads_snap_file(self, graph, tmp_path):
         path = tmp_path / "stream.txt"
         path.write_text("# comment\n0 1\n2 3\n\n4 5\n")
-        assert load_edge_stream(path) == [(0, 1), (2, 3), (4, 5)]
         scenario = edge_replay(t_end=8.0, lambda_q=2.0, path=path)
         assert scenario.edge_stream == ((0, 1), (2, 3), (4, 5))
-        bad = tmp_path / "bad.txt"
-        bad.write_text("nonsense\n")
-        with pytest.raises(ValueError, match="expected 'u v'"):
-            load_edge_stream(bad)
 
     def test_paper_pattern_matches_generator(self):
         scenario = paper_pattern("update-declined", t_end=30.0, seg_seed=9)

@@ -3,13 +3,17 @@
 import pytest
 
 from repro.cache.store import PPRCache, make_key
+from repro.core.seed import SeedQueue
 from repro.graph.generators import barabasi_albert_graph
 from repro.graph.updates import EdgeUpdate
 from repro.obs.metrics import MetricsRegistry
 from repro.queueing.kinds import QUERY, UPDATE
-from repro.queueing.replay import CompletedRequest, SimulationResult
-from repro.queueing.seed_simulator import SeedAwareQueueSimulator
-from repro.queueing.simulator import FCFSQueueSimulator
+from repro.queueing.replay import (
+    CompletedRequest,
+    ModeledExecutor,
+    SimulationResult,
+    replay,
+)
 from repro.queueing.workload import Request, Workload
 from repro.scenarios.dsl import flash_crowd
 from repro.scenarios.fuzz import modeled_service_fn
@@ -50,23 +54,17 @@ class TestWorkloadOracle:
 
 class TestSimulationOracle:
     def test_healthy_fcfs(self, workload):
-        result = FCFSQueueSimulator(
-            modeled_service_fn(), modeled=True
-        ).run(workload)
+        result = replay(workload, ModeledExecutor(modeled_service_fn()))
         assert check_simulation("s", "fcfs", workload, result, 1) == []
 
     def test_dropped_completion_is_conservation_violation(self, workload):
-        result = FCFSQueueSimulator(
-            modeled_service_fn(), modeled=True
-        ).run(workload)
+        result = replay(workload, ModeledExecutor(modeled_service_fn()))
         tampered = SimulationResult(result.completed[:-1], result.t_end)
         violations = check_simulation("s", "fcfs", workload, tampered, 1)
         assert any(v.oracle == "conservation" for v in violations)
 
     def test_time_travel_is_monotonicity_violation(self, workload):
-        result = FCFSQueueSimulator(
-            modeled_service_fn(), modeled=True
-        ).run(workload)
+        result = replay(workload, ModeledExecutor(modeled_service_fn()))
         first = result.completed[0]
         tampered = SimulationResult(
             [
@@ -99,10 +97,13 @@ class TestSimulationOracle:
 class TestDifferentialOracles:
     def test_fcfs_coincides_with_seed_at_zero_budget(self, graph, workload):
         service = modeled_service_fn()
-        fcfs = FCFSQueueSimulator(service, modeled=True).run(workload)
-        seed = SeedAwareQueueSimulator(
-            service, graph.copy(), epsilon_r=0.0, servers=1
-        ).run(workload)
+        fcfs = replay(workload, ModeledExecutor(service))
+        seed_graph = graph.copy()
+        seed = replay(
+            workload,
+            ModeledExecutor(service, graph=seed_graph),
+            seed_queue=SeedQueue(seed_graph, 0.2, 0.0),
+        )
         assert check_modeled_equivalence("s", fcfs, seed) == []
         # both run the one replay loop; the independent side is the
         # Lindley recursion
@@ -111,12 +112,10 @@ class TestDifferentialOracles:
         assert check_modeled_equivalence("s", reference, seed) == []
 
     def test_divergent_timeline_is_caught(self, graph, workload):
-        fcfs = FCFSQueueSimulator(
-            modeled_service_fn(), modeled=True
-        ).run(workload)
-        slower = FCFSQueueSimulator(
-            modeled_service_fn(query_s=0.05), modeled=True
-        ).run(workload)
+        fcfs = replay(workload, ModeledExecutor(modeled_service_fn()))
+        slower = replay(
+            workload, ModeledExecutor(modeled_service_fn(query_s=0.05))
+        )
         assert check_modeled_equivalence("s", fcfs, slower)
 
     def test_final_graph_differential(self, graph):

@@ -10,7 +10,7 @@ from repro.graph.digraph import DynamicGraph
 from repro.graph.updates import EdgeUpdate
 from repro.obs.metrics import MetricsRegistry
 from repro.ppr.base import PPRParams
-from repro.ppr.fora import Fora
+from repro.ppr.fora import Fora, ForaPlus
 from repro.queueing.kinds import QUERY, UPDATE
 from repro.queueing.workload import Request
 from repro.serving.admission import SHED_QUEUE_FULL, AdmissionQueue, Ticket
@@ -359,6 +359,33 @@ class TestQuotaIntegration:
         runtime = make_runtime()
         with runtime:
             assert runtime.reconfigure(1.0, 1.0) is None
+
+    @pytest.mark.parametrize("scale, rebuilt", [(1.0, False), (2.0, True)])
+    def test_reconfigure_applies_beta_only_when_it_moved(self, scale, rebuilt):
+        """An unchanged beta is recorded but not re-applied: for an
+        index-based algorithm re-applying it is a full index build."""
+        algorithm = ForaPlus(make_graph(), PPRParams(walk_cap=100))
+        index = algorithm.index
+        runtime = make_runtime(algorithm, controller=ScalingController(scale))
+        with runtime:
+            runtime.reconfigure(20.0, 20.0)
+            runtime.reconfigure(20.0, 20.0)
+        assert len(runtime.decisions) == 2
+        assert (algorithm.index is not index) is rebuilt
+        applied = runtime.metrics.histogram("service.reconfigure").count
+        assert applied == (2 if rebuilt else 0)
+
+
+class ScalingController:
+    """A QuotaController stand-in deciding the current beta times
+    ``scale``."""
+
+    def __init__(self, scale):
+        self.scale = scale
+
+    def configure(self, lambda_q, lambda_u, warm_start=None, quick=True):
+        beta = {name: value * self.scale for name, value in warm_start.items()}
+        return SimpleNamespace(beta=beta)
 
 
 class FixedController:

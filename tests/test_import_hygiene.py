@@ -82,8 +82,7 @@ from repro.shard.worker import ShardServer
 # what only --quota needs: the calibrated QuotaController and its solver
 QUOTA_STACK = ("repro.core.calibration", "repro.core.quota",
                "repro.core.cost_models", "repro.core.optimizer")
-HARNESS = ("repro.evaluation.runner", "repro.core.system",
-           "repro.queueing.simulator") + QUOTA_STACK
+HARNESS = ("repro.evaluation.runner", "repro.core.system") + QUOTA_STACK
 graph = barabasi_albert_graph(200, attach=3, seed=1)
 for name in ("FORA", "FORA+inc"):
     replies = []
