@@ -1,7 +1,7 @@
 """Benchmark: what each fleet process pays, stage by stage, and their sum.
 
 ``server_rss_mb`` of the end-to-end benchmark is a sum of ``VmRSS``
-over the front door and its workers.  Five kinds of row:
+over the front door and its workers.  Six kinds of row:
 
 * per algorithm (FORA and FORA+inc on ``lj``): a **worker**'s start-up
   in a fresh interpreter — import the serving stack, unpickle a
@@ -16,6 +16,9 @@ over the front door and its workers.  Five kinds of row:
   the worst ``EdgeWalkMap._compact()`` peak above what was live when it
   began.  The child is started by :func:`repro.shard.launch.python_child`,
   so it runs under the environment a real worker gets;
+* ``reply``: one whole-vector answer of a FORA worker on ``lj`` — the
+  pairs it carries and the bytes its pickled
+  :class:`~repro.shard.messages.ShardReply` puts on the pipe;
 * ``image_build``: the **graph-image builder** child ``repro serve``
   starts, on its own — wall seconds from launch to exit (imports,
   generating the dataset's pairs, packing them, writing them out) and
@@ -36,6 +39,9 @@ Asserted (the bench-smoke CI job runs this at quick scope):
 * the pickled spec costs <= 10 B per edge (packed int32 pairs are 8;
   a tuple of tuples pickles to 7.5 but *unpickles* into ~120 B per
   edge of Python objects);
+* the pickled whole-vector reply costs <= 12.5 B per pair (packed int32
+  ids and float64 values are 12; ``[node, value]`` lists pickled to
+  16.0 and unpickled into three objects per pair);
 * ``build_graph`` adds <= 100 B of RSS per edge (adjacency lists over
   shared ``int`` objects sit near 57; with the edge set and the
   build-time update log it was ~190);
@@ -87,7 +93,8 @@ from benchmarks.e2e import procfs
 from repro.evaluation.datasets import get_dataset
 from repro.shard.image import _HEADER
 from repro.shard.launch import python_child
-from repro.shard.messages import ShardSpec
+from repro.shard.messages import QueryCommand, ShardSpec
+from repro.shard.worker import ShardServer
 
 DATASET = "lj"
 ALGORITHMS = ("FORA", "FORA+inc")
@@ -97,6 +104,7 @@ SHARDS = 2
 FRONTDOOR_STAGES = ("imports", "image_received", "manager_ready")
 
 SPEC_BYTES_PER_EDGE_CEILING = 10.0
+REPLY_BYTES_PER_PAIR_CEILING = 12.5
 GRAPH_RSS_BYTES_PER_EDGE_CEILING = 100.0
 FRONTDOOR_RSS_MB_CEILING = 30.0
 
@@ -162,6 +170,15 @@ PREVIOUS["image_build"] = {
     "seconds": 0.619,
     "numpy_loaded": True,
     "fleet_ready_s": 1.51,
+}
+
+#: one whole-vector answer of a FORA worker on lj at the parent commit
+#: a19f8d7 (``[[node, value], ...]`` lists in the payload), by this
+#: file's `run_reply`
+PREVIOUS["reply"] = {
+    "commit": "a19f8d7",
+    "pairs": 2_410,
+    "pickle_bytes": 38_482,
 }
 
 COMPACTION_PEAK_MB_CEILING = 8.0
@@ -333,6 +350,27 @@ def lj_spec(algorithm: str) -> ShardSpec:
         algorithm=algorithm,
         walk_cap=dataset.walk_cap,
     )
+
+
+def run_reply() -> dict:
+    """One whole-vector answer on lj as it goes onto the pipe.
+
+    A FORA worker's :class:`ShardServer`, in this process, serves the
+    full-vector query ``bulk_vectors`` sends; the :class:`ShardReply`
+    it hands its sender thread is pickled as ``Connection.send`` does.
+    """
+    replies = []
+    server = ShardServer(lj_spec("FORA"), replies.append)
+    try:
+        server.handle(QueryCommand(1, 0))
+        server.runtime.drain()
+    finally:
+        server.runtime.stop()
+    (reply,) = replies
+    return {
+        "pairs": len(reply.payload["values"]),
+        "pickle_bytes": len(pickle.dumps(reply)),
+    }
 
 
 def run_stages(spec_pickle: bytes) -> dict:
@@ -538,6 +576,7 @@ def run_bench() -> dict:
             results[algorithm]["update_stream"] = {
                 key: median(run[key] for run in streams) for key in streams[0]
             }
+    results["reply"] = run_reply()
     results["image_build"] = run_image_build()
     results["frontdoor"] = run_frontdoor()
     if os.path.isdir("/proc/self"):
@@ -564,6 +603,11 @@ def test_pickled_spec_is_packed():
     results = _results()
     per_edge = results["spec_pickle_bytes"] / results["num_edges"]
     assert per_edge <= SPEC_BYTES_PER_EDGE_CEILING
+
+
+def test_pickled_reply_is_packed():
+    row = _results()["reply"]
+    assert row["pickle_bytes"] / row["pairs"] <= REPLY_BYTES_PER_PAIR_CEILING
 
 
 def test_build_graph_holds_the_graph_once():
@@ -624,6 +668,12 @@ def main() -> None:
                 f"  {name:<16} {row['seconds'] * 1e3:7.1f} ms  {added}  "
                 f"-> {row['rss_mb']:6.1f} MB"
             )
+    row, was = results["reply"], PREVIOUS["reply"]
+    print(
+        f"whole-vector reply: {row['pairs']} pairs, pickled "
+        f"{row['pickle_bytes'] / row['pairs']:.1f} B/pair (was "
+        f"{was['pickle_bytes'] / was['pairs']:.1f})"
+    )
     stream = results["FORA+inc"]["update_stream"]
     was = PREVIOUS["FORA+inc"]["update_stream"]
     print(f"FORA+inc worker, {STREAM_UPDATES} updates from a serving thread:")

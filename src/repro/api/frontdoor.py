@@ -29,6 +29,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -41,6 +42,8 @@ if TYPE_CHECKING:
 
 #: Retry-After fallback when an outcome carries no hint
 DEFAULT_RETRY_AFTER_S = 1.0
+#: drift-triggered reconfigure results FrontDoor.reconfigurations keeps
+RECONFIGURATIONS_KEPT = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,8 +116,11 @@ class FrontDoor:
                 ),
                 policy=drift,
             )
-        #: last drift-triggered reconfigure results (observability)
-        self.reconfigurations: list[dict[str, object]] = []
+        #: the last few drift-triggered reconfigure results
+        #: (observability; bounded, a server runs for weeks)
+        self.reconfigurations: deque[dict[str, object]] = deque(
+            maxlen=RECONFIGURATIONS_KEPT
+        )
 
     # ------------------------------------------------------------------
     # endpoints
@@ -255,7 +261,9 @@ class FrontDoor:
         if outcome.status == "ok":
             body["version"] = outcome.version
             body["cached"] = outcome.cached
-            body["values"] = outcome.values or []
+            body["values"] = (
+                outcome.values if outcome.values is not None else []
+            )
             body["response_s"] = outcome.response_s
             return ApiResponse(200, body)
         if outcome.shed_reason is not None:

@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING
 from urllib.parse import parse_qs, urlsplit
 
 from repro.api.frontdoor import ApiResponse, FrontDoor
+from repro.shard.messages import PackedPairs
 
 if TYPE_CHECKING:
     from asyncio import AbstractServer, StreamReader, StreamWriter
@@ -57,8 +58,21 @@ _REASONS = {
 }
 
 
+def _jsonable(value: object) -> object:
+    """JSON form of what :mod:`json` cannot encode itself: an answer's
+    packed pairs become the ``[[node, value], ...]`` array."""
+    if isinstance(value, PackedPairs):
+        return list(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+#: ``json.dumps`` with the :func:`_jsonable` hook — the same bytes, the
+#: same C encoder, one pass over an answer's buffers
+_encode = json.JSONEncoder(default=_jsonable).encode
+
+
 def _render(response: ApiResponse) -> bytes:
-    body = json.dumps(response.body).encode()
+    body = _encode(response.body).encode()
     reason = _REASONS.get(response.status_code, "Unknown")
     lines = [
         f"HTTP/1.1 {response.status_code} {reason}",

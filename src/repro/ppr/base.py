@@ -135,14 +135,30 @@ class PPRVector:
         vals = self.values[mask]
         return {int(v): float(p) for v, p in zip(nodes, vals)}
 
-    def top_k(self, k: int) -> list[tuple[int, float]]:
-        """The k largest (node, estimate) pairs, descending by estimate."""
+    def select(self, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """``(nodes, estimates)`` arrays of the entries an answer carries.
+
+        ``k=None``: every strictly positive entry, in node order.
+        Otherwise the ``k`` largest, descending by estimate, equal
+        estimates in the order ``argpartition`` left them (stable sort).
+        """
+        if k is None:
+            mask = self.values > 0.0
+            nodes = self._view.nodes[mask]
+            order = np.argsort(nodes, kind="stable")
+            return nodes[order], self.values[mask][order]
         k = min(k, self.values.size)
         if k == 0:
-            return []
-        idx = np.argpartition(-self.values, k - 1)[:k]
-        idx = idx[np.argsort(-self.values[idx], kind="stable")]
-        return [(int(self._view.nodes[i]), float(self.values[i])) for i in idx]
+            idx = np.empty(0, dtype=np.intp)
+        else:
+            idx = np.argpartition(-self.values, k - 1)[:k]
+            idx = idx[np.argsort(-self.values[idx], kind="stable")]
+        return self._view.nodes[idx], self.values[idx]
+
+    def top_k(self, k: int) -> list[tuple[int, float]]:
+        """The k largest (node, estimate) pairs, descending by estimate."""
+        nodes, values = self.select(k)
+        return list(zip(nodes.tolist(), values.tolist()))
 
     def total_mass(self) -> float:
         return float(self.values.sum())

@@ -44,7 +44,12 @@ from repro.shard.backend import (
     make_shard,
 )
 from repro.shard.image import GraphImage, ImageBuild, graph_image
-from repro.shard.messages import ShardReply, ShardSpec, ShardUnavailableError
+from repro.shard.messages import (
+    PackedPairs,
+    ShardReply,
+    ShardSpec,
+    ShardUnavailableError,
+)
 from repro.shard.router import Router, make_router
 
 if TYPE_CHECKING:
@@ -68,8 +73,8 @@ class QueryOutcome:
 
     ``status`` is ``"ok"``, a runtime verdict (``"shed"``,
     ``"timeout"``, ``"failed"``), or ``"unavailable"`` when the owning
-    worker died mid-flight.  ``values`` is the serialized PPR vector
-    (``[[node, score], ...]``) on success; ``retry_after_s`` is set on
+    worker died mid-flight.  ``values`` is the worker's packed answer
+    on success, passed along as it arrived; ``retry_after_s`` is set on
     every shed so callers can map it straight onto a ``Retry-After``
     header.
     """
@@ -79,7 +84,7 @@ class QueryOutcome:
     source: int
     version: int = -1
     cached: bool = False
-    values: list[list[float]] | None = None
+    values: PackedPairs | None = None
     response_s: float = 0.0
     retry_after_s: float | None = None
     shed_reason: str | None = None
@@ -352,19 +357,14 @@ class ShardManager:
         retry_after = (
             self._inflight_retry_hint() if status == "shed" else None
         )
-        raw_values = payload.get("values")
-        values = (
-            [list(pair) for pair in raw_values]
-            if isinstance(raw_values, list)
-            else None
-        )
+        values = payload.get("values")
         return QueryOutcome(
             status=status,
             shard_id=shard_id,
             source=source,
             version=int(payload.get("version", -1)),  # type: ignore[call-overload]
             cached=bool(payload.get("cached", False)),
-            values=values,
+            values=values if isinstance(values, PackedPairs) else None,
             response_s=float(payload.get("response_s", 0.0)),  # type: ignore[arg-type]
             retry_after_s=retry_after,
             shed_reason=(
@@ -395,7 +395,12 @@ class ShardManager:
         version.  A shard that fails its ack is killed on the spot —
         its graph can no longer be trusted to match the fleet — and
         left to the respawn path, which replays the full log.
+
+        Raises ValueError for an endpoint outside the int32 range: node
+        ids cross the pipes as int32 (``ShardSpec.edges``, answers).
         """
+        if not (-(2**31) <= u < 2**31 and -(2**31) <= v < 2**31):
+            raise ValueError(f"edge ({u}, {v}) has an id outside int32")
         edge_update = EdgeUpdate(u, v, kind)
         self.metrics.counter("shard.updates_broadcast").inc()
         with self._update_lock:

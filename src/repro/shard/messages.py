@@ -3,11 +3,13 @@
 Everything that crosses a process boundary lives here: the
 :class:`ShardSpec` a worker is built from, the command dataclasses the
 manager sends, and the :class:`ShardReply` envelope workers send back.
-All types are plain frozen dataclasses of primitives, so they pickle
-onto a pipe without dragging graph or algorithm state along — and this
-module loads no numpy until an edge list is decoded into an array
-(:meth:`ShardSpec.edge_array`, in a worker), because the front door and
-the graph-image builder import it too.
+They are plain frozen dataclasses of primitives, and their two bulky
+parts — a spec's edge list, a reply's answer (:class:`PackedPairs`) —
+are packed bytes, so they pickle onto a pipe without dragging graph or
+algorithm state along — and this module loads no numpy until an edge
+list is decoded into an array (:meth:`ShardSpec.edge_array`, in a
+worker), because the front door and the graph-image builder import it
+too.
 
 Versioned update broadcast
 --------------------------
@@ -30,7 +32,7 @@ import copy
 import operator
 import struct
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, ClassVar
 
@@ -288,13 +290,68 @@ Command = (
 # ----------------------------------------------------------------------
 # replies (worker -> manager)
 # ----------------------------------------------------------------------
+class PackedPairs:
+    """A query answer on the wire: ``(node, value)`` pairs in two buffers.
+
+    ``nodes`` is little-endian int32 and ``values`` little-endian
+    float64, both in reply order — two objects to pickle, unpickle and
+    pass along, where a list of ``[node, value]`` lists was three per
+    pair.  Iterating decodes them into ``(int, float)`` tuples without
+    numpy, which is how the HTTP edge writes the JSON array; ``==``
+    compares the buffers, so answers compare bit for bit.
+    """
+
+    __slots__ = ("nodes", "values")
+
+    def __init__(self, nodes: bytes, values: bytes) -> None:
+        if len(nodes) % 4 or len(values) != 2 * len(nodes):
+            raise ValueError(
+                "packed pairs need one float64 value per int32 node"
+            )
+        self.nodes = nodes
+        self.values = values
+
+    @classmethod
+    def from_arrays(
+        cls,
+        nodes: "NDArray[np.integer[Any]]",
+        values: "NDArray[np.floating[Any]]",
+    ) -> "PackedPairs":
+        """Pack a node-id array and its value array (a worker's side)."""
+        return cls(
+            nodes.astype("<i4").tobytes(), values.astype("<f8").tobytes()
+        )
+
+    def __reduce__(self) -> tuple[type["PackedPairs"], tuple[bytes, bytes]]:
+        return PackedPairs, (self.nodes, self.values)
+
+    def __len__(self) -> int:
+        return len(self.nodes) // 4
+
+    def __iter__(self) -> Iterator[tuple[int, float]]:
+        count = len(self)
+        return zip(
+            struct.unpack(f"<{count}i", self.nodes),
+            struct.unpack(f"<{count}d", self.values),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PackedPairs):
+            return NotImplemented
+        return self.nodes == other.nodes and self.values == other.values
+
+    def __repr__(self) -> str:
+        return f"PackedPairs(<{len(self)} pairs>)"
+
+
 @dataclass(frozen=True, slots=True)
 class ShardReply:
     """Envelope for every worker response.
 
     ``payload`` is a plain dict of primitives (query payloads carry
-    ``status``/``version``/``cached``/``values``); ``error`` is set —
-    and ``ok`` False — when the command failed worker-side.
+    ``status``/``version``/``cached`` and, when served, ``values`` as
+    :class:`PackedPairs`); ``error`` is set — and ``ok`` False — when
+    the command failed worker-side.
     """
 
     req_id: int

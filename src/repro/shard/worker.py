@@ -42,7 +42,7 @@ import threading
 import time
 from collections.abc import Callable
 from multiprocessing.connection import Connection
-from typing import TYPE_CHECKING, NoReturn
+from typing import TYPE_CHECKING, NoReturn, cast
 
 from repro.cache.store import PPRCache
 from repro.graph.digraph import DynamicGraph
@@ -60,6 +60,7 @@ from repro.shard.messages import (
     CrashCommand,
     HealthCommand,
     MetricsCommand,
+    PackedPairs,
     QueryCommand,
     ReconfigureCommand,
     ShardReply,
@@ -100,23 +101,17 @@ def build_graph(spec: ShardSpec) -> DynamicGraph:
     return DynamicGraph.from_edge_array(spec.num_nodes, spec.edge_array())
 
 
-def serialize_result(result: object, top_k: int | None) -> object:
+def serialize_result(result: PPRVector, top_k: int | None) -> PackedPairs:
     """Reply-payload form of a query result.
 
-    Vectors always ship as ``[[node, value], ...]`` pairs (float64
-    exact under pickle, JSON-friendly at the front door): node-sorted
-    strictly-positive entries for the full vector, or the ``top_k``
-    largest when a truncation was requested (the HTTP default, so
-    payloads stay bounded on large graphs).
+    The entries :meth:`~repro.ppr.base.PPRVector.select` picks — the
+    node-sorted strictly-positive entries of the full vector, or the
+    ``top_k`` largest when a truncation was requested (the HTTP
+    default, so payloads stay bounded on large graphs) — packed as
+    int32 node ids and float64 values (exact), which the HTTP edge
+    writes as the ``[[node, value], ...]`` JSON array.
     """
-    if isinstance(result, PPRVector):
-        if top_k is not None:
-            return [[node, value] for node, value in result.top_k(top_k)]
-        return [
-            [node, value]
-            for node, value in sorted(result.as_dict().items())
-        ]
-    return repr(result)
+    return PackedPairs.from_arrays(*result.select(top_k))
 
 
 class ShardServer:
@@ -219,7 +214,9 @@ class ShardServer:
             "response_s": record.response_s,
         }
         if record.status == OK:
-            payload["values"] = serialize_result(record.result, top_k)
+            payload["values"] = serialize_result(
+                cast(PPRVector, record.result), top_k
+            )
         self._reply(
             ShardReply(
                 tag,

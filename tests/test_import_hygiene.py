@@ -135,6 +135,27 @@ finally:
 assert not numerics_loaded(), numerics_loaded()[:8]
 """
 
+# the front door writing a whole-vector answer straight from its buffers
+ANSWER_RENDERED_WITHOUT_NUMERICS = NUMERICS + """
+import json, struct
+import repro.api.serve
+from repro.api.frontdoor import ApiResponse
+from repro.api.http import _render
+from repro.shard.messages import PackedPairs
+
+nodes = list(range(0, 4800, 2))
+values = [1.0 / (node + 3) for node in nodes]
+# explicit little-endian bytes: what a worker packs, whatever the host
+packed = PackedPairs(struct.pack(f"<{len(nodes)}i", *nodes),
+                     struct.pack(f"<{len(values)}d", *values))
+body = {"status": "ok", "source": 0, "shard": 0, "version": 1,
+        "cached": False, "values": packed, "response_s": 0.01}
+rendered = _render(ApiResponse(200, body)).partition(b"\\r\\n\\r\\n")[2]
+old_body = {**body, "values": [[n, v] for n, v in zip(nodes, values)]}
+assert rendered == json.dumps(old_body).encode()
+assert not numerics_loaded(), numerics_loaded()[:8]
+"""
+
 CLI_LISTING_WITHOUT_NUMPY = NUMERICS + """
 from repro.cli import main
 
@@ -212,6 +233,10 @@ def test_worker_without_quota_loads_no_experiment_harness():
 
 def test_front_door_of_a_live_fleet_holds_no_numerics():
     run_fresh_interpreter(FRONT_DOOR_WITHOUT_NUMERICS)
+
+
+def test_front_door_renders_an_answer_without_numerics():
+    run_fresh_interpreter(ANSWER_RENDERED_WITHOUT_NUMERICS)
 
 
 def test_cli_dataset_listing_loads_no_numpy():
