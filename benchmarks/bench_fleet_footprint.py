@@ -1,13 +1,14 @@
 """Benchmark: what each fleet process pays, stage by stage, and their sum.
 
 ``server_rss_mb`` of the end-to-end benchmark is a sum of ``VmRSS``
-over the front door and its workers.  Six kinds of row:
+over the front door and its workers.  Seven kinds of row:
 
 * per algorithm (FORA and FORA+inc on ``lj``): a **worker**'s start-up
-  in a fresh interpreter — import the serving stack, unpickle a
-  :class:`~repro.shard.messages.ShardSpec`, ``build_graph``,
-  ``build_algorithm`` — seconds each took, RSS it added, and the
-  pickled spec's size;
+  in a fresh interpreter started as a worker is, by
+  :func:`repro.shard.launch.python_child` — import the serving stack,
+  unpickle a :class:`~repro.shard.messages.ShardSpec`, ``build_graph``,
+  ``build_algorithm`` — seconds each took, RSS it added, the pickled
+  spec's size, and whether OpenSSL got loaded;
 * ``FORA+inc`` → ``update_stream``: the same worker *after* start-up —
   index built on the main thread, then ``update_heavy``'s share of
   updates and queries applied from a second thread, as the serving
@@ -19,14 +20,20 @@ over the front door and its workers.  Six kinds of row:
 * ``reply``: one whole-vector answer of a FORA worker on ``lj`` — the
   pairs it carries and the bytes its pickled
   :class:`~repro.shard.messages.ShardReply` puts on the pipe;
+* ``cache_entry``: a FORA worker on ``lj`` with the result cache on
+  answers 64 sources — the nonzero entries those answers hold and the
+  bytes the cache keeps live for them (``tracemalloc``: what the same
+  64 answers leave live with the cache on, less what they leave with
+  it off);
 * ``image_build``: the **graph-image builder** child ``repro serve``
   starts, on its own — wall seconds from launch to exit (imports,
   generating the dataset's pairs, packing them, writing them out) and
   whether it loaded numpy;
 * ``frontdoor``: the **control plane**'s start-up in a fresh
-  interpreter — import :mod:`repro.api.serve`, receive the graph image
-  from the builder child, bring up a 2-shard manager — with the module
-  count and whether numpy got loaded at each stage;
+  interpreter — import what ``repro.api.serve.main`` imports, receive
+  the graph image from the builder child, bring up a 2-shard manager —
+  with the module count and whether numpy or OpenSSL got loaded at each
+  stage;
 * ``fleet``: a real, idle ``repro serve --dataset lj --shards 2`` —
   which processes it is made of and the ``VmRSS`` of each (Linux only).
 
@@ -42,6 +49,11 @@ Asserted (the bench-smoke CI job runs this at quick scope):
 * the pickled whole-vector reply costs <= 12.5 B per pair (packed int32
   ids and float64 values are 12; ``[node, value]`` lists pickled to
   16.0 and unpickled into three objects per pair);
+* a cached answer keeps <= 12.5 B live per nonzero entry (int32 index
+  plus float64 value are 12; the dense vector it was cached as held
+  16-18);
+* no worker and no front door loads OpenSSL (``numpy.random`` and
+  ``asyncio`` used to map it into each);
 * ``build_graph`` adds <= 100 B of RSS per edge (adjacency lists over
   shared ``int`` objects sit near 57; with the edge set and the
   build-time update log it was ~190);
@@ -66,8 +78,10 @@ graph itself), both on the host that recorded the committed JSON; its
 walk recorder, doubling slack stores) through this file's child; its
 ``image_build`` row is commit d399fb7 (the builder generated a
 ``DynamicGraph`` and packed it with numpy) through this file's
-``run_image_build`` and ``run_fleet``.  Start-up seconds are CPU-bound
-on a 2-vCPU host and move by ~0.1 s with whatever else runs on it.
+``run_image_build`` and ``run_fleet``; its ``cache_entry`` row is
+commit 0839fb8 (dense cache entries) through this file's
+``run_cache_entry``.  Start-up seconds are CPU-bound on a 2-vCPU host
+and move by ~0.1 s with whatever else runs on it.
 
 Results land in ``BENCH_fleet_footprint.json`` at the repo root via
 ``benchmarks/common.py``.  Run directly or through pytest.
@@ -75,6 +89,7 @@ Results land in ``BENCH_fleet_footprint.json`` at the repo root via
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import pickle
@@ -83,6 +98,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 from statistics import median
 
@@ -105,6 +121,7 @@ FRONTDOOR_STAGES = ("imports", "image_received", "manager_ready")
 
 SPEC_BYTES_PER_EDGE_CEILING = 10.0
 REPLY_BYTES_PER_PAIR_CEILING = 12.5
+CACHE_BYTES_PER_ENTRY_CEILING = 12.5
 GRAPH_RSS_BYTES_PER_EDGE_CEILING = 100.0
 FRONTDOOR_RSS_MB_CEILING = 30.0
 
@@ -180,6 +197,21 @@ PREVIOUS["reply"] = {
     "pairs": 2_410,
     "pickle_bytes": 38_482,
 }
+
+#: 64 full-vector answers cached by a FORA worker on lj at the parent
+#: commit 0839fb8 (the dense vector was the entry), by this file's
+#: `run_cache_entry`
+PREVIOUS["cache_entry"] = {
+    "commit": "0839fb8",
+    "cached": 64,
+    "nonzero_entries": 136_470,
+    "cache_bytes": 2_454_826,
+}
+
+#: the sources the `cache_entry` row caches, and its cache budget (that
+#: of the `hot_cached` workload)
+CACHED_SOURCES = range(0, 4_800, 75)
+CACHE_EPSILON = 0.1
 
 COMPACTION_PEAK_MB_CEILING = 8.0
 
@@ -293,23 +325,30 @@ spec = stage("spec_unpickle", unpickle)
 graph = stage("build_graph", lambda: build_graph(spec))
 algorithm = stage("build_algorithm", lambda: build_algorithm(
     spec.algorithm, graph, spec.walk_cap, seed=spec.seed, engine=spec.engine))
+from repro.shard.launch import UNLOADED_MODULES
 print(json.dumps({
     "marks": marks,
     "num_edges": graph.num_edges,
     "version": graph.version,
     "log_entries": len(graph._log),
     "caught_up": graph.updates_since(graph.version) == [],
+    "openssl_loaded": any(sys.modules.get(name) for name in UNLOADED_MODULES),
 }))
 """
 
 #: the control plane's start-up one stage at a time, so each is attributable
 #: (`repro.api.serve._build_manager` overlaps the image build with worker boot;
-#: the `fleet` row times that)
+#: the `fleet` row times that); the imports are those of `serve.main`
 FRONTDOOR_CHILD = """
 import sys, time
 started = time.perf_counter()
 import json
+from repro.shard.launch import UNLOADED_MODULES, refuse_unloaded_modules
+refuse_unloaded_modules()
 import repro.api.serve as serve
+import asyncio
+from repro.api.frontdoor import FrontDoor
+from repro.api.http import HttpServer
 from repro.evaluation.datasets import get_dataset
 from repro.obs.metrics import process_stats
 from repro.shard.image import ImageBuild
@@ -320,7 +359,9 @@ def mark(name, begin):
     marks.append({"stage": name, "seconds": time.perf_counter() - begin,
                   "rss_mb": process_stats()["rss_mb"],
                   "modules": len(sys.modules),
-                  "numpy": "numpy" in sys.modules})
+                  "numpy": "numpy" in sys.modules,
+                  "openssl_loaded": any(
+                      sys.modules.get(name) for name in UNLOADED_MODULES)})
 
 mark("imports", started)
 begin = time.perf_counter()
@@ -338,7 +379,7 @@ print(json.dumps(marks))
 """
 
 
-def lj_spec(algorithm: str) -> ShardSpec:
+def lj_spec(algorithm: str, cache_epsilon: float | None = None) -> ShardSpec:
     """The spec ``repro serve --dataset lj --algorithm ...`` ships."""
     dataset = get_dataset(DATASET)
     graph = dataset.build(seed=0)
@@ -349,6 +390,7 @@ def lj_spec(algorithm: str) -> ShardSpec:
         edges=graph.edges(),
         algorithm=algorithm,
         walk_cap=dataset.walk_cap,
+        cache_epsilon=cache_epsilon,
     )
 
 
@@ -373,26 +415,66 @@ def run_reply() -> dict:
     }
 
 
+def run_cache_entry() -> dict:
+    """What a FORA worker's result cache keeps live for 64 answers.
+
+    The same 64 full-vector queries run through a :class:`ShardServer`
+    with the cache off and one with it on, ``tracemalloc`` on around
+    the queries alone; ``cache_bytes`` is the difference of what each
+    leaves live once the replies are dropped.  ``nonzero_entries``
+    counts the pairs the answers carried: a FORA estimate has no
+    negative entry, so its positive entries are its nonzero ones.
+    ``cached`` is the entries the cache took in.
+    """
+    live = {}
+    for cache_epsilon in (None, CACHE_EPSILON):
+        replies = []
+        server = ShardServer(lj_spec("FORA", cache_epsilon), replies.append)
+        try:
+            gc.collect()
+            tracemalloc.start()
+            before = tracemalloc.get_traced_memory()[0]
+            for request_id, source in enumerate(CACHED_SOURCES, 1):
+                server.handle(QueryCommand(request_id, source))
+            server.runtime.drain()
+            pairs = sum(len(reply.payload["values"]) for reply in replies)
+            replies.clear()
+            gc.collect()
+            live[cache_epsilon] = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            server.runtime.stop()
+    return {
+        "sources": len(CACHED_SOURCES),
+        "cached": server.metrics.counter("cache.insertions").value,
+        "nonzero_entries": pairs,
+        "cache_bytes": live[CACHE_EPSILON] - live[None],
+    }
+
+
 def run_stages(spec_pickle: bytes) -> dict:
     """One fresh interpreter through the four start-up stages.
 
     Returns ``{stage: {"seconds", "rss_mb", "added_mb"}}`` (``added_mb``
     is the RSS growth over the previous stage; ``imports`` has only the
-    absolute value) plus what the child saw of the built graph.
+    absolute value) plus what the child saw of the built graph and
+    whether it loaded OpenSSL.
     """
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "spec.pickle"
         path.write_bytes(spec_pickle)
-        proc = subprocess.run(
-            [sys.executable, "-c", CHILD, str(path)],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        child = python_child(
+            f"sys.argv[1:] = {[str(path)]!r}{CHILD}", stdout=subprocess.PIPE
         )
-    if proc.returncode != 0:
-        raise RuntimeError(f"footprint child failed:\n{proc.stderr[-2000:]}")
-    report = json.loads(proc.stdout.splitlines()[-1])
+        try:
+            out, _ = child.communicate(timeout=120)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait(10.0)
+    if child.returncode != 0:
+        raise RuntimeError("footprint child failed")
+    report = json.loads(out.splitlines()[-1])
     stages: dict[str, dict[str, float]] = {}
     before = None
     for name, seconds, rss_mb in report.pop("marks"):
@@ -571,12 +653,16 @@ def run_bench() -> dict:
             key: first[key]
             for key in ("num_edges", "version", "log_entries", "caught_up")
         }
+        results[algorithm]["openssl_loaded"] = any(
+            run["openssl_loaded"] for run in runs
+        )
         if algorithm == "FORA+inc":
             streams = [run_update_stream(spec_pickle) for _ in range(repeats)]
             results[algorithm]["update_stream"] = {
                 key: median(run[key] for run in streams) for key in streams[0]
             }
     results["reply"] = run_reply()
+    results["cache_entry"] = run_cache_entry()
     results["image_build"] = run_image_build()
     results["frontdoor"] = run_frontdoor()
     if os.path.isdir("/proc/self"):
@@ -608,6 +694,21 @@ def test_pickled_spec_is_packed():
 def test_pickled_reply_is_packed():
     row = _results()["reply"]
     assert row["pickle_bytes"] / row["pairs"] <= REPLY_BYTES_PER_PAIR_CEILING
+
+
+def test_cached_answer_is_compact():
+    row = _results()["cache_entry"]
+    assert row["cached"] == row["sources"]
+    per_entry = row["cache_bytes"] / row["nonzero_entries"]
+    assert per_entry <= CACHE_BYTES_PER_ENTRY_CEILING
+
+
+def test_no_worker_or_front_door_loads_openssl():
+    results = _results()
+    for algorithm in ALGORITHMS:
+        assert results[algorithm]["openssl_loaded"] is False, algorithm
+    for name in FRONTDOOR_STAGES:
+        assert not results["frontdoor"][name]["openssl_loaded"], name
 
 
 def test_build_graph_holds_the_graph_once():
@@ -673,6 +774,12 @@ def main() -> None:
         f"whole-vector reply: {row['pairs']} pairs, pickled "
         f"{row['pickle_bytes'] / row['pairs']:.1f} B/pair (was "
         f"{was['pickle_bytes'] / was['pairs']:.1f})"
+    )
+    row, was = results["cache_entry"], PREVIOUS["cache_entry"]
+    print(
+        f"result cache, {row['sources']} answers: "
+        f"{row['cache_bytes'] / row['nonzero_entries']:.1f} B per nonzero "
+        f"entry (was {was['cache_bytes'] / was['nonzero_entries']:.1f})"
     )
     stream = results["FORA+inc"]["update_stream"]
     was = PREVIOUS["FORA+inc"]["update_stream"]

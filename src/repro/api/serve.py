@@ -10,23 +10,34 @@ update log — never a graph, an index or numpy
 (``tests/test_import_hygiene.py`` holds it to that).  Drift-driven
 reconfiguration is armed whenever ``--quota`` is given (the workers then
 build calibrated QuotaControllers at start).
+
+Importing this module loads neither asyncio nor the HTTP stack, whose
+``asyncio`` would load ``ssl``: :func:`main` refuses OpenSSL's modules
+(:data:`~repro.shard.launch.UNLOADED_MODULES`) and only then binds the
+stack's names here, so a library import leaves ``sys.modules`` as it
+found it.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
 import sys
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
-from repro.api.frontdoor import DriftPolicy, FrontDoor
-from repro.api.http import HttpServer
 from repro.evaluation.datasets import DatasetSpec, get_dataset
 from repro.ppr.names import ALGORITHM_NAMES
 from repro.shard.backend import BACKENDS
 from repro.shard.image import ImageBuild
+from repro.shard.launch import refuse_unloaded_modules
 from repro.shard.manager import ShardManager
 from repro.shard.router import ROUTERS
+
+if TYPE_CHECKING:  # bound at run time by _bind_http_stack
+    import asyncio
+
+    from repro.api.frontdoor import DriftPolicy, FrontDoor
+    from repro.api.http import HttpServer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,6 +115,27 @@ def _build_manager(args: argparse.Namespace, spec: DatasetSpec) -> ShardManager:
     )
 
 
+def _bind_http_stack() -> None:
+    """Import asyncio and the HTTP stack into this module's namespace.
+
+    A name already bound here is kept: a wrapper may swap its own
+    ``FrontDoor`` / ``HttpServer`` / ``ShardManager`` in before calling
+    :func:`main`.
+    """
+    import asyncio
+
+    from repro.api.frontdoor import DriftPolicy, FrontDoor
+    from repro.api.http import HttpServer
+
+    for name, value in (
+        ("asyncio", asyncio),
+        ("DriftPolicy", DriftPolicy),
+        ("FrontDoor", FrontDoor),
+        ("HttpServer", HttpServer),
+    ):
+        globals().setdefault(name, value)
+
+
 async def _serve(args: argparse.Namespace) -> int:
     spec = get_dataset(args.dataset)
     manager = _build_manager(args, spec)
@@ -148,6 +180,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         # a dataset declares a query rate only; a guessed update rate
         # would be a wrong drift baseline
         parser.error("--quota requires --lambda-u (the drift baseline)")
+    refuse_unloaded_modules()
+    _bind_http_stack()
     try:
         return asyncio.run(_serve(args))
     except KeyboardInterrupt:  # pragma: no cover - interactive exit

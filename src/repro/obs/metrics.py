@@ -258,18 +258,24 @@ def reset_metrics() -> None:
 
 
 def process_stats() -> dict[str, float | int]:
-    """This process's ``pid`` and resident set size in MB.
+    """This process's ``pid`` and memory in MB.
 
-    ``VmRSS`` of ``/proc/self/status``, the number an outside ``/proc``
-    scan would read for this pid; 0.0 where there is no procfs.
+    ``rss_mb`` is ``VmRSS`` of ``/proc/self/status``, the number an
+    outside ``/proc`` scan would read for this pid; ``rss_anon_mb`` is
+    its ``RssAnon`` part, the private memory, without the pages of
+    mapped files and shared libraries.  0.0 where there is no procfs.
     """
-    rss_kb = 0
+    kb = {"VmRSS": 0, "RssAnon": 0}
     try:
         with open("/proc/self/status", encoding="latin-1") as handle:
             for line in handle:
-                if line.startswith("VmRSS:"):
-                    rss_kb = int(line.split()[1])
-                    break
+                name, _, value = line.partition(":")
+                if name in kb:
+                    kb[name] = int(value.split()[0])
     except OSError:
         pass
-    return {"pid": os.getpid(), "rss_mb": rss_kb / 1024.0}
+    return {
+        "pid": os.getpid(),
+        "rss_mb": kb["VmRSS"] / 1024.0,
+        "rss_anon_mb": kb["RssAnon"] / 1024.0,
+    }

@@ -46,7 +46,7 @@ import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING, Protocol, cast
 
 import numpy as np
 from numpy.typing import NDArray
@@ -64,7 +64,11 @@ from repro.queueing.workload import Request, Workload
 if TYPE_CHECKING:  # type-only: repro.core imports this package
     from repro.core.seed import SeedQueue
     from repro.obs.metrics import MetricsRegistry
-    from repro.ppr.base import DynamicPPRAlgorithm
+    from repro.ppr.base import (
+        CompactPPRVector,
+        DynamicPPRAlgorithm,
+        PPRVector,
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -333,7 +337,10 @@ class MeasuredExecutor:
     """Service time = measured wall time of the real algorithm.
 
     Queries look up the :class:`~repro.cache.store.PPRCache` before computing
-    (a hit costs the measured lookup) and insert after; with a cache,
+    (a hit costs the measured lookup) and insert after; the cache holds
+    an answer's nonzero entries (:class:`~repro.ppr.base.CompactPPRVector`)
+    and a hit expands them back into the dense vector, inside the
+    measured lookup, before ``on_answer`` sees it; with a cache,
     updates go through a :class:`~repro.cache.staleness.ChargingApplier`
     over ``algorithm.graph`` at ``algorithm.params.alpha``, so each one
     is charged against the degrees it actually saw.  Durations land on
@@ -342,7 +349,7 @@ class MeasuredExecutor:
     ``service.flush`` total per flush.  ``query_fn`` replaces
     ``algorithm.query`` (the exact mode of the equivalence oracle); its
     answers are opaque to the cache, which then charges them the
-    degree-only staleness bound.
+    degree-only staleness bound, and are cached as they are.
     """
 
     def __init__(
@@ -385,11 +392,14 @@ class MeasuredExecutor:
         key = self._key(source)
         started = perf_counter()
         entry = self._cache.lookup(key)
-        elapsed = perf_counter() - started
         if entry is None:
             return None
+        answer = entry.value
+        if self._query_fn is None:
+            answer = cast("CompactPPRVector", answer).expand()
+        elapsed = perf_counter() - started
         self._metrics.histogram("service.query_hit").observe(elapsed)
-        self._on_answer(request, entry.value, entry.version)
+        self._on_answer(request, answer, entry.version)
         return elapsed
 
     def query(self, request: Request) -> float:
@@ -397,18 +407,22 @@ class MeasuredExecutor:
         assert source is not None  # QUERY requests carry one
         started = perf_counter()
         answer: object
-        pi_estimate: PiEstimate | None = None
+        estimate: PPRVector | None = None
         if self._query_fn is None:
-            estimate = self._algorithm.query(source)
-            answer, pi_estimate = estimate, estimate.get
+            answer = estimate = self._algorithm.query(source)
         else:
             answer = self._query_fn(self._algorithm.graph, source)
         elapsed = perf_counter() - started
         self._metrics.histogram("service.query").observe(elapsed)
         if self._cache is not None:
+            kept: object = answer
+            pi_estimate: PiEstimate | None = None
+            if estimate is not None:
+                compact = estimate.compact()
+                kept, pi_estimate = compact, compact.get
             self._cache.insert(
                 self._key(source),
-                answer,
+                kept,
                 self._algorithm.graph.version,
                 pi_estimate=pi_estimate,
             )

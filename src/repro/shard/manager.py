@@ -260,7 +260,13 @@ class ShardManager:
         deadline_s: float | None = None,
         top_k: int | None = None,
     ) -> "Future[QueryOutcome]":
-        """Route one query; always resolves (sheds resolve immediately)."""
+        """Route one query; always resolves (sheds resolve immediately).
+
+        Raises ValueError for a source the router cannot place and for
+        a negative ``top_k``.
+        """
+        if top_k is not None and top_k < 0:
+            raise ValueError(f"top_k must be >= 0, got {top_k}")
         self.metrics.counter("shard.queries_routed").inc()
         shard_id = self.router.route(source)
         slot = self._slots[shard_id]

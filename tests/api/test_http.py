@@ -136,3 +136,37 @@ def test_http_end_to_end():
         asyncio.run(scenario())
     finally:
         manager.stop()
+
+
+def test_negative_top_k_is_a_bad_request():
+    """A negative ``top_k`` used to be served as "all but |k|" entries."""
+    manager = ShardManager(
+        ring_graph(),
+        2,
+        backend="inproc",
+        walk_cap=64,
+        auto_respawn=False,
+        metrics=MetricsRegistry(),
+    )
+
+    async def scenario():
+        server = HttpServer(FrontDoor(manager, default_top_k=4))
+        await server.start()
+        try:
+            status, _, body = await fetch(
+                server.port, "GET", "/query?source=3&top_k=-5"
+            )
+            assert status == 400
+            assert body["status"] == "bad-request"
+            status, _, body = await fetch(
+                server.port, "GET", "/query?source=3&top_k=0"
+            )
+            assert status == 200
+            assert body["values"] == []
+        finally:
+            await server.stop()
+
+    try:
+        asyncio.run(scenario())
+    finally:
+        manager.stop()

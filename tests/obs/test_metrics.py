@@ -1,11 +1,17 @@
 """Tests for the observability registry (counters / histograms)."""
 
+import os
 import random
 
 import numpy as np
 import pytest
 
-from repro.obs.metrics import Histogram, MetricsRegistry, get_metrics
+from repro.obs.metrics import (
+    Histogram,
+    MetricsRegistry,
+    get_metrics,
+    process_stats,
+)
 
 
 class TestCounter:
@@ -106,3 +112,14 @@ class TestRegistry:
 
     def test_global_registry_is_shared(self):
         assert get_metrics() is get_metrics()
+
+
+def test_process_stats_separates_private_memory():
+    """``rss_anon_mb`` is the private part of ``rss_mb``: without the
+    pages of mapped files and shared libraries."""
+    stats = process_stats()
+    assert stats["pid"] == os.getpid()
+    if not os.path.exists("/proc/self/status"):
+        assert stats["rss_mb"] == stats["rss_anon_mb"] == 0.0
+        return
+    assert 0.0 < stats["rss_anon_mb"] < stats["rss_mb"]

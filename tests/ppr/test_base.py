@@ -88,6 +88,11 @@ class TestPPRVector:
         assert vec.top_k(0) == []
         assert len(vec.top_k(10)) == 3  # clamped to n
 
+    def test_negative_k_is_refused(self):
+        """``argpartition`` reads a negative k as "all but |k|"."""
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            self._vector().select(-1)
+
     def test_total_mass(self):
         assert self._vector().total_mass() == pytest.approx(1.0)
 

@@ -9,6 +9,9 @@ numpy, the kernels and a ``DynamicGraph`` (≈ 25 MB) to build a graph it
 only forwarded; and every worker re-imported ``repro.cli`` with asyncio
 and argparse as ``__mp_main__``.  Each check runs in a fresh
 interpreter — ``sys.modules`` of the test process proves nothing.
+No fleet process loads OpenSSL either: nothing in it hashes or speaks
+TLS, yet ``numpy.random`` and ``asyncio`` used to map libcrypto and
+libssl into every one of them.
 """
 
 import os
@@ -16,8 +19,16 @@ import pathlib
 import signal
 import subprocess
 import sys
+import time
+
+import pytest
+
+from repro.shard.launch import UNLOADED_MODULES, python_child
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+needs_procfs = pytest.mark.skipif(
+    not os.path.exists("/proc/self/maps"), reason="reads /proc (Linux)"
+)
 
 SERVING_WITHOUT_SCIPY = """
 import sys
@@ -116,6 +127,8 @@ assert not missing, missing
 # what `repro serve` does, with a live process fleet behind it
 FRONT_DOOR_WITHOUT_NUMERICS = NUMERICS + """
 import repro.api.serve as serve
+from repro.api.frontdoor import FrontDoor
+from repro.api.http import HttpServer
 from repro.evaluation.datasets import get_dataset
 
 args = serve.build_parser().parse_args(
@@ -123,8 +136,8 @@ args = serve.build_parser().parse_args(
 )
 manager = serve._build_manager(args, get_dataset(args.dataset))
 try:
-    frontdoor = serve.FrontDoor(manager, default_top_k=args.top_k)
-    serve.HttpServer(frontdoor, args.host, args.port)
+    frontdoor = FrontDoor(manager, default_top_k=args.top_k)
+    HttpServer(frontdoor, args.host, args.port)
     assert manager.query_sync(0, top_k=3, timeout_s=60.0).ok
     assert manager.update(0, 5).acked_shards == (0, 1)
     snapshot = manager.metrics_snapshot()
@@ -202,6 +215,35 @@ shuffled = array("i", [i for pair in pairs[::-1] for i in pair]).tobytes()
 spec = ShardSpec(0, 1, 40, shuffled)
 assert spec.edges == ShardSpec(0, 1, 40, canonical).edges == canonical
 assert not numerics_loaded(), numerics_loaded()[:8]
+"""
+
+
+# what a worker runs, numpy.random included, in a `python_child`
+WORKER_WITHOUT_OPENSSL = f"""
+from repro.graph.generators import barabasi_albert_graph
+from repro.shard.messages import QueryCommand, ShardSpec
+from repro.shard.worker import ShardServer
+
+graph = barabasi_albert_graph(200, attach=3, seed=1)
+replies = []
+server = ShardServer(
+    ShardSpec(0, 1, graph.num_nodes, list(graph.edges()), walk_cap=500),
+    replies.append,
+)
+try:
+    server.handle(QueryCommand(1, 3, top_k=5))
+    server.runtime.drain()
+finally:
+    server.runtime.stop()
+assert replies[0].ok, replies
+print([name for name in {UNLOADED_MODULES!r} if sys.modules.get(name)])
+"""
+
+SERVE_IMPORT_LEAVES_OPENSSL_ALONE = f"""
+import sys
+import repro.api.serve
+present = [name for name in {UNLOADED_MODULES!r} if name in sys.modules]
+assert not present, present
 """
 
 
@@ -292,3 +334,69 @@ def test_workers_never_load_the_front_door_stack(tmp_path):
     assert imported.count("repro.shard.worker") == 2, "both workers traced"
     for module in ("asyncio", "argparse", "repro.api"):
         assert imported.count(module) == 1, (module, imported.count(module))
+
+
+def test_python_child_worker_loads_no_openssl(capfd):
+    """``hashlib`` and ``hmac`` fall back to CPython's built-in digests
+    quietly: a worker that never maps libcrypto writes no warning."""
+    child = python_child(WORKER_WITHOUT_OPENSSL, stdout=subprocess.PIPE)
+    out, _ = child.communicate(timeout=120)
+    assert child.returncode == 0
+    assert out.decode().split() == ["[]"]
+    assert capfd.readouterr().err == ""
+
+
+def test_importing_serve_leaves_sys_modules_alone():
+    """Only ``main`` refuses OpenSSL; a library import must neither
+    refuse it (pytest imports this module) nor load it."""
+    run_fresh_interpreter(SERVE_IMPORT_LEAVES_OPENSSL_ALONE)
+
+
+def _children(pid: int) -> list[int]:
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="latin-1") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid:
+            found.append(int(entry))
+    return found
+
+
+def _maps_openssl(pid: int) -> bool:
+    with open(f"/proc/{pid}/maps", encoding="latin-1") as handle:
+        maps = handle.read()
+    return "libcrypto" in maps or "libssl" in maps
+
+
+@needs_procfs
+def test_no_fleet_process_maps_openssl():
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--dataset", "webs",
+         "--shards", "2", "--port", "0"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+    )
+    try:
+        for line in server.stdout:
+            if b"serving on" in line:
+                break
+        else:
+            raise AssertionError("repro serve exited before it was ready")
+        deadline = time.monotonic() + 30.0
+        while len(workers := _children(server.pid)) != 2:
+            assert time.monotonic() < deadline, workers
+            time.sleep(0.05)
+        fleet = [server.pid, *workers]
+        assert [pid for pid in fleet if _maps_openssl(pid)] == []
+        server.send_signal(signal.SIGTERM)
+        server.wait(60.0)
+    finally:
+        server.kill()
+        server.wait(10.0)
+        server.stdout.close()
