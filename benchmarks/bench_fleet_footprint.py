@@ -10,9 +10,9 @@ over the front door and its workers.  Seven kinds of row:
   ``build_algorithm`` — seconds each took, RSS it added, the pickled
   spec's size, and whether OpenSSL got loaded;
 * ``FORA+inc`` → ``update_stream``: the same worker *after* start-up —
-  index built on the main thread, then ``update_heavy``'s share of
-  updates and queries applied from a second thread, as the serving
-  runtime does — ``VmRSS`` idle and at the end, and (in a second child,
+  index built, then ``update_heavy``'s share of updates and queries
+  applied on the same (main) thread, as a worker's serving loop does —
+  ``VmRSS`` idle and at the end, and (in a second child,
   ``tracemalloc`` on) live bytes after the build, the build's peak and
   the worst ``EdgeWalkMap._compact()`` peak above what was live when it
   began.  The child is started by :func:`repro.shard.launch.python_child`,
@@ -35,7 +35,8 @@ over the front door and its workers.  Seven kinds of row:
   with the module count and whether numpy or OpenSSL got loaded at each
   stage;
 * ``fleet``: a real, idle ``repro serve --dataset lj --shards 2`` —
-  which processes it is made of and the ``VmRSS`` of each (Linux only).
+  which processes it is made of, the ``VmRSS`` of each (Linux only),
+  and the Python threads each worker reports in ``GET /metrics``.
 
 Every child runs under a timeout and the fleet is torn down before its
 row is returned; the row says how many of its processes were left
@@ -63,6 +64,8 @@ Asserted (the bench-smoke CI job runs this at quick scope):
 * the front door never loads numpy and idles at <= 30 MB, and a fleet
   is ``1 + shards`` processes (it was 49 MB beside a 12 MB
   ``multiprocessing`` resource tracker);
+* every idle worker runs one Python thread (it ran three: pipe reader,
+  reply sender and serving runtime);
 * the image builder never loads numpy (it built a ``DynamicGraph``
   edge by edge and imported numpy to flatten it into sorted pairs).
 
@@ -99,6 +102,8 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import urllib.request
+from collections.abc import Iterable
 from pathlib import Path
 from statistics import median
 
@@ -109,7 +114,7 @@ from benchmarks.e2e import procfs
 from repro.evaluation.datasets import get_dataset
 from repro.shard.image import _HEADER
 from repro.shard.launch import python_child
-from repro.shard.messages import QueryCommand, ShardSpec
+from repro.shard.messages import Command, QueryCommand, ShardSpec
 from repro.shard.worker import ShardServer
 
 DATASET = "lj"
@@ -233,7 +238,7 @@ STREAM_UPDATES_PER_QUERY = 8
 #: runs under `python_child`: argv = [pickled spec path, "rss" | "trace",
 #: updates, updates per query]
 STREAM_CHILD = """
-import gc, json, pickle, sys, threading, tracemalloc
+import gc, json, pickle, sys, tracemalloc
 traced = sys.argv[2] == "trace"
 if traced:
     tracemalloc.start()
@@ -276,19 +281,14 @@ def weighed(self):
 if traced:
     incremental.EdgeWalkMap._compact = weighed
 
-def serve():
-    rng = np.random.default_rng(5)
-    n = graph.num_nodes
-    for i in range(sys.argv[3]):
-        u, v = (int(x) for x in rng.integers(0, n, 2))
-        if u != v:
-            algorithm.apply_update(EdgeUpdate(u, v))
-        if i % sys.argv[4] == 0:
-            algorithm.query(int(rng.integers(0, n)))
-
-thread = threading.Thread(target=serve)
-thread.start()
-thread.join()
+rng = np.random.default_rng(5)
+n = graph.num_nodes
+for i in range(sys.argv[3]):
+    u, v = (int(x) for x in rng.integers(0, n, 2))
+    if u != v:
+        algorithm.apply_update(EdgeUpdate(u, v))
+    if i % sys.argv[4] == 0:
+        algorithm.query(int(rng.integers(0, n)))
 if traced:
     report["compactions"] = len(peaks)
     report["compaction_peak_mb"] = max(peaks, default=0.0)
@@ -394,20 +394,29 @@ def lj_spec(algorithm: str, cache_epsilon: float | None = None) -> ShardSpec:
     )
 
 
+def serve_commands(server: ShardServer, commands: Iterable[Command]) -> None:
+    """Serve ``commands`` on this thread, as a worker serves its pipe
+    after reading them all at once, and return when they are done."""
+
+    def take(timeout_s: float) -> bool:
+        for command in commands:
+            server.handle(command)
+        return False  # closed: serve what was read, then return
+
+    server.serve(take)
+
+
 def run_reply() -> dict:
     """One whole-vector answer on lj as it goes onto the pipe.
 
     A FORA worker's :class:`ShardServer`, in this process, serves the
     full-vector query ``bulk_vectors`` sends; the :class:`ShardReply`
-    it hands its sender thread is pickled as ``Connection.send`` does.
+    it writes to its reply pipe is pickled as ``Connection.send`` does.
     """
     replies = []
-    server = ShardServer(lj_spec("FORA"), replies.append)
-    try:
-        server.handle(QueryCommand(1, 0))
-        server.runtime.drain()
-    finally:
-        server.runtime.stop()
+    serve_commands(
+        ShardServer(lj_spec("FORA"), replies.append), [QueryCommand(1, 0)]
+    )
     (reply,) = replies
     return {
         "pairs": len(reply.payload["values"]),
@@ -434,16 +443,19 @@ def run_cache_entry() -> dict:
             gc.collect()
             tracemalloc.start()
             before = tracemalloc.get_traced_memory()[0]
-            for request_id, source in enumerate(CACHED_SOURCES, 1):
-                server.handle(QueryCommand(request_id, source))
-            server.runtime.drain()
+            serve_commands(
+                server,
+                [
+                    QueryCommand(request_id, source)
+                    for request_id, source in enumerate(CACHED_SOURCES, 1)
+                ],
+            )
             pairs = sum(len(reply.payload["values"]) for reply in replies)
             replies.clear()
             gc.collect()
             live[cache_epsilon] = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-            server.runtime.stop()
     return {
         "sources": len(CACHED_SOURCES),
         "cached": server.metrics.counter("cache.insertions").value,
@@ -589,7 +601,10 @@ def run_fleet(idle_s: float = 2.0) -> dict:
         else:
             raise RuntimeError("repro serve exited before it was ready")
         ready_s = time.perf_counter() - started
+        url = line.split()[2].decode()
         time.sleep(idle_s)
+        with urllib.request.urlopen(f"{url}/metrics", timeout=30) as reply:
+            shards = json.load(reply)["shards"]
         members = sorted(
             pid for pid, state, ppid, _ in procfs.proc_table()
             if ppid == server.pid and state != "Z"
@@ -601,6 +616,10 @@ def run_fleet(idle_s: float = 2.0) -> dict:
             "children": [
                 {"argv": _argv(pid)[-70:], "rss_mb": procfs.rss_mb([pid])}
                 for pid in members
+            ],
+            "worker_python_threads": [
+                shards[shard]["process"]["python_threads"]
+                for shard in sorted(shards)
             ],
         }
         row["total_mb"] = row["frontdoor_mb"] + sum(
@@ -746,6 +765,7 @@ def test_fleet_is_the_front_door_and_its_workers():
         pytest.skip("the fleet row reads /proc (Linux)")
     assert row["processes"] == 1 + SHARDS, row["children"]
     assert all("spawn_main" in child["argv"] for child in row["children"])
+    assert row["worker_python_threads"] == [1] * SHARDS
     assert row["frontdoor_mb"] <= FRONTDOOR_RSS_MB_CEILING
     assert row["left_behind"] == 0
 

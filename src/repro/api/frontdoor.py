@@ -27,13 +27,14 @@ Three QoS behaviors live here rather than in the manager:
 from __future__ import annotations
 
 import asyncio
+import math
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.rates import RateDriftDetector
+from repro.core.rates import RateDriftDetector, check_rates
 from repro.obs.metrics import MetricsRegistry
 from repro.queueing.kinds import QUERY, UPDATE
 
@@ -42,7 +43,7 @@ if TYPE_CHECKING:
 
 #: Retry-After fallback when an outcome carries no hint
 DEFAULT_RETRY_AFTER_S = 1.0
-#: drift-triggered reconfigure results FrontDoor.reconfigurations keeps
+#: reconfigure results FrontDoor.reconfigurations keeps
 RECONFIGURATIONS_KEPT = 8
 
 
@@ -116,8 +117,8 @@ class FrontDoor:
                 ),
                 policy=drift,
             )
-        #: the last few drift-triggered reconfigure results
-        #: (observability; bounded, a server runs for weeks)
+        #: the last few reconfigure results, drift-triggered or explicit,
+        #: served in ``GET /metrics`` (bounded, a server runs for weeks)
         self.reconfigurations: deque[dict[str, object]] = deque(
             maxlen=RECONFIGURATIONS_KEPT
         )
@@ -142,6 +143,10 @@ class FrontDoor:
         self.metrics.counter("api.requests").inc()
         self._observe_arrival(QUERY, started)
         budget = budget_s if budget_s is not None else self.default_budget_s
+        if budget is not None and math.isnan(budget):
+            # NaN passes every comparison below and would reach the
+            # worker as a deadline that never expires
+            return self._bad_request(started, "budget_s is NaN")
         remaining: float | None = None
         if budget is not None:
             spent = started - (received_s if received_s is not None else started)
@@ -170,10 +175,7 @@ class FrontDoor:
                 top_k=top_k if top_k is not None else self.default_top_k,
             )
         except ValueError as exc:
-            self._observe_response(started)
-            return ApiResponse(
-                400, {"status": "bad-request", "error": str(exc)}
-            )
+            return self._bad_request(started, str(exc))
         outcome = await asyncio.wrap_future(future)
         self._maybe_reconfigure()
         self._observe_response(started)
@@ -192,10 +194,7 @@ class FrontDoor:
                 None, lambda: self.manager.update(u, v, kind)
             )
         except (ValueError, RuntimeError) as exc:
-            self._observe_response(started)
-            return ApiResponse(
-                400, {"status": "bad-request", "error": str(exc)}
-            )
+            return self._bad_request(started, str(exc))
         self._maybe_reconfigure()
         self._observe_response(started)
         return ApiResponse(
@@ -211,9 +210,17 @@ class FrontDoor:
     async def reconfigure(
         self, lambda_q: float, lambda_u: float
     ) -> ApiResponse:
-        """Explicitly re-solve every shard's QuotaController."""
+        """Explicitly re-solve every shard's QuotaController.
+
+        Rates :func:`~repro.core.rates.check_rates` refuses are a 400
+        that reaches no shard.
+        """
         started = time.perf_counter()
         self.metrics.counter("api.requests").inc()
+        try:
+            check_rates(lambda_q, lambda_u)
+        except ValueError as exc:
+            return self._bad_request(started, str(exc))
         loop = asyncio.get_running_loop()
         results = await loop.run_in_executor(
             None, lambda: self.manager.reconfigure(lambda_q, lambda_u)
@@ -221,16 +228,10 @@ class FrontDoor:
         drift = self._drift
         if drift is not None:
             drift.detector.rearm(lambda_q, lambda_u)
+        entry = {"lambda_q": lambda_q, "lambda_u": lambda_u, "shards": results}
+        self.reconfigurations.append(entry)
         self._observe_response(started)
-        return ApiResponse(
-            200,
-            {
-                "status": "ok",
-                "lambda_q": lambda_q,
-                "lambda_u": lambda_u,
-                "shards": results,
-            },
-        )
+        return ApiResponse(200, {"status": "ok", **entry})
 
     async def healthz(self) -> ApiResponse:
         """Fleet liveness; 503 while any shard range is shed."""
@@ -244,11 +245,13 @@ class FrontDoor:
         )
 
     async def metrics_snapshot(self) -> ApiResponse:
-        """Aggregated manager + per-worker metrics."""
+        """Aggregated manager + per-worker metrics, and the last
+        :data:`RECONFIGURATIONS_KEPT` reconfigure results."""
         loop = asyncio.get_running_loop()
         snapshot = await loop.run_in_executor(
             None, self.manager.metrics_snapshot
         )
+        snapshot["reconfigurations"] = list(self.reconfigurations)
         return ApiResponse(200, snapshot)
 
     # ------------------------------------------------------------------
@@ -291,6 +294,10 @@ class FrontDoor:
             time.perf_counter() - started_s
         )
 
+    def _bad_request(self, started_s: float, error: str) -> ApiResponse:
+        self._observe_response(started_s)
+        return ApiResponse(400, {"status": "bad-request", "error": error})
+
     # -- drift loop ----------------------------------------------------
     def _observe_arrival(self, kind: str, now_s: float) -> None:
         drift = self._drift
@@ -317,11 +324,7 @@ class FrontDoor:
                 drift.detector.rearm(lambda_q, lambda_u)
                 drift.last_reconfigure_s = time.perf_counter()
                 self.reconfigurations.append(
-                    {
-                        "lambda_q": lambda_q,
-                        "lambda_u": lambda_u,
-                        "shards": results,
-                    }
+                    {"lambda_q": lambda_q, "lambda_u": lambda_u, "shards": results}
                 )
             finally:
                 drift.inflight.clear()

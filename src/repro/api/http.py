@@ -33,7 +33,7 @@ import asyncio
 import json
 import math
 import time
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, cast
 from urllib.parse import parse_qs, urlsplit
 
 from repro.api.frontdoor import ApiResponse, FrontDoor
@@ -227,13 +227,15 @@ class HttpServer:
         payload = _parse_json(body)
         if payload is None:
             return _bad(400, "body must be a JSON object")
-        try:
-            u = int(payload["u"])
-            v = int(payload["v"])
-            kind = str(payload.get("kind", "toggle"))
-        except (KeyError, TypeError, ValueError) as exc:
-            return _bad(400, f"bad update body: {exc!r}")
-        return await self.frontdoor.update(u, v, kind)
+        u, v = payload.get("u"), payload.get("v")
+        # a JSON float or bool must not become an edge: int() would
+        # truncate 1.9 to 1 and take true for 1
+        if not (_is_json_int(u) and _is_json_int(v)):
+            return _bad(
+                400, f"bad update body: u and v must be integers, got {u!r}, {v!r}"
+            )
+        kind = str(payload.get("kind", "toggle"))
+        return await self.frontdoor.update(cast(int, u), cast(int, v), kind)
 
     async def _reconfigure(self, body: bytes) -> ApiResponse:
         payload = _parse_json(body)
@@ -245,6 +247,10 @@ class HttpServer:
         except (KeyError, TypeError, ValueError) as exc:
             return _bad(400, f"bad reconfigure body: {exc!r}")
         return await self.frontdoor.reconfigure(lambda_q, lambda_u)
+
+
+def _is_json_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_json(body: bytes) -> dict[str, object] | None:

@@ -31,6 +31,7 @@ from repro.core.optimizer import (
     ConstrainedProblem,
     OptimizationResult,
 )
+from repro.core.rates import check_rates
 
 FloatArray = NDArray[np.float64]
 
@@ -222,11 +223,13 @@ class QuotaController:
         warm_start: dict[str, float] | None = None,
         quick: bool = False,
     ) -> QuotaDecision:
-        """Algorithm 1: pick the regime, optimize, return beta*."""
-        if lambda_q <= 0:
-            raise ValueError("lambda_q must be positive")
-        if lambda_u < 0:
-            raise ValueError("lambda_u must be non-negative")
+        """Algorithm 1: pick the regime, optimize, return beta*.
+
+        Raises ValueError for rates :func:`~repro.core.rates.check_rates`
+        refuses (non-positive or non-finite lambda_q, negative or
+        non-finite lambda_u).
+        """
+        check_rates(lambda_q, lambda_u)
         started = time.perf_counter()
         bounds = tuple((LOG_LO, LOG_HI) for _ in self.param_names)
         starts = self._starting_points(warm_start, quick)

@@ -8,10 +8,22 @@ loads numpy.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
 from repro.queueing.kinds import QUERY
+
+
+def check_rates(lambda_q: float, lambda_u: float) -> None:
+    """Raise ValueError unless (lambda_q, lambda_u) is an arrival-rate
+    pair Quota can solve for: a positive query rate and a non-negative
+    update rate, both finite (JSON lets ``NaN`` and ``Infinity`` in)."""
+    if not (0 < lambda_q < math.inf and 0 <= lambda_u < math.inf):
+        raise ValueError(
+            "need finite rates with lambda_q > 0 and lambda_u >= 0, got "
+            f"({lambda_q}, {lambda_u})"
+        )
 
 
 @dataclass(slots=True)

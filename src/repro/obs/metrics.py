@@ -24,6 +24,7 @@ measurements (tests, paired benchmark cells).
 from __future__ import annotations
 
 import os
+import threading
 import time
 from collections import deque
 from collections.abc import Iterator
@@ -258,12 +259,14 @@ def reset_metrics() -> None:
 
 
 def process_stats() -> dict[str, float | int]:
-    """This process's ``pid`` and memory in MB.
+    """This process's ``pid``, memory in MB and Python thread count.
 
     ``rss_mb`` is ``VmRSS`` of ``/proc/self/status``, the number an
     outside ``/proc`` scan would read for this pid; ``rss_anon_mb`` is
     its ``RssAnon`` part, the private memory, without the pages of
     mapped files and shared libraries.  0.0 where there is no procfs.
+    ``python_threads`` is :func:`threading.active_count` (a shard
+    worker runs one).
     """
     kb = {"VmRSS": 0, "RssAnon": 0}
     try:
@@ -278,4 +281,5 @@ def process_stats() -> dict[str, float | int]:
         "pid": os.getpid(),
         "rss_mb": kb["VmRSS"] / 1024.0,
         "rss_anon_mb": kb["RssAnon"] / 1024.0,
+        "python_threads": threading.active_count(),
     }

@@ -22,8 +22,8 @@ Naming conventions
   :class:`repro.core.system.QuotaSystem` and the serving runtime
   (:mod:`repro.serving`) both execute through.
 * ``serving.*``     — admission/shedding accounting of the serving
-  runtime (queue-depth gauge, wait/response histograms,
-  shed/timeout/fault counters).
+  runtime (queue-depth and command-pipe backlog gauges, wait/response
+  histograms, shed/timeout/fault counters).
 * ``calibration.*`` — tau-calibration accounting.
 * ``cache.*``       — result-cache accounting (:mod:`repro.cache`):
   hit/miss/insertion counters, eviction counters split by cause
@@ -116,6 +116,8 @@ HISTOGRAMS = frozenset(
 GAUGES = frozenset(
     {
         "serving.queue_depth",
+        # bytes waiting in a shard worker's command pipe at each look
+        "serving.pipe_backlog_bytes",
         "cache.size",
         "cache.hit_rate",
         # sharded serving fabric (repro.shard)

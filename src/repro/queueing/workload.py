@@ -30,10 +30,10 @@ NodeArray = NDArray[np.int64]
 class Request:
     """One arrival: an SSPPR query (source node) or an edge update.
 
-    ``tag`` is an optional caller-chosen correlation id carried
-    through serving untouched — the sharded fabric
-    (:mod:`repro.shard`) uses it to match completion records back to
-    the network request that submitted them.  It never affects
+    ``tag`` is an optional caller-chosen correlation object carried
+    through serving untouched — a shard worker (:mod:`repro.shard`)
+    tags each query with the command that submitted it, to answer
+    that command when the query completes.  It never affects
     scheduling, equality of generated workloads, or trace round-trips
     (traces neither persist nor restore tags).
     """
@@ -42,7 +42,7 @@ class Request:
     kind: str
     source: int | None = None
     update: EdgeUpdate | None = None
-    tag: int | None = None
+    tag: object = None
 
     def __post_init__(self) -> None:
         if self.kind == QUERY:

@@ -11,27 +11,34 @@ order.  Each request goes through
 deferred update through :func:`~repro.queueing.replay.apply_head`.
 What is left here is what only a wall clock has:
 
+* **One loop, two hosts.**  :meth:`run` serves on the caller's
+  thread, reading requests from a *source*: before each admission
+  poll, and between two idle-drain steps, the loop asks the source
+  for every command it has ready, and waits on it (up to the idle
+  tick) when there is no work.  A shard worker's source is its command
+  pipe, so the one thread reads commands, serves them and writes the
+  replies.  :meth:`start` runs the same loop on a thread of its own
+  for callers that :meth:`submit` from other threads (the scenario
+  fuzzer, the stress tests, the direct-call probe).
 * **Snapshot isolation by construction.**  Every graph mutation
   (an update, a Seed flush, new hyperparameters) and every kernel call
-  runs on the runtime thread, so no query overlaps a write, and the
+  runs on the loop's thread, so no query overlaps a write, and the
   graph version read right after a query names the snapshot it ran on.
   Callers on other threads that must mutate — :meth:`reconfigure` and
-  the closing flush of :meth:`drain` — hand the work to the thread
-  through a control queue.  The loop drains it before each admission
-  poll, so a control item runs after the request in flight and ahead
-  of the queued ones.  Before :meth:`start` and after :meth:`stop` it
-  runs inline.
-* **Idle drain.**  While the admission queue is empty the thread
-  applies deferred updates one at a time, re-polling between any two,
-  as ``replay`` does when a server idles before the next arrival.
+  the closing flush of :meth:`drain` — hand the work to the loop
+  through a control queue, which it drains before each admission
+  poll.  On the loop's own thread, and before :meth:`start` and after
+  :meth:`stop`, the work runs inline.
+* **Idle drain.**  While the admission queue is empty the loop
+  applies deferred updates one at a time, re-reading its source
+  between any two, as ``replay`` does when a server idles before the
+  next arrival.
 * **Backpressure and deadlines.**  Admission is bounded
-  (:class:`~repro.serving.admission.AdmissionQueue`); submission sheds
-  when the queue is full, and a query popped after its deadline budget
-  expired is dropped with a ``serving.timeout`` count instead of
-  computing an answer nobody is waiting for.  Updates are never
-  deadline-dropped — they are state, not answers — and a caller that
-  must not lose one (the shard worker) submits with ``wait_s`` so a
-  full queue blocks it instead of shedding.
+  (:class:`~repro.serving.admission.AdmissionQueue`); a query submitted
+  to a full queue is shed, and a query popped after its deadline
+  budget expired is dropped with a ``serving.timeout`` count instead
+  of computing an answer nobody is waiting for.  Updates are never
+  shed or deadline-dropped — they are state, not answers.
 * **Graceful degradation.**  An update that raises is surfaced as a
   ``failed`` record (and the ``serving.faults`` counter) and discarded
   from the Seed queue with the degree overlay kept consistent.  The
@@ -87,6 +94,11 @@ TIMEOUT = "timeout"
 FAILED = "failed"
 
 _T = TypeVar("_T")
+
+#: where a loop reads requests from: ``take(timeout_s)`` submits every
+#: command that is ready, waiting up to ``timeout_s`` for the first, and
+#: returns False once the source is closed
+Source = Callable[[float], bool]
 
 
 @dataclass(slots=True)
@@ -189,8 +201,8 @@ class ServingRuntime:
         Query executor ``(graph, source) -> result`` used instead of
         ``algorithm.query`` (the exact mode of the equivalence oracle).
     idle_tick_s:
-        How long the idle thread blocks on the empty admission queue
-        once nothing is deferred.
+        How long the idle loop waits on its source once nothing is
+        deferred.
     cache:
         Optional :class:`~repro.cache.store.PPRCache`.  Queries look up
         before computing (a hit skips the Seed flush check) and insert
@@ -205,11 +217,10 @@ class ServingRuntime:
         there (:attr:`records` stays empty and ``serve`` reports carry
         no records — a long-running server must not retain every
         result vector it ever produced); without it they accumulate in
-        :attr:`records`.  It runs on the runtime thread, except for a
-        shed, which the submitting thread reports; it must be fast and
-        must never block, since the next request waits for it.  The
-        shard worker (:mod:`repro.shard.worker`) uses it to push
-        completions onto an unbounded outbound queue.  Exceptions are
+        :attr:`records`.  It runs on the loop's thread, except for a
+        shed, which the submitting thread reports; the next request
+        waits for it.  The shard worker (:mod:`repro.shard.worker`)
+        writes each reply to its pipe from it.  Exceptions are
         swallowed (a broken observer must not take down a worker).
     metrics:
         Observability registry (defaults to the process-wide one).
@@ -260,7 +271,7 @@ class ServingRuntime:
         #: the last query's (answer, cached_version), from the executor
         self._answer: tuple[object, int | None] = (None, None)
         self._admission = AdmissionQueue(queue_capacity, self.metrics)
-        #: (callable, reply queue) pairs for the runtime thread to run
+        #: (callable, reply queue) pairs for the loop's thread to run
         self._controls: queue.SimpleQueue[
             tuple[Callable[[], object], queue.SimpleQueue[tuple[bool, Any]]]
         ] = queue.SimpleQueue()
@@ -281,22 +292,48 @@ class ServingRuntime:
         return self._degraded
 
     def start(self) -> "ServingRuntime":
+        """Run the loop on a thread of its own; :meth:`submit` feeds it."""
+        self._claim(
+            threading.Thread(
+                target=self._loop,
+                args=(self._admitted,),
+                name="serving-runtime",
+                daemon=True,
+            )
+        ).start()
+        return self
+
+    def run(self, take: Source) -> None:
+        """Serve on the calling thread until ``take`` closes.
+
+        ``take(timeout_s)`` is the loop's source (:data:`Source`): it
+        hands every ready command to the caller's handler, which
+        submits requests and answers control commands on this thread.
+        Once it reports the source closed, the loop serves what is
+        already admitted, applies every deferred update and returns —
+        what :meth:`stop` does for a started runtime.  A :meth:`stop`
+        from another thread ends it at once instead.
+        """
+        self._claim(threading.current_thread())
+        try:
+            self._loop(take)
+        finally:
+            self._thread = None
+
+    def _claim(self, thread: threading.Thread) -> threading.Thread:
         if self._thread is not None:
             raise RuntimeError("runtime already started")
         self._stop.clear()
         # warm the CSR store so the first query hits a ready snapshot
-        # (no runtime thread exists yet to race it)
+        # (the loop has not started yet to race it)
         csr_view(self.algorithm.graph)
-        self._thread = threading.Thread(
-            target=self._loop, name="serving-runtime", daemon=True
-        )
-        self._thread.start()
-        return self
+        self._thread = thread
+        return thread
 
     def stop(self, timeout_s: float = 30.0, flush: bool = True) -> None:
-        """Stop the thread; optionally apply still-deferred updates.
+        """Stop the loop; optionally apply still-deferred updates.
 
-        Call it from the thread that drives the runtime, not alongside
+        Call it from a thread other than the loop's, not alongside
         another thread's :meth:`drain` or :meth:`reconfigure`.
         """
         if flush:
@@ -321,17 +358,15 @@ class ServingRuntime:
     # submission
     # ------------------------------------------------------------------
     def submit(
-        self,
-        request: Request,
-        deadline_s: float | None = None,
-        wait_s: float = 0.0,
+        self, request: Request, deadline_s: float | None = None
     ) -> bool:
-        """Admit one request; False when shed at the admission queue.
+        """Admit one request; False when a query is shed at the
+        admission queue (an update is always admitted).
 
         ``deadline_s`` overrides the runtime default budget for this
-        request (queries only; updates never carry deadlines).
-        ``wait_s`` bounds how long a full queue may block the caller
-        before the request is shed (0 sheds at once).
+        request (queries only; updates never carry deadlines).  The
+        request's wait starts now: a host loop calls this when it reads
+        the command.
         """
         if self._thread is None:
             raise RuntimeError("runtime is not started")
@@ -343,14 +378,14 @@ class ServingRuntime:
             else None
         )
         ticket = Ticket(request, now, deadline)
-        if self._admission.offer(ticket, wait_s):
+        if self._admission.offer(ticket):
             return True
         self._finish(ticket, SHED, now, now, shed_reason=SHED_QUEUE_FULL)
         return False
 
     def drain(self) -> None:
         """Block until every admitted request finished, then flush the
-        still-deferred updates."""
+        still-deferred updates (from a thread other than the loop's)."""
         if self._thread is not None:
             self._admission.join()
         self._call(self._flush)
@@ -437,7 +472,7 @@ class ServingRuntime:
 
         The controller's solve runs on the caller's thread; applying the
         hyperparameters — an index rebuild for index-based algorithms —
-        runs on the runtime thread between two requests, mirroring what
+        runs on the loop's thread between two requests, mirroring what
         ``QuotaSystem`` charges to its virtual clock.  As there, a beta
         that :func:`~repro.core.quota.beta_moved` does not call moved is
         recorded but not applied.
@@ -474,13 +509,13 @@ class ServingRuntime:
         return self._admission.depth
 
     # ------------------------------------------------------------------
-    # the runtime thread
+    # the loop
     # ------------------------------------------------------------------
     def _call(self, fn: Callable[[], _T]) -> _T:
-        """Run ``fn`` on the runtime thread and return its result.
+        """Run ``fn`` on the loop's thread and return its result.
 
-        Inline when no thread runs, or when called from the runtime
-        thread itself (a completion sink, say).
+        Inline when no loop runs, or when called from the loop's own
+        thread (a host's command handler or a completion sink).
         """
         if not self.running or threading.current_thread() is self._thread:
             return fn()
@@ -500,18 +535,29 @@ class ServingRuntime:
             except Exception as exc:
                 reply.put((False, exc))
 
-    def _loop(self) -> None:
+    def _admitted(self, timeout_s: float) -> bool:
+        """Source of a started runtime: :meth:`submit` admits directly,
+        so there is nothing to read, only an admission to wait for."""
+        if timeout_s > 0:
+            self._admission.await_ticket(timeout_s)
+        return True
+
+    def _loop(self, take: Source) -> None:
+        open_ = True
         while not self._stop.is_set():
             self._run_controls()
+            open_ = open_ and take(0.0)
             ticket = self._admission.poll()
             if ticket is None:
                 # idle: work the deferred updates off first (Algorithm
-                # 2, as replay() does), re-polling between any two so
-                # an arrival never waits for more than one of them
-                if not self._idle_drain():
-                    ticket = self._admission.take(self.idle_tick_s)
-                if ticket is None:
+                # 2, as replay() does), reading the source between any
+                # two so an arrival never waits for more than one
+                if self._idle_drain():
                     continue
+                if not open_:
+                    break  # closed, served and flushed
+                open_ = take(self.idle_tick_s)
+                continue
             try:
                 self._process(ticket)
             except Exception:  # pragma: no cover - defensive; never die
@@ -521,7 +567,7 @@ class ServingRuntime:
                 self.metrics.counter("serving.faults").inc()
             finally:
                 self._admission.task_done()
-        self._run_controls()  # handed over while the thread stopped
+        self._run_controls()  # handed over while the loop stopped
 
     def _process(self, ticket: Ticket) -> None:
         """One admitted request through ``serve_request``."""

@@ -12,8 +12,8 @@ Layering (each importable without the ones above it):
   the ordering contract (:class:`UpdateOrderError`).
 * :mod:`repro.shard.router`   — pluggable ``source -> shard_id``
   mapping (hash or contiguous-range).
-* :mod:`repro.shard.worker`   — :class:`ShardServer`, the
-  transport-agnostic command loop around one ServingRuntime.
+* :mod:`repro.shard.worker`   — :class:`ShardServer`, one
+  ServingRuntime serving a host's command source on one thread.
 * :mod:`repro.shard.launch`   — ``python_child``: how every process
   of a fleet other than the front door is started.
 * :mod:`repro.shard.image`    — :class:`~repro.shard.image.GraphImage`,

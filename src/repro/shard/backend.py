@@ -4,12 +4,16 @@
   ``python -c`` child (:func:`repro.shard.launch.python_child` — never
   a fork of this threaded parent, and no ``multiprocessing`` bootstrap
   around it).  Commands go down one simplex pipe, replies come back on
-  another; each pipe end is owned by exactly one thread at a time.  The
-  :class:`~repro.shard.messages.ShardSpec` is the first message on the
-  command pipe.  This is the backend that escapes the GIL: every shard
-  has its own interpreter, so PPR compute parallelizes across cores.
+  another.  The :class:`~repro.shard.messages.ShardSpec` is the first
+  message on the command pipe.  The worker runs one Python thread,
+  which reads the command pipe between requests, serves, and writes the
+  reply pipe; on this side a send lock serializes the command pipe and
+  one receiver thread reads the reply pipe.  This is the backend that
+  escapes the GIL: every shard has its own interpreter, so PPR compute
+  parallelizes across cores.
 * :class:`InprocShard` — the identical :class:`~repro.shard.worker.ShardServer`
-  on a plain thread in this process.  Deterministic (no pickling, no
+  on one plain thread in this process, reading an in-process queue
+  where a worker reads its pipe.  Deterministic (no pickling, no
   scheduler variance beyond threads), instant startup; the backend the
   unit tests and the in-memory front-door transport use.
 
@@ -327,68 +331,67 @@ class ProcessShard(ShardHandle):
 
 # ----------------------------------------------------------------------
 class InprocShard(ShardHandle):
-    """The worker loop on an in-process thread (deterministic tests)."""
+    """The worker loop on one in-process thread (deterministic tests).
+
+    Its source is a queue of commands: the loop takes every queued
+    command before each admission poll and waits on the queue when
+    idle, as a worker does on its pipe.
+    """
 
     def __init__(self, spec: ShardSpec) -> None:
         super().__init__(spec)
+        # imported here: the process backend's parent is a control plane
+        # that never loads the data plane (graph, kernels, numpy)
+        from repro.shard.worker import ShardServer
+
         self._commands: "queue.SimpleQueue[Command | None]" = (
             queue.SimpleQueue()
         )
-        self._ready = threading.Event()
-        self._server: "ShardServer | None" = None
-        self._paused = threading.Event()
         self._unpaused = threading.Event()
         self._unpaused.set()
+        # built here, served on the shard's thread from now on
+        self._server = ShardServer(spec, reply=self._resolve)
         self._thread = threading.Thread(
             target=self._run,
             name=f"shard-inproc-{spec.shard_id}",
             daemon=True,
         )
         self._thread.start()
-        self._ready.wait(timeout=60.0)
-        if self._server is None and not self._dead.is_set():
-            self._mark_dead("worker thread failed to initialize")
 
     def _run(self) -> None:
-        # imported here: the process backend's parent is a control plane
-        # that never loads the data plane (graph, kernels, numpy)
-        from repro.shard.worker import ShardServer
+        server = self._server
+
+        def take(timeout_s: float) -> bool:
+            try:
+                command = self._commands.get(timeout_s > 0, timeout_s)
+            except queue.Empty:
+                return True
+            while True:
+                self._unpaused.wait()
+                if command is None or not server.handle(command):
+                    return False
+                try:
+                    command = self._commands.get_nowait()
+                except queue.Empty:
+                    return True
 
         try:
-            server = ShardServer(self.spec, reply=self._resolve)
-        except Exception as exc:  # pragma: no cover - bad spec
-            self._mark_dead(f"worker init failed: {exc!r}")
-            self._ready.set()
-            return
-        self._server = server
-        self._ready.set()
-        try:
-            while True:
-                command = self._commands.get()
-                self._unpaused.wait()
-                if command is None:
-                    return
-                if not server.handle(command):
-                    return
+            server.serve(take)
         except Exception as exc:
-            # mirror the process backend: a raising worker is dead; its
-            # runtime threads must not linger
-            try:
-                server.runtime.stop(timeout_s=5.0, flush=False)
-            except Exception:  # pragma: no cover - teardown best-effort
-                pass
+            # mirror the process backend: a raising worker is dead
             self._mark_dead(f"worker raised: {exc!r}")
 
     # -- test hooks ----------------------------------------------------
     def pause(self) -> None:
-        """Stall command processing (deterministic backlog in tests)."""
+        """Stall the shard's loop at its next command (deterministic
+        backlog in tests): nothing is read, served or answered."""
         self._unpaused.clear()
 
     def resume(self) -> None:
         self._unpaused.set()
 
     @property
-    def server(self) -> "ShardServer | None":
+    def server(self) -> "ShardServer":
         """The live server (tests probe applied_broadcasts etc.)."""
         return self._server
 
@@ -411,12 +414,10 @@ class InprocShard(ShardHandle):
         self._mark_dead("stopped")
 
     def kill(self) -> None:
-        server = self._server
-        if server is not None:
-            try:
-                server.runtime.stop(timeout_s=5.0, flush=False)
-            except Exception:  # pragma: no cover - teardown best-effort
-                pass
+        try:
+            self._server.runtime.stop(timeout_s=5.0, flush=False)
+        except Exception:  # pragma: no cover - teardown best-effort
+            pass
         self._mark_dead("killed")
         self._commands.put(None)
 

@@ -21,11 +21,11 @@ from typing import IO
 import repro
 
 #: glibc gives every thread that allocates under contention a malloc
-#: arena of its own.  A worker builds its graph and walk index on the
-#: main thread and serves from the runtime's threads: with several
-#: arenas, what the build and each index compaction free stays stranded
-#: in the main arena while the serving threads grow a second heap
-#: (≈ 16 MB of a 64 MB FORA+inc worker).  One arena lets them reuse it.
+#: arena of its own, and what one arena frees the others never reuse.
+#: When a worker built on its main thread and served from others, the
+#: build's and each index compaction's frees stayed stranded (≈ 16 MB
+#: of a 64 MB FORA+inc worker).  A worker now builds and serves on one
+#: thread; the cap stays for any child that does start threads.
 #: Only glibc reads the variable; an operator's own setting wins.
 CHILD_ENV_DEFAULTS = {"MALLOC_ARENA_MAX": "1"}
 

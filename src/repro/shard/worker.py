@@ -1,47 +1,52 @@
-"""Shard worker: one ServingRuntime behind a command pipe.
+"""Shard worker: one ServingRuntime behind a command pipe, on one thread.
 
 :class:`ShardServer` is the transport-agnostic core — it owns the
 replicated graph, the PPR algorithm, a
-:class:`~repro.serving.runtime.ServingRuntime` (one thread, Seed
-queue, optional :class:`~repro.cache.store.PPRCache`, optional
+:class:`~repro.serving.runtime.ServingRuntime` (Seed queue, optional
+:class:`~repro.cache.store.PPRCache`, optional
 :class:`~repro.core.quota.QuotaController`), and turns commands into
-replies.  Two hosts drive it:
+replies.  :meth:`ShardServer.serve` runs the runtime's loop on the
+caller's thread with a host-supplied source of commands, so one thread
+reads a command, serves it and writes its reply.  Two hosts drive it:
 
 * :func:`spawn_main` — what a worker process runs (``python -c``,
   started by :class:`~repro.shard.backend.ProcessShard`): it wraps the
   two inherited pipe descriptors, reads its
   :class:`~repro.shard.messages.ShardSpec` as the first message and
-  enters :func:`shard_worker_main`.  Commands arrive on a simplex pipe;
-  replies leave through an unbounded in-process queue drained by a
-  dedicated sender thread, so the runtime's ``on_complete`` hook never
-  blocks the runtime thread on pipe backpressure.  The loop ends on
-  ``StopCommand`` or when the command pipe hits EOF, which is also how
-  a worker learns its parent is gone.
+  serves the command pipe (:meth:`ShardServer.serve_pipe`) on its main
+  thread, which is the process's only Python thread.  The loop reads
+  the pipe before each admission poll and waits on it when idle, and
+  writes every reply itself.  It ends on ``StopCommand`` or when the
+  command pipe hits EOF, which is also how a worker learns its parent
+  is gone.
 * :class:`~repro.shard.backend.InprocShard` — the same server on a
-  plain thread, used by deterministic tests and the in-memory
-  transport.
+  plain thread reading an in-process queue, used by deterministic tests
+  and the in-memory transport.
 
-Completion plumbing: every query is submitted with its network
-``req_id`` as the request *tag*; the runtime's ``on_complete``
-callback fires once per terminal record (ok / shed / timeout /
-failed), and the server maps tagged records back into
+Completion plumbing: every query is submitted with its
+:class:`~repro.shard.messages.QueryCommand` as the request *tag*; the
+runtime's ``on_complete`` callback fires once per terminal record (ok /
+shed / timeout / failed), and the server maps tagged records back into
 :class:`~repro.shard.messages.ShardReply` payloads.  Updates carry no
-tag — they are acked at admission (state, not answers) — and the
-version-order contract is enforced *before* submission:
-a gap or reordering in the broadcast sequence raises
+tag — they are acked at admission (state, not answers; an update is
+never shed) — and the version-order contract is enforced *before*
+submission: a gap or reordering in the broadcast sequence raises
 :class:`~repro.shard.messages.UpdateOrderError` after an error reply,
 killing the worker so the manager respawns it from the versioned log
-instead of letting a diverged replica keep answering.
+instead of letting a diverged replica keep answering.  ``/metrics``,
+``/healthz`` and reconfigure commands are answered between two
+requests, on the thread that mutates what they read.
 """
 
 from __future__ import annotations
 
+import array
+import fcntl
 import os
-import queue
-import threading
+import termios
 import time
 from collections.abc import Callable
-from multiprocessing.connection import Connection
+from multiprocessing.connection import Connection, wait
 from typing import TYPE_CHECKING, NoReturn, cast
 
 from repro.cache.store import PPRCache
@@ -54,7 +59,7 @@ from repro.ppr.registry import build_algorithm
 from repro.queueing.kinds import QUERY, UPDATE
 from repro.queueing.replay import QueryFn
 from repro.queueing.workload import Request
-from repro.serving.runtime import OK, ServedRequest, ServingRuntime
+from repro.serving.runtime import OK, ServedRequest, ServingRuntime, Source
 from repro.shard.messages import (
     Command,
     CrashCommand,
@@ -72,10 +77,6 @@ from repro.shard.messages import (
 
 if TYPE_CHECKING:
     from repro.core.quota import QuotaController
-
-#: how long an update waits for admission before the shard declares
-#: itself wedged (updates are state — dropping one would diverge)
-UPDATE_ADMIT_TIMEOUT_S = 30.0
 
 
 class SimulatedCrashError(RuntimeError):
@@ -115,16 +116,15 @@ def serialize_result(result: PPRVector, top_k: int | None) -> PackedPairs:
 
 
 class ShardServer:
-    """Command loop body for one shard (transport supplied by host).
+    """Command handling for one shard (transport supplied by host).
 
     Parameters
     ----------
     spec:
         Shard recipe; the graph is rebuilt locally from it.
     reply:
-        Sink for outbound :class:`ShardReply` envelopes.  Must be
-        non-blocking (the process host hands in an unbounded queue's
-        ``put``).
+        Sink for outbound :class:`ShardReply` envelopes, called on the
+        thread that serves (the process host writes the reply pipe).
     hard_crash:
         Invoked by :class:`CrashCommand`; the process host passes
         ``os._exit`` so the crash skips all cleanup.  ``None`` raises
@@ -142,6 +142,8 @@ class ShardServer:
         self._reply = reply
         self._hard_crash = hard_crash
         self._applied_broadcasts = 0
+        #: req id of the StopCommand that closed the source, if any
+        self._stop_req: int | None = None
         graph = build_graph(spec)
         algorithm = build_algorithm(
             spec.algorithm,
@@ -184,10 +186,44 @@ class ShardServer:
             metrics=self.metrics,
         )
         self._cache = cache
-        # req_id -> requested top_k for queries awaiting completion
-        self._meta: dict[int, int | None] = {}  # guarded-by: self._meta_lock
-        self._meta_lock = threading.Lock()
-        self.runtime.start()
+
+    # ------------------------------------------------------------------
+    def serve(self, take: Source) -> None:
+        """Serve on this thread until ``take`` closes; then answer the
+        StopCommand that closed it (after the work it let finish)."""
+        self.runtime.run(take)
+        if self._stop_req is not None:
+            self._answer(self._stop_req, {"stopped": True})
+
+    def serve_pipe(self, conn: Connection) -> None:
+        """Serve the commands arriving on ``conn`` until stop or EOF.
+
+        At each look the loop reads how many bytes wait in the pipe
+        (``FIONREAD``) into the ``serving.pipe_backlog_bytes`` gauge:
+        a command's ``serving.wait`` starts when it is read, so this is
+        where time spent queued in the pipe shows.
+        """
+        backlog = self.metrics.gauge("serving.pipe_backlog_bytes")
+        readable = array.array("i", [0])
+        fd = conn.fileno()
+
+        def take(timeout_s: float) -> bool:
+            while True:
+                fcntl.ioctl(fd, termios.FIONREAD, readable)
+                backlog.set(readable[0])
+                if not readable[0] and (
+                    timeout_s <= 0 or not wait([conn], timeout_s)
+                ):
+                    return True
+                timeout_s = 0.0  # woken: read what came (or the EOF)
+                try:
+                    command = conn.recv()
+                except (EOFError, OSError):
+                    return False
+                if not self.handle(command):
+                    return False
+
+        self.serve(take)
 
     # ------------------------------------------------------------------
     @property
@@ -196,16 +232,10 @@ class ShardServer:
         return self._applied_broadcasts
 
     def _on_record(self, record: ServedRequest) -> None:
-        """Runtime completion hook: map tagged records to replies.
-
-        Runs on the runtime thread (a shed: on the command-loop thread)
-        — keep it allocation-light and never block.
-        """
-        tag = record.request.tag
-        if tag is None or record.request.kind != QUERY:
+        """Runtime completion hook: map tagged records to replies."""
+        command = record.request.tag
+        if not isinstance(command, QueryCommand):
             return
-        with self._meta_lock:
-            top_k = self._meta.pop(tag, None)
         payload: dict[str, object] = {
             "status": record.status,
             "version": record.version,
@@ -215,17 +245,18 @@ class ShardServer:
         }
         if record.status == OK:
             payload["values"] = serialize_result(
-                cast(PPRVector, record.result), top_k
+                cast(PPRVector, record.result), command.top_k
             )
-        self._reply(
-            ShardReply(
-                tag,
-                self.spec.shard_id,
-                record.status == OK,
-                payload,
-                error=record.error,
-            )
-        )
+        self._answer(command.req_id, payload, record.status == OK, record.error)
+
+    def _answer(
+        self,
+        req_id: int,
+        payload: dict[str, object],
+        ok: bool = True,
+        error: str | None = None,
+    ) -> None:
+        self._reply(ShardReply(req_id, self.spec.shard_id, ok, payload, error))
 
     # ------------------------------------------------------------------
     def handle(self, command: Command) -> bool:
@@ -237,24 +268,11 @@ class ShardServer:
         elif isinstance(command, ReconfigureCommand):
             self._handle_reconfigure(command)
         elif isinstance(command, MetricsCommand):
-            self._reply(
-                ShardReply(
-                    command.req_id, self.spec.shard_id, True, self._snapshot()
-                )
-            )
+            self._answer(command.req_id, self._snapshot())
         elif isinstance(command, HealthCommand):
-            self._reply(
-                ShardReply(
-                    command.req_id, self.spec.shard_id, True, self._health()
-                )
-            )
+            self._answer(command.req_id, self._health())
         elif isinstance(command, StopCommand):
-            self.runtime.stop()
-            self._reply(
-                ShardReply(
-                    command.req_id, self.spec.shard_id, True, {"stopped": True}
-                )
-            )
+            self._stop_req = command.req_id
             return False
         elif isinstance(command, CrashCommand):
             if self._hard_crash is not None:
@@ -263,35 +281,23 @@ class ShardServer:
                 f"shard {self.spec.shard_id} crashed on command"
             )
         else:  # pragma: no cover - future-proofing
-            self._reply(
-                ShardReply(
-                    getattr(command, "req_id", -1),
-                    self.spec.shard_id,
-                    False,
-                    {},
-                    error=f"unknown command {type(command).__name__}",
-                )
+            self._answer(
+                getattr(command, "req_id", -1), {}, False,
+                f"unknown command {type(command).__name__}",
             )
         return True
 
     # ------------------------------------------------------------------
     def _handle_query(self, command: QueryCommand) -> None:
-        with self._meta_lock:
-            self._meta[command.req_id] = command.top_k
         request = Request(
-            time.perf_counter(), QUERY, source=command.source,
-            tag=command.req_id,
+            time.perf_counter(), QUERY, source=command.source, tag=command
         )
         # a shed submission records SHED -> _on_record already replied
         self.runtime.submit(request, deadline_s=command.budget_s)
 
     def _refuse_update(self, command: UpdateCommand, message: str) -> NoReturn:
         """Reply with the error, then die rather than diverge."""
-        self._reply(
-            ShardReply(
-                command.req_id, self.spec.shard_id, False, {}, error=message
-            )
-        )
+        self._answer(command.req_id, {}, False, message)
         raise UpdateOrderError(message)
 
     def _handle_update(self, command: UpdateCommand) -> None:
@@ -304,28 +310,25 @@ class ShardServer:
                 "violated; refusing to diverge",
             )
         update = EdgeUpdate(command.u, command.v, command.kind)
-        request = Request(time.perf_counter(), UPDATE, update=update)
-        # updates are never dropped: a full queue blocks this (the
-        # command-loop) thread until a worker makes room
-        if not self.runtime.submit(request, wait_s=UPDATE_ADMIT_TIMEOUT_S):
-            self._refuse_update(
-                command,
-                f"shard {self.spec.shard_id} failed to admit update "
-                f"version {command.version} within "
-                f"{UPDATE_ADMIT_TIMEOUT_S}s",
-            )
+        # an update is always admitted: it is never shed and never waits
+        self.runtime.submit(
+            Request(time.perf_counter(), UPDATE, update=update)
+        )
         self._applied_broadcasts = command.version
-        self._reply(
-            ShardReply(
-                command.req_id,
-                self.spec.shard_id,
-                True,
-                {"version": command.version, "accepted": True},
-            )
+        self._answer(
+            command.req_id, {"version": command.version, "accepted": True}
         )
 
     def _handle_reconfigure(self, command: ReconfigureCommand) -> None:
-        decision = self.runtime.reconfigure(command.lambda_q, command.lambda_u)
+        try:
+            decision = self.runtime.reconfigure(
+                command.lambda_q, command.lambda_u
+            )
+        except Exception as exc:  # a bad solve must not end the worker
+            self._answer(
+                command.req_id, {}, False, f"reconfigure failed: {exc!r}"
+            )
+            return
         if decision is None:
             payload: dict[str, object] = {"applied": False}
         else:
@@ -335,9 +338,7 @@ class ShardServer:
                 "regime": decision.regime,
                 "predicted_response_time": decision.predicted_response_time,
             }
-        self._reply(
-            ShardReply(command.req_id, self.spec.shard_id, True, payload)
-        )
+        self._answer(command.req_id, payload)
 
     # ------------------------------------------------------------------
     def _health(self) -> dict[str, object]:
@@ -365,60 +366,12 @@ class ShardServer:
         return payload
 
 
-def _drain_replies(
-    outbox: "queue.SimpleQueue[ShardReply | None]", conn: "Connection"
-) -> None:
-    """Sender-thread body: forward replies until the None sentinel."""
-    while True:
-        reply = outbox.get()
-        if reply is None:
-            return
-        try:
-            conn.send(reply)
-        except (BrokenPipeError, OSError):  # manager went away
-            return
-
-
-def shard_worker_main(
-    spec: ShardSpec, cmd_conn: "Connection", reply_conn: "Connection"
-) -> None:
-    """Process entry point: loop commands until stop/EOF/crash.
-
-    The reply pipe is written by exactly one sender thread; the
-    command pipe is read by exactly this (main) thread — each
-    connection end stays single-threaded, the documented safe usage.
-    """
-    outbox: "queue.SimpleQueue[ShardReply | None]" = queue.SimpleQueue()
-    sender = threading.Thread(
-        target=_drain_replies,
-        args=(outbox, reply_conn),
-        name=f"shard-{spec.shard_id}-sender",
-        daemon=True,
-    )
-    sender.start()
-    server = ShardServer(
-        spec, reply=outbox.put, hard_crash=lambda: os._exit(13)
-    )
-    try:
-        while True:
-            try:
-                command = cmd_conn.recv()
-            except (EOFError, OSError):
-                break
-            if not server.handle(command):
-                break
-    finally:
-        outbox.put(None)
-        sender.join(timeout=5.0)
-        reply_conn.close()
-
-
 def spawn_main(cmd_fd: int, reply_fd: int) -> None:
     """Worker-process body: the spec is the first command-pipe message.
 
     ``cmd_fd`` / ``reply_fd`` are the inherited pipe ends.  A parent
     that died before sending the spec leaves EOF; the worker then just
-    exits.
+    exits.  Everything after runs on this, the process's one thread.
     """
     cmd_conn = Connection(cmd_fd, writable=False)
     reply_conn = Connection(reply_fd, readable=False)
@@ -426,4 +379,14 @@ def spawn_main(cmd_fd: int, reply_fd: int) -> None:
         spec = cmd_conn.recv()
     except (EOFError, OSError):
         return
-    shard_worker_main(spec, cmd_conn, reply_conn)
+
+    def send(reply: ShardReply) -> None:
+        try:
+            reply_conn.send(reply)
+        except OSError:  # the manager went away; EOF on commands follows
+            pass
+
+    ShardServer(spec, send, hard_crash=lambda: os._exit(13)).serve_pipe(
+        cmd_conn
+    )
+    reply_conn.close()

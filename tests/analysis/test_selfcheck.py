@@ -128,10 +128,13 @@ class TestSelfCheck:
 
     def test_guarded_by_annotations_exist_in_serving(self):
         # the serving fabric declares its mutex discipline (the runtime
-        # itself holds no lock); if these vanish, R9 silently stops
-        # checking anything real
-        for module in ("manager.py", "backend.py", "worker.py"):
-            text = (SRC / "shard" / module).read_text(encoding="utf-8")
+        # loop holds no lock, a shard worker none at all; the admission
+        # queue's guards its producers); if these vanish, R9 silently
+        # stops checking anything real
+        for module in (
+            "shard/manager.py", "shard/backend.py", "serving/admission.py"
+        ):
+            text = (SRC / module).read_text(encoding="utf-8")
             assert "# guarded-by:" in text, module
 
     def test_scoped_rules_cover_their_targets(self):

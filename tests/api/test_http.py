@@ -170,3 +170,110 @@ def test_negative_top_k_is_a_bad_request():
         asyncio.run(scenario())
     finally:
         manager.stop()
+
+
+def test_update_and_query_params_are_validated_not_coerced():
+    """``int()`` truncated a JSON float and took ``true`` for 1, so both
+    bodies toggled edge (1, 2), a change that was versioned, broadcast
+    and replayed on every respawn; a NaN ``budget_s`` compared false
+    with everything and reached the worker as a deadline that never
+    expires."""
+    manager = ShardManager(
+        ring_graph(),
+        2,
+        backend="inproc",
+        walk_cap=64,
+        query_mode="exact",
+        auto_respawn=False,
+        metrics=MetricsRegistry(),
+    )
+
+    async def scenario():
+        server = HttpServer(FrontDoor(manager, default_top_k=4))
+        await server.start()
+        port = server.port
+        try:
+            for body in (
+                {"u": 1.9, "v": 2},
+                {"u": True, "v": 2},
+                {"u": 1, "v": 2.0},
+                {"u": "1", "v": 2},
+                {"v": 2},
+            ):
+                status, _, reply = await fetch(port, "POST", "/update", body)
+                assert status == 400, body
+                assert reply["status"] == "error"
+            assert manager.fabric_version == 0
+            status, _, reply = await fetch(
+                port, "POST", "/update", {"u": 1, "v": 2}
+            )
+            assert status == 200
+            assert reply["version"] == 1
+
+            status, _, reply = await fetch(
+                port, "GET", "/query?source=0&budget_s=nan"
+            )
+            assert status == 400
+            assert reply["status"] == "bad-request"
+            status, _, reply = await fetch(
+                port, "GET", "/query?source=0&budget_s=30"
+            )
+            assert status == 200
+        finally:
+            await server.stop()
+
+    try:
+        asyncio.run(scenario())
+    finally:
+        manager.stop()
+
+
+def test_reconfigure_refuses_rates_quota_cannot_solve_for():
+    """``json`` accepts ``NaN`` and ``Infinity``: a NaN rate used to
+    reach every shard, which applied the r_max box bound."""
+    metrics = MetricsRegistry()
+    manager = ShardManager(
+        ring_graph(),
+        1,
+        backend="inproc",
+        walk_cap=64,
+        query_mode="exact",
+        auto_respawn=False,
+        metrics=metrics,
+    )
+
+    async def scenario():
+        frontdoor = FrontDoor(manager)
+        server = HttpServer(frontdoor)
+        await server.start()
+        try:
+            for body in (
+                {"lambda_q": float("nan"), "lambda_u": 1.0},
+                {"lambda_q": float("inf"), "lambda_u": 1.0},
+                {"lambda_q": 5.0, "lambda_u": float("nan")},
+                {"lambda_q": -1.0, "lambda_u": 1.0},
+                {"lambda_q": 0.0, "lambda_u": 1.0},
+                {"lambda_q": 5.0, "lambda_u": -1.0},
+            ):
+                status, _, reply = await fetch(
+                    server.port, "POST", "/reconfigure", body
+                )
+                assert status == 400, body
+                assert reply["status"] == "bad-request"
+            assert "shard.reconfigurations" not in (
+                metrics.snapshot()["counters"]
+            )
+            assert list(frontdoor.reconfigurations) == []
+            status, _, reply = await fetch(
+                server.port, "POST", "/reconfigure",
+                {"lambda_q": 5.0, "lambda_u": 0.0},
+            )
+            assert status == 200
+            assert reply["shards"] == {"0": {"applied": False}}
+        finally:
+            await server.stop()
+
+    try:
+        asyncio.run(scenario())
+    finally:
+        manager.stop()

@@ -1,5 +1,6 @@
 """Tests for the serving runtime and its building blocks."""
 
+import sys
 import threading
 import time
 from types import SimpleNamespace
@@ -86,6 +87,74 @@ class TestAdmissionQueue:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             AdmissionQueue(capacity=-1, metrics=MetricsRegistry())
+
+    def test_updates_are_admitted_past_capacity(self):
+        metrics = MetricsRegistry()
+        q = AdmissionQueue(capacity=1, metrics=metrics)
+        update = Ticket(Request(0.0, UPDATE, update=EdgeUpdate(0, 1)), 0.0)
+        query = Ticket(Request(0.0, QUERY, source=0), 0.0)
+        assert q.offer(query) and q.offer(update) and q.offer(update)
+        assert not q.offer(query)
+        assert q.depth == 3
+        assert metrics.snapshot()["counters"]["serving.shed"] == 1
+
+    def test_concurrent_producers_lose_nothing(self):
+        """Producers on several threads against one consumer that waits
+        for tickets: every ticket is admitted or shed exactly once, and
+        join returns."""
+        metrics = MetricsRegistry()
+        q = AdmissionQueue(capacity=8, metrics=metrics)
+        per_producer, producers = 300, 6
+        admitted, popped = [], []
+        done = threading.Event()
+
+        def produce(i):
+            for n in range(per_producer):
+                kind = UPDATE if n % 3 == 0 else QUERY
+                request = (
+                    Request(0.0, UPDATE, update=EdgeUpdate(i, n))
+                    if kind == UPDATE
+                    else Request(0.0, QUERY, source=i)
+                )
+                ticket = Ticket(request, float(n))
+                if q.offer(ticket):
+                    admitted.append(ticket)
+
+        def consume():
+            while not (done.is_set() and q.depth == 0):
+                ticket = q.poll()
+                if ticket is None:
+                    q.await_ticket(0.001)
+                    continue
+                popped.append(ticket)
+                q.task_done()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            consumer = threading.Thread(target=consume)
+            threads = [
+                threading.Thread(target=produce, args=(i,))
+                for i in range(producers)
+            ]
+            consumer.start()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+            done.set()
+            consumer.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not consumer.is_alive()
+        assert not any(thread.is_alive() for thread in threads)
+        q.join()  # every admitted ticket was marked done
+        shed = metrics.snapshot()["counters"].get("serving.shed", 0)
+        assert len(admitted) + shed == per_producer * producers
+        assert sorted(map(id, popped)) == sorted(map(id, admitted))
+        updates = sum(1 for t in admitted if t.request.kind == UPDATE)
+        # every update is admitted: only queries are ever shed
+        assert updates == producers * len(range(0, per_producer, 3))
 
 
 class TestServingRuntime:

@@ -1,10 +1,10 @@
 """What ``python_child`` puts in a child's environment, and nothing more.
 
-Workers build on the main thread and serve from runtime threads; with
-glibc's default of one malloc arena per contending thread, the heap the
-build frees is never reused by the threads that serve.  The launcher
-caps the arenas at one — as a default an operator can override, and as
-the only thing it changes.
+With glibc's default of one malloc arena per contending thread, the
+heap one thread frees is never reused by another; workers used to
+build on the main thread and serve from others.  The launcher caps the
+arenas at one — as a default an operator can override, and as the only
+thing it changes.
 """
 
 import json

@@ -323,6 +323,44 @@ def test_process_fleet_is_its_workers_and_nothing_else():
 
 
 @needs_procfs
+def test_a_refused_reconfigure_is_an_error_reply_not_a_crash():
+    """Rates Quota refuses (negative, NaN) answer the reconfigure with
+    an error: every worker keeps serving, none is respawned, and none
+    applies a beta solved for a NaN rate."""
+    metrics = MetricsRegistry()
+    with make_manager(
+        num_shards=2, backend="process", use_controller=True, metrics=metrics
+    ) as manager:
+        workers = [manager.shard_handle(i) for i in range(2)]
+        for lambda_q in (-1.0, float("nan")):
+            results = manager.reconfigure(lambda_q, 1.0)
+            assert set(results) == {"0", "1"}
+            for result in results.values():
+                assert result["ok"] is False
+                assert "lambda_q" in result["error"]
+        assert [manager.shard_handle(i) for i in range(2)] == workers
+        assert all(worker.healthy for worker in workers)
+        assert manager.query_sync(0, timeout_s=60.0).ok
+        results = manager.reconfigure(5.0, 1.0)
+        assert all("applied" in result for result in results.values())
+    assert metrics.snapshot()["counters"].get("shard.respawns", 0) == 0
+
+
+def test_process_workers_run_one_python_thread():
+    """A worker reads commands, serves them and writes the replies on
+    its one thread."""
+    with make_manager(num_shards=2, backend="process") as manager:
+        for source in range(6):
+            assert manager.query_sync(source, timeout_s=60.0).ok
+        manager.update(0, 7)
+        manager.update(3, 11)
+        snapshot = manager.metrics_snapshot()
+    assert set(snapshot["shards"]) == {"0", "1"}
+    for shard in snapshot["shards"].values():
+        assert shard["state"]["applied_broadcasts"] == 2
+        assert shard["process"]["python_threads"] == 1
+
+
 def test_workers_boot_while_the_image_is_built():
     """A manager handed a running build launches its interpreters
     before it waits for the image: builder + 2 workers side by side."""

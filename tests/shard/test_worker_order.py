@@ -10,7 +10,6 @@ order-fault reason, manager-side fault counter, and a log-replay
 respawn that converges the replacement.
 """
 
-import threading
 import time
 
 import pytest
@@ -19,7 +18,7 @@ from repro.graph.digraph import DynamicGraph
 from repro.obs.metrics import MetricsRegistry
 from repro.shard.backend import InprocShard
 from repro.shard.manager import ShardManager
-from repro.shard.messages import ShardSpec, UpdateCommand
+from repro.shard.messages import QueryCommand, ShardSpec, UpdateCommand
 from repro.shard.worker import ShardServer
 
 
@@ -79,41 +78,36 @@ def test_default_spec_serves_on_the_auto_engine():
         server.runtime.stop()
 
 
-def test_full_queue_blocks_updates_without_shedding():
-    """An update meeting a full admission queue waits for room; it is
-    neither dropped nor counted (or recorded) as shed."""
+def test_full_queue_admits_updates_without_shedding():
+    """An update meeting a full admission queue is admitted at once —
+    the loop that read it never waits — and is neither dropped nor
+    counted as shed; a query meeting the same queue is shed."""
     replies = []
     server = ShardServer(
         make_spec(ring_graph(), queue_capacity=1), reply=replies.append
     )
-    algorithm = server.runtime.algorithm
-    apply_update = algorithm.apply_update
-    stalled, release, applied = threading.Event(), threading.Event(), []
+    commands = [
+        UpdateCommand(1, 1, 0, 11),
+        UpdateCommand(2, 2, 0, 12),  # fills the queue
+        UpdateCommand(3, 3, 0, 13),
+        QueryCommand(4, 0),
+    ]
 
-    def stalling_apply(update):
-        stalled.set()
-        assert release.wait(30.0)
-        applied.append(update.v)
-        return apply_update(update)
+    def take(timeout_s):
+        # one read of four commands: all are admitted before any is served
+        for command in commands:
+            assert server.handle(command)
+        return False
 
-    algorithm.apply_update = stalling_apply
-    releaser = threading.Timer(0.2, release.set)
-    try:
-        server.handle(UpdateCommand(1, 1, 0, 11))
-        assert stalled.wait(30.0)  # the one worker is busy
-        server.handle(UpdateCommand(2, 2, 0, 12))  # fills the queue
-        releaser.start()
-        server.handle(UpdateCommand(3, 3, 0, 13))  # must wait for room
-        server.runtime.drain()
-    finally:
-        release.set()
-        releaser.cancel()
-        server.runtime.stop()
-    assert applied == [11, 12, 13]
-    assert [reply.ok for reply in replies] == [True, True, True]
+    server.serve(take)
+    graph = server.runtime.algorithm.graph
+    assert all(graph.has_edge(0, v) for v in (11, 12, 13))
+    assert [reply.req_id for reply in replies] == [1, 2, 3, 4]
+    assert [reply.ok for reply in replies] == [True, True, True, False]
+    assert replies[3].payload["status"] == "shed"
     assert server.applied_broadcasts == 3
     counters = server.metrics.snapshot()["counters"]
-    assert counters.get("serving.shed", 0) == 0
+    assert counters["serving.shed"] == 1
 
 
 def test_version_gap_refused_and_worker_dies():

@@ -102,12 +102,13 @@ for name in ("FORA", "FORA+inc"):
                   walk_cap=500),
         replies.append,
     )
-    try:
+
+    def take(timeout_s):
         server.handle(UpdateCommand(1, 1, 0, 150))
         server.handle(QueryCommand(2, 3, top_k=5))
-        server.runtime.drain()
-    finally:
-        server.runtime.stop()
+        return False  # closed: the loop serves what it read, then returns
+
+    server.serve(take)
     assert [r.ok for r in replies] == [True, True], replies
     loaded = [name for name in HARNESS if name in sys.modules]
     assert not loaded, loaded
@@ -230,11 +231,14 @@ server = ShardServer(
     ShardSpec(0, 1, graph.num_nodes, list(graph.edges()), walk_cap=500),
     replies.append,
 )
-try:
+
+
+def take(timeout_s):
     server.handle(QueryCommand(1, 3, top_k=5))
-    server.runtime.drain()
-finally:
-    server.runtime.stop()
+    return False  # closed: the loop serves what it read, then returns
+
+
+server.serve(take)
 assert replies[0].ok, replies
 print([name for name in {UNLOADED_MODULES!r} if sys.modules.get(name)])
 """
