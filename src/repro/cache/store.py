@@ -21,17 +21,14 @@ yesterday's hot source.  Scanning a small LRU-front window gets most of
 both and stays deterministic — no randomized sampling, so replays are
 reproducible.
 
-Thread safety: every public method takes the internal lock, so the
-store may be read (``stats()``, ``worst_staleness()``) from other
-threads while the runtime thread of
-:class:`~repro.serving.runtime.ServingRuntime` inserts and charges.
-Lock ordering note: the cache lock is a leaf — no callback invoked
-under it (``pi_estimate`` closures) may call back into the cache.
+One thread owns a store and it takes no lock: the loop thread of
+:class:`~repro.serving.runtime.ServingRuntime` looks up, inserts and
+charges, and reads ``stats()`` for its shard's ``/metrics`` block;
+under ``replay`` the replaying thread does all of it.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
@@ -87,7 +84,7 @@ class CacheEntry:
 
 
 class PPRCache:
-    """Thread-safe LRU/LFU-hybrid store of PPR results.
+    """LRU/LFU-hybrid store of PPR results, owned by one thread.
 
     Parameters
     ----------
@@ -117,29 +114,22 @@ class PPRCache:
         self.capacity = capacity
         self.epsilon_c = epsilon_c
         self.metrics = metrics if metrics is not None else get_metrics()
-        self._entries: OrderedDict[CacheKey, CacheEntry] = OrderedDict()  # guarded-by: self._lock
-        self._lock = threading.Lock()
-        self._updates_seen = 0  # guarded-by: self._lock
-        self._hits = 0  # guarded-by: self._lock
-        self._lookups = 0  # guarded-by: self._lock
+        self._entries: OrderedDict[CacheKey, CacheEntry] = OrderedDict()
+        self._updates_seen = 0
+        self._hits = 0
+        self._lookups = 0
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     @property
     def updates_seen(self) -> int:
         """Applied updates charged so far."""
-        with self._lock:
-            return self._updates_seen
+        return self._updates_seen
 
     def hit_rate(self) -> float:
         """Lifetime hit fraction h in [0, 1] (0 before any lookup)."""
-        with self._lock:
-            return self._hit_rate_locked()
-
-    def _hit_rate_locked(self) -> float:
         return self._hits / self._lookups if self._lookups else 0.0
 
     # ------------------------------------------------------------------
@@ -148,19 +138,18 @@ class PPRCache:
 
         A hit bumps the entry's recency and frequency.
         """
-        with self._lock:
-            self._lookups += 1
-            entry = self._entries.get(key)
-            if entry is None:
-                self.metrics.counter("cache.misses").inc()
-            else:
-                entry.hits += 1
-                self._hits += 1
-                self._entries.move_to_end(key)
-                self.metrics.counter("cache.hits").inc()
-            self.metrics.gauge("cache.hit_rate").set(self._hit_rate_locked())
-            self.metrics.gauge("cache.size").set(float(len(self._entries)))
-            return entry
+        self._lookups += 1
+        entry = self._entries.get(key)
+        if entry is None:
+            self.metrics.counter("cache.misses").inc()
+        else:
+            entry.hits += 1
+            self._hits += 1
+            self._entries.move_to_end(key)
+            self.metrics.counter("cache.hits").inc()
+        self.metrics.gauge("cache.hit_rate").set(self.hit_rate())
+        self.metrics.gauge("cache.size").set(float(len(self._entries)))
+        return entry
 
     def insert(
         self,
@@ -175,22 +164,21 @@ class PPRCache:
         zero staleness) while keeping its hit count — a recompute after
         a staleness eviction should not demote the source to cold.
         """
-        with self._lock:
-            previous = self._entries.pop(key, None)
-            while len(self._entries) >= self.capacity:
-                self._evict_one_locked()
-            entry = CacheEntry(
-                key,
-                value,
-                version,
-                hits=previous.hits if previous is not None else 0,
-                pi_estimate=pi_estimate,
-            )
-            self._entries[key] = entry
-            self.metrics.counter("cache.insertions").inc()
-            self.metrics.gauge("cache.size").set(float(len(self._entries)))
+        previous = self._entries.pop(key, None)
+        while len(self._entries) >= self.capacity:
+            self._evict_one()
+        entry = CacheEntry(
+            key,
+            value,
+            version,
+            hits=previous.hits if previous is not None else 0,
+            pi_estimate=pi_estimate,
+        )
+        self._entries[key] = entry
+        self.metrics.counter("cache.insertions").inc()
+        self.metrics.gauge("cache.size").set(float(len(self._entries)))
 
-    def _evict_one_locked(self) -> None:
+    def _evict_one(self) -> None:
         """Evict the hybrid victim (least hits within the LRU front)."""
         victim: CacheKey | None = None
         victim_hits = -1
@@ -216,23 +204,22 @@ class PPRCache:
         post-update degree).  Entries whose accumulated budget exceeds
         ``epsilon_c`` are evicted; their keys are returned.
         """
-        with self._lock:
-            self._updates_seen += 1
-            evicted: list[CacheKey] = []
-            for key in list(self._entries):
-                entry = self._entries[key]
-                entry.staleness += increment(entry)
-                if entry.staleness > self.epsilon_c:
-                    del self._entries[key]
-                    evicted.append(key)
-            if evicted:
-                self.metrics.counter("cache.evictions_staleness").inc(
-                    len(evicted)
-                )
-                self.metrics.gauge("cache.size").set(
-                    float(len(self._entries))
-                )
-            return evicted
+        self._updates_seen += 1
+        evicted: list[CacheKey] = []
+        for key in list(self._entries):
+            entry = self._entries[key]
+            entry.staleness += increment(entry)
+            if entry.staleness > self.epsilon_c:
+                del self._entries[key]
+                evicted.append(key)
+        if evicted:
+            self.metrics.counter("cache.evictions_staleness").inc(
+                len(evicted)
+            )
+            self.metrics.gauge("cache.size").set(
+                float(len(self._entries))
+            )
+        return evicted
 
     def worst_staleness(self) -> float:
         """Largest accumulated staleness among the *live* entries.
@@ -241,23 +228,21 @@ class PPRCache:
         past ``epsilon_c``, so no live entry may ever report a budget
         above it.  Returns 0.0 for an empty cache.
         """
-        with self._lock:
-            return max(
-                (entry.staleness for entry in self._entries.values()),
-                default=0.0,
-            )
+        return max(
+            (entry.staleness for entry in self._entries.values()),
+            default=0.0,
+        )
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, float]:
         """Point-in-time summary (size, lookups, hits, hit rate)."""
-        with self._lock:
-            return {
-                "size": float(len(self._entries)),
-                "lookups": float(self._lookups),
-                "hits": float(self._hits),
-                "hit_rate": self._hit_rate_locked(),
-                "updates_seen": float(self._updates_seen),
-            }
+        return {
+            "size": float(len(self._entries)),
+            "lookups": float(self._lookups),
+            "hits": float(self._hits),
+            "hit_rate": self.hit_rate(),
+            "updates_seen": float(self._updates_seen),
+        }
 
     def __repr__(self) -> str:
         stats = self.stats()

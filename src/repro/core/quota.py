@@ -32,6 +32,12 @@ from repro.core.optimizer import (
     OptimizationResult,
 )
 from repro.core.rates import check_rates
+from repro.queueing.theory import (
+    expected_response_time,
+    heavy_traffic_response_time,
+    mm1_response_time,
+    traffic_intensity,
+)
 
 FloatArray = NDArray[np.float64]
 
@@ -41,6 +47,11 @@ LOG_HI = -1e-6
 
 STABLE = "stable"
 UNSTABLE = "unstable"
+
+#: floor of the ``1 - rho`` denominator in the response-time objective:
+#: L-BFGS-B cannot digest inf, so past rho = 1 it sees a finite
+#: continuation (the stability constraint steers the search back)
+SLACK_FLOOR = 1e-12
 
 #: relative change of some hyperparameter below which a new beta is not
 #: worth re-applying (an index rebuild for the index-based algorithms)
@@ -135,46 +146,29 @@ class QuotaController:
         return self.cost_model.beta_dict(np.power(10.0, x))
 
     def _rho(self, x: FloatArray, lambda_q: float, lambda_u: float) -> float:
-        beta = self._beta_of(x)
-        t_q = self.cost_model.query_time(beta, lambda_q, lambda_u)
-        t_u = self.cost_model.update_time(beta)
-        return lambda_q * t_q + lambda_u * t_u
+        t_q, t_u = self.predicted_times(self._beta_of(x), lambda_q, lambda_u)
+        return traffic_intensity(lambda_q, lambda_u, t_q, t_u)
 
     def _response_time(
         self, x: FloatArray, lambda_q: float, lambda_u: float
     ) -> float:
-        """Stable-regime response estimate with a finite continuation.
-
-        L-BFGS-B cannot digest inf, so for rho >= 1 the denominator is
-        floored; the stability constraint (not this continuation) is
-        what steers the search back into the feasible region.
-        """
-        beta = self._beta_of(x)
-        t_q = self.cost_model.query_time(beta, lambda_q, lambda_u)
-        t_u = self.cost_model.update_time(beta)
-        rho = lambda_q * t_q + lambda_u * t_u
-        slack = max(1.0 - rho, 1e-12)
+        """The chosen :mod:`repro.queueing.theory` estimate at ``x``,
+        continued past rho = 1 with the ``1 - rho`` floor
+        :data:`SLACK_FLOOR`."""
+        t_q, t_u = self.predicted_times(self._beta_of(x), lambda_q, lambda_u)
         if self.response_model == "pk":
-            numerator = lambda_u * t_u**2 * (1.0 + self.cv_u**2) + (
-                lambda_q * t_q**2 * (1.0 + self.cv_q**2)
+            return expected_response_time(
+                lambda_q, lambda_u, t_q, t_u, self.cv_q, self.cv_u,
+                slack_floor=SLACK_FLOOR,
             )
-            return numerator / (2.0 * slack) + t_q
-        total_rate = lambda_q + lambda_u
-        if total_rate <= 0:
-            return t_q
-        mean_service = rho / total_rate
         if self.response_model == "mm1":
-            return rho * mean_service / slack + t_q
-        # heavy-traffic (Kingman G/G/1); Poisson arrivals -> C_a^2 = 1
-        if mean_service <= 0:
-            return t_q
-        second = (
-            lambda_q * t_q**2 * (1.0 + self.cv_q**2)
-            + lambda_u * t_u**2 * (1.0 + self.cv_u**2)
-        ) / total_rate
-        cv_service_sq = max(second / mean_service**2 - 1.0, 0.0)
-        return (
-            rho / slack * (1.0 + cv_service_sq) / 2.0 * mean_service + t_q
+            return mm1_response_time(
+                lambda_q, lambda_u, t_q, t_u, slack_floor=SLACK_FLOOR
+            )
+        # Kingman G/G/1; Poisson arrivals -> C_a^2 = 1
+        return heavy_traffic_response_time(
+            lambda_q, lambda_u, t_q, t_u, self.cv_q, self.cv_u,
+            slack_floor=SLACK_FLOOR,
         )
 
     def predicted_times(

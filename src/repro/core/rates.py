@@ -101,15 +101,25 @@ class RateDriftDetector:
         return abs(observed - configured) / configured > self.threshold
 
     def check(self, now: float) -> tuple[float, float] | None:
-        """Monitored (lambda_q, lambda_u) when drifted, else None."""
+        """Monitored (lambda_q, lambda_u) when drifted, else None.
+
+        A drifted pair Quota cannot solve for (:func:`check_rates`
+        refuses it: no query arrived in the window) is None too, so no
+        caller re-solves, or re-arms, at lambda_q = 0.
+        """
         if self.estimator.observed < self.min_events:
             return None
         lambda_q, lambda_u = self.estimator.rates(now)
-        if self._drifted(lambda_q, self.configured_q) or self._drifted(
-            lambda_u, self.configured_u
+        if not (
+            self._drifted(lambda_q, self.configured_q)
+            or self._drifted(lambda_u, self.configured_u)
         ):
-            return lambda_q, lambda_u
-        return None
+            return None
+        try:
+            check_rates(lambda_q, lambda_u)
+        except ValueError:
+            return None
+        return lambda_q, lambda_u
 
     def rearm(self, lambda_q: float, lambda_u: float) -> None:
         """Accept the new configuration as the drift baseline."""

@@ -176,8 +176,6 @@ class QuotaSystem:
             if drifted is None:
                 return 0.0
             lambda_q, lambda_u = drifted
-            if lambda_q <= 0:
-                return 0.0
             self.drift_detector.rearm(lambda_q, lambda_u)
         else:
             if self.reoptimize_every is None:

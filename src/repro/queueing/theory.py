@@ -8,7 +8,9 @@ Two regimes:
 * **Unstable** (rho >= 1): Lemma 1, the asymptotic linear growth of the
   N-th query's response time; minimizing rho minimizes per-query delay.
 
-These are the objective functions Quota optimizes.
+These are the objective functions Quota optimizes: its controller
+calls the three response-time estimates below with a ``slack_floor``,
+the finite continuation past rho = 1 that L-BFGS-B needs.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ def expected_response_time(
     t_u: float,
     cv_q: float = 1.0,
     cv_u: float = 1.0,
+    slack_floor: float = 0.0,
 ) -> float:
     """Eq. 2: mean query response time in the stable regime.
 
@@ -70,17 +73,22 @@ def expected_response_time(
         treats these as fixed (tuning them is "insignificant compared
         with tuning mean query/update times"); 1.0 matches
         exponential-like service variability.
+    slack_floor:
+        Floor of the ``1 - rho`` denominator.  0 keeps ``inf`` for
+        rho >= 1; a positive floor gives the finite continuation an
+        optimizer that cannot digest ``inf`` needs (Quota passes 1e-12).
     """
     _require_rates(lambda_q, lambda_u)
     if t_q < 0 or t_u < 0:
         raise ValueError("service times must be non-negative")
     rho = traffic_intensity(lambda_q, lambda_u, t_q, t_u)
-    if rho >= 1.0:
+    slack = max(1.0 - rho, slack_floor)
+    if slack <= 0.0:
         return math.inf
     waiting = (
         lambda_u * t_u**2 * (1.0 + cv_u**2)
         + lambda_q * t_q**2 * (1.0 + cv_q**2)
-    ) / (2.0 * (1.0 - rho))
+    ) / (2.0 * slack)
     return waiting + t_q
 
 
@@ -110,7 +118,11 @@ def unstable_response_growth(
 # three via its ``response_model`` option.
 # ----------------------------------------------------------------------
 def mm1_response_time(
-    lambda_q: float, lambda_u: float, t_q: float, t_u: float
+    lambda_q: float,
+    lambda_u: float,
+    t_q: float,
+    t_u: float,
+    slack_floor: float = 0.0,
 ) -> float:
     """M/M/1 estimate: treat the mixed stream as one exponential server.
 
@@ -120,20 +132,21 @@ def mm1_response_time(
     the final t_q service term (waiting is shared FCFS).
 
     Cruder than Eq. 2 — it ignores the service-time mixture's true
-    variance — but needs no CV inputs.
+    variance — but needs no CV inputs.  ``slack_floor`` as in
+    :func:`expected_response_time`.
     """
     _require_rates(lambda_q, lambda_u)
     if t_q < 0 or t_u < 0:
         raise ValueError("service times must be non-negative")
+    rho = traffic_intensity(lambda_q, lambda_u, t_q, t_u)
+    slack = max(1.0 - rho, slack_floor)
     total_rate = lambda_q + lambda_u
     if total_rate <= 0:
         return t_q
-    mean_service = (lambda_q * t_q + lambda_u * t_u) / total_rate
-    rho = total_rate * mean_service
-    if rho >= 1.0:
+    if slack <= 0.0:
         return math.inf
-    waiting = rho * mean_service / (1.0 - rho)
-    return waiting + t_q
+    mean_service = rho / total_rate
+    return rho * mean_service / slack + t_q
 
 
 def heavy_traffic_response_time(
@@ -144,24 +157,27 @@ def heavy_traffic_response_time(
     cv_q: float = 1.0,
     cv_u: float = 1.0,
     cv_arrival: float = 1.0,
+    slack_floor: float = 0.0,
 ) -> float:
     """Kingman/heavy-traffic (G/G/1) estimate.
 
     W ~ rho / (1 - rho) * (C_a^2 + C_s^2) / 2 * E[S], the diffusion
     approximation that becomes exact as rho -> 1 [78].  Useful when the
     queue runs close to saturation, where Eq. 2 and the M/M/1 form
-    under-weight variability.
+    under-weight variability.  ``slack_floor`` as in
+    :func:`expected_response_time`.
     """
     _require_rates(lambda_q, lambda_u)
     if t_q < 0 or t_u < 0:
         raise ValueError("service times must be non-negative")
+    rho = traffic_intensity(lambda_q, lambda_u, t_q, t_u)
+    slack = max(1.0 - rho, slack_floor)
     total_rate = lambda_q + lambda_u
     if total_rate <= 0:
         return t_q
-    mean_service = (lambda_q * t_q + lambda_u * t_u) / total_rate
-    rho = total_rate * mean_service
-    if rho >= 1.0:
+    if slack <= 0.0:
         return math.inf
+    mean_service = rho / total_rate
     if mean_service <= 0:
         return t_q
     # second moment of the service mixture -> squared CV of service
@@ -171,10 +187,6 @@ def heavy_traffic_response_time(
     ) / total_rate
     cv_service_sq = max(second / mean_service**2 - 1.0, 0.0)
     waiting = (
-        rho
-        / (1.0 - rho)
-        * (cv_arrival**2 + cv_service_sq)
-        / 2.0
-        * mean_service
+        rho / slack * (cv_arrival**2 + cv_service_sq) / 2.0 * mean_service
     )
     return waiting + t_q

@@ -482,8 +482,6 @@ def run_drift_demo(
         if drifted is None:
             return
         lambda_q, lambda_u = drifted
-        if lambda_q <= 0:
-            return
         runtime.reconfigure(lambda_q, lambda_u, quick=True)
         detector.rearm(lambda_q, lambda_u)
         reconfigured += 1

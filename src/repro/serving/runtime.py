@@ -2,43 +2,48 @@
 
 Where :func:`repro.queueing.replay.replay` schedules Algorithm 2 on a
 virtual clock, this runtime runs the same decision on the wall clock.
-One thread owns the graph, the index, the result cache and the Seed
-queue, and takes requests from a bounded admission queue in FCFS
-order.  Each request goes through
+One thread owns the graph, the index, the result cache, the Seed queue
+and the bounded admission queue, and serves requests in FCFS order.
+Each request goes through
 :func:`~repro.queueing.replay.serve_request` with a
 :class:`~repro.queueing.replay.MeasuredExecutor` (the pair
 :class:`~repro.core.system.QuotaSystem` replays with), and every
 deferred update through :func:`~repro.queueing.replay.apply_head`.
 What is left here is what only a wall clock has:
 
-* **One loop, two hosts.**  :meth:`run` serves on the caller's
+* **One loop, one reader.**  :meth:`run` serves on the caller's
   thread, reading requests from a *source*: before each admission
   poll, and between two idle-drain steps, the loop asks the source
   for every command it has ready, and waits on it (up to the idle
   tick) when there is no work.  A shard worker's source is its command
   pipe, so the one thread reads commands, serves them and writes the
   replies.  :meth:`start` runs the same loop on a thread of its own
-  for callers that :meth:`submit` from other threads (the scenario
-  fuzzer, the stress tests, the direct-call probe).
+  whose source is an *inbox* (one :class:`queue.SimpleQueue`): other
+  threads post submissions and controls to it (the scenario fuzzer,
+  the stress tests, the direct-call probe), and the loop reads it at
+  the same two points.  No loop holds a lock: only the loop's thread
+  touches the admission queue, the Seed queue and the cache.
 * **Snapshot isolation by construction.**  Every graph mutation
   (an update, a Seed flush, new hyperparameters) and every kernel call
   runs on the loop's thread, so no query overlaps a write, and the
   graph version read right after a query names the snapshot it ran on.
-  Callers on other threads that must mutate — :meth:`reconfigure` and
-  the closing flush of :meth:`drain` — hand the work to the loop
-  through a control queue, which it drains before each admission
-  poll.  On the loop's own thread, and before :meth:`start` and after
-  :meth:`stop`, the work runs inline.
+  :meth:`reconfigure` and :meth:`drain` called from another thread
+  post their work to the inbox; the loop runs it when it reads it,
+  after the request in flight and ahead of the queued ones (a drain's
+  flush waits until the admission queue is empty).  On the loop's own
+  thread, and before :meth:`start` and after :meth:`stop`, the work
+  runs inline.
 * **Idle drain.**  While the admission queue is empty the loop
   applies deferred updates one at a time, re-reading its source
   between any two, as ``replay`` does when a server idles before the
   next arrival.
-* **Backpressure and deadlines.**  Admission is bounded
-  (:class:`~repro.serving.admission.AdmissionQueue`); a query submitted
-  to a full queue is shed, and a query popped after its deadline
-  budget expired is dropped with a ``serving.timeout`` count instead
-  of computing an answer nobody is waiting for.  Updates are never
-  shed or deadline-dropped — they are state, not answers.
+* **Backpressure and deadlines.**  Admission is bounded: a query read
+  when ``queue_capacity`` requests already wait is shed (counted in
+  ``serving.shed``; the queue's depth is the ``serving.queue_depth``
+  gauge), and a query popped after its deadline budget expired is
+  dropped with a ``serving.timeout`` count instead of computing an
+  answer nobody is waiting for.  Updates are never shed or
+  deadline-dropped — they are state, not answers.
 * **Graceful degradation.**  An update that raises is surfaced as a
   ``failed`` record (and the ``serving.faults`` counter) and discarded
   from the Seed queue with the degree overlay kept consistent.  The
@@ -56,6 +61,7 @@ import queue
 import threading
 import time
 import traceback
+from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, TypeVar, cast
@@ -73,12 +79,6 @@ from repro.queueing.replay import (
     serve_request,
 )
 from repro.queueing.workload import Request, Workload
-from repro.serving.admission import (
-    SHED_DEADLINE,
-    SHED_QUEUE_FULL,
-    AdmissionQueue,
-    Ticket,
-)
 
 if TYPE_CHECKING:
     # a worker started without --quota never loads the Quota stack
@@ -93,12 +93,52 @@ TIMEOUT = "timeout"
 #: execution raised; the error is carried on the record
 FAILED = "failed"
 
+#: shed because the bounded admission queue was full when it was read
+SHED_QUEUE_FULL = "queue-full"
+#: shed because the request's deadline budget expired before execution
+SHED_DEADLINE = "deadline"
+
 _T = TypeVar("_T")
 
 #: where a loop reads requests from: ``take(timeout_s)`` submits every
 #: command that is ready, waiting up to ``timeout_s`` for the first, and
 #: returns False once the source is closed
 Source = Callable[[float], bool]
+
+
+@dataclass(frozen=True, slots=True)
+class Ticket:
+    """One submitted request plus its wall-clock admission metadata.
+
+    ``submitted_s`` and ``deadline_s`` are :func:`time.perf_counter`
+    readings (absolute, monotonic), taken by the submitting thread;
+    ``deadline_s`` is None when the request carries no deadline budget.
+    """
+
+    request: Request
+    submitted_s: float
+    deadline_s: float | None = None
+
+    def expired(self, now_s: float | None = None) -> bool:
+        if self.deadline_s is None:
+            return False
+        return (time.perf_counter() if now_s is None else now_s) > self.deadline_s
+
+
+@dataclass(frozen=True, slots=True)
+class _Control:
+    """Work another thread posts to a started loop, and its reply box."""
+
+    fn: Callable[[], object]
+    reply: queue.SimpleQueue[tuple[bool, Any]]
+    #: run once the admission queue is empty (a drain), not when read
+    when_idle: bool = False
+
+    def run(self) -> None:
+        try:
+            self.reply.put((True, self.fn()))
+        except Exception as exc:
+            self.reply.put((False, exc))
 
 
 @dataclass(slots=True)
@@ -190,7 +230,8 @@ class ServingRuntime:
         Seed reorder budget; 0 keeps strict FCFS (updates apply
         inline, in admission order).
     queue_capacity:
-        Admission-queue bound; submissions beyond it are shed.
+        Admission-queue bound; a query read when this many requests
+        wait is shed.  0 means unbounded (no shedding — test use only).
     deadline_s:
         Default per-query deadline budget in seconds (None = none).
         A query still waiting past its budget is dropped.
@@ -217,9 +258,9 @@ class ServingRuntime:
         there (:attr:`records` stays empty and ``serve`` reports carry
         no records — a long-running server must not retain every
         result vector it ever produced); without it they accumulate in
-        :attr:`records`.  It runs on the loop's thread, except for a
-        shed, which the submitting thread reports; the next request
-        waits for it.  The shard worker (:mod:`repro.shard.worker`)
+        :attr:`records`.  It runs on the loop's thread (a shed too: the
+        loop decides it when it reads the submission); the next
+        request waits for it.  The shard worker (:mod:`repro.shard.worker`)
         writes each reply to its pipe from it.  Exceptions are
         swallowed (a broken observer must not take down a worker).
     metrics:
@@ -248,9 +289,12 @@ class ServingRuntime:
             )
         if deadline_s is not None and deadline_s <= 0:
             raise ValueError("deadline_s must be positive")
+        if queue_capacity < 0:
+            raise ValueError("queue_capacity must be >= 0")
         self.algorithm = algorithm
         self.epsilon_r = epsilon_r
         self.deadline_s = deadline_s
+        self.queue_capacity = queue_capacity
         self.controller = controller
         self.idle_tick_s = idle_tick_s
         self.metrics = metrics if metrics is not None else get_metrics()
@@ -270,11 +314,20 @@ class ServingRuntime:
         )
         #: the last query's (answer, cached_version), from the executor
         self._answer: tuple[object, int | None] = (None, None)
-        self._admission = AdmissionQueue(queue_capacity, self.metrics)
-        #: (callable, reply queue) pairs for the loop's thread to run
-        self._controls: queue.SimpleQueue[
-            tuple[Callable[[], object], queue.SimpleQueue[tuple[bool, Any]]]
-        ] = queue.SimpleQueue()
+        #: admitted tickets in FCFS order; only the loop's thread
+        #: touches it, so it needs no lock
+        self._queue: deque[Ticket] = deque()
+        self._depth = self.metrics.gauge("serving.queue_depth")
+        self._shed = self.metrics.counter("serving.shed")
+        #: a started loop's source: what other threads post to it (None
+        #: only wakes it)
+        self._inbox: queue.SimpleQueue[Ticket | _Control | None] = (
+            queue.SimpleQueue()
+        )
+        #: True while the loop runs on :meth:`start`'s thread
+        self._reads_inbox = False
+        #: drains read while requests still waited
+        self._drains: list[_Control] = []
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._degraded = False
@@ -292,15 +345,18 @@ class ServingRuntime:
         return self._degraded
 
     def start(self) -> "ServingRuntime":
-        """Run the loop on a thread of its own; :meth:`submit` feeds it."""
-        self._claim(
+        """Run the loop on a thread of its own, reading the inbox that
+        :meth:`submit`, :meth:`reconfigure`, :meth:`drain` and
+        :meth:`stop` post to from other threads."""
+        thread = self._claim(
             threading.Thread(
-                target=self._loop,
-                args=(self._admitted,),
+                target=self._serve_inbox,
                 name="serving-runtime",
                 daemon=True,
             )
-        ).start()
+        )
+        self._reads_inbox = True
+        thread.start()
         return self
 
     def run(self, take: Source) -> None:
@@ -312,7 +368,8 @@ class ServingRuntime:
         Once it reports the source closed, the loop serves what is
         already admitted, applies every deferred update and returns —
         what :meth:`stop` does for a started runtime.  A :meth:`stop`
-        from another thread ends it at once instead.
+        from another thread ends it at once instead; every other call
+        must come from this thread.
         """
         self._claim(threading.current_thread())
         try:
@@ -342,11 +399,13 @@ class ServingRuntime:
         if thread is None:
             return
         self._stop.set()
-        self._admission.wake()
+        if self._reads_inbox:
+            self._inbox.put(None)  # wake the loop now
         thread.join(timeout_s)
         if thread.is_alive():
             raise RuntimeError(f"{thread.name} failed to stop in {timeout_s}s")
         self._thread = None
+        self._reads_inbox = False
 
     def __enter__(self) -> "ServingRuntime":
         return self.start()
@@ -360,13 +419,16 @@ class ServingRuntime:
     def submit(
         self, request: Request, deadline_s: float | None = None
     ) -> bool:
-        """Admit one request; False when a query is shed at the
+        """Submit one request; False when a query is shed at the
         admission queue (an update is always admitted).
 
         ``deadline_s`` overrides the runtime default budget for this
         request (queries only; updates never carry deadlines).  The
         request's wait starts now: a host loop calls this when it reads
-        the command.
+        the command.  On the loop's own thread the request is admitted
+        at once; from another thread it is posted to the inbox and this
+        returns True, and the loop decides a shed (and records it) when
+        it reads the submission.
         """
         if self._thread is None:
             raise RuntimeError("runtime is not started")
@@ -378,17 +440,15 @@ class ServingRuntime:
             else None
         )
         ticket = Ticket(request, now, deadline)
-        if self._admission.offer(ticket):
-            return True
-        self._finish(ticket, SHED, now, now, shed_reason=SHED_QUEUE_FULL)
-        return False
+        if threading.current_thread() is self._thread:
+            return self._admit(ticket)
+        self._post(ticket)
+        return True
 
     def drain(self) -> None:
-        """Block until every admitted request finished, then flush the
-        still-deferred updates (from a thread other than the loop's)."""
-        if self._thread is not None:
-            self._admission.join()
-        self._call(self._flush)
+        """Block until every request posted before this call has its
+        terminal record, then flush the still-deferred updates."""
+        self._call(self._flush, when_idle=True)
 
     # ------------------------------------------------------------------
     # convenience replay
@@ -506,49 +566,86 @@ class ServingRuntime:
 
     @property
     def queue_depth(self) -> int:
-        return self._admission.depth
+        return len(self._queue)
 
     # ------------------------------------------------------------------
     # the loop
     # ------------------------------------------------------------------
-    def _call(self, fn: Callable[[], _T]) -> _T:
+    def _call(self, fn: Callable[[], _T], when_idle: bool = False) -> _T:
         """Run ``fn`` on the loop's thread and return its result.
 
         Inline when no loop runs, or when called from the loop's own
-        thread (a host's command handler or a completion sink).
+        thread (a host's command handler or a completion sink).  From
+        another thread it is posted to the inbox; ``when_idle`` holds it
+        until the admission queue is empty.
         """
-        if not self.running or threading.current_thread() is self._thread:
+        if self._thread is None or threading.current_thread() is self._thread:
             return fn()
         reply: queue.SimpleQueue[tuple[bool, Any]] = queue.SimpleQueue()
-        self._controls.put((fn, reply))
-        self._admission.wake()
+        self._post(_Control(fn, reply, when_idle))
         ok, value = reply.get()
         if not ok:
             raise value
         return cast(_T, value)
 
-    def _run_controls(self) -> None:
-        while not self._controls.empty():
-            fn, reply = self._controls.get()
-            try:
-                reply.put((True, fn()))
-            except Exception as exc:
-                reply.put((False, exc))
+    def _post(self, item: Ticket | _Control) -> None:
+        if not self._reads_inbox:
+            raise RuntimeError(
+                "a runtime served by run() takes calls on its own thread"
+            )
+        self._inbox.put(item)
 
-    def _admitted(self, timeout_s: float) -> bool:
-        """Source of a started runtime: :meth:`submit` admits directly,
-        so there is nothing to read, only an admission to wait for."""
-        if timeout_s > 0:
-            self._admission.await_ticket(timeout_s)
+    def _read_inbox(self, timeout_s: float) -> bool:
+        """Source of a started runtime: admit every posted submission and
+        run every posted control, waiting up to ``timeout_s`` for the
+        first; the inbox never closes (:meth:`stop` ends the loop)."""
+        try:
+            item = self._inbox.get(timeout_s > 0, timeout_s)
+            while True:
+                if isinstance(item, Ticket):
+                    self._admit(item)
+                elif item is not None:
+                    if item.when_idle and self._queue:
+                        self._drains.append(item)
+                    else:
+                        item.run()
+                item = self._inbox.get_nowait()
+        except queue.Empty:
+            return True
+
+    def _serve_inbox(self) -> None:
+        """The body of :meth:`start`'s thread."""
+        self._loop(self._read_inbox)
+        self._read_inbox(0.0)  # answer what was posted while it stopped
+        self._run_drains()
+
+    def _run_drains(self) -> None:
+        for drain in self._drains:
+            drain.run()
+        self._drains.clear()
+
+    def _admit(self, ticket: Ticket) -> bool:
+        """Queue ``ticket``; a query that finds ``queue_capacity``
+        requests waiting is shed instead (an update is always admitted)."""
+        if ticket.request.kind == QUERY and (
+            0 < self.queue_capacity <= len(self._queue)
+        ):
+            self._shed.inc()
+            now = time.perf_counter()
+            self._finish(ticket, SHED, now, now, shed_reason=SHED_QUEUE_FULL)
+            return False
+        self._queue.append(ticket)
+        self._depth.set(len(self._queue))
         return True
 
     def _loop(self, take: Source) -> None:
         open_ = True
         while not self._stop.is_set():
-            self._run_controls()
             open_ = open_ and take(0.0)
-            ticket = self._admission.poll()
-            if ticket is None:
+            if not self._queue:
+                if self._drains:
+                    self._run_drains()
+                    continue
                 # idle: work the deferred updates off first (Algorithm
                 # 2, as replay() does), reading the source between any
                 # two so an arrival never waits for more than one
@@ -558,6 +655,8 @@ class ServingRuntime:
                     break  # closed, served and flushed
                 open_ = take(self.idle_tick_s)
                 continue
+            ticket = self._queue.popleft()
+            self._depth.set(len(self._queue))
             try:
                 self._process(ticket)
             except Exception:  # pragma: no cover - defensive; never die
@@ -565,9 +664,6 @@ class ServingRuntime:
                 error = traceback.format_exc(limit=3)
                 self._finish(ticket, FAILED, now, now, error=error)
                 self.metrics.counter("serving.faults").inc()
-            finally:
-                self._admission.task_done()
-        self._run_controls()  # handed over while the loop stopped
 
     def _process(self, ticket: Ticket) -> None:
         """One admitted request through ``serve_request``."""

@@ -7,7 +7,7 @@ graph and own a partition of the source-id space (see
 * **routes** queries to the owning shard, shedding — with a
   ``retry_after_s`` hint — when the owner is unhealthy or its bounded
   inflight window is full (global admission control on top of each
-  worker's own AdmissionQueue);
+  worker's own bounded admission queue);
 * **broadcasts** edge updates to every shard under one fabric-wide
   monotonic version counter, holding the update lock across the whole
   broadcast so every shard observes the same gap-free sequence (the
@@ -402,11 +402,20 @@ class ShardManager:
         its graph can no longer be trusted to match the fleet — and
         left to the respawn path, which replays the full log.
 
-        Raises ValueError for an endpoint outside the int32 range: node
-        ids cross the pipes as int32 (``ShardSpec.edges``, answers).
+        Raises ValueError, before any version is assigned, for an
+        endpoint outside the int32 range (node ids cross the pipes as
+        int32: ``ShardSpec.edges``, answers) and for any ``kind`` but
+        ``"toggle"``: an explicit insert of an edge that exists, a
+        delete of one that does not, or an unknown kind raises on every
+        replica's apply, and the update log would replay that fault on
+        every respawn.
         """
         if not (-(2**31) <= u < 2**31 and -(2**31) <= v < 2**31):
             raise ValueError(f"edge ({u}, {v}) has an id outside int32")
+        if kind != "toggle":
+            raise ValueError(
+                f"update kind {kind!r}: the fabric applies only 'toggle'"
+            )
         edge_update = EdgeUpdate(u, v, kind)
         self.metrics.counter("shard.updates_broadcast").inc()
         with self._update_lock:

@@ -127,13 +127,10 @@ class TestSelfCheck:
         assert rule_ids == {case.split("-")[0]}
 
     def test_guarded_by_annotations_exist_in_serving(self):
-        # the serving fabric declares its mutex discipline (the runtime
-        # loop holds no lock, a shard worker none at all; the admission
-        # queue's guards its producers); if these vanish, R9 silently
-        # stops checking anything real
-        for module in (
-            "shard/manager.py", "shard/backend.py", "serving/admission.py"
-        ):
+        # the front door declares its mutex discipline (no serving loop
+        # holds a lock, a shard worker none at all); if these vanish, R9
+        # silently stops checking anything real
+        for module in ("shard/manager.py", "shard/backend.py"):
             text = (SRC / module).read_text(encoding="utf-8")
             assert "# guarded-by:" in text, module
 

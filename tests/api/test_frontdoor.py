@@ -235,3 +235,25 @@ def test_drift_detector_triggers_fleet_reconfigure():
         entry = frontdoor.reconfigurations[0]
         assert entry["lambda_q"] > 0.01
         assert "0" in entry["shards"]
+
+
+def test_updates_alone_never_resolve_the_fleet():
+    """Forty updates with no query drifted the detector to lambda_q = 0:
+    the front door re-solved the fleet there (every shard refused it)
+    and re-armed the detector at (0, lambda_u)."""
+    with make_manager(use_controller=True) as manager:
+        frontdoor = FrontDoor(
+            manager,
+            drift=DriftPolicy(10.0, 1.0, min_events=20, cooldown_s=0.0),
+        )
+
+        async def updates():
+            for i in range(40):
+                response = await frontdoor.update(i % 24, (i + 7) % 24)
+                assert response.status_code == 200
+
+        asyncio.run(updates())
+        drift = frontdoor._drift
+        assert wait_until(lambda: not drift.inflight.is_set())
+        assert list(frontdoor.reconfigurations) == []
+        assert drift.detector.configured_q == 10.0

@@ -277,3 +277,53 @@ def test_reconfigure_refuses_rates_quota_cannot_solve_for():
         asyncio.run(scenario())
     finally:
         manager.stop()
+
+
+def test_update_kinds_the_replicas_cannot_apply_are_refused():
+    """An explicit insert of an edge that exists, a delete of one that
+    does not, or an unknown kind used to answer 200 with a version; then
+    every shard's apply raised, counted a fault, ran degraded for the
+    rest of its life, and the update log replayed the fault on every
+    respawn."""
+    manager = ShardManager(
+        ring_graph(),
+        2,
+        backend="inproc",
+        walk_cap=64,
+        query_mode="exact",
+        auto_respawn=False,
+        metrics=MetricsRegistry(),
+    )
+
+    async def scenario():
+        server = HttpServer(FrontDoor(manager, default_top_k=4))
+        await server.start()
+        port = server.port
+        try:
+            for kind in ("bogus", "insert", "delete", 5):
+                # (0, 1) is a ring edge: an insert of it, and a delete
+                # of the absent (1, 0), are the two explicit faults
+                u, v = (1, 0) if kind == "delete" else (0, 1)
+                status, _, reply = await fetch(
+                    port, "POST", "/update", {"u": u, "v": v, "kind": kind}
+                )
+                assert status == 400, kind
+                assert reply["status"] == "bad-request"
+            assert manager.fabric_version == 0
+            status, _, reply = await fetch(
+                port, "POST", "/update", {"u": 0, "v": 1}
+            )
+            assert status == 200
+            assert reply["version"] == 1
+            status, _, reply = await fetch(port, "GET", "/metrics")
+            for shard in reply["shards"].values():
+                counters = shard["metrics"]["counters"]
+                assert counters.get("serving.faults", 0) == 0
+                assert not shard["state"]["degraded"]
+        finally:
+            await server.stop()
+
+    try:
+        asyncio.run(scenario())
+    finally:
+        manager.stop()

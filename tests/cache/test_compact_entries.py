@@ -79,8 +79,7 @@ class RecordingCache(PPRCache):
         return evicted
 
     def live_keys(self):
-        with self._lock:
-            return list(self._entries)
+        return list(self._entries)
 
 
 def requests():

@@ -1,7 +1,5 @@
 """Unit tests for the PPR result cache store."""
 
-import threading
-
 import pytest
 
 from repro.cache.store import (
@@ -136,36 +134,3 @@ class TestStalenessCharging:
         )
         assert cache.lookup(key(1)).staleness == pytest.approx(0.2)
         assert cache.lookup(key(2)).staleness == pytest.approx(0.01)
-
-class TestThreadSafety:
-    def test_concurrent_insert_lookup_charge(self):
-        """Hammer the store from reader/writer threads; invariants hold."""
-        cache = PPRCache(capacity=32, epsilon_c=0.5, metrics=MetricsRegistry())
-        errors = []
-
-        def reader(offset):
-            try:
-                for i in range(300):
-                    s = (i + offset) % 64
-                    cache.insert(key(s), s, version=0)
-                    cache.lookup(key(s))
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        def writer():
-            try:
-                for _ in range(300):
-                    cache.charge_staleness(lambda e: 0.01)
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        threads = [threading.Thread(target=reader, args=(k,)) for k in range(3)]
-        threads.append(threading.Thread(target=writer))
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert len(cache) <= 32
-        stats = cache.stats()
-        assert stats["updates_seen"] == 300.0

@@ -80,6 +80,19 @@ class TestRateDriftDetector:
             detector.observe("update", i * 0.1)
         assert detector.check(1.0) is not None
 
+    def test_updates_alone_never_ask_for_a_solve(self):
+        """Updates with no query drift the pair to lambda_q = 0, which
+        Quota refuses: check returns None, so no caller re-solves (and
+        re-arms) there."""
+        detector = make_detector(min_events=5)
+        for i in range(40):
+            detector.observe("update", i * 0.1)
+        assert detector.check(4.0) is None
+        # a query rate that Quota can solve for still drifts
+        for i in range(40):
+            detector.observe("query", 4.0 + i * 0.01)
+        assert detector.check(4.4) is not None
+
 
 class FakeController:
     """Records configure() calls; returns a fixed no-op decision."""

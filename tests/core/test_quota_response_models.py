@@ -6,6 +6,11 @@ import pytest
 
 from repro.core.cost_models import ForaPlusCostModel
 from repro.core.quota import QuotaController
+from repro.queueing.theory import (
+    expected_response_time,
+    heavy_traffic_response_time,
+    mm1_response_time,
+)
 
 
 def model(tau_push=1e-5, tau_walk=1e-3, tau_index=1e-2):
@@ -71,6 +76,51 @@ class TestWarmStartAndQuick:
             10.0, 10.0, warm_start=full.beta, quick=True
         )
         assert quick.configure_seconds < full.configure_seconds
+
+    def test_quick_mode_evaluates_the_model_fewer_times(self):
+        """The deterministic twin of the wall-clock test above: quick
+        mode's smaller lattice means fewer cost-model evaluations."""
+        controller = QuotaController(model())
+        calls = []
+        query_time = controller.cost_model.query_time
+
+        def counted(*args):
+            calls.append(1)
+            return query_time(*args)
+
+        controller.cost_model.query_time = counted
+        full = controller.configure(10.0, 10.0)
+        full_calls = len(calls)
+        calls.clear()
+        controller.configure(10.0, 10.0, warm_start=full.beta, quick=True)
+        assert 0 < len(calls) < full_calls
+
+
+class TestOneEq2:
+    """Quota's objective is :mod:`repro.queueing.theory`, not a copy."""
+
+    @pytest.mark.parametrize(
+        "name, estimate",
+        [
+            ("pk", lambda lq, lu, tq, tu, c: expected_response_time(
+                lq, lu, tq, tu, c.cv_q, c.cv_u)),
+            ("mm1", lambda lq, lu, tq, tu, c: mm1_response_time(
+                lq, lu, tq, tu)),
+            ("heavy-traffic", lambda lq, lu, tq, tu, c: (
+                heavy_traffic_response_time(lq, lu, tq, tu, c.cv_q, c.cv_u))),
+        ],
+    )
+    def test_prediction_is_the_theory_function(self, name, estimate):
+        controller = QuotaController(
+            model(), cv_q=1.5, cv_u=0.5, response_model=name
+        )
+        lq, lu = 10.0, 10.0
+        decision = controller.configure(lq, lu)
+        assert decision.regime == "stable"
+        t_q, t_u = controller.predicted_times(decision.beta, lq, lu)
+        assert decision.predicted_response_time == estimate(
+            lq, lu, t_q, t_u, controller
+        )
 
 
 class TestResponseModelDivergence:

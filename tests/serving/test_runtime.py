@@ -1,12 +1,12 @@
 """Tests for the serving runtime and its building blocks."""
 
-import sys
 import threading
 import time
 from types import SimpleNamespace
 
 import pytest
 
+from repro.cache.store import PPRCache
 from repro.graph.digraph import DynamicGraph
 from repro.graph.updates import EdgeUpdate
 from repro.obs.metrics import MetricsRegistry
@@ -14,8 +14,15 @@ from repro.ppr.base import PPRParams
 from repro.ppr.fora import Fora, ForaPlus
 from repro.queueing.kinds import QUERY, UPDATE
 from repro.queueing.workload import Request
-from repro.serving.admission import SHED_QUEUE_FULL, AdmissionQueue, Ticket
-from repro.serving.runtime import FAILED, OK, SHED, TIMEOUT, ServingRuntime
+from repro.serving.runtime import (
+    FAILED,
+    OK,
+    SHED,
+    SHED_QUEUE_FULL,
+    TIMEOUT,
+    ServingRuntime,
+    Ticket,
+)
 
 
 def make_graph():
@@ -37,44 +44,73 @@ def make_runtime(algorithm=None, **kwargs):
     )
 
 
+def serve_reads(runtime, *reads):
+    """Serve ``runtime`` on this thread, handing it one batch of
+    ``reads`` per read of its source, as a host's handler does; each
+    batch is a function called on the loop's thread, and its return
+    values are collected.  The source closes after the last batch."""
+    pending, seen = list(reads), []
+
+    def take(timeout_s):
+        if pending:
+            seen.append(pending.pop(0)())
+        return bool(pending)
+
+    runtime.run(take)
+    return seen
+
+
 class TestAdmissionQueue:
+    """The bounded queue in front of the loop, admitting on its thread."""
+
     def test_sheds_when_full(self):
         metrics = MetricsRegistry()
-        q = AdmissionQueue(capacity=2, metrics=metrics)
-        t = Ticket(Request(0.0, QUERY, source=0), 0.0)
-        assert q.offer(t) and q.offer(t)
-        assert not q.offer(t)
+        runtime = make_runtime(queue_capacity=2, metrics=metrics)
+        query = Request(0.0, QUERY, source=0)
+        (verdicts,) = serve_reads(
+            runtime,
+            lambda: ([runtime.submit(query) for _ in range(3)],
+                     runtime.queue_depth),
+        )
+        assert verdicts == ([True, True, False], 2)
         assert metrics.snapshot()["counters"]["serving.shed"] == 1
-        assert q.depth == 2
+        shed = [r for r in runtime.records if r.status == SHED]
+        assert [r.shed_reason for r in shed] == [SHED_QUEUE_FULL]
 
     def test_depth_gauge_tracks(self):
         metrics = MetricsRegistry()
-        q = AdmissionQueue(capacity=4, metrics=metrics)
-        t = Ticket(Request(0.0, QUERY, source=0), 0.0)
-        q.offer(t)
-        q.offer(t)
-        assert metrics.snapshot()["gauges"]["serving.queue_depth"][
-            "high_water"
-        ] == 2
-        q.take(0.01)
-        assert q.depth == 1
-
-    def test_take_times_out(self):
-        q = AdmissionQueue(capacity=1, metrics=MetricsRegistry())
-        assert q.take(0.01) is None
+        runtime = make_runtime(queue_capacity=4, metrics=metrics)
+        query = Request(0.0, QUERY, source=0)
+        depths = serve_reads(
+            runtime,
+            lambda: [runtime.submit(query) for _ in range(2)],
+            lambda: runtime.queue_depth,  # read after one pop
+        )
+        assert depths[1] == 1
+        gauge = metrics.snapshot()["gauges"]["serving.queue_depth"]
+        assert gauge["high_water"] == 2
+        assert runtime.queue_depth == 0
 
     def test_poll_empty_returns_none(self):
-        q = AdmissionQueue(capacity=2, metrics=MetricsRegistry())
-        assert q.poll() is None
+        """A source that closes at once leaves nothing to serve."""
+        runtime = make_runtime()
+        assert serve_reads(runtime) == []
+        assert runtime.records == []
+        assert runtime.queue_depth == 0
 
     def test_poll_pops_and_tracks_depth(self):
-        q = AdmissionQueue(capacity=4, metrics=MetricsRegistry())
-        t = Ticket(Request(0.0, QUERY, source=0), 0.0)
-        q.offer(t)
-        q.offer(t)
-        assert q.poll() is t
-        assert q.depth == 1
-        q.task_done()
+        runtime = make_runtime(
+            queue_capacity=4, query_fn=lambda graph, source: source
+        )
+        depths = serve_reads(
+            runtime,
+            lambda: [
+                runtime.submit(Request(0.0, QUERY, source=s)) for s in (1, 2)
+            ],
+            lambda: runtime.queue_depth,
+        )
+        assert depths[1] == 1
+        assert [r.result for r in runtime.records] == [1, 2]
 
     def test_ticket_expiry(self):
         t = Ticket(Request(0.0, QUERY, source=0), 0.0, deadline_s=1.0)
@@ -85,76 +121,23 @@ class TestAdmissionQueue:
         ).expired(now_s=1e9)
 
     def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            AdmissionQueue(capacity=-1, metrics=MetricsRegistry())
+        with pytest.raises(ValueError, match="queue_capacity"):
+            make_runtime(queue_capacity=-1)
 
     def test_updates_are_admitted_past_capacity(self):
         metrics = MetricsRegistry()
-        q = AdmissionQueue(capacity=1, metrics=metrics)
-        update = Ticket(Request(0.0, UPDATE, update=EdgeUpdate(0, 1)), 0.0)
-        query = Ticket(Request(0.0, QUERY, source=0), 0.0)
-        assert q.offer(query) and q.offer(update) and q.offer(update)
-        assert not q.offer(query)
-        assert q.depth == 3
+        runtime = make_runtime(queue_capacity=1, metrics=metrics)
+        query = Request(0.0, QUERY, source=0)
+        update = Request(0.0, UPDATE, update=EdgeUpdate(0, 1))
+        (verdicts,) = serve_reads(
+            runtime,
+            lambda: (
+                [runtime.submit(r) for r in (query, update, update, query)],
+                runtime.queue_depth,
+            ),
+        )
+        assert verdicts == ([True, True, True, False], 3)
         assert metrics.snapshot()["counters"]["serving.shed"] == 1
-
-    def test_concurrent_producers_lose_nothing(self):
-        """Producers on several threads against one consumer that waits
-        for tickets: every ticket is admitted or shed exactly once, and
-        join returns."""
-        metrics = MetricsRegistry()
-        q = AdmissionQueue(capacity=8, metrics=metrics)
-        per_producer, producers = 300, 6
-        admitted, popped = [], []
-        done = threading.Event()
-
-        def produce(i):
-            for n in range(per_producer):
-                kind = UPDATE if n % 3 == 0 else QUERY
-                request = (
-                    Request(0.0, UPDATE, update=EdgeUpdate(i, n))
-                    if kind == UPDATE
-                    else Request(0.0, QUERY, source=i)
-                )
-                ticket = Ticket(request, float(n))
-                if q.offer(ticket):
-                    admitted.append(ticket)
-
-        def consume():
-            while not (done.is_set() and q.depth == 0):
-                ticket = q.poll()
-                if ticket is None:
-                    q.await_ticket(0.001)
-                    continue
-                popped.append(ticket)
-                q.task_done()
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            consumer = threading.Thread(target=consume)
-            threads = [
-                threading.Thread(target=produce, args=(i,))
-                for i in range(producers)
-            ]
-            consumer.start()
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(30.0)
-            done.set()
-            consumer.join(30.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not consumer.is_alive()
-        assert not any(thread.is_alive() for thread in threads)
-        q.join()  # every admitted ticket was marked done
-        shed = metrics.snapshot()["counters"].get("serving.shed", 0)
-        assert len(admitted) + shed == per_producer * producers
-        assert sorted(map(id, popped)) == sorted(map(id, admitted))
-        updates = sum(1 for t in admitted if t.request.kind == UPDATE)
-        # every update is admitted: only queries are ever shed
-        assert updates == producers * len(range(0, per_producer, 3))
 
 
 class TestServingRuntime:
@@ -189,6 +172,8 @@ class TestServingRuntime:
             runtime.stop()
 
     def test_sheds_on_full_queue(self):
+        """From another thread a submission is posted, and the loop
+        sheds it when it reads it: the verdict arrives as a record."""
         runtime = make_runtime(queue_capacity=1)
         with runtime:
             results = [
@@ -196,9 +181,10 @@ class TestServingRuntime:
                 for _ in range(60)
             ]
             runtime.drain()
-        assert not all(results)
+        assert all(results)
         shed = [r for r in runtime.records if r.status == SHED]
         assert shed and all(r.shed_reason == SHED_QUEUE_FULL for r in shed)
+        assert len(runtime.records) == 60
 
     def test_deadline_timeout(self):
         metrics = MetricsRegistry()
@@ -392,9 +378,13 @@ class TestCompletionSink:
 
         def release_after_shed():
             try:
+                # the loop sheds when it next reads its inbox: wait until
+                # the three later submissions were all posted to it
                 give_up = time.monotonic() + 10.0
-                shed = metrics.counter("serving.shed")
-                while shed.value < 1 and time.monotonic() < give_up:
+                while (
+                    runtime._inbox.qsize() < 3
+                    and time.monotonic() < give_up
+                ):
                     time.sleep(0.001)
                 time.sleep(0.05)  # let the queued query's deadline lapse
             finally:
@@ -491,17 +481,22 @@ class TestOneThread:
 
     def test_every_kernel_call_and_mutation_runs_on_the_runtime_thread(self):
         algorithm = make_algorithm()
+        cache = PPRCache(metrics=MetricsRegistry())
         calls = []
-        for name in ("query", "apply_update", "set_hyperparameters"):
+        for owner, names in (
+            (algorithm, ("query", "apply_update", "set_hyperparameters")),
+            (cache, ("lookup", "insert", "charge_staleness")),
+        ):
+            for name in names:
 
-            def traced(*args, _original=getattr(algorithm, name),
-                       _name=name, **kwargs):
-                calls.append((_name, threading.get_ident()))
-                return _original(*args, **kwargs)
+                def traced(*args, _original=getattr(owner, name),
+                           _name=name, **kwargs):
+                    calls.append((_name, threading.get_ident()))
+                    return _original(*args, **kwargs)
 
-            setattr(algorithm, name, traced)
+                setattr(owner, name, traced)
         runtime = make_runtime(
-            algorithm, epsilon_r=100.0, queue_capacity=0,
+            algorithm, epsilon_r=100.0, queue_capacity=0, cache=cache,
             controller=FixedController({"r_max": algorithm.r_max * 2}),
         )
         (thread,) = threads_started_by(runtime.start)
@@ -520,6 +515,8 @@ class TestOneThread:
         runtime.stop()
         kinds = [name for name, _ in calls]
         assert kinds.count("apply_update") == 8
-        assert kinds.count("query") == 7
+        assert kinds.count("charge_staleness") == 8
+        assert kinds.count("lookup") == 7
+        assert 1 <= kinds.count("query") == kinds.count("insert") <= 7
         assert kinds.count("set_hyperparameters") == 1
         assert {ident for _, ident in calls} == {thread.ident}
