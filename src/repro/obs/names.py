@@ -5,14 +5,12 @@ Every metric name passed to
 :meth:`~repro.obs.metrics.MetricsRegistry.histogram`,
 :meth:`~repro.obs.metrics.MetricsRegistry.time` or
 :meth:`~repro.obs.metrics.MetricsRegistry.gauge` as a string literal must be
-listed here, in the set of its kind.  The ``reprolint`` rule R5
-(``metric-name``, :mod:`repro.analysis.rules`) checks every call site
-in ``src`` against this module, so a typo'd or renamed metric
-("service.qurey", a counter observed as a histogram) fails the lint
-gate instead of silently splitting a time series.
-
-This module is deliberately dependency-free: reprolint parses it with
-:mod:`ast` rather than importing the package.
+listed here, in the set of its kind, and every name listed here must be
+passed at one such call site.  ``tests/test_metric_names.py`` checks every call
+site under ``src/repro`` against this module in both directions, so a
+typo'd or renamed metric ("service.qurey", a counter observed as a
+histogram) or a name nothing records fails tier-1 instead of silently
+splitting or emptying a time series.
 
 Naming conventions
 ------------------
@@ -51,7 +49,7 @@ Naming conventions
 
 To add a metric: register its name in the matching set below, then use
 the literal at the call site.  Dynamic (non-literal) names are not
-checked — avoid them on hot paths anyway.
+checked, and do not count as a use — avoid them on hot paths anyway.
 """
 
 #: monotonically increasing counts

@@ -23,7 +23,11 @@ All public methods are thread-safe; queries return
 :class:`concurrent.futures.Future` objects resolving to
 :class:`QueryOutcome` so both the closed-loop benchmark (threads) and
 the asyncio front door (``asyncio.wrap_future``) can drive the same
-manager.
+manager.  Lock order: ``_update_lock`` (an ``RLock``) is the one root;
+a slot's ``lock`` and a handle's ``_pending_lock`` and ``_send_lock``
+are leaves, which take no other lock, call nothing in this module or
+:mod:`repro.shard.backend` and resolve no future while held
+(``tests/test_mutex_homes.py``).
 """
 
 from __future__ import annotations

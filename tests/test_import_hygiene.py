@@ -181,14 +181,14 @@ assert not numerics_loaded(), numerics_loaded()[:8]
 # (repro.obs keeps the two metrics names benchmarks/e2e/probe.py asks it for)
 PACKAGES_IMPORT_NOTHING = NUMERICS + """
 import sys
-import repro.analysis, repro.api, repro.baselines, repro.cache, repro.core
-import repro.evaluation, repro.graph, repro.obs, repro.ppr, repro.queueing
-import repro.scenarios, repro.serving, repro.shard
+import repro.api, repro.baselines, repro.cache, repro.core, repro.evaluation
+import repro.graph, repro.obs, repro.ppr, repro.queueing, repro.scenarios
+import repro.serving, repro.shard
 
-packages = {"repro", "repro.analysis", "repro.api", "repro.baselines",
-            "repro.cache", "repro.core", "repro.evaluation", "repro.graph",
-            "repro.obs", "repro.ppr", "repro.queueing", "repro.scenarios",
-            "repro.serving", "repro.shard"}
+packages = {"repro", "repro.api", "repro.baselines", "repro.cache",
+            "repro.core", "repro.evaluation", "repro.graph", "repro.obs",
+            "repro.ppr", "repro.queueing", "repro.scenarios", "repro.serving",
+            "repro.shard"}
 loaded = {name for name in sys.modules if name.split(".")[0] == "repro"}
 assert loaded == packages | {"repro.obs.metrics"}, sorted(loaded - packages)
 assert not numerics_loaded(), numerics_loaded()[:8]
