@@ -13,6 +13,7 @@ import numpy as np
 from benchmarks.common import scoped
 from repro.core.calibration import calibrated_cost_model
 from repro.core.quota import QuotaController
+from repro.core.rates import RateDriftDetector
 from repro.core.system import QuotaSystem
 from repro.evaluation.datasets import get_dataset
 from repro.evaluation.report import banner, format_series
@@ -51,14 +52,14 @@ def test_fig10_shuffled_patterns(benchmark, report):
                 "Agenda", graph.copy(), spec.walk_cap, seed=0
             )
             controller = None
-            reopt = None
+            drift = None
             if use_quota:
                 controller = QuotaController(
                     calibrated_cost_model(algorithm, num_queries=4, rng=5),
                     extra_starts=[algorithm.get_hyperparameters()],
                 )
-                reopt = 1.0
-            system = QuotaSystem(algorithm, controller, reoptimize_every=reopt)
+                drift = RateDriftDetector.periodic(1.0)
+            system = QuotaSystem(algorithm, controller, drift=drift)
             result = system.process(workload)
             buckets = int(np.ceil(total / TRANCHE))
             sums = np.zeros(buckets)

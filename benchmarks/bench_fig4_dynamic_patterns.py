@@ -18,6 +18,7 @@ import numpy as np
 from benchmarks.common import scoped
 from repro.core.calibration import calibrated_cost_model
 from repro.core.quota import QuotaController
+from repro.core.rates import RateDriftDetector
 from repro.core.system import QuotaSystem
 from repro.evaluation.datasets import get_dataset
 from repro.evaluation.metrics import AccuracySummary
@@ -83,7 +84,7 @@ def run_pattern(pattern: str, total_time: float, seed: int = 0):
     for label, use_quota, drop_constants in variants:
         algorithm = build_algorithm("Agenda", graph.copy(), spec.walk_cap, seed=seed)
         controller = None
-        reopt = None
+        drift = None
         if use_quota:
             model = calibrated_cost_model(algorithm, num_queries=4, rng=seed + 2)
             if drop_constants:
@@ -91,8 +92,8 @@ def run_pattern(pattern: str, total_time: float, seed: int = 0):
             controller = QuotaController(
                 model, extra_starts=[algorithm.get_hyperparameters()]
             )
-            reopt = 1.0
-        system = QuotaSystem(algorithm, controller, reoptimize_every=reopt)
+            drift = RateDriftDetector.periodic(1.0)
+        system = QuotaSystem(algorithm, controller, drift=drift)
 
         samples: list[float] = []
         counter = {"n": 0}

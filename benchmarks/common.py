@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from repro.core.calibration import calibrated_cost_model
 from repro.core.quota import QuotaController
+from repro.core.rates import RateDriftDetector
 from repro.core.system import QuotaSystem
 from repro.evaluation.datasets import DatasetSpec, get_dataset
 from repro.graph.digraph import DynamicGraph
@@ -139,7 +140,11 @@ def run_system(
         algorithm,
         controller,
         epsilon_r=system.epsilon_r,
-        reoptimize_every=reoptimize_every,
+        drift=(
+            RateDriftDetector.periodic(reoptimize_every)
+            if reoptimize_every is not None
+            else None
+        ),
     )
     if controller is not None and reoptimize_every is None:
         runner.configure_static(lambda_q, lambda_u)

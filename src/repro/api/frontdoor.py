@@ -18,20 +18,21 @@ Three QoS behaviors live here rather than in the manager:
   the HTTP ``Retry-After`` header.
 * **Drift-driven reconfiguration** — arrivals feed a
   :class:`~repro.core.rates.RateDriftDetector`; once the observed
-  (lambda_q, lambda_u) drifts past threshold, the fleet's
-  QuotaControllers are re-solved via
-  :meth:`~repro.shard.manager.ShardManager.reconfigure` on a worker thread
-  (never on the event loop) and the detector re-arms at the new pair.
+  (lambda_q, lambda_u) drifts past threshold, :meth:`FrontDoor.retune`
+  — the coroutine an explicit ``POST /reconfigure`` awaits too —
+  re-solves the fleet's QuotaControllers through
+  :meth:`~repro.shard.manager.ShardManager.reconfigure` in the default
+  executor (never blocking the event loop), then, back on the loop,
+  re-arms the detector at the new pair and logs the result.
 """
 
 from __future__ import annotations
 
 import asyncio
 import math
-import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.rates import RateDriftDetector, check_rates
@@ -67,28 +68,6 @@ class ApiResponse:
         return self.status_code == 200
 
 
-@dataclass(slots=True)
-class DriftPolicy:
-    """Knobs for the online re-optimization loop."""
-
-    #: configured rates the detector is armed at
-    lambda_q: float
-    lambda_u: float
-    window_s: float = 5.0
-    threshold: float = 0.5
-    min_events: int = 20
-    #: floor between fleet re-solves (a reconfigure rebuilds indexes)
-    cooldown_s: float = 2.0
-
-
-@dataclass(slots=True)
-class _DriftState:
-    detector: RateDriftDetector
-    policy: DriftPolicy
-    last_reconfigure_s: float = field(default=0.0)
-    inflight: threading.Event = field(default_factory=threading.Event)
-
-
 class FrontDoor:
     """Service layer between transports and the shard fabric."""
 
@@ -98,25 +77,18 @@ class FrontDoor:
         *,
         default_top_k: int | None = 50,
         default_budget_s: float | None = None,
-        drift: DriftPolicy | None = None,
+        drift: RateDriftDetector | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self.manager = manager
         self.default_top_k = default_top_k
         self.default_budget_s = default_budget_s
         self.metrics = metrics if metrics is not None else manager.metrics
-        self._drift: _DriftState | None = None
-        if drift is not None:
-            self._drift = _DriftState(
-                detector=RateDriftDetector(
-                    configured_q=drift.lambda_q,
-                    configured_u=drift.lambda_u,
-                    window=drift.window_s,
-                    threshold=drift.threshold,
-                    min_events=drift.min_events,
-                ),
-                policy=drift,
-            )
+        #: watches arrivals (``time.perf_counter()`` seconds); its
+        #: ``period`` floors the time between drift-triggered re-solves
+        self.drift = drift
+        #: the drift-triggered re-solve in flight, if any
+        self._retuning: asyncio.Task[dict[str, object]] | None = None
         #: the last few reconfigure results, drift-triggered or explicit,
         #: served in ``GET /metrics`` (bounded, a server runs for weeks)
         self.reconfigurations: deque[dict[str, object]] = deque(
@@ -177,7 +149,7 @@ class FrontDoor:
         except ValueError as exc:
             return self._bad_request(started, str(exc))
         outcome = await asyncio.wrap_future(future)
-        self._maybe_reconfigure()
+        self._maybe_retune()
         self._observe_response(started)
         return self._outcome_response(outcome)
 
@@ -195,7 +167,7 @@ class FrontDoor:
             )
         except (ValueError, RuntimeError) as exc:
             return self._bad_request(started, str(exc))
-        self._maybe_reconfigure()
+        self._maybe_retune()
         self._observe_response(started)
         return ApiResponse(
             200,
@@ -221,17 +193,29 @@ class FrontDoor:
             check_rates(lambda_q, lambda_u)
         except ValueError as exc:
             return self._bad_request(started, str(exc))
+        entry = await self.retune(lambda_q, lambda_u)
+        self._observe_response(started)
+        return ApiResponse(200, {"status": "ok", **entry})
+
+    async def retune(
+        self, lambda_q: float, lambda_u: float
+    ) -> dict[str, object]:
+        """Re-solve the fleet at (lambda_q, lambda_u): the one path of
+        explicit, drift-triggered and start-up re-solves.
+
+        The blocking broadcast runs in the default executor; the detector
+        re-arms and the result is logged on the event loop.  Returns the
+        logged entry.
+        """
         loop = asyncio.get_running_loop()
         results = await loop.run_in_executor(
             None, lambda: self.manager.reconfigure(lambda_q, lambda_u)
         )
-        drift = self._drift
-        if drift is not None:
-            drift.detector.rearm(lambda_q, lambda_u)
+        if self.drift is not None:
+            self.drift.rearm(lambda_q, lambda_u)
         entry = {"lambda_q": lambda_q, "lambda_u": lambda_u, "shards": results}
         self.reconfigurations.append(entry)
-        self._observe_response(started)
-        return ApiResponse(200, {"status": "ok", **entry})
+        return entry
 
     async def healthz(self) -> ApiResponse:
         """Fleet liveness; 503 while any shard range is shed."""
@@ -300,35 +284,16 @@ class FrontDoor:
 
     # -- drift loop ----------------------------------------------------
     def _observe_arrival(self, kind: str, now_s: float) -> None:
-        drift = self._drift
-        if drift is not None:
-            drift.detector.observe(kind, now_s)
+        if self.drift is not None:
+            self.drift.observe(kind, now_s)
 
-    def _maybe_reconfigure(self) -> None:
-        """Re-solve the fleet when arrival rates drifted (off-loop)."""
-        drift = self._drift
-        if drift is None or drift.inflight.is_set():
+    def _maybe_retune(self) -> None:
+        """Start :meth:`retune` when arrival rates drifted and no
+        drift-triggered re-solve is in flight."""
+        if self.drift is None or (
+            self._retuning is not None and not self._retuning.done()
+        ):
             return
-        now = time.perf_counter()
-        if now - drift.last_reconfigure_s < drift.policy.cooldown_s:
-            return
-        pair = drift.detector.check(now)
-        if pair is None:
-            return
-        drift.inflight.set()
-
-        def _solve() -> None:
-            lambda_q, lambda_u = pair
-            try:
-                results = self.manager.reconfigure(lambda_q, lambda_u)
-                drift.detector.rearm(lambda_q, lambda_u)
-                drift.last_reconfigure_s = time.perf_counter()
-                self.reconfigurations.append(
-                    {"lambda_q": lambda_q, "lambda_u": lambda_u, "shards": results}
-                )
-            finally:
-                drift.inflight.clear()
-
-        threading.Thread(
-            target=_solve, name="frontdoor-reconfigure", daemon=True
-        ).start()
+        drifted = self.drift.check(time.perf_counter())
+        if drifted is not None:
+            self._retuning = asyncio.create_task(self.retune(*drifted))

@@ -7,9 +7,13 @@ launched while the image is built), wraps it in the asyncio front door,
 and serves until interrupted.  This
 process is the control plane: it holds sockets, pipes, versions and the
 update log — never a graph, an index or numpy
-(``tests/test_import_hygiene.py`` holds it to that).  Drift-driven
-reconfiguration is armed whenever ``--quota`` is given (the workers then
-build calibrated QuotaControllers at start).
+(``tests/test_import_hygiene.py`` holds it to that).  With ``--quota``
+the workers build calibrated QuotaControllers at start, the fleet is
+solved once at the stated (``--lambda-q``, ``--lambda-u``) before the
+first request is served — the fleet's twin of
+:meth:`~repro.core.system.QuotaSystem.configure_static` — and a
+:class:`~repro.core.rates.RateDriftDetector` armed at that pair
+re-solves it whenever the arrival rates drift.
 
 Importing this module loads neither asyncio nor the HTTP stack, whose
 ``asyncio`` would load ``ssl``: :func:`main` refuses OpenSSL's modules
@@ -25,6 +29,7 @@ import sys
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
+from repro.core.rates import RateDriftDetector
 from repro.evaluation.datasets import DatasetSpec, get_dataset
 from repro.ppr.names import ALGORITHM_NAMES
 from repro.shard.backend import BACKENDS
@@ -36,8 +41,12 @@ from repro.shard.router import ROUTERS
 if TYPE_CHECKING:  # bound at run time by _bind_http_stack
     import asyncio
 
-    from repro.api.frontdoor import DriftPolicy, FrontDoor
+    from repro.api.frontdoor import FrontDoor
     from repro.api.http import HttpServer
+
+#: floor between two drift-triggered fleet re-solves, in seconds (a
+#: re-solve rebuilds every shard's index)
+DRIFT_PERIOD_S = 2.0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,12 +133,11 @@ def _bind_http_stack() -> None:
     """
     import asyncio
 
-    from repro.api.frontdoor import DriftPolicy, FrontDoor
+    from repro.api.frontdoor import FrontDoor
     from repro.api.http import HttpServer
 
     for name, value in (
         ("asyncio", asyncio),
-        ("DriftPolicy", DriftPolicy),
         ("FrontDoor", FrontDoor),
         ("HttpServer", HttpServer),
     ):
@@ -139,13 +147,13 @@ def _bind_http_stack() -> None:
 async def _serve(args: argparse.Namespace) -> int:
     spec = get_dataset(args.dataset)
     manager = _build_manager(args, spec)
+    lambda_q = args.lambda_q if args.lambda_q is not None else spec.lambda_q
     drift = (
-        DriftPolicy(
-            lambda_q=(
-                args.lambda_q if args.lambda_q is not None else spec.lambda_q
-            ),
-            lambda_u=args.lambda_u,
+        RateDriftDetector(
+            lambda_q,
+            args.lambda_u,
             threshold=args.drift_threshold,
+            period=DRIFT_PERIOD_S,
         )
         if args.quota
         else None
@@ -156,6 +164,8 @@ async def _serve(args: argparse.Namespace) -> int:
         default_budget_s=args.budget_s,
         drift=drift,
     )
+    if drift is not None:
+        await frontdoor.retune(lambda_q, args.lambda_u)
     server = HttpServer(frontdoor, args.host, args.port)
     await server.start()
     print(

@@ -263,6 +263,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     from repro.cache.store import PPRCache
     from repro.core.calibration import calibrated_cost_model
     from repro.core.quota import QuotaController
+    from repro.core.rates import RateDriftDetector
     from repro.core.system import QuotaSystem
     from repro.evaluation.metrics import improvement_percent
     from repro.ppr.registry import build_algorithm
@@ -323,8 +324,12 @@ def cmd_run(args: argparse.Namespace) -> int:
             tuned,
             controller,
             epsilon_r=args.epsilon_r,
-            reoptimize_every=args.reoptimize_every,
             cache=quota_cache,
+            drift=(
+                RateDriftDetector.periodic(args.reoptimize_every)
+                if args.reoptimize_every is not None
+                else None
+            ),
         )
         if args.reoptimize_every is None:
             system.configure_static(lambda_q, lambda_u)

@@ -21,6 +21,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.typing import NDArray
@@ -38,6 +39,10 @@ from repro.queueing.theory import (
     mm1_response_time,
     traffic_intensity,
 )
+
+if TYPE_CHECKING:
+    from repro.obs.metrics import MetricsRegistry
+    from repro.ppr.base import DynamicPPRAlgorithm
 
 FloatArray = NDArray[np.float64]
 
@@ -276,3 +281,31 @@ class QuotaController:
             configure_seconds=time.perf_counter() - started,
             optimizer_result=final,
         )
+
+
+def retune(
+    controller: QuotaController,
+    algorithm: DynamicPPRAlgorithm,
+    lambda_q: float,
+    lambda_u: float,
+    metrics: MetricsRegistry,
+) -> tuple[QuotaDecision, float]:
+    """The online loop's one solve-and-apply step.
+
+    Warm-starts a quick solve at the algorithm's live beta and applies
+    the result only when :func:`beta_moved` calls it moved (for the
+    index-based algorithms, applying is an index rebuild).  Returns the
+    decision and the seconds the apply took, which are also observed
+    into ``service.reconfigure``; a beta that did not move costs 0.
+    """
+    current = algorithm.get_hyperparameters()
+    decision = controller.configure(
+        lambda_q, lambda_u, warm_start=current, quick=True
+    )
+    if not beta_moved(current, decision.beta):
+        return decision, 0.0
+    started = time.perf_counter()
+    algorithm.set_hyperparameters(**decision.beta)
+    apply_s = time.perf_counter() - started
+    metrics.histogram("service.reconfigure").observe(apply_s)
+    return decision, apply_s

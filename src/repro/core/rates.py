@@ -1,9 +1,12 @@
-"""Arrival-rate monitoring: a sliding-window estimator and a drift alarm.
+"""Arrival-rate monitoring: a sliding-window estimator and the drift
+alarm that is Quota's one online re-solve trigger.
 
 A leaf module (standard library only): the virtual-time
-:class:`~repro.core.system.QuotaSystem` and the HTTP front door both
-watch rates, and the front door is a control-plane process that never
-loads numpy.
+:class:`~repro.core.system.QuotaSystem`, the scenario fuzzer's drift
+demo and the HTTP front door all watch rates through a
+:class:`RateDriftDetector`, and the front door is a control-plane
+process that never loads numpy.  The paper's fixed-period loop is one
+configuration of it (:meth:`RateDriftDetector.periodic`).
 """
 
 from __future__ import annotations
@@ -62,20 +65,24 @@ class RateEstimator:
 class RateDriftDetector:
     """Flags when the *observed* rates drift from the *configured* pair.
 
-    The online re-optimization loop (ROADMAP "scenario fuzzing at
-    production scale"): a serving stack configured for
-    ``(lambda_q, lambda_u)`` keeps monitoring the empirical arrival
-    rates over a sliding window; once either rate drifts past
-    ``threshold`` (relative), :meth:`check` returns the monitored pair
-    so the caller can re-run the Quota controller — through
-    :meth:`QuotaSystem._maybe_reoptimize` on the virtual clock, or
-    :meth:`repro.serving.runtime.ServingRuntime.reconfigure` on the measured
-    one — and :meth:`rearm` the detector at the new configuration.
+    Quota's one online re-solve trigger: a serving stack configured for
+    ``(configured_q, configured_u)`` keeps monitoring the empirical
+    arrival rates over a sliding ``window``; once either rate drifts
+    past ``threshold`` (relative), :meth:`check` returns the monitored
+    pair so the caller can re-solve and apply it
+    (:func:`repro.core.quota.retune`, from
+    :class:`~repro.core.system.QuotaSystem` on the virtual clock,
+    :meth:`repro.serving.runtime.ServingRuntime.reconfigure` on the
+    measured one, or the fleet's
+    :meth:`repro.api.frontdoor.FrontDoor.retune`) and :meth:`rearm` the
+    detector at the new configuration.
 
     ``min_events`` guards the cold window: a handful of arrivals says
     nothing about the rate, and re-solving on noise would thrash the
     controller (every re-configuration is an index rebuild for the
-    index-based algorithms).
+    index-based algorithms).  ``period`` spaces the checks: one runs
+    at most once per ``period`` seconds (the first at ``period`` after
+    :meth:`restart_period`); 0 checks at every call.
     """
 
     configured_q: float
@@ -83,17 +90,38 @@ class RateDriftDetector:
     window: float = 5.0
     threshold: float = 0.5
     min_events: int = 20
+    period: float = 0.0
     estimator: RateEstimator = field(default_factory=RateEstimator)
+    _last_check: float = field(default=0.0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.configured_q < 0 or self.configured_u < 0:
             raise ValueError("configured rates must be non-negative")
         if self.threshold <= 0:
             raise ValueError("threshold must be positive")
+        if self.period < 0:
+            raise ValueError("period must be non-negative")
         self.estimator.window = self.window
+
+    @classmethod
+    def periodic(cls, period: float, window: float = 10.0) -> RateDriftDetector:
+        """The paper's fixed-period loop (Section VIII-D): every
+        ``period`` seconds, re-solve at the rates of the trailing
+        ``window`` when either moved more than 15 % since the last
+        solve.  Armed at (0, 0), so the first check with a query in
+        the window always re-solves."""
+        if period <= 0:
+            raise ValueError("period must be positive")
+        return cls(
+            0.0, 0.0, window=window, threshold=0.15, min_events=1, period=period
+        )
 
     def observe(self, kind: str, arrival: float) -> None:
         self.estimator.observe(kind, arrival)
+
+    def restart_period(self) -> None:
+        """Start the ``period`` gate over at time 0 (a new replay)."""
+        self._last_check = 0.0
 
     def _drifted(self, observed: float, configured: float) -> bool:
         if configured <= 0:
@@ -103,10 +131,14 @@ class RateDriftDetector:
     def check(self, now: float) -> tuple[float, float] | None:
         """Monitored (lambda_q, lambda_u) when drifted, else None.
 
-        A drifted pair Quota cannot solve for (:func:`check_rates`
-        refuses it: no query arrived in the window) is None too, so no
-        caller re-solves, or re-arms, at lambda_q = 0.
+        None too within ``period`` of the last check, and for a drifted
+        pair Quota cannot solve for (:func:`check_rates` refuses it: no
+        query arrived in the window), so no caller re-solves, or
+        re-arms, at lambda_q = 0.
         """
+        if now - self._last_check < self.period:
+            return None
+        self._last_check = now
         if self.estimator.observed < self.min_events:
             return None
         lambda_q, lambda_u = self.estimator.rates(now)

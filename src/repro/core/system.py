@@ -3,9 +3,12 @@
 Glues everything together: a base PPR algorithm, the Quota controller
 (optional — omit it to replay the algorithm at its default setting, the
 paper's baselines), the Seed reordering queue (epsilon_r > 0), online
-arrival-rate monitoring with periodic re-optimization, and the
-virtual-time FCFS clock (:func:`repro.queueing.replay.replay`, the
-schedule modeled replays run too).
+re-optimization, and the virtual-time FCFS clock
+(:func:`repro.queueing.replay.replay`, the schedule modeled replays run
+too).  The online loop is a :class:`~repro.core.rates.RateDriftDetector`
+watching arrivals (the paper's fixed-period loop is its
+:meth:`~repro.core.rates.RateDriftDetector.periodic` configuration)
+and :func:`~repro.core.quota.retune` applying what it asks for.
 
 Timing model (the DESIGN.md substitution): the server's virtual clock
 advances by the *measured wall time* of each executed operation —
@@ -18,13 +21,12 @@ completion) - (virtual arrival), matching the paper's R_q.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Callable
 from typing import cast
 
 from repro.cache.store import PPRCache
-from repro.core.quota import QuotaController, QuotaDecision, beta_moved
-from repro.core.rates import RateDriftDetector, RateEstimator
+from repro.core.quota import QuotaController, QuotaDecision, retune
+from repro.core.rates import RateDriftDetector
 from repro.core.seed import SeedQueue
 from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.ppr.base import DynamicPPRAlgorithm, PPRVector
@@ -32,10 +34,6 @@ from repro.queueing.replay import MeasuredExecutor, SimulationResult, replay
 from repro.queueing.workload import Request, Workload
 
 QueryCallback = Callable[[Request, PPRVector, int], None]
-
-#: relative change of a monitored rate below which the periodic online
-#: loop does not re-solve
-RATE_CHANGE_THRESHOLD = 0.15
 
 
 class QuotaSystem:
@@ -49,12 +47,6 @@ class QuotaSystem:
         Quota controller; None replays the algorithm as-is (baseline).
     epsilon_r:
         Seed reorder threshold; 0 keeps strict FCFS (no reordering).
-    reoptimize_every:
-        Re-run the controller every this many virtual seconds using the
-        monitored rates; None configures only when
-        :meth:`configure_static` is called.
-    rate_window:
-        Sliding-window length (virtual seconds) of the rate monitor.
     cache:
         Optional :class:`~repro.cache.store.PPRCache`.  Queries look up
         before computing (a hit costs only the measured lookup time on
@@ -71,6 +63,13 @@ class QuotaSystem:
         attribute time to sub-processes as the paper's Table I does.
         Defaults to the process-wide registry from
         :func:`repro.obs.metrics.get_metrics`.
+    drift:
+        The online re-optimization trigger: every arrival feeds it, and
+        each pair its :meth:`~repro.core.rates.RateDriftDetector.check`
+        returns is re-solved and applied through
+        :func:`~repro.core.quota.retune` and re-armed.  Its ``period``
+        gate restarts at each :meth:`process`.  None configures only
+        when :meth:`configure_static` is called.
     """
 
     def __init__(
@@ -78,25 +77,17 @@ class QuotaSystem:
         algorithm: DynamicPPRAlgorithm,
         controller: QuotaController | None = None,
         epsilon_r: float = 0.0,
-        reoptimize_every: float | None = None,
-        rate_window: float = 10.0,
         cache: PPRCache | None = None,
         metrics: MetricsRegistry | None = None,
-        drift_detector: RateDriftDetector | None = None,
+        drift: RateDriftDetector | None = None,
     ) -> None:
-        if reoptimize_every is not None and reoptimize_every <= 0:
-            raise ValueError("reoptimize_every must be positive")
         self.algorithm = algorithm
         self.controller = controller
         self.epsilon_r = epsilon_r
-        self.reoptimize_every = reoptimize_every
-        self.drift_detector = drift_detector
-        self.rate_estimator = RateEstimator(window=rate_window)
+        self.drift = drift
         self.cache = cache
         self.metrics = metrics if metrics is not None else get_metrics()
         self.decisions: list[QuotaDecision] = []
-        self._last_reoptimize = 0.0
-        self._configured_rates: tuple[float, float] | None = None
 
     # ------------------------------------------------------------------
     def configure_static(
@@ -135,7 +126,8 @@ class QuotaSystem:
                     request, cast(PPRVector, estimate), len(seed_queue)
                 )
 
-        self._last_reoptimize = 0.0
+        if self.drift is not None:
+            self.drift.restart_period()
         return replay(
             workload,
             MeasuredExecutor(
@@ -150,69 +142,24 @@ class QuotaSystem:
 
     # ------------------------------------------------------------------
     def _on_arrival(self, request: Request) -> float:
-        """Monitor the rates; returns reconfiguration seconds to charge."""
-        self.rate_estimator.observe(request.kind, request.arrival)
-        if self.drift_detector is not None:
-            self.drift_detector.observe(request.kind, request.arrival)
-        return self._maybe_reoptimize(request.arrival)
-
-    def _maybe_reoptimize(self, now: float) -> float:
-        """Online reconfiguration from monitored rates.
-
-        Two trigger modes: the paper's fixed-period loop
-        (``reoptimize_every``) with rate-change hysteresis, or — when a
-        :class:`RateDriftDetector` is attached — event-driven
-        re-configuration the moment the monitored rates drift past the
-        detector's threshold (the ROADMAP online re-optimization loop).
+        """Feed the drift trigger; re-solve when it fires.
 
         Returns the seconds the server spent applying a new beta (the
         index is shared state it must rebuild in-line); the solve
         itself is not charged.
         """
+        drift = self.drift
+        if drift is None:
+            return 0.0
+        drift.observe(request.kind, request.arrival)
         if self.controller is None:
             return 0.0
-        if self.drift_detector is not None:
-            drifted = self.drift_detector.check(now)
-            if drifted is None:
-                return 0.0
-            lambda_q, lambda_u = drifted
-            self.drift_detector.rearm(lambda_q, lambda_u)
-        else:
-            if self.reoptimize_every is None:
-                return 0.0
-            if now - self._last_reoptimize < self.reoptimize_every:
-                return 0.0
-            self._last_reoptimize = now
-            lambda_q, lambda_u = self.rate_estimator.rates(now)
-            if lambda_q <= 0:
-                return 0.0
-            if self._configured_rates is not None and not self._rates_moved(
-                lambda_q, lambda_u
-            ):
-                return 0.0
-
-        current = self.algorithm.get_hyperparameters()
-        decision = self.controller.configure(
-            lambda_q, lambda_u, warm_start=current, quick=True
-        )
-        self._configured_rates = (lambda_q, lambda_u)
-        self.decisions.append(decision)
-        if not beta_moved(current, decision.beta):
+        drifted = drift.check(request.arrival)
+        if drifted is None:
             return 0.0
-        started = time.perf_counter()
-        self.algorithm.set_hyperparameters(**decision.beta)
-        apply_elapsed = time.perf_counter() - started
-        self.metrics.histogram("service.reconfigure").observe(apply_elapsed)
-        return apply_elapsed
-
-    def _rates_moved(self, lambda_q: float, lambda_u: float) -> bool:
-        """True when either monitored rate drifted past the threshold."""
-        assert self._configured_rates is not None  # caller checked
-        last_q, last_u = self._configured_rates
-
-        def moved(new: float, old: float) -> bool:
-            if old <= 0:
-                return new > 0
-            return abs(new - old) / old > RATE_CHANGE_THRESHOLD
-
-        return moved(lambda_q, last_q) or moved(lambda_u, last_u)
+        drift.rearm(*drifted)
+        decision, apply_s = retune(
+            self.controller, self.algorithm, *drifted, self.metrics
+        )
+        self.decisions.append(decision)
+        return apply_s

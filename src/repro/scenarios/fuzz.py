@@ -261,6 +261,7 @@ def _measured_card(
     report: ServingReport,
     cache: PPRCache | None,
     violations: int,
+    reconfigurations: int = 0,
 ) -> ReportCard:
     times = [r.response_s for r in report.completed_queries()]
     p50, p99 = _percentiles_ms(times)
@@ -283,7 +284,7 @@ def _measured_card(
         hit_rate=report.cache_hit_rate(),
         staleness_budget=FUZZ_EPSILON_C,
         staleness_spent=cache.worst_staleness() if cache is not None else 0.0,
-        reconfigurations=len(report.decisions),
+        reconfigurations=reconfigurations,
         violations=violations,
     )
 
@@ -482,7 +483,7 @@ def run_drift_demo(
         if drifted is None:
             return
         lambda_q, lambda_u = drifted
-        runtime.reconfigure(lambda_q, lambda_u, quick=True)
+        runtime.reconfigure(lambda_q, lambda_u)
         detector.rearm(lambda_q, lambda_u)
         reconfigured += 1
         metrics.counter("scenario.reconfigurations").inc()
@@ -512,7 +513,13 @@ def run_drift_demo(
             )
         )
     card = _measured_card(
-        f"{scenario.name}+drift", scenario, seed, report, None, len(violations)
+        f"{scenario.name}+drift",
+        scenario,
+        seed,
+        report,
+        None,
+        len(violations),
+        reconfigured,
     )
     return card, violations
 

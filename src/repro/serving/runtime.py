@@ -27,6 +27,9 @@ What is left here is what only a wall clock has:
   (an update, a Seed flush, new hyperparameters) and every kernel call
   runs on the loop's thread, so no query overlaps a write, and the
   graph version read right after a query names the snapshot it ran on.
+  :meth:`reconfigure` runs Quota's whole online step there,
+  :func:`~repro.core.quota.retune` (the solve, then the apply when
+  beta moved), as ``QuotaSystem`` runs it between two arrivals.
   :meth:`reconfigure` and :meth:`drain` called from another thread
   post their work to the inbox; the loop runs it when it reads it,
   after the request in flight and ahead of the queued ones (a drain's
@@ -63,7 +66,7 @@ import time
 import traceback
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, TypeVar, cast
 
 from repro.cache.store import PPRCache
@@ -175,7 +178,6 @@ class ServingReport:
     records: list[ServedRequest]
     wall_s: float
     degraded: bool
-    decisions: list[QuotaDecision] = field(default_factory=list)
 
     def of_status(self, status: str) -> list[ServedRequest]:
         return [r for r in self.records if r.status == status]
@@ -298,7 +300,6 @@ class ServingRuntime:
         self.controller = controller
         self.idle_tick_s = idle_tick_s
         self.metrics = metrics if metrics is not None else get_metrics()
-        self.decisions: list[QuotaDecision] = []
         self.records: list[ServedRequest] = []
 
         self._on_complete = on_complete
@@ -519,43 +520,34 @@ class ServingRuntime:
             records=self.records[first_record:],
             wall_s=time.perf_counter() - started,
             degraded=self._degraded,
-            decisions=list(self.decisions),
         )
 
     # ------------------------------------------------------------------
     # live reconfiguration (Quota -> runtime)
     # ------------------------------------------------------------------
     def reconfigure(
-        self, lambda_q: float, lambda_u: float, quick: bool = True
+        self, lambda_q: float, lambda_u: float
     ) -> QuotaDecision | None:
         """Solve for beta at the given rates and apply it live.
 
-        The controller's solve runs on the caller's thread; applying the
-        hyperparameters — an index rebuild for index-based algorithms —
-        runs on the loop's thread between two requests, mirroring what
-        ``QuotaSystem`` charges to its virtual clock.  As there, a beta
-        that :func:`~repro.core.quota.beta_moved` does not call moved is
-        recorded but not applied.
+        Runs :func:`~repro.core.quota.retune` — the step
+        ``QuotaSystem`` takes on its virtual clock — on the loop's
+        thread between two requests: the solve and, when
+        :func:`~repro.core.quota.beta_moved` calls the new beta moved,
+        its apply (an index rebuild for index-based algorithms).
         """
-        if self.controller is None:
+        controller = self.controller
+        if controller is None:
             return None
         # only a runtime with a controller loads the Quota stack
-        from repro.core.quota import beta_moved
+        from repro.core.quota import retune
 
-        current = self.algorithm.get_hyperparameters()
-        decision = self.controller.configure(
-            lambda_q, lambda_u, warm_start=current, quick=quick
+        decision, _ = self._call(
+            lambda: retune(
+                controller, self.algorithm, lambda_q, lambda_u, self.metrics
+            )
         )
-        if beta_moved(current, decision.beta):
-            elapsed_s = self._call(lambda: self._set_beta(decision.beta))
-            self.metrics.histogram("service.reconfigure").observe(elapsed_s)
-        self.decisions.append(decision)
         return decision
-
-    def _set_beta(self, beta: dict[str, float]) -> float:
-        started = time.perf_counter()
-        self.algorithm.set_hyperparameters(**beta)
-        return time.perf_counter() - started
 
     # ------------------------------------------------------------------
     # introspection

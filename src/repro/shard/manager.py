@@ -35,6 +35,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass, field
+from functools import cached_property
 from time import perf_counter
 from typing import TYPE_CHECKING
 
@@ -585,10 +586,23 @@ class ShardManager:
     def reconfigure(
         self, lambda_q: float, lambda_u: float, timeout_s: float = 60.0
     ) -> dict[str, object]:
-        """Broadcast a QuotaController re-solve to every healthy shard."""
+        """Have every healthy shard re-solve its QuotaController for the
+        traffic it serves.
+
+        A shard is an M/G/1 server fed only the queries the router sends
+        it, so shard *i* solves for ``lambda_q`` times its
+        :attr:`query_shares` entry, and for the whole ``lambda_u``: every
+        shard applies every update.
+        """
         self.metrics.counter("shard.reconfigurations").inc()
+        shares = self.query_shares
         probes = [
-            (slot.handle.shard_id, slot.handle.reconfigure(lambda_q, lambda_u))
+            (
+                slot.handle.shard_id,
+                slot.handle.reconfigure(
+                    lambda_q * shares[slot.handle.shard_id], lambda_u
+                ),
+            )
             for slot in self._slots
             if slot.handle.healthy
         ]
@@ -605,6 +619,20 @@ class ShardManager:
                 else {"ok": False, "error": reply.error}
             )
         return results
+
+    @cached_property
+    def query_shares(self) -> tuple[float, ...]:
+        """Fraction of the source ids ``[0, num_nodes)`` the router
+        assigns to each shard.
+
+        One pass over every id, taken on the first :meth:`reconfigure`
+        rather than at start-up.
+        """
+        num_nodes = self._base_spec.num_nodes
+        counts = [0] * self.num_shards
+        for source in range(num_nodes):
+            counts[self.router.route(source)] += 1
+        return tuple(count / num_nodes for count in counts)
 
     # ------------------------------------------------------------------
     def healthy_shard_count(self) -> int:

@@ -334,8 +334,11 @@ class ShardServer:
         else:
             payload = {
                 "applied": True,
+                "lambda_q": command.lambda_q,
+                "lambda_u": command.lambda_u,
                 "beta": dict(decision.beta),
                 "regime": decision.regime,
+                "traffic_intensity": decision.traffic_intensity,
                 "predicted_response_time": decision.predicted_response_time,
             }
         self._answer(command.req_id, payload)

@@ -9,7 +9,8 @@ drift-driven reconfiguration loop.
 import asyncio
 import time
 
-from repro.api.frontdoor import ApiResponse, DriftPolicy, FrontDoor
+from repro.api.frontdoor import ApiResponse, FrontDoor
+from repro.core.rates import RateDriftDetector
 from repro.graph.digraph import DynamicGraph
 from repro.obs.metrics import MetricsRegistry
 from repro.shard.manager import ShardManager
@@ -214,13 +215,8 @@ def test_drift_detector_triggers_fleet_reconfigure():
     with make_manager(use_controller=True) as manager:
         frontdoor = FrontDoor(
             manager,
-            drift=DriftPolicy(
-                lambda_q=0.01,
-                lambda_u=0.01,
-                window_s=10.0,
-                threshold=0.5,
-                min_events=10,
-                cooldown_s=0.0,
+            drift=RateDriftDetector(
+                0.01, 0.01, window=10.0, threshold=0.5, min_events=10
             ),
         )
 
@@ -228,10 +224,11 @@ def test_drift_detector_triggers_fleet_reconfigure():
             for _ in range(15):
                 response = await frontdoor.query(0)
                 assert response.status_code == 200
+            # the re-solve runs in the executor; wait for it to land
+            while not frontdoor.reconfigurations:
+                await asyncio.sleep(0.005)
 
-        asyncio.run(burst())
-        # the re-solve runs on a worker thread; wait for it to land
-        assert wait_until(lambda: len(frontdoor.reconfigurations) > 0)
+        asyncio.run(asyncio.wait_for(burst(), 30.0))
         entry = frontdoor.reconfigurations[0]
         assert entry["lambda_q"] > 0.01
         assert "0" in entry["shards"]
@@ -243,8 +240,7 @@ def test_updates_alone_never_resolve_the_fleet():
     and re-armed the detector at (0, lambda_u)."""
     with make_manager(use_controller=True) as manager:
         frontdoor = FrontDoor(
-            manager,
-            drift=DriftPolicy(10.0, 1.0, min_events=20, cooldown_s=0.0),
+            manager, drift=RateDriftDetector(10.0, 1.0, min_events=20)
         )
 
         async def updates():
@@ -253,7 +249,6 @@ def test_updates_alone_never_resolve_the_fleet():
                 assert response.status_code == 200
 
         asyncio.run(updates())
-        drift = frontdoor._drift
-        assert wait_until(lambda: not drift.inflight.is_set())
+        assert frontdoor._retuning is None
         assert list(frontdoor.reconfigurations) == []
-        assert drift.detector.configured_q == 10.0
+        assert frontdoor.drift.configured_q == 10.0

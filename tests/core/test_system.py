@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.calibration import calibrated_cost_model
 from repro.core.quota import QuotaController
-from repro.core.rates import RateEstimator
+from repro.core.rates import RateDriftDetector, RateEstimator
 from repro.core.system import QuotaSystem
 from repro.graph.generators import barabasi_albert_graph
 from repro.ppr.agenda import Agenda
@@ -230,7 +230,9 @@ class TestReoptimization:
         alg = Agenda(graph.copy(), params)
         model = calibrated_cost_model(alg, num_queries=2, rng=0)
         controller = QuotaController(model)
-        system = QuotaSystem(alg, controller, reoptimize_every=1.0)
+        system = QuotaSystem(
+            alg, controller, drift=RateDriftDetector.periodic(1.0)
+        )
         system.process(workload)
         # ~3 virtual seconds of workload -> at least 2 reconfigurations
         assert len(system.decisions) >= 2
@@ -250,9 +252,9 @@ class TestReoptimization:
         system.process(workload)
         assert system.decisions == []
 
-    def test_invalid_reoptimize_interval(self, graph, params):
+    def test_invalid_reoptimize_interval(self):
         with pytest.raises(ValueError):
-            QuotaSystem(Fora(graph.copy(), params), reoptimize_every=0.0)
+            RateDriftDetector.periodic(0.0)
 
 
 class TestRateEstimator:

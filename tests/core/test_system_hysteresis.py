@@ -1,35 +1,10 @@
-"""Unit tests for the online loop's hysteresis (rate/beta thresholds)."""
+"""Unit tests for the online loop's beta hysteresis.
 
-import pytest
+The rate hysteresis is the drift detector's threshold
+(``tests/core/test_drift_detector.py::TestFixedPeriodHysteresis``).
+"""
 
 from repro.core.quota import beta_moved
-from repro.core.system import QuotaSystem
-from repro.graph.generators import barabasi_albert_graph
-from repro.ppr.base import PPRParams
-from repro.ppr.fora import Fora
-
-
-@pytest.fixture
-def system():
-    graph = barabasi_albert_graph(60, attach=2, seed=0)
-    return QuotaSystem(Fora(graph, PPRParams(walk_cap=200)))
-
-
-class TestRatesMoved:
-    def test_small_drift_ignored(self, system):
-        system._configured_rates = (10.0, 10.0)
-        assert not system._rates_moved(10.5, 10.5)
-        assert not system._rates_moved(11.0, 9.0)
-
-    def test_large_drift_detected(self, system):
-        system._configured_rates = (10.0, 10.0)
-        assert system._rates_moved(12.0, 10.0)
-        assert system._rates_moved(10.0, 5.0)
-
-    def test_zero_to_positive_is_movement(self, system):
-        system._configured_rates = (10.0, 0.0)
-        assert system._rates_moved(10.0, 1.0)
-        assert not system._rates_moved(10.0, 0.0)
 
 
 class TestBetaMoved:

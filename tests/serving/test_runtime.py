@@ -421,15 +421,18 @@ class TestQuotaIntegration:
 
     @pytest.mark.parametrize("scale, rebuilt", [(1.0, False), (2.0, True)])
     def test_reconfigure_applies_beta_only_when_it_moved(self, scale, rebuilt):
-        """An unchanged beta is recorded but not re-applied: for an
-        index-based algorithm re-applying it is a full index build."""
+        """An unchanged beta is decided but not re-applied: for an
+        index-based algorithm re-applying it is a full index build.  The
+        solve runs on the loop's thread too, as the apply does."""
         algorithm = ForaPlus(make_graph(), PPRParams(walk_cap=100))
         index = algorithm.index
-        runtime = make_runtime(algorithm, controller=ScalingController(scale))
+        controller = ScalingController(scale)
+        runtime = make_runtime(algorithm, controller=controller)
         with runtime:
-            runtime.reconfigure(20.0, 20.0)
-            runtime.reconfigure(20.0, 20.0)
-        assert len(runtime.decisions) == 2
+            loop_thread = runtime._thread
+            decisions = [runtime.reconfigure(20.0, 20.0) for _ in range(2)]
+        assert None not in decisions
+        assert controller.threads == [loop_thread, loop_thread]
         assert (algorithm.index is not index) is rebuilt
         applied = runtime.metrics.histogram("service.reconfigure").count
         assert applied == (2 if rebuilt else 0)
@@ -441,8 +444,10 @@ class ScalingController:
 
     def __init__(self, scale):
         self.scale = scale
+        self.threads = []
 
     def configure(self, lambda_q, lambda_u, warm_start=None, quick=True):
+        self.threads.append(threading.current_thread())
         beta = {name: value * self.scale for name, value in warm_start.items()}
         return SimpleNamespace(beta=beta)
 

@@ -346,6 +346,27 @@ def test_a_refused_reconfigure_is_an_error_reply_not_a_crash():
     assert metrics.snapshot()["counters"].get("shard.respawns", 0) == 0
 
 
+def test_each_shard_solves_for_its_own_query_share():
+    """A shard is an M/G/1 server fed only the queries the router sends
+    it: shard i solves for lambda_q times its share of the source ids,
+    and for the whole lambda_u (every shard applies every update)."""
+    num_nodes = 25  # odd: the two hash shares differ (13 and 12 ids)
+    with make_manager(
+        num_shards=2, use_controller=True, graph=ring_graph(num_nodes)
+    ) as manager:
+        owners = [manager.router.route(s) for s in range(num_nodes)]
+        results = manager.reconfigure(30.0, 4.0)
+    assert set(results) == {"0", "1"}
+    for shard_id in range(2):
+        reply = results[str(shard_id)]
+        share = owners.count(shard_id) / num_nodes
+        assert reply["lambda_q"] == pytest.approx(30.0 * share)
+        assert reply["lambda_u"] == 4.0
+        assert reply["traffic_intensity"] > 0.0
+    assert results["0"]["lambda_q"] != results["1"]["lambda_q"]
+    assert sum(r["lambda_q"] for r in results.values()) == pytest.approx(30.0)
+
+
 def test_process_workers_run_one_python_thread():
     """A worker reads commands, serves them and writes the replies on
     its one thread."""

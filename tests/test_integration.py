@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.calibration import calibrated_cost_model
 from repro.core.quota import QuotaController
+from repro.core.rates import RateDriftDetector
 from repro.core.seed import SeedQueue
 from repro.core.system import QuotaSystem
 from repro.evaluation.metrics import AccuracySummary, improvement_percent
@@ -237,7 +238,9 @@ class TestOnlineLoopEndToEnd:
             extra_starts=[algorithm.get_hyperparameters()],
         )
         system = QuotaSystem(
-            algorithm, controller, reoptimize_every=1.0, rate_window=3.0
+            algorithm,
+            controller,
+            drift=RateDriftDetector.periodic(1.0, window=3.0),
         )
         system.process(workload)
         assert len(system.decisions) >= 2
