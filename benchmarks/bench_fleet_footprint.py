@@ -259,7 +259,7 @@ if traced:
     tracemalloc.reset_peak()
 graph = build_graph(spec)
 algorithm = build_algorithm(
-    spec.algorithm, graph, spec.walk_cap, seed=spec.seed, engine=spec.engine)
+    spec.algorithm, graph, spec.walk_cap, seed=spec.seed)
 algorithm.query(0)
 gc.collect()
 if traced:
@@ -324,7 +324,7 @@ def unpickle():
 spec = stage("spec_unpickle", unpickle)
 graph = stage("build_graph", lambda: build_graph(spec))
 algorithm = stage("build_algorithm", lambda: build_algorithm(
-    spec.algorithm, graph, spec.walk_cap, seed=spec.seed, engine=spec.engine))
+    spec.algorithm, graph, spec.walk_cap, seed=spec.seed))
 from repro.shard.launch import UNLOADED_MODULES
 print(json.dumps({
     "marks": marks,

@@ -359,7 +359,7 @@ def run_query_cost(num_queries: int) -> list[dict]:
     rows = []
     for system, name in QUERY_SYSTEMS.items():
         algorithm = ALGORITHMS[name](
-            graph.copy(), PPRParams(walk_cap=QUERY_WALK_CAP), engine="auto"
+            graph.copy(), PPRParams(walk_cap=QUERY_WALK_CAP)
         )
         algorithm.seed(bench_seed() + 1)
         algorithm.query(int(sources[0]))  # builds the index, warms the view

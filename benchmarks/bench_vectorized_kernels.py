@@ -1,6 +1,6 @@
 """Extension bench: the vectorized whole-frontier push kernel.
 
-Two views of ``repro.ppr.kernels`` (the ``engine=`` switch):
+Two views of ``repro.ppr.kernels`` (the push every algorithm runs):
 
 1. **Equivalence oracle** — >= 1000 randomized cases (packed and
    slack-patched CSR views, dangling nodes, swept ``r_max``) where

@@ -257,6 +257,8 @@ class FrontDoor:
             body["shed_reason"] = outcome.shed_reason
         if outcome.error is not None:
             body["error"] = outcome.error
+        if outcome.status == "bad-request":
+            return ApiResponse(400, body)
         if outcome.status == "timeout":
             self.metrics.counter("api.shed").inc()
             return ApiResponse(504, body)

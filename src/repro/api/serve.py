@@ -36,7 +36,6 @@ from repro.shard.backend import BACKENDS
 from repro.shard.image import ImageBuild
 from repro.shard.launch import refuse_unloaded_modules
 from repro.shard.manager import ShardManager
-from repro.shard.router import ROUTERS
 
 if TYPE_CHECKING:  # bound at run time by _bind_http_stack
     import asyncio
@@ -61,7 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--shards", type=int, default=2)
     parser.add_argument("--backend", default="process", choices=BACKENDS)
-    parser.add_argument("--router", default="hash", choices=ROUTERS)
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8080)
     parser.add_argument(
@@ -113,7 +111,6 @@ def _build_manager(args: argparse.Namespace, spec: DatasetSpec) -> ShardManager:
         ImageBuild(spec.name, args.seed),
         args.shards,
         backend=args.backend,
-        router=args.router,
         algorithm=args.algorithm,
         walk_cap=spec.walk_cap,
         seed=args.seed,

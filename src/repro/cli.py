@@ -50,7 +50,7 @@ from collections.abc import Sequence
 
 from repro.evaluation.datasets import DATASETS, get_dataset
 from repro.evaluation.report import format_table
-from repro.ppr.names import ALGORITHM_NAMES, ENGINE_CHOICES
+from repro.ppr.names import ALGORITHM_NAMES
 from repro.queueing.kinds import QUERY, UPDATE
 
 # Everything that computes is imported by the subcommand that needs it:
@@ -110,14 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--lambda-q", type=float, default=None)
     run.add_argument("--lambda-u", type=float, default=None)
     run.add_argument("--window", type=float, default=None)
-    run.add_argument(
-        "--engine",
-        default="auto",
-        choices=ENGINE_CHOICES,
-        help="kernel engine (auto = the vectorized kernels; scalar is "
-        "the oracle path; frontier forces the raw-row vectorized "
-        "kernels where the algorithm supports them)",
-    )
     run.add_argument(
         "--quota", action="store_true",
         help="also run the Quota-configured system and compare",
@@ -298,8 +290,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     rows = []
     baseline = build_algorithm(
-        args.algorithm, graph.copy(), spec.walk_cap, seed=args.seed,
-        engine=args.engine,
+        args.algorithm, graph.copy(), spec.walk_cap, seed=args.seed
     )
     base_cache = make_cache()
     base_result = QuotaSystem(
@@ -312,8 +303,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     if args.quota:
         tuned = build_algorithm(
-            args.algorithm, graph.copy(), spec.walk_cap, seed=args.seed,
-            engine=args.engine,
+            args.algorithm, graph.copy(), spec.walk_cap, seed=args.seed
         )
         controller = QuotaController(
             calibrated_cost_model(tuned, rng=args.seed + 2),

@@ -103,8 +103,8 @@ def model_fit_report(
     ----------
     algorithm:
         Live algorithm; each point probes a
-        :func:`~repro.core.calibration.scratch_copy` of it (same engine
-        and knobs outside beta, as calibration measured).
+        :func:`~repro.core.calibration.scratch_copy` of it (same
+        knobs outside beta, as calibration measured).
     model:
         The (calibrated) cost model under test.
     scales:

@@ -27,7 +27,7 @@ Naming conventions
   hit/miss/insertion counters, eviction counters split by cause
   (capacity / staleness budget), plus the live size and online
   hit-rate gauges the cache-aware cost model reads.
-* ``dispatch.*``    — kernel-engine degradations
+* ``dispatch.*``    — power-backend degradations
   (:mod:`repro.ppr.kernels`): ``dispatch.fallbacks`` counts a failed
   scipy probe, once per process.
 * ``scenario.*``    — scenario-fuzz harness accounting

@@ -39,7 +39,7 @@ from repro.ppr.base import (
     WalkIndexOwner,
     clip_unit,
 )
-from repro.ppr.forward_push import forward_push
+from repro.ppr.kernels import frontier_push
 from repro.ppr.random_walk import WalkIndex
 from repro.ppr.reverse_push import reverse_push
 
@@ -149,7 +149,7 @@ class Agenda(WalkIndexOwner):
         view = self.view
         stats = QueryStats()
         with self.timers.measure("Forward Push"):
-            push = forward_push(
+            push = frontier_push(
                 view, view.to_index(source), self.params.alpha, self.r_max
             )
             stats.pushes = push.pushes

@@ -33,8 +33,6 @@ import numpy as np
 from repro.graph.digraph import DynamicGraph
 from repro.graph.updates import EdgeUpdate
 from repro.ppr.csr import CSRView, csr_view
-from repro.ppr.kernels import resolve_engine
-from repro.ppr.names import AUTO, ENGINE_CHOICES
 from repro.ppr.pushwalk import add_walk_estimates
 from repro.ppr.random_walk import WalkIndex
 
@@ -310,9 +308,6 @@ class DynamicPPRAlgorithm(ABC):
     is_index_based: bool = False
     #: names of tunable hyperparameters, in beta-vector order
     hyperparameter_names: tuple[str, ...] = ()
-    #: kernel engines this algorithm can execute (subset of
-    #: ``repro.ppr.names.ENGINES``); algorithms opt in per engine
-    supported_engines: tuple[str, ...] = ("scalar",)
 
     def __init__(
         self, graph: DynamicGraph, params: PPRParams | None = None
@@ -321,7 +316,6 @@ class DynamicPPRAlgorithm(ABC):
         self.params = params or PPRParams()
         self.timers = SubProcessTimers()
         self.last_query_stats = QueryStats()
-        self.engine = "scalar"
         self._rng = np.random.default_rng()
 
     def seed(self, seed: int) -> None:
@@ -359,27 +353,6 @@ class DynamicPPRAlgorithm(ABC):
 
     def _on_hyperparameters_changed(self) -> None:
         """Hook for index-based algorithms to resize their index."""
-
-    # -- kernel engine ----------------------------------------------------
-    def set_engine(self, engine: str) -> None:
-        """Select the push-kernel engine for this algorithm instance.
-
-        ``engine`` must be ``"auto"`` or a valid kernel name this
-        algorithm supports (:attr:`supported_engines`).  ``"auto"``
-        means the vectorized kernel of each family (see
-        :mod:`repro.ppr.kernels`); on algorithms without vectorized
-        paths it degrades to ``"scalar"`` (there is nothing to pick).
-        """
-        resolve_engine(engine, ENGINE_CHOICES)
-        if engine == AUTO:
-            self.engine = AUTO if len(self.supported_engines) > 1 else "scalar"
-            return
-        if engine not in self.supported_engines:
-            raise ValueError(
-                f"{self.name} does not support engine {engine!r}; "
-                f"supported: {self.supported_engines}"
-            )
-        self.engine = engine
 
     # -- views -----------------------------------------------------------
     @property

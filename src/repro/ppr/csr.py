@@ -73,6 +73,13 @@ _rebuilds = get_metrics().counter("csr_rebuilds")
 _compactions = get_metrics().counter("csr_compactions")
 
 
+class UnknownNodeError(KeyError):
+    """A node id the snapshot does not hold: a query's bad source."""
+
+    def __str__(self) -> str:
+        return str(self.args[0])
+
+
 class CSRView:
     """Array view of a graph at one version.
 
@@ -119,10 +126,11 @@ class CSRView:
     def to_index(self, node: int) -> int:
         """Dense index of a node id."""
         if self.identity_ids:
-            if not 0 <= node < self.n:
-                raise KeyError(f"node {node} not in graph snapshot")
-            return node
-        return self.index[node]
+            if 0 <= node < self.n:
+                return node
+        elif node in self.index:
+            return self.index[node]
+        raise UnknownNodeError(f"node {node} not in graph snapshot")
 
     def to_node(self, i: int) -> int:
         """Node id of a dense index."""

@@ -36,7 +36,7 @@ from repro.ppr.base import (
     WalkIndexOwner,
     clip_unit,
 )
-from repro.ppr.forward_push import forward_push
+from repro.ppr.kernels import frontier_push
 
 
 class Fora(DynamicPPRAlgorithm):
@@ -52,19 +52,15 @@ class Fora(DynamicPPRAlgorithm):
     name = "FORA"
     is_index_based = False
     hyperparameter_names = ("r_max",)
-    supported_engines = ("scalar", "frontier")
 
     def __init__(
         self,
         graph: DynamicGraph,
         params: PPRParams | None = None,
         r_max: float | None = None,
-        engine: str = "scalar",
     ) -> None:
         super().__init__(graph, params)
         self.r_max = r_max if r_max is not None else self.default_r_max()
-        if engine != "scalar":
-            self.set_engine(engine)
 
     def default_r_max(self) -> float:
         """The paper's complexity-balancing default 1/sqrt(alpha m K)."""
@@ -81,12 +77,8 @@ class Fora(DynamicPPRAlgorithm):
         view = self.view
         stats = QueryStats()
         with self.timers.measure("Forward Push"):
-            push = forward_push(
-                view,
-                view.to_index(source),
-                self.params.alpha,
-                self.r_max,
-                engine=self.engine,
+            push = frontier_push(
+                view, view.to_index(source), self.params.alpha, self.r_max
             )
             stats.pushes = push.pushes
         self._walk_phase(view, push.reserve, push.residue, stats)

@@ -1,4 +1,4 @@
-"""Forward Push (Algorithm 3 of the paper).
+"""Forward Push (Algorithm 3 of the paper): the deque reference.
 
 Local push computation of approximate PPR: maintain a *reserve* (the
 estimate) and a *residue* (unpushed probability mass) per node; while
@@ -10,6 +10,10 @@ The implementation is array-based over a :class:`~repro.ppr.csr.CSRView`
 with a FIFO frontier, the standard linear-time formulation of
 Andersen et al. [26].  Dangling nodes follow the repository-wide
 implicit-self-loop convention (see ``repro.graph.digraph``).
+
+No algorithm runs it: every query pushes with
+:func:`repro.ppr.kernels.frontier_push`, and this schedule is the
+reference the kernel tests compare against.
 
 Invariant (checked by property tests): at every moment
 
@@ -26,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ppr.csr import CSRView
-from repro.ppr.names import ENGINE_CHOICES
 
 
 @dataclass(slots=True)
@@ -56,7 +59,6 @@ def forward_push(
     r_max: float,
     residue: np.ndarray | None = None,
     reserve: np.ndarray | None = None,
-    engine: str = "scalar",
 ) -> PushResult:
     """Run Forward Push from ``source_index`` until no node is active.
 
@@ -71,30 +73,15 @@ def forward_push(
     r_max:
         Push threshold: node t is active while residue(t)/d_out(t) > r_max.
     residue, reserve:
-        Optional starting vectors (used by incremental callers such as
-        SpeedPPR's power-iteration phase); fresh vectors with
+        Optional warm-start vectors; fresh vectors with
         residue[source] = 1 when omitted.  Passed arrays are mutated in
         place.
-    engine:
-        ``"scalar"`` (this module's deque loop, the oracle path), or
-        ``"frontier"`` / ``"auto"`` for the vectorized synchronous
-        kernel of :mod:`repro.ppr.kernels` (``auto`` never means
-        ``scalar``).  The scalar and synchronous schedules differ, so
-        their results agree only up to the r_max approximation slack
-        (see kernels module docstring).
 
     Returns
     -------
     PushResult
         Final reserve/residue arrays and push count.
     """
-    if engine != "scalar":
-        from repro.ppr import kernels
-
-        kernels.resolve_engine(engine, ENGINE_CHOICES)
-        return kernels.frontier_push(
-            view, source_index, alpha, r_max, residue=residue, reserve=reserve
-        )
     n = view.n
     if n == 0:
         empty = np.zeros(0, dtype=np.float64)

@@ -1,9 +1,10 @@
-"""Vectorized whole-frontier push kernels and the engine names.
+"""The whole-frontier push kernel every algorithm runs.
 
 The scalar :func:`~repro.ppr.forward_push.forward_push` pops one node
 at a time off a FIFO deque — a Gauss–Seidel schedule whose inner loop
-is pure Python.  The kernels here instead process the **whole active
-frontier per sweep** (a Jacobi/synchronous schedule): gather every
+is pure Python; it stays only as the reference the kernel tests
+compare against.  :func:`frontier_push` instead processes the **whole
+active frontier per sweep** (a Jacobi/synchronous schedule): gather every
 active row with ``np.repeat``/``indptr`` arithmetic (honoring the
 slack-slot row extents of delta-patched :class:`~repro.ppr.csr.CSRView`
 arrays, where ``indptr[t + 1]`` is *not* the end of row ``t``), scatter
@@ -26,19 +27,10 @@ slack-patched views alike.
 
 :func:`power_phase` is the same machinery applied to SpeedPPR's
 PowerPush stage: whole-graph Jacobi sweeps straight over the (possibly
-slack) CSR rows, so it never pays the packed-matrix rebuild that the
-scipy path needs after every graph delta, and it is the only power
-backend on a scipy-free install.
-
-Engines
--------
-``scalar`` and ``frontier`` name the two push schedules above.
-``auto`` (:data:`~repro.ppr.names.AUTO`) picks per kernel family: a
-push is always :func:`frontier_push` — never ``scalar``, whose answers
-differ in the low-order bits — and a power phase is scipy's CSR matvec when
-:func:`scipy_available` says so, else :func:`power_phase`.  The two
-power backends sum in different orders, so which one a machine gets
-can change low-order bits across environments (never within one).
+slack) CSR rows.  SpeedPPR runs it only when :func:`scipy_available`
+fails, and scipy's CSR matvec otherwise.  The two power backends sum
+in different orders, so which one a machine gets can change low-order
+bits across environments (never within one).
 """
 
 from __future__ import annotations
@@ -50,16 +42,6 @@ import numpy as np
 from repro.obs.metrics import get_metrics
 from repro.ppr.csr import CSRView
 from repro.ppr.forward_push import PushResult
-from repro.ppr.names import ENGINES
-
-
-def resolve_engine(engine: str, allowed: tuple[str, ...] = ENGINES) -> str:
-    """Validate an engine name against ``allowed`` (default :data:`ENGINES`)."""
-    if engine not in allowed:
-        raise ValueError(
-            f"unknown kernel engine {engine!r}; choose one of {allowed}"
-        )
-    return engine
 
 
 def scipy_probe() -> bool:

@@ -30,17 +30,9 @@ def build_algorithm(
     graph: DynamicGraph,
     walk_cap: int,
     seed: int = 0,
-    engine: str = "scalar",
 ) -> DynamicPPRAlgorithm:
-    """Instantiate a registered algorithm with standard paper params.
-
-    ``engine`` selects the push-kernel implementation (see
-    ``repro.ppr.names.ENGINES``); algorithms without a vectorized
-    path reject anything but ``"scalar"``.
-    """
+    """Instantiate a registered algorithm with standard paper params."""
     params = PPRParams(alpha=0.2, epsilon=0.5, walk_cap=walk_cap)
     algorithm = ALGORITHMS[name](graph, params)
-    if engine != "scalar":
-        algorithm.set_engine(engine)
     algorithm.seed(seed)
     return algorithm

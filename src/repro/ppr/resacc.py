@@ -24,7 +24,7 @@ from repro.ppr.base import (
     QueryStats,
     clip_unit,
 )
-from repro.ppr.forward_push import forward_push
+from repro.ppr.kernels import frontier_push
 
 
 class ResAcc(DynamicPPRAlgorithm):
@@ -76,14 +76,14 @@ class ResAcc(DynamicPPRAlgorithm):
         view = self.view
         stats = QueryStats()
         with self.timers.measure("Forward Push"):
-            push = forward_push(
+            push = frontier_push(
                 view, view.to_index(source), self.params.alpha, self.r_max
             )
             stats.pushes = push.pushes
             threshold = self.r_max
             for _ in range(1, self.rounds):
                 threshold /= 2.0
-                push = forward_push(
+                push = frontier_push(
                     view,
                     view.to_index(source),
                     self.params.alpha,

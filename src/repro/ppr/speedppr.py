@@ -18,14 +18,13 @@ folded into the constants.
 
 The index lifecycle lives in :class:`~repro.ppr.base.WalkIndexOwner`.
 
-The power phase has two backends (``engine`` picks, see
+The power phase has two backends; the platform picks (see
 :meth:`SpeedPPR._power_backend`):
 
 * ``scipy`` — scipy-sparse CSR matvec sweeps on the packed transition
   matrix (optional dependency, probed once per process).
 * ``power`` — :func:`repro.ppr.kernels.power_phase` gather/scatter on
-  the raw (possibly slack) CSR rows; no packed-matrix rebuild after
-  graph deltas, and the only backend when scipy is absent.
+  the raw (possibly slack) CSR rows, run when scipy is absent.
 """
 
 from __future__ import annotations
@@ -61,21 +60,17 @@ class SpeedPPR(DynamicPPRAlgorithm):
     name = "SpeedPPR"
     is_index_based = False
     hyperparameter_names = ("r_max",)
-    supported_engines = ("scalar", "frontier")
 
     def __init__(
         self,
         graph: DynamicGraph,
         params: PPRParams | None = None,
         r_max: float | None = None,
-        engine: str = "scalar",
     ) -> None:
         super().__init__(graph, params)
         self._matrix_t: Any = None
         self._matrix_view: Any = None
         self.r_max = r_max if r_max is not None else self.default_r_max()
-        if engine != "scalar":
-            self.set_engine(engine)
         # every query of this class asks the scipy probe: run it (and
         # scipy's import) now, at set-up, not inside the first timed
         # query
@@ -116,15 +111,9 @@ class SpeedPPR(DynamicPPRAlgorithm):
         return self._matrix_t
 
     def _power_backend(self) -> str:
-        """Power-phase kernel of this query: ``"scipy"`` or ``"power"``.
-
-        ``engine="frontier"`` names the raw-row sweeps; ``scalar`` and
-        ``auto`` the scipy matvec, degrading to the raw rows when the
-        scipy probe fails.
-        """
-        if self.engine == "frontier" or not scipy_available():
-            return "power"
-        return "scipy"
+        """Power-phase kernel of this query: ``"scipy"`` (the matvec)
+        unless the scipy probe fails, then ``"power"`` (the raw rows)."""
+        return "scipy" if scipy_available() else "power"
 
     # ------------------------------------------------------------------
     def query(self, source: int) -> PPRVector:

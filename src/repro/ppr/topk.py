@@ -31,7 +31,7 @@ from repro.ppr.base import (
     QueryStats,
     clip_unit,
 )
-from repro.ppr.forward_push import forward_push
+from repro.ppr.kernels import frontier_push
 from repro.ppr.reverse_push import reverse_push
 
 
@@ -84,7 +84,7 @@ class ForaTopK(DynamicPPRAlgorithm):
     def _estimate(self, source: int, r_max: float, stats: QueryStats) -> np.ndarray:
         view = self.view
         with self.timers.measure("Forward Push"):
-            push = forward_push(
+            push = frontier_push(
                 view, view.to_index(source), self.params.alpha, r_max
             )
             stats.pushes += push.pushes
@@ -180,7 +180,7 @@ class TopPPR(DynamicPPRAlgorithm):
         view = self.view
         stats = QueryStats()
         with self.timers.measure("Forward Push"):
-            push = forward_push(
+            push = frontier_push(
                 view, view.to_index(source), self.params.alpha, self.r_max
             )
             stats.pushes = push.pushes

@@ -49,7 +49,14 @@ from repro.graph.digraph import DynamicGraph
 from repro.queueing.kinds import QUERY, UPDATE
 from repro.queueing.replay import CompletedRequest, ServiceFn, SimulationResult
 from repro.queueing.workload import Workload
-from repro.serving.runtime import FAILED, OK, SHED, TIMEOUT, ServingReport
+from repro.serving.runtime import (
+    BAD_REQUEST,
+    FAILED,
+    OK,
+    SHED,
+    TIMEOUT,
+    ServingReport,
+)
 
 #: slack for comparing virtual timestamps (pure float arithmetic)
 TIME_EPS = 1e-9
@@ -294,7 +301,7 @@ def check_runtime_report(
                 f"submitted requests",
             )
         )
-    known = {OK, SHED, TIMEOUT, FAILED}
+    known = {OK, SHED, TIMEOUT, FAILED, BAD_REQUEST}
     unknown = {r.status for r in report.records} - known
     if unknown:
         violations.append(bad("status", f"unknown statuses {unknown}"))

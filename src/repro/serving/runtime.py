@@ -46,7 +46,9 @@ What is left here is what only a wall clock has:
   gauge), and a query popped after its deadline budget expired is
   dropped with a ``serving.timeout`` count instead of computing an
   answer nobody is waiting for.  Updates are never shed or
-  deadline-dropped — they are state, not answers.
+  deadline-dropped — they are state, not answers.  A query whose
+  source the graph does not hold at the version it would run on ends
+  as a ``bad-request`` record, not a fault.
 * **Graceful degradation.**  An update that raises is surfaced as a
   ``failed`` record (and the ``serving.faults`` counter) and discarded
   from the Seed queue with the degree overlay kept consistent.  The
@@ -73,7 +75,7 @@ from repro.cache.store import PPRCache
 from repro.core.seed import SeedQueue
 from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.ppr.base import DynamicPPRAlgorithm
-from repro.ppr.csr import csr_view
+from repro.ppr.csr import UnknownNodeError, csr_view
 from repro.queueing.kinds import QUERY, UPDATE
 from repro.queueing.replay import (
     MeasuredExecutor,
@@ -95,6 +97,9 @@ SHED = "shed"
 TIMEOUT = "timeout"
 #: execution raised; the error is carried on the record
 FAILED = "failed"
+#: the query's source is not a node of the graph it would run on (a
+#: client error, not a fault); the error names the node
+BAD_REQUEST = "bad-request"
 
 #: shed because the bounded admission queue was full when it was read
 SHED_QUEUE_FULL = "queue-full"
@@ -679,10 +684,12 @@ class ServingRuntime:
                 ticket.submitted_s,
             )
         except Exception as exc:
+            now = time.perf_counter()
             if request.kind == UPDATE:
                 self._fault(request, ticket.submitted_s, exc)
+            elif isinstance(exc, UnknownNodeError):
+                self._finish(ticket, BAD_REQUEST, now, now, error=str(exc))
             else:
-                now = time.perf_counter()
                 self.metrics.counter("serving.faults").inc()
                 self._finish(ticket, FAILED, now, now, error=repr(exc))
             return

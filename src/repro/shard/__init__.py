@@ -10,8 +10,7 @@ Layering (each importable without the ones above it):
 
 * :mod:`repro.shard.messages` — picklable command/reply protocol and
   the ordering contract (:class:`UpdateOrderError`).
-* :mod:`repro.shard.router`   — pluggable ``source -> shard_id``
-  mapping (hash or contiguous-range).
+* :mod:`repro.shard.router`   — the ``source -> shard_id`` hash.
 * :mod:`repro.shard.worker`   — :class:`ShardServer`, one
   ServingRuntime serving a host's command source on one thread.
 * :mod:`repro.shard.launch`   — ``python_child``: how every process

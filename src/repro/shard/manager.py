@@ -41,7 +41,6 @@ from typing import TYPE_CHECKING
 
 from repro.graph.updates import EdgeUpdate
 from repro.obs.metrics import MetricsRegistry, get_metrics, process_stats
-from repro.ppr.names import AUTO
 from repro.shard.backend import (
     ProcessShard,
     ShardHandle,
@@ -55,7 +54,7 @@ from repro.shard.messages import (
     ShardSpec,
     ShardUnavailableError,
 )
-from repro.shard.router import Router, make_router
+from repro.shard.router import HashRouter
 
 if TYPE_CHECKING:
     from repro.graph.digraph import DynamicGraph
@@ -77,7 +76,8 @@ class QueryOutcome:
     """Normalized result of one routed query.
 
     ``status`` is ``"ok"``, a runtime verdict (``"shed"``,
-    ``"timeout"``, ``"failed"``), or ``"unavailable"`` when the owning
+    ``"timeout"``, ``"failed"``, ``"bad-request"`` for a source the
+    shard's graph does not hold), or ``"unavailable"`` when the owning
     worker died mid-flight.  ``values`` is the worker's packed answer
     on success, passed along as it arrived; ``retry_after_s`` is set on
     every shed so callers can map it straight onto a ``Retry-After``
@@ -140,11 +140,9 @@ class ShardManager:
         num_shards: int,
         *,
         backend: str = "process",
-        router: str | Router = "hash",
         algorithm: str = "FORA",
         walk_cap: int = 2_000,
         seed: int = 0,
-        engine: str = AUTO,
         epsilon_r: float = 0.0,
         queue_capacity: int = 1_024,
         cache_epsilon: float | None = None,
@@ -175,28 +173,18 @@ class ShardManager:
                 algorithm=algorithm,
                 walk_cap=walk_cap,
                 seed=seed,
-                engine=engine,
                 epsilon_r=epsilon_r,
                 queue_capacity=queue_capacity,
                 cache_epsilon=cache_epsilon,
                 query_mode=query_mode,
                 use_controller=use_controller,
             )
-            self.router: Router = (
-                router
-                if isinstance(router, Router)
-                else make_router(router, num_shards, image.num_nodes)
-            )
-            if self.router.num_shards != num_shards:
-                raise ValueError(
-                    f"router covers {self.router.num_shards} shards, "
-                    f"manager has {num_shards}"
-                )
         except BaseException:
             for worker in launched:
                 worker.discard()
             raise
         self.num_shards = num_shards
+        self.router = HashRouter(num_shards)
         self.backend = backend
         self.max_inflight_per_shard = max_inflight_per_shard
         self.auto_respawn = auto_respawn
@@ -356,14 +344,9 @@ class ShardManager:
                 source=source,
                 error=repr(exc),
             )
+        # the worker's record status: a shed, timeout or bad source is
+        # not ``ok`` but no fault either
         payload = reply.payload
-        if not reply.ok:
-            return QueryOutcome(
-                status="failed",
-                shard_id=shard_id,
-                source=source,
-                error=reply.error,
-            )
         status = str(payload.get("status", "failed"))
         retry_after = (
             self._inflight_retry_hint() if status == "shed" else None

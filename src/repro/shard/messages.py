@@ -36,8 +36,6 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, ClassVar
 
-from repro.ppr.names import AUTO
-
 if TYPE_CHECKING:
     import numpy as np
     from numpy.typing import NDArray
@@ -156,7 +154,10 @@ class ShardSpec:
     algorithm: str = "FORA"
     walk_cap: int = 2_000
     seed: int = 0
-    engine: str = AUTO
+    #: always "auto" (every algorithm runs one push kernel), a class
+    #: constant kept for benchmarks/e2e/probe.py, which passes
+    #: ``engine=spec.engine`` to ``repro.evaluation.runner``
+    engine: ClassVar[str] = "auto"
     epsilon_r: float = 0.0
     #: runtime threads per shard: always 1, a class constant kept for
     #: callers that still pass ``ServingRuntime(workers=spec.workers)``

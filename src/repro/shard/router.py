@@ -1,20 +1,14 @@
 """Source-id routing: which shard owns which queries.
 
 The fabric replicates the graph and partitions the *source-id space*,
-so a router is a pure function ``source -> shard_id`` plus the health
-mask the manager maintains.  Two strategies ship:
-
-* :class:`HashRouter` — multiplicative integer hash of the source id.
-  Spreads any source distribution (including the Zipf hot sets the
-  scenario families generate) evenly across shards; the right default.
-* :class:`RangeRouter` — contiguous ranges of the id space.  Keeps
-  locality (sources 0..n/k-1 on shard 0, ...), which matters once
-  per-shard caches are warmed by crawl-ordered ids; degenerate under
-  skew concentrated in one range.
+so a router is a pure function ``source -> shard_id``.
+:class:`HashRouter` is a multiplicative integer hash of the source id:
+it spreads any source distribution (including the Zipf hot sets the
+scenario families generate) evenly across shards.
 
 Routing is *static*: a source always maps to the same shard, so the
 per-shard result caches and Seed queues stay effective.  Health is
-handled above the pure mapping — :meth:`Router.route` returns the
+handled above the pure mapping — :meth:`HashRouter.route` returns the
 owning shard regardless of health, and the manager sheds (rather than
 re-routes) queries for unhealthy shards: serving a source from a shard
 that never saw its cache/Seed state would be correct but would lie
@@ -24,26 +18,8 @@ within one log replay anyway.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 
-
-class Router(ABC):
-    """Pure, total mapping from source node id to owning shard."""
-
-    def __init__(self, num_shards: int) -> None:
-        if num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
-        self.num_shards = num_shards
-
-    @abstractmethod
-    def route(self, source: int) -> int:
-        """Owning shard id of ``source`` (always in range)."""
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(num_shards={self.num_shards})"
-
-
-class HashRouter(Router):
+class HashRouter:
     """Multiplicative hash of the source id (Fibonacci hashing).
 
     ``source * 2654435761 mod 2^32`` scrambles consecutive ids across
@@ -53,47 +29,16 @@ class HashRouter(Router):
 
     _KNUTH = 2654435761  # 2^32 / golden ratio, the classic multiplier
 
+    def __init__(self, num_shards: int) -> None:
+        if num_shards < 1:
+            raise ValueError("num_shards must be >= 1")
+        self.num_shards = num_shards
+
     def route(self, source: int) -> int:
+        """Owning shard id of ``source`` (always in range)."""
         if source < 0:
             raise ValueError(f"source must be >= 0, got {source}")
         return ((source * self._KNUTH) & 0xFFFFFFFF) % self.num_shards
 
-
-class RangeRouter(Router):
-    """Contiguous id ranges: shard i owns ``[i*n/k, (i+1)*n/k)``.
-
-    ``num_nodes`` fixes the range width; ids at or beyond it fall into
-    the last shard (updates may reference nodes appended later).
-    """
-
-    def __init__(self, num_shards: int, num_nodes: int) -> None:
-        super().__init__(num_shards)
-        if num_nodes < 1:
-            raise ValueError("num_nodes must be >= 1")
-        self.num_nodes = num_nodes
-        # ceil-division width so every id < num_nodes lands in range
-        self._width = -(-num_nodes // num_shards)
-
-    def route(self, source: int) -> int:
-        if source < 0:
-            raise ValueError(f"source must be >= 0, got {source}")
-        return min(source // self._width, self.num_shards - 1)
-
     def __repr__(self) -> str:
-        return (
-            f"RangeRouter(num_shards={self.num_shards}, "
-            f"num_nodes={self.num_nodes})"
-        )
-
-
-#: registry for CLI/bench selection by name
-ROUTERS = ("hash", "range")
-
-
-def make_router(name: str, num_shards: int, num_nodes: int) -> Router:
-    """Instantiate a router by registry name."""
-    if name == "hash":
-        return HashRouter(num_shards)
-    if name == "range":
-        return RangeRouter(num_shards, num_nodes)
-    raise ValueError(f"unknown router {name!r}; choose from {ROUTERS}")
+        return f"HashRouter(num_shards={self.num_shards})"

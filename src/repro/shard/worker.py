@@ -146,11 +146,7 @@ class ShardServer:
         self._stop_req: int | None = None
         graph = build_graph(spec)
         algorithm = build_algorithm(
-            spec.algorithm,
-            graph,
-            spec.walk_cap,
-            seed=spec.seed,
-            engine=spec.engine,
+            spec.algorithm, graph, spec.walk_cap, seed=spec.seed
         )
         controller: QuotaController | None = None
         if spec.use_controller:

@@ -189,6 +189,18 @@ def test_healthz_degrades_to_503():
         assert response.retry_after_s is not None
 
 
+def test_a_deadline_that_expires_in_the_worker_is_a_504():
+    """The budget outlives dispatch but not the worker's queue: the
+    worker's ``timeout`` record used to reach the caller as a 500
+    ``failed`` (the manager turned every reply that was not ``ok`` into
+    a fault)."""
+    with make_manager() as manager:
+        frontdoor = FrontDoor(manager)
+        response = asyncio.run(frontdoor.query(3, budget_s=1e-9))
+        assert response.status_code == 504
+        assert response.body["status"] == "timeout"
+
+
 def test_update_and_metrics_endpoints():
     with make_manager(num_shards=2) as manager:
         frontdoor = FrontDoor(manager)

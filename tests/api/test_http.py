@@ -172,6 +172,51 @@ def test_negative_top_k_is_a_bad_request():
         manager.stop()
 
 
+def test_a_source_the_graph_does_not_hold_is_a_bad_request():
+    """A source outside the graph used to answer 500 and count a
+    ``serving.faults``; it is the client's error, checked on the graph
+    the query would run on, so an update that adds the node admits it."""
+    manager = ShardManager(
+        ring_graph(20),
+        2,
+        backend="inproc",
+        walk_cap=64,
+        auto_respawn=False,
+        metrics=MetricsRegistry(),
+    )
+
+    async def scenario():
+        server = HttpServer(FrontDoor(manager, default_top_k=4))
+        await server.start()
+        try:
+            status, _, body = await fetch(
+                server.port, "GET", "/query?source=25"
+            )
+            assert status == 400
+            assert body["status"] == "bad-request"
+            assert "node 25" in body["error"]
+            status, _, _ = await fetch(
+                server.port, "POST", "/update", {"u": 3, "v": 25}
+            )
+            assert status == 200
+            status, _, body = await fetch(
+                server.port, "GET", "/query?source=25"
+            )
+            assert status == 200
+            assert body["values"]
+            status, _, reply = await fetch(server.port, "GET", "/metrics")
+            for shard in reply["shards"].values():
+                counters = shard["metrics"]["counters"]
+                assert counters.get("serving.faults", 0) == 0
+        finally:
+            await server.stop()
+
+    try:
+        asyncio.run(scenario())
+    finally:
+        manager.stop()
+
+
 def test_update_and_query_params_are_validated_not_coerced():
     """``int()`` truncated a JSON float and took ``true`` for 1, so both
     bodies toggled edge (1, 2), a change that was versioned, broadcast

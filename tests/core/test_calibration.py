@@ -61,23 +61,24 @@ class TestCalibrateTaus:
         assert predicted == pytest.approx(measured, rel=3.0)
 
     def test_probes_run_the_production_kernel(self, graph, params, monkeypatch):
-        """Regression: the scratch copy dropped ``engine``, so tau was
-        fitted on the scalar deque kernel while beta was then optimized
-        for the frontier kernel's constants."""
+        """Regression: tau was fitted on the scalar deque kernel while
+        the fleet serves, and beta was then optimized for, the frontier
+        kernel's constants."""
         from repro.core import calibration
+        from repro.ppr import fora
 
-        probes = []
-        scratch_copy = calibration.scratch_copy
+        pushes = []
+        frontier_push = fora.frontier_push
 
-        def recording_copy(algorithm):
-            probes.append(scratch_copy(algorithm))
-            return probes[-1]
+        def recording_push(*args, **kwargs):
+            pushes.append(1)
+            return frontier_push(*args, **kwargs)
 
-        monkeypatch.setattr(calibration, "scratch_copy", recording_copy)
-        alg = Fora(graph.copy(), params, engine="frontier")
+        monkeypatch.setattr(fora, "frontier_push", recording_push)
+        alg = Fora(graph.copy(), params)
         calibrate_taus(alg, num_queries=2, rng=4)
-        assert len(probes) == len(calibration.DEFAULT_PROBE_SCALES)
-        assert {probe.engine for probe in probes} == {"frontier"}
+        # every probe scale queries at least once, each through the kernel
+        assert len(pushes) >= len(calibration.DEFAULT_PROBE_SCALES)
 
     def test_incremental_probe_patches_its_index(self, graph, params):
         """A FORA+inc probe measures the patch, not a rebuild — the

@@ -80,26 +80,23 @@ class TestModelFitReport:
         assert r_values[0] < r_values[1]
 
     def test_probes_run_the_algorithm_as_configured(self, monkeypatch):
-        """Regression: probes were rebuilt from (graph, params) alone, so a
-        model calibrated on the frontier kernel was scored against
-        scalar-push timings, and a top-3 model against top-10 probes."""
+        """Regression: probes were rebuilt from (graph, params) alone, so
+        a top-3 model was scored against top-10 probes."""
         graph = barabasi_albert_graph(120, attach=3, seed=50)
         params = PPRParams(walk_cap=500)
         probed = []
         for cls in (Fora, ForaTopK):
             def spy(self, source, query=cls.query):
                 k = getattr(self, "k", None)
-                probed.append((self.name, self.engine, k))
+                probed.append((self.name, k))
                 return query(self, source)
 
             monkeypatch.setattr(cls, "query", spy)
-        fora = Fora(graph.copy(), params, engine="frontier")
+        fora = Fora(graph.copy(), params)
         topk = ForaTopK(graph.copy(), params, k=3)
         for algorithm in (fora, topk):
             model_fit_report(
                 algorithm, cost_model_for(algorithm), scales=(0.5, 2.0),
                 num_queries=2, rng=4,
             )
-        assert probed == [("FORA", "frontier", None)] * 4 + [
-            ("FORA-TopK", "scalar", 3)
-        ] * 4
+        assert probed == [("FORA", None)] * 4 + [("FORA-TopK", 3)] * 4

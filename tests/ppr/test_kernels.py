@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.evaluation import runner
 from repro.graph.digraph import DynamicGraph
 from repro.graph.generators import barabasi_albert_graph, ring_graph
 from repro.ppr.csr import csr_view
@@ -19,9 +20,7 @@ from repro.ppr.kernels import (
     frontier_push,
     power_phase,
     reference_frontier_push,
-    resolve_engine,
 )
-from repro.ppr.names import ENGINES
 from repro.ppr.power_iteration import ppr_exact_all_pairs
 
 ALPHA = 0.2
@@ -70,17 +69,19 @@ def assert_bit_for_bit(result, oracle):
 
 
 # ----------------------------------------------------------------------
-# engine registry
+# engine names: only the one benchmarks/e2e/probe.py passes is left
 # ----------------------------------------------------------------------
 class TestEngineRegistry:
     def test_known_engines(self):
-        assert ENGINES == ("scalar", "frontier")
-        for engine in ENGINES:
-            assert resolve_engine(engine) == engine
+        graph = barabasi_albert_graph(40, attach=2, seed=4)
+        algorithm = runner.build_algorithm("FORA", graph, 100, engine="auto")
+        assert algorithm.query(3).total_mass() > 0.9
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel engine"):
-            resolve_engine("gpu")
+        graph = barabasi_albert_graph(40, attach=2, seed=4)
+        for engine in ("scalar", "frontier", "gpu"):
+            with pytest.raises(ValueError, match="one push kernel"):
+                runner.build_algorithm("FORA", graph, 100, engine=engine)
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ from repro.evaluation.datasets import get_dataset
 from repro.graph.generators import barabasi_albert_graph
 from repro.graph.updates import EdgeUpdate
 from repro.ppr.csr import csr_view
-from repro.ppr.forward_push import forward_push
+from repro.ppr.kernels import frontier_push
 from repro.ppr.pushwalk import add_walk_estimates
 from repro.ppr.random_walk import WalkIndex
 from repro.ppr.registry import build_algorithm
@@ -182,7 +182,7 @@ def test_recycling_wraps_round_robin():
 @pytest.mark.parametrize("name", ["FORA+", "FORA+inc", "SpeedPPR+", "Agenda"])
 def test_index_based_algorithms_share_the_gathered_read(name, small_ba_graph):
     """Whole queries: the served answer equals push + per-holder loop."""
-    algorithm = build_algorithm(name, small_ba_graph, 2000, seed=5, engine="auto")
+    algorithm = build_algorithm(name, small_ba_graph, 2000, seed=5)
     for u, v in [(0, 50), (3, 77), (50, 0)]:
         algorithm.apply_update(EdgeUpdate(u, v))
     seen = {}
@@ -209,10 +209,10 @@ def test_indexed_walk_phase_is_no_slower_than_sampling_online(no_gc):
     loop it replaced read ≈ 3 x)."""
     spec = get_dataset("lj")
     algorithm = build_algorithm(
-        "FORA+", spec.build(seed=0), spec.walk_cap, seed=0, engine="auto"
+        "FORA+", spec.build(seed=0), spec.walk_cap, seed=0
     )
     view, index, k = algorithm.view, algorithm.index, algorithm._num_walks()
-    push = forward_push(view, 17, ALPHA, algorithm.r_max, engine="auto")
+    push = frontier_push(view, 17, ALPHA, algorithm.r_max)
     rng = np.random.default_rng(3)
 
     def median_ms(walk_index):

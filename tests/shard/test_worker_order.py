@@ -10,6 +10,7 @@ order-fault reason, manager-side fault counter, and a log-replay
 respawn that converges the replacement.
 """
 
+import dataclasses
 import time
 
 import pytest
@@ -70,10 +71,15 @@ def test_in_order_updates_are_accepted():
 
 
 def test_default_spec_serves_on_the_auto_engine():
-    """The fleet defaults to the engine ``repro run`` defaults to."""
-    server = ShardServer(make_spec(ring_graph()), reply=lambda reply: None)
+    """``engine`` is a constant kept for benchmarks/e2e/probe.py, which
+    passes it on; the worker's algorithm is the one ``build_algorithm``
+    makes everywhere else (``tests/shard/test_served_kernel.py``)."""
+    spec = make_spec(ring_graph())
+    assert spec.engine == "auto"
+    assert "engine" not in {f.name for f in dataclasses.fields(spec)}
+    server = ShardServer(spec, reply=lambda reply: None)
     try:
-        assert server.runtime.algorithm.engine == "auto"
+        assert not hasattr(server.runtime.algorithm, "engine")
     finally:
         server.runtime.stop()
 

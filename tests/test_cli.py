@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.api.serve import build_parser as build_serve_parser
 from repro.cli import RESPONSE_MODELS, build_parser, main
 from repro.core.quota import QuotaController
-from repro.ppr.names import ENGINE_CHOICES, ENGINES
+from repro.shard.messages import ShardSpec
 
 
 class TestParser:
@@ -38,58 +39,41 @@ class TestParser:
         assert "heavy-traffic" in capsys.readouterr().err
 
     def test_engine_default_is_auto(self):
-        """The vectorized kernels by default; static engines override."""
-        assert build_parser().parse_args(["run"]).engine == "auto"
+        """The only engine left is the fleet's: ``run`` has no flag to
+        pick another, and the spec a fleet is built from says "auto"."""
+        assert not hasattr(build_parser().parse_args(["run"]), "engine")
+        assert ShardSpec.engine == "auto"
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--engine", "simd"])
 
     def test_batched_engine_is_a_parser_error(self, capsys):
-        """The query-batching engine is gone: ``run`` names the three
-        choices that remain, ``serve`` (always ``auto``) has no flag."""
-        with pytest.raises(SystemExit) as run_exit:
-            build_parser().parse_args(["run", "--engine", "batched"])
-        assert run_exit.value.code == 2
-        err = capsys.readouterr().err
-        assert "invalid choice: 'batched'" in err
-        for choice in ("auto", "scalar", "frontier"):
-            assert repr(choice) in err
-        with pytest.raises(SystemExit) as serve_exit:
-            build_parser().parse_args(["serve", "--engine", "batched"])
-        assert serve_exit.value.code == 2
+        """There is one push kernel: neither ``run`` nor ``serve`` has
+        an ``--engine`` flag, and ``serve`` has no ``--router``."""
+        for parse in (
+            lambda flags: build_parser().parse_args(["run"] + flags),
+            build_serve_parser().parse_args,
+        ):
+            for flag in ("--engine", "--router"):
+                with pytest.raises(SystemExit) as exit_:
+                    parse([flag, "batched"])
+                assert exit_.value.code == 2
+                err = capsys.readouterr().err
+                assert f"unrecognized arguments: {flag}" in err
 
 
 class TestEngineGuard:
-    """Keep the CLI's engine choices and the kernel registry in sync,
-    and the scalar oracle path importable — the vectorized kernels are
-    only trustworthy while the reference they're tested against exists.
+    """Keep the scalar oracle paths importable — the vectorized kernel
+    is only trustworthy while the references it is tested against exist.
     """
-
-    def test_cli_choices_match_kernel_registry(self):
-        run_parser = None
-        for action in build_parser()._subparsers._group_actions:
-            run_parser = action.choices.get("run")
-        assert run_parser is not None
-        engine_action = next(
-            a for a in run_parser._actions if a.dest == "engine"
-        )
-        assert tuple(engine_action.choices) == ENGINE_CHOICES
-        assert ENGINE_CHOICES == ("auto",) + ENGINES
-
-    def test_scalar_is_registered_first(self):
-        """The oracle engine must exist and be the default."""
-        assert ENGINES[0] == "scalar"
 
     def test_oracle_path_importable(self):
         from repro.ppr.forward_push import forward_push
-        from repro.ppr.kernels import reference_frontier_push, resolve_engine
+        from repro.ppr.kernels import reference_frontier_push
 
         assert callable(forward_push)
         assert callable(reference_frontier_push)
-        assert resolve_engine("scalar") == "scalar"
-        with pytest.raises(ValueError):
-            resolve_engine("not-an-engine")
 
 
 class TestCommands:

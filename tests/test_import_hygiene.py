@@ -39,7 +39,7 @@ from repro.ppr.registry import build_algorithm
 
 graph = barabasi_albert_graph(200, attach=3, seed=1)
 for name in ("FORA", "FORA+inc"):
-    algorithm = build_algorithm(name, graph.copy(), 500, seed=0, engine="auto")
+    algorithm = build_algorithm(name, graph.copy(), 500, seed=0)
     algorithm.query(0)
     algorithm.apply_update(EdgeUpdate(0, 150))
     assert algorithm.query(3).total_mass() > 0.99
@@ -67,7 +67,7 @@ decision = QuotaController(model).configure(10.0, 10.0, quick=True)
 assert decision.predicted_response_time > 0.0
 assert "scipy.optimize" in sys.modules
 
-speed = build_algorithm("SpeedPPR", graph, 500, seed=0, engine="auto")
+speed = build_algorithm("SpeedPPR", graph, 500, seed=0)
 assert speed.query(0).total_mass() > 0.99
 """
 
