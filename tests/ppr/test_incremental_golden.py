@@ -11,6 +11,12 @@ produced — on ``lj`` (the serving benchmark's graph) and on a BA graph
 with dangling nodes, node-count growth and a delete-to-dangling /
 insert-from-dangling churn.
 
+The FORA+inc ``queries`` digests were re-recorded when its push phase
+moved from the deque ``forward_push`` to ``frontier_push`` (different
+residues, so different walk draws); ``total_walks``, ``rows`` and every
+SpeedPPR+inc digest stayed byte-identical, because all updates are
+applied before the first query and SpeedPPR does not push.
+
 Re-record (only when a change is *meant* to alter the draws) with
 ``PYTHONPATH=src python tests/ppr/test_incremental_golden.py``.
 """
@@ -121,11 +127,11 @@ GOLDEN: dict[tuple[str, str], dict[str, object]] = {
         "total_walks": 4029,
         "rows": "09aa13ca24667961b1d19d01f8723c812e033daeb77a6f8be2ae0836a2b10fcb",
         "queries": [
-            "cd790ef06599401f1e3d60b3d73d34b8ba62a3e264881b4536f0526fdf9a7946",
-            "3670936e53c2814fff63ab8e00053704d5bfbf3344e235b53eb55dd21d22ee1c",
-            "db88ecac14f7eff510c0730f0836b499c832c8ace72d7c1a8f57e2347763451b",
-            "8e67060514e89a556f3c66e9d24d58457de4248071851e7fe84bdcbb0c8cdd7a",
-            "73b4bc77eb1741ee5719ff8d686fd3b9c24ea69f64a3603737480250e59aaea3",
+            "5da38abbfaeaf477e5f1890405f21e9b93c1b44719c3908b3c1d9eb74eb4bfd9",
+            "efdc481759343e34ee5d89b678d72bf9b17d71fee0a8cdc6269afe210eaf3538",
+            "ac36f9fe17642c25008b4da9a073a07d849cfd4bc9ca50a53abd0d6cd54084e7",
+            "4caf3606505bf94e1dc576c41048d6fb948c184948d34f8df7f8c8e5a939b66f",
+            "dd7852f38b775478ac4c0cebc45614f36c97b243245504477834d58a6aa00c32",
         ],
     },
     ("ba_dangling", "SpeedPPR+inc"): {
@@ -143,11 +149,11 @@ GOLDEN: dict[tuple[str, str], dict[str, object]] = {
         "total_walks": 49368,
         "rows": "00dbfa74d3aeaeaccba6c7fe0ef6099c8c9febb226d21afc0f9e4155561b6d81",
         "queries": [
-            "5d8d3f298e7f811f7ff7a8d84d8ed1c7e2fb6496bce8462f750b2982fb46be8d",
-            "7421d95e6f129b0fb2f288d8ba13c5a28ccb6ad3f154ed15fef931730cee0190",
-            "dbfd0d6dd93db05a9ed0083e92593c212122c32eb06a7e3ab66ae28ca2367fb3",
-            "f638eeff5865904fd1524b929efedd53302e2130b1c3bd7984b35a58b0e2d01d",
-            "5e3e017b9112d9d242687f73f054661fe035e635310376522ab0d2964a6ca5c4",
+            "6a413ef1574e6f75c88635aa6996227463285776e5522dad20b1e07cbc904ccf",
+            "de35dd5edb74ce74203d791222a06d2c6c960f667179898dab5e43fe9237d019",
+            "cb0410cc35c1c6dca285de63ade98bffebe36e74349056bb60f58b7562378a1e",
+            "c90f8f1a0b13599ff4e0c369de42584d638a61ae9733e73d011e01d2284358a7",
+            "f5736e04105ac6507e02d9b953ff057350c0e50f0bc8dc2e817aee61ed935633",
         ],
     },
     ("lj", "SpeedPPR+inc"): {
