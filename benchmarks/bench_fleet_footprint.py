@@ -8,11 +8,13 @@ over the front door and its workers.  Seven kinds of row:
   :func:`repro.shard.launch.python_child` — import the serving stack,
   unpickle a :class:`~repro.shard.messages.ShardSpec`, ``build_graph``,
   ``build_algorithm`` — seconds each took, RSS it added, the pickled
-  spec's size, and whether OpenSSL got loaded;
+  spec's size, whether OpenSSL got loaded, and whether the graph's CSR
+  store holds in-rows once the worker has served a query and a toggle;
 * ``FORA+inc`` → ``update_stream``: the same worker *after* start-up —
   index built, then ``update_heavy``'s share of updates and queries
   applied on the same (main) thread, as a worker's serving loop does —
-  ``VmRSS`` idle and at the end, and (in a second child,
+  ``VmRSS`` idle and at the end, the update-log entries left and
+  whether the graph holds in-rows, and (in a second child,
   ``tracemalloc`` on) live bytes after the build, the build's peak and
   the worst ``EdgeWalkMap._compact()`` peak above what was live when it
   began.  The child is started by :func:`repro.shard.launch.python_child`,
@@ -55,9 +57,13 @@ Asserted (the bench-smoke CI job runs this at quick scope):
   16-18);
 * no worker and no front door loads OpenSSL (``numpy.random`` and
   ``asyncio`` used to map it into each);
-* ``build_graph`` adds <= 100 B of RSS per edge (adjacency lists over
-  shared ``int`` objects sit near 57; with the edge set and the
-  build-time update log it was ~190);
+* ``build_graph`` adds <= 45 B of RSS per edge (out-lists over shared
+  ``int`` objects sit near 36; with in-lists beside them they were 45-56,
+  and with the edge set and the build-time update log ~190);
+* no FORA or FORA+inc worker's graph holds in-rows after serving a
+  query and a toggle, and the FORA+inc worker's update log is empty
+  after ``update_heavy``'s share of updates (the CSR store releases
+  what it applied);
 * one index compaction peaks <= 8 MB above what was live before it
   (``tracemalloc``; the walk-step-sized int64 temporaries it used to
   hold at once made it 10.6);
@@ -83,8 +89,10 @@ walk recorder, doubling slack stores) through this file's child; its
 ``DynamicGraph`` and packed it with numpy) through this file's
 ``run_image_build`` and ``run_fleet``; its ``cache_entry`` row is
 commit 0839fb8 (dense cache entries) through this file's
-``run_cache_entry``.  Start-up seconds are CPU-bound on a 2-vCPU host
-and move by ~0.1 s with whatever else runs on it.
+``run_cache_entry``; its ``in_lists`` row is commit 64d340a (in-lists
+in the graph, in-rows in every CSR store) through this file.  Start-up
+seconds are CPU-bound on a 2-vCPU host and move by ~0.1 s with
+whatever else runs on it.
 
 Results land in ``BENCH_fleet_footprint.json`` at the repo root via
 ``benchmarks/common.py``.  Run directly or through pytest.
@@ -127,7 +135,7 @@ FRONTDOOR_STAGES = ("imports", "image_received", "manager_ready")
 SPEC_BYTES_PER_EDGE_CEILING = 10.0
 REPLY_BYTES_PER_PAIR_CEILING = 12.5
 CACHE_BYTES_PER_ENTRY_CEILING = 12.5
-GRAPH_RSS_BYTES_PER_EDGE_CEILING = 100.0
+GRAPH_RSS_BYTES_PER_EDGE_CEILING = 45.0
 FRONTDOOR_RSS_MB_CEILING = 30.0
 
 #: the same stages at the parent commit 347b957 on the recording host
@@ -213,6 +221,22 @@ PREVIOUS["cache_entry"] = {
     "cache_bytes": 2_454_826,
 }
 
+#: the parent commit 64d340a, whose graphs kept in-lists beside the
+#: out-lists and whose CSR stores kept in-rows beside the out-rows, by
+#: this file (quick scope) on the recording host
+PREVIOUS["in_lists"] = {
+    "commit": "64d340a",
+    "build_graph_added_mb": 3.13,
+    "fleet_worker_mb": [38.36, 38.46],
+    "fleet_total_mb": 98.18,
+    "update_stream": {
+        "idle_rss_mb": 50.31,
+        "end_rss_mb": 55.44,
+        "live_after_build_mb": 9.68,
+        "build_peak_mb": 18.45,
+    },
+}
+
 #: the sources the `cache_entry` row caches, and its cache budget (that
 #: of the `hot_cached` workload)
 CACHED_SOURCES = range(0, 4_800, 75)
@@ -294,6 +318,9 @@ if traced:
     report["compaction_peak_mb"] = max(peaks, default=0.0)
 else:
     report["end_rss_mb"] = process_stats()["rss_mb"]
+from repro.ppr.csr import csr_view
+report["log_entries"] = len(graph._log)
+report["in_rows"] = csr_view(graph).in_deg is not None
 report.update(algorithm.index_stats())
 print(json.dumps(report))
 """
@@ -326,14 +353,23 @@ graph = stage("build_graph", lambda: build_graph(spec))
 algorithm = stage("build_algorithm", lambda: build_algorithm(
     spec.algorithm, graph, spec.walk_cap, seed=spec.seed))
 from repro.shard.launch import UNLOADED_MODULES
-print(json.dumps({
+report = {
     "marks": marks,
     "num_edges": graph.num_edges,
     "version": graph.version,
     "log_entries": len(graph._log),
     "caught_up": graph.updates_since(graph.version) == [],
     "openssl_loaded": any(sys.modules.get(name) for name in UNLOADED_MODULES),
-}))
+}
+# serve what a worker serves (a query, a toggle, a query): does the
+# graph's CSR store then hold in-rows?
+from repro.graph.updates import EdgeUpdate
+from repro.ppr.csr import csr_view
+algorithm.query(0)
+algorithm.apply_update(EdgeUpdate(0, graph.num_nodes - 1))
+algorithm.query(1)
+report["in_rows"] = csr_view(graph).in_deg is not None
+print(json.dumps(report))
 """
 
 #: the control plane's start-up one stage at a time, so each is attributable
@@ -670,7 +706,9 @@ def run_bench() -> dict:
         }
         results[algorithm]["graph"] = {
             key: first[key]
-            for key in ("num_edges", "version", "log_entries", "caught_up")
+            for key in (
+                "num_edges", "version", "log_entries", "caught_up", "in_rows"
+            )
         }
         results[algorithm]["openssl_loaded"] = any(
             run["openssl_loaded"] for run in runs
@@ -738,6 +776,14 @@ def test_build_graph_holds_the_graph_once():
         graph = results[algorithm]["graph"]
         assert graph["version"] == graph["num_edges"] == results["num_edges"]
         assert graph["log_entries"] == 0 and graph["caught_up"]
+        assert graph["in_rows"] is False, algorithm
+
+
+def test_forward_worker_holds_no_in_rows_and_no_spent_log():
+    row = _results()["FORA+inc"]["update_stream"]
+    assert row["in_rows"] is False
+    # every FORA+inc update catches its CSR view up, which releases the log
+    assert row["log_entries"] == 0
 
 
 def test_index_compaction_holds_few_temporaries():

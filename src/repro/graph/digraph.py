@@ -1,13 +1,16 @@
 """A dynamic directed graph with O(degree) edge inserts and deletes.
 
 The graph is the substrate every PPR algorithm in this repository runs
-on.  It is deliberately simple: integer node ids and adjacency lists in
-both directions, nothing else — the lists are the only copy of the edge
-set, so ``has_edge(u, v)`` scans ``u``'s out-list (O(out-degree), like
-inserts and deletes) and ``num_edges`` is a counter.  This mirrors the
-in-memory representation used by the reference C++ implementations of
-FORA / Agenda (compressed adjacency arrays), while staying idiomatic
-Python.
+on.  It is deliberately simple: integer node ids and one out-list per
+node, nothing else — the out-lists are the only copy of the edge set,
+so ``has_edge(u, v)`` scans ``u``'s out-list (O(out-degree), like
+inserts and deletes) and ``num_edges`` is a counter.  No in-lists are
+kept: forward push and random walks read out-edges only, reverse push
+reads the in-rows :mod:`repro.ppr.csr` transposes from the out-rows on
+demand, and :meth:`DynamicGraph.in_neighbors` is an O(m) scan for tests
+and :meth:`DynamicGraph.remove_node`.  This mirrors the in-memory
+representation used by the reference C++ implementations of FORA /
+Agenda (compressed adjacency arrays), while staying idiomatic Python.
 
 Conventions
 -----------
@@ -30,8 +33,10 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
-#: log entries kept before the oldest half is discarded; derived views
-#: older than the retained window fall back to a full rebuild
+#: log entries kept before the oldest half is discarded, a cap that only
+#: a graph no view catches up on reaches (:meth:`DynamicGraph.release_log`
+#: drops what the CSR store applied); derived views older than the
+#: retained window fall back to a full rebuild
 MAX_UPDATE_LOG = 65_536
 
 # Update-log opcodes.  Each logged entry corresponds to exactly one
@@ -120,7 +125,6 @@ class DynamicGraph:
 
     __slots__ = (
         "_out",
-        "_in",
         "_num_edges",
         "_version",
         "_log",
@@ -131,7 +135,6 @@ class DynamicGraph:
 
     def __init__(self, num_nodes: int = 0) -> None:
         self._out: dict[int, list[int]] = {v: [] for v in range(num_nodes)}
-        self._in: dict[int, list[int]] = {v: [] for v in range(num_nodes)}
         self._num_edges = 0
         self._version = 0
         # structural update log: entry k records the mutation that took
@@ -176,6 +179,15 @@ class DynamicGraph:
             return None
         return self._log[version - self._log_base:]
 
+    def release_log(self, version: int) -> None:
+        """Drop the entries up to ``version``: their one reader, the CSR
+        store of :mod:`repro.ppr.csr`, has applied them.  A later
+        :meth:`updates_since` of an older version returns None."""
+        drop = min(version, self._version) - self._log_base
+        if drop > 0:
+            del self._log[:drop]
+            self._log_base += drop
+
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
@@ -203,9 +215,9 @@ class DynamicGraph:
         """Bulk-build the graph that ``DynamicGraph(num_nodes)`` followed
         by ``add_edge(u, v)`` for every row of ``pairs`` would be.
 
-        Same adjacency-list order (each list in row order of ``pairs``,
-        so lexicographically sorted pairs give ascending lists) and the
-        same ``version == len(pairs)``, but built with two stable sorts
+        Same out-list order (each list in row order of ``pairs``, so
+        lexicographically sorted pairs give ascending lists) and the
+        same ``version == len(pairs)``, but built with one stable sort
         instead of ``m`` calls, and with an empty update log: nobody can
         have seen an earlier version of a graph that did not exist.
         ``pairs`` is validated by :func:`as_edge_array`.
@@ -221,7 +233,6 @@ class DynamicGraph:
         src, dst = pairs[:, 0], pairs[:, 1]
         graph = cls()
         graph._out = _adjacency(nodes, table, src, dst)
-        graph._in = _adjacency(nodes, table, dst, src)
         graph._num_edges = graph._version = graph._log_base = len(pairs)
         return graph
 
@@ -229,7 +240,6 @@ class DynamicGraph:
         """Return an independent deep copy of this graph."""
         clone = DynamicGraph()
         clone._out = {v: list(nbrs) for v, nbrs in self._out.items()}
-        clone._in = {v: list(nbrs) for v, nbrs in self._in.items()}
         clone._num_edges = self._num_edges
         clone._version = self._version
         # the clone starts with a fresh log window and no cached views:
@@ -251,7 +261,6 @@ class DynamicGraph:
         stale-window bug of wrap-around version schemes).
         """
         self._out = {v: list(nbrs) for v, nbrs in snap._out.items()}
-        self._in = {v: list(nbrs) for v, nbrs in snap._in.items()}
         self._num_edges = snap._num_edges
         self._version = max(self._version, snap._version) + 1
         self._log = [(RESET, 0, 0)]
@@ -266,7 +275,6 @@ class DynamicGraph:
         if v in self._out:
             return False
         self._out[v] = []
-        self._in[v] = []
         self._record(ADD_NODE, v, v)
         return True
 
@@ -276,10 +284,9 @@ class DynamicGraph:
             raise KeyError(f"node {v} not in graph")
         for w in list(self._out[v]):
             self._unlink(v, w)
-        for u in list(self._in[v]):
+        for u in self.in_neighbors(v):
             self._unlink(u, v)
         del self._out[v]
-        del self._in[v]
         self._record(REMOVE_NODE, v, v)
 
     def has_node(self, v: int) -> bool:
@@ -332,14 +339,12 @@ class DynamicGraph:
         self.add_node(u)
         self.add_node(v)
         self._out[u].append(v)
-        self._in[v].append(u)
         self._num_edges += 1
         self._record(ADD_EDGE, u, v)
 
     def _unlink(self, u: int, v: int) -> None:
         """Delete ``(u, v)``, which the caller checked is present."""
         self._out[u].remove(v)
-        self._in[v].remove(u)
         self._num_edges -= 1
         self._record(REMOVE_EDGE, u, v)
 
@@ -365,14 +370,18 @@ class DynamicGraph:
         return self._out[v]
 
     def in_neighbors(self, v: int) -> list[int]:
-        """The list of in-neighbors of ``v`` (do not mutate)."""
-        return self._in[v]
+        """The in-neighbors of ``v``, in node order: an O(m) scan of
+        every out-list, since the graph keeps no in-lists."""
+        if v not in self._out:
+            raise KeyError(v)
+        return [u for u, nbrs in self._out.items() if v in nbrs]
 
     def out_degree(self, v: int) -> int:
         return len(self._out[v])
 
     def in_degree(self, v: int) -> int:
-        return len(self._in[v])
+        """In-degree of ``v``: an O(m) scan, like :meth:`in_neighbors`."""
+        return len(self.in_neighbors(v))
 
     def average_degree(self) -> float:
         """Mean out-degree m/n; the d-bar of the Reverse Push bound."""

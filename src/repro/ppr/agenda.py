@@ -39,6 +39,7 @@ from repro.ppr.base import (
     WalkIndexOwner,
     clip_unit,
 )
+from repro.ppr.csr import csr_view
 from repro.ppr.kernels import frontier_push
 from repro.ppr.random_walk import WalkIndex
 from repro.ppr.reverse_push import reverse_push
@@ -114,7 +115,7 @@ class Agenda(WalkIndexOwner):
     # ------------------------------------------------------------------
     def _maintain_index(self, resolved: EdgeUpdate) -> None:
         """Edge arrival: bound the index damage instead of repairing it."""
-        view = self.view
+        view = csr_view(self.graph, reverse=True)
         if self._index is not None:
             # adopt the snapshot (rows for any node it gained) without
             # resampling: staleness is what sigma accounts for

@@ -79,7 +79,7 @@ def ppr_single_pair(
     params = params or PPRParams()
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    view = csr_view(graph)
+    view = csr_view(graph, reverse=True)
     s = view.to_index(source)
     t = view.to_index(target)
 

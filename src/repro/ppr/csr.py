@@ -26,13 +26,26 @@ log :class:`~repro.graph.digraph.DynamicGraph` publishes:
   ``REBUILD_SLACK_RATIO`` × live entries the store compacts via a full
   rebuild, as do rare non-incremental events (node removal,
   :meth:`~repro.graph.digraph.DynamicGraph.restore`, log-window overflow).
+* **Spent log released** — once caught up, the store tells the graph
+  to drop the log entries it applied
+  (:meth:`~repro.graph.digraph.DynamicGraph.release_log`).
+* **In-rows on demand** — the store holds out-rows always and in-rows
+  only once a reverse-push caller asks (``csr_view(graph,
+  reverse=True)``: Agenda, TopPPR, BiPPR).  They are one
+  vectorised transpose of the live out-rows, listing each row's
+  in-neighbours by ascending source index, and every catch-up after
+  that patches them too.  A graph served by forward push and walks
+  alone (FORA, FORA+inc) never holds them; its store keeps only the
+  in-direction's degrees and row capacities (16 B per node), so the
+  compaction rule — and with it every seeded answer — reads the same
+  slack whether or not the in-rows exist.
 
-Array contract (changed from the seed): the out-row of node index
-``i`` occupies ``indices[indptr[i] : indptr[i] + out_deg[i]]`` (same
-for in-rows).  ``indptr[i + 1]`` is **not** the end of row ``i``
-unless :attr:`CSRView.is_packed` is true; consumers needing strictly
-packed arrays (e.g. scipy matrix construction) use
-:meth:`CSRView.packed_out` / :meth:`CSRView.packed_in`.
+Array contract: the out-row of node index ``i`` occupies
+``indices[indptr[i] : indptr[i] + out_deg[i]]`` (same for in-rows).
+``indptr[i + 1]`` is **not** the end of row ``i`` unless
+:attr:`CSRView.is_packed` is true; consumers needing strictly packed
+arrays (e.g. scipy matrix construction) use :meth:`CSRView.packed_out`
+/ :meth:`CSRView.packed_in`.
 
 Every :func:`csr_view` call returns a *new lightweight facade* when
 the graph changed (so object identity remains a valid staleness probe
@@ -93,11 +106,12 @@ class CSRView:
         Out-adjacency: the out-neighbors (as dense indices) of node
         index ``i`` are ``indices[indptr[i] : indptr[i] + out_deg[i]]``.
     in_indptr, in_indices:
-        In-adjacency in the same form (for reverse push).
+        In-adjacency in the same form (for reverse push); None unless
+        the view came from ``csr_view(graph, reverse=True)``.
     out_deg, in_deg:
-        Degree arrays.
+        Degree arrays (``in_deg`` None with the in-adjacency).
     is_packed:
-        True when both adjacency arrays are strictly packed (row ends
+        True when the adjacency arrays are strictly packed (row ends
         coincide with the next row's start and ``indptr[n] == m``).
         Fresh builds are packed; delta-patched views generally are not.
     """
@@ -119,6 +133,7 @@ class CSRView:
     )
 
     def __init__(self, graph: DynamicGraph | None = None) -> None:
+        self.in_indptr = self.in_indices = self.in_deg = None
         if graph is not None:
             _build_packed(graph, self)
 
@@ -142,7 +157,8 @@ class CSRView:
         return self.indices[start:start + self.out_deg[i]]
 
     def in_neighbors_of(self, i: int) -> np.ndarray:
-        """In-neighbor indices of node index ``i``."""
+        """In-neighbor indices of node index ``i`` (a view with
+        in-adjacency only)."""
         start = self.in_indptr[i]
         return self.in_indices[start:start + self.in_deg[i]]
 
@@ -158,7 +174,8 @@ class CSRView:
         return _pack_rows(self.indptr, self.indices, self.out_deg, self.n)
 
     def packed_in(self) -> tuple[np.ndarray, np.ndarray]:
-        """In-adjacency as strictly packed ``(indptr, indices)``."""
+        """In-adjacency as strictly packed ``(indptr, indices)`` (a view
+        with in-adjacency only)."""
         if self.is_packed:
             return self.in_indptr, self.in_indices
         return _pack_rows(self.in_indptr, self.in_indices, self.in_deg, self.n)
@@ -221,15 +238,20 @@ def _build_packed(graph: DynamicGraph, view: CSRView) -> None:
         view.index = {int(v): i for i, v in enumerate(view.nodes)}
 
     # No Python-level loop over nodes or edges: this runs at every boot,
-    # respawn, restore and slack compaction.  Rows keep the adjacency
-    # lists' own order, which seeded answers depend on.
-    nodes = view.nodes.tolist()
+    # respawn, restore and slack compaction.  Rows keep the out-lists'
+    # own order, which seeded answers depend on.
     view.indptr, view.indices, view.out_deg = _pack_lists(
-        list(map(graph.out_neighbors, nodes)), view.index
+        list(map(graph.out_neighbors, view.nodes.tolist())), view.index
     )
-    view.in_indptr, view.in_indices, view.in_deg = _pack_lists(
-        list(map(graph.in_neighbors, nodes)), view.index
-    )
+
+
+def _transpose(view: CSRView) -> np.ndarray:
+    """The in-rows of ``view``'s live out-rows, packed one after another
+    in node-index order, each listing its in-neighbours by ascending
+    source index (one stable sort of the sources by target)."""
+    sources = np.repeat(np.arange(view.n, dtype=np.int64), view.out_deg)
+    targets = view.packed_out()[1][: sources.size]
+    return sources[np.argsort(targets, kind="stable")]
 
 
 def _pack_lists(
@@ -251,65 +273,88 @@ def _pack_lists(
 
 class _Adjacency:
     """One direction's slack-slot adjacency: rows with spare capacity
-    inside a flat array, O(deg) amortized insert and delete."""
+    inside a flat array, O(deg) amortized insert and delete.
+
+    Without rows (``starts`` and ``data`` None) it is the direction's
+    ledger alone: the degree and capacity each row would have and the
+    slot high-water mark, kept in step by the same inserts and deletes.
+    So its :attr:`slack`, which the compaction rule reads, does not
+    depend on whether the rows were ever held, and :meth:`hold` can lay
+    them out later in the slots the ledger counts.
+    """
 
     __slots__ = ("starts", "lens", "caps", "data", "tail", "live")
 
     def __init__(
-        self, starts: np.ndarray, data: np.ndarray, lens: np.ndarray
+        self,
+        starts: np.ndarray | None,
+        data: np.ndarray | None,
+        lens: np.ndarray,
     ) -> None:
-        # from packed arrays: capacity == length, no slack
+        # from packed rows (or their degrees): capacity == length, no slack
         self.starts = starts
         self.lens = lens
         self.caps = lens.copy()
         self.data = data
-        self.tail = int(data.size)
-        self.live = int(lens.sum())
+        self.tail = self.live = int(lens.sum())
 
     @property
     def slack(self) -> int:
         """Dead + spare slots below the high-water mark."""
         return self.tail - self.live
 
+    def hold(self, rows: np.ndarray) -> None:
+        """Take the rows, packed one after another in ``rows`` with this
+        ledger's degrees, each into a slot of the capacity it counts."""
+        n = self.lens.size
+        self.starts = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(self.caps, out=self.starts[1:])
+        self.data = np.empty(self.tail, dtype=np.int64)
+        self.data[ragged_indices(self.starts[:n], self.lens)] = rows
+
     def insert(self, i: int, j: int) -> None:
         if self.lens[i] == self.caps[i]:
             self._relocate(i)
-        self.data[self.starts[i] + self.lens[i]] = j
+        if self.data is not None:
+            self.data[self.starts[i] + self.lens[i]] = j
         self.lens[i] += 1
         self.live += 1
 
     def _relocate(self, i: int) -> None:
         """Move row ``i`` to the tail with doubled capacity."""
         new_cap = max(4, 2 * int(self.caps[i]))
-        if self.tail + new_cap > self.data.size:
-            grow = growth(self.data.size, new_cap)
-            self.data = np.concatenate(
-                [self.data, np.empty(grow, dtype=np.int64)]
-            )
-        start, length = int(self.starts[i]), int(self.lens[i])
-        self.data[self.tail:self.tail + length] = self.data[
-            start:start + length
-        ]
-        self.starts[i] = self.tail
+        if self.data is not None:
+            if self.tail + new_cap > self.data.size:
+                grow = growth(self.data.size, new_cap)
+                self.data = np.concatenate(
+                    [self.data, np.empty(grow, dtype=np.int64)]
+                )
+            start, length = int(self.starts[i]), int(self.lens[i])
+            self.data[self.tail:self.tail + length] = self.data[
+                start:start + length
+            ]
+            self.starts[i] = self.tail
         self.caps[i] = new_cap
         self.tail += new_cap
 
     def remove(self, i: int, j: int) -> None:
-        start, length = int(self.starts[i]), int(self.lens[i])
-        row = self.data[start:start + length]
-        pos = int(np.nonzero(row == j)[0][0])
-        row[pos] = row[length - 1]
+        if self.data is not None:
+            start, length = int(self.starts[i]), int(self.lens[i])
+            row = self.data[start:start + length]
+            pos = int(np.nonzero(row == j)[0][0])
+            row[pos] = row[length - 1]
         self.lens[i] -= 1
         self.live -= 1
 
     def append_row(self) -> None:
         """Add an empty row (capacity 0; first insert relocates it)."""
         n = self.lens.size
-        starts = np.empty(n + 2, dtype=np.int64)
-        starts[:n] = self.starts[:n]
-        starts[n] = self.tail
-        starts[n + 1] = self.tail
-        self.starts = starts
+        if self.starts is not None:
+            starts = np.empty(n + 2, dtype=np.int64)
+            starts[:n] = self.starts[:n]
+            starts[n] = self.tail
+            starts[n + 1] = self.tail
+            self.starts = starts
         self.lens = np.append(self.lens, 0)
         self.caps = np.append(self.caps, 0)
 
@@ -331,10 +376,10 @@ class _CSRStore:
     )
 
     def __init__(self, graph: DynamicGraph) -> None:
-        self._full_build(graph)
+        self._full_build(graph, reverse=False)
 
     # ------------------------------------------------------------------
-    def _full_build(self, graph: DynamicGraph) -> None:
+    def _full_build(self, graph: DynamicGraph, reverse: bool) -> None:
         _rebuilds.inc()
         view = CSRView(graph)
         self.nodes = view.nodes
@@ -343,10 +388,26 @@ class _CSRStore:
         self.n = view.n
         self.m = view.m
         self.out = _Adjacency(view.indptr, view.indices, view.out_deg)
-        self.inc = _Adjacency(view.in_indptr, view.in_indices, view.in_deg)
+        # the in-direction's ledger; its rows once a reverse push asked
+        self.inc = _Adjacency(
+            None, None, np.bincount(view.indices, minlength=view.n)
+        )
         self.packed = True
         self.version = graph.version
         self.view = view
+        if reverse:
+            self.add_in_rows()
+
+    def add_in_rows(self) -> CSRView:
+        """Transpose the live out-rows into the in-direction's slots,
+        which every catch-up patches from now on; the current view
+        gains them."""
+        view = self.view
+        self.inc.hold(_transpose(view))
+        view.in_indptr = self.inc.starts
+        view.in_indices = self.inc.data
+        view.in_deg = self.inc.lens
+        return view
 
     def _make_view(self) -> CSRView:
         """O(1) facade over the store's current arrays."""
@@ -359,9 +420,10 @@ class _CSRStore:
         view.indptr = self.out.starts
         view.indices = self.out.data
         view.out_deg = self.out.lens
-        view.in_indptr = self.inc.starts
-        view.in_indices = self.inc.data
-        view.in_deg = self.inc.lens
+        if self.inc.data is not None:
+            view.in_indptr = self.inc.starts
+            view.in_indices = self.inc.data
+            view.in_deg = self.inc.lens
         view.version = self.version
         view.is_packed = self.packed
         return view
@@ -390,7 +452,7 @@ class _CSRStore:
             self.version = graph.version
             self.view = self._make_view()
         else:
-            self._full_build(graph)
+            self._full_build(graph, reverse=self.inc.data is not None)
         return self.view
 
     def _excess_slack(self) -> bool:
@@ -448,7 +510,7 @@ class _CSRStore:
         return True
 
 
-def csr_view(graph: DynamicGraph) -> CSRView:
+def csr_view(graph: DynamicGraph, reverse: bool = False) -> CSRView:
     """Return the (incrementally maintained) CSR view of ``graph``.
 
     The per-graph store catches up lazily on the graph's update log:
@@ -456,11 +518,21 @@ def csr_view(graph: DynamicGraph) -> CSRView:
     arrivals patches the arrays in O(sum of the touched degrees), and
     only node removals, restores, log overflows, or slack past
     :data:`REBUILD_SLACK_RATIO` trigger a full O(n + m) rebuild.
+
+    ``reverse=True`` is for reverse push: the view then carries the
+    in-adjacency, which the store builds the first time it is asked
+    (an O(m log m) transpose, in place on the current view so its
+    identity holds) and keeps patched from then on.
     """
     store = graph._csr_cache
-    if not isinstance(store, _CSRStore):
+    if isinstance(store, _CSRStore):
+        view = store.catch_up(graph)
+    else:
         _misses.inc()
-        store = _CSRStore(graph)
-        graph._csr_cache = store
-        return store.view
-    return store.catch_up(graph)
+        store = graph._csr_cache = _CSRStore(graph)
+        view = store.view
+    # the store is the log's one reader: what it applied is spent
+    graph.release_log(store.version)
+    if reverse and store.inc.data is None:
+        view = store.add_in_rows()
+    return view

@@ -47,7 +47,7 @@ def reverse_push(
     Parameters
     ----------
     view:
-        CSR snapshot (needs in-adjacency).
+        CSR snapshot with in-adjacency (``csr_view(graph, reverse=True)``).
     target_index:
         Dense index of the target node.
     alpha:
@@ -62,6 +62,10 @@ def reverse_push(
     ReversePushResult
         reserve[s] approximates pi(s, target) from below.
     """
+    if view.in_deg is None:
+        raise ValueError(
+            "reverse push reads in-rows: pass csr_view(graph, reverse=True)"
+        )
     n = view.n
     reserve = np.zeros(n, dtype=np.float64)
     residue = np.zeros(n, dtype=np.float64)

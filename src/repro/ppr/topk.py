@@ -31,6 +31,7 @@ from repro.ppr.base import (
     QueryStats,
     clip_unit,
 )
+from repro.ppr.csr import csr_view
 from repro.ppr.kernels import frontier_push
 from repro.ppr.reverse_push import reverse_push
 
@@ -177,7 +178,7 @@ class TopPPR(DynamicPPRAlgorithm):
     # ------------------------------------------------------------------
     def query(self, source: int) -> PPRVector:
         """SSPPR vector whose top candidates carry refined scores."""
-        view = self.view
+        view = csr_view(self.graph, reverse=True)
         stats = QueryStats()
         with self.timers.measure("Forward Push"):
             push = frontier_push(

@@ -165,6 +165,8 @@ class ShardManager:
         )
         try:
             image = graph_image(graph)
+            # the one copy of the packed edges a respawn ships: a worker
+            # frees its own once its graph is built
             self._base_spec = ShardSpec(
                 shard_id=0,
                 num_shards=num_shards,

@@ -121,7 +121,9 @@ class ShardServer:
     Parameters
     ----------
     spec:
-        Shard recipe; the graph is rebuilt locally from it.
+        Shard recipe; the graph is rebuilt locally from it.  The server
+        keeps none of it, so its packed ``edges`` can be freed once the
+        graph is built (the manager keeps the copy a respawn ships).
     reply:
         Sink for outbound :class:`ShardReply` envelopes, called on the
         thread that serves (the process host writes the reply pipe).
@@ -137,7 +139,7 @@ class ShardServer:
         reply: Callable[[ShardReply], None],
         hard_crash: Callable[[], None] | None = None,
     ) -> None:
-        self.spec = spec
+        self.shard_id = spec.shard_id
         self.metrics = MetricsRegistry()
         self._reply = reply
         self._hard_crash = hard_crash
@@ -252,7 +254,7 @@ class ShardServer:
         ok: bool = True,
         error: str | None = None,
     ) -> None:
-        self._reply(ShardReply(req_id, self.spec.shard_id, ok, payload, error))
+        self._reply(ShardReply(req_id, self.shard_id, ok, payload, error))
 
     # ------------------------------------------------------------------
     def handle(self, command: Command) -> bool:
@@ -274,7 +276,7 @@ class ShardServer:
             if self._hard_crash is not None:
                 self._hard_crash()
             raise SimulatedCrashError(
-                f"shard {self.spec.shard_id} crashed on command"
+                f"shard {self.shard_id} crashed on command"
             )
         else:  # pragma: no cover - future-proofing
             self._answer(
@@ -301,7 +303,7 @@ class ShardServer:
         if command.version != expected:
             self._refuse_update(
                 command,
-                f"shard {self.spec.shard_id} received update version "
+                f"shard {self.shard_id} received update version "
                 f"{command.version}, expected {expected}: broadcast order "
                 "violated; refusing to diverge",
             )
@@ -343,7 +345,7 @@ class ShardServer:
     def _health(self) -> dict[str, object]:
         return {
             "healthy": True,
-            "shard_id": self.spec.shard_id,
+            "shard_id": self.shard_id,
             "applied_broadcasts": self._applied_broadcasts,
             "graph_version": self.runtime.algorithm.graph.version,
             "queue_depth": self.runtime.queue_depth,
@@ -385,7 +387,7 @@ def spawn_main(cmd_fd: int, reply_fd: int) -> None:
         except OSError:  # the manager went away; EOF on commands follows
             pass
 
-    ShardServer(spec, send, hard_crash=lambda: os._exit(13)).serve_pipe(
-        cmd_conn
-    )
+    server = ShardServer(spec, send, hard_crash=lambda: os._exit(13))
+    del spec  # frees the packed edges: the graph holds the structure now
+    server.serve_pipe(cmd_conn)
     reply_conn.close()

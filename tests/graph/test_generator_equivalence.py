@@ -70,7 +70,6 @@ def reference_barabasi_albert(n, attach=3, directed=True, seed=None):
 def assert_same_graph(ours, reference):
     assert list(ours.nodes()) == list(reference.nodes())
     assert ours._out == reference._out
-    assert ours._in == reference._in
     assert ours.version == reference.version
     assert ours.num_edges == reference.num_edges
 

@@ -17,7 +17,7 @@ ALPHA = 0.2
 class TestBasics:
     def test_reserve_lower_bounds_ppr(self):
         g = barabasi_albert_graph(50, attach=2, seed=6)
-        view = csr_view(g)
+        view = csr_view(g, reverse=True)
         target = 0
         result = reverse_push(view, view.to_index(target), ALPHA, 1e-5)
         pi_all = ppr_exact_all_pairs(g, alpha=ALPHA)
@@ -27,28 +27,28 @@ class TestBasics:
 
     def test_tiny_threshold_approaches_exact(self):
         g = ring_graph(6)
-        view = csr_view(g)
+        view = csr_view(g, reverse=True)
         result = reverse_push(view, 0, ALPHA, 1e-12)
         pi_all = ppr_exact_all_pairs(g, alpha=ALPHA)
         np.testing.assert_allclose(result.reserve, pi_all[:, 0], atol=1e-9)
 
     def test_huge_threshold_no_pushes(self):
         g = ring_graph(4)
-        view = csr_view(g)
+        view = csr_view(g, reverse=True)
         result = reverse_push(view, 0, ALPHA, 1.5)
         assert result.pushes == 0
         assert result.residue[0] == 1.0
 
     def test_max_pushes_cap(self):
         g = barabasi_albert_graph(100, attach=3, seed=7)
-        view = csr_view(g)
+        view = csr_view(g, reverse=True)
         result = reverse_push(view, 0, ALPHA, 1e-9, max_pushes=5)
         assert result.pushes == 5
 
     def test_no_in_neighbors(self):
         """A source-only node: its reverse push stays local."""
         g = DynamicGraph.from_edges([(0, 1)])
-        view = csr_view(g)
+        view = csr_view(g, reverse=True)
         result = reverse_push(view, view.to_index(0), ALPHA, 1e-9)
         # only node 0 can reach node 0
         assert result.reserve[view.to_index(1)] == 0.0
@@ -57,9 +57,15 @@ class TestBasics:
         )
 
     def test_empty_graph(self):
-        view = csr_view(DynamicGraph())
+        view = csr_view(DynamicGraph(), reverse=True)
         result = reverse_push(view, 0, ALPHA, 0.1)
         assert result.pushes == 0
+
+    def test_a_view_without_in_rows_is_refused(self):
+        view = csr_view(DynamicGraph.from_edges([(0, 1)]))
+        assert view.in_deg is None
+        with pytest.raises(ValueError, match="reverse=True"):
+            reverse_push(view, 0, ALPHA, 0.1)
 
 
 # ----------------------------------------------------------------------
@@ -80,7 +86,7 @@ def test_reverse_invariant_against_exact(edges, target, r_max_exp):
     for u, v in edges:
         if u != v:
             g.add_edge(u, v)
-    view = csr_view(g)
+    view = csr_view(g, reverse=True)
     t = view.to_index(target)
     result = reverse_push(view, t, ALPHA, 10.0**r_max_exp)
     pi_all = ppr_exact_all_pairs(g, alpha=ALPHA)

@@ -127,7 +127,7 @@ def test_incremental_csr_equivalence_long_stream():
     catch-ups at varying strides; zero divergence allowed."""
     rng = random.Random(42)
     g = barabasi_albert_graph(150, attach=2, seed=6)
-    csr_view(g)  # warm the incremental store
+    csr_view(g, reverse=True)  # warm the incremental store, in-rows too
     applied = 0
     for stride in (1, 3, 7, 20):
         for i, update in enumerate(random_update_stream(g, 300, rng)):
@@ -155,7 +155,7 @@ def test_incremental_csr_equivalence_random_shapes(
 ):
     rng = random.Random(seed)
     g = barabasi_albert_graph(n, attach=2, seed=seed % 13)
-    csr_view(g)
+    csr_view(g, reverse=True)
     for i, update in enumerate(random_update_stream(g, num_updates, rng)):
         update.apply(g)
         if i % stride == 0:
@@ -168,7 +168,7 @@ def test_incremental_csr_equivalence_with_node_churn():
     node removals (the rebuild fallback path)."""
     rng = random.Random(7)
     g = barabasi_albert_graph(40, attach=2, seed=2)
-    csr_view(g)
+    csr_view(g, reverse=True)
     next_id = g.num_nodes
     for step in range(400):
         roll = rng.random()
