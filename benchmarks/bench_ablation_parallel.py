@@ -18,6 +18,10 @@ There is no measured k-thread view: the serving runtime is one thread
 per shard, and on CPython the measured unit of parallelism is the
 process fleet (``benchmarks/bench_shard_scaling.py``).
 
+Quota solves, for each k, for the load one of the k servers carries —
+a 1/k share of both streams, as ``ShardManager.reconfigure`` solves per
+shard — not for the whole stream one server would carry.
+
 Expected shape: response time collapses once k pushes the per-server
 load below 1; beyond that, extra servers yield diminishing returns —
 and Quota's configuration still helps at every k because it reduces
@@ -60,12 +64,17 @@ def test_ablation_parallel_serving(benchmark, report):
         model = calibrated_cost_model(probe, num_queries=4, rng=25)
         default_beta = probe.get_hyperparameters()
         controller = QuotaController(model, extra_starts=[default_beta])
-        quota_beta = controller.configure(lq, lu).beta
+        # each of k servers carries a 1/k share of both streams: Quota
+        # solves for that share, as ShardManager.reconfigure does per shard
+        quota_betas = {
+            servers: controller.configure(lq / servers, lu / servers).beta
+            for servers in SERVER_COUNTS
+        }
 
         rows = []
         for servers in SERVER_COUNTS:
             row = [f"{servers} server(s)"]
-            for beta in (default_beta, quota_beta):
+            for beta in (default_beta, quota_betas[servers]):
                 result = replay(
                     workload,
                     ModeledExecutor(modeled_service_fn(model, beta, lq, lu)),
@@ -86,7 +95,7 @@ def test_ablation_parallel_serving(benchmark, report):
                 result = replay(
                     workload,
                     ModeledExecutor(
-                        modeled_service_fn(model, quota_beta, lq, lu),
+                        modeled_service_fn(model, quota_betas[servers], lq, lu),
                         graph=cell_graph,
                     ),
                     seed_queue=SeedQueue(cell_graph, alpha, eps),
@@ -106,7 +115,7 @@ def test_ablation_parallel_serving(benchmark, report):
     )
     report(
         format_table(
-            ["servers", "default beta R (ms)", "Quota beta R (ms)"],
+            ["servers", "default beta R (ms)", "Quota beta (k) R (ms)"],
             rows,
             title=f"dblp-like, lq=lu={lq:g} "
             f"(single-server offered load {load:.2f})",
@@ -116,7 +125,7 @@ def test_ablation_parallel_serving(benchmark, report):
         format_table(
             ["servers", "eps_r=0 R (ms)", "eps_r=paper R (ms)"],
             seed_rows,
-            title="Seed-aware event-driven replay (Quota beta)",
+            title="Seed-aware event-driven replay (Quota beta per k)",
         )
     )
     report(

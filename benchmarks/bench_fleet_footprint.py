@@ -8,13 +8,13 @@ over the front door and its workers.  Seven kinds of row:
   :func:`repro.shard.launch.python_child` — import the serving stack,
   unpickle a :class:`~repro.shard.messages.ShardSpec`, ``build_graph``,
   ``build_algorithm`` — seconds each took, RSS it added, the pickled
-  spec's size, whether OpenSSL got loaded, and whether the graph's CSR
-  store holds in-rows once the worker has served a query and a toggle;
+  spec's size, whether OpenSSL got loaded, and whether the graph holds
+  in-rows once the worker has served a query and a toggle;
 * ``FORA+inc`` → ``update_stream``: the same worker *after* start-up —
   index built, then ``update_heavy``'s share of updates and queries
   applied on the same (main) thread, as a worker's serving loop does —
-  ``VmRSS`` idle and at the end, the update-log entries left and
-  whether the graph holds in-rows, and (in a second child,
+  ``VmRSS`` idle and at the end, whether the graph holds in-rows, and
+  (in a second child,
   ``tracemalloc`` on) live bytes after the build, the build's peak and
   the worst ``EdgeWalkMap._compact()`` peak above what was live when it
   began.  The child is started by :func:`repro.shard.launch.python_child`,
@@ -57,13 +57,16 @@ Asserted (the bench-smoke CI job runs this at quick scope):
   16-18);
 * no worker and no front door loads OpenSSL (``numpy.random`` and
   ``asyncio`` used to map it into each);
-* ``build_graph`` adds <= 45 B of RSS per edge (out-lists over shared
-  ``int`` objects sit near 36; with in-lists beside them they were 45-56,
-  and with the edge set and the build-time update log ~190);
+* ``build_graph`` adds <= 42 B of RSS per edge (the graph's int64
+  out-rows and the build's temporaries sit near 38.5; out-lists over
+  shared ``int`` objects were near 36, with in-lists beside them 45-56,
+  and with the edge set and the build-time update log ~190), and a FORA
+  worker's ``build_graph`` plus ``build_algorithm`` add <= 5.17 MB (the
+  out-lists plus the CSR out-rows built beside them on the first view
+  added 2.45 + 2.72);
 * no FORA or FORA+inc worker's graph holds in-rows after serving a
-  query and a toggle, and the FORA+inc worker's update log is empty
-  after ``update_heavy``'s share of updates (the CSR store releases
-  what it applied);
+  query and a toggle, nor the FORA+inc worker's after
+  ``update_heavy``'s share of updates;
 * one index compaction peaks <= 8 MB above what was live before it
   (``tracemalloc``; the walk-step-sized int64 temporaries it used to
   hold at once made it 10.6);
@@ -90,7 +93,9 @@ walk recorder, doubling slack stores) through this file's child; its
 ``run_image_build`` and ``run_fleet``; its ``cache_entry`` row is
 commit 0839fb8 (dense cache entries) through this file's
 ``run_cache_entry``; its ``in_lists`` row is commit 64d340a (in-lists
-in the graph, in-rows in every CSR store) through this file.  Start-up
+in the graph, in-rows in every CSR store) and its ``out_lists`` row
+commit 902cf04 (out-lists in the graph, the same edges again as the
+CSR store's out-rows) through this file.  Start-up
 seconds are CPU-bound on a 2-vCPU host and move by ~0.1 s with
 whatever else runs on it.
 
@@ -135,7 +140,9 @@ FRONTDOOR_STAGES = ("imports", "image_received", "manager_ready")
 SPEC_BYTES_PER_EDGE_CEILING = 10.0
 REPLY_BYTES_PER_PAIR_CEILING = 12.5
 CACHE_BYTES_PER_ENTRY_CEILING = 12.5
-GRAPH_RSS_BYTES_PER_EDGE_CEILING = 45.0
+GRAPH_RSS_BYTES_PER_EDGE_CEILING = 42.0
+#: a FORA worker's build_graph + build_algorithm at the parent 902cf04
+FORA_GRAPH_AND_ALGORITHM_MB_CEILING = 2.45 + 2.72
 FRONTDOOR_RSS_MB_CEILING = 30.0
 
 #: the same stages at the parent commit 347b957 on the recording host
@@ -237,6 +244,22 @@ PREVIOUS["in_lists"] = {
     },
 }
 
+#: the parent commit 902cf04, whose graphs kept out-lists and whose CSR
+#: stores kept the same edges again as out-rows, by this file (quick
+#: scope) on the recording host
+PREVIOUS["out_lists"] = {
+    "commit": "902cf04",
+    "FORA": {"build_graph_added_mb": 2.45, "build_algorithm_added_mb": 2.72},
+    "fleet_worker_mb": [36.36, 36.45],
+    "fleet_total_mb": 94.16,
+    "update_stream": {
+        "idle_rss_mb": 48.84,
+        "end_rss_mb": 54.18,
+        "live_after_build_mb": 8.07,
+        "build_peak_mb": 16.84,
+    },
+}
+
 #: the sources the `cache_entry` row caches, and its cache budget (that
 #: of the `hot_cached` workload)
 CACHED_SOURCES = range(0, 4_800, 75)
@@ -319,7 +342,6 @@ if traced:
 else:
     report["end_rss_mb"] = process_stats()["rss_mb"]
 from repro.ppr.csr import csr_view
-report["log_entries"] = len(graph._log)
 report["in_rows"] = csr_view(graph).in_deg is not None
 report.update(algorithm.index_stats())
 print(json.dumps(report))
@@ -357,12 +379,10 @@ report = {
     "marks": marks,
     "num_edges": graph.num_edges,
     "version": graph.version,
-    "log_entries": len(graph._log),
-    "caught_up": graph.updates_since(graph.version) == [],
     "openssl_loaded": any(sys.modules.get(name) for name in UNLOADED_MODULES),
 }
 # serve what a worker serves (a query, a toggle, a query): does the
-# graph's CSR store then hold in-rows?
+# graph then hold in-rows?
 from repro.graph.updates import EdgeUpdate
 from repro.ppr.csr import csr_view
 algorithm.query(0)
@@ -706,9 +726,7 @@ def run_bench() -> dict:
         }
         results[algorithm]["graph"] = {
             key: first[key]
-            for key in (
-                "num_edges", "version", "log_entries", "caught_up", "in_rows"
-            )
+            for key in ("num_edges", "version", "in_rows")
         }
         results[algorithm]["openssl_loaded"] = any(
             run["openssl_loaded"] for run in runs
@@ -775,15 +793,15 @@ def test_build_graph_holds_the_graph_once():
         assert added / results["num_edges"] <= GRAPH_RSS_BYTES_PER_EDGE_CEILING
         graph = results[algorithm]["graph"]
         assert graph["version"] == graph["num_edges"] == results["num_edges"]
-        assert graph["log_entries"] == 0 and graph["caught_up"]
         assert graph["in_rows"] is False, algorithm
+    fora = results["FORA"]
+    started = fora["build_graph"]["added_mb"] + fora["build_algorithm"]["added_mb"]
+    assert started <= FORA_GRAPH_AND_ALGORITHM_MB_CEILING
 
 
-def test_forward_worker_holds_no_in_rows_and_no_spent_log():
+def test_forward_worker_holds_no_in_rows():
     row = _results()["FORA+inc"]["update_stream"]
     assert row["in_rows"] is False
-    # every FORA+inc update catches its CSR view up, which releases the log
-    assert row["log_entries"] == 0
 
 
 def test_index_compaction_holds_few_temporaries():

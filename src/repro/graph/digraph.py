@@ -1,16 +1,23 @@
 """A dynamic directed graph with O(degree) edge inserts and deletes.
 
 The graph is the substrate every PPR algorithm in this repository runs
-on.  It is deliberately simple: integer node ids and one out-list per
-node, nothing else — the out-lists are the only copy of the edge set,
-so ``has_edge(u, v)`` scans ``u``'s out-list (O(out-degree), like
-inserts and deletes) and ``num_edges`` is a counter.  No in-lists are
-kept: forward push and random walks read out-edges only, reverse push
-reads the in-rows :mod:`repro.ppr.csr` transposes from the out-rows on
-demand, and :meth:`DynamicGraph.in_neighbors` is an O(m) scan for tests
-and :meth:`DynamicGraph.remove_node`.  This mirrors the in-memory
-representation used by the reference C++ implementations of FORA /
-Agenda (compressed adjacency arrays), while staying idiomatic Python.
+on.  Nodes are integer ids, each at a dense index (``0 .. n - 1`` in
+insertion order); the edges are stored once, as the slack-slot rows of
+:mod:`repro.graph.adjacency` — one out-row of neighbour indices per
+node, in insertion order, patched in O(out-degree) per insert or
+delete.  Those rows are what forward push and random walks read:
+:func:`repro.ppr.csr.csr_view` hands them out as arrays without copying
+them.  ``has_edge(u, v)`` scans ``u``'s row and ``num_edges`` is the
+rows' entry count.  In-rows are built only when a reverse-push caller
+first asks (``csr_view(graph, reverse=True)``), as the transpose of the
+out-rows, and every mutation patches them from then on;
+:meth:`DynamicGraph.in_neighbors` is an O(m) scan of the out-rows.
+This mirrors the compressed adjacency arrays of the reference C++
+implementations of FORA / Agenda.
+
+Importing this module loads no numpy (the graph-image builder imports
+it through the generators and never builds a graph); constructing a
+graph does.
 
 Conventions
 -----------
@@ -33,20 +40,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
-#: log entries kept before the oldest half is discarded, a cap that only
-#: a graph no view catches up on reaches (:meth:`DynamicGraph.release_log`
-#: drops what the CSR store applied); derived views older than the
-#: retained window fall back to a full rebuild
-MAX_UPDATE_LOG = 65_536
-
-# Update-log opcodes.  Each logged entry corresponds to exactly one
-# version increment, so a consumer at version v catches up by replaying
-# the entries for versions v+1 .. current.
-ADD_EDGE = "+e"
-REMOVE_EDGE = "-e"
-ADD_NODE = "+n"
-REMOVE_NODE = "-n"
-RESET = "!"  # structure replaced wholesale (restore); forces rebuild
+    from repro.graph.adjacency import Adjacency
 
 
 def as_edge_array(
@@ -85,20 +79,14 @@ def as_edge_array(
     return arr.astype(np.int32, copy=False)
 
 
-def _adjacency(
-    nodes: list[int], table: np.ndarray, keys: np.ndarray, values: np.ndarray
-) -> dict[int, list[int]]:
-    """``{node: [values[i] for i where keys[i] == node]}``, each list in
-    row order, its entries drawn from the object array ``table``."""
+def _id_index(ids: np.ndarray) -> dict[int, int] | None:
+    """Node id -> dense index, or None when ``ids[i] == i`` throughout
+    (the identity fast path: no dict lookups)."""
     import numpy as np
 
-    order = np.argsort(keys, kind="stable")
-    flat = table[values[order]].tolist()
-    ends = np.cumsum(np.bincount(keys, minlength=len(nodes))).tolist()
-    return {
-        node: flat[start:end]
-        for node, start, end in zip(nodes, [0] + ends, ends)
-    }
+    if np.array_equal(ids, np.arange(ids.size)):
+        return None
+    return dict(zip(ids.tolist(), range(ids.size)))
 
 
 class DynamicGraph:
@@ -123,70 +111,59 @@ class DynamicGraph:
     [1]
     """
 
-    __slots__ = (
-        "_out",
-        "_num_edges",
-        "_version",
-        "_log",
-        "_log_base",
-        "_csr_cache",
-        "__weakref__",
-    )
+    __slots__ = ("_ids", "_index", "_out", "_in", "_version", "_view", "__weakref__")
 
     def __init__(self, num_nodes: int = 0) -> None:
-        self._out: dict[int, list[int]] = {v: [] for v in range(num_nodes)}
-        self._num_edges = 0
+        import numpy as np
+
+        from repro.graph.adjacency import Adjacency
+
+        self._take(
+            np.arange(num_nodes, dtype=np.int64),
+            None,
+            Adjacency(np.zeros(num_nodes, dtype=np.int64), np.empty(0, np.int64)),
+        )
         self._version = 0
-        # structural update log: entry k records the mutation that took
-        # the graph from version _log_base + k to _log_base + k + 1
-        self._log: list[tuple[str, int, int]] = []
-        self._log_base = 0
-        # per-graph cache slot for the incremental CSR store (owned by
-        # repro.ppr.csr; opaque here so the graph layer stays view-free)
-        self._csr_cache: object | None = None
+        # the current version's CSRView (owned by repro.ppr.csr; opaque
+        # here so the graph layer stays view-free)
+        self._view: object | None = None
+
+    def _take(
+        self, ids: np.ndarray, index: dict[int, int] | None, out: Adjacency
+    ) -> None:
+        """Hold ``out`` as the out-rows of the nodes ``ids`` (index
+        order; ``index`` maps them back, None on the identity path)."""
+        self._ids = ids
+        self._index = index
+        self._out = out
+        self._in: Adjacency | None = None
+
+    @classmethod
+    def _of(
+        cls,
+        ids: np.ndarray,
+        index: dict[int, int] | None,
+        out: Adjacency,
+        version: int,
+    ) -> "DynamicGraph":
+        graph = cls.__new__(cls)
+        graph._take(ids, index, out)
+        graph._version = version
+        graph._view = None
+        return graph
 
     @property
     def version(self) -> int:
         """Monotonic structure-change counter.
 
-        Incremented by every mutation; used by cached derived views
-        (e.g. the CSR arrays in :mod:`repro.ppr.csr`) to detect
-        staleness without holding references into the graph.  Never
-        decreases — :meth:`restore` moves it strictly forward, so a
-        (graph, version) pair always denotes one unique structure.
+        Incremented by every mutation (a no-op is not one); used by
+        cached derived views (e.g. the CSR facades of
+        :mod:`repro.ppr.csr`) to detect staleness without holding
+        references into the graph.  Never decreases — :meth:`restore`
+        moves it strictly forward, so a (graph, version) pair always
+        denotes one unique structure.
         """
         return self._version
-
-    def _record(self, op: str, u: int, v: int) -> None:
-        """Append one update-log entry and bump the version counter."""
-        self._log.append((op, u, v))
-        self._version += 1
-        if len(self._log) > MAX_UPDATE_LOG:
-            drop = len(self._log) // 2
-            del self._log[:drop]
-            self._log_base += drop
-
-    def updates_since(self, version: int) -> list[tuple[str, int, int]] | None:
-        """Log entries taking the graph from ``version`` to the present.
-
-        Returns None when ``version`` predates the retained log window
-        (or lies in the future), in which case an incremental consumer
-        must fall back to a full rebuild.
-        """
-        if version == self._version:
-            return []
-        if version < self._log_base or version > self._version:
-            return None
-        return self._log[version - self._log_base:]
-
-    def release_log(self, version: int) -> None:
-        """Drop the entries up to ``version``: their one reader, the CSR
-        store of :mod:`repro.ppr.csr`, has applied them.  A later
-        :meth:`updates_since` of an older version returns None."""
-        drop = min(version, self._version) - self._log_base
-        if drop > 0:
-            del self._log[:drop]
-            self._log_base += drop
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -215,37 +192,34 @@ class DynamicGraph:
         """Bulk-build the graph that ``DynamicGraph(num_nodes)`` followed
         by ``add_edge(u, v)`` for every row of ``pairs`` would be.
 
-        Same out-list order (each list in row order of ``pairs``, so
-        lexicographically sorted pairs give ascending lists) and the
-        same ``version == len(pairs)``, but built with one stable sort
-        instead of ``m`` calls, and with an empty update log: nobody can
-        have seen an earlier version of a graph that did not exist.
-        ``pairs`` is validated by :func:`as_edge_array`.
+        Same rows (each in row order of ``pairs``, so lexicographically
+        sorted pairs give ascending rows) and the same ``version ==
+        len(pairs)``, but packed with one stable sort instead of ``m``
+        calls.  ``pairs`` is validated by :func:`as_edge_array`.
         """
         import numpy as np
 
+        from repro.graph.adjacency import Adjacency
+
         pairs = as_edge_array(num_nodes, pairs)
-        nodes = list(range(num_nodes))
-        # every list entry references these int objects instead of
-        # holding its own copy of the id
-        table = np.empty(num_nodes, dtype=object)
-        table[:] = nodes
-        src, dst = pairs[:, 0], pairs[:, 1]
-        graph = cls()
-        graph._out = _adjacency(nodes, table, src, dst)
-        graph._num_edges = graph._version = graph._log_base = len(pairs)
-        return graph
+        src = pairs[:, 0]
+        order = np.argsort(src, kind="stable")
+        out = Adjacency(
+            np.bincount(src, minlength=num_nodes),
+            pairs[order, 1].astype(np.int64),
+        )
+        return cls._of(
+            np.arange(num_nodes, dtype=np.int64), None, out, len(pairs)
+        )
 
     def copy(self) -> "DynamicGraph":
-        """Return an independent deep copy of this graph."""
-        clone = DynamicGraph()
-        clone._out = {v: list(nbrs) for v, nbrs in self._out.items()}
-        clone._num_edges = self._num_edges
-        clone._version = self._version
-        # the clone starts with a fresh log window and no cached views:
-        # cached CSR state is per-graph-object and never shared
-        clone._log_base = clone._version
-        return clone
+        """Return an independent deep copy of this graph: the same rows,
+        packed, at the same version, without in-rows or cached views."""
+        return DynamicGraph._of(*self._packed(), self._version)
+
+    def _packed(self) -> tuple[np.ndarray, dict[int, int] | None, Adjacency]:
+        index = None if self._index is None else dict(self._index)
+        return self._ids[:self._out.n].copy(), index, self._out.packed()
 
     def snapshot(self) -> "DynamicGraph":
         """Capture the current structure for a later :meth:`restore`."""
@@ -258,47 +232,87 @@ class DynamicGraph:
         counters instead of rewinding to the snapshot's value, so a
         derived view cached at some version can never be wrongly
         revalidated after the structure is rolled back (the classic
-        stale-window bug of wrap-around version schemes).
+        stale-window bug of wrap-around version schemes).  In-rows are
+        dropped until a reverse-push caller asks again.
         """
-        self._out = {v: list(nbrs) for v, nbrs in snap._out.items()}
-        self._num_edges = snap._num_edges
+        self._take(*snap._packed())
         self._version = max(self._version, snap._version) + 1
-        self._log = [(RESET, 0, 0)]
-        self._log_base = self._version - 1
-        self._csr_cache = None
+
+    def _in_rows(self) -> Adjacency:
+        """The in-rows: the transpose of the out-rows, built on the
+        first call and patched by every mutation from then on."""
+        if self._in is None:
+            from repro.graph.adjacency import transpose
+
+            self._in = transpose(self._out)
+        return self._in
 
     # ------------------------------------------------------------------
     # Node operations
     # ------------------------------------------------------------------
+    def _dense(self, v: int) -> int | None:
+        """Dense index of node ``v``; None if ``v`` is not a node."""
+        if self._index is not None:
+            return self._index.get(v)
+        return v if 0 <= v < self._out.n else None
+
+    def _at(self, v: int) -> int:
+        """Dense index of node ``v``; KeyError if ``v`` is not a node."""
+        i = self._dense(v)
+        if i is None:
+            raise KeyError(v)
+        return i
+
     def add_node(self, v: int) -> bool:
         """Ensure node ``v`` exists.  Returns True if it was created."""
-        if v in self._out:
+        if self._dense(v) is not None:
             return False
-        self._out[v] = []
-        self._record(ADD_NODE, v, v)
+        from repro.graph.adjacency import grown
+
+        n = self._out.n
+        if n == self._ids.size:
+            self._ids = grown(self._ids, 1)
+        self._ids[n] = v
+        if self._index is None and v != n:
+            # an id off the 0 .. n - 1 sequence ends the identity path
+            self._index = dict(zip(self._ids[:n].tolist(), range(n)))
+        if self._index is not None:
+            self._index[v] = n
+        self._out.append_row()
+        if self._in is not None:
+            self._in.append_row()
+        self._version += 1
         return True
 
     def remove_node(self, v: int) -> None:
-        """Remove ``v`` and all its incident edges."""
-        if v not in self._out:
+        """Remove ``v`` and all its incident edges; every later node
+        moves down one dense index."""
+        import numpy as np
+
+        if self._dense(v) is None:
             raise KeyError(f"node {v} not in graph")
-        for w in list(self._out[v]):
+        for w in self.out_neighbors(v):
             self._unlink(v, w)
         for u in self.in_neighbors(v):
             self._unlink(u, v)
-        del self._out[v]
-        self._record(REMOVE_NODE, v, v)
+        i = self._dense(v)
+        self._ids = np.delete(self._ids[:self._out.n], i)
+        self._out.drop_row(i)
+        if self._in is not None:
+            self._in.drop_row(i)
+        self._index = _id_index(self._ids)
+        self._version += 1
 
     def has_node(self, v: int) -> bool:
-        return v in self._out
+        return self._dense(v) is not None
 
     def nodes(self) -> Iterator[int]:
         """Iterate over node ids (insertion order)."""
-        return iter(self._out)
+        return iter(self._ids[:self._out.n].tolist())
 
     @property
     def num_nodes(self) -> int:
-        return len(self._out)
+        return self._out.n
 
     # ------------------------------------------------------------------
     # Edge operations
@@ -338,46 +352,65 @@ class DynamicGraph:
         """Insert ``(u, v)``, which the caller checked is absent."""
         self.add_node(u)
         self.add_node(v)
-        self._out[u].append(v)
-        self._num_edges += 1
-        self._record(ADD_EDGE, u, v)
+        i, j = self._dense(u), self._dense(v)
+        self._out.insert(i, j)
+        if self._in is not None:
+            self._in.insert(j, i)
+        self._edge_changed()
 
     def _unlink(self, u: int, v: int) -> None:
         """Delete ``(u, v)``, which the caller checked is present."""
-        self._out[u].remove(v)
-        self._num_edges -= 1
-        self._record(REMOVE_EDGE, u, v)
+        i, j = self._dense(u), self._dense(v)
+        self._out.remove(i, j)
+        if self._in is not None:
+            self._in.remove(j, i)
+        self._edge_changed()
+
+    def _edge_changed(self) -> None:
+        """Repack rows whose slack grew too large; bump the version."""
+        self._out = self._out.compacted()
+        if self._in is not None:
+            self._in = self._in.compacted()
+        self._version += 1
 
     def has_edge(self, u: int, v: int) -> bool:
-        """Whether ``(u, v)`` is an edge: a scan of ``u``'s out-list."""
-        return v in self._out.get(u, ())
+        """Whether ``(u, v)`` is an edge: a scan of ``u``'s out-row."""
+        i, j = self._dense(u), self._dense(v)
+        return i is not None and j is not None and self._out.find(i, j) >= 0
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Iterate over directed edges, grouped by source node."""
-        for u, nbrs in self._out.items():
-            for v in nbrs:
-                yield (u, v)
+        """Iterate over directed edges, grouped by source node (node
+        order), each source's in out-row order."""
+        import numpy as np
+
+        out = self._out
+        ids = self._ids[:out.n]
+        sources = np.repeat(ids, out.lens[:out.n])
+        return zip(sources.tolist(), ids[out.entries()].tolist())
 
     @property
     def num_edges(self) -> int:
-        return self._num_edges
+        return self._out.live
 
     # ------------------------------------------------------------------
     # Neighborhood queries
     # ------------------------------------------------------------------
     def out_neighbors(self, v: int) -> list[int]:
-        """The list of out-neighbors of ``v`` (do not mutate)."""
-        return self._out[v]
+        """The out-neighbors of ``v``, in insertion order."""
+        return self._ids[self._out.row(self._at(v))].tolist()
 
     def in_neighbors(self, v: int) -> list[int]:
         """The in-neighbors of ``v``, in node order: an O(m) scan of
-        every out-list, since the graph keeps no in-lists."""
-        if v not in self._out:
-            raise KeyError(v)
-        return [u for u, nbrs in self._out.items() if v in nbrs]
+        the out-rows."""
+        import numpy as np
+
+        j = self._at(v)
+        out = self._out
+        sources = np.repeat(self._ids[:out.n], out.lens[:out.n])
+        return sources[out.entries() == j].tolist()
 
     def out_degree(self, v: int) -> int:
-        return len(self._out[v])
+        return int(self._out.lens[self._at(v)])
 
     def in_degree(self, v: int) -> int:
         """In-degree of ``v``: an O(m) scan, like :meth:`in_neighbors`."""
@@ -385,9 +418,9 @@ class DynamicGraph:
 
     def average_degree(self) -> float:
         """Mean out-degree m/n; the d-bar of the Reverse Push bound."""
-        if not self._out:
+        if not self.num_nodes:
             return 0.0
-        return self._num_edges / len(self._out)
+        return self.num_edges / self.num_nodes
 
     # ------------------------------------------------------------------
     # Dunder conveniences
@@ -396,11 +429,11 @@ class DynamicGraph:
         if isinstance(item, tuple) and len(item) == 2:
             return self.has_edge(*item)
         if isinstance(item, int):
-            return item in self._out
+            return self.has_node(item)
         return False
 
     def __len__(self) -> int:
-        return len(self._out)
+        return self.num_nodes
 
     def __repr__(self) -> str:
         return (
@@ -408,19 +441,13 @@ class DynamicGraph:
         )
 
     def __eq__(self, other: object) -> bool:
+        """Same node set and edge set, in whatever order either holds."""
         if not isinstance(other, DynamicGraph):
             return NotImplemented
-        if (
-            self._num_edges != other._num_edges
-            or self._out.keys() != other._out.keys()
-        ):
-            return False
-        # equal edge sets may sit in the lists in different orders
-        return all(
-            nbrs == theirs or set(nbrs) == set(theirs)
-            for nbrs, theirs in zip(
-                self._out.values(), map(other._out.get, self._out)
-            )
+        return (
+            (self.num_nodes, self.num_edges) == (other.num_nodes, other.num_edges)
+            and set(self.nodes()) == set(other.nodes())
+            and set(self.edges()) == set(other.edges())
         )
 
     def __hash__(self) -> int:  # graphs are mutable; identity hash only

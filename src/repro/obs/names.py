@@ -55,11 +55,6 @@ checked, and do not count as a use — avoid them on hot paths anyway.
 #: monotonically increasing counts
 COUNTERS = frozenset(
     {
-        "csr_cache_hits",
-        "csr_cache_misses",
-        "csr_delta_applies",
-        "csr_rebuilds",
-        "csr_compactions",
         "calibration.runs",
         "serving.shed",
         "serving.timeout",

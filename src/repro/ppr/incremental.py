@@ -56,7 +56,7 @@ Python object.  Three pieces:
   ``WalkIndex.terminals``, so relocating a slack row moves all three.
 * **posting rows** — per source node, the walk ids that stepped out of
   (or held at) it, in the slack-row layout ``WalkIndex`` and
-  ``repro.ppr.csr`` use.  Rows are append-only *hints*: a suffix
+  ``repro.graph.adjacency`` use.  Rows are append-only *hints*: a suffix
   resample or an unregister leaves the old postings behind, and every
   lookup re-checks its candidates against the arena (one vectorised
   gather), which is also where the first affected step comes from.
@@ -84,8 +84,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.graph.adjacency import SLACK_FLOOR, growth, ragged_indices
 from repro.obs.metrics import get_metrics
-from repro.ppr.csr import SLACK_FLOOR, CSRView, growth, ragged_indices
+from repro.ppr.csr import CSRView
 from repro.ppr.random_walk import (
     WalkIndex,
     sample_walk_terminals,

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ppr.csr import CSRView, ragged_indices
+from repro.graph.adjacency import ragged_indices
+from repro.ppr.csr import CSRView
 from repro.ppr.random_walk import WalkIndex, sample_walk_terminals
 
 

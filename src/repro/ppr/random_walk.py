@@ -17,7 +17,7 @@ Two facilities live here:
 
 Storage layout: node ``i``'s walk terminals occupy
 ``terminals[offsets[i] : offsets[i] + counts[i]]`` inside a row with
-capacity ``caps[i]`` — the same slack-slot scheme the CSR store uses
+capacity ``caps[i]`` — the same slack-slot scheme the graph uses
 for adjacency rows.  Fresh builds are packed (cap == count,
 ``offsets[i + 1]`` coincides with the next row); incremental
 maintenance (:mod:`repro.ppr.incremental`) grows/shrinks rows in place
@@ -40,7 +40,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.ppr.csr import CSRView, growth, ragged_indices
+from repro.graph.adjacency import growth, ragged_indices
+from repro.ppr.csr import CSRView
 
 if TYPE_CHECKING:
     from repro.ppr.incremental import EdgeWalkMap, WalkTrace

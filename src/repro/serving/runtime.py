@@ -75,7 +75,7 @@ from repro.cache.store import PPRCache
 from repro.core.seed import SeedQueue
 from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.ppr.base import DynamicPPRAlgorithm
-from repro.ppr.csr import UnknownNodeError, csr_view
+from repro.ppr.csr import UnknownNodeError
 from repro.queueing.kinds import QUERY, UPDATE
 from repro.queueing.replay import (
     MeasuredExecutor,
@@ -387,9 +387,6 @@ class ServingRuntime:
         if self._thread is not None:
             raise RuntimeError("runtime already started")
         self._stop.clear()
-        # warm the CSR store so the first query hits a ready snapshot
-        # (the loop has not started yet to race it)
-        csr_view(self.algorithm.graph)
         self._thread = thread
         return thread
 

@@ -393,15 +393,19 @@ class ShardManager:
         left to the respawn path, which replays the full log.
 
         Raises ValueError, before any version is assigned, for an
-        endpoint outside the int32 range (node ids cross the pipes as
-        int32: ``ShardSpec.edges``, answers) and for any ``kind`` but
-        ``"toggle"``: an explicit insert of an edge that exists, a
-        delete of one that does not, or an unknown kind raises on every
-        replica's apply, and the update log would replay that fault on
-        every respawn.
+        endpoint outside ``[0, 2**31)`` — the router's id space (a
+        query of a negative source is refused) within int32, the width
+        node ids cross the pipes at (``ShardSpec.edges``, answers) —
+        and for any ``kind`` but ``"toggle"``: an explicit insert of an
+        edge that exists, a delete of one that does not, or an unknown
+        kind raises on every replica's apply, and the update log would
+        replay that fault on every respawn.
         """
-        if not (-(2**31) <= u < 2**31 and -(2**31) <= v < 2**31):
-            raise ValueError(f"edge ({u}, {v}) has an id outside int32")
+        if not (0 <= u < 2**31 and 0 <= v < 2**31):
+            raise ValueError(
+                f"edge ({u}, {v}) has an id outside [0, 2**31): node ids "
+                "are non-negative int32"
+            )
         if kind != "toggle":
             raise ValueError(
                 f"update kind {kind!r}: the fabric applies only 'toggle'"

@@ -221,6 +221,24 @@ def test_update_and_metrics_endpoints():
         asyncio.run(scenario())
 
 
+def test_an_update_with_a_negative_endpoint_is_a_bad_request():
+    """A negative id is outside the router's id space: no query can
+    name it, so no replica may grow the node."""
+    with make_manager(num_shards=2) as manager:
+        frontdoor = FrontDoor(manager)
+        for u, v in ((-7, 3), (3, -7)):
+            response = asyncio.run(frontdoor.update(u, v))
+            assert response.status_code == 400
+            assert response.body["status"] == "bad-request"
+        assert manager.fabric_version == 0
+        graphs = [
+            slot.handle.server.runtime.algorithm.graph
+            for slot in manager._slots
+        ]
+        assert len(graphs) == 2
+        assert not any(graph.has_node(-7) for graph in graphs)
+
+
 def test_drift_detector_triggers_fleet_reconfigure():
     # workers carry QuotaControllers; the detector is armed at a far
     # lower rate than we actually send, so the burst must trip it

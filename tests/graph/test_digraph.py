@@ -122,6 +122,97 @@ class TestEdges:
         assert g.in_neighbors(0) == [3]
 
 
+class TestVersion:
+    """The version counts mutations: derived views compare it to tell a
+    structure they have seen from one they have not."""
+
+    def test_each_mutation_bumps_the_version_once(self):
+        g = DynamicGraph()
+        g.add_edge(0, 1)  # two new nodes and the edge
+        assert g.version == 3
+        g.add_edge(1, 2)
+        g.remove_edge(0, 1)
+        assert g.version == 6
+
+    def test_no_ops_do_not_advance_version(self):
+        g = DynamicGraph.from_edges([(0, 1)])
+        v = g.version
+        g.add_edge(0, 1)  # duplicate
+        g.add_node(0)  # already present
+        assert g.version == v
+
+    def test_node_removal_counts_its_edges(self):
+        g = DynamicGraph.from_edges([(0, 1), (1, 1), (2, 1), (1, 3)])
+        v = g.version
+        g.remove_node(1)  # four unlinks (the self loop once) and the node
+        assert g.version == v + 5
+
+    def test_copy_keeps_the_version(self):
+        g = DynamicGraph.from_edges([(0, 1)])
+        h = g.copy()
+        assert h.version == g.version > 0
+        h.add_edge(1, 0)
+        assert h.version == g.version + 1
+
+    def test_version_counts_every_mutation_under_random_ops(self):
+        import random
+
+        rng = random.Random(11)
+        g = DynamicGraph(num_nodes=8)
+        for _ in range(500):
+            before, op = g.version, rng.random()
+            if op < 0.8:
+                g.toggle_edge(rng.randrange(8), rng.randrange(8))
+                assert g.version in (before + 1, before + 2, before + 3)
+            elif op < 0.9:
+                created = g.add_node(rng.randrange(20))
+                assert g.version == before + created
+            else:
+                node = rng.choice(sorted(g.nodes()))
+                edges = {e for e in g.edges() if node in e}
+                g.remove_node(node)
+                assert g.version == before + len(edges) + 1
+                g.add_node(node)
+
+
+class TestSnapshotRestore:
+    def test_restore_recovers_structure(self):
+        g = DynamicGraph.from_edges([(0, 1), (1, 2)])
+        snap = g.snapshot()
+        g.add_edge(2, 0)
+        g.remove_edge(0, 1)
+        g.restore(snap)
+        assert set(g.edges()) == {(0, 1), (1, 2)}
+        assert g.num_nodes == 3
+
+    def test_restore_version_is_monotone(self):
+        """Regression: restore used to copy the snapshot's (smaller)
+        version, so a later mutation could wrap back to a version a
+        cached CSR view had already seen — serving stale adjacency."""
+        g = DynamicGraph.from_edges([(0, 1)])
+        snap = g.snapshot()
+        g.add_edge(1, 2)
+        v_mutated = g.version
+        g.restore(snap)
+        assert g.version > v_mutated
+        assert g.version > snap.version
+
+    def test_snapshot_is_independent(self):
+        g = DynamicGraph.from_edges([(0, 1)])
+        snap = g.snapshot()
+        g.add_edge(1, 2)
+        assert not snap.has_edge(1, 2)
+
+    def test_restore_after_restore(self):
+        g = DynamicGraph.from_edges([(0, 1)])
+        snap = g.snapshot()
+        g.restore(snap)
+        v1 = g.version
+        g.restore(snap)
+        assert g.version > v1
+        assert set(g.edges()) == {(0, 1)}
+
+
 # ----------------------------------------------------------------------
 # Property-based invariants
 # ----------------------------------------------------------------------

@@ -2,7 +2,11 @@
 
 The graph keeps no edge set of its own: membership, the edge count,
 iteration, equality, ``copy`` and ``restore`` are all read off the
-adjacency lists.  The model below is the edge set it no longer holds.
+adjacency rows.  The model below is the edge set it does not hold, and
+the reference lists beside it are the order those rows must keep:
+after every step, ``csr_view(graph)`` lists each node's out-neighbours
+(and its in-neighbours, once a reverse view asked for them) exactly as
+the lists do.
 """
 
 from hypothesis import settings
@@ -10,6 +14,8 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.graph.digraph import DynamicGraph
+from repro.ppr.csr import csr_view
+from tests.graph.reference_rows import ReferenceRows
 
 NODE = st.integers(0, 7)
 
@@ -20,20 +26,24 @@ class GraphAgainstSetModel(RuleBasedStateMachine):
         self.graph = DynamicGraph(3)
         self.nodes = {0, 1, 2}
         self.edges: set[tuple[int, int]] = set()
-        self.saved: tuple[DynamicGraph, set[int], set[tuple[int, int]]] | None
+        self.rows = ReferenceRows(range(3))
         self.saved = None
 
     @rule(u=NODE, v=NODE)
     def add_edge(self, u, v):
-        assert self.graph.add_edge(u, v) == ((u, v) not in self.edges)
+        inserted = (u, v) not in self.edges
+        assert self.graph.add_edge(u, v) == inserted
         self.nodes |= {u, v}
         self.edges.add((u, v))
+        if inserted:
+            self.rows.link(u, v)
 
     @rule(u=NODE, v=NODE)
     def remove_edge(self, u, v):
         if (u, v) in self.edges:
             self.graph.remove_edge(u, v)
             self.edges.remove((u, v))
+            self.rows.unlink(u, v)
         else:
             try:
                 self.graph.remove_edge(u, v)
@@ -46,11 +56,13 @@ class GraphAgainstSetModel(RuleBasedStateMachine):
         assert self.graph.toggle_edge(u, v) == ((u, v) not in self.edges)
         self.nodes |= {u, v}
         self.edges ^= {(u, v)}
+        self.rows.toggle(u, v)
 
     @rule(v=NODE)
     def add_node(self, v):
         assert self.graph.add_node(v) == (v not in self.nodes)
         self.nodes.add(v)
+        self.rows.add_node(v)
 
     @rule(v=NODE)
     def remove_node(self, v):
@@ -59,29 +71,39 @@ class GraphAgainstSetModel(RuleBasedStateMachine):
         self.graph.remove_node(v)
         self.nodes.remove(v)
         self.edges = {e for e in self.edges if v not in e}
+        self.rows.remove_node(v)
+
+    @rule()
+    def reverse_view(self):
+        csr_view(self.graph, reverse=True)
+        self.rows.hold_in()
 
     @rule()
     def copy(self):
         before = self.graph.version
         clone = self.graph.copy()
         assert clone == self.graph and clone.version == before
-        clone.toggle_edge(0, 0)  # the clone's lists are its own
+        self.rows.copy().check(csr_view(clone))  # same order, no in-rows
+        clone.toggle_edge(0, 0)  # the clone's rows are its own
         assert self.graph.has_edge(0, 0) == ((0, 0) in self.edges)
         assert clone != self.graph
 
     @rule()
     def snapshot(self):
-        self.saved = (self.graph.snapshot(), set(self.nodes), set(self.edges))
+        self.saved = (
+            self.graph.snapshot(), set(self.nodes), set(self.edges),
+            self.rows.copy(),
+        )
 
     @rule()
     def restore(self):
         if self.saved is None:
             return
-        snap, nodes, edges = self.saved
+        snap, nodes, edges, rows = self.saved
         before = self.graph.version
         self.graph.restore(snap)
         assert self.graph.version > before
-        self.nodes, self.edges = set(nodes), set(edges)
+        self.nodes, self.edges, self.rows = set(nodes), set(edges), rows.copy()
 
     @invariant()
     def agrees_with_model(self):
@@ -108,6 +130,15 @@ class GraphAgainstSetModel(RuleBasedStateMachine):
         for u, v in sorted(edges, reverse=True):
             rebuilt.add_edge(u, v)
         assert rebuilt == graph and graph == rebuilt
+
+    @invariant()
+    def rows_keep_the_reference_order(self):
+        self.rows.check(csr_view(self.graph))
+        for v, nbrs in self.rows.out.items():
+            assert self.graph.out_neighbors(v) == nbrs
+        assert list(self.graph.edges()) == [
+            (u, v) for u, nbrs in self.rows.out.items() for v in nbrs
+        ]
 
 
 GraphAgainstSetModel.TestCase.settings = settings(

@@ -1,15 +1,16 @@
-"""Tests for the incrementally maintained CSR view."""
+"""Tests for the CSR views of a dynamic graph."""
 
 import random
 
 import numpy as np
 import pytest
 
-from repro.graph.digraph import MAX_UPDATE_LOG, DynamicGraph
+from repro.graph import adjacency
+from repro.graph.digraph import DynamicGraph
 from repro.graph.generators import barabasi_albert_graph
 from repro.graph.updates import random_update_stream
-from repro.obs.metrics import get_metrics
 from repro.ppr.csr import csr_view, CSRView
+from tests.graph.reference_rows import ReferenceRows
 
 
 def transposed_rows(view: CSRView) -> list[list[int]]:
@@ -21,26 +22,14 @@ def transposed_rows(view: CSRView) -> list[list[int]]:
     return rows
 
 
-def assert_views_equivalent(patched: CSRView, fresh: CSRView) -> None:
-    """Element-for-element equivalence up to within-row neighbor order
-    (neighbor order is irrelevant to every consumer).  In-rows, when
-    the patched view holds them, must be the transpose of the fresh
-    out-rows."""
-    assert patched.n == fresh.n
-    assert patched.m == fresh.m
-    assert np.array_equal(patched.nodes, fresh.nodes)
-    assert np.array_equal(patched.out_deg, fresh.out_deg)
-    for i in range(fresh.n):
-        assert sorted(patched.out_neighbors_of(i).tolist()) == sorted(
-            fresh.out_neighbors_of(i).tolist()
-        ), f"out-row {i} diverged"
-    if patched.in_deg is None:
-        return
-    for i, row in enumerate(transposed_rows(fresh)):
-        assert patched.in_deg[i] == len(row), f"in-degree {i} diverged"
-        assert sorted(patched.in_neighbors_of(i).tolist()) == row, (
-            f"in-row {i} diverged"
-        )
+def tracked(graph: DynamicGraph, reverse: bool = False) -> ReferenceRows:
+    """Reference lists of ``graph`` from now on (in-lists too when
+    ``reverse``, after asking the graph for its in-rows)."""
+    rows = ReferenceRows.of(graph)
+    if reverse:
+        csr_view(graph, reverse=True)
+        rows.hold_in()
+    return rows
 
 
 class TestCSRStructure:
@@ -123,60 +112,71 @@ class TestCaching:
 class TestIncrementalMaintenance:
     def test_insert_patches_in_place(self):
         g = DynamicGraph.from_edges([(0, 1), (1, 2)])
-        csr_view(g, reverse=True)
-        applies_before = get_metrics().counter("csr_delta_applies").value
+        rows = tracked(g, reverse=True)
         g.add_edge(2, 0)
-        view = csr_view(g)
-        assert get_metrics().counter("csr_delta_applies").value > applies_before
-        assert_views_equivalent(view, CSRView(g))
+        rows.link(2, 0)
+        rows.check(csr_view(g))
 
     def test_delete_patches_in_place(self):
-        g = DynamicGraph.from_edges([(0, 1), (0, 2), (1, 2)])
-        csr_view(g, reverse=True)
-        g.remove_edge(0, 2)
-        assert_views_equivalent(csr_view(g), CSRView(g))
+        g = DynamicGraph.from_edges([(0, 1), (0, 2), (0, 3), (1, 2), (3, 2)])
+        rows = tracked(g, reverse=True)
+        g.remove_edge(0, 2)  # mid-row: the entries after it move up
+        rows.unlink(0, 2)
+        g.remove_edge(1, 2)
+        rows.unlink(1, 2)
+        rows.check(csr_view(g))
+        assert csr_view(g).out_neighbors_of(0).tolist() == [1, 3]
 
     def test_many_toggles_stay_equivalent(self):
         g = barabasi_albert_graph(60, attach=2, seed=3)
-        csr_view(g, reverse=True)
+        rows = tracked(g, reverse=True)
         for update in random_update_stream(g, 300, random.Random(0)):
-            update.apply(g)
-            assert_views_equivalent(csr_view(g), CSRView(g))
+            rows.apply(update.apply(g))
+            rows.check(csr_view(g))
 
     def test_new_contiguous_node_keeps_identity_path(self):
         g = DynamicGraph(num_nodes=4)
         g.add_edge(0, 1)
-        view = csr_view(g, reverse=True)
-        assert view.identity_ids
+        rows = tracked(g, reverse=True)
+        assert csr_view(g).identity_ids
         g.add_edge(2, 4)  # creates node 4 == next dense index
+        rows.link(2, 4)
         view = csr_view(g)
         assert view.identity_ids
         assert view.to_index(4) == 4
-        assert_views_equivalent(view, CSRView(g))
+        rows.check(view)
 
     def test_new_non_contiguous_node_breaks_identity(self):
         g = DynamicGraph(num_nodes=3)
         g.add_edge(0, 1)
-        csr_view(g, reverse=True)
+        rows = tracked(g, reverse=True)
         g.add_edge(1, 99)
+        rows.link(1, 99)
         view = csr_view(g)
         assert not view.identity_ids
         assert view.to_node(view.to_index(99)) == 99
-        assert_views_equivalent(view, CSRView(g))
+        rows.check(view)
 
-    def test_node_removal_falls_back_to_rebuild(self):
-        g = DynamicGraph.from_edges([(0, 1), (1, 2), (2, 0)])
-        csr_view(g, reverse=True)
-        rebuilds_before = get_metrics().counter("csr_rebuilds").value
+    def test_node_removal_reindexes_the_rows(self):
+        g = DynamicGraph.from_edges([(0, 1), (1, 2), (2, 0), (2, 1), (0, 2)])
+        rows = tracked(g, reverse=True)
+        old = csr_view(g)
         g.remove_node(1)
+        rows.remove_node(1)
         view = csr_view(g)
-        assert get_metrics().counter("csr_rebuilds").value > rebuilds_before
-        assert view.n == 2
-        assert_views_equivalent(view, CSRView(g))
+        assert view.n == 2 and view.identity_ids is False
+        rows.check(view)
+        # the old view's node-id mapping still reads the old indices
+        assert old.to_index(2) == 2 and old.to_node(1) == 1
+        g.remove_node(2)  # the remaining ids are 0 .. n - 1 again
+        rows.remove_node(2)
+        assert csr_view(g).identity_ids
+        rows.check(csr_view(g))
 
     def test_restore_invalidates_cache(self):
         g = DynamicGraph.from_edges([(0, 1), (1, 2)])
         snap = g.snapshot()
+        rows = tracked(g)
         stale = csr_view(g, reverse=True)
         g.add_edge(2, 0)
         csr_view(g, reverse=True)
@@ -184,7 +184,7 @@ class TestIncrementalMaintenance:
         view = csr_view(g)
         assert view is not stale
         assert view.m == 2
-        assert_views_equivalent(view, CSRView(g))
+        rows.check(view)  # the snapshot's rows, without in-rows
 
     def test_facade_identity_changes_per_version(self):
         """Downstream caches (walk indexes, transition matrices) use
@@ -197,28 +197,17 @@ class TestIncrementalMaintenance:
         c = csr_view(g)
         assert a is not b and b is not c
 
-    def test_cache_hits_counted(self):
-        g = DynamicGraph.from_edges([(0, 1)])
-        csr_view(g)
-        hits_before = get_metrics().counter("csr_cache_hits").value
-        assert csr_view(g) is csr_view(g)
-        assert get_metrics().counter("csr_cache_hits").value >= hits_before + 2
-
     def test_compaction_threshold_knob(self, monkeypatch):
-        from repro.ppr import csr as csr_module
-
-        monkeypatch.setattr(csr_module, "REBUILD_SLACK_RATIO", 0.0)
-        monkeypatch.setattr(csr_module, "SLACK_FLOOR", 0)
+        monkeypatch.setattr(adjacency, "REBUILD_SLACK_RATIO", 0.0)
+        monkeypatch.setattr(adjacency, "SLACK_FLOOR", 0)
         g = barabasi_albert_graph(30, attach=2, seed=1)
-        csr_view(g)
-        compactions_before = get_metrics().counter("csr_compactions").value
+        rows = tracked(g, reverse=True)
         for update in random_update_stream(g, 50, random.Random(2)):
-            update.apply(g)
-            csr_view(g)
-        assert (
-            get_metrics().counter("csr_compactions").value > compactions_before
-        )
-        assert_views_equivalent(csr_view(g), CSRView(g))
+            rows.apply(update.apply(g))
+            view = csr_view(g)
+            # no slack is tolerated: every mutation repacks both ways
+            assert view.is_packed and view.indptr[view.n] == view.m
+            rows.check(view)
 
 
 class TestPackedAccessors:
@@ -235,19 +224,20 @@ class TestPackedAccessors:
         for update in random_update_stream(g, 120, random.Random(4)):
             update.apply(g)
         view = csr_view(g)
+        assert not view.is_packed
         fresh = csr_view(g.copy(), reverse=True)
-        for patched_pack, fresh_pack in (
-            (view.packed_out(), (fresh.indptr, fresh.indices)),
-            (view.packed_in(), (fresh.in_indptr, fresh.in_indices)),
-        ):
-            indptr, indices = patched_pack
-            f_indptr, f_indices = fresh_pack
-            assert np.array_equal(indptr, f_indptr)
-            assert indices.size == view.m
-            for i in range(view.n):
-                assert sorted(indices[indptr[i]:indptr[i + 1]].tolist()) == (
-                    sorted(f_indices[f_indptr[i]:f_indptr[i + 1]].tolist())
-                )
+        assert fresh.is_packed
+        # out-rows keep their order through the packing
+        for mine, theirs in zip(view.packed_out(), fresh.packed_out()):
+            assert np.array_equal(mine, theirs)
+        # patched in-rows hold the transpose, in arrival order
+        indptr, indices = view.packed_in()
+        f_indptr, f_indices = fresh.packed_in()
+        assert np.array_equal(indptr, f_indptr) and indices.size == view.m
+        for i in range(view.n):
+            assert sorted(indices[indptr[i]:indptr[i + 1]].tolist()) == (
+                f_indices[f_indptr[i]:f_indptr[i + 1]].tolist()
+            )
 
 
 def test_large_graph_consistency():
@@ -265,7 +255,7 @@ def test_large_graph_consistency():
 
 
 # ----------------------------------------------------------------------
-# in-rows on demand and the released update log
+# in-rows on demand
 # ----------------------------------------------------------------------
 def assert_in_rows_are_the_transpose(view: CSRView) -> None:
     """``view``'s in-rows against the transpose of its own out-rows."""
@@ -300,26 +290,30 @@ def test_a_late_reverse_view_is_the_transpose_of_the_live_out_rows():
     for i in range(view.n):  # a fresh transpose lists sources ascending
         row = view.in_neighbors_of(i)
         assert np.all(row[1:] > row[:-1])
-    snap = g.snapshot()
+    rows = tracked(g, reverse=True)
+    snap, saved = g.snapshot(), rows.copy()
     rng = random.Random(5)
     for step in range(120):
         if step % 40 == 39:
+            rows.add_node(g.num_nodes)
             g.add_node(g.num_nodes)
         elif step == 60:
             g.restore(snap)
+            rows = saved.copy()
         else:
             u, v = rng.randrange(g.num_nodes), rng.randrange(g.num_nodes)
             g.toggle_edge(u, v)
+            rows.toggle(u, v)
         view = csr_view(g, reverse=True)
+        rows.hold_in()
         assert_in_rows_are_the_transpose(view)
-        assert_views_equivalent(view, CSRView(g))
+        rows.check(view)
     assert view.n == 80 + 2
 
 
 def test_in_rows_never_move_the_out_rows():
-    """The in-direction's slack counts alike with and without in-rows,
-    so both stores compact at the same updates and keep identical
-    out-rows, whose order seeded walks index into."""
+    """A graph that holds in-rows and one that does not, in lockstep,
+    keep identical out-rows, whose order seeded walks index into."""
     forward = barabasi_albert_graph(60, attach=3, seed=2)
     reverse = forward.copy()
     compacted = 0
@@ -328,28 +322,10 @@ def test_in_rows_never_move_the_out_rows():
         update.apply(reverse)
         a, b = csr_view(forward), csr_view(reverse, reverse=True)
         assert a.in_deg is None and b.in_deg is not None
-        assert a.is_packed == b.is_packed
         compacted += a.is_packed
         for mine, theirs in zip(a.packed_out(), b.packed_out()):
             assert np.array_equal(mine, theirs)
     assert compacted >= 2
-
-
-def test_caught_up_views_leave_the_update_log_bounded():
-    g = DynamicGraph(num_nodes=16)
-    csr_view(g)
-    oldest = g.version
-    longest = 0
-    for i in range(2 * MAX_UPDATE_LOG):
-        g.toggle_edge(i % 16, (5 * i + 1) % 16)
-        csr_view(g)
-        longest = max(longest, len(g._log))
-    assert longest == 0
-    assert g.version == oldest + 2 * MAX_UPDATE_LOG
-    # what the store applied is gone: an older consumer must rebuild
-    assert g.updates_since(g.version) == []
-    assert g.updates_since(oldest) is None
-    assert_views_equivalent(csr_view(g), CSRView(g))
 
 
 # ----------------------------------------------------------------------
@@ -426,7 +402,7 @@ PACKED_BUILD_GRAPHS = {
 @pytest.mark.parametrize("name", sorted(PACKED_BUILD_GRAPHS))
 def test_packed_build_equals_the_per_element_loop(name):
     graph = PACKED_BUILD_GRAPHS[name]()
-    view = csr_view(graph.copy(), reverse=True)
+    view = csr_view(graph.copy(), reverse=True)  # a copy's rows are packed
     assert view.n == graph.num_nodes and view.m == graph.num_edges
     assert view.is_packed
     for field, expected in loop_build(graph, view).items():

@@ -104,7 +104,7 @@ class TestForaPlus:
         alg = ForaPlus(small_ba_graph, params)
         alg.seed(1)
         builds_before = alg.timers.count("Index Build")
-        small_ba_graph._csr_cache = None  # force a brand-new view object
+        small_ba_graph._view = None  # force a brand-new view object
         assert alg.view is not alg.index.view
         alg.query(0)
         assert alg.timers.count("Index Build") == builds_before

@@ -1,6 +1,6 @@
 """How the three slack-row stores grow their backing arrays.
 
-``_Adjacency`` (CSR rows), ``WalkIndex`` (terminal rows) and the
+``Adjacency`` (a graph's rows), ``WalkIndex`` (terminal rows) and the
 edge→walk map's arena / posting rows (``incremental._reserve``) all
 append into one flat array and reallocate it when the tail runs out.
 Doubling pinned a second copy of the whole store the first time a
@@ -15,8 +15,9 @@ import math
 import numpy as np
 import pytest
 
+from repro.graph.adjacency import Adjacency, growth
 from repro.graph.generators import barabasi_albert_graph
-from repro.ppr.csr import CSRView, _Adjacency, growth
+from repro.ppr.csr import csr_view
 from repro.ppr.incremental import _reserve
 from repro.ppr.random_walk import WalkIndex
 
@@ -24,8 +25,8 @@ INSERTS = 20_000
 
 
 def adjacency_stream():
-    view = CSRView(barabasi_albert_graph(3000, attach=3, seed=1))
-    rows = _Adjacency(view.indptr, view.indices, view.out_deg)
+    view = csr_view(barabasi_albert_graph(3000, attach=3, seed=1))
+    rows = Adjacency(view.out_deg.copy(), view.indices.copy())
     rng = np.random.default_rng(0)
     yield rows.data, rows.tail
     for i in rng.integers(0, view.n, INSERTS):
@@ -34,7 +35,7 @@ def adjacency_stream():
 
 
 def walk_row_stream():
-    view = CSRView(barabasi_albert_graph(3000, attach=3, seed=2))
+    view = csr_view(barabasi_albert_graph(3000, attach=3, seed=2))
     index = WalkIndex(view, 0.2, 1.5, np.random.default_rng(0))
     rng = np.random.default_rng(1)
     yield index.terminals, index._tail

@@ -77,7 +77,7 @@ class TestSpeedPPRPlus:
         alg = SpeedPPRPlus(small_ba_graph, params)
         alg.seed(1)
         builds_before = alg.timers.count("Index Build")
-        small_ba_graph._csr_cache = None
+        small_ba_graph._view = None
         alg.query(0)
         assert alg.timers.count("Index Build") == builds_before
 
