@@ -17,6 +17,14 @@ residues, so different walk draws); ``total_walks``, ``rows`` and every
 SpeedPPR+inc digest stayed byte-identical, because all updates are
 applied before the first query and SpeedPPR does not push.
 
+Every ``rows`` and ``queries`` digest was re-recorded when the graph's
+rows became its only adjacency: a delete used to swap-remove within the
+CSR row (the last neighbour moved into the hole) while the graph's
+out-list kept its order, and walks pick the k-th neighbour of the row.
+A row now keeps the out-list's order after a delete; the new digests
+are what the parent produced with its CSR rows rebuilt from the
+out-lists at every graph version.  ``total_walks`` did not move.
+
 Re-record (only when a change is *meant* to alter the draws) with
 ``PYTHONPATH=src python tests/ppr/test_incremental_golden.py``.
 """
@@ -125,46 +133,46 @@ def digests(graph_name: str, algorithm_name: str) -> dict[str, object]:
 GOLDEN: dict[tuple[str, str], dict[str, object]] = {
     ("ba_dangling", "FORA+inc"): {
         "total_walks": 4029,
-        "rows": "09aa13ca24667961b1d19d01f8723c812e033daeb77a6f8be2ae0836a2b10fcb",
+        "rows": "24db412413c36f9eb94d9cf0598aa5b21161f7f0302fef5a9cf031aaffb257ff",
         "queries": [
-            "5da38abbfaeaf477e5f1890405f21e9b93c1b44719c3908b3c1d9eb74eb4bfd9",
-            "efdc481759343e34ee5d89b678d72bf9b17d71fee0a8cdc6269afe210eaf3538",
-            "ac36f9fe17642c25008b4da9a073a07d849cfd4bc9ca50a53abd0d6cd54084e7",
-            "4caf3606505bf94e1dc576c41048d6fb948c184948d34f8df7f8c8e5a939b66f",
-            "dd7852f38b775478ac4c0cebc45614f36c97b243245504477834d58a6aa00c32",
+            "1b2f901010499d750053754d69ceaea1dc2c145ca2522f2aca538c392e645828",
+            "59d6ba806e7be1c5fb69d3facee48ce641b15370915e39f60c46b9b357f0ee3e",
+            "1fb79a66f1dccb1c79f208dee64779728e798ec797c00e569ea2df94224835cc",
+            "cabc807c7a67606d046ca9dd7dcfb33e252a48cc6ac46ec898e40b19dd6c4a74",
+            "0e38ba508b283f644888e3bfd93b3454e1d8217290a9f1073fc21a05380ea776",
         ],
     },
     ("ba_dangling", "SpeedPPR+inc"): {
         "total_walks": 1730,
-        "rows": "ef761f9e128fc9c6ecec88e92d6b7104ff04663599babca21746931ca54a170a",
+        "rows": "7ff098ef557d9209c382a60b8549527e1d346fcb0fb21e91912678f235986a2a",
         "queries": [
-            "ef243c3d2890390a639ca90208c45d4efcf8a2fe7b12569aae97aa42d2829d4b",
-            "c68e904f154579145f8b876d09bcefe1047179f9b832bcda6ae0f61737d889b8",
-            "30f0520b7670cb37bd15482b9f53533c13226c9374950ec4db84c4f9e2fcfb0f",
-            "3a5c0bc076882829417da02bf313ce585c6962710f5c412e5c5d8be0abd01817",
-            "7ff625c843b2b35e640da589261d1cbfa62611294fb204f5a28e796bb88fc96e",
+            "febd22a9e98a18e981ba0d1b2b1e79129cede82732ab7893fb9342bdf1e3ac16",
+            "6a22b7b598c0daec4a888522ae8390d4f4ab215726c68299e0dd0a376ddfac39",
+            "53f86f04ee1e321d5c414b1bcacdd6f3b7d8f977dbe8bc6c3815f3eb78de9da3",
+            "3b6043915a74f13542314b7b2e6325af78e7cb3cda16761d7a4fee783d4928c9",
+            "11f3a961bc1ee7548fdd30978d5834c3bdf5ab8b046a5d9bca675809a2d2a567",
         ],
     },
     ("lj", "FORA+inc"): {
         "total_walks": 49368,
-        "rows": "00dbfa74d3aeaeaccba6c7fe0ef6099c8c9febb226d21afc0f9e4155561b6d81",
+        "rows": "b13b62e0d08f78131c9a45f929ce0643bdd7e082563a8b65a487373d55db31af",
         "queries": [
-            "6a413ef1574e6f75c88635aa6996227463285776e5522dad20b1e07cbc904ccf",
-            "de35dd5edb74ce74203d791222a06d2c6c960f667179898dab5e43fe9237d019",
-            "cb0410cc35c1c6dca285de63ade98bffebe36e74349056bb60f58b7562378a1e",
-            "c90f8f1a0b13599ff4e0c369de42584d638a61ae9733e73d011e01d2284358a7",
-            "f5736e04105ac6507e02d9b953ff057350c0e50f0bc8dc2e817aee61ed935633",
+            "aa92f6777507cfb25ad6636885c05308ddc201176d22d25692b6ebb59c1dc995",
+            "092d09dfce9cc6d01222f6edcc998fe89e895a783ec2ad9cfd4a59cd5bfaf40e",
+            "8b7f6301b1bd44fcb4a6d175899fc65d3c45c2ce0d60d16f597b723b4824c794",
+            "9a5fca75a10bc33e4c421fc7ed72da3310aae4c4e0c83993d1792a8e79a792ec",
+            "ec5e7a48444b275094b9c290a9efe679d2cc42bcb4e47795141cf29f2adb6bc8",
         ],
     },
     ("lj", "SpeedPPR+inc"): {
         "total_walks": 23186,
-        "rows": "ba08bd5ddb2b026a0df7f70f29b23ffc6722bc48e0d4994624deb2fa6b529f73",
+        "rows": "b21e724ea247248286d48132d30047d2e1336541002485e5683cc106249befcc",
         "queries": [
-            "b12256e12e52b129f75a2c2da33c05e04776f9ae2749c37815635dd8e8b3389c",
-            "b1580e00b119923d9fcd6b41f54112e441423017497132dd6fbe9c568fb86385",
-            "9bd86263d3d134cfdd0d1ec1cff146554b58ca1a5487c7c78d7bc08661a3a15e",
-            "bc22d277daa1e289dc738c22b2c3816a5a1f4d204224fb6e5b4158d92c33bb63",
-            "30c51e55524c08f2535858964f2f6e7d11a27790ee159d5335c7c2519271dada",
+            "3490a324274aa17dab3ab729d2dce532438f0252b1f07fcd6d8cfaa5e09ab8ed",
+            "5f5fe95e09af113fa640db5712271acef8556f497b2f5d05105ef371ed88af29",
+            "b10d58568cfa84744af8bb836b0dc3972c37a28fa8b6a082da6ae5c2fbd97d7f",
+            "0f9d95d4c587f180c5b4319ea0b3d12353c219908cbead4a68790bdb1691fb03",
+            "d454c46d69a83235c452c4c6a762825d79c322b1a235e8a3526db634952fcb0a",
         ],
     },
 }
