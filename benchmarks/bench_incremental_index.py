@@ -66,7 +66,6 @@ from repro.graph.generators import barabasi_albert_graph
 from repro.graph.updates import random_update_stream
 from repro.obs.metrics import get_metrics, process_stats
 from repro.ppr.base import PPRParams
-from repro.ppr.csr import csr_view
 from repro.ppr.random_walk import WalkIndex
 from repro.ppr.registry import ALGORITHMS
 
@@ -129,7 +128,6 @@ def _algorithm(name: str, graph):
         graph, PPRParams(walk_cap=WALK_CAP), r_max=R_MAX
     )
     algorithm.seed(bench_seed() + 1)
-    algorithm.view  # warm the CSR store so no system pays the cold build
     return algorithm
 
 
@@ -182,7 +180,6 @@ def run_update_cost(
 
     # incremental FORA+ on the identical stream
     graph = _graph()
-    csr_view(graph)  # warm the CSR store: not part of the build's RSS
     rss_before = process_stats()["rss_mb"]
     incremental = _algorithm("FORA+inc", graph)
     index = incremental._walk_index()

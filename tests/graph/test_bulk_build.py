@@ -54,7 +54,7 @@ def test_bulk_equals_loop_on_dataset(name):
     pairs = sorted(source.edges())
     bulk = assert_same_build(source.num_nodes, pairs)
     assert bulk == source
-    # sorted pairs give ascending out-lists; in-rows are ascending always
+    # sorted pairs give ascending out-rows; fresh in-rows are ascending always
     for v in bulk.nodes():
         assert bulk.out_neighbors(v) == sorted(bulk.out_neighbors(v))
     view = csr_view(bulk, reverse=True)

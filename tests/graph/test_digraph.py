@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.digraph import DynamicGraph
+from repro.ppr.csr import csr_view
 
 
 class TestConstruction:
@@ -202,6 +203,16 @@ class TestSnapshotRestore:
         snap = g.snapshot()
         g.add_edge(1, 2)
         assert not snap.has_edge(1, 2)
+
+    def test_restore_drops_in_rows(self):
+        g = DynamicGraph.from_edges([(0, 1), (1, 2)])
+        snap = g.snapshot()
+        assert csr_view(g, reverse=True).in_deg is not None
+        g.add_edge(2, 0)
+        g.restore(snap)
+        # the replaced structure's in-rows are gone, not left stale
+        assert csr_view(g).in_deg is None
+        assert csr_view(g, reverse=True).in_neighbors_of(2).tolist() == [1]
 
     def test_restore_after_restore(self):
         g = DynamicGraph.from_edges([(0, 1)])

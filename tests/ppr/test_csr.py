@@ -328,13 +328,28 @@ def test_in_rows_never_move_the_out_rows():
     assert compacted >= 2
 
 
+def test_a_long_toggle_stream_leaves_the_rows_bounded():
+    g = DynamicGraph(num_nodes=16)
+    rows = tracked(g, reverse=True)
+    for i in range(20_000):
+        u, v = i % 16, (5 * i + 1) % 16
+        g.toggle_edge(u, v)
+        rows.toggle(u, v)
+        view = csr_view(g)
+        # every mutation ends with at most the slack the repack rule allows
+        bound = max(adjacency.SLACK_FLOOR, adjacency.REBUILD_SLACK_RATIO * view.m)
+        assert view.indices.size - view.m <= bound
+        assert view.in_indices.size - view.m <= bound
+    rows.check(csr_view(g))
+
+
 # ----------------------------------------------------------------------
 # the packed build against the per-element loop it replaced
 # ----------------------------------------------------------------------
 def loop_build(graph: DynamicGraph, view: CSRView) -> dict[str, np.ndarray]:
     """The CSR arrays filled one ``to_index`` call and one element
     store at a time — the reference for the C-level build, which must
-    keep every out-row in out-list order (seeded walks index into it)
+    keep every out-row in ``out_neighbors`` order (seeded walks index into it)
     and list every in-row by ascending source index (the order of
     ``in_neighbors``' scan)."""
     nodes = [int(v) for v in view.nodes]

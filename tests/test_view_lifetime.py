@@ -1,8 +1,8 @@
 """CSR-view lifetime, checked on the source.
 
-A CSR view shares the incremental store's arrays, which a graph
-mutation patches in place, so reads through a view taken before the
-mutation are undefined.  No function under ``src/repro`` both binds a
+A CSR view shares the graph's row arrays, which a graph mutation
+patches in place, so reads through a view taken before the mutation
+are undefined.  No function under ``src/repro`` both binds a
 view to a local (``csr_view(...)``, or any ``<x>.view`` read) and calls
 a graph mutator: code that mutates re-reads the view afterwards.
 """
