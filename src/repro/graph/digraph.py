@@ -215,11 +215,9 @@ class DynamicGraph:
     def copy(self) -> "DynamicGraph":
         """Return an independent deep copy of this graph: the same rows,
         packed, at the same version, without in-rows or cached views."""
-        return DynamicGraph._of(*self._packed(), self._version)
-
-    def _packed(self) -> tuple[np.ndarray, dict[int, int] | None, Adjacency]:
         index = None if self._index is None else dict(self._index)
-        return self._ids[:self._out.n].copy(), index, self._out.packed()
+        ids = self._ids[:self._out.n].copy()
+        return DynamicGraph._of(ids, index, self._out.packed(), self._version)
 
     def snapshot(self) -> "DynamicGraph":
         """Capture the current structure for a later :meth:`restore`."""
@@ -235,7 +233,8 @@ class DynamicGraph:
         stale-window bug of wrap-around version schemes).  In-rows are
         dropped until a reverse-push caller asks again.
         """
-        self._take(*snap._packed())
+        clone = snap.copy()
+        self._take(clone._ids, clone._index, clone._out)
         self._version = max(self._version, snap._version) + 1
 
     def _in_rows(self) -> Adjacency:
