@@ -15,9 +15,12 @@ one flat int64 array of dense node indices.
   (above :data:`SLACK_FLOOR`) the rows are repacked, each in the order
   it had.  Row order never depends on when that happens.
 
-Row ``i`` occupies ``data[starts[i] : starts[i] + lens[i]]``; with no
-slack the rows are packed one after another in index order and
-``starts[n]`` is the entry count.
+Row ``i`` occupies ``data[starts[i] : starts[i] + lens[i]]``.  Rows
+fresh from a bulk build, a repack or a transpose are packed
+(:attr:`Adjacency.is_packed`): one after another in index order, with
+``starts[n]`` the entry count.  Any insert, delete or new row clears
+that; zero slack alone does not restore it, because a relocated row
+sits at the tail in relocation order, not in index order.
 """
 
 from __future__ import annotations
@@ -30,6 +33,13 @@ REBUILD_SLACK_RATIO = 0.5
 #: slack is never considered excessive below this absolute floor, so
 #: small graphs do not thrash repacks
 SLACK_FLOOR = 256
+
+#: rows up to this length are searched as a Python list, longer ones
+#: with one numpy compare: the list scan grows ~25 ns an entry, the
+#: numpy compare costs 2.5-5 us at any length, and they cross between
+#: 96 and 160 entries on a Xeon core
+#: (``benchmarks/bench_csr_incremental.py::test_row_scan_paths``)
+LIST_SCAN_MAX = 128
 
 
 def ragged_indices(
@@ -68,9 +78,10 @@ class Adjacency:
     ``starts``, ``lens`` and ``caps`` have room for more than ``n + 1``
     rows, so appending a row is O(1) amortised; ``data[tail:]`` is
     unused and ``live`` counts the entries, ``tail - live`` the slack.
+    ``is_packed`` holds from construction until the first patch.
     """
 
-    __slots__ = ("n", "starts", "lens", "caps", "data", "tail", "live")
+    __slots__ = ("n", "starts", "lens", "caps", "data", "tail", "live", "is_packed")
 
     def __init__(self, lens: np.ndarray, data: np.ndarray) -> None:
         # packed rows: row i is the lens[i] entries after the rows before it
@@ -82,6 +93,7 @@ class Adjacency:
         self.caps = self.lens.copy()
         self.data = data
         self.tail = self.live = int(self.starts[n])
+        self.is_packed = True
 
     @property
     def slack(self) -> int:
@@ -105,7 +117,7 @@ class Adjacency:
         """These rows, or :meth:`packed` once slack exceeds
         :data:`REBUILD_SLACK_RATIO` x the live entries (and
         :data:`SLACK_FLOOR`)."""
-        slack = self.tail - self.live
+        slack = self.slack
         if slack > SLACK_FLOOR and slack > REBUILD_SLACK_RATIO * self.live:
             return self.packed()
         return self
@@ -113,7 +125,7 @@ class Adjacency:
     def find(self, i: int, j: int) -> int:
         """Position of ``j`` in row ``i``; -1 if the row lacks it."""
         row = self.row(i)
-        if row.size <= 64:  # a list scan beats a ufunc call on short rows
+        if row.size <= LIST_SCAN_MAX:
             items = row.tolist()
             return items.index(j) if j in items else -1
         hits = np.flatnonzero(row == j)
@@ -126,6 +138,7 @@ class Adjacency:
         self.data[self.starts[i] + self.lens[i]] = j
         self.lens[i] += 1
         self.live += 1
+        self.is_packed = False
 
     def _relocate(self, i: int) -> None:
         """Move row ``i`` to the tail with doubled capacity."""
@@ -140,12 +153,14 @@ class Adjacency:
         self.caps[i] = new_cap
         self.tail += new_cap
 
-    def remove(self, i: int, j: int) -> None:
-        """Delete ``j`` from row ``i``, keeping the rest in order."""
-        row, pos = self.row(i), self.find(i, j)
+    def remove(self, i: int, pos: int) -> None:
+        """Delete the entry at ``pos`` of row ``i`` (a :meth:`find`
+        result), keeping the rest of the row in order."""
+        row = self.row(i)
         row[pos:-1] = row[pos + 1:]
         self.lens[i] -= 1
         self.live -= 1
+        self.is_packed = False
 
     def append_row(self) -> None:
         """Add an empty row (capacity 0; its first insert relocates it)."""
@@ -157,10 +172,11 @@ class Adjacency:
         self.starts[n] = self.starts[n + 1] = self.tail
         self.lens[n] = self.caps[n] = 0
         self.n = n + 1
+        self.is_packed = False
 
     def drop_row(self, i: int) -> None:
         """Remove the empty row ``i``: every later row, and every entry
-        naming one, moves down one index."""
+        naming one, moves down one index (packed rows stay packed)."""
         n = self.n
         self.starts, self.lens, self.caps = (
             np.delete(a[:n + 1], i) for a in (self.starts, self.lens, self.caps)

@@ -288,13 +288,14 @@ class DynamicGraph:
         moves down one dense index."""
         import numpy as np
 
-        if self._dense(v) is None:
-            raise KeyError(f"node {v} not in graph")
-        for w in self.out_neighbors(v):
-            self._unlink(v, w)
-        for u in self.in_neighbors(v):
-            self._unlink(u, v)
         i = self._dense(v)
+        if i is None:
+            raise KeyError(f"node {v} not in graph")
+        for j in self._out.row(i).tolist():
+            self._unlink(i, j, self._out.find(i, j))
+        for u in self.in_neighbors(v):
+            k = self._dense(u)
+            self._unlink(k, i, self._out.find(k, i))
         self._ids = np.delete(self._ids[:self._out.n], i)
         self._out.drop_row(i)
         if self._in is not None:
@@ -330,9 +331,10 @@ class DynamicGraph:
 
     def remove_edge(self, u: int, v: int) -> None:
         """Delete edge ``(u, v)``.  Raises KeyError if absent."""
-        if not self.has_edge(u, v):
+        i, j, pos = self._find(u, v)
+        if pos < 0:
             raise KeyError(f"edge ({u}, {v}) not in graph")
-        self._unlink(u, v)
+        self._unlink(i, j, pos)
 
     def toggle_edge(self, u: int, v: int) -> bool:
         """Apply the paper's edge-arrival semantics.
@@ -341,8 +343,9 @@ class DynamicGraph:
         (Section II-B).  Returns True if the edge was inserted, False
         if it was deleted.
         """
-        if self.has_edge(u, v):
-            self._unlink(u, v)
+        i, j, pos = self._find(u, v)
+        if pos >= 0:
+            self._unlink(i, j, pos)
             return False
         self._link(u, v)
         return True
@@ -357,12 +360,12 @@ class DynamicGraph:
             self._in.insert(j, i)
         self._edge_changed()
 
-    def _unlink(self, u: int, v: int) -> None:
-        """Delete ``(u, v)``, which the caller checked is present."""
-        i, j = self._dense(u), self._dense(v)
-        self._out.remove(i, j)
+    def _unlink(self, i: int, j: int, pos: int) -> None:
+        """Delete the edge from dense index ``i`` to ``j``, found at
+        ``pos`` of ``i``'s out-row."""
+        self._out.remove(i, pos)
         if self._in is not None:
-            self._in.remove(j, i)
+            self._in.remove(j, self._in.find(j, i))
         self._edge_changed()
 
     def _edge_changed(self) -> None:
@@ -372,10 +375,17 @@ class DynamicGraph:
             self._in = self._in.compacted()
         self._version += 1
 
+    def _find(self, u: int, v: int) -> tuple[int | None, int | None, int]:
+        """Dense indices of ``u`` and ``v`` and the position of ``v`` in
+        ``u``'s out-row (-1 when ``(u, v)`` is not an edge)."""
+        i, j = self._dense(u), self._dense(v)
+        if i is None or j is None:
+            return i, j, -1
+        return i, j, self._out.find(i, j)
+
     def has_edge(self, u: int, v: int) -> bool:
         """Whether ``(u, v)`` is an edge: a scan of ``u``'s out-row."""
-        i, j = self._dense(u), self._dense(v)
-        return i is not None and j is not None and self._out.find(i, j) >= 0
+        return self._find(u, v)[2] >= 0
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Iterate over directed edges, grouped by source node (node

@@ -470,12 +470,8 @@ class WalkIndexOwner(DynamicPPRAlgorithm):
         return self._index
 
     def _walk_index(self) -> WalkIndex:
-        """The index at the graph's current version.
-
-        Keyed on the snapshot *version*, not view object identity: a
-        slack-slot compaction yields a fresh view object at the same
-        version and must not trigger an O(m r_max K) rebuild.
-        """
+        """The index at the graph's current version: the version is the
+        key, as a view is new exactly when the version moves."""
         index = self._index
         if index is None or index.view.version != self.view.version:
             index = self._build_index()

@@ -75,9 +75,9 @@ class CSRView:
         Degree arrays (``in_deg`` None with the in-adjacency).
     is_packed:
         True when the adjacency arrays are strictly packed (row ends
-        coincide with the next row's start and ``indptr[n] == m``):
-        rows that hold no slack, as a bulk build or a repack leaves
-        them.  Patched rows generally are not.
+        coincide with the next row's start and ``indptr[n] == m``): rows
+        as a bulk build, a copy or a repack leaves them.  Patched rows
+        are not, even where they hold no slack.
     """
 
     __slots__ = (
@@ -108,7 +108,7 @@ class CSRView:
         self.indptr = out.starts[:n + 1]
         self.indices = out.data[:out.tail]
         self.out_deg = out.lens[:n]
-        self.is_packed = out.slack == 0
+        self.is_packed = out.is_packed
         self.in_indptr = self.in_indices = self.in_deg = None
         if graph._in is not None:
             self._hold_in_rows(graph)
@@ -119,7 +119,7 @@ class CSRView:
         self.in_indptr = inc.starts[:self.n + 1]
         self.in_indices = inc.data[:inc.tail]
         self.in_deg = inc.lens[:self.n]
-        self.is_packed = self.is_packed and inc.slack == 0
+        self.is_packed = self.is_packed and inc.is_packed
 
     # ------------------------------------------------------------------
     def to_index(self, node: int) -> int:

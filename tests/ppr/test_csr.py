@@ -7,9 +7,10 @@ import pytest
 
 from repro.graph import adjacency
 from repro.graph.digraph import DynamicGraph
-from repro.graph.generators import barabasi_albert_graph
+from repro.graph.generators import barabasi_albert_graph, complete_graph
 from repro.graph.updates import random_update_stream
 from repro.ppr.csr import csr_view, CSRView
+from repro.ppr.power_iteration import ppr_exact
 from tests.graph.reference_rows import ReferenceRows
 
 
@@ -210,7 +211,39 @@ class TestIncrementalMaintenance:
             rows.check(view)
 
 
+def two_full_rows() -> DynamicGraph:
+    """Rows 1 and 0 each fill exactly the four slots their first insert
+    gave them: no slack, yet the rows sit in first-insert order."""
+    g = DynamicGraph(num_nodes=5)
+    for v in (0, 2, 3, 4):
+        g.add_edge(1, v)
+    for v in (1, 2, 3, 4):
+        g.add_edge(0, v)
+    return g
+
+
 class TestPackedAccessors:
+    @pytest.mark.parametrize(
+        "build", [two_full_rows, lambda: complete_graph(5)],
+        ids=["two full rows", "K5"],
+    )
+    def test_patched_rows_without_slack_are_not_packed(self, build):
+        g = build()
+        view, fresh = csr_view(g, reverse=True), csr_view(g.copy(), reverse=True)
+        assert not view.is_packed and fresh.is_packed
+        indptr, indices = view.packed_out()
+        assert indptr[view.n] == view.m
+        for mine, theirs in zip(
+            (*view.packed_out(), *view.packed_in()),
+            (*fresh.packed_out(), *fresh.packed_in()),
+        ):
+            assert np.array_equal(mine, theirs)
+        for source in range(view.n):
+            assert np.allclose(
+                ppr_exact(g, source).values,
+                ppr_exact(g.copy(), source).values,
+            )
+
     def test_fresh_view_is_packed(self):
         g = barabasi_albert_graph(40, attach=2, seed=2)
         view = csr_view(g)

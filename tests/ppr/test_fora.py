@@ -98,9 +98,9 @@ class TestForaPlus:
         assert alg.timers.count("Index Build") == builds_before + 1
 
     def test_compaction_does_not_rebuild_index(self, small_ba_graph, params):
-        """Regression: a fresh CSR view *object* at the same graph
-        version (e.g. after slack-slot compaction) must not trigger an
-        O(m r_max K) index rebuild — the trigger keys on version."""
+        """A fresh CSR view *object* at the same graph version (a
+        dropped view cache) must not trigger an O(m r_max K) index
+        rebuild: the trigger keys on version."""
         alg = ForaPlus(small_ba_graph, params)
         alg.seed(1)
         builds_before = alg.timers.count("Index Build")

@@ -76,7 +76,7 @@ class TestBuiltOnFirstUse:
 class TestLifecycle:
     def test_compaction_at_same_version_does_not_rebuild(self, name, graph):
         algorithm = build(name, graph)
-        graph._view = None  # a brand-new view object, same version
+        graph._view = None  # a dropped view cache: a new view, same version
         assert algorithm.view is not algorithm.index.view
         algorithm.query(0)
         assert builds(algorithm) == 1
