@@ -1,13 +1,14 @@
 """Benchmark: what each fleet process pays, stage by stage, and their sum.
 
 ``server_rss_mb`` of the end-to-end benchmark is a sum of ``VmRSS``
-over the front door and its workers.  Seven kinds of row:
+over the front door and its workers.  Eight kinds of row:
 
 * per algorithm (FORA and FORA+inc on ``lj``): a **worker**'s start-up
   in a fresh interpreter started as a worker is, by
   :func:`repro.shard.launch.python_child` — import the serving stack,
   unpickle a :class:`~repro.shard.messages.ShardSpec`, ``build_graph``,
-  ``build_algorithm`` — seconds each took, RSS it added, the pickled
+  ``build_algorithm`` — seconds each took, RSS it added (and the
+  ``RssAnon`` part of it, private memory without file pages), the pickled
   spec's size, whether OpenSSL got loaded, and whether the graph holds
   in-rows once the worker has served a query and a toggle;
 * ``FORA+inc`` → ``update_stream``: the same worker *after* start-up —
@@ -27,6 +28,9 @@ over the front door and its workers.  Seven kinds of row:
   bytes the cache keeps live for them (``tracemalloc``: what the same
   64 answers leave live with the cache on, less what they leave with
   it off);
+* ``cache_entry_top_k``: the same 64 sources asked with ``top_k=50``,
+  which the cache holds as the reply and a charge table — the bytes it
+  keeps live per answer;
 * ``image_build``: the **graph-image builder** child ``repro serve``
   starts, on its own — wall seconds from launch to exit (imports,
   generating the dataset's pairs, packing them, writing them out) and
@@ -55,6 +59,9 @@ Asserted (the bench-smoke CI job runs this at quick scope):
 * a cached answer keeps <= 12.5 B live per nonzero entry (int32 index
   plus float64 value are 12; the dense vector it was cached as held
   16-18);
+* a cached top-50 answer keeps <= 15 000 B live (≈ 14.0 KB: uint16 id
+  plus float32 charge per nonzero entry, and the 50 reply pairs; held
+  as its whole vector's nonzero entries it kept ≈ 26.4 KB);
 * no worker and no front door loads OpenSSL (``numpy.random`` and
   ``asyncio`` used to map it into each);
 * ``build_graph`` adds <= 42 B of RSS per edge (the graph's int64
@@ -92,7 +99,9 @@ walk recorder, doubling slack stores) through this file's child; its
 ``DynamicGraph`` and packed it with numpy) through this file's
 ``run_image_build`` and ``run_fleet``; its ``cache_entry`` row is
 commit 0839fb8 (dense cache entries) through this file's
-``run_cache_entry``; its ``in_lists`` row is commit 64d340a (in-lists
+``run_cache_entry``, and its ``cache_entry_top_k`` row commit c29d85b
+(top-k answers cached as whole vectors) through the same function; its
+``in_lists`` row is commit 64d340a (in-lists
 in the graph, in-rows in every CSR store) and its ``out_lists`` row
 commit 902cf04 (out-lists in the graph, the same edges again as the
 CSR store's out-rows) through this file.  Start-up
@@ -140,6 +149,10 @@ FRONTDOOR_STAGES = ("imports", "image_received", "manager_ready")
 SPEC_BYTES_PER_EDGE_CEILING = 10.0
 REPLY_BYTES_PER_PAIR_CEILING = 12.5
 CACHE_BYTES_PER_ENTRY_CEILING = 12.5
+#: live bytes per cached top-50 answer: ≈ 14.0 KB (a 6 B charge-table
+#: row per nonzero entry, ≈ 2 130 of them, and 50 reply pairs); the
+#: whole vector it held before is ≈ 26.4 KB
+CACHE_BYTES_PER_TOP_K_ANSWER_CEILING = 15_000
 GRAPH_RSS_BYTES_PER_EDGE_CEILING = 42.0
 #: a FORA worker's build_graph + build_algorithm at the parent 902cf04
 FORA_GRAPH_AND_ALGORITHM_MB_CEILING = 2.45 + 2.72
@@ -228,6 +241,16 @@ PREVIOUS["cache_entry"] = {
     "cache_bytes": 2_454_826,
 }
 
+#: the same 64 sources asked with top_k=50 at the parent commit c29d85b,
+#: whose cache held each as its whole vector's nonzero entries, by this
+#: file's `run_cache_entry(50)` with that commit's `src`
+PREVIOUS["cache_entry_top_k"] = {
+    "commit": "c29d85b",
+    "cached": 64,
+    "pairs": 3_200,
+    "cache_bytes": 1_686_003,
+}
+
 #: the parent commit 64d340a, whose graphs kept in-lists beside the
 #: out-lists and whose CSR stores kept in-rows beside the out-rows, by
 #: this file (quick scope) on the recording host
@@ -260,10 +283,12 @@ PREVIOUS["out_lists"] = {
     },
 }
 
-#: the sources the `cache_entry` row caches, and its cache budget (that
-#: of the `hot_cached` workload)
+#: the sources the `cache_entry` rows cache, their cache budget (that
+#: of the `hot_cached` workload), and the `cache_entry_top_k` row's
+#: truncation (the HTTP default `hot_cached` asks for)
 CACHED_SOURCES = range(0, 4_800, 75)
 CACHE_EPSILON = 0.1
+CACHED_TOP_K = 50
 
 COMPACTION_PEAK_MB_CEILING = 8.0
 
@@ -356,14 +381,17 @@ from repro.obs.metrics import process_stats
 from repro.ppr.registry import build_algorithm
 from repro.shard.worker import build_graph
 
-marks = [("imports", time.perf_counter() - started,
-          process_stats()["rss_mb"])]
+def mark(name, seconds):
+    stats = process_stats()
+    marks.append((name, seconds, stats["rss_mb"], stats["rss_anon_mb"]))
+
+marks = []
+mark("imports", time.perf_counter() - started)
 
 def stage(name, fn):
     begin = time.perf_counter()
     result = fn()
-    marks.append((name, time.perf_counter() - begin,
-                  process_stats()["rss_mb"]))
+    mark(name, time.perf_counter() - begin)
     return result
 
 def unpickle():
@@ -480,16 +508,17 @@ def run_reply() -> dict:
     }
 
 
-def run_cache_entry() -> dict:
+def run_cache_entry(top_k: int | None = None) -> dict:
     """What a FORA worker's result cache keeps live for 64 answers.
 
-    The same 64 full-vector queries run through a :class:`ShardServer`
-    with the cache off and one with it on, ``tracemalloc`` on around
-    the queries alone; ``cache_bytes`` is the difference of what each
-    leaves live once the replies are dropped.  ``nonzero_entries``
-    counts the pairs the answers carried: a FORA estimate has no
-    negative entry, so its positive entries are its nonzero ones.
-    ``cached`` is the entries the cache took in.
+    The same 64 queries (full-vector, or truncated to ``top_k``) run
+    through a :class:`ShardServer` with the cache off and one with it
+    on, ``tracemalloc`` on around the queries alone; ``cache_bytes`` is
+    the difference of what each leaves live once the replies are
+    dropped.  A full-vector row's ``nonzero_entries`` counts the pairs
+    the answers carried (a FORA estimate has no negative entry, so its
+    positive entries are its nonzero ones); a top-k row reports them as
+    ``pairs``.  ``cached`` is the entries the cache took in.
     """
     live = {}
     for cache_epsilon in (None, CACHE_EPSILON):
@@ -502,7 +531,7 @@ def run_cache_entry() -> dict:
             serve_commands(
                 server,
                 [
-                    QueryCommand(request_id, source)
+                    QueryCommand(request_id, source, top_k=top_k)
                     for request_id, source in enumerate(CACHED_SOURCES, 1)
                 ],
             )
@@ -512,21 +541,27 @@ def run_cache_entry() -> dict:
             live[cache_epsilon] = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-    return {
+    row = {
         "sources": len(CACHED_SOURCES),
         "cached": server.metrics.counter("cache.insertions").value,
-        "nonzero_entries": pairs,
         "cache_bytes": live[CACHE_EPSILON] - live[None],
     }
+    if top_k is None:
+        row["nonzero_entries"] = pairs
+    else:
+        row.update(top_k=top_k, pairs=pairs)
+    return row
 
 
 def run_stages(spec_pickle: bytes) -> dict:
     """One fresh interpreter through the four start-up stages.
 
-    Returns ``{stage: {"seconds", "rss_mb", "added_mb"}}`` (``added_mb``
-    is the RSS growth over the previous stage; ``imports`` has only the
-    absolute value) plus what the child saw of the built graph and
-    whether it loaded OpenSSL.
+    Returns ``{stage: {"seconds", "rss_mb", "rss_anon_mb", "added_mb",
+    "added_anon_mb"}}`` (``added_mb`` is the RSS growth over the
+    previous stage, ``added_anon_mb`` that of its ``RssAnon`` part, the
+    private memory without mapped files and libraries; ``imports`` has
+    only the absolute values) plus what the child saw of the built
+    graph and whether it loaded OpenSSL.
     """
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "spec.pickle"
@@ -545,11 +580,14 @@ def run_stages(spec_pickle: bytes) -> dict:
     report = json.loads(out.splitlines()[-1])
     stages: dict[str, dict[str, float]] = {}
     before = None
-    for name, seconds, rss_mb in report.pop("marks"):
-        stages[name] = {"seconds": seconds, "rss_mb": rss_mb}
+    for name, seconds, rss_mb, anon_mb in report.pop("marks"):
+        stages[name] = {
+            "seconds": seconds, "rss_mb": rss_mb, "rss_anon_mb": anon_mb,
+        }
         if before is not None:
-            stages[name]["added_mb"] = rss_mb - before
-        before = rss_mb
+            stages[name]["added_mb"] = rss_mb - before[0]
+            stages[name]["added_anon_mb"] = anon_mb - before[1]
+        before = rss_mb, anon_mb
     return {"stages": stages, **report}
 
 
@@ -738,6 +776,7 @@ def run_bench() -> dict:
             }
     results["reply"] = run_reply()
     results["cache_entry"] = run_cache_entry()
+    results["cache_entry_top_k"] = run_cache_entry(CACHED_TOP_K)
     results["image_build"] = run_image_build()
     results["frontdoor"] = run_frontdoor()
     if os.path.isdir("/proc/self"):
@@ -776,6 +815,14 @@ def test_cached_answer_is_compact():
     assert row["cached"] == row["sources"]
     per_entry = row["cache_bytes"] / row["nonzero_entries"]
     assert per_entry <= CACHE_BYTES_PER_ENTRY_CEILING
+
+
+def test_cached_top_k_answer_holds_its_reply_and_charge_table():
+    row = _results()["cache_entry_top_k"]
+    assert row["cached"] == row["sources"]
+    assert row["pairs"] == row["sources"] * row["top_k"]
+    per_answer = row["cache_bytes"] / row["cached"]
+    assert per_answer <= CACHE_BYTES_PER_TOP_K_ANSWER_CEILING
 
 
 def test_no_worker_or_front_door_loads_openssl():
@@ -847,7 +894,9 @@ def main() -> None:
         for name in STAGES:
             row = results[algorithm][name]
             added = (
-                f"+{row['added_mb']:5.1f} MB" if "added_mb" in row else " " * 9
+                f"+{row['added_mb']:5.1f} MB (anon +{row['added_anon_mb']:4.1f})"
+                if "added_mb" in row
+                else " " * 24
             )
             print(
                 f"  {name:<16} {row['seconds'] * 1e3:7.1f} ms  {added}  "
@@ -864,6 +913,12 @@ def main() -> None:
         f"result cache, {row['sources']} answers: "
         f"{row['cache_bytes'] / row['nonzero_entries']:.1f} B per nonzero "
         f"entry (was {was['cache_bytes'] / was['nonzero_entries']:.1f})"
+    )
+    row, was = results["cache_entry_top_k"], PREVIOUS["cache_entry_top_k"]
+    print(
+        f"result cache, {row['sources']} top-{row['top_k']} answers: "
+        f"{row['cache_bytes'] / row['cached'] / 1e3:.1f} KB per answer "
+        f"(was {was['cache_bytes'] / was['cached'] / 1e3:.1f})"
     )
     stream = results["FORA+inc"]["update_stream"]
     was = PREVIOUS["FORA+inc"]["update_stream"]

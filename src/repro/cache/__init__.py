@@ -5,8 +5,10 @@ popularity); this package makes them cost ~0 while keeping every
 served answer within a provable distance of a fresh recompute:
 
 * :mod:`~repro.cache.store` — the size-bounded LRU/LFU-hybrid
-  :class:`PPRCache`, keyed by (source, algorithm, beta-signature),
-  carrying per-entry graph version and accumulated staleness.
+  :class:`PPRCache`, keyed by (source, algorithm, beta-signature,
+  top_k), carrying per-entry graph version and accumulated staleness;
+  :class:`TopKAnswer`, the reply-plus-charge-table form of a cached
+  top-k answer.
 * :mod:`~repro.cache.staleness` — :class:`StalenessTracker`, charging
   each live entry a safety-scaled Lemma-2 increment per applied edge
   update and evicting past the ``epsilon_c`` budget;

@@ -25,7 +25,10 @@ verifies zero violations; measured worst-case drift/charge ratios sit
 near half the coupling factor).
 
 ``pi_hat(s, u)`` is the *cached* estimate — the value computed when the
-entry was admitted.  Entries whose result cannot be indexed by node
+entry was admitted; a top-k entry reads it from its charge table
+(:class:`~repro.cache.store.TopKAnswer`), float32 rounded up, so it
+is charged at least what its whole vector would be.  Entries whose
+result cannot be indexed by node
 (opaque ``query_fn`` results, modeled entries in a virtual-time replay) carry
 no ``pi_estimate`` and fall back to the conservative degree-only bound
 ``pi_hat = 1``, which over-charges and never under-protects.

@@ -1,11 +1,13 @@
 """Size-bounded PPR result cache with staleness metadata.
 
-:class:`PPRCache` maps ``(source, algorithm, beta-signature)`` keys
-to computed PPR results plus the metadata the invalidation machinery
-needs: the graph version the result was computed at and the staleness
-budget it has accumulated since (charged by
+:class:`PPRCache` maps ``(source, algorithm, beta-signature, top_k)``
+keys to computed PPR results plus the metadata the invalidation
+machinery needs: the graph version the result was computed at and the
+staleness budget it has accumulated since (charged by
 :class:`~repro.cache.staleness.StalenessTracker`, one increment per
-applied edge update).
+applied edge update).  A top-k answer is cached as a
+:class:`TopKAnswer` — the reply it serves and a charge table — rather
+than as the whole vector.
 
 The beta signature is part of the key on purpose: Quota reconfigures
 hyperparameters live, and a result computed under the old beta answers
@@ -29,9 +31,12 @@ under ``replay`` the replaying thread does all of it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import OrderedDict
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.obs.metrics import MetricsRegistry, get_metrics
 
@@ -52,16 +57,73 @@ def beta_signature(beta: Mapping[str, float]) -> BetaSignature:
 
 @dataclass(frozen=True, slots=True)
 class CacheKey:
-    """Identity of one cached result."""
+    """Identity of one cached result.
+
+    ``top_k`` is the truncation the answer was served at (None for the
+    whole vector); callers clamp it to the node count, so every
+    ``top_k >= n`` names one entry.
+    """
 
     source: int
     algo: str
     beta_sig: BetaSignature
+    top_k: int | None = None
 
 
-def make_key(source: int, algo: str, beta: Mapping[str, float]) -> CacheKey:
+def make_key(
+    source: int,
+    algo: str,
+    beta: Mapping[str, float],
+    top_k: int | None = None,
+) -> CacheKey:
     """Build a :class:`CacheKey` from a live hyperparameter mapping."""
-    return CacheKey(source, algo, beta_signature(beta))
+    return CacheKey(source, algo, beta_signature(beta), top_k)
+
+
+class TopKAnswer:
+    """A cached top-k answer: the reply it serves and its charge table.
+
+    ``nodes`` / ``values`` are the pairs ``PPRVector.select(top_k)``
+    picked, exactly — a hit serves them as they are.  The charge table
+    prices the entry's staleness without the vector: ``charge_ids`` are
+    the estimate's nonzero node ids, ascending, in the narrowest
+    unsigned dtype that holds them, and ``charges`` the estimate at each
+    as float32 rounded toward +inf, so :meth:`pi_bound` never reads
+    below the float64 estimate it stands for.  A negative or NaN
+    estimate is stored as 1.0, the degree-only bound the tracker falls
+    back to for it.  The entry keeps no reference to the graph.
+    """
+
+    __slots__ = ("nodes", "values", "charge_ids", "charges")
+
+    def __init__(
+        self,
+        nodes: np.ndarray,
+        values: np.ndarray,
+        estimate_ids: np.ndarray,
+        estimate_values: np.ndarray,
+    ) -> None:
+        self.nodes = nodes
+        self.values = values
+        self.charge_ids = estimate_ids.astype(
+            np.min_scalar_type(int(estimate_ids[-1]) if estimate_ids.size else 0)
+        )
+        charges = estimate_values.astype(np.float32)
+        low = charges < estimate_values
+        charges[low] = np.nextafter(charges[low], np.float32(np.inf))
+        charges[~(estimate_values >= 0.0)] = 1.0
+        self.charges = charges
+
+    def pi_bound(self, node: int) -> float:
+        """An upper bound on the estimate at ``node`` (0.0 where it was
+        zero); the entry's ``pi_estimate`` for staleness charging."""
+        # a memoryview hands bisect Python ints and floats, as
+        # CompactPPRVector.get does
+        ids = self.charge_ids.data
+        position = bisect_left(ids, node)
+        if position < len(ids) and ids[position] == node:
+            return float(self.charges.data[position])
+        return 0.0
 
 
 @dataclass(slots=True)

@@ -160,6 +160,14 @@ class PPRVector:
             idx = idx[np.argsort(-self.values[idx], kind="stable")]
         return self._view.nodes[idx], self.values[idx]
 
+    def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(nodes, estimates)`` of every nonzero entry (NaN counts),
+        ascending by node id."""
+        mask = self.values != 0.0
+        nodes = self._view.nodes[mask]
+        order = np.argsort(nodes, kind="stable")
+        return nodes[order], self.values[mask][order]
+
     def top_k(self, k: int) -> list[tuple[int, float]]:
         """The k largest (node, estimate) pairs, descending by estimate."""
         nodes, values = self.select(k)

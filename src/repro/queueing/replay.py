@@ -56,7 +56,13 @@ from repro.cache.staleness import (
     StalenessTracker,
     SupportsApplyUpdate,
 )
-from repro.cache.store import CacheKey, PiEstimate, PPRCache, make_key
+from repro.cache.store import (
+    CacheKey,
+    PiEstimate,
+    PPRCache,
+    TopKAnswer,
+    make_key,
+)
 from repro.graph.digraph import DynamicGraph
 from repro.queueing.kinds import QUERY, UPDATE
 from repro.queueing.workload import Request, Workload
@@ -325,8 +331,11 @@ class ModeledExecutor:
 
 
 #: ``on_answer(request, answer, cached_version)``: fired after every
-#: served query; ``cached_version`` is the graph version a cache hit was
-#: computed at, None for an answer computed now
+#: served query; ``answer`` is the dense vector (or ``query_fn``'s
+#: result), except for a top-k request with a cache, where it is the
+#: entry's :class:`~repro.cache.store.TopKAnswer`; ``cached_version`` is
+#: the graph version a cache hit was computed at, None for an answer
+#: computed now
 AnswerHook = Callable[[Request, object, "int | None"], None]
 
 #: a query executor over the live graph, ``(graph, source) -> answer``
@@ -337,10 +346,15 @@ class MeasuredExecutor:
     """Service time = measured wall time of the real algorithm.
 
     Queries look up the :class:`~repro.cache.store.PPRCache` before computing
-    (a hit costs the measured lookup) and insert after; the cache holds
-    an answer's nonzero entries (:class:`~repro.ppr.base.CompactPPRVector`)
-    and a hit expands them back into the dense vector, inside the
-    measured lookup, before ``on_answer`` sees it; with a cache,
+    (a hit costs the measured lookup) and insert after, keyed by the
+    request's ``top_k`` as well.  A whole-vector answer (``top_k`` None)
+    is held as its nonzero entries
+    (:class:`~repro.ppr.base.CompactPPRVector`), and a hit expands them
+    back into the dense vector, inside the measured lookup, before
+    ``on_answer`` sees it.  A top-k answer is held as the
+    :class:`~repro.cache.store.TopKAnswer` a miss selects once, and
+    ``on_answer`` gets that entry on the miss and on every hit, which
+    then does no numpy work.  With a cache,
     updates go through a :class:`~repro.cache.staleness.ChargingApplier`
     over ``algorithm.graph`` at ``algorithm.params.alpha``, so each one
     is charged against the degrees it actually saw.  Durations land on
@@ -376,26 +390,29 @@ class MeasuredExecutor:
         self._on_answer = on_answer
         self._query_fn = query_fn
 
-    def _key(self, source: int) -> CacheKey:
+    def _key(self, request: Request) -> CacheKey:
         """Cache identity of a query at the current configuration."""
+        source, top_k = request.source, request.top_k
+        assert source is not None  # QUERY requests carry one
+        if top_k is not None:
+            top_k = min(top_k, self._algorithm.graph.num_nodes)
         return make_key(
             source,
             self._algorithm.name,
             self._algorithm.get_hyperparameters(),
+            top_k,
         )
 
     def lookup(self, request: Request) -> float | None:
         if self._cache is None:
             return None
-        source = request.source
-        assert source is not None  # QUERY requests carry one
-        key = self._key(source)
+        key = self._key(request)
         started = perf_counter()
         entry = self._cache.lookup(key)
         if entry is None:
             return None
         answer = entry.value
-        if self._query_fn is None:
+        if self._query_fn is None and request.top_k is None:
             answer = cast("CompactPPRVector", answer).expand()
         elapsed = perf_counter() - started
         self._metrics.histogram("service.query_hit").observe(elapsed)
@@ -417,11 +434,17 @@ class MeasuredExecutor:
         if self._cache is not None:
             kept: object = answer
             pi_estimate: PiEstimate | None = None
-            if estimate is not None:
+            if estimate is not None and request.top_k is not None:
+                top = TopKAnswer(
+                    *estimate.select(request.top_k), *estimate.nonzero()
+                )
+                answer = kept = top
+                pi_estimate = top.pi_bound
+            elif estimate is not None:
                 compact = estimate.compact()
                 kept, pi_estimate = compact, compact.get
             self._cache.insert(
-                self._key(source),
+                self._key(request),
                 kept,
                 self._algorithm.graph.version,
                 pi_estimate=pi_estimate,

@@ -36,6 +36,11 @@ class Request:
     that command when the query completes.  It never affects
     scheduling, equality of generated workloads, or trace round-trips
     (traces neither persist nor restore tags).
+
+    ``top_k`` is the truncation a query's answer is served at (None:
+    the whole vector); the result cache keys on it and keeps a top-k
+    answer as the reply it serves.  Like ``tag``, traces do not
+    persist it.
     """
 
     arrival: float
@@ -43,6 +48,7 @@ class Request:
     source: int | None = None
     update: EdgeUpdate | None = None
     tag: object = None
+    top_k: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind == QUERY:

@@ -49,7 +49,7 @@ from collections.abc import Callable
 from multiprocessing.connection import Connection, wait
 from typing import TYPE_CHECKING, NoReturn, cast
 
-from repro.cache.store import PPRCache
+from repro.cache.store import PPRCache, TopKAnswer
 from repro.graph.digraph import DynamicGraph
 from repro.graph.updates import EdgeUpdate
 from repro.obs.metrics import MetricsRegistry, process_stats
@@ -102,7 +102,9 @@ def build_graph(spec: ShardSpec) -> DynamicGraph:
     return DynamicGraph.from_edge_array(spec.num_nodes, spec.edge_array())
 
 
-def serialize_result(result: PPRVector, top_k: int | None) -> PackedPairs:
+def serialize_result(
+    result: PPRVector | TopKAnswer, top_k: int | None
+) -> PackedPairs:
     """Reply-payload form of a query result.
 
     The entries :meth:`~repro.ppr.base.PPRVector.select` picks — the
@@ -110,8 +112,13 @@ def serialize_result(result: PPRVector, top_k: int | None) -> PackedPairs:
     ``top_k`` largest when a truncation was requested (the HTTP
     default, so payloads stay bounded on large graphs) — packed as
     int32 node ids and float64 values (exact), which the HTTP edge
-    writes as the ``[[node, value], ...]`` JSON array.
+    writes as the ``[[node, value], ...]`` JSON array.  A top-k answer
+    the result cache served or admitted
+    (:class:`~repro.cache.store.TopKAnswer`) already holds that
+    selection and is packed as it is.
     """
+    if isinstance(result, TopKAnswer):
+        return PackedPairs.from_arrays(result.nodes, result.values)
     return PackedPairs.from_arrays(*result.select(top_k))
 
 
@@ -243,7 +250,7 @@ class ShardServer:
         }
         if record.status == OK:
             payload["values"] = serialize_result(
-                cast(PPRVector, record.result), command.top_k
+                cast("PPRVector | TopKAnswer", record.result), command.top_k
             )
         self._answer(command.req_id, payload, record.status == OK, record.error)
 
@@ -288,7 +295,11 @@ class ShardServer:
     # ------------------------------------------------------------------
     def _handle_query(self, command: QueryCommand) -> None:
         request = Request(
-            time.perf_counter(), QUERY, source=command.source, tag=command
+            time.perf_counter(),
+            QUERY,
+            source=command.source,
+            tag=command,
+            top_k=command.top_k,
         )
         # a shed submission records SHED -> _on_record already replied
         self.runtime.submit(request, deadline_s=command.budget_s)

@@ -11,7 +11,10 @@ charge-inside-the-critical-section ordering, or the eviction threshold.
 The fast test runs one configuration; the stress-marked sweep crosses
 seeds x epsilon_c x epsilon_r (Seed deferral interleaves flush-charged
 batches with direct applies, the orderings most likely to drop a
-charge).
+charge).  Both also run with top-k requests, whose entries hold only
+the reply and are charged through their float32 charge table: the
+served pairs are compared with the fresh vector at the same nodes, and
+``top_k = n`` serves every node, so there the check is the whole L1.
 """
 
 import numpy as np
@@ -47,7 +50,20 @@ def l1_distance(served: PPRVector, fresh: PPRVector) -> float:
     )
 
 
-def run_oracle(seed: int, epsilon_c: float, epsilon_r: float):
+def served_distance(served, fresh: PPRVector) -> float:
+    """L1 between a served top-k answer's pairs and the fresh vector at
+    the same nodes."""
+    return float(
+        sum(
+            abs(value - fresh.get(int(node), 0.0))
+            for node, value in zip(served.nodes, served.values)
+        )
+    )
+
+
+def run_oracle(
+    seed: int, epsilon_c: float, epsilon_r: float, top_k: int | None = None
+):
     """Replay a mixed workload; compare every served answer to fresh.
 
     Returns (violations, worst_ratio, hits) where ``worst_ratio`` is
@@ -67,8 +83,13 @@ def run_oracle(seed: int, epsilon_c: float, epsilon_r: float):
     base = generate_workload(graph, 30.0, 15.0, 4.0, rng=seed + 1)
     hot = np.arange(8)
     requests = [
-        Request(r.arrival, QUERY, source=int(rng.choice(hot)))
-        if r.kind == QUERY and rng.random() < 0.7
+        Request(
+            r.arrival,
+            QUERY,
+            source=int(rng.choice(hot)) if rng.random() < 0.7 else r.source,
+            top_k=top_k,
+        )
+        if r.kind == QUERY
         else r
         for r in base.requests
     ]
@@ -80,7 +101,10 @@ def run_oracle(seed: int, epsilon_c: float, epsilon_r: float):
     def callback(request, estimate, pending):
         nonlocal worst
         fresh = ppr_exact(graph, request.source, alpha=0.2)
-        drift = l1_distance(estimate, fresh)
+        if top_k is None:
+            drift = l1_distance(estimate, fresh)
+        else:
+            drift = served_distance(estimate, fresh)
         worst = max(worst, drift / epsilon_c)
         if drift > epsilon_c + 1e-9:
             violations.append((request.source, drift))
@@ -96,6 +120,16 @@ def test_oracle_fast():
     assert worst <= 1.0
 
 
+@pytest.mark.parametrize("top_k", [10, 60])
+def test_oracle_fast_top_k(top_k):
+    violations, worst, hits = run_oracle(
+        seed=3, epsilon_c=0.3, epsilon_r=0.0, top_k=top_k
+    )
+    assert hits > 0
+    assert violations == []
+    assert worst <= 1.0
+
+
 @pytest.mark.stress
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("epsilon_c", [0.05, 0.2, 0.5])
@@ -103,6 +137,19 @@ def test_oracle_fast():
 def test_oracle_stress(seed, epsilon_c, epsilon_r):
     """Zero violations across seeds x budgets x Seed-deferral modes."""
     violations, worst, hits = run_oracle(seed, epsilon_c, epsilon_r)
+    assert violations == [], (
+        f"{len(violations)} answers drifted past epsilon_c={epsilon_c}: "
+        f"worst ratio {worst:.2f}"
+    )
+
+
+@pytest.mark.stress
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("epsilon_c", [0.05, 0.5])
+@pytest.mark.parametrize("epsilon_r", [0.0, 0.5])
+def test_oracle_stress_top_k(seed, epsilon_c, epsilon_r):
+    """The sweep with top_k = n: every node served, from charge tables."""
+    violations, worst, hits = run_oracle(seed, epsilon_c, epsilon_r, top_k=60)
     assert violations == [], (
         f"{len(violations)} answers drifted past epsilon_c={epsilon_c}: "
         f"worst ratio {worst:.2f}"

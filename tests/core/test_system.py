@@ -6,6 +6,7 @@ import pytest
 from repro.core.calibration import calibrated_cost_model
 from repro.core.quota import QuotaController
 from repro.core.rates import RateDriftDetector, RateEstimator
+from repro.core.seed import SeedQueue
 from repro.core.system import QuotaSystem
 from repro.graph.generators import barabasi_albert_graph
 from repro.ppr.agenda import Agenda
@@ -13,6 +14,7 @@ from repro.ppr.base import PPRParams
 from repro.ppr.fora import Fora
 from repro.ppr.power_iteration import ppr_exact
 from repro.queueing.kinds import QUERY, UPDATE
+from repro.queueing.replay import ModeledExecutor, replay
 from repro.queueing.workload import generate_workload
 
 
@@ -101,6 +103,39 @@ class TestSeedIntegration:
         r_seed = seeded.process(workload)
         assert r_seed.total_busy_time() == pytest.approx(
             r_plain.total_busy_time(), rel=0.5
+        )
+
+    def test_seed_preserves_total_work_lemma3_modeled(self, graph):
+        """The virtual-time twin of the wall-clock test above: each
+        operation costs what it is, not when it runs, so Seed's
+        reordering must leave the total work *exactly* equal.  The
+        costs are multiples of 2**-8 s, so every sum is exact in any
+        order."""
+
+        def service_fn(request):
+            if request.kind == QUERY:
+                return (1 + request.source % 5) / 128
+            return (1 + request.update.u % 3) / 256
+
+        contended = generate_workload(graph, 25.0, 50.0, 3.0, rng=4)
+        plain_graph, seeded_graph = graph.copy(), graph.copy()
+        r_plain = replay(
+            contended, ModeledExecutor(service_fn, graph=plain_graph)
+        )
+        r_seed = replay(
+            contended,
+            ModeledExecutor(service_fn, graph=seeded_graph),
+            seed_queue=SeedQueue(seeded_graph, 0.2, 5.0),
+        )
+        assert len(r_seed) == len(r_plain) == len(contended)
+        assert r_seed.total_busy_time() == r_plain.total_busy_time()
+        assert set(seeded_graph.edges()) == set(plain_graph.edges())
+        # not vacuous: some query overtook an update that arrived first
+        updates, queries = r_seed.of_kind(UPDATE), r_seed.of_kind(QUERY)
+        assert any(
+            q.arrival > u.arrival and q.start < u.start
+            for u in updates
+            for q in queries
         )
 
     def test_seed_never_hurts_query_response(self, graph, params, no_gc):
