@@ -76,38 +76,34 @@ SPEEDUP_FLOOR = 10.0
 #: 100 B with their slack; the dict layout sat near 1 100 B)
 MAP_BYTES_PER_WALK_CEILING = 160.0
 
-#: the same bench at the parent commit 3e12e7f (dict/set/tuple
-#: ``EdgeWalkMap``) on the host that recorded the committed JSON
-#: (2 cores, quick scope, seed 0); ``edge_map_bytes`` there is the
-#: recursive ``sys.getsizeof`` of the two dicts
+#: the same bench at commit afbfd1a (the walk index and its edge→walk
+#: map each with their own slack-row code, before both became
+#: ``Adjacency`` rows) on the host that recorded the committed JSON
+#: (2 vCPUs, quick scope, seed 0): medians of three runs alternating
+#: with this file's commit
 PREVIOUS = {
-    "commit": "3e12e7f",
+    "commit": "afbfd1a",
     "mean_update_s": {
-        "FORA+ (rebuild)": 0.018961,
-        "FORA+ (incremental)": 0.000687,
-        "FORA (index-free)": 0.0000835,
+        "FORA+ (rebuild)": 0.007568,
+        "FORA+ (incremental)": 0.000385,
+        "FORA (index-free)": 0.0000094,
     },
-    "rebuild_over_incremental_speedup": 27.6,
-    "edge_map_bytes": 67_811_912,
-    "index_build_s": 0.475,
-    "build_rss_delta_mb": 84.6,
-}
-
-#: section 5 at the parent commit eb8ce24 (per-holder read loop: one
-#: ``terminals_for`` slice and one ``np.add.at`` per residue holder),
-#: this bench file with that commit's ``src`` on PYTHONPATH, same host
-#: (quick scope, seed 0, median of three runs)
-PREVIOUS["query"] = {
-    "commit": "eb8ce24",
-    "mean_query_s": {
-        "FORA (index-free)": 0.001433,
-        "FORA+ (rebuild)": 0.004658,
-        "FORA+ (incremental)": 0.004506,
-    },
-    "mean_walk_phase_s": {
-        "FORA (index-free)": 0.000936,
-        "FORA+ (rebuild)": 0.004049,
-        "FORA+ (incremental)": 0.003883,
+    "rebuild_over_incremental_speedup": 19.7,
+    "edge_map_bytes": 6_543_840,
+    "index_build_s": 0.037,
+    "build_rss_delta_mb": 13.6,
+    "query": {
+        "commit": "afbfd1a",
+        "mean_query_s": {
+            "FORA (index-free)": 0.000882,
+            "FORA+ (rebuild)": 0.000412,
+            "FORA+ (incremental)": 0.000381,
+        },
+        "mean_walk_phase_s": {
+            "FORA (index-free)": 0.000586,
+            "FORA+ (rebuild)": 0.000111,
+            "FORA+ (incremental)": 0.000103,
+        },
     },
 }
 
@@ -231,7 +227,8 @@ def run_update_cost(
         ).astype(np.int64),
         1,
     )
-    if not (index.counts == expected_counts).all():
+    counts = index.rows.lens[:view.n]
+    if not (counts == expected_counts).all():
         violations.append("per-node walk budget diverged from out-degrees")
 
     oracle = WalkIndex(
@@ -240,7 +237,7 @@ def run_update_cost(
         index.walks_per_unit,
         np.random.default_rng(bench_seed() + 77),
     )
-    if not (oracle.counts == index.counts).all():
+    if not (oracle.rows.lens[:view.n] == counts).all():
         violations.append("oracle row sizing mismatch")
     h_inc = _aggregate_histogram(index, view)
     h_ora = _aggregate_histogram(oracle, view)
@@ -259,17 +256,7 @@ def run_update_cost(
 
 
 def _aggregate_histogram(index: WalkIndex, view) -> np.ndarray:
-    terms = index.terminals[
-        np.concatenate(
-            [
-                np.arange(
-                    int(index.offsets[i]),
-                    int(index.offsets[i]) + int(index.counts[i]),
-                )
-                for i in range(view.n)
-            ]
-        )
-    ]
+    terms = index.rows.entries()
     return np.bincount(terms, minlength=view.n).astype(np.float64)
 
 

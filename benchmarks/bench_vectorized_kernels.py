@@ -33,11 +33,7 @@ from repro.graph.digraph import DynamicGraph
 from repro.graph.generators import barabasi_albert_graph, erdos_renyi_graph
 from repro.ppr.csr import csr_view
 from repro.ppr.forward_push import forward_push
-from repro.ppr.kernels import (
-    frontier_push,
-    reference_frontier_push,
-    scipy_probe,
-)
+from repro.ppr.kernels import frontier_push, reference_frontier_push
 
 ALPHA = 0.2
 
@@ -71,7 +67,7 @@ def jj_order_sweeps(matrix_t, source: int, n: int, stop_mass: float):
     scipy's CSR matvec kernel accumulates each output element
     sequentially over the row's jj index range, so this loop performs
     the exact IEEE-754 operations of the C kernel — the scalar oracle
-    of SpeedPPR's ``scipy`` power backend.
+    of SpeedPPR's power phase.
     """
     indptr, indices, data = matrix_t.indptr, matrix_t.indices, matrix_t.data
 
@@ -121,7 +117,6 @@ def matvec_case_matches(view, source: int) -> bool:
 def equivalence_oracle(cases: int, seed: int) -> tuple[int, int]:
     """Run ``cases`` randomized comparisons; return (cases, mismatches)."""
     rng = np.random.default_rng(seed)
-    scipy_ok = scipy_probe()
     mismatches = 0
     for _ in range(cases):
         view, n = random_case_view(rng)
@@ -136,7 +131,7 @@ def equivalence_oracle(cases: int, seed: int) -> tuple[int, int]:
         ):
             mismatches += 1
             continue
-        if scipy_ok and not matvec_case_matches(view, source):
+        if not matvec_case_matches(view, source):
             mismatches += 1
     return cases, mismatches
 
@@ -204,14 +199,9 @@ def run_all(quick: bool, reporter, cases: int | None = None) -> int:
         cases = 1000 if quick else 2000
     reporter(banner("Kernel oracle: vectorized vs pure-Python reference"))
     ran, mismatches = equivalence_oracle(cases, bench_seed() + 17)
-    scipy_note = (
-        "incl. scipy matvec vs jj-order oracle"
-        if scipy_probe()
-        else "scipy absent, matvec path skipped"
-    )
     reporter(
         f"{ran} randomized cases (packed + slack views, dangling nodes, "
-        f"{scipy_note}): "
+        f"incl. scipy matvec vs jj-order oracle): "
         f"{mismatches} bit-for-bit mismatches (must be 0)"
     )
 

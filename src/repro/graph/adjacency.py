@@ -1,26 +1,33 @@
-"""Slack-slot rows: the one adjacency layout of a dynamic graph.
+"""Slack-slot rows: the one row store of the repository.
 
-:class:`~repro.graph.digraph.DynamicGraph` stores its out-edges, and
-its in-edges once a reverse-push caller asks for them, as
-:class:`Adjacency` rows: each row owns a capacity >= its degree inside
-one flat int64 array of dense node indices.
+Every ragged, growable per-node store keeps its rows here: a
+:class:`~repro.graph.digraph.DynamicGraph`'s out-edges (and its
+in-edges once a reverse-push caller asks for them), a
+:class:`~repro.ppr.random_walk.WalkIndex`'s walk terminals, and the
+posting rows of its edge→walk map
+(:class:`~repro.ppr.incremental.EdgeWalkMap`).  Each row owns a
+capacity >= its length inside one flat int64 array.
 
-* An insert appends into the row's spare slots; a full row is relocated
-  to the array tail with doubled capacity, abandoning its old slots as
-  *slack*; the array itself grows by an eighth (:func:`growth`).
-* A delete removes the entry in place and shifts the rest of the row
-  down (O(deg), like ``list.remove``), so a row always lists its
-  neighbours in insertion order.
+* A row that outgrows its capacity is relocated to the array tail
+  (:meth:`Adjacency.relocate`), abandoning its old slots as *slack*; the
+  array itself grows by an eighth (:func:`growth`).  The caller picks
+  the new capacity: a graph row doubles, a walk or posting row gets
+  twice the length it needs.  No row ever loses capacity.
+* A graph delete removes the entry in place and shifts the rest of the
+  row down (O(deg), like ``list.remove``), so a row always lists its
+  entries in the order they were appended.
 * Once slack exceeds :data:`REBUILD_SLACK_RATIO` x the live entries
-  (above :data:`SLACK_FLOOR`) the rows are repacked, each in the order
-  it had.  Row order never depends on when that happens.
+  (above :data:`SLACK_FLOOR`) :meth:`Adjacency.compacted` repacks the
+  rows, each in the order it had.  Row order never depends on when that
+  happens.  Only the graph repacks: walk rows are addressed by
+  ``(node, slot)`` and posting rows are rebuilt whole by their map.
 
 Row ``i`` occupies ``data[starts[i] : starts[i] + lens[i]]``.  Rows
 fresh from a bulk build, a repack or a transpose are packed
 (:attr:`Adjacency.is_packed`): one after another in index order, with
-``starts[n]`` the entry count.  Any insert, delete or new row clears
-that; zero slack alone does not restore it, because a relocated row
-sits at the tail in relocation order, not in index order.
+``starts[n]`` the entry count.  Any patch or new row clears that; zero
+slack alone does not restore it, because a relocated row sits at the
+tail in relocation order, not in index order.
 """
 
 from __future__ import annotations
@@ -66,10 +73,19 @@ def growth(size: int, need: int) -> int:
     return max(size // 8, need, 64)
 
 
-def grown(array: np.ndarray, need: int) -> np.ndarray:
-    """``array`` followed by :func:`growth` zeroed entries."""
-    extra = np.zeros(growth(array.size, need), dtype=array.dtype)
-    return np.concatenate([array, extra])
+def reserved(array: np.ndarray, used: int, extra: int) -> np.ndarray:
+    """``array``, followed by :func:`growth` zeroed entries when
+    ``extra`` entries past ``used`` do not fit."""
+    if used + extra <= array.size:
+        return array
+    more = growth(array.size, used + extra - array.size)
+    return np.concatenate([array, np.zeros(more, dtype=array.dtype)])
+
+
+def position_dtype(array: np.ndarray) -> type:
+    """Narrowest index type addressing every slot of ``array``: the
+    position temporaries of a bulk gather are often its largest."""
+    return np.int32 if array.size < 2**31 else np.int64
 
 
 class Adjacency:
@@ -84,7 +100,8 @@ class Adjacency:
     __slots__ = ("n", "starts", "lens", "caps", "data", "tail", "live", "is_packed")
 
     def __init__(self, lens: np.ndarray, data: np.ndarray) -> None:
-        # packed rows: row i is the lens[i] entries after the rows before it
+        # packed rows: row i is the lens[i] entries after the rows before
+        # it; ``data`` may run past them, as room for the first appends
         self.n = n = lens.size
         self.starts = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(lens, out=self.starts[1:])
@@ -99,6 +116,11 @@ class Adjacency:
     def slack(self) -> int:
         """Dead + spare slots below the high-water mark."""
         return self.tail - self.live
+
+    @property
+    def nbytes(self) -> int:
+        arrays = (self.data, self.starts, self.lens, self.caps)
+        return sum(a.nbytes for a in arrays)
 
     def row(self, i: int) -> np.ndarray:
         """Row ``i`` (a view into :attr:`data`)."""
@@ -132,26 +154,28 @@ class Adjacency:
         return int(hits[0]) if hits.size else -1
 
     def insert(self, i: int, j: int) -> None:
-        """Append ``j`` to row ``i``."""
+        """Append ``j`` to row ``i`` (a full row doubles its capacity)."""
         if self.lens[i] == self.caps[i]:
-            self._relocate(i)
+            self.relocate(i, max(4, 2 * int(self.caps[i])))
         self.data[self.starts[i] + self.lens[i]] = j
         self.lens[i] += 1
         self.live += 1
         self.is_packed = False
 
-    def _relocate(self, i: int) -> None:
-        """Move row ``i`` to the tail with doubled capacity."""
-        new_cap = max(4, 2 * int(self.caps[i]))
-        if self.tail + new_cap > self.data.size:
-            self.data = grown(self.data, new_cap)
+    def relocate(self, i: int, cap: int) -> int:
+        """Move row ``i`` to the tail with capacity ``cap`` (at least its
+        length); returns its old start, so a caller keeping arrays
+        parallel to :attr:`data` can move the same span."""
+        self.data = reserved(self.data, self.tail, cap)
         start, length = int(self.starts[i]), int(self.lens[i])
         self.data[self.tail:self.tail + length] = self.data[
             start:start + length
         ]
         self.starts[i] = self.tail
-        self.caps[i] = new_cap
-        self.tail += new_cap
+        self.caps[i] = cap
+        self.tail += cap
+        self.is_packed = False
+        return start
 
     def remove(self, i: int, pos: int) -> None:
         """Delete the entry at ``pos`` of row ``i`` (a :meth:`find`
@@ -162,16 +186,61 @@ class Adjacency:
         self.live -= 1
         self.is_packed = False
 
-    def append_row(self) -> None:
-        """Add an empty row (capacity 0; its first insert relocates it)."""
-        n = self.n
-        if n + 2 > self.starts.size:
-            self.starts, self.lens, self.caps = (
-                grown(a, 1) for a in (self.starts, self.lens, self.caps)
-            )
-        self.starts[n] = self.starts[n + 1] = self.tail
+    def resize(self, i: int, length: int) -> None:
+        """Set row ``i``'s length, at most its capacity: slots it gains
+        hold stale entries for the caller to overwrite."""
+        self.live += length - int(self.lens[i])
+        self.lens[i] = length
+        self.is_packed = False
+
+    def extend(
+        self, rows: np.ndarray, adds: np.ndarray, values: np.ndarray
+    ) -> None:
+        """Append to many distinct ``rows`` at once: ``rows[k]`` gets the
+        next ``adds[k]`` entries of ``values``.  A row without room moves
+        to the tail with twice the length it needs (a compaction cycle
+        roughly doubles a posting row, so packed rows would all move at
+        once)."""
+        need = self.lens[rows] + adds
+        full = need > self.caps[rows]
+        if full.any():
+            moved, caps = rows[full], 2 * need[full]
+            held = self.lens[moved]
+            total = int(caps.sum())
+            self.data = reserved(self.data, self.tail, total)
+            narrow = position_dtype(self.data)
+            starts = self.tail + np.cumsum(caps) - caps
+            self.data[ragged_indices(starts, held, narrow)] = self.data[
+                ragged_indices(self.starts[moved], held, narrow)
+            ]
+            self.starts[moved] = starts
+            self.caps[moved] = caps
+            self.tail += total
+        slots = ragged_indices(
+            self.starts[rows] + self.lens[rows], adds, position_dtype(self.data)
+        )
+        self.data[slots] = values
+        self.lens[rows] = need
+        self.live += int(adds.sum())
+        self.is_packed = False
+
+    def append_rows(self, lens: np.ndarray) -> None:
+        """Add rows of the given lengths, packed at the tail without
+        spare slots (an empty row's first append relocates it); their
+        entries are for the caller to write."""
+        n, k = self.n, lens.size
+        self.starts, self.lens, self.caps = (
+            reserved(a, n + 1, k) for a in (self.starts, self.lens, self.caps)
+        )
+        total = int(lens.sum())
+        self.data = reserved(self.data, self.tail, total)
+        self.starts[n:n + k] = self.tail + np.cumsum(lens) - lens
+        self.lens[n:n + k] = self.caps[n:n + k] = lens
+        self.tail += total
+        self.live += total
+        self.n = n = n + k
+        self.starts[n] = self.tail
         self.lens[n] = self.caps[n] = 0
-        self.n = n + 1
         self.is_packed = False
 
     def drop_row(self, i: int) -> None:

@@ -266,20 +266,21 @@ class DynamicGraph:
         """Ensure node ``v`` exists.  Returns True if it was created."""
         if self._dense(v) is not None:
             return False
-        from repro.graph.adjacency import grown
+        import numpy as np
+
+        from repro.graph.adjacency import reserved
 
         n = self._out.n
-        if n == self._ids.size:
-            self._ids = grown(self._ids, 1)
+        self._ids = reserved(self._ids, n, 1)
         self._ids[n] = v
         if self._index is None and v != n:
             # an id off the 0 .. n - 1 sequence ends the identity path
             self._index = dict(zip(self._ids[:n].tolist(), range(n)))
         if self._index is not None:
             self._index[v] = n
-        self._out.append_row()
-        if self._in is not None:
-            self._in.append_row()
+        for rows in (self._out, self._in):
+            if rows is not None:
+                rows.append_rows(np.zeros(1, dtype=np.int64))
         self._version += 1
         return True
 

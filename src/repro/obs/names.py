@@ -27,9 +27,6 @@ Naming conventions
   hit/miss/insertion counters, eviction counters split by cause
   (capacity / staleness budget), plus the live size and online
   hit-rate gauges the cache-aware cost model reads.
-* ``dispatch.*``    — power-backend degradations
-  (:mod:`repro.ppr.kernels`): ``dispatch.fallbacks`` counts a failed
-  scipy probe, once per process.
 * ``scenario.*``    — scenario-fuzz harness accounting
   (:mod:`repro.scenarios`): replayed scenarios, oracle violations,
   and drift-triggered QuotaController reconfigurations.
@@ -64,7 +61,6 @@ COUNTERS = frozenset(
         "cache.insertions",
         "cache.evictions_capacity",
         "cache.evictions_staleness",
-        "dispatch.fallbacks",
         # scenario fuzzing (repro.scenarios)
         "scenario.runs",
         "scenario.violations",

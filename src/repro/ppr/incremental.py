@@ -52,14 +52,14 @@ Python object.  Three pieces:
   walk's trajectory is the slice ``steps[path_off : path_off +
   path_len]``; step ``i`` leaves the previous step's destination (step
   0 leaves the row's node) and a dangling hold is ``dst == src``.
-  ``path_off`` / ``path_len`` are per-walk arrays *parallel to*
-  ``WalkIndex.terminals``, so relocating a slack row moves all three.
+  ``path_off`` / ``path_len`` are per-walk arrays *parallel to* the
+  walk rows' data, so relocating a walk row moves all three.
 * **posting rows** — per source node, the walk ids that stepped out of
-  (or held at) it, in the slack-row layout ``WalkIndex`` and
-  ``repro.graph.adjacency`` use.  Rows are append-only *hints*: a suffix
-  resample or an unregister leaves the old postings behind, and every
-  lookup re-checks its candidates against the arena (one vectorised
-  gather), which is also where the first affected step comes from.
+  (or held at) it, as a second :class:`~repro.graph.adjacency.Adjacency`
+  appended to in bulk.  Rows are append-only *hints*: a suffix resample
+  or an unregister leaves the old postings behind, and every lookup
+  re-checks its candidates against the arena (one vectorised gather),
+  which is also where the first affected step comes from.
 * a **compaction rule** — a repair writes the whole new path at the
   arena tail and abandons the old one; once the arena's dead slots
   exceed its live ones, or the posting rows' footprint (slack,
@@ -71,8 +71,8 @@ Python object.  Three pieces:
 Ordered paths are load-bearing: a suffix resample keeps the prefix's
 traversals registered, so a later update touching a prefix edge still
 finds the walk.  Walk ids are ``(node << SLOT_BITS) | slot`` — stable
-under slack-row relocation, so postings never need remapping when the
-terminals array is repacked.
+under relocation, and a walk row never loses capacity, so a leftover
+posting always names a slot of its own row.
 
 Everything here mutates only the owning :class:`~repro.ppr.random_walk.
 WalkIndex` and is called from algorithm ``apply_update`` paths, which
@@ -84,7 +84,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.adjacency import SLACK_FLOOR, growth, ragged_indices
+from repro.graph.adjacency import (
+    SLACK_FLOOR,
+    Adjacency,
+    position_dtype,
+    ragged_indices,
+    reserved,
+)
 from repro.obs.metrics import get_metrics
 from repro.ppr.csr import CSRView
 from repro.ppr.random_walk import (
@@ -110,19 +116,6 @@ _walks_resampled = get_metrics().counter("index.walks_resampled")
 _map_builds = get_metrics().counter("index.map_builds")
 
 _EMPTY = np.zeros(0, dtype=np.int64)
-
-
-def _reserve(data: np.ndarray, used: int, extra: int) -> np.ndarray:
-    """``data`` with room for ``extra`` more entries past ``used``."""
-    if used + extra <= data.size:
-        return data
-    return _fit(data, data.size + growth(data.size, used + extra - data.size))
-
-
-def _position_dtype(array: np.ndarray) -> type:
-    """Narrowest index type addressing every slot of ``array``: the
-    walk-sized position temporaries are most of a compaction's peak."""
-    return np.int32 if array.size < 2**31 else np.int64
 
 
 def _fit(data: np.ndarray, size: int) -> np.ndarray:
@@ -151,66 +144,58 @@ def _flatten(trace: WalkTrace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class EdgeWalkMap:
     """Array-backed inverted edge→walk index over the stored walks.
 
-    ``rows`` is the owning :class:`WalkIndex`; the map reads its slack
-    row layout (``offsets`` / ``counts`` / ``terminals.size``) to turn
+    ``walks`` is the owning :class:`WalkIndex`'s row store; the map
+    reads its layout (``starts`` / ``lens`` / ``data.size``) to turn
     walk ids into terminal positions and never writes to it.  A walk
     whose very first coin terminated it has ``path_len == 0`` and no
     postings.  See the module docstring for the layout.
     """
 
     __slots__ = (
-        "_rows",
+        "walks",
+        "alpha",
         "steps",
         "path_off",
         "path_len",
         "posts",
-        "post_off",
-        "post_cnt",
-        "post_cap",
         "_steps_tail",
         "_steps_live",
-        "_posts_tail",
     )
 
-    def __init__(self, rows: WalkIndex) -> None:
-        self._rows = rows
+    def __init__(self, walks: Adjacency, alpha: float) -> None:
+        self.walks = walks
+        self.alpha = alpha
         self.steps = np.zeros(self._expected_steps(), dtype=np.int32)
-        self.path_off = np.zeros(0, dtype=np.int64)
-        self.path_len = np.zeros(0, dtype=np.int32)
+        self.path_off = np.zeros(walks.data.size, dtype=np.int64)
+        self.path_len = np.zeros(walks.data.size, dtype=np.int32)
         self._steps_tail = 0
         self._steps_live = 0
-        self._reset_postings()
+        self.posts = self._fresh_postings()
 
     def _expected_steps(self) -> int:
-        """Arena size a full build of the owner's rows will need (+5%).
+        """Arena size a full build of the walk rows will need (+5%).
 
         The long-lived arrays are allocated at this size *before* the
         walks are sampled: allocated after, they would sit above the
         build's temporaries on the heap and pin several times their
         own size in freed memory.
         """
-        rows = self._rows
-        return int(1.05 * walk_steps_estimate(rows.total_walks, rows.alpha))
+        return int(1.05 * walk_steps_estimate(self.walks.live, self.alpha))
 
-    def _reset_postings(self) -> None:
-        # drop the old rows before their replacement is allocated
-        self.posts = _EMPTY
-        self.posts = np.zeros(2 * self._expected_steps(), dtype=np.int64)
-        self.post_off = np.zeros(0, dtype=np.int64)
-        self.post_cnt = np.zeros(0, dtype=np.int64)
-        self.post_cap = np.zeros(0, dtype=np.int64)
-        self._posts_tail = 0
-        self._sync()
+    def _fresh_postings(self) -> Adjacency:
+        """Empty posting rows, one per walk row, with room for two
+        postings per expected step."""
+        return Adjacency(
+            np.zeros(self.walks.n, dtype=np.int64),
+            np.zeros(2 * self._expected_steps(), dtype=np.int64),
+        )
 
     # -- accounting ------------------------------------------------------
     @property
     def nbytes(self) -> int:
-        return sum(
-            array.nbytes
-            for array in (
-                self.steps, self.path_off, self.path_len,
-                self.posts, self.post_off, self.post_cnt, self.post_cap,
-            )
+        return (
+            self.steps.nbytes + self.path_off.nbytes + self.path_len.nbytes
+            + self.posts.nbytes
         )
 
     @property
@@ -223,14 +208,15 @@ class EdgeWalkMap:
 
     # -- layout plumbing -------------------------------------------------
     def _sync(self) -> None:
-        """Size the per-walk / per-node arrays to the owner's layout."""
-        walks = int(self._rows.terminals.size)
-        self.path_off = _fit(self.path_off, walks)
-        self.path_len = _fit(self.path_len, walks)
-        nodes = int(self._rows.counts.size)
-        self.post_off = _fit(self.post_off, nodes)
-        self.post_cnt = _fit(self.post_cnt, nodes)
-        self.post_cap = _fit(self.post_cap, nodes)
+        """Size the per-walk arrays and the posting rows to the walk
+        rows."""
+        walks = self.walks
+        self.path_off = _fit(self.path_off, walks.data.size)
+        self.path_len = _fit(self.path_len, walks.data.size)
+        if self.posts.n < walks.n:
+            self.posts.append_rows(
+                np.zeros(walks.n - self.posts.n, dtype=np.int64)
+            )
 
     def move(self, lo: int, new_lo: int, length: int) -> None:
         """Row relocation: the walks at ``lo..`` now live at ``new_lo..``."""
@@ -248,7 +234,7 @@ class EdgeWalkMap:
         lens = self.path_len[positions]
         firsts = np.cumsum(lens) - lens
         flat = ragged_indices(
-            self.path_off[positions], lens, _position_dtype(self.steps)
+            self.path_off[positions], lens, position_dtype(self.steps)
         )
         dst = self.steps[flat]
         flat -= 1
@@ -268,16 +254,15 @@ class EdgeWalkMap:
         the repair order — where ``split`` is the index of each walk's
         *first* such step.
         """
-        lo = int(self.post_off[u])
         # sort + neighbor compare, not np.unique: that one imports
         # numpy.ma on first use (~20 ms inside the first update)
-        wids = np.sort(self.posts[lo:lo + int(self.post_cnt[u])])
+        wids = np.sort(self.posts.row(u))
         wids = wids[np.flatnonzero(np.diff(wids, prepend=-1))]
         nodes = wids >> SLOT_BITS
         # a leftover posting may name a slot its row has since dropped:
-        # rows never lose capacity, so that position is still the row's
-        # own and holds no path
-        positions = self._rows.offsets[nodes] + (wids & _SLOT_MASK)
+        # walk rows never lose capacity, so that position is still the
+        # row's own and holds no path
+        positions = self.walks.starts[nodes] + (wids & _SLOT_MASK)
         lens, firsts, src, dst = self._gather(positions, nodes)
         hit = src == u
         if v is not None:
@@ -290,18 +275,10 @@ class EdgeWalkMap:
         split = hits[first] - firsts[found]
         return wids[found], positions[found], split
 
-    def walks_from(self, u: int) -> np.ndarray:
-        """Walk ids that survived a coin at u (stepped out or held)."""
-        return self.affected(u)[0]
-
-    def walks_through(self, u: int, v: int) -> np.ndarray:
-        """Walk ids that traversed edge (u, v)."""
-        return self.affected(u, v)[0]
-
     def path(self, wid: int) -> list[tuple[int, int]]:
         """One walk's ordered ``(src, dst)`` steps (audit / tests)."""
         node, slot = wid >> SLOT_BITS, wid & _SLOT_MASK
-        position = np.array([int(self._rows.offsets[node]) + slot])
+        position = np.array([int(self.walks.starts[node]) + slot])
         _, _, src, dst = self._gather(position, np.array([node]))
         return list(zip(src.tolist(), dst.tolist()))
 
@@ -312,12 +289,12 @@ class EdgeWalkMap:
         """Record a freshly sampled batch of whole walks.
 
         ``starts``/``slots`` identify each batch position's walk, which
-        must lie inside the owner's rows (``counts`` covers it);
+        must lie inside its walk row;
         ``trace`` is the recorder ``sample_walk_terminals`` filled.
         """
         self.replace_suffix(
             (starts << SLOT_BITS) | slots,
-            self._rows.offsets[starts] + slots,
+            self.walks.starts[starts] + slots,
             np.zeros_like(starts),
             None,
             trace,
@@ -347,8 +324,8 @@ class EdgeWalkMap:
         hop = 0 if hops is None else 1
         new_len = keep + hop + traced
         total = int(new_len.sum())
-        self.steps = _reserve(self.steps, self._steps_tail, total)
-        narrow = _position_dtype(self.steps)
+        self.steps = reserved(self.steps, self._steps_tail, total)
+        narrow = position_dtype(self.steps)
         new_off = self._steps_tail + np.cumsum(new_len) - new_len
         self.steps[ragged_indices(new_off, keep, narrow)] = self.steps[
             ragged_indices(self.path_off[positions], keep, narrow)
@@ -370,7 +347,7 @@ class EdgeWalkMap:
         live = self._steps_live
         if (
             self._steps_tail > 2 * live + SLACK_FLOOR
-            or self._posts_tail > 3 * live + SLACK_FLOOR
+            or self.posts.tail > 3 * live + SLACK_FLOOR
         ):
             self._compact()
 
@@ -388,46 +365,21 @@ class EdgeWalkMap:
         del order
         firsts = np.flatnonzero(np.diff(grouped, prepend=-1))
         nodes = grouped[firsts]
-        add = np.diff(firsts, append=grouped.size)
         del grouped
-        need = self.post_cnt[nodes] + add
-        full = need > self.post_cap[nodes]
-        if full.any():
-            self._relocate_posts(nodes[full], need[full])
-        slots = ragged_indices(
-            self.post_off[nodes] + self.post_cnt[nodes],
-            add,
-            _position_dtype(self.posts),
-        )
-        self.posts[slots] = wids[walks]
-        self.post_cnt[nodes] = need
-
-    def _relocate_posts(self, nodes: np.ndarray, need: np.ndarray) -> None:
-        """Move the given posting rows to the tail at twice the room
-        they need (a fresh row included: a compaction cycle roughly
-        doubles a row, so packed rows would all move at once)."""
-        caps = 2 * need
-        total = int(caps.sum())
-        self.posts = _reserve(self.posts, self._posts_tail, total)
-        narrow = _position_dtype(self.posts)
-        new_off = self._posts_tail + np.cumsum(caps) - caps
-        held = self.post_cnt[nodes]
-        self.posts[ragged_indices(new_off, held, narrow)] = self.posts[
-            ragged_indices(self.post_off[nodes], held, narrow)
-        ]
-        self.post_off[nodes] = new_off
-        self.post_cap[nodes] = caps
-        self._posts_tail += total
+        adds = np.diff(firsts, append=walks.size)
+        ids = wids[walks]
+        del walks
+        self.posts.extend(nodes, adds, ids)
 
     def _stored(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(wids, positions, nodes)`` of every walk in the rows."""
-        rows = self._rows
-        counts = rows.counts
-        nodes = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+        walks = self.walks
+        counts = walks.lens[:walks.n]
+        nodes = np.repeat(np.arange(walks.n, dtype=np.int64), counts)
         slots = ragged_indices(np.zeros_like(counts), counts)
         return (
             (nodes << SLOT_BITS) | slots,
-            rows.offsets[nodes] + slots,
+            walks.starts[nodes] + slots,
             nodes,
         )
 
@@ -439,7 +391,9 @@ class EdgeWalkMap:
         self.path_off[positions] = firsts
         self._steps_tail = self._steps_live = int(dst.size)
         del dst, firsts, positions, nodes
-        self._reset_postings()
+        # drop the old rows before their replacement is allocated
+        del self.posts
+        self.posts = self._fresh_postings()
         # an unnamed argument: `_post` drops it as soon as it has sorted it
         self._post(
             src, np.repeat(np.arange(wids.size, dtype=np.int32), lens), wids
@@ -491,16 +445,17 @@ def _repair(
 ) -> int:
     index.view = view
     resampled = index._ensure_node_rows(view)
+    rows = index.rows
     deg = int(view.out_deg[u])
-    current = int(index.counts[u])
+    current = int(rows.lens[u])
     target = int(index._target_counts(view.out_deg[u:u + 1])[0])
-    lo = int(index.offsets[u])
+    lo = int(rows.starts[u])
 
     # shrink first: dropped tail walks need no repair and must not
     # appear in the affected set.
     if target < current:
         emap.unregister(np.arange(lo + target, lo + current))
-        index.counts[u] = target
+        index._resize_row(u, target)
 
     wids, positions, split = emap.affected(
         u, v if kind == "delete" else None
@@ -522,19 +477,17 @@ def _repair(
                 view, hops, index.alpha, index._rng, trace=trace
             )
         emap.replace_suffix(wids, positions, split, hops, trace)
-        index.terminals[positions] = terms
+        rows.data[positions] = terms
         resampled += int(wids.size)
 
     # grow last: fresh walks are already new-graph iid.
     if target > current:
-        if target > int(index.caps[u]):
-            index._relocate_row(u, target)
-            lo = int(index.offsets[u])
-        index.counts[u] = target
+        index._resize_row(u, target)
+        lo = int(rows.starts[u])
         extra = target - current
         starts = np.full(extra, u, dtype=np.int64)
         grow_trace: WalkTrace = []
-        index.terminals[lo + current:lo + target] = sample_walk_terminals(
+        rows.data[lo + current:lo + target] = sample_walk_terminals(
             view, starts, index.alpha, index._rng, trace=grow_trace
         )
         emap.register(
@@ -581,13 +534,14 @@ def validate_edge_map(index: WalkIndex, view: CSRView) -> list[str]:
             f"from the snapshot"
         )
 
-    posted = emap.posts[ragged_indices(emap.post_off, emap.post_cnt)]
+    posts = emap.posts
+    posted = posts.entries()
     universe, dense = np.unique(
         np.concatenate([step_wids, posted]), return_inverse=True
     )
     step_keys = src * universe.size + dense[:step_wids.size]
     post_keys = (
-        np.repeat(np.arange(emap.post_cnt.size), emap.post_cnt)
+        np.repeat(np.arange(posts.n), posts.lens[:posts.n])
         * universe.size
         + dense[step_wids.size:]
     )

@@ -24,46 +24,14 @@ its updates sequentially in index-array order).  The property tests
 exploit this: the pure-Python reference is the scalar oracle the
 vectorized kernel must match to the last bit, on packed and
 slack-patched views alike.
-
-:func:`power_phase` is the same machinery applied to SpeedPPR's
-PowerPush stage: whole-graph Jacobi sweeps straight over the (possibly
-slack) CSR rows.  SpeedPPR runs it only when :func:`scipy_available`
-fails, and scipy's CSR matvec otherwise.  The two power backends sum
-in different orders, so which one a machine gets can change low-order
-bits across environments (never within one).
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-from repro.obs.metrics import get_metrics
 from repro.ppr.csr import CSRView
 from repro.ppr.forward_push import PushResult
-
-
-def scipy_probe() -> bool:
-    """Whether scipy's sparse kernels import (the optional dependency)."""
-    try:
-        from scipy import sparse  # noqa: F401
-    except Exception:  # pragma: no cover - import environment dependent
-        return False
-    return True
-
-
-@functools.cache
-def scipy_available() -> bool:
-    """:func:`scipy_probe`, run once per process.
-
-    A failed probe is a degradation — every power phase then runs on
-    :func:`power_phase` — and counts ``dispatch.fallbacks`` once.
-    """
-    available = scipy_probe()
-    if not available:
-        get_metrics().counter("dispatch.fallbacks").inc()
-    return available
 
 
 def _gather_targets(
@@ -205,50 +173,3 @@ def reference_frontier_push(
             for v in indices[start:start + deg]:
                 residue[v] = float(residue[v]) + share
     return PushResult(reserve, residue, pushes)
-
-
-def power_phase(
-    view: CSRView,
-    residue: np.ndarray,
-    reserve: np.ndarray,
-    alpha: float,
-    stop_mass: float,
-    max_sweeps: int = 200,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """SpeedPPR's PowerPush stage on raw (possibly slack) CSR rows.
-
-    Runs whole-graph Jacobi sweeps — ``reserve += alpha * residue;
-    residue = (1 - alpha) * P^T residue`` with the repository-wide
-    dangling-self-loop convention — until the residue mass drops below
-    ``stop_mass`` or ``max_sweeps`` is hit.  Equivalent to the scipy
-    ``transition_matrix`` path up to summation order, but needs no
-    packed-matrix (re)build on delta-patched views.
-
-    Returns ``(reserve, residue, sweeps)``; ``reserve`` is mutated in
-    place, ``residue`` is replaced each sweep.
-    """
-    indptr = view.indptr
-    indices = view.indices
-    out_deg = view.out_deg
-    one_minus_alpha = 1.0 - alpha
-
-    sweeps = 0
-    while float(residue.sum()) > stop_mass and sweeps < max_sweeps:
-        reserve += alpha * residue
-        next_residue = np.zeros_like(residue)
-        holders = np.flatnonzero(residue > 0.0)
-        degs = out_deg[holders]
-        dangling = degs == 0
-        if dangling.any():
-            kept = holders[dangling]
-            next_residue[kept] += residue[kept]
-        spreading = ~dangling
-        if spreading.any():
-            nodes = holders[spreading]
-            d = degs[spreading]
-            share = residue[nodes] / d
-            targets = _gather_targets(indptr, indices, nodes, d)
-            np.add.at(next_residue, targets, np.repeat(share, d))
-        residue = one_minus_alpha * next_residue
-        sweeps += 1
-    return reserve, residue, sweeps

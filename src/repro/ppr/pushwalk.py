@@ -87,13 +87,14 @@ def add_walk_estimates(
         starts = np.repeat(holders, counts)
         terminals = sample_walk_terminals(view, starts, alpha, rng)
     else:
+        rows = index.rows
         slots = ragged_indices(np.zeros_like(counts), counts)
-        stored = index.counts[holders]
+        stored = rows.lens[holders]
         short = counts > stored
         if short.any():
             recycled = np.repeat(short, counts)
             slots[recycled] %= np.repeat(stored[short], counts[short])
-        slots += np.repeat(index.offsets[holders], counts)
-        terminals = index.terminals[slots]
+        slots += np.repeat(rows.starts[holders], counts)
+        terminals = rows.data[slots]
     np.add.at(reserve, terminals, np.repeat(weights, counts))
     return WalkPhaseResult(int(counts.sum()), int(holders.size))

@@ -15,20 +15,20 @@ Two facilities live here:
   forward push with threshold r_max can consume, which is why the
   index (re)build cost is O(m * r_max * K), the update cost in Table I.
 
-Storage layout: node ``i``'s walk terminals occupy
-``terminals[offsets[i] : offsets[i] + counts[i]]`` inside a row with
-capacity ``caps[i]`` — the same slack-slot scheme the graph uses
-for adjacency rows.  Fresh builds are packed (cap == count,
-``offsets[i + 1]`` coincides with the next row); incremental
-maintenance (:mod:`repro.ppr.incremental`) grows/shrinks rows in place
-and relocates a row to the array tail when it outgrows its capacity.
-A stored walk is addressed by the stable id ``(node << 32) | slot``,
-so relocation never invalidates the edge→walk map's postings.
+Storage layout: node ``i``'s walk terminals are row ``i`` of an
+:class:`~repro.graph.adjacency.Adjacency` (``WalkIndex.rows``), the
+slack-row store the graph keeps its edges in.  Fresh builds are packed;
+incremental maintenance (:mod:`repro.ppr.incremental`) resizes rows in
+place and relocates a row that outgrows its capacity to the array tail
+with twice the room it needs.  A walk row never loses capacity and is
+never repacked, so a stored walk is addressed by the stable id
+``(node << 32) | slot`` and relocation never invalidates the edge→walk
+map's postings.
 
 When ``track_edges`` is set, every sampling pass also records which
 edges each stored walk traversed (:class:`~repro.ppr.incremental.
-EdgeWalkMap`: a path arena whose per-walk offsets run parallel to
-``terminals`` and move with a relocated row), enabling
+EdgeWalkMap`: a path arena whose per-walk offsets run parallel to the
+rows' data and move with a relocated row), enabling
 :meth:`WalkIndex.apply_edge_update` to resample only the walks a single
 edge mutation actually affects.
 """
@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.graph.adjacency import growth, ragged_indices
+from repro.graph.adjacency import Adjacency, ragged_indices
 from repro.ppr.csr import CSRView
 
 if TYPE_CHECKING:
@@ -180,15 +180,13 @@ class WalkIndex:
         self._rng = rng
         self.track_edges = track_edges
         self.edge_map: "EdgeWalkMap | None" = None
-        self.view = view
-        self._reset_layout(view)
-        self._build_all()
+        self.rebuild(view)
 
     # ------------------------------------------------------------------
     @property
     def total_walks(self) -> int:
         """Total stored walks — the O(m r_max K) quantity of Table I."""
-        return int(self.counts.sum())
+        return self.rows.live
 
     def _target_counts(self, out_deg: np.ndarray) -> np.ndarray:
         """The per-node walk budget ceil(wpu * max(d_out, 1)), min 1."""
@@ -199,24 +197,25 @@ class WalkIndex:
             1,
         )
 
-    def _reset_layout(self, view: CSRView) -> None:
-        """Packed rows sized to the snapshot's degrees (cap == count)."""
-        self.counts = self._target_counts(view.out_deg)
-        self.offsets = np.zeros(view.n + 1, dtype=np.int64)
-        np.cumsum(self.counts, out=self.offsets[1:])
-        self.caps = self.counts.copy()
-        self._tail = int(self.offsets[-1])
-        self.terminals = np.empty(self._tail, dtype=np.int64)
+    def rebuild(self, view: CSRView) -> int:
+        """Re-sample every stored walk on a fresh snapshot, into packed
+        rows sized to its degrees.
 
-    def _build_all(self) -> None:
+        Returns the number of walks sampled (the update cost driver for
+        FORA+/SpeedPPR+ in ``rebuild`` maintenance mode, which
+        regenerate the whole index per update).
+        """
+        self.view = view
+        counts = self._target_counts(view.out_deg)
+        self.rows = Adjacency(counts, np.empty(int(counts.sum()), np.int64))
         if self.track_edges:
             from repro.ppr.incremental import EdgeWalkMap
 
-            self.edge_map = EdgeWalkMap(self)
+            self.edge_map = EdgeWalkMap(self.rows, self.alpha)
         else:
             self.edge_map = None
-        self._resample_full_rows(
-            self.view, np.arange(self.view.n, dtype=np.int64)
+        return self._resample_full_rows(
+            view, np.arange(view.n, dtype=np.int64)
         )
 
     def _resample_full_rows(
@@ -224,11 +223,11 @@ class WalkIndex:
     ) -> int:
         """Freshly sample every stored walk of the given rows in place.
 
-        Rows must already be sized (``counts``/``caps``/``offsets``
-        current).  Registers traversals in the edge map when tracking.
-        Returns the number of walks sampled.
+        Rows must already be sized.  Registers traversals in the edge
+        map when tracking.  Returns the number of walks sampled.
         """
-        counts = self.counts[node_indices]
+        rows = self.rows
+        counts = rows.lens[node_indices]
         total = int(counts.sum())
         if total == 0:
             return 0
@@ -244,71 +243,31 @@ class WalkIndex:
                 view, starts, self.alpha, self._rng, trace=trace
             )
             self.edge_map.register(starts, slots, trace)
-        dest = np.repeat(self.offsets[node_indices], counts) + slots
-        self.terminals[dest] = sampled
+        rows.data[np.repeat(rows.starts[node_indices], counts) + slots] = (
+            sampled
+        )
         return total
 
-    def rebuild(self, view: CSRView) -> int:
-        """Re-sample every stored walk on a fresh snapshot.
-
-        Returns the number of walks sampled (the update cost driver for
-        FORA+/SpeedPPR+ in ``rebuild`` maintenance mode, which
-        regenerate the whole index per update).
-        """
-        self.view = view
-        self._reset_layout(view)
-        self._build_all()
-        return self.total_walks
-
-    # ------------------------------------------------------------------
-    # slack-row plumbing (shared by refresh_nodes and the incremental
-    # maintenance in repro.ppr.incremental)
-    # ------------------------------------------------------------------
-    def _relocate_row(self, i: int, need: int) -> None:
-        """Move row ``i`` to the tail with capacity >= ``need``."""
-        new_cap = max(4, 2 * need, 2 * int(self.caps[i]))
-        if self._tail + new_cap > self.terminals.size:
-            grow = growth(self.terminals.size, new_cap)
-            self.terminals = np.concatenate(
-                [self.terminals, np.empty(grow, dtype=np.int64)]
-            )
-        lo, length = int(self.offsets[i]), int(self.counts[i])
-        self.terminals[self._tail:self._tail + length] = self.terminals[
-            lo:lo + length
-        ]
-        if self.edge_map is not None:
-            self.edge_map.move(lo, self._tail, length)
-        self.offsets[i] = self._tail
-        self.caps[i] = new_cap
-        self._tail += new_cap
+    def _resize_row(self, i: int, count: int) -> None:
+        """Make row ``i`` hold ``count`` walks.  A row that outgrows its
+        capacity moves to the tail with room for twice ``count``, and
+        the edge map's paths of its walks move with it."""
+        rows = self.rows
+        if count > rows.caps[i]:
+            lo = rows.relocate(i, 2 * count)
+            if self.edge_map is not None:
+                self.edge_map.move(lo, int(rows.starts[i]), int(rows.lens[i]))
+        rows.resize(i, count)
 
     def _ensure_node_rows(self, view: CSRView) -> int:
         """Append (and sample) rows for nodes the snapshot gained.
 
         Returns the number of walks sampled for the fresh rows.
         """
-        n_old = int(self.counts.size)
-        if view.n <= n_old:
+        fresh = np.arange(self.rows.n, view.n, dtype=np.int64)
+        if fresh.size == 0:
             return 0
-        fresh = np.arange(n_old, view.n, dtype=np.int64)
-        new_counts = self._target_counts(view.out_deg[fresh])
-        row_starts = self._tail + np.concatenate(
-            ([0], np.cumsum(new_counts)[:-1])
-        )
-        offsets = np.empty(view.n + 1, dtype=np.int64)
-        offsets[:n_old] = self.offsets[:n_old]
-        offsets[n_old:view.n] = row_starts
-        offsets[view.n] = self._tail + int(new_counts.sum())
-        self.offsets = offsets
-        self.counts = np.concatenate([self.counts, new_counts])
-        self.caps = np.concatenate([self.caps, new_counts])
-        need = self._tail + int(new_counts.sum())
-        if need > self.terminals.size:
-            grow = growth(self.terminals.size, need - self.terminals.size)
-            self.terminals = np.concatenate(
-                [self.terminals, np.empty(grow, dtype=np.int64)]
-            )
-        self._tail = need
+        self.rows.append_rows(self._target_counts(view.out_deg[fresh]))
         return self._resample_full_rows(view, fresh)
 
     # ------------------------------------------------------------------
@@ -319,9 +278,9 @@ class WalkIndex:
         out-degrees — ``ceil(walks_per_unit * max(d_out, 1))`` — so the
         per-node budget tracks degree churn instead of drifting at its
         build-time value; rows whose budget grew past their capacity
-        are relocated to the terminals-array tail (slack-slot layout).
-        When the counts are unchanged the refresh is a pure in-place
-        overwrite.  Returns the number of walks re-sampled.
+        are relocated to the tail of the rows' array.  When the counts
+        are unchanged the refresh is a pure in-place overwrite.
+        Returns the number of walks re-sampled.
         """
         self.view = view
         self._ensure_node_rows(view)
@@ -332,15 +291,12 @@ class WalkIndex:
         if self.edge_map is not None:
             self.edge_map.unregister(
                 ragged_indices(
-                    self.offsets[node_indices], self.counts[node_indices]
+                    self.rows.starts[node_indices],
+                    self.rows.lens[node_indices],
                 )
             )
-        for pos in range(int(node_indices.size)):
-            i = int(node_indices[pos])
-            need = int(new_counts[pos])
-            if need > int(self.caps[i]):
-                self._relocate_row(i, need)
-            self.counts[i] = need
+        for i, count in zip(node_indices.tolist(), new_counts.tolist()):
+            self._resize_row(i, count)
         return self._resample_full_rows(view, node_indices)
 
     def apply_edge_update(
@@ -379,8 +335,7 @@ class WalkIndex:
         implementation trick that keeps the estimator unbiased
         conditioned on the stored sample.
         """
-        lo = int(self.offsets[node_index])
-        stored = self.terminals[lo:lo + int(self.counts[node_index])]
+        stored = self.rows.row(node_index)
         if count <= stored.size:
             return stored[:count]
         reps = int(math.ceil(count / stored.size))

@@ -18,13 +18,8 @@ folded into the constants.
 
 The index lifecycle lives in :class:`~repro.ppr.base.WalkIndexOwner`.
 
-The power phase has two backends; the platform picks (see
-:meth:`SpeedPPR._power_backend`):
-
-* ``scipy`` — scipy-sparse CSR matvec sweeps on the packed transition
-  matrix (optional dependency, probed once per process).
-* ``power`` — :func:`repro.ppr.kernels.power_phase` gather/scatter on
-  the raw (possibly slack) CSR rows, run when scipy is absent.
+The power phase is scipy's CSR matvec over the packed transition
+matrix ``P^T``, built once per snapshot.
 """
 
 from __future__ import annotations
@@ -43,7 +38,6 @@ from repro.ppr.base import (
     WalkIndexOwner,
     clip_unit,
 )
-from repro.ppr.kernels import power_phase, scipy_available
 from repro.ppr.power_iteration import transition_matrix
 
 
@@ -71,10 +65,9 @@ class SpeedPPR(DynamicPPRAlgorithm):
         self._matrix_t: Any = None
         self._matrix_view: Any = None
         self.r_max = r_max if r_max is not None else self.default_r_max()
-        # every query of this class asks the scipy probe: run it (and
-        # scipy's import) now, at set-up, not inside the first timed
-        # query
-        scipy_available()
+        # every query of this class runs scipy's matvec: import scipy
+        # now, at set-up, not inside the first timed query
+        from scipy import sparse  # noqa: F401
 
     def default_r_max(self) -> float:
         """Default that balances sweeps against walks: 1/sqrt(m W)."""
@@ -100,20 +93,9 @@ class SpeedPPR(DynamicPPRAlgorithm):
         """Cached P^T for the current snapshot (scipy CSR)."""
         view = self.view
         if self._matrix_t is None or self._matrix_view is not view:
-            try:
-                self._matrix_t = transition_matrix(view).T.tocsr()
-            except ImportError as exc:  # pragma: no cover - scipy-free
-                raise RuntimeError(
-                    "the scipy power backend needs scipy; the probe "
-                    "should have selected the raw-row power backend"
-                ) from exc
+            self._matrix_t = transition_matrix(view).T.tocsr()
             self._matrix_view = view
         return self._matrix_t
-
-    def _power_backend(self) -> str:
-        """Power-phase kernel of this query: ``"scipy"`` (the matvec)
-        unless the scipy probe fails, then ``"power"`` (the raw rows)."""
-        return "scipy" if scipy_available() else "power"
 
     # ------------------------------------------------------------------
     def query(self, source: int) -> PPRVector:
@@ -121,27 +103,17 @@ class SpeedPPR(DynamicPPRAlgorithm):
         stats = QueryStats()
         alpha = self.params.alpha
         stop_mass = min(self.r_max * max(view.m, 1), 0.999)
-        backend = self._power_backend()
         with self.timers.measure("Power Iteration"):
             residue = np.zeros(view.n, dtype=np.float64)
             residue[view.to_index(source)] = 1.0
             reserve = np.zeros(view.n, dtype=np.float64)
-            if backend == "scipy":
-                matrix_t = self._transition_t()
-                sweeps = 0
-                while residue.sum() > stop_mass and sweeps < 200:
-                    reserve += alpha * residue
-                    residue = (1.0 - alpha) * (matrix_t @ residue)
-                    sweeps += 1
-            else:
-                # raw-row backend: sweep the (possibly slack) CSR rows
-                # directly — no packed scipy matrix to rebuild after
-                # graph deltas, and the scipy-free fallback.
-                reserve, residue, sweeps = power_phase(
-                    view, residue, reserve, alpha, stop_mass
-                )
+            matrix_t = self._transition_t()
+            sweeps = 0
+            while residue.sum() > stop_mass and sweeps < 200:
+                reserve += alpha * residue
+                residue = (1.0 - alpha) * (matrix_t @ residue)
+                sweeps += 1
             stats.extra["sweeps"] = sweeps
-            stats.extra["backend"] = backend
         self._walk_phase(view, reserve, residue, stats)
         self.last_query_stats = stats
         return PPRVector(reserve, view, source)

@@ -4,7 +4,7 @@
 edge list, answered by scanning) kept as the oracle: hypothesis drives
 both through random register / unregister / suffix-replace / row
 refresh / grow / shrink / relocate / compact sequences and after every
-step ``walks_from``, ``walks_through``, every stored path and the
+step ``affected(u)``, ``affected(u, v)``, every stored path and the
 first-affected step must agree.  The map only ever sees what
 ``WalkIndex`` would hand it — a row layout and sampler traces — so the
 paths here are synthetic node sequences, not walks on a graph.
@@ -63,7 +63,7 @@ def empty_tracked_index():
     index = WalkIndex(
         csr_view(graph), ALPHA, 1.5, np.random.default_rng(0)
     )
-    index.edge_map = EdgeWalkMap(index)
+    index.edge_map = EdgeWalkMap(index.rows, ALPHA)
     return index
 
 
@@ -100,7 +100,7 @@ def register(index, model, rng, node, slots):
 
 def unregister(index, model, node, slots):
     index.edge_map.unregister(
-        int(index.offsets[node]) + np.array(slots, dtype=np.int64)
+        int(index.rows.starts[node]) + np.array(slots, dtype=np.int64)
     )
     for slot in slots:
         model.paths.pop((node << SLOT_BITS) | slot, None)
@@ -109,7 +109,7 @@ def unregister(index, model, node, slots):
 def apply_op(op, rng, index, model):
     emap = index.edge_map
     node = rng.randrange(NUM_NODES)
-    count = int(index.counts[node])
+    count = int(index.rows.lens[node])
     some_slots = rng.sample(range(count), rng.randint(1, count))
     if op == "register":
         register(index, model, rng, node, some_slots)
@@ -134,15 +134,15 @@ def apply_op(op, rng, index, model):
         unregister(index, model, node, list(range(count)))
         register(index, model, rng, node, list(range(count)))
     elif op == "grow":
-        if count == int(index.caps[node]):
-            index._relocate_row(node, count + 1)
-        index.counts[node] = count + 1
+        index._resize_row(node, count + 1)
         register(index, model, rng, node, [count])
     elif op == "shrink" and count > 1:
         unregister(index, model, node, [count - 1])
-        index.counts[node] = count - 1
+        index._resize_row(node, count - 1)
     elif op == "relocate":
-        index._relocate_row(node, count + rng.randrange(3))
+        # past the row's capacity, then back: only the layout changes
+        index._resize_row(node, int(index.rows.caps[node]) + 1)
+        index._resize_row(node, count)
     elif op == "compact":
         emap._compact()
 
@@ -150,16 +150,15 @@ def apply_op(op, rng, index, model):
 def assert_agree(index, model):
     emap = index.edge_map
     for node in range(NUM_NODES):
-        for slot in range(int(index.counts[node])):
+        for slot in range(int(index.rows.lens[node])):
             wid = (node << SLOT_BITS) | slot
             assert emap.path(wid) == model.paths.get(wid, [])
         expected = model.affected(node)
         wids, _, split = emap.affected(node)
         assert wids.tolist() == list(expected)
         assert split.tolist() == list(expected.values())
-        assert emap.walks_from(node).tolist() == list(expected)
         for v in range(NUM_NODES):
-            assert emap.walks_through(node, v).tolist() == list(
+            assert emap.affected(node, v)[0].tolist() == list(
                 model.affected(node, v)
             )
     assert emap.live_steps == sum(len(p) for p in model.paths.values())
@@ -192,7 +191,7 @@ def test_churn_crosses_the_compaction_rule_and_stays_bounded():
     model = DictModel()
     rng = random.Random(5)
     for node in range(NUM_NODES):
-        slots = list(range(int(index.counts[node])))
+        slots = list(range(int(index.rows.lens[node])))
         register(index, model, rng, node, slots)
     fresh_bytes = index.edge_map.nbytes
     compactions = 0
@@ -213,7 +212,8 @@ def test_churn_crosses_the_compaction_rule_and_stays_bounded():
 # WalkIndex paths into the map other than apply_edge_update
 # ----------------------------------------------------------------------
 def budget_holds(index, view):
-    return bool((index.counts == index._target_counts(view.out_deg)).all())
+    counts = index.rows.lens[:index.rows.n]
+    return bool((counts == index._target_counts(view.out_deg)).all())
 
 
 def test_refresh_nodes_with_tracking_on_keeps_the_map_consistent():
@@ -233,9 +233,9 @@ def test_refresh_nodes_with_tracking_on_keeps_the_map_consistent():
         view = csr_view(graph)
         dirty = np.array(sorted(view.to_index(u) for u in touched))
         resampled = index.refresh_nodes(view, dirty)
-        assert resampled == int(index.counts[dirty].sum())
+        assert resampled == int(index.rows.lens[dirty].sum())
         assert (
-            index.counts[dirty] == index._target_counts(view.out_deg[dirty])
+            index.rows.lens[dirty] == index._target_counts(view.out_deg[dirty])
         ).all()
     # rows never refreshed still hold walks over deleted edges (what
     # Agenda's sigma accounts for); refresh them all before the audit
@@ -263,11 +263,11 @@ def test_node_growth_appends_tracked_rows():
             )
         else:
             index.refresh_nodes(view, np.array([view.to_index(applied.u)]))
-        assert index.counts.size == view.n
+        assert index.rows.n == view.n
         fresh = view.to_index(new_node)
         # the new node is dangling: its walks that survive the coin hold
         assert (
-            index.terminals_for(fresh, int(index.counts[fresh])) == fresh
+            index.terminals_for(fresh, int(index.rows.lens[fresh])) == fresh
         ).all()
     # an insert out of a grown node finds its held walks
     applied = EdgeUpdate(41, 0, "insert").apply(graph)

@@ -115,7 +115,7 @@ def digests(graph_name: str, algorithm_name: str) -> dict[str, object]:
     view = algorithm.view
     rows = hashlib.sha256()
     for i in range(view.n):
-        row = index.terminals_for(i, int(index.counts[i]))
+        row = index.terminals_for(i, int(index.rows.lens[i]))
         rows.update(sha(row).encode())
     sources = sorted(graph.nodes())
     queries = [

@@ -1,19 +1,21 @@
-"""Soak: 20 000 updates of index drift on one incremental index.
+"""Soak: 20 000 and 100 000 updates of index drift on one incremental index.
 
 The ROADMAP's robustness item asks that a long-running server survive
-"10^5+ updates of index drift"; this is the tier-1 sized version of it
-for the array-backed edge→walk map.  A toggle-heavy stream on BA
-n = 2 000 crosses the map's compaction rule many times, so at the end
+"10^5+ updates of index drift".  A toggle-heavy stream on BA n = 2 000
+crosses the edge→walk map's compaction rule many times, so at the end
 the structural audit, the per-node budget invariant and the two-sample
 distributional oracle (the same one ``bench_incremental_index`` and
-``test_incremental_index`` use) must still hold — and the map must not
-have grown: its bytes stay within 3x of a fresh build's on the same
-final graph.
+``test_incremental_index`` use) must still hold — and neither store may
+have grown without bound: the map's bytes and the walk rows' bytes
+(rows relocate but are never repacked) each stay within 3x of a fresh
+build's on the same final graph.  The 20 000-update run is tier-1
+sized; the 10^5 run is marked ``stress`` (CI's stress job).
 """
 
 import random
 
 import numpy as np
+import pytest
 
 from repro.graph.generators import barabasi_albert_graph
 from repro.graph.updates import EdgeUpdate
@@ -43,7 +45,9 @@ def toggle_heavy_stream(count, seed):
         yield EdgeUpdate(*rng.choice(hot if step % 2 else cold), "toggle")
 
 
-def test_twenty_thousand_updates_leave_a_consistent_bounded_map():
+def drift(num_updates):
+    """Drive ``num_updates`` toggles through a tracked index; returns
+    the index, the final view and the number of map compactions."""
     graph = barabasi_albert_graph(NUM_NODES, attach=3, seed=21)
     view = csr_view(graph)
     index = WalkIndex(
@@ -51,7 +55,7 @@ def test_twenty_thousand_updates_leave_a_consistent_bounded_map():
         track_edges=True,
     )
     compactions = 0
-    for update in toggle_heavy_stream(NUM_UPDATES, seed=6):
+    for update in toggle_heavy_stream(num_updates, seed=6):
         applied = update.apply(graph)
         view = csr_view(graph)
         dead_before = index.edge_map.dead_steps
@@ -60,8 +64,10 @@ def test_twenty_thousand_updates_leave_a_consistent_bounded_map():
             applied.kind,
         )
         compactions += index.edge_map.dead_steps < dead_before
+    return index, view, compactions
 
-    assert compactions >= 3  # the stream really crossed the rule
+
+def assert_consistent_and_bounded(index, view):
     assert index.validate_edge_map(view) == []
     assert counts_invariant(index, view)
     # the oracle: a fresh tracked build on the final graph
@@ -73,3 +79,17 @@ def test_twenty_thousand_updates_leave_a_consistent_bounded_map():
         aggregate_histogram(index, view), aggregate_histogram(oracle, view)
     )
     assert index.edge_map.nbytes <= 3 * oracle.edge_map.nbytes
+    assert index.rows.nbytes <= 3 * oracle.rows.nbytes
+
+
+def test_twenty_thousand_updates_leave_a_consistent_bounded_map():
+    index, view, compactions = drift(NUM_UPDATES)
+    assert compactions >= 3  # the stream really crossed the rule
+    assert_consistent_and_bounded(index, view)
+
+
+@pytest.mark.stress
+def test_a_hundred_thousand_updates_leave_a_consistent_bounded_index():
+    index, view, compactions = drift(100_000)
+    assert compactions >= 15
+    assert_consistent_and_bounded(index, view)

@@ -94,7 +94,7 @@ class TestLifecycle:
         assert builds(algorithm) == 2
         fresh = build(name, graph.copy(), seed=0)
         assert np.array_equal(
-            algorithm.index.terminals, fresh.index.terminals
+            algorithm.index.rows.data, fresh.index.rows.data
         )
 
     def test_updates_keep_the_index_at_the_graph_version(self, name, graph):

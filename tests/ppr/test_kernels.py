@@ -14,11 +14,10 @@ from hypothesis import strategies as st
 
 from repro.evaluation import runner
 from repro.graph.digraph import DynamicGraph
-from repro.graph.generators import barabasi_albert_graph, ring_graph
+from repro.graph.generators import barabasi_albert_graph
 from repro.ppr.csr import csr_view
 from repro.ppr.kernels import (
     frontier_push,
-    power_phase,
     reference_frontier_push,
 )
 from repro.ppr.power_iteration import ppr_exact_all_pairs
@@ -166,47 +165,3 @@ class TestFrontierBitForBit:
         np.testing.assert_allclose(reconstructed, pi_all[0], atol=1e-8)
 
 
-# ----------------------------------------------------------------------
-# SpeedPPR power phase on raw CSR rows
-# ----------------------------------------------------------------------
-class TestPowerPhase:
-    @settings(max_examples=25, deadline=None)
-    @given(edges=edges_strategy, source=st.integers(0, 9))
-    def test_mass_conserved_each_state(self, edges, source):
-        view = csr_view(build_graph(edges))
-        residue = np.zeros(view.n)
-        residue[source] = 1.0
-        reserve = np.zeros(view.n)
-        reserve, residue, sweeps = power_phase(
-            view, residue, reserve, ALPHA, stop_mass=1e-6
-        )
-        assert reserve.sum() + residue.sum() == pytest.approx(1.0)
-        assert float(residue.sum()) <= 1e-6 or sweeps == 200
-
-    def test_converges_to_exact(self):
-        g = ring_graph(7)
-        view = csr_view(g)
-        residue = np.zeros(view.n)
-        residue[0] = 1.0
-        reserve, residue, _ = power_phase(
-            view, residue, np.zeros(view.n), ALPHA, stop_mass=1e-12
-        )
-        exact = ppr_exact_all_pairs(g, alpha=ALPHA)[0]
-        np.testing.assert_allclose(reserve, exact, atol=1e-9)
-
-    def test_slack_view_matches_packed(self):
-        """The power phase reads slack rows exactly like packed rows."""
-        edges = [(0, 1), (1, 2), (2, 0), (3, 4)]
-        extra = [(0, 5), (4, 6), (2, 7)]
-        patched = slack_view(edges, extra)
-        packed = csr_view(build_graph(edges + extra))
-
-        def run(view):
-            residue = np.zeros(view.n)
-            residue[0] = 1.0
-            reserve, _, _ = power_phase(
-                view, residue, np.zeros(view.n), ALPHA, stop_mass=1e-10
-            )
-            return reserve
-
-        np.testing.assert_allclose(run(patched), run(packed), atol=1e-12)

@@ -85,13 +85,13 @@ class TestWalkIndex:
     def test_counts_scale_with_degree(self):
         g = complete_graph(5)  # every out-degree 4
         _, index = self._index(g, walks_per_unit=2.0)
-        assert np.all(index.counts == 8)
+        assert np.all(index.rows.lens[:index.rows.n] == 8)
         assert index.total_walks == 40
 
     def test_minimum_one_walk_per_node(self):
         g = DynamicGraph.from_edges([(0, 1)])  # node 1 dangling
         _, index = self._index(g, walks_per_unit=1e-9)
-        assert np.all(index.counts >= 1)
+        assert np.all(index.rows.lens[:index.rows.n] >= 1)
 
     def test_terminals_for_truncates(self):
         g = complete_graph(4)
@@ -104,8 +104,7 @@ class TestWalkIndex:
         _, index = self._index(g, walks_per_unit=1.0)  # 3 walks per node
         got = index.terminals_for(0, 10)
         assert got.size == 10
-        stored = index.terminals[index.offsets[0]:index.offsets[1]]
-        np.testing.assert_array_equal(got[:3], stored)
+        np.testing.assert_array_equal(got[:3], index.rows.row(0))
 
     def test_rebuild_changes_view(self):
         g = ring_graph(5)
@@ -119,13 +118,13 @@ class TestWalkIndex:
     def test_refresh_nodes_only_touches_selected(self):
         g = complete_graph(6)
         view, index = self._index(g, walks_per_unit=5.0, seed=1)
-        before = index.terminals.copy()
+        before = index.rows.data.copy()
         resampled = index.refresh_nodes(view, np.array([2]))
-        lo, hi = index.offsets[2], index.offsets[3]
+        lo, hi = index.rows.starts[2], index.rows.starts[3]
         assert resampled == hi - lo
         # untouched slices are bit-identical
-        np.testing.assert_array_equal(index.terminals[:lo], before[:lo])
-        np.testing.assert_array_equal(index.terminals[hi:], before[hi:])
+        np.testing.assert_array_equal(index.rows.data[:lo], before[:lo])
+        np.testing.assert_array_equal(index.rows.data[hi:], before[hi:])
 
     def test_refresh_empty_selection(self):
         g = ring_graph(4)
@@ -138,7 +137,7 @@ class TestWalkIndex:
         count forever (the stale-count drift bug)."""
         g = complete_graph(6)
         view, index = self._index(g, walks_per_unit=2.0, seed=3)
-        assert index.counts[0] == 10  # ceil(2.0 * 5)
+        assert index.rows.lens[0] == 10  # ceil(2.0 * 5)
 
         # degree churn both ways: node 0 gains an edge, node 1 loses one
         g.add_node(6)
@@ -153,14 +152,15 @@ class TestWalkIndex:
             ).astype(np.int64),
             1,
         )
-        assert index.counts[view.to_index(0)] == expected[view.to_index(0)]
-        assert index.counts[view.to_index(1)] == expected[view.to_index(1)]
-        assert index.total_walks == int(index.counts.sum())
+        counts = index.rows.lens[:index.rows.n]
+        assert counts[view.to_index(0)] == expected[view.to_index(0)]
+        assert counts[view.to_index(1)] == expected[view.to_index(1)]
+        assert index.total_walks == int(counts.sum())
         # every row (grown, shrunk, untouched, and the brand-new node
         # 6) serves in-range terminals sized to its current budget
         for i in range(view.n):
-            row = index.terminals_for(i, int(index.counts[i]))
-            assert row.size == int(index.counts[i])
+            row = index.terminals_for(i, int(counts[i]))
+            assert row.size == int(counts[i])
             assert ((row >= 0) & (row < view.n)).all()
 
     def test_traced_sampling_consumes_rng_identically(self):
@@ -187,8 +187,7 @@ class TestWalkIndex:
         rng = np.random.default_rng(5)
         index = WalkIndex(view, ALPHA, walks_per_unit=5000.0, rng=rng)
         exact = ppr_exact(g, 0, alpha=ALPHA)
-        lo, hi = index.offsets[0], index.offsets[1]
-        stored = index.terminals[lo:hi]
+        stored = index.rows.row(0)
         counts = np.bincount(stored, minlength=4) / stored.size
         for t in range(4):
             assert counts[t] == pytest.approx(exact[t], abs=0.02)

@@ -1,13 +1,14 @@
-"""How the three slack-row stores grow their backing arrays.
+"""How the slack-row store and the path arena grow their backing arrays.
 
-``Adjacency`` (a graph's rows), ``WalkIndex`` (terminal rows) and the
-edge→walk map's arena / posting rows (``incremental._reserve``) all
-append into one flat array and reallocate it when the tail runs out.
-Doubling pinned a second copy of the whole store the first time a
-single row outgrew a packed build (the old array stays alive in the
-snapshot being replaced); they now add an eighth — still geometric, so
-the number of reallocations over a long insert stream stays
-logarithmic, and the array never runs far ahead of what it holds.
+``Adjacency`` (a graph's rows, a walk index's terminal rows, the
+edge→walk map's posting rows) and the map's path arena
+(``adjacency.reserved``) append into one flat array and reallocate it
+when the tail runs out.  Doubling pinned a second copy of the whole
+store the first time a single row outgrew a packed build (the old array
+stays alive in the snapshot being replaced); they now add an eighth —
+still geometric, so the number of reallocations over a long insert
+stream stays logarithmic, and the array never runs far ahead of what it
+holds.
 """
 
 import math
@@ -15,16 +16,17 @@ import math
 import numpy as np
 import pytest
 
-from repro.graph.adjacency import Adjacency, growth
+from repro.graph.adjacency import Adjacency, growth, reserved
 from repro.graph.generators import barabasi_albert_graph
 from repro.ppr.csr import csr_view
-from repro.ppr.incremental import _reserve
 from repro.ppr.random_walk import WalkIndex
 
 INSERTS = 20_000
 
 
 def adjacency_stream():
+    """One entry at a time, as a graph insert appends (a full row
+    doubles its capacity)."""
     view = csr_view(barabasi_albert_graph(3000, attach=3, seed=1))
     rows = Adjacency(view.out_deg.copy(), view.indices.copy())
     rng = np.random.default_rng(0)
@@ -35,29 +37,42 @@ def adjacency_stream():
 
 
 def walk_row_stream():
+    """One more stored walk in a row, as a degree-raising insert does
+    (a full walk row moves with room for twice its new count)."""
     view = csr_view(barabasi_albert_graph(3000, attach=3, seed=2))
     index = WalkIndex(view, 0.2, 1.5, np.random.default_rng(0))
+    rows = index.rows
     rng = np.random.default_rng(1)
-    yield index.terminals, index._tail
+    yield rows.data, rows.tail
     for i in rng.integers(0, view.n, INSERTS):
-        # one more stored walk in row i, as a degree-raising insert does
-        if index.counts[i] == index.caps[i]:
-            index._relocate_row(int(i), int(index.counts[i]) + 1)
-        index.counts[i] += 1
-        yield index.terminals, index._tail
+        index._resize_row(int(i), int(rows.lens[i]) + 1)
+        yield rows.data, rows.tail
+
+
+def bulk_stream():
+    """A few entries into many rows at once, as the edge→walk map posts
+    a repaired walk's steps (a full row gets twice what it needs)."""
+    rows = Adjacency(np.full(3000, 3, dtype=np.int64), np.zeros(9000, np.int64))
+    rng = np.random.default_rng(1)
+    yield rows.data, rows.tail
+    for _ in range(INSERTS // 4):
+        targets = np.unique(rng.integers(0, rows.n, 4))
+        adds = rng.integers(1, 3, targets.size)
+        rows.extend(targets, adds, np.zeros(int(adds.sum()), np.int64))
+        yield rows.data, rows.tail
 
 
 def arena_stream():
     data, used = np.zeros(10_000, dtype=np.int32), 10_000
     yield data, used
     for _ in range(INSERTS):
-        data = _reserve(data, used, 7)  # one repaired walk's new path
+        data = reserved(data, used, 7)  # one repaired walk's new path
         used += 7
         yield data, used
 
 
 @pytest.mark.parametrize(
-    "stream", [adjacency_stream, walk_row_stream, arena_stream]
+    "stream", [adjacency_stream, walk_row_stream, bulk_stream, arena_stream]
 )
 def test_backing_array_grows_by_an_eighth(stream):
     states = stream()

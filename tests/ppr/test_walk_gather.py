@@ -107,7 +107,7 @@ def test_gathered_read_is_the_per_holder_loop_bit_for_bit(seed, updates, picks):
     _, index, view = churned_index(seed, updates)
     counts = {}
     for node, shape in picks:
-        stored = int(index.counts[node])
+        stored = int(index.rows.lens[node])
         counts[node] = {
             "one": 1,
             "below": max(stored - 1, 1),
@@ -122,10 +122,10 @@ def test_gathered_read_is_the_per_holder_loop_bit_for_bit(seed, updates, picks):
 def test_churn_really_scrambles_the_layout():
     """The property above is only worth its name on rows that moved."""
     _, index, view = churned_index(seed=2, updates=60)
-    rows = index.offsets[:view.n]
-    assert (np.diff(rows) < 0).any(), "no row was relocated"
-    assert int(index.caps.sum()) > index.total_walks, "no slack"
-    assert index._tail > int(index.caps.sum()), "no abandoned slots"
+    rows = index.rows
+    assert (np.diff(rows.starts[:view.n]) < 0).any(), "no row was relocated"
+    assert int(rows.caps[:view.n].sum()) > index.total_walks, "no slack"
+    assert rows.tail > int(rows.caps[:view.n].sum()), "no abandoned slots"
 
 
 def test_no_holder_and_single_holder():
@@ -138,7 +138,8 @@ def test_no_holder_and_single_holder():
     )
     assert (result.num_walks, result.num_source_nodes) == (0, 0)
     assert not reserve.any()
-    for count in (1, int(index.counts[7]), 3 * int(index.counts[7]) + 1):
+    stored = int(index.rows.lens[7])
+    for count in (1, stored, 3 * stored + 1):
         assert_same_bytes(index, view, residue_for(view, {7: count}))
 
 
@@ -155,18 +156,18 @@ def test_freshly_appended_node_is_read_from_its_tail_row():
     EdgeUpdate(3, fresh).apply(graph)
     view = csr_view(graph)
     index.apply_edge_update(view, view.to_index(3), view.to_index(fresh), "insert")
-    assert index.counts.size == view.n == fresh + 1
-    stored = int(index.counts[fresh])
+    assert index.rows.n == view.n == fresh + 1
+    stored = int(index.rows.lens[fresh])
     assert_same_bytes(
         index, view,
-        residue_for(view, {fresh: 4 * stored, 3: int(index.counts[3]), 0: 1}),
+        residue_for(view, {fresh: 4 * stored, 3: int(index.rows.lens[3]), 0: 1}),
     )
 
 
 def test_recycling_wraps_round_robin():
     """More walks than stored: slot modulo the stored count."""
     _, index, view = churned_index(seed=0, updates=0)
-    stored = index.terminals_for(5, int(index.counts[5]))
+    stored = index.rows.row(5)
     want = 2 * stored.size + 1
     reserve = np.zeros(view.n)
     add_walk_estimates(

@@ -313,4 +313,4 @@ def test_incremental_fora_plus_under_concurrency(seed):
         ).astype(np.int64),
         1,
     )
-    assert (index.counts == expected).all()
+    assert (index.rows.lens[:index.rows.n] == expected).all()
