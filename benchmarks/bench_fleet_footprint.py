@@ -14,8 +14,12 @@ over the front door and its workers.  Eight kinds of row:
 * ``FORA+inc`` → ``update_stream``: the same worker *after* start-up —
   index built, then ``update_heavy``'s share of updates and queries
   applied on the same (main) thread, as a worker's serving loop does —
-  ``VmRSS`` idle and at the end, whether the graph holds in-rows, and
-  (in a second child,
+  ``VmRSS`` idle and at the end, whether the graph holds in-rows; in a
+  second child, calling the worker's idle heap release
+  (:class:`repro.shard.heap.HeapRelease`) once per request on a clock
+  that runs at ``update_heavy``'s 60 updates a second, ``VmRSS``
+  settled one idle second after the stream, and how many releases gave
+  back how much; and (in a third child,
   ``tracemalloc`` on) live bytes after the build, the build's peak and
   the worst ``EdgeWalkMap._compact()`` peak above what was live when it
   began.  The child is started by :func:`repro.shard.launch.python_child`,
@@ -74,6 +78,9 @@ Asserted (the bench-smoke CI job runs this at quick scope):
 * no FORA or FORA+inc worker's graph holds in-rows after serving a
   query and a toggle, nor the FORA+inc worker's after
   ``update_heavy``'s share of updates;
+* with the idle heap release a FORA+inc worker settles at <= 45 MB
+  after ``update_heavy``'s share of updates (44.3-44.4 on the recording
+  host; 47.1-52.6 without the release, which releases at least once);
 * one index compaction peaks <= 8 MB above what was live before it
   (``tracemalloc``; the walk-step-sized int64 temporaries it used to
   hold at once made it 10.6);
@@ -134,6 +141,7 @@ import pytest
 from benchmarks.common import REPO_ROOT, scoped, write_bench_json
 from benchmarks.e2e import procfs
 from repro.evaluation.datasets import get_dataset
+from repro.shard.heap import MALLOC_TRIM, RESIDENT
 from repro.shard.image import _HEADER
 from repro.shard.launch import python_child
 from repro.shard.messages import Command, QueryCommand, ShardSpec
@@ -292,6 +300,11 @@ CACHED_TOP_K = 50
 
 COMPACTION_PEAK_MB_CEILING = 8.0
 
+#: a FORA+inc worker's VmRSS one idle second after the update stream,
+#: with the idle heap release: 44.28-44.37 MB over six runs on the
+#: recording host, where the same stream without it ends at 47.09-52.6
+SETTLED_RSS_MB_CEILING = 45.0
+
 #: builder children timed per run (each is ~0.3 s)
 IMAGE_BUILDS = 9
 
@@ -307,11 +320,19 @@ IMAGE_CHILD = (
 STREAM_UPDATES = 1_500
 STREAM_UPDATES_PER_QUERY = 8
 
-#: runs under `python_child`: argv = [pickled spec path, "rss" | "trace",
-#: updates, updates per query]
+#: `update_heavy`'s update rate at each worker: the clock a "release"
+#: child's `HeapRelease` reads advances by 1 / this per update
+STREAM_UPDATES_PER_S = 60.0
+
+#: runs under `python_child`: argv = [pickled spec path, "rss" | "release"
+#: | "trace", updates, updates per query, updates per second].  A
+#: "release" child calls the worker's idle heap release
+#: (`repro.shard.heap.HeapRelease`) once per request, the idle gap a worker
+#: has between two `update_heavy` requests, on a simulated clock
 STREAM_CHILD = """
 import gc, json, pickle, sys, tracemalloc
 traced = sys.argv[2] == "trace"
+released = sys.argv[2] == "release"
 if traced:
     tracemalloc.start()
 import numpy as np
@@ -341,6 +362,16 @@ if traced:
 else:
     report["idle_rss_mb"] = process_stats()["rss_mb"]
 
+from repro.obs.metrics import MetricsRegistry
+from repro.shard.heap import MIN_INTERVAL_S, HeapRelease
+metrics, clock = MetricsRegistry(), [0.0]
+release = HeapRelease(metrics, clock=lambda: clock[0])
+
+def idle():
+    if released:
+        release.on_idle()
+
+idle()  # the worker's first idle moment, after the build
 peaks = []
 compact = incremental.EdgeWalkMap._compact
 
@@ -359,11 +390,21 @@ for i in range(sys.argv[3]):
     u, v = (int(x) for x in rng.integers(0, n, 2))
     if u != v:
         algorithm.apply_update(EdgeUpdate(u, v))
+    clock[0] += 1.0 / sys.argv[5]
+    idle()
     if i % sys.argv[4] == 0:
         algorithm.query(int(rng.integers(0, n)))
+        idle()
 if traced:
     report["compactions"] = len(peaks)
     report["compaction_peak_mb"] = max(peaks, default=0.0)
+elif released:
+    clock[0] += MIN_INTERVAL_S  # the stream ends: one idle second
+    idle()
+    counters = metrics.counters()
+    report["settled_rss_mb"] = process_stats()["rss_mb"]
+    report["heap_releases"] = counters["serving.heap_releases"]
+    report["heap_released_mb"] = counters["serving.heap_released_bytes"] / MB
 else:
     report["end_rss_mb"] = process_stats()["rss_mb"]
 from repro.ppr.csr import csr_view
@@ -593,14 +634,18 @@ def run_stages(spec_pickle: bytes) -> dict:
 
 def run_update_stream(spec_pickle: bytes) -> dict:
     """A worker's footprint under ``update_heavy``'s write load: one
-    child weighed by ``VmRSS``, one by ``tracemalloc`` (which inflates
-    RSS, so never both in one process)."""
+    child weighed by ``VmRSS`` without the idle heap release and one
+    with it, one by ``tracemalloc`` (which inflates RSS, so never both
+    in one process)."""
     row: dict[str, float] = {}
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "spec.pickle"
         path.write_bytes(spec_pickle)
-        for mode in ("rss", "trace"):
-            argv = [str(path), mode, STREAM_UPDATES, STREAM_UPDATES_PER_QUERY]
+        for mode in ("rss", "release", "trace"):
+            argv = [
+                str(path), mode, STREAM_UPDATES, STREAM_UPDATES_PER_QUERY,
+                STREAM_UPDATES_PER_S,
+            ]
             child = python_child(
                 f"sys.argv[1:] = {argv!r}{STREAM_CHILD}", stdout=subprocess.PIPE
             )
@@ -857,6 +902,15 @@ def test_index_compaction_holds_few_temporaries():
     assert 0.0 < row["compaction_peak_mb"] <= COMPACTION_PEAK_MB_CEILING
 
 
+def test_idle_release_returns_what_the_update_stream_freed():
+    if MALLOC_TRIM is None or RESIDENT is None:
+        pytest.skip("no malloc_trim (glibc) or /proc/self/statm here")
+    row = _results()["FORA+inc"]["update_stream"]
+    assert row["heap_releases"] >= 1
+    assert row["settled_rss_mb"] <= SETTLED_RSS_MB_CEILING
+    assert row["settled_rss_mb"] < row["end_rss_mb"]
+
+
 def test_image_builder_loads_no_numpy():
     row = _results()["image_build"]
     assert row["numpy_loaded"] is False
@@ -923,6 +977,12 @@ def main() -> None:
     stream = results["FORA+inc"]["update_stream"]
     was = PREVIOUS["FORA+inc"]["update_stream"]
     print(f"FORA+inc worker, {STREAM_UPDATES} updates from a serving thread:")
+    if "settled_rss_mb" in stream:
+        print(
+            f"  {stream['settled_rss_mb']:6.1f} MB RSS settled with the idle "
+            f"heap release ({stream['heap_releases']:.0f} releases gave back "
+            f"{stream['heap_released_mb']:.1f} MB)"
+        )
     for key, unit in (
         ("idle_rss_mb", "MB RSS idle"), ("end_rss_mb", "MB RSS at the end"),
         ("live_after_build_mb", "MB live after build"),

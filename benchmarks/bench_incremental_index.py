@@ -29,7 +29,17 @@ Four sections, all asserted:
    bytes, the traced index build time and the RSS the build added, and
    asserts ``edge_map_bytes / total_walks`` <= 160 B so a
    Python-object layout (the dict/set/tuple one it replaced cost
-   ≈ 1.1 kB per walk) cannot come back unnoticed.
+   ≈ 1.1 kB per walk) cannot come back unnoticed.  Both RSS figures
+   start from a heap whose free pages were given back the way an idle
+   shard worker gives them back (``malloc_trim``, :mod:`repro.shard.heap`):
+   measured from whatever free pages the earlier sections left, the
+   build's RSS read 7.7-14.8 MB over nine runs of one commit, and it
+   still moves with what ran before it in the process (16.4 MB
+   standalone, 12.1 after ``bench_fleet_footprint``).  The steady
+   figures are ``build_rss_released_delta_mb``, the build's RSS once it
+   too is released (7.1-7.3 MB), and ``build_live_mb`` /
+   ``build_peak_mb``, what a second, ``tracemalloc``-traced build
+   leaves live and peaks at.
 
 5. **Query cost** — what the index buys: the same seeded sources on
    index-free FORA and on FORA+ / FORA+inc, mean query time and the
@@ -54,7 +64,9 @@ bench-smoke CI job does the latter at quick scope).
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -68,6 +80,7 @@ from repro.obs.metrics import get_metrics, process_stats
 from repro.ppr.base import PPRParams
 from repro.ppr.random_walk import WalkIndex
 from repro.ppr.registry import ALGORITHMS
+from repro.shard.heap import MALLOC_TRIM
 
 #: acceptance floor for t̃_u(rebuild) / t̃_u(incremental)
 SPEEDUP_FLOOR = 10.0
@@ -132,6 +145,27 @@ def _resampled_counter() -> int:
     return int(counters.get("index.walks_resampled", 0))
 
 
+def _release_heap() -> None:
+    """Give freed heap back as a shard worker does when idle (glibc)."""
+    if MALLOC_TRIM is not None:
+        MALLOC_TRIM()
+
+
+def _traced_build() -> dict:
+    """Live and peak ``tracemalloc`` bytes of one FORA+inc index build."""
+    graph = _graph()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        built = _algorithm("FORA+inc", graph)
+        built._walk_index()
+        gc.collect()
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return {"build_live_mb": live / 1e6, "build_peak_mb": peak / 1e6}
+
+
 def _updates(graph, count):
     return random_update_stream(
         graph, count, rng=random.Random(bench_seed() + 2)
@@ -176,13 +210,17 @@ def run_update_cost(
 
     # incremental FORA+ on the identical stream
     graph = _graph()
+    _release_heap()
     rss_before = process_stats()["rss_mb"]
     incremental = _algorithm("FORA+inc", graph)
     index = incremental._walk_index()
+    rss_built = process_stats()["rss_mb"]
+    _release_heap()
     footprint = {
         "edge_map_bytes": incremental.index_stats()["edge_map_bytes"],
         "index_build_s": incremental.timers.total("Index Build"),
-        "build_rss_delta_mb": process_stats()["rss_mb"] - rss_before,
+        "build_rss_delta_mb": rss_built - rss_before,
+        "build_rss_released_delta_mb": process_stats()["rss_mb"] - rss_before,
     }
     resampled_before = _resampled_counter()
     for update in _updates(graph, num_updates):
@@ -382,6 +420,7 @@ def run_bench() -> dict:
         "quota": quota,
         "query": run_query_cost(scoped(60, 300)),
         **footprint,
+        **_traced_build(),
         "previous": PREVIOUS,
     }
 
@@ -464,7 +503,10 @@ def main() -> None:
         f"edge map: {results['edge_map_bytes'] / 1e6:.2f} MB "
         f"({results['edge_map_bytes'] / results['oracle']['total_walks']:.0f}"
         f" B/walk), traced build {results['index_build_s'] * 1e3:.0f} ms, "
-        f"+{results['build_rss_delta_mb']:.1f} MB RSS"
+        f"+{results['build_rss_delta_mb']:.1f} MB RSS "
+        f"(+{results['build_rss_released_delta_mb']:.1f} MB once released; "
+        f"{results['build_live_mb']:.1f} MB live, "
+        f"{results['build_peak_mb']:.1f} MB peak under tracemalloc)"
     )
     was = PREVIOUS["query"]
     for row in results["query"]:

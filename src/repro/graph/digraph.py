@@ -71,11 +71,15 @@ def as_edge_array(
             f"edge endpoints must lie in [0, {limit}), got "
             f"[{arr.min()}, {arr.max()}]"
         )
-    keys = np.sort(arr[:, 0].astype(np.int64) * num_nodes + arr[:, 1])
-    repeated = np.flatnonzero(keys[1:] == keys[:-1])
-    if repeated.size:
-        u, v = divmod(int(keys[repeated[0]]), num_nodes)
-        raise ValueError(f"duplicate edge ({u}, {v})")
+    keys = arr[:, 0].astype(np.int64) * num_nodes + arr[:, 1]
+    # strictly increasing keys (the sorted pairs a ShardSpec ships) are
+    # distinct already: only other orders pay for the sort
+    if not (keys[1:] > keys[:-1]).all():
+        keys.sort()
+        repeated = np.flatnonzero(keys[1:] == keys[:-1])
+        if repeated.size:
+            u, v = divmod(int(keys[repeated[0]]), num_nodes)
+            raise ValueError(f"duplicate edge ({u}, {v})")
     return arr.astype(np.int32, copy=False)
 
 
@@ -195,7 +199,8 @@ class DynamicGraph:
         Same rows (each in row order of ``pairs``, so lexicographically
         sorted pairs give ascending rows) and the same ``version ==
         len(pairs)``, but packed with one stable sort instead of ``m``
-        calls.  ``pairs`` is validated by :func:`as_edge_array`.
+        calls, and none when ``pairs`` is already grouped by source.
+        ``pairs`` is validated by :func:`as_edge_array`.
         """
         import numpy as np
 
@@ -203,10 +208,11 @@ class DynamicGraph:
 
         pairs = as_edge_array(num_nodes, pairs)
         src = pairs[:, 0]
-        order = np.argsort(src, kind="stable")
+        dst = pairs[:, 1]
+        if not (src[1:] >= src[:-1]).all():
+            dst = dst[np.argsort(src, kind="stable")]
         out = Adjacency(
-            np.bincount(src, minlength=num_nodes),
-            pairs[order, 1].astype(np.int64),
+            np.bincount(src, minlength=num_nodes), dst.astype(np.int64)
         )
         return cls._of(
             np.arange(num_nodes, dtype=np.int64), None, out, len(pairs)

@@ -21,7 +21,8 @@ Naming conventions
   (:mod:`repro.serving`) both execute through.
 * ``serving.*``     — admission/shedding accounting of the serving
   runtime (queue-depth and command-pipe backlog gauges, wait/response
-  histograms, shed/timeout/fault counters).
+  histograms, shed/timeout/fault counters), and a shard worker's idle
+  heap releases (count and bytes given back).
 * ``calibration.*`` — tau-calibration accounting.
 * ``cache.*``       — result-cache accounting (:mod:`repro.cache`):
   hit/miss/insertion counters, eviction counters split by cause
@@ -56,6 +57,9 @@ COUNTERS = frozenset(
         "serving.shed",
         "serving.timeout",
         "serving.faults",
+        # a shard worker's idle heap release (repro.shard.heap)
+        "serving.heap_releases",
+        "serving.heap_released_bytes",
         "cache.hits",
         "cache.misses",
         "cache.insertions",

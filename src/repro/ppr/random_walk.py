@@ -142,6 +142,22 @@ def walk_steps_estimate(num_walks: int, alpha: float) -> float:
     return num_walks * (1.0 - alpha) / alpha
 
 
+def _first_occurrences(nodes: np.ndarray) -> np.ndarray:
+    """``nodes`` without repeats, each kept where it first appears.
+
+    A strictly increasing array (Agenda's dirty holders) comes back as
+    it is.  Sort plus a neighbour compare, not ``np.unique``, which
+    imports ``numpy.ma`` on first call.
+    """
+    if (nodes[1:] > nodes[:-1]).all():
+        return nodes
+    order = np.argsort(nodes, kind="stable")
+    ordered = nodes[order]
+    first = np.ones(nodes.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return nodes[np.sort(order[first])]
+
+
 class WalkIndex:
     """Per-node store of precomputed walk terminals.
 
@@ -279,12 +295,16 @@ class WalkIndex:
         per-node budget tracks degree churn instead of drifting at its
         build-time value; rows whose budget grew past their capacity
         are relocated to the tail of the rows' array.  When the counts
-        are unchanged the refresh is a pure in-place overwrite.
-        Returns the number of walks re-sampled.
+        are unchanged the refresh is a pure in-place overwrite.  A node
+        listed twice is refreshed once (registering its walks twice
+        would corrupt the edge→walk map).  Returns the number of walks
+        re-sampled.
         """
         self.view = view
         self._ensure_node_rows(view)
-        node_indices = np.asarray(node_indices, dtype=np.int64)
+        node_indices = _first_occurrences(
+            np.asarray(node_indices, dtype=np.int64)
+        )
         if node_indices.size == 0:
             return 0
         new_counts = self._target_counts(view.out_deg[node_indices])

@@ -60,6 +60,7 @@ from repro.queueing.kinds import QUERY, UPDATE
 from repro.queueing.replay import QueryFn
 from repro.queueing.workload import Request
 from repro.serving.runtime import OK, ServedRequest, ServingRuntime, Source
+from repro.shard.heap import HeapRelease
 from repro.shard.messages import (
     Command,
     CrashCommand,
@@ -191,6 +192,8 @@ class ShardServer:
             metrics=self.metrics,
         )
         self._cache = cache
+        #: what :meth:`serve_pipe` calls before it blocks on an empty pipe
+        self.heap = HeapRelease(self.metrics)
 
     # ------------------------------------------------------------------
     def serve(self, take: Source) -> None:
@@ -206,7 +209,11 @@ class ShardServer:
         At each look the loop reads how many bytes wait in the pipe
         (``FIONREAD``) into the ``serving.pipe_backlog_bytes`` gauge:
         a command's ``serving.wait`` starts when it is read, so this is
-        where time spent queued in the pipe shows.
+        where time spent queued in the pipe shows.  Before it blocks on
+        an empty pipe it lets :attr:`heap` give freed heap back to the
+        OS (:class:`~repro.shard.heap.HeapRelease`): the runtime asks
+        to block only once its queue and Seed's deferred updates are
+        empty, so a release never delays a request.
         """
         backlog = self.metrics.gauge("serving.pipe_backlog_bytes")
         readable = array.array("i", [0])
@@ -216,10 +223,12 @@ class ShardServer:
             while True:
                 fcntl.ioctl(fd, termios.FIONREAD, readable)
                 backlog.set(readable[0])
-                if not readable[0] and (
-                    timeout_s <= 0 or not wait([conn], timeout_s)
-                ):
-                    return True
+                if not readable[0]:
+                    if timeout_s <= 0:
+                        return True
+                    self.heap.on_idle()
+                    if not wait([conn], timeout_s):
+                        return True
                 timeout_s = 0.0  # woken: read what came (or the EOF)
                 try:
                     command = conn.recv()

@@ -105,3 +105,34 @@ def test_bulk_built_graph_takes_updates_like_any_other():
 def test_bulk_build_rejects_what_it_cannot_count(num_nodes, pairs):
     with pytest.raises(ValueError):
         DynamicGraph.from_edge_array(num_nodes, pairs)
+
+
+def test_sorted_and_shuffled_pairs_build_the_same_graph():
+    """Sorted pairs skip both sorts; grouped-by-source pairs skip the
+    argsort only; shuffled pairs take both.  Each build keeps its input's
+    row order, and all hold the same edges at the same version."""
+    rng = np.random.default_rng(7)
+    keys = np.sort(rng.choice(40 * 40, size=300, replace=False))
+    pairs = [(int(k) // 40, int(k) % 40) for k in keys]
+    grouped = sorted(pairs, key=lambda pair: (pair[0], -pair[1]))
+    shuffled = [pairs[i] for i in rng.permutation(len(pairs))]
+    builds = [assert_same_build(40, order) for order in (pairs, grouped, shuffled)]
+    for graph in builds:
+        assert graph.version == len(pairs)
+        assert graph == builds[0]
+    for u in range(40):
+        assert builds[0].out_neighbors(u) == sorted(builds[2].out_neighbors(u))
+        assert builds[1].out_neighbors(u) == builds[0].out_neighbors(u)[::-1]
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(0, 1), (0, 1), (1, 2)],  # sorted, the repeat adjacent
+        [(0, 1), (1, 2), (2, 0), (1, 2)],  # grouped order broken
+        [(2, 0), (0, 1), (2, 0)],  # shuffled
+    ],
+)
+def test_duplicates_raise_in_any_order(pairs):
+    with pytest.raises(ValueError, match="duplicate edge"):
+        DynamicGraph.from_edge_array(3, pairs)

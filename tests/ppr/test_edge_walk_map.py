@@ -245,6 +245,21 @@ def test_refresh_nodes_with_tracking_on_keeps_the_map_consistent():
     assert budget_holds(index, view)
 
 
+def test_refresh_nodes_with_a_repeated_node_refreshes_it_once():
+    """A node listed twice is unregistered once, so it must be sampled
+    and registered once too, or the map's live-step count drifts."""
+    graph = barabasi_albert_graph(60, seed=1)
+    view = csr_view(graph)
+    index = WalkIndex(
+        view, ALPHA, 20.0, np.random.default_rng(0), track_edges=True
+    )
+    resampled = index.refresh_nodes(view, np.array([5, 5]))
+    assert resampled == int(index.rows.lens[5])
+    assert index.validate_edge_map(view) == []
+    index.refresh_nodes(view, np.array([9, 2, 9, 7, 2]))
+    assert index.validate_edge_map(view) == []
+
+
 def test_node_growth_appends_tracked_rows():
     """Updates that introduce brand-new nodes: ``_ensure_node_rows``
     appends (and registers) their rows on both maintenance paths."""

@@ -86,6 +86,7 @@ def churned_index(seed, updates):
         )
     view = csr_view(graph)
     index.refresh_nodes(view, rng.integers(0, view.n, 3))
+    assert index.validate_edge_map(view) == []
     return graph, index, view
 
 
