@@ -63,9 +63,10 @@ Asserted (the bench-smoke CI job runs this at quick scope):
 * a cached answer keeps <= 12.5 B live per nonzero entry (int32 index
   plus float64 value are 12; the dense vector it was cached as held
   16-18);
-* a cached top-50 answer keeps <= 15 000 B live (≈ 14.0 KB: uint16 id
-  plus float32 charge per nonzero entry, and the 50 reply pairs; held
-  as its whole vector's nonzero entries it kept ≈ 26.4 KB);
+* a cached top-50 answer keeps <= 8 000 B live (≈ 7.6 KB: uint16 id
+  plus a one-byte charge code per nonzero entry, and the 50 reply
+  pairs; with a float32 charge it kept ≈ 14.0 KB, and held as its whole
+  vector's nonzero entries ≈ 26.4 KB);
 * no worker and no front door loads OpenSSL (``numpy.random`` and
   ``asyncio`` used to map it into each);
 * ``build_graph`` adds <= 42 B of RSS per edge (the graph's int64
@@ -106,8 +107,8 @@ walk recorder, doubling slack stores) through this file's child; its
 ``DynamicGraph`` and packed it with numpy) through this file's
 ``run_image_build`` and ``run_fleet``; its ``cache_entry`` row is
 commit 0839fb8 (dense cache entries) through this file's
-``run_cache_entry``, and its ``cache_entry_top_k`` row commit c29d85b
-(top-k answers cached as whole vectors) through the same function; its
+``run_cache_entry``, and its ``cache_entry_top_k`` row commit 9a3c984
+(top-k answers with a float32 charge table) through the same function; its
 ``in_lists`` row is commit 64d340a (in-lists
 in the graph, in-rows in every CSR store) and its ``out_lists`` row
 commit 902cf04 (out-lists in the graph, the same edges again as the
@@ -157,10 +158,10 @@ FRONTDOOR_STAGES = ("imports", "image_received", "manager_ready")
 SPEC_BYTES_PER_EDGE_CEILING = 10.0
 REPLY_BYTES_PER_PAIR_CEILING = 12.5
 CACHE_BYTES_PER_ENTRY_CEILING = 12.5
-#: live bytes per cached top-50 answer: ≈ 14.0 KB (a 6 B charge-table
-#: row per nonzero entry, ≈ 2 130 of them, and 50 reply pairs); the
-#: whole vector it held before is ≈ 26.4 KB
-CACHE_BYTES_PER_TOP_K_ANSWER_CEILING = 15_000
+#: live bytes per cached top-50 answer: ≈ 7.6 KB (a 3 B charge-table
+#: row per nonzero entry, ≈ 2 130 of them, and 50 reply pairs); with a
+#: float32 charge it was ≈ 14.0 KB, as its whole vector ≈ 26.4 KB
+CACHE_BYTES_PER_TOP_K_ANSWER_CEILING = 8_000
 GRAPH_RSS_BYTES_PER_EDGE_CEILING = 42.0
 #: a FORA worker's build_graph + build_algorithm at the parent 902cf04
 FORA_GRAPH_AND_ALGORITHM_MB_CEILING = 2.45 + 2.72
@@ -249,14 +250,16 @@ PREVIOUS["cache_entry"] = {
     "cache_bytes": 2_454_826,
 }
 
-#: the same 64 sources asked with top_k=50 at the parent commit c29d85b,
-#: whose cache held each as its whole vector's nonzero entries, by this
-#: file's `run_cache_entry(50)` with that commit's `src`
+#: the same 64 sources asked with top_k=50 at the parent commit 9a3c984,
+#: whose cache held each as its reply and a float32 charge table, by
+#: this file's `run_cache_entry(50)` with that commit's `src` (median of
+#: five runs: 892 286-898 599 B); commit c29d85b, which held each as its
+#: whole vector's nonzero entries, kept 1 686 003 B
 PREVIOUS["cache_entry_top_k"] = {
-    "commit": "c29d85b",
+    "commit": "9a3c984",
     "cached": 64,
     "pairs": 3_200,
-    "cache_bytes": 1_686_003,
+    "cache_bytes": 896_003,
 }
 
 #: the parent commit 64d340a, whose graphs kept in-lists beside the
@@ -636,7 +639,13 @@ def run_update_stream(spec_pickle: bytes) -> dict:
     """A worker's footprint under ``update_heavy``'s write load: one
     child weighed by ``VmRSS`` without the idle heap release and one
     with it, one by ``tracemalloc`` (which inflates RSS, so never both
-    in one process)."""
+    in one process).
+
+    ``end_rss_mb`` (the child without the release) is one ``VmRSS``
+    sample taken wherever the heap's high-water mark happens to sit:
+    identical code read 47.1-52.6 MB.  Compare it only with
+    ``settled_rss_mb`` or across several runs, never one run against
+    another."""
     row: dict[str, float] = {}
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "spec.pickle"

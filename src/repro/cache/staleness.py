@@ -26,8 +26,10 @@ near half the coupling factor).
 
 ``pi_hat(s, u)`` is the *cached* estimate — the value computed when the
 entry was admitted; a top-k entry reads it from its charge table
-(:class:`~repro.cache.store.TopKAnswer`), float32 rounded up, so it
-is charged at least what its whole vector would be.  Entries whose
+(:class:`~repro.cache.store.TopKAnswer`) as the next of 256 log-scale
+bounds at or above it (capped at the degree-only 1.0), so it is charged
+at least what its whole vector would be and at most ``2 ** (1 / 8)``
+times that.  Entries whose
 result cannot be indexed by node
 (opaque ``query_fn`` results, modeled entries in a virtual-time replay) carry
 no ``pi_estimate`` and fall back to the conservative degree-only bound

@@ -6,8 +6,8 @@ machinery needs: the graph version the result was computed at and the
 staleness budget it has accumulated since (charged by
 :class:`~repro.cache.staleness.StalenessTracker`, one increment per
 applied edge update).  A top-k answer is cached as a
-:class:`TopKAnswer` — the reply it serves and a charge table — rather
-than as the whole vector.
+:class:`TopKAnswer` — the reply it serves and a one-byte-per-entry
+charge table — rather than as the whole vector.
 
 The beta signature is part of the key on purpose: Quota reconfigures
 hyperparameters live, and a result computed under the old beta answers
@@ -49,6 +49,11 @@ BetaSignature = tuple[tuple[str, float], ...]
 #: entry-supplied estimate of pi(s, u) for staleness charging
 PiEstimate = Callable[[int], float]
 
+#: the staleness bound a :class:`TopKAnswer` charge code stands for:
+#: eight codes an octave, from 1.0 (code 0) down to 2 ** -31.875
+BOUNDS = tuple(2.0 ** (-code / 8) for code in range(256))
+_ASCENDING_BOUNDS = np.array(BOUNDS[::-1])
+
 
 def beta_signature(beta: Mapping[str, float]) -> BetaSignature:
     """Order-independent hashable signature of a hyperparameter dict."""
@@ -87,14 +92,17 @@ class TopKAnswer:
     picked, exactly — a hit serves them as they are.  The charge table
     prices the entry's staleness without the vector: ``charge_ids`` are
     the estimate's nonzero node ids, ascending, in the narrowest
-    unsigned dtype that holds them, and ``charges`` the estimate at each
-    as float32 rounded toward +inf, so :meth:`pi_bound` never reads
-    below the float64 estimate it stands for.  A negative or NaN
-    estimate is stored as 1.0, the degree-only bound the tracker falls
-    back to for it.  The entry keeps no reference to the graph.
+    unsigned dtype that holds them, and ``codes`` one byte each, code
+    ``c`` standing for the bound ``BOUNDS[c]``: the smallest of the 256
+    bounds at or above ``min(estimate, 1)``, so :meth:`pi_bound` never
+    reads below the float64 estimate it stands for (nor below 1.0 for
+    an estimate above it) and at most ``2 ** (1 / 8)`` times it for one
+    down to ``BOUNDS[-1]``.  A negative or NaN estimate is code 0, 1.0,
+    the degree-only bound the tracker falls back to for it.  The entry
+    keeps no reference to the graph.
     """
 
-    __slots__ = ("nodes", "values", "charge_ids", "charges")
+    __slots__ = ("nodes", "values", "charge_ids", "codes")
 
     def __init__(
         self,
@@ -108,21 +116,24 @@ class TopKAnswer:
         self.charge_ids = estimate_ids.astype(
             np.min_scalar_type(int(estimate_ids[-1]) if estimate_ids.size else 0)
         )
-        charges = estimate_values.astype(np.float32)
-        low = charges < estimate_values
-        charges[low] = np.nextafter(charges[low], np.float32(np.inf))
-        charges[~(estimate_values >= 0.0)] = 1.0
-        self.charges = charges
+        # ``not >= 0`` is a negative or NaN estimate: 1.0, code 0
+        capped = np.where(
+            estimate_values >= 0.0, np.minimum(estimate_values, 1.0), 1.0
+        )
+        # the first ascending bound at or above each estimate
+        self.codes = (
+            255 - np.searchsorted(_ASCENDING_BOUNDS, capped)
+        ).astype(np.uint8)
 
     def pi_bound(self, node: int) -> float:
         """An upper bound on the estimate at ``node`` (0.0 where it was
         zero); the entry's ``pi_estimate`` for staleness charging."""
-        # a memoryview hands bisect Python ints and floats, as
+        # a memoryview hands bisect and BOUNDS Python ints, as
         # CompactPPRVector.get does
         ids = self.charge_ids.data
         position = bisect_left(ids, node)
         if position < len(ids) and ids[position] == node:
-            return float(self.charges.data[position])
+            return BOUNDS[self.codes.data[position]]
         return 0.0
 
 

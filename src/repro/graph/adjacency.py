@@ -17,13 +17,15 @@ capacity >= its length inside one flat int64 array.
   row down (O(deg), like ``list.remove``), so a row always lists its
   entries in the order they were appended.
 * Once slack exceeds :data:`REBUILD_SLACK_RATIO` x the live entries
-  (above :data:`SLACK_FLOOR`) :meth:`Adjacency.compacted` repacks the
-  rows, each in the order it had.  Row order never depends on when that
-  happens.  Only the graph repacks: walk rows are addressed by
-  ``(node, slot)`` and posting rows are rebuilt whole by their map.
+  (above :data:`SLACK_FLOOR`, :func:`excessive`) :meth:`Adjacency.compacted`
+  repacks the graph's rows, each in the order it had.  Row order never
+  depends on when that happens.  Walk rows are addressed by
+  ``(node, slot)``, so their repack (:meth:`Adjacency.repack`) keeps
+  every row's capacity and drops only the slots relocations abandoned;
+  posting rows are rebuilt whole by their map.
 
 Row ``i`` occupies ``data[starts[i] : starts[i] + lens[i]]``.  Rows
-fresh from a bulk build, a repack or a transpose are packed
+fresh from a bulk build, :meth:`Adjacency.packed` or a transpose are packed
 (:attr:`Adjacency.is_packed`): one after another in index order, with
 ``starts[n]`` the entry count.  Any patch or new row clears that; zero
 slack alone does not restore it, because a relocated row sits at the
@@ -62,6 +64,13 @@ def ragged_indices(
     flat = np.repeat((starts - (ends - lens)).astype(dtype, copy=False), lens)
     flat += np.arange(flat.size, dtype=dtype)
     return flat
+
+
+def excessive(slack: int, live: int) -> bool:
+    """Whether ``slack`` unused slots beside ``live`` entries call for a
+    repack: more than :data:`REBUILD_SLACK_RATIO` x ``live`` and more
+    than :data:`SLACK_FLOOR`."""
+    return slack > SLACK_FLOOR and slack > REBUILD_SLACK_RATIO * live
 
 
 def growth(size: int, need: int) -> int:
@@ -139,10 +148,23 @@ class Adjacency:
         """These rows, or :meth:`packed` once slack exceeds
         :data:`REBUILD_SLACK_RATIO` x the live entries (and
         :data:`SLACK_FLOOR`)."""
-        slack = self.slack
-        if slack > SLACK_FLOOR and slack > REBUILD_SLACK_RATIO * self.live:
+        if excessive(self.slack, self.live):
             return self.packed()
         return self
+
+    def repack(self) -> np.ndarray:
+        """Drop, in place, the slots relocations abandoned: the rows move
+        to the front in index order, each keeping its capacity and its
+        slot order, so a ``(row, slot)`` address names the same entry
+        after.  Returns the old position of every slot of the new
+        :attr:`data`, for a caller keeping arrays parallel to it."""
+        n = self.n
+        caps = self.caps[:n]
+        moved = ragged_indices(self.starts[:n], caps, position_dtype(self.data))
+        self.data = self.data[moved]
+        self.starts[:n] = np.cumsum(caps) - caps
+        self.starts[n] = self.tail = moved.size
+        return moved
 
     def find(self, i: int, j: int) -> int:
         """Position of ``j`` in row ``i``; -1 if the row lacks it."""

@@ -53,7 +53,8 @@ Python object.  Three pieces:
   path_len]``; step ``i`` leaves the previous step's destination (step
   0 leaves the row's node) and a dangling hold is ``dst == src``.
   ``path_off`` / ``path_len`` are per-walk arrays *parallel to* the
-  walk rows' data, so relocating a walk row moves all three.
+  walk rows' data, so relocating a walk row moves all three, and
+  repacking the rows gathers both with the same positions.
 * **posting rows** — per source node, the walk ids that stepped out of
   (or held at) it, as a second :class:`~repro.graph.adjacency.Adjacency`
   appended to in bulk.  Rows are append-only *hints*: a suffix resample
@@ -71,8 +72,8 @@ Python object.  Three pieces:
 Ordered paths are load-bearing: a suffix resample keeps the prefix's
 traversals registered, so a later update touching a prefix edge still
 finds the walk.  Walk ids are ``(node << SLOT_BITS) | slot`` — stable
-under relocation, and a walk row never loses capacity, so a leftover
-posting always names a slot of its own row.
+under relocation and repack, and a walk row never loses capacity, so a
+leftover posting always names a slot of its own row.
 
 Everything here mutates only the owning :class:`~repro.ppr.random_walk.
 WalkIndex` and is called from algorithm ``apply_update`` paths, which
@@ -224,6 +225,12 @@ class EdgeWalkMap:
         self.path_off[new_lo:new_lo + length] = self.path_off[lo:lo + length]
         self.path_len[new_lo:new_lo + length] = self.path_len[lo:lo + length]
         self.path_len[lo:lo + length] = 0
+
+    def repacked(self, moved: np.ndarray) -> None:
+        """The walk rows were repacked: new slot ``k`` was at
+        ``moved[k]``."""
+        self.path_off = self.path_off[moved]
+        self.path_len = self.path_len[moved]
 
     def _gather(
         self, positions: np.ndarray, nodes: np.ndarray

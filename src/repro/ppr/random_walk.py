@@ -20,10 +20,12 @@ Storage layout: node ``i``'s walk terminals are row ``i`` of an
 slack-row store the graph keeps its edges in.  Fresh builds are packed;
 incremental maintenance (:mod:`repro.ppr.incremental`) resizes rows in
 place and relocates a row that outgrows its capacity to the array tail
-with twice the room it needs.  A walk row never loses capacity and is
-never repacked, so a stored walk is addressed by the stable id
-``(node << 32) | slot`` and relocation never invalidates the edge→walk
-map's postings.
+with twice the room it needs.  Once the slots relocations abandoned pass
+the graph rows' repack rule (:func:`~repro.graph.adjacency.excessive`)
+the rows are repacked, each keeping its capacity and slot order.  A
+walk row never loses capacity and never reorders, so a stored walk is
+addressed by the stable id ``(node << 32) | slot`` and neither
+relocation nor repack invalidates the edge→walk map's postings.
 
 When ``track_edges`` is set, every sampling pass also records which
 edges each stored walk traversed (:class:`~repro.ppr.incremental.
@@ -40,7 +42,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.graph.adjacency import Adjacency, ragged_indices
+from repro.graph.adjacency import Adjacency, excessive, ragged_indices
 from repro.ppr.csr import CSRView
 
 if TYPE_CHECKING:
@@ -224,6 +226,8 @@ class WalkIndex:
         self.view = view
         counts = self._target_counts(view.out_deg)
         self.rows = Adjacency(counts, np.empty(int(counts.sum()), np.int64))
+        #: slots relocated rows left behind since the last (re)pack
+        self.abandoned = 0
         if self.track_edges:
             from repro.ppr.incremental import EdgeWalkMap
 
@@ -267,13 +271,28 @@ class WalkIndex:
     def _resize_row(self, i: int, count: int) -> None:
         """Make row ``i`` hold ``count`` walks.  A row that outgrows its
         capacity moves to the tail with room for twice ``count``, and
-        the edge map's paths of its walks move with it."""
+        the edge map's paths of its walks move with it; once the slots
+        moves abandoned are excessive, every row is repacked (capacity
+        slack is kept: a rule on it would repack rows relocated with
+        twice their room at every move)."""
         rows = self.rows
         if count > rows.caps[i]:
+            self.abandoned += int(rows.caps[i])
             lo = rows.relocate(i, 2 * count)
             if self.edge_map is not None:
                 self.edge_map.move(lo, int(rows.starts[i]), int(rows.lens[i]))
         rows.resize(i, count)
+        if excessive(self.abandoned, rows.live):
+            self._repack()
+
+    def _repack(self) -> None:
+        """Drop the slots relocated rows abandoned
+        (:meth:`~repro.graph.adjacency.Adjacency.repack`); the edge
+        map's per-walk arrays move with them."""
+        moved = self.rows.repack()
+        if self.edge_map is not None:
+            self.edge_map.repacked(moved)
+        self.abandoned = 0
 
     def _ensure_node_rows(self, view: CSRView) -> int:
         """Append (and sample) rows for nodes the snapshot gained.

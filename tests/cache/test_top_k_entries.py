@@ -3,7 +3,8 @@
 :class:`~repro.queueing.replay.MeasuredExecutor` keeps a query that
 carries ``top_k`` as a :class:`~repro.cache.store.TopKAnswer`: the
 pairs ``select(top_k)`` picked, and each nonzero estimate's node id
-beside a float32 rounded toward +inf (1.0 for a negative or NaN one).
+beside a one-byte code for the smallest of 256 log-scale bounds at or
+above it (1.0 for a negative or NaN one).
 A hit serves the stored pairs; the charge table prices staleness
 without the vector or the graph it was computed on.
 """
@@ -12,9 +13,12 @@ import gc
 import types
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.cache.staleness import StalenessTracker
-from repro.cache.store import PPRCache, TopKAnswer, make_key
+from repro.cache.store import BOUNDS, PPRCache, TopKAnswer, make_key
 from repro.graph.digraph import DynamicGraph
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.updates import EdgeUpdate
@@ -31,34 +35,50 @@ from tests.cache.test_compact_entries import N, RoundedExactPPR
 TOP_K = 50
 
 
-def charge_table(values):
+def bounds_of(values):
+    """What ``pi_bound`` reads for each of ``values`` (ids 0, 1, ...)."""
     ids = np.arange(len(values))
     top = TopKAnswer(ids[:0], np.empty(0), ids, np.asarray(values))
-    return top.charge_ids, top.charges
+    assert top.codes.dtype == np.uint8
+    return [top.pi_bound(int(node)) for node in ids]
+
+
+#: the smallest bound a code stands for
+FLOOR = 2.0**-31.875
+
+estimates = st.one_of(
+    st.floats(allow_subnormal=True),  # NaN, ±inf, ±0.0 and subnormals too
+    st.integers(-1074, 4).map(lambda k: 2.0**k),
+    st.floats(0.0, 1.0),
+    st.just(FLOOR),
+)
 
 
 class TestChargeTable:
-    ESTIMATES = [
-        0.1, 1.0 / 3.0, 2.0**-24 + 2.0**-50, 0.5, 1e-45, 1e-310,
-        0.999999999999, 0.25 + 1e-12,
-    ]
-
-    def test_each_charge_is_the_float32_just_at_or_above_its_estimate(self):
-        _, charges = charge_table(self.ESTIMATES)
-        assert charges.dtype == np.float32
-        below = np.nextafter(charges, np.float32(-np.inf))
-        for estimate, charge, previous in zip(self.ESTIMATES, charges, below):
-            assert float(charge) >= estimate
-            assert float(previous) < estimate  # the next float32 above it
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.integers(1, 40), elements=estimates))
+    def test_each_bound_is_within_an_eighth_octave_above_its_estimate(
+        self, values
+    ):
+        assert BOUNDS[-1] == FLOOR
+        for estimate, bound in zip(values.tolist(), bounds_of(values)):
+            assert bound in BOUNDS
+            if not estimate >= 0.0:
+                assert bound == 1.0
+                continue
+            assert bound >= min(estimate, 1.0)
+            if estimate >= FLOOR:
+                assert bound <= 2 ** (1 / 8) * estimate
 
     def test_representable_estimates_are_kept_exactly(self):
-        _, charges = charge_table([0.5, 0.25, 2.0**-20])
-        assert charges.tolist() == [0.5, 0.25, 2.0**-20]
+        powers = [2.0**-k for k in range(32)]
+        assert bounds_of(powers) == powers
+        assert bounds_of([2.0**-0.125, 2.0**-2.5]) == [2.0**-0.125, 2.0**-2.5]
 
     def test_negative_and_nan_estimates_charge_the_degree_only_bound(self):
-        _, charges = charge_table([-0.004, float("nan"), 0.2, -1e-300])
-        assert charges[[0, 1, 3]].tolist() == [1.0, 1.0, 1.0]
-        assert 0.2 <= charges[2] < 0.2 + 2**-24
+        bounds = bounds_of([-0.004, float("nan"), 0.2, -1e-300, 7.5])
+        assert [bounds[i] for i in (0, 1, 3, 4)] == [1.0] * 4
+        assert 0.2 <= bounds[2] <= 0.2 * 2 ** (1 / 8)
 
     def test_ids_are_the_narrowest_unsigned_dtype(self):
         for n, dtype in ((200, np.uint8), (4_800, np.uint16),
@@ -85,10 +105,10 @@ class TestChargeTable:
             bound = top.pi_bound(node)
             if not dense >= 0.0:
                 assert bound == 1.0
+            elif dense == 0.0:
+                assert bound == 0.0
             else:
-                assert dense <= bound <= np.nextafter(
-                    np.float32(dense), np.float32(np.inf)
-                )
+                assert dense <= bound <= max(2 ** (1 / 8) * dense, FLOOR)
 
     def test_a_charge_is_never_below_the_whole_vector_entrys(self):
         graph = erdos_renyi_graph(N, 300, directed=True, seed=5)
@@ -108,7 +128,7 @@ class TestChargeTable:
         for source in range(0, N, 7):
             whole = cache._entries[make_key(source, "whole", {})].staleness
             top = cache._entries[make_key(source, "top", {})].staleness
-            assert whole <= top <= whole * (1 + 2**-22)
+            assert 0.0 < whole <= top <= whole * 2 ** (1 / 8)
 
 
 def executor_for(graph, cache, answers):

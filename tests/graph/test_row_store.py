@@ -4,8 +4,8 @@
 index's terminal rows and the edge→walk map's posting rows.  The graph
 reaches it through ``insert`` / ``remove`` (``reference_rows.py`` pins
 that order); the walk index and the map through the bulk operations —
-``extend`` (many rows at once), ``append_rows``, ``relocate`` and
-``resize``.  Hypothesis drives all of them, mixed, against plain
+``extend`` (many rows at once), ``append_rows``, ``relocate``,
+``resize`` and ``repack``.  Hypothesis drives all of them, mixed, against plain
 Python lists, and after every operation each row must list the model's
 entries in order, rows must not overlap, and no row may have lost
 capacity: a walk is addressed by ``(row, slot)``, and the edge→walk
@@ -22,7 +22,7 @@ from repro.graph.adjacency import Adjacency
 
 OPS = (
     "extend", "append_rows", "relocate", "grow", "shrink", "insert",
-    "remove", "compact",
+    "remove", "compact", "repack",
 )
 
 
@@ -95,6 +95,12 @@ def apply(op, rng, store, model):
         model.rows[i].remove(value)
     elif op == "compact":
         return store.packed()
+    elif op == "repack":
+        # every slot of every row's capacity, moved as it is, in row order
+        old = store.data.copy()
+        moved = store.repack()
+        assert store.data.tolist() == old[moved].tolist()
+        assert store.tail == store.data.size == int(store.caps[:n].sum())
     return store
 
 

@@ -3,7 +3,7 @@
 ``DictModel`` below is the layout the map replaced (walk id → ordered
 edge list, answered by scanning) kept as the oracle: hypothesis drives
 both through random register / unregister / suffix-replace / row
-refresh / grow / shrink / relocate / compact sequences and after every
+refresh / grow / shrink / relocate / repack / compact sequences and after every
 step ``affected(u)``, ``affected(u, v)``, every stored path and the
 first-affected step must agree.  The map only ever sees what
 ``WalkIndex`` would hand it — a row layout and sampler traces — so the
@@ -31,7 +31,7 @@ ALPHA = 0.2
 NUM_NODES = 6
 OPS = (
     "register", "unregister", "replace", "replace_edge", "refresh",
-    "grow", "shrink", "relocate", "compact",
+    "grow", "shrink", "relocate", "repack", "compact",
 )
 
 
@@ -143,6 +143,9 @@ def apply_op(op, rng, index, model):
         # past the row's capacity, then back: only the layout changes
         index._resize_row(node, int(index.rows.caps[node]) + 1)
         index._resize_row(node, count)
+    elif op == "repack":
+        # the walk rows drop abandoned slots: only the layout changes
+        index._repack()
     elif op == "compact":
         emap._compact()
 

@@ -6,10 +6,11 @@ crosses the edge→walk map's compaction rule many times, so at the end
 the structural audit, the per-node budget invariant and the two-sample
 distributional oracle (the same one ``bench_incremental_index`` and
 ``test_incremental_index`` use) must still hold — and neither store may
-have grown without bound: the map's bytes and the walk rows' bytes
-(rows relocate but are never repacked) each stay within 3x of a fresh
-build's on the same final graph.  The 20 000-update run is tier-1
-sized; the 10^5 run is marked ``stress`` (CI's stress job).
+have grown without bound: the map's bytes stay within 3x of a fresh
+build's on the same final graph, and the walk rows' bytes (relocated
+rows keep twice the room they need; the slots they abandon are
+repacked away) within :data:`WALK_ROWS_BOUND` x.  The 20 000-update run
+is tier-1 sized; the 10^5 run is marked ``stress`` (CI's stress job).
 """
 
 import random
@@ -31,6 +32,11 @@ from tests.ppr.test_incremental_index import (
 NUM_NODES = 2_000
 NUM_UPDATES = 20_000
 WALKS_PER_UNIT = 1.5
+
+#: walk-row bytes against a fresh build's: 1.85 after both streams
+#: (2.33 after 10^5 updates while abandoned slots were never repacked),
+#: plus a margin of 0.15
+WALK_ROWS_BOUND = 2.0
 
 
 def toggle_heavy_stream(count, seed):
@@ -79,7 +85,7 @@ def assert_consistent_and_bounded(index, view):
         aggregate_histogram(index, view), aggregate_histogram(oracle, view)
     )
     assert index.edge_map.nbytes <= 3 * oracle.edge_map.nbytes
-    assert index.rows.nbytes <= 3 * oracle.rows.nbytes
+    assert index.rows.nbytes <= WALK_ROWS_BOUND * oracle.rows.nbytes
 
 
 def test_twenty_thousand_updates_leave_a_consistent_bounded_map():

@@ -8,7 +8,9 @@ store the first time a single row outgrew a packed build (the old array
 stays alive in the snapshot being replaced); they now add an eighth —
 still geometric, so the number of reallocations over a long insert
 stream stays logarithmic, and the array never runs far ahead of what it
-holds.
+holds.  Walk rows also shrink: once relocations have abandoned enough
+slots the rows are repacked into an array without room ahead, and
+growth starts over from it.
 """
 
 import math
@@ -76,23 +78,29 @@ def arena_stream():
 )
 def test_backing_array_grows_by_an_eighth(stream):
     states = stream()
-    first, _ = next(states)
-    initial, data, reallocations, steps = first.size, first, 0, []
+    data, _ = next(states)
+    segments = [[data.size]]  # array sizes from the start, or a repack, on
     for array, used in states:
         if array is not data:
-            reallocations += 1
-            steps.append(array.size - data.size)
+            if array.size < data.size:
+                # walk rows repacked: no room ahead, growth starts over
+                assert array.size == used
+                segments.append([])
+            segments[-1].append(array.size)
             data = array
         assert used <= array.size
-    # geometric: O(log) reallocations, each at least an eighth
-    sizes_before = np.cumsum([initial] + steps[:-1])
-    assert all(step >= size // 8 for step, size in zip(steps, sizes_before))
-    assert 1 <= reallocations <= math.log(data.size / initial, 9 / 8) + 1
+    assert (len(segments) > 1) == (stream is walk_row_stream)
+    for sizes in segments:
+        steps = np.diff(sizes)
+        # geometric: O(log) reallocations, each at least an eighth
+        assert all(step >= size // 8 for step, size in zip(steps, sizes))
+        assert steps.size <= math.log(sizes[-1] / sizes[0], 9 / 8) + 1
     # and never far ahead of the data: doubling left up to 2 x
     assert data.size <= used * 9 / 8 + 64
     # the first reallocation of a packed store is what every worker
     # pays at its first update: an eighth, not a second copy
-    assert steps[0] <= initial // 8 + 64
+    initial, grown = segments[0][:2]
+    assert grown - initial <= initial // 8 + 64
 
 
 def test_growth_covers_the_request():

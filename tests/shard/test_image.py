@@ -52,11 +52,13 @@ def test_builder_child_failure_is_an_error_not_an_empty_graph(capfd):
 def test_children_find_repro_when_the_parent_ignores_pythonpath():
     """``-E`` is copied to every child, which then ignores ``PYTHONPATH``
     too: the launcher has to put the package on the child's ``sys.path``
-    itself, as ``multiprocessing``'s spawn did."""
+    itself, as ``multiprocessing``'s spawn did.  ``-E`` also ignores
+    ``PYTHONDONTWRITEBYTECODE``, so ``-B`` (copied the same way) keeps
+    both children from writing ``.pyc`` files into ``src``."""
     src = Path(__file__).resolve().parents[2] / "src"
     done = subprocess.run(
         [
-            sys.executable, "-E", "-c",
+            sys.executable, "-E", "-B", "-c",
             f"import sys; sys.path.insert(0, {str(src)!r}); "
             "from repro.shard.image import ImageBuild; "
             "print(ImageBuild('webs', 0).result().num_nodes)",
