@@ -21,26 +21,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.common import scoped
+from benchmarks.common import SystemSpec, record_verdict, run_system, scoped
 from repro.core.calibration import calibrate_taus, calibrated_cost_model
 from repro.core.cost_models import cost_model_for
-from repro.core.quota import QuotaController
-from repro.core.system import QuotaSystem
 from repro.evaluation.datasets import get_dataset
 from repro.evaluation.report import banner, format_table
 from repro.ppr.registry import build_algorithm
 from repro.queueing.workload import generate_workload
 
-
-def run_with_model(model, spec, graph, workload, lq, lu):
-    algorithm = build_algorithm("Agenda", graph.copy(), spec.walk_cap, seed=0)
-    controller = QuotaController(
-        model, extra_starts=[algorithm.get_hyperparameters()]
-    )
-    system = QuotaSystem(algorithm, controller)
-    decision = system.configure_static(lq, lu)
-    result = system.process(workload)
-    return result.mean_query_response_time() * 1e3, decision.beta
+AGENDA = SystemSpec("Agenda", "Agenda")
+QUOTA = SystemSpec("Quota", "Agenda", use_quota=True)
 
 
 def test_ablation_calibration_quality(benchmark, report):
@@ -60,43 +50,41 @@ def test_ablation_calibration_quality(benchmark, report):
         probe = build_algorithm("Agenda", graph.copy(), spec.walk_cap, seed=0)
 
         calibrated = calibrated_cost_model(probe, num_queries=4, rng=19)
-        single = cost_model_for(probe).with_taus(
-            calibrate_taus(
-                probe, num_queries=4, probe_scales=(1.0,), rng=19
-            )
+        single = cost_model_for(
+            probe,
+            calibrate_taus(probe, num_queries=4, probe_scales=(1.0,), rng=19),
         )
         rng = np.random.default_rng(20)
-        noisy_taus = {
+        noisy = calibrated.with_taus({
             k: v * float(rng.uniform(0.5, 2.0))
             for k, v in calibrated.taus.items()
-        }
-        noisy = calibrated.with_taus(noisy_taus)
+        })
         unit = calibrated.without_constants()
 
         tables = {}
         for tag, lq, lu in cells:
             workload = generate_workload(graph, lq, lu, window, rng=18)
-            rows = []
-            baseline_alg = build_algorithm(
-                "Agenda", graph.copy(), spec.walk_cap, seed=0
-            )
-            base_r = (
-                QuotaSystem(baseline_alg).process(workload)
-                .mean_query_response_time() * 1e3
-            )
-            rows.append(["Agenda default (no Quota)", base_r, "-"])
+            default = run_system(AGENDA, spec, graph, workload, seed=0)
+            rows = [["Agenda default (no Quota)", default.response_ms, "-"]]
             for label, model in (
                 ("calibrated (multi-probe)", calibrated),
                 ("single-probe", single),
                 ("noisy taus (0.5x-2x)", noisy),
                 ("unit taus (Quota-c)", unit),
             ):
-                r, beta = run_with_model(model, spec, graph, workload, lq, lu)
-                rows.append([label, r, f"r_max={beta['r_max']:.1e}"])
+                cell = run_system(
+                    QUOTA, spec, graph, workload, lq, lu, seed=0, model=model
+                )
+                beta = cell.system.decisions[0].beta
+                rows.append([label, cell.response_ms, f"r_max={beta['r_max']:.1e}"])
             tables[(tag, lq, lu)] = rows
         return tables
 
     tables = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    record_verdict(
+        "ablation_calibration",
+        {tag: {r[0]: r[1] for r in rows} for (tag, _, _), rows in tables.items()},
+    )
     for (tag, lq, lu), rows in tables.items():
         report(
             format_table(

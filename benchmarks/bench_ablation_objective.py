@@ -18,18 +18,19 @@ dominated by the clipped denominator rather than the real growth rate.
 
 from __future__ import annotations
 
-import math
+import time
 
-import numpy as np
-
-from benchmarks.common import scoped
-from repro.core.calibration import calibrated_cost_model
+from benchmarks.common import SystemSpec, record_verdict, run_system, scoped
 from repro.core.optimizer import ConstrainedProblem
-from repro.core.quota import LOG_HI, LOG_LO, QuotaController
-from repro.core.system import QuotaSystem
+from repro.core.quota import (
+    LOG_HI,
+    LOG_LO,
+    STABLE,
+    QuotaController,
+    QuotaDecision,
+)
 from repro.evaluation.datasets import get_dataset
 from repro.evaluation.report import banner, format_table
-from repro.ppr.registry import build_algorithm
 from repro.queueing.workload import generate_workload
 
 
@@ -37,50 +38,29 @@ class Eq2OnlyController(QuotaController):
     """Degenerate controller that never switches to the rho objective."""
 
     def configure(self, lambda_q, lambda_u, warm_start=None, quick=False):
-        import time as _time
-
-        started = _time.perf_counter()
-        bounds = tuple((LOG_LO, LOG_HI) for _ in self.param_names)
+        started = time.perf_counter()
         starts = self._starting_points(warm_start, quick)
         problem = ConstrainedProblem(
             objective=lambda x: self._response_time(x, lambda_q, lambda_u),
             constraints=(),
-            bounds=bounds,
+            bounds=tuple((LOG_LO, LOG_HI) for _ in self.param_names),
         )
         final = self.optimizer.minimize_multistart(problem, starts)
-        beta = self._beta_of(final.x)
-        from repro.core.quota import STABLE, QuotaDecision
-
         return QuotaDecision(
-            beta=beta,
+            beta=self._beta_of(final.x),
             regime=STABLE,  # it *believes* Eq. 2 applies
             predicted_response_time=final.value,
             traffic_intensity=self._rho(final.x, lambda_q, lambda_u),
-            configure_seconds=_time.perf_counter() - started,
+            configure_seconds=time.perf_counter() - started,
             optimizer_result=final,
         )
 
 
-def run_variant(label, controller_cls, spec, graph, workload, lq, lu):
-    algorithm = build_algorithm("Agenda", graph.copy(), spec.walk_cap, seed=0)
-    controller = None
-    if controller_cls is not None:
-        model = calibrated_cost_model(algorithm, num_queries=4, rng=16)
-        controller = controller_cls(
-            model, extra_starts=[algorithm.get_hyperparameters()]
-        )
-    system = QuotaSystem(algorithm, controller)
-    decision = None
-    if controller is not None:
-        decision = system.configure_static(lq, lu)
-    result = system.process(workload)
-    rho = decision.traffic_intensity if decision else float("nan")
-    return [
-        label,
-        result.mean_query_response_time() * 1e3,
-        result.empirical_load(),
-        rho if not math.isnan(rho) else "-",
-    ]
+VARIANTS = (
+    ("Agenda (default)", None),
+    ("Quota (dispatch)", QuotaController),
+    ("Quota-eq2 (no dispatch)", Eq2OnlyController),
+)
 
 
 def test_ablation_objective_dispatch(benchmark, report):
@@ -94,13 +74,19 @@ def test_ablation_objective_dispatch(benchmark, report):
     def experiment():
         graph = spec.build(seed=8)
         workload = generate_workload(graph, lq, lu, window, rng=17)
-        return [
-            run_variant("Agenda (default)", None, spec, graph, workload, lq, lu),
-            run_variant("Quota (dispatch)", QuotaController, spec, graph,
-                        workload, lq, lu),
-            run_variant("Quota-eq2 (no dispatch)", Eq2OnlyController, spec,
-                        graph, workload, lq, lu),
-        ]
+        rows = []
+        for label, controller in VARIANTS:
+            cell = run_system(
+                SystemSpec(label, "Agenda", use_quota=controller is not None),
+                spec, graph, workload, lq, lu, seed=0,
+                controller=controller or QuotaController, calibration_rng=16,
+            )
+            decisions = cell.system.decisions
+            rho = decisions[0].traffic_intensity if decisions else "-"
+            rows.append(
+                [label, cell.response_ms, cell.result.empirical_load(), rho]
+            )
+        return rows
 
     rows = benchmark.pedantic(experiment, rounds=1, iterations=1)
     report(
@@ -110,3 +96,4 @@ def test_ablation_objective_dispatch(benchmark, report):
             title=f"webs-like overloaded: lq={lq:g}, lu={lu:g}",
         )
     )
+    record_verdict("ablation_objective", {r[0]: r[1] for r in rows})

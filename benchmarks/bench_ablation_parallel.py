@@ -30,7 +30,7 @@ the *work per request*, which parallelism cannot.
 
 from __future__ import annotations
 
-from benchmarks.common import scoped
+from benchmarks.common import record_verdict, scoped
 from repro.core.calibration import calibrated_cost_model
 from repro.core.quota import QuotaController
 from repro.core.seed import SeedQueue
@@ -63,7 +63,7 @@ def test_ablation_parallel_serving(benchmark, report):
         probe = build_algorithm("Agenda", graph.copy(), spec.walk_cap, seed=0)
         model = calibrated_cost_model(probe, num_queries=4, rng=25)
         default_beta = probe.get_hyperparameters()
-        controller = QuotaController(model, extra_starts=[default_beta])
+        controller = QuotaController(model)
         # each of k servers carries a 1/k share of both streams: Quota
         # solves for that share, as ShardManager.reconfigure does per shard
         quota_betas = {
@@ -87,7 +87,6 @@ def test_ablation_parallel_serving(benchmark, report):
         # deferred/reordered within epsilon_r and drained during idle
         # gaps.  Fresh graph per cell — the executor mutates it.
         seed_rows = []
-        alpha = probe.params.alpha
         for servers in SERVER_COUNTS:
             row = [f"{servers} server(s)"]
             for eps in (0.0, 0.5):  # FCFS vs the Fig. 8 Seed budget
@@ -98,7 +97,7 @@ def test_ablation_parallel_serving(benchmark, report):
                         modeled_service_fn(model, quota_betas[servers], lq, lu),
                         graph=cell_graph,
                     ),
-                    seed_queue=SeedQueue(cell_graph, alpha, eps),
+                    seed_queue=SeedQueue(cell_graph, probe.params.alpha, eps),
                     servers=servers,
                 )
                 row.append(result.mean_query_response_time() * 1e3)
@@ -128,6 +127,7 @@ def test_ablation_parallel_serving(benchmark, report):
             title="Seed-aware event-driven replay (Quota beta per k)",
         )
     )
+    record_verdict("ablation_parallel", {r[0]: r[1:] for r in rows})
     report(
         "-> parallelism moves the stability frontier; Quota reduces "
         "work per request on top of it at every k, and Seed reordering "

@@ -14,32 +14,17 @@ all (see the calibration ablation).
 
 from __future__ import annotations
 
-from benchmarks.common import scoped
+from functools import partial
+
+from benchmarks.common import SystemSpec, record_verdict, run_system, scoped
 from repro.core.calibration import calibrated_cost_model
 from repro.core.quota import QuotaController
-from repro.core.system import QuotaSystem
 from repro.evaluation.datasets import get_dataset
 from repro.evaluation.report import banner, format_table
 from repro.ppr.registry import build_algorithm
 from repro.queueing.workload import generate_workload
 
 MODELS = ("pk", "mm1", "heavy-traffic")
-
-
-def run_model(name, model, spec, graph, workload, lq, lu):
-    algorithm = build_algorithm("Agenda", graph.copy(), spec.walk_cap, seed=0)
-    controller = QuotaController(
-        model,
-        extra_starts=[algorithm.get_hyperparameters()],
-        response_model=name,
-    )
-    system = QuotaSystem(algorithm, controller)
-    decision = system.configure_static(lq, lu)
-    result = system.process(workload)
-    return (
-        result.mean_query_response_time() * 1e3,
-        decision.beta["r_max"],
-    )
 
 
 def test_ablation_response_models(benchmark, report):
@@ -56,19 +41,18 @@ def test_ablation_response_models(benchmark, report):
         tables = {}
         for lq, lu in cells:
             workload = generate_workload(graph, lq, lu, window, rng=23)
-            baseline = build_algorithm(
-                "Agenda", graph.copy(), spec.walk_cap, seed=0
+            baseline = run_system(
+                SystemSpec("Agenda", "Agenda"), spec, graph, workload, seed=0
             )
-            base_r = (
-                QuotaSystem(baseline).process(workload)
-                .mean_query_response_time() * 1e3
-            )
-            rows = [["Agenda default", base_r, "-"]]
+            rows = [["Agenda default", baseline.response_ms, "-"]]
             for name in MODELS:
-                r, r_max = run_model(
-                    name, model, spec, graph, workload, lq, lu
+                cell = run_system(
+                    SystemSpec(f"Quota ({name})", "Agenda", use_quota=True),
+                    spec, graph, workload, lq, lu, seed=0, model=model,
+                    controller=partial(QuotaController, response_model=name),
                 )
-                rows.append([f"Quota ({name})", r, f"{r_max:.2e}"])
+                r_max = cell.system.decisions[0].beta["r_max"]
+                rows.append([f"Quota ({name})", cell.response_ms, f"{r_max:.2e}"])
             tables[(lq, lu)] = rows
         return tables
 
@@ -81,3 +65,8 @@ def test_ablation_response_models(benchmark, report):
                 title=f"dblp-like, lq={lq:g}, lu={lu:g}",
             )
         )
+    record_verdict(
+        "ablation_response_models",
+        {f"{lq:g}/{lu:g}": {r[0]: r[1] for r in rows}
+         for (lq, lu), rows in tables.items()},
+    )

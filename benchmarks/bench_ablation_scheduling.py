@@ -20,15 +20,17 @@ Seed's error budget.
 from __future__ import annotations
 
 import math
+from collections import deque
 
-import numpy as np
-
-from benchmarks.common import scoped
-from repro.core.system import QuotaSystem
+from benchmarks.common import (
+    ErrorSampler,
+    SystemSpec,
+    record_verdict,
+    run_system,
+    scoped,
+)
 from repro.evaluation.datasets import DatasetSpec
 from repro.evaluation.report import banner, format_table
-from repro.ppr.power_iteration import ppr_exact
-from repro.ppr.registry import build_algorithm
 from repro.queueing.kinds import UPDATE
 from repro.queueing.workload import generate_workload
 
@@ -44,50 +46,23 @@ POLICIES = (
 )
 
 
-def live_graph_error(graph_now, estimate, alpha):
-    """Max-abs error of an estimate against exact PPR on the graph as
-    it should be *right now* (every arrived update applied)."""
-    exact = ppr_exact(graph_now, estimate.source, alpha=alpha)
-    return max(
-        abs(estimate.get(v, 0.0) - exact.get(v, 0.0))
-        for v in graph_now.nodes()
-    )
-
-
-def run_policy(epsilon_r, workload, window):
-    graph = DENSE.build(seed=11)
-    algorithm = build_algorithm("FORA+", graph, DENSE.walk_cap, seed=0)
-    system = QuotaSystem(algorithm, epsilon_r=epsilon_r)
-
-    # live shadow: all updates that have *arrived* by each query
-    shadow = DENSE.build(seed=11)
-    update_iter = iter(
-        [r for r in workload if r.kind == UPDATE]
-    )
-    pending_updates = list(update_iter)
-    cursor = {"i": 0}
-    errors: list[float] = []
-    sample = {"n": 0}
+def run_policy(label, epsilon_r, graph, workload):
+    """(mean R ms, mean and max error of every 8th answer against exact
+    PPR on the graph as it should be *right now*: every update that has
+    arrived by the query applied, deferred or not)."""
+    sampler = ErrorSampler(graph.copy(), every=8)
+    arrived = deque(r for r in workload if r.kind == UPDATE)
 
     def callback(request, estimate, pending):
-        while (
-            cursor["i"] < len(pending_updates)
-            and pending_updates[cursor["i"]].arrival <= request.arrival
-        ):
-            pending_updates[cursor["i"]].update.apply(shadow)
-            cursor["i"] += 1
-        sample["n"] += 1
-        if sample["n"] % 8 == 0:
-            errors.append(
-                live_graph_error(shadow, estimate, algorithm.params.alpha)
-            )
+        while arrived and arrived[0].arrival <= request.arrival:
+            arrived.popleft().update.apply(sampler.truth)
+        sampler(request, estimate, pending)
 
-    result = system.process(workload, query_callback=callback)
-    return (
-        result.mean_query_response_time() * 1e3,
-        float(np.mean(errors)) if errors else 0.0,
-        float(np.max(errors)) if errors else 0.0,
+    cell = run_system(
+        SystemSpec(label, "FORA+", epsilon_r=epsilon_r), DENSE, graph,
+        workload, seed=0, query_callback=callback,
     )
+    return cell.response_ms, sampler.mean(), max(sampler.errors, default=0.0)
 
 
 def test_ablation_scheduling_policies(benchmark, report):
@@ -100,7 +75,7 @@ def test_ablation_scheduling_policies(benchmark, report):
         graph = DENSE.build(seed=11)
         workload = generate_workload(graph, lq, lu, window, rng=21)
         return [
-            [label, *run_policy(eps, workload, window)]
+            [label, *run_policy(label, eps, graph, workload)]
             for label, eps in POLICIES
         ]
 
@@ -113,6 +88,9 @@ def test_ablation_scheduling_policies(benchmark, report):
             title=f"FORA+ on dense ER (lq={lq:g}, lu={lu:g})",
             float_format="{:.4f}",
         )
+    )
+    record_verdict(
+        "ablation_scheduling", {r[0]: {"R_ms": r[1], "max_err": r[3]} for r in rows}
     )
     report(
         "-> Seed captures most of the reordering latency win while "

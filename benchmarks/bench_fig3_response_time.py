@@ -15,61 +15,28 @@ from __future__ import annotations
 
 from benchmarks.common import (
     FIG3_SYSTEMS,
-    RATIO_LABELS,
     dataset_names,
-    dataset_workload,
-    ratio_sweep,
-    run_system,
+    ratio_series,
+    ratio_table,
+    record_verdict,
 )
-from repro.evaluation.report import banner, format_series
+from repro.evaluation.report import banner
 
-
-SEEDS = (0, 1)  # average replays: measured-time jitter is material
-                 # in the near-saturation cells (REPRODUCTION.md §4)
-
-
-def run_dataset(name: str) -> tuple[list[str], dict[str, list[float]]]:
-    ratios = ratio_sweep()
-    series: dict[str, list[float]] = {s.label: [] for s in FIG3_SYSTEMS}
-    for ratio in ratios:
-        sums = {s.label: 0.0 for s in FIG3_SYSTEMS}
-        for seed in SEEDS:
-            spec, graph, workload, lq, lu = dataset_workload(
-                name, ratio, seed=seed
-            )
-            for system in FIG3_SYSTEMS:
-                result = run_system(
-                    system, spec, graph, workload, lq, lu, seed=seed
-                )
-                sums[system.label] += (
-                    result.mean_query_response_time() * 1e3
-                )
-        for label, total in sums.items():
-            series[label].append(total / len(SEEDS))
-    labels = [RATIO_LABELS[r] for r in ratios]
-    return labels, series
 
 
 def test_fig3_response_time(benchmark, report):
     report(banner("Figure 3: response time (ms) vs update/query ratio"))
 
     def experiment():
-        output = {}
-        for name in dataset_names():
-            output[name] = run_dataset(name)
-        return output
+        return {
+            name: ratio_series(name, FIG3_SYSTEMS)
+            for name in dataset_names()
+        }
 
     results = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    verdict = {}
     for name, (labels, series) in results.items():
-        report(
-            format_series(
-                "lambda_u/lambda_q",
-                labels,
-                series,
-                title=f"dataset: {name}",
-                float_format="{:.2f}",
-            )
-        )
+        report(ratio_table(labels, series, f"dataset: {name}"))
         quota = series["Quota"]
         agenda = series["Agenda"]
         wins = sum(1 for q, a in zip(quota, agenda) if q <= a * 1.05)
@@ -77,3 +44,5 @@ def test_fig3_response_time(benchmark, report):
             f"-> Quota <= Agenda (5% tolerance) on {wins}/{len(quota)} "
             f"ratios of {name}\n"
         )
+        verdict[name] = {"quota_wins": wins, "ratios": len(quota)}
+    record_verdict("fig3_response_time", verdict)

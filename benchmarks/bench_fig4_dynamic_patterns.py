@@ -13,44 +13,34 @@ small, empirical error.
 
 from __future__ import annotations
 
-import numpy as np
-
-from benchmarks.common import scoped
-from repro.core.calibration import calibrated_cost_model
-from repro.core.quota import QuotaController
+from benchmarks.common import (
+    ErrorSampler,
+    SystemSpec,
+    final_graph,
+    record_verdict,
+    run_system,
+    scoped,
+    tranche_labels,
+    tranche_means,
+)
 from repro.core.rates import RateDriftDetector
-from repro.core.system import QuotaSystem
 from repro.evaluation.datasets import get_dataset
-from repro.evaluation.metrics import AccuracySummary
 from repro.evaluation.report import banner, format_series
-from repro.ppr.registry import build_algorithm
-from repro.queueing.kinds import QUERY, UPDATE
 from repro.queueing.workload import (
     dynamic_pattern_segments,
     generate_segmented_workload,
 )
 
 PATTERNS = (
-    "query-inclined",
-    "balanced",
-    "update-inclined",
-    "update-declined",
+    "query-inclined", "balanced", "update-inclined", "update-declined",
     "query-declined",
 )
 TRANCHE = 10.0
-
-
-def tranche_means(result, total_time):
-    buckets = int(np.ceil(total_time / TRANCHE))
-    sums = np.zeros(buckets)
-    counts = np.zeros(buckets)
-    for c in result.completed:
-        if c.kind != QUERY:
-            continue
-        b = min(int(c.arrival // TRANCHE), buckets - 1)
-        sums[b] += c.response_time
-        counts[b] += 1
-    return [float(s / n) if n else 0.0 for s, n in zip(sums, counts)]
+VARIANTS = (
+    SystemSpec("Agenda", "Agenda"),
+    SystemSpec("Quota", "Agenda", use_quota=True),
+    SystemSpec("Quota-c", "Agenda", use_quota=True, without_constants=True),
+)
 
 
 def run_pattern(pattern: str, total_time: float, seed: int = 0):
@@ -68,48 +58,20 @@ def run_pattern(pattern: str, total_time: float, seed: int = 0):
         u_fixed=1.0 * base,
     )
     workload = generate_segmented_workload(graph, segments, rng=seed + 1)
-
-    shadow = graph.copy()
-    for request in workload:
-        if request.kind == UPDATE:
-            request.update.apply(shadow)
+    truth = final_graph(graph, workload)
 
     series: dict[str, list[float]] = {}
     errors: dict[str, float] = {}
-    variants = (
-        ("Agenda", False, False),
-        ("Quota", True, False),
-        ("Quota-c", True, True),
-    )
-    for label, use_quota, drop_constants in variants:
-        algorithm = build_algorithm("Agenda", graph.copy(), spec.walk_cap, seed=seed)
-        controller = None
-        drift = None
-        if use_quota:
-            model = calibrated_cost_model(algorithm, num_queries=4, rng=seed + 2)
-            if drop_constants:
-                model = model.without_constants()
-            controller = QuotaController(
-                model, extra_starts=[algorithm.get_hyperparameters()]
-            )
-            drift = RateDriftDetector.periodic(1.0)
-        system = QuotaSystem(algorithm, controller, drift=drift)
-
-        samples: list[float] = []
-        counter = {"n": 0}
-
-        def callback(request, estimate, pending):
-            counter["n"] += 1
-            if counter["n"] % 25 == 0:
-                summary = AccuracySummary.compare(
-                    estimate, shadow, algorithm.params.alpha
-                )
-                samples.append(summary.max_absolute_error)
-
-        result = system.process(workload, query_callback=callback)
-        series[label] = [v * 1e3 for v in tranche_means(result, total_time)]
-        errors[label] = float(np.mean(samples)) if samples else 0.0
-    return series, errors, total_time
+    for system in VARIANTS:
+        sampler = ErrorSampler(truth, every=25)
+        drift = RateDriftDetector.periodic(1.0) if system.use_quota else None
+        cell = run_system(
+            system, spec, graph, workload, seed=seed, drift=drift,
+            calibration_rng=seed + 2, query_callback=sampler,
+        )
+        series[system.label] = tranche_means(cell.result, total_time, TRANCHE)
+        errors[system.label] = sampler.mean()
+    return series, errors
 
 
 def test_fig4_dynamic_patterns(benchmark, report):
@@ -121,15 +83,11 @@ def test_fig4_dynamic_patterns(benchmark, report):
         return {p: run_pattern(p, total_time) for p in patterns}
 
     results = benchmark.pedantic(experiment, rounds=1, iterations=1)
-    for pattern, (series, errors, t) in results.items():
-        windows = [
-            f"{int(i * TRANCHE)}-{int((i + 1) * TRANCHE)}s"
-            for i in range(int(np.ceil(t / TRANCHE)))
-        ]
+    for pattern, (series, errors) in results.items():
         report(
             format_series(
                 "window",
-                windows,
+                tranche_labels(total_time, TRANCHE),
                 series,
                 title=f"pattern: {pattern} — response time (ms)",
                 float_format="{:.2f}",
@@ -140,3 +98,10 @@ def test_fig4_dynamic_patterns(benchmark, report):
             + ", ".join(f"{k}={v:.4f}" for k, v in errors.items())
             + "\n"
         )
+    record_verdict(
+        "fig4_dynamic_patterns",
+        {
+            p: {"tranche_ms": series, "max_abs_error": errors}
+            for p, (series, errors) in results.items()
+        },
+    )

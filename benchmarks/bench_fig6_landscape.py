@@ -13,28 +13,14 @@ workload mix.
 
 from __future__ import annotations
 
-import numpy as np
-
-from benchmarks.common import scoped
-from repro.core.calibration import calibrated_cost_model
-from repro.core.quota import QuotaController
-from repro.core.system import QuotaSystem
+from benchmarks.common import SystemSpec, record_verdict, run_system, scoped
 from repro.evaluation.datasets import get_dataset
 from repro.evaluation.report import banner, format_table
 from repro.ppr.registry import build_algorithm
 from repro.queueing.workload import generate_workload
 
 GRID_MULTIPLIERS = (0.05, 0.25, 1.0, 4.0)
-
-
-def measure_cell(spec, graph, workload, lq, lu, r_mult, rb_mult, defaults):
-    algorithm = build_algorithm("Agenda", graph.copy(), spec.walk_cap, seed=0)
-    algorithm.set_hyperparameters(
-        r_max=min(defaults["r_max"] * r_mult, 0.999),
-        r_max_b=min(defaults["r_max_b"] * rb_mult, 0.999),
-    )
-    result = QuotaSystem(algorithm).process(workload)
-    return result.mean_query_response_time() * 1e3
+AGENDA = SystemSpec("Agenda", "Agenda")
 
 
 def run_ratio(dataset: str, ratio: float, window: float):
@@ -43,36 +29,33 @@ def run_ratio(dataset: str, ratio: float, window: float):
     lq = spec.lambda_q
     lu = lq * ratio
     workload = generate_workload(graph, lq, lu, window, rng=5)
-
-    probe = build_algorithm("Agenda", graph.copy(), spec.walk_cap, seed=0)
-    defaults = probe.default_hyperparameters()
+    defaults = build_algorithm(
+        "Agenda", graph.copy(), spec.walk_cap, seed=0
+    ).default_hyperparameters()
 
     rows = []
-    best = (None, float("inf"))
     for r_mult in GRID_MULTIPLIERS:
         for rb_mult in GRID_MULTIPLIERS:
-            value = measure_cell(
-                spec, graph, workload, lq, lu, r_mult, rb_mult, defaults
-            )
+            beta = {
+                "r_max": min(defaults["r_max"] * r_mult, 0.999),
+                "r_max_b": min(defaults["r_max_b"] * rb_mult, 0.999),
+            }
+            value = run_system(
+                AGENDA, spec, graph, workload, seed=0, beta=beta
+            ).response_ms
             rows.append([f"{r_mult}x", f"{rb_mult}x", value])
-            if value < best[1]:
-                best = ((r_mult, rb_mult), value)
 
-    model = calibrated_cost_model(probe, num_queries=4, rng=1)
-    controller = QuotaController(model, extra_starts=[defaults])
-    decision = controller.configure(lq, lu)
-    quota_r = decision.beta["r_max"] / defaults["r_max"]
-    quota_rb = decision.beta["r_max_b"] / defaults["r_max_b"]
-
-    tuned = build_algorithm("Agenda", graph.copy(), spec.walk_cap, seed=0)
-    tuned.set_hyperparameters(**decision.beta)
-    quota_time = (
-        QuotaSystem(tuned).process(workload).mean_query_response_time() * 1e3
+    quota = run_system(
+        SystemSpec("Quota", "Agenda", use_quota=True),
+        spec, graph, workload, lq, lu, seed=0,
     )
+    beta = quota.system.decisions[0].beta
+    chosen = [beta[name] / defaults[name] for name in ("r_max", "r_max_b")]
     default_time = next(
         v for rm, rb, v in rows if rm == "1.0x" and rb == "1.0x"
     )
-    return rows, best, (quota_r, quota_rb, quota_time), default_time
+    best = min(rows, key=lambda row: row[2])
+    return rows, best, (*chosen, quota.response_ms), default_time
 
 
 def test_fig6_landscape(benchmark, report):
@@ -85,6 +68,7 @@ def test_fig6_landscape(benchmark, report):
         return {r: run_ratio(dataset, r, window) for r in ratios}
 
     results = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    verdict = {}
     for ratio, (rows, best, quota, default_time) in results.items():
         report(
             format_table(
@@ -93,10 +77,14 @@ def test_fig6_landscape(benchmark, report):
                 title=f"{dataset}, lambda_u/lambda_q = {ratio}",
             )
         )
-        (bm, bbm), bv = best
+        bm, bbm, bv = best
         qr, qrb, qv = quota
-        report(f"grid minimum: ({bm}x, {bbm}x) at {bv:.2f} ms")
+        report(f"grid minimum: ({bm}, {bbm}) at {bv:.2f} ms")
         report(f"original Agenda setting (1x, 1x): {default_time:.2f} ms")
         report(
             f"Quota selected ({qr:.2f}x, {qrb:.2f}x) measuring {qv:.2f} ms\n"
         )
+        verdict[f"{ratio:g}"] = {
+            "grid_min_ms": bv, "default_ms": default_time, "quota_ms": qv
+        }
+    record_verdict("fig6_landscape", verdict)

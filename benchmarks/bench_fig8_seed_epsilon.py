@@ -25,16 +25,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.common import scoped
-from repro.core.calibration import calibrated_cost_model
-from repro.core.quota import QuotaController
-from repro.core.system import QuotaSystem
+from benchmarks.common import (
+    ErrorSampler,
+    SystemSpec,
+    final_graph,
+    record_verdict,
+    run_system,
+    scoped,
+    seed_mean,
+)
 from repro.evaluation.datasets import DatasetSpec
-from repro.evaluation.metrics import AccuracySummary
 from repro.evaluation.report import banner, format_series
-from repro.graph.generators import erdos_renyi_graph
-from repro.ppr.registry import build_algorithm
-from repro.queueing.kinds import UPDATE
 from repro.queueing.workload import generate_workload
 
 DENSE = DatasetSpec(
@@ -47,54 +48,25 @@ SEEDS = (3, 13)  # average workload replays: the update-heavy cell sits
                  # near saturation, where single runs jitter
 
 
-def run_sweep(algorithm_name: str, use_quota: bool, epsilons, window):
-    lq, lu = 10.0, 40.0
-    response = [0.0] * len(epsilons)
-    error = [0.0] * len(epsilons)
-    for seed in SEEDS:
+def run_sweep(algorithm_name: str, epsilons, window):
+    """Seed-averaged response time (ms) and true error at each epsilon_r."""
+
+    def cells(seed: int) -> dict[str, np.ndarray]:
         graph = DENSE.build(seed=seed)
-        workload = generate_workload(graph, lq, lu, window, rng=seed + 1)
-        shadow = graph.copy()
-        for request in workload:
-            if request.kind == UPDATE:
-                request.update.apply(shadow)
-
-        for i, eps in enumerate(epsilons):
-            algorithm = build_algorithm(
-                algorithm_name, graph.copy(), DENSE.walk_cap, seed=0
+        workload = generate_workload(graph, 10.0, 40.0, window, rng=seed + 1)
+        truth = final_graph(graph, workload)
+        response, error = [], []
+        for eps in epsilons:
+            sampler = ErrorSampler(truth, every=10)
+            cell = run_system(
+                SystemSpec(algorithm_name, algorithm_name, epsilon_r=eps),
+                DENSE, graph, workload, seed=0, query_callback=sampler,
             )
-            controller = None
-            if use_quota:
-                model = calibrated_cost_model(
-                    algorithm, num_queries=3, rng=5
-                )
-                controller = QuotaController(
-                    model, extra_starts=[algorithm.get_hyperparameters()]
-                )
-            system = QuotaSystem(algorithm, controller, epsilon_r=eps)
-            if controller is not None:
-                system.configure_static(lq, lu)
+            response.append(cell.response_ms)
+            error.append(sampler.mean())
+        return {"R (ms)": np.array(response), "true err": np.array(error)}
 
-            samples: list[float] = []
-            counter = {"n": 0}
-
-            def callback(request, estimate, pending):
-                counter["n"] += 1
-                if counter["n"] % 10 == 0:
-                    samples.append(
-                        AccuracySummary.compare(
-                            estimate, shadow, algorithm.params.alpha
-                        ).max_absolute_error
-                    )
-
-            result = system.process(workload, query_callback=callback)
-            response[i] += (
-                result.mean_query_response_time() * 1e3 / len(SEEDS)
-            )
-            error[i] += (
-                float(np.mean(samples)) / len(SEEDS) if samples else 0.0
-            )
-    return response, error
+    return seed_mean(SEEDS, cells)
 
 
 def test_fig8_seed_epsilon(benchmark, report):
@@ -106,31 +78,34 @@ def test_fig8_seed_epsilon(benchmark, report):
     window = scoped(3.0, 6.0)
 
     def experiment():
-        agenda = run_sweep("Agenda", False, epsilons, window)
-        fora = run_sweep("FORA+", False, epsilons, window)
-        return agenda, fora
+        return {
+            name: run_sweep(name, epsilons, window)
+            for name in ("Agenda", "FORA+")
+        }
 
-    (a_resp, a_err), (f_resp, f_err) = benchmark.pedantic(
-        experiment, rounds=1, iterations=1
-    )
-    labels = [f"{e:g}" for e in epsilons]
+    sweeps = benchmark.pedantic(experiment, rounds=1, iterations=1)
     report(
         format_series(
             "epsilon_r",
-            labels,
+            [f"{e:g}" for e in epsilons],
             {
-                "Agenda R (ms)": a_resp,
-                "Agenda true err": a_err,
-                "FORA+ R (ms)": f_resp,
-                "FORA+ true err": f_err,
+                f"{name} {column}": list(values)
+                for name, sweep in sweeps.items()
+                for column, values in sweep.items()
             },
             title="response time and true absolute error vs epsilon_r",
             float_format="{:.3f}",
         )
     )
+    ratios = {
+        name: sweep["R (ms)"][-1] / max(sweep["R (ms)"][0], 1e-9)
+        for name, sweep in sweeps.items()
+    }
+    max_err = max(max(sweep["true err"]) for sweep in sweeps.values())
     report(
-        f"-> Agenda: R at eps=max is {a_resp[-1] / max(a_resp[0], 1e-9):.2f}x of "
-        f"eps=0; FORA+: {f_resp[-1] / max(f_resp[0], 1e-9):.2f}x; true error "
-        f"stays <= {max(max(a_err), max(f_err)):.4f} "
+        f"-> Agenda: R at eps=max is {ratios['Agenda']:.2f}x of eps=0; "
+        f"FORA+: {ratios['FORA+']:.2f}x; true error stays <= {max_err:.4f} "
         f"(theoretical budget {epsilons[-1]:g})"
     )
+    verdict = {"r_ratio": ratios, "max_true_error": max_err}
+    record_verdict("fig8_seed_epsilon", verdict)

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.common import scoped
-from repro.core.system import QuotaSystem
+from benchmarks.common import SystemSpec, record_verdict, run_system, scoped
 from repro.evaluation.datasets import get_dataset
 from repro.evaluation.report import (
     ascii_histogram,
@@ -21,18 +20,13 @@ from repro.evaluation.report import (
     format_series,
     format_table,
 )
-from repro.ppr.registry import build_algorithm
 from repro.queueing.workload import generate_workload
 
 EPSILON_R = 0.5
-
-
-def run_pair(spec, graph, workload):
-    plain_alg = build_algorithm("FORA+", graph.copy(), spec.walk_cap, seed=0)
-    seed_alg = build_algorithm("FORA+", graph.copy(), spec.walk_cap, seed=0)
-    plain = QuotaSystem(plain_alg).process(workload)
-    seeded = QuotaSystem(seed_alg, epsilon_r=EPSILON_R).process(workload)
-    return plain, seeded
+PAIR = (
+    SystemSpec("before Seed", "FORA+"),
+    SystemSpec("after Seed", "FORA+", epsilon_r=EPSILON_R),
+)
 
 
 def test_fig9_seed_overall(benchmark, report):
@@ -43,19 +37,21 @@ def test_fig9_seed_overall(benchmark, report):
     ratios = scoped((0.5, 1.0, 2.0), (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0))
 
     def experiment():
-        loads = {"before Seed": [], "after Seed": []}
+        loads = {s.label: [] for s in PAIR}
         for ratio in ratios:
             graph = spec.build(seed=0)
             workload = generate_workload(
                 graph, lq, lq * ratio, window, rng=9
             )
-            plain, seeded = run_pair(spec, graph, workload)
-            loads["before Seed"].append(plain.empirical_load())
-            loads["after Seed"].append(seeded.empirical_load())
+            for s in PAIR:
+                cell = run_system(s, spec, graph, workload, seed=0)
+                loads[s.label].append(cell.result.empirical_load())
         # (b) distribution at lambda_u = lambda_q
         graph = spec.build(seed=0)
         workload = generate_workload(graph, lq, lq, window, rng=10)
-        plain, seeded = run_pair(spec, graph, workload)
+        plain, seeded = (
+            run_system(s, spec, graph, workload, seed=0).result for s in PAIR
+        )
         return loads, plain.query_response_times(), seeded.query_response_times()
 
     loads, plain_times, seed_times = benchmark.pedantic(
@@ -75,15 +71,13 @@ def test_fig9_seed_overall(benchmark, report):
         abs(a - b) / max(a, 1e-12)
         for a, b in zip(loads["before Seed"], loads["after Seed"])
     ]
-    report(f"-> max relative load change after Seed: {max(gaps) * 100:.1f}%\n")
+    max_gap = max(gaps) * 100
+    report(f"-> max relative load change after Seed: {max_gap:.1f}%\n")
 
-    edges = np.percentile(plain_times, [0, 25, 50, 75, 90, 100])
-    edges = np.unique(edges)
+    edges = np.unique(np.percentile(plain_times, [0, 25, 50, 75, 90, 100]))
     rows = []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        plain_frac = float(
-            np.mean((plain_times >= lo) & (plain_times < hi))
-        )
+        plain_frac = float(np.mean((plain_times >= lo) & (plain_times < hi)))
         seed_frac = float(np.mean((seed_times >= lo) & (seed_times < hi)))
         rows.append(
             [f"[{lo * 1e3:.1f}, {hi * 1e3:.1f}) ms", plain_frac, seed_frac]
@@ -96,10 +90,10 @@ def test_fig9_seed_overall(benchmark, report):
             float_format="{:.3f}",
         )
     )
-    report(
-        f"-> mean response before {plain_times.mean() * 1e3:.2f} ms, "
-        f"after {seed_times.mean() * 1e3:.2f} ms"
-    )
+    before, after = plain_times.mean() * 1e3, seed_times.mean() * 1e3
+    report(f"-> mean response before {before:.2f} ms, after {after:.2f} ms")
+    verdict = {"max_load_change_pct": max_gap, "mean_ms": [before, after]}
+    record_verdict("fig9_seed_overall", verdict)
     report("\nresponse times before Seed (ms):")
     report(ascii_histogram((plain_times * 1e3).tolist(), bins=6, width=30))
     report("response times after Seed (ms):")

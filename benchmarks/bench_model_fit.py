@@ -14,7 +14,7 @@ delivers on this substrate.
 
 from __future__ import annotations
 
-from benchmarks.common import scoped
+from benchmarks.common import record_verdict, scoped
 from repro.core.calibration import calibrated_cost_model
 from repro.evaluation.datasets import get_dataset
 from repro.evaluation.report import banner, format_table
@@ -43,14 +43,12 @@ def test_model_fit(benchmark, report):
             fit = model_fit_report(
                 algorithm, model, scales=scales, num_queries=3, rng=27
             )
-            rows.append(
-                [
-                    name,
-                    fit.mean_log_error_q(),
-                    fit.mean_log_error_u(),
-                    fit.within_factor(3.0),
-                ]
-            )
+            rows.append([
+                name,
+                fit.mean_log_error_q(),
+                fit.mean_log_error_u(),
+                fit.within_factor(3.0),
+            ])
         return rows
 
     rows = benchmark.pedantic(experiment, rounds=1, iterations=1)
@@ -63,3 +61,4 @@ def test_model_fit(benchmark, report):
             float_format="{:.3f}",
         )
     )
+    record_verdict("model_fit", {r[0]: r[1:] for r in rows})

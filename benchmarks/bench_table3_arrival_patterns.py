@@ -16,7 +16,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.common import SystemSpec, run_system, scoped
+from benchmarks.common import (
+    SystemSpec,
+    record_verdict,
+    run_system,
+    scoped,
+    seed_mean,
+)
 from repro.evaluation.datasets import get_dataset
 from repro.evaluation.metrics import improvement_percent
 from repro.evaluation.report import banner, format_table
@@ -34,34 +40,32 @@ from repro.queueing.workload import generate_workload
 #: queue ("the response time of Agenda is sensitive to the arrival
 #: time distribution due to the crowded queue")
 RATE_SCALE = 4.0
+AGENDA = SystemSpec("Agenda", "Agenda")
+QUOTA = SystemSpec("Quota", "Agenda", use_quota=True)
 
 
 def build_workloads(spec, graph, window, rng):
     lam = spec.lambda_q * RATE_SCALE
     patterns = {
-        "Uniform": UniformArrivals(lam),
-        "Geometric": GeometricArrivals(lam),
-        "Normal": NormalArrivals(lam),
-        "Gamma": GammaArrivals(lam),
+        "Uniform": UniformArrivals, "Geometric": GeometricArrivals,
+        "Normal": NormalArrivals, "Gamma": GammaArrivals,
     }
-    workloads = {}
-    for name, process in patterns.items():
-        workloads[name] = generate_workload(
-            graph, lam, lam, window,
-            rng=rng,
-            query_process=type(process)(lam),
-            update_process=type(process)(lam),
+    workloads = {
+        name: generate_workload(
+            graph, lam, lam, window, rng=rng,
+            query_process=process(lam), update_process=process(lam),
         )
+        for name, process in patterns.items()
+    }
     # phases a few seconds long and moderate bursts: the paper's 100-
     # event Wikipedia extract is a mild non-homogeneous stream, not a
     # flash-crowd; rate changes must be slow enough to be observable
-    q_times = wikipedia_like_trace(
-        lam, window, np.random.default_rng(31),
-        burst_factor=2.5, mean_phase=window / 3,
-    )
-    u_times = wikipedia_like_trace(
-        lam, window, np.random.default_rng(32),
-        burst_factor=2.5, mean_phase=window / 3,
+    q_times, u_times = (
+        wikipedia_like_trace(
+            lam, window, np.random.default_rng(trace_seed),
+            burst_factor=2.5, mean_phase=window / 3,
+        )
+        for trace_seed in (31, 32)
     )
     workloads["Wikipedia"] = generate_workload(
         graph, lam, lam, window,
@@ -77,14 +81,14 @@ def test_table3_arrival_patterns(benchmark, report):
     spec = get_dataset(dataset)
 
     def experiment():
-        seeds = scoped((4, 14), (4, 14, 24, 34))
         lam = spec.lambda_q * RATE_SCALE
-        sums: dict[str, list[float]] = {}
-        for seed in seeds:
+
+        def cells(seed: int) -> dict[str, np.ndarray]:
             graph = spec.build(seed=seed)
             workloads = build_workloads(
                 spec, graph, window, np.random.default_rng(seed + 26)
             )
+            out = {}
             for name, workload in workloads.items():
                 # "we monitor the request arrivals and obtain the
                 # real-time lambda_q and lambda_u": configure at the
@@ -94,24 +98,20 @@ def test_table3_arrival_patterns(benchmark, report):
                 # scale; see the adaptive_reconfiguration example for
                 # the online loop under slower rate drift.)
                 agenda = run_system(
-                    SystemSpec("Agenda", "Agenda"),
-                    spec, graph, workload, lam, lam, seed=seed,
+                    AGENDA, spec, graph, workload, lam, lam, seed=seed
                 )
                 # the bursty trace saturates at its burst peaks, not at
                 # the mean: provision Quota for the monitored peak rate
                 # (bursts run at ~1.4x the long-run mean)
                 provision = lam * (1.5 if name == "Wikipedia" else 1.0)
                 quota = run_system(
-                    SystemSpec("Quota", "Agenda", use_quota=True),
-                    spec, graph, workload, provision, provision, seed=seed,
+                    QUOTA, spec, graph, workload, provision, provision,
+                    seed=seed,
                 )
-                entry = sums.setdefault(name, [0.0, 0.0])
-                entry[0] += agenda.mean_query_response_time() * 1e3
-                entry[1] += quota.mean_query_response_time() * 1e3
-        return {
-            name: (a / len(seeds), q / len(seeds))
-            for name, (a, q) in sums.items()
-        }
+                out[name] = np.array([agenda.response_ms, quota.response_ms])
+            return out
+
+        return seed_mean(scoped((4, 14), (4, 14, 24, 34)), cells)
 
     rows = benchmark.pedantic(experiment, rounds=1, iterations=1)
     table = [
@@ -126,3 +126,4 @@ def test_table3_arrival_patterns(benchmark, report):
                   f"{spec.lambda_q * RATE_SCALE:g}",
         )
     )
+    record_verdict("table3_arrival_patterns", {r[0]: r[3] for r in table})

@@ -12,7 +12,7 @@ magnitude faster — and the configurations found are comparable.
 
 from __future__ import annotations
 
-from benchmarks.common import scoped
+from benchmarks.common import SystemSpec, record_verdict, run_system, scoped
 from repro.baselines.search import (
     BayesianOptimizationSearch,
     GridSearch,
@@ -20,33 +20,24 @@ from repro.baselines.search import (
 )
 from repro.core.calibration import calibrated_cost_model
 from repro.core.quota import QuotaController
-from repro.core.system import QuotaSystem
 from repro.evaluation.datasets import get_dataset
 from repro.evaluation.report import banner, format_table
 from repro.ppr.registry import build_algorithm
 from repro.queueing.workload import generate_workload
 
 
-def make_evaluator(spec, graph, workload, lq, lu):
-    """Black-box objective: replay the probe workload, return R_q."""
-
-    def evaluate(beta):
-        algorithm = build_algorithm("Agenda", graph.copy(), spec.walk_cap, seed=0)
-        algorithm.set_hyperparameters(**beta)
-        result = QuotaSystem(algorithm).process(workload)
-        return result.mean_query_response_time()
-
-    return evaluate
-
-
 def run_dataset(name: str, probe_window: float, budgets):
     spec = get_dataset(name)
     graph = spec.build(seed=5)
-    lq = spec.lambda_q
-    lu = lq
+    lq = lu = spec.lambda_q
     workload = generate_workload(graph, lq, lu, probe_window, rng=11)
-    evaluate = make_evaluator(spec, graph, workload, lq, lu)
-    param_names = ["r_max", "r_max_b"]
+
+    def evaluate(beta):
+        """Black-box objective: replay the probe workload, return R_q."""
+        return run_system(
+            SystemSpec("Agenda", "Agenda"), spec, graph, workload,
+            seed=0, beta=beta,
+        ).result.mean_query_response_time()
 
     searchers = [
         GridSearch(grid=budgets["grid"]),
@@ -57,17 +48,13 @@ def run_dataset(name: str, probe_window: float, budgets):
     ]
     row = [name]
     for searcher in searchers:
-        outcome = searcher.search(evaluate, param_names, rng=0)
+        outcome = searcher.search(evaluate, ["r_max", "r_max_b"], rng=0)
         row.append(outcome.elapsed_seconds)
 
     algorithm = build_algorithm("Agenda", graph.copy(), spec.walk_cap, seed=0)
     model = calibrated_cost_model(algorithm, num_queries=3, rng=12)
-    controller = QuotaController(
-        model, extra_starts=[algorithm.get_hyperparameters()]
-    )
-    decision = controller.configure(lq, lu)
-    row.append(decision.configure_seconds)
-    return row
+    decision = QuotaController(model).configure(lq, lu)
+    return row + [decision.configure_seconds]
 
 
 def test_table4_config_cost(benchmark, report):
@@ -92,9 +79,14 @@ def test_table4_config_cost(benchmark, report):
             float_format="{:.3f}",
         )
     )
+    speedups = {}
     for row in rows:
-        speedup = min(row[1], row[2], row[3]) / max(row[4], 1e-9)
-        report(f"-> {row[0]}: Quota {speedup:,.0f}x faster than the best search")
+        speedups[row[0]] = min(row[1], row[2], row[3]) / max(row[4], 1e-9)
+        report(
+            f"-> {row[0]}: Quota {speedups[row[0]]:,.0f}x faster than the "
+            "best search"
+        )
+    record_verdict("table4_config_cost", {"quota_speedup": speedups})
     report(
         "\nnote: Quota's solve time does not depend on graph size — it "
         "never executes PPR work; the searches replay real workloads "

@@ -12,7 +12,7 @@ intensity (Lemma 1 objective).
 
 from __future__ import annotations
 
-from benchmarks.common import SystemSpec, run_system, scoped
+from benchmarks.common import SystemSpec, record_verdict, run_system, scoped
 from repro.evaluation.datasets import get_dataset
 from repro.evaluation.report import banner, format_table
 from repro.queueing.workload import generate_workload
@@ -45,11 +45,7 @@ def test_table7_extreme(benchmark, report):
                 spec, graph, workload, lq, lu,
             )
             rows.append(
-                [
-                    f"lq={lq:g} lu={lu:g}",
-                    agenda.mean_query_response_time() * 1e3,
-                    quota.mean_query_response_time() * 1e3,
-                ]
+                [f"lq={lq:g} lu={lu:g}", agenda.response_ms, quota.response_ms]
             )
         return rows
 
@@ -63,3 +59,4 @@ def test_table7_extreme(benchmark, report):
     )
     wins = sum(1 for _, a, q in rows if q <= a * 1.1)
     report(f"-> Quota within/below Agenda (10% tol) on {wins}/{len(rows)} cells")
+    record_verdict("table7_extreme", {"quota_wins": wins, "cells": len(rows)})

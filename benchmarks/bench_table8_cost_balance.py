@@ -13,13 +13,10 @@ default, buying a lower response time (the paper's 86% headline case).
 
 from __future__ import annotations
 
-from benchmarks.common import SystemSpec, scoped
-from repro.core.calibration import calibrated_cost_model
-from repro.core.quota import QuotaController
-from repro.core.system import QuotaSystem
+from benchmarks.common import SystemSpec, record_verdict, run_system, scoped
 from repro.evaluation.datasets import get_dataset
+from repro.evaluation.metrics import improvement_percent
 from repro.evaluation.report import banner, format_table
-from repro.ppr.registry import build_algorithm
 from repro.queueing.kinds import QUERY, UPDATE
 from repro.queueing.workload import generate_workload
 
@@ -30,31 +27,23 @@ SUBPROCESSES = (
     "Reverse Push",
     "Index Inaccuracy Update",
 )
+PER_QUERY = ("Forward Push", "Lazy Index Update", "Random Walk")
 
 
-def run_cell(spec, graph, workload, lq, lu, use_quota):
-    algorithm = build_algorithm("Agenda", graph.copy(), spec.walk_cap, seed=0)
-    controller = None
-    if use_quota:
-        controller = QuotaController(
-            calibrated_cost_model(algorithm, num_queries=4, rng=14),
-            extra_starts=[algorithm.get_hyperparameters()],
-        )
-    system = QuotaSystem(algorithm, controller)
-    if controller is not None:
-        system.configure_static(lq, lu)
-    algorithm.timers.reset()
-    result = system.process(workload)
+def subprocess_costs(cell):
+    """Mean ms per query or update of every sub-process, then the
+    cell's mean query/update cost and response time."""
+    result, timers = cell.result, cell.system.algorithm.timers
     queries = max(len(result.of_kind(QUERY)), 1)
     updates = max(len(result.of_kind(UPDATE)), 1)
-    per_query = ("Forward Push", "Lazy Index Update", "Random Walk")
-    costs = {}
-    for name in SUBPROCESSES:
-        divisor = queries if name in per_query else updates
-        costs[name] = algorithm.timers.total(name) / divisor * 1e3
+    costs = {
+        name: timers.total(name)
+        / (queries if name in PER_QUERY else updates) * 1e3
+        for name in SUBPROCESSES
+    }
     costs["Query cost"] = result.mean_service_time(QUERY) * 1e3
     costs["Update cost"] = result.mean_service_time(UPDATE) * 1e3
-    costs["Response time"] = result.mean_query_response_time() * 1e3
+    costs["Response time"] = cell.response_ms
     return costs
 
 
@@ -71,30 +60,30 @@ def test_table8_cost_balance(benchmark, report):
         for lu in lambda_us:
             graph = spec.build(seed=7)
             workload = generate_workload(graph, lq, lu, window, rng=15)
-            out[lu] = (
-                run_cell(spec, graph, workload, lq, lu, use_quota=False),
-                run_cell(spec, graph, workload, lq, lu, use_quota=True),
-            )
+            out[lu] = [
+                subprocess_costs(run_system(
+                    SystemSpec("Agenda", "Agenda", use_quota), spec, graph,
+                    workload, lq, lu, seed=0, calibration_rng=14,
+                ))
+                for use_quota in (False, True)
+            ]
         return out
 
     results = benchmark.pedantic(experiment, rounds=1, iterations=1)
-    metrics = list(SUBPROCESSES) + ["Query cost", "Update cost", "Response time"]
-    headers = ["sub-process"]
-    for lu in lambda_us:
-        headers += [f"Agenda lu={lu:g}", f"Quota lu={lu:g}"]
-    rows = []
-    for metric in metrics:
-        row = [metric]
-        for lu in lambda_us:
-            agenda, quota = results[lu]
-            row += [agenda[metric], quota[metric]]
-        rows.append(row)
+    headers = ["sub-process"] + [
+        f"{system} lu={lu:g}" for lu in lambda_us for system in ("Agenda", "Quota")
+    ]
+    rows = [
+        [metric] + [costs[metric] for lu in lambda_us for costs in results[lu]]
+        for metric in results[lambda_us[0]][0]
+    ]
     report(format_table(headers, rows, title=f"dataset: {dataset}"))
+    reductions = {}
     for lu in lambda_us:
         agenda, quota = results[lu]
-        from repro.evaluation.metrics import improvement_percent
-
-        report(
-            f"-> lu={lu:g}: response time reduced "
-            f"{improvement_percent(agenda['Response time'], quota['Response time']):.1f}%"
+        reduced = improvement_percent(
+            agenda["Response time"], quota["Response time"]
         )
+        report(f"-> lu={lu:g}: response time reduced {reduced:.1f}%")
+        reductions[f"{lu:g}"] = reduced
+    record_verdict("table8_cost_balance", {"reduction_pct": reductions})

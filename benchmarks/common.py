@@ -21,17 +21,26 @@ import os
 import pathlib
 import platform
 import time
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import Any
+
+import numpy as np
 
 from repro.core.calibration import calibrated_cost_model
+from repro.core.cost_models import CostModel
 from repro.core.quota import QuotaController
 from repro.core.rates import RateDriftDetector
-from repro.core.system import QuotaSystem
+from repro.core.system import QueryCallback, QuotaSystem
 from repro.evaluation.datasets import DatasetSpec, get_dataset
+from repro.evaluation.metrics import AccuracySummary
+from repro.evaluation.report import format_series
 from repro.graph.digraph import DynamicGraph
+from repro.ppr.base import PPRVector
 from repro.ppr.registry import build_algorithm
+from repro.queueing.kinds import QUERY, UPDATE
 from repro.queueing.replay import SimulationResult
-from repro.queueing.workload import Workload, generate_workload
+from repro.queueing.workload import Request, Workload, generate_workload
 
 #: the paper's lambda_u / lambda_q sweep (Figure 3)
 FULL_RATIOS = (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
@@ -87,7 +96,11 @@ def window_for(spec: DatasetSpec) -> float:
 
 @dataclass(slots=True)
 class SystemSpec:
-    """One line/series in a figure: base algorithm + Quota/Seed flags."""
+    """One line/series in a figure: base algorithm + Quota/Seed flags.
+
+    ``without_constants`` is the Quota-c ablation: Quota solves the
+    calibrated model with every tau set to 1.
+    """
 
     label: str
     algorithm: str
@@ -107,48 +120,187 @@ FIG3_SYSTEMS = (
     SystemSpec("ResAcc", "ResAcc"),
 )
 
+#: the headline benches average two replays: single near-saturation
+#: runs jitter (REPRODUCTION.md §4)
+HEADLINE_SEEDS = (0, 1)
+
+#: the teleport probability build_algorithm gives every algorithm
+ALPHA = 0.2
+
+
+@dataclass(slots=True)
+class Cell:
+    """One replayed cell: its timed result and the system that served
+    it (``system.decisions``, ``system.algorithm.timers``)."""
+
+    result: SimulationResult
+    system: QuotaSystem
+
+    @property
+    def response_ms(self) -> float:
+        return self.result.mean_query_response_time() * 1e3
+
 
 def run_system(
     system: SystemSpec,
     spec: DatasetSpec,
     graph: DynamicGraph,
     workload: Workload,
-    lambda_q: float,
-    lambda_u: float,
+    lambda_q: float | None = None,
+    lambda_u: float | None = None,
+    *,
     seed: int | None = None,
-    reoptimize_every: float | None = None,
-) -> SimulationResult:
-    """Replay one workload through one configured system.
+    beta: dict[str, float] | None = None,
+    model: CostModel | None = None,
+    controller: Callable[[CostModel], QuotaController] = QuotaController,
+    drift: RateDriftDetector | None = None,
+    calibration_rng: int | None = None,
+    query_callback: QueryCallback | None = None,
+) -> Cell:
+    """Build, tune and replay one cell on a copy of ``graph``.
 
-    ``seed`` defaults to :func:`bench_seed` so a whole benchmark run is
-    reproduced by setting REPRO_BENCH_SEED once.
+    The algorithm is seeded with ``seed`` (default :func:`bench_seed`,
+    so REPRO_BENCH_SEED reproduces a whole run) and set to ``beta`` if
+    one is given.  A ``use_quota`` system solves with
+    ``controller(model)``; without a ``model`` it first calibrates one
+    on the fresh algorithm (4 probe queries, ``calibration_rng``,
+    default ``seed + 1``).  Without ``drift`` Quota solves once at
+    (lambda_q, lambda_u) before the replay; with it, the detector
+    triggers every solve.  The algorithm's timers count the replay
+    only.
     """
     if seed is None:
         seed = bench_seed()
     algorithm = build_algorithm(
         system.algorithm, graph.copy(), spec.walk_cap, seed=seed
     )
-    controller = None
+    if beta is not None:
+        algorithm.set_hyperparameters(**beta)
+    quota = None
     if system.use_quota:
-        model = calibrated_cost_model(algorithm, num_queries=4, rng=seed + 1)
+        if model is None:
+            rng = seed + 1 if calibration_rng is None else calibration_rng
+            model = calibrated_cost_model(algorithm, num_queries=4, rng=rng)
         if system.without_constants:
             model = model.without_constants()
-        controller = QuotaController(
-            model, extra_starts=[algorithm.get_hyperparameters()]
-        )
+        quota = controller(model)
     runner = QuotaSystem(
-        algorithm,
-        controller,
-        epsilon_r=system.epsilon_r,
-        drift=(
-            RateDriftDetector.periodic(reoptimize_every)
-            if reoptimize_every is not None
-            else None
-        ),
+        algorithm, quota, epsilon_r=system.epsilon_r, drift=drift
     )
-    if controller is not None and reoptimize_every is None:
+    if drift is None:
         runner.configure_static(lambda_q, lambda_u)
-    return runner.process(workload)
+    algorithm.timers.reset()
+    return Cell(runner.process(workload, query_callback), runner)
+
+
+def seed_mean(
+    seeds: Sequence[int], cell: Callable[[int], dict[str, Any]]
+) -> dict[str, Any]:
+    """Average ``cell(seed)`` (label -> float or numpy array) over
+    ``seeds``."""
+    sums: dict[str, Any] = {}
+    for seed in seeds:
+        for label, value in cell(seed).items():
+            sums[label] = sums.get(label, 0.0) + value
+    return {label: total / len(seeds) for label, total in sums.items()}
+
+
+def ratio_series(
+    dataset: str,
+    systems: Sequence[SystemSpec],
+    seeds: Sequence[int] = HEADLINE_SEEDS,
+) -> tuple[list[str], dict[str, list[float]]]:
+    """Seed-averaged mean query response (ms) of every system at each
+    lambda_u/lambda_q of the sweep, one shared workload per cell."""
+    ratios = ratio_sweep()
+    series: dict[str, list[float]] = {s.label: [] for s in systems}
+    for ratio in ratios:
+
+        def cell(seed: int, ratio: float = ratio) -> dict[str, float]:
+            spec, graph, workload, lq, lu = dataset_workload(
+                dataset, ratio, seed=seed
+            )
+            return {
+                s.label: run_system(
+                    s, spec, graph, workload, lq, lu, seed=seed
+                ).response_ms
+                for s in systems
+            }
+
+        for label, value in seed_mean(seeds, cell).items():
+            series[label].append(value)
+    return [RATIO_LABELS[r] for r in ratios], series
+
+
+def ratio_table(
+    labels: list[str], series: dict[str, list[float]], title: str
+) -> str:
+    """The Figure 3/5/7 table: one ms column per system, one row per ratio."""
+    return format_series(
+        "lambda_u/lambda_q", labels, series, title=title, float_format="{:.2f}"
+    )
+
+
+def run_algorithm(
+    name: str, dataset: str
+) -> tuple[list[str], dict[str, list[float]]]:
+    """Figures 5 and 7: ``name`` at its default beta against Quota-``name``."""
+    systems = (SystemSpec(name, name), SystemSpec(f"Quota-{name}", name, True))
+    return ratio_series(dataset, systems)
+
+
+def tranche_means(
+    result: SimulationResult, t_end: float, width: float
+) -> list[float]:
+    """Mean query response (ms) per ``width``-second tranche of
+    [0, t_end] by arrival; an arrival at ``t_end`` counts in the last
+    tranche, and an empty tranche reads 0."""
+    buckets = int(np.ceil(t_end / width))
+    sums = np.zeros(buckets)
+    counts = np.zeros(buckets)
+    for c in result.completed:
+        if c.kind == QUERY:
+            b = min(int(c.arrival // width), buckets - 1)
+            sums[b] += c.response_time
+            counts[b] += 1
+    return [float(s / n) * 1e3 if n else 0.0 for s, n in zip(sums, counts)]
+
+
+def tranche_labels(t_end: float, width: float) -> list[str]:
+    return [
+        f"{int(i * width)}-{int((i + 1) * width)}s"
+        for i in range(int(np.ceil(t_end / width)))
+    ]
+
+
+def final_graph(graph: DynamicGraph, workload: Workload) -> DynamicGraph:
+    """A copy of ``graph`` with every update of ``workload`` applied."""
+    shadow = graph.copy()
+    for request in workload:
+        if request.kind == UPDATE:
+            request.update.apply(shadow)
+    return shadow
+
+
+class ErrorSampler:
+    """A ``query_callback`` measuring every ``every``-th answer's max
+    absolute error against exact PPR on ``truth`` (typically
+    :func:`final_graph`)."""
+
+    def __init__(self, truth: DynamicGraph, every: int) -> None:
+        self.truth = truth
+        self.every = every
+        self.answers = 0
+        self.errors: list[float] = []
+
+    def __call__(self, request: Request, estimate: PPRVector, _: int) -> None:
+        self.answers += 1
+        if self.answers % self.every == 0:
+            summary = AccuracySummary.compare(estimate, self.truth, ALPHA)
+            self.errors.append(summary.max_absolute_error)
+
+    def mean(self) -> float:
+        return float(np.mean(self.errors)) if self.errors else 0.0
 
 
 def dataset_workload(
@@ -181,6 +333,29 @@ def dataset_workload(
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
+def _provenance() -> dict[str, object]:
+    """The scope/seed knobs and enough host fingerprint to judge whether
+    two records are comparable (a 1-core container and a 16-core runner
+    are not the same experiment)."""
+    return {
+        "scope": bench_scope(),
+        "seed": bench_seed(),
+        "generated_unix": int(time.time()),
+        "host": {
+            "cpu_count": os.cpu_count(),
+            "platform": platform.platform(),
+            "python": platform.python_version(),
+        },
+    }
+
+
+def _dump(target: pathlib.Path, record: object) -> pathlib.Path:
+    target.write_text(
+        json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    return target
+
+
 def write_bench_json(
     name: str,
     results: object,
@@ -191,29 +366,26 @@ def write_bench_json(
     The human-readable tables under ``benchmarks/results/`` are for
     reading; these JSON artifacts are for *machines* — committed at the
     repo root so the perf trajectory across PRs is a ``git log`` over
-    structured data.  Every record carries the scope/seed knobs and
-    enough host fingerprint to judge comparability (a 1-core container
-    and a 16-core runner are not the same experiment).
+    structured data.  Every record carries :func:`_provenance`.
     """
-    record = {
-        "bench": name,
-        "scope": bench_scope(),
-        "seed": bench_seed(),
-        "generated_unix": int(time.time()),
-        "host": {
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-        "results": results,
-    }
-    target = (
-        pathlib.Path(path)
-        if path is not None
-        else REPO_ROOT / f"BENCH_{name}.json"
-    )
-    target.write_text(
-        json.dumps(record, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    return target
+    target = pathlib.Path(path or REPO_ROOT / f"BENCH_{name}.json")
+    return _dump(target, {"bench": name, **_provenance(), "results": results})
+
+
+def record_verdict(
+    bench: str,
+    results: object,
+    path: str | os.PathLike[str] | None = None,
+) -> pathlib.Path:
+    """Set ``bench``'s entry of ``BENCH_paper_shapes.json`` to the
+    numbers its ``->`` verdict prints, with :func:`_provenance`.
+
+    One entry per paper bench: a run of a subset rewrites only those
+    entries, so each entry's scope, seed and host say which run made it.
+    """
+    target = pathlib.Path(path or REPO_ROOT / "BENCH_paper_shapes.json")
+    record = {"bench": "paper_shapes", "entries": {}}
+    if target.exists():
+        record = json.loads(target.read_text(encoding="utf-8"))
+    record["entries"][bench] = {**_provenance(), "results": results}
+    return _dump(target, record)

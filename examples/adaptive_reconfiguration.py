@@ -87,8 +87,7 @@ def main(seed: int = 0) -> None:
     stale_alg = Agenda(graph.copy(), params)
     stale_alg.seed(seed)
     stale_controller = QuotaController(
-        calibrated_cost_model(stale_alg, rng=seed + 2),
-        extra_starts=[stale_alg.get_hyperparameters()],
+        calibrated_cost_model(stale_alg, rng=seed + 2)
     )
     stale_system = QuotaSystem(stale_alg, stale_controller)
     stale_system.configure_static(10.0, 5.0)
@@ -101,8 +100,7 @@ def main(seed: int = 0) -> None:
     live_alg = Agenda(graph.copy(), params)
     live_alg.seed(seed)
     live_controller = QuotaController(
-        calibrated_cost_model(live_alg, rng=seed + 2),
-        extra_starts=[live_alg.get_hyperparameters()],
+        calibrated_cost_model(live_alg, rng=seed + 2)
     )
     live_system = QuotaSystem(
         live_alg,

@@ -84,8 +84,7 @@ def main(seed: int = 0) -> None:
     tuned = ForaTopK(graph.copy(), params, k=TOP_K)
     tuned.seed(seed + 1)
     controller = QuotaController(
-        calibrated_cost_model(tuned, rng=seed + 4),
-        extra_starts=[tuned.get_hyperparameters()],
+        calibrated_cost_model(tuned, rng=seed + 4)
     )
     system = QuotaSystem(tuned, controller)
     decision = system.configure_static(

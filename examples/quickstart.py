@@ -59,9 +59,7 @@ def main(
     algorithm = Agenda(graph.copy(), params)
     algorithm.seed(seed)
     model = calibrated_cost_model(algorithm, rng=seed)
-    controller = QuotaController(
-        model, extra_starts=[algorithm.get_hyperparameters()]
-    )
+    controller = QuotaController(model)
     result_cache = PPRCache(epsilon_c=cache_epsilon) if cache else None
     system = QuotaSystem(algorithm, controller, cache=result_cache)
     decision = system.configure_static(LAMBDA_Q, LAMBDA_U)

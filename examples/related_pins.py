@@ -106,8 +106,7 @@ def main(seed: int = 0) -> None:
     tuned = ForaPlus(graph.copy(), params)
     tuned.seed(seed + 1)
     controller = QuotaController(
-        calibrated_cost_model(tuned, rng=seed + 3),
-        extra_starts=[tuned.get_hyperparameters()],
+        calibrated_cost_model(tuned, rng=seed + 3)
     )
     system = QuotaSystem(tuned, controller)
     decision = system.configure_static(VISITS_PER_SECOND, PINS_PER_SECOND)
@@ -123,8 +122,7 @@ def main(seed: int = 0) -> None:
     seeded = ForaPlus(graph.copy(), params)
     seeded.seed(seed + 1)
     controller2 = QuotaController(
-        calibrated_cost_model(seeded, rng=seed + 3),
-        extra_starts=[seeded.get_hyperparameters()],
+        calibrated_cost_model(seeded, rng=seed + 3)
     )
     system2 = QuotaSystem(seeded, controller2, epsilon_r=0.5)
     system2.configure_static(VISITS_PER_SECOND, PINS_PER_SECOND)

@@ -217,11 +217,7 @@ def cmd_configure(args: argparse.Namespace) -> int:
         args.algorithm, graph, spec.walk_cap, seed=args.seed
     )
     model = calibrated_cost_model(algorithm, rng=args.seed)
-    controller = QuotaController(
-        model,
-        extra_starts=[algorithm.get_hyperparameters()],
-        response_model=args.response_model,
-    )
+    controller = QuotaController(model, response_model=args.response_model)
     decision = controller.configure(args.lambda_q, args.lambda_u)
     print(f"regime:    {decision.regime}")
     print(f"rho:       {decision.traffic_intensity:.4f}")
@@ -306,8 +302,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             args.algorithm, graph.copy(), spec.walk_cap, seed=args.seed
         )
         controller = QuotaController(
-            calibrated_cost_model(tuned, rng=args.seed + 2),
-            extra_starts=[tuned.get_hyperparameters()],
+            calibrated_cost_model(tuned, rng=args.seed + 2)
         )
         quota_cache = make_cache()
         system = QuotaSystem(

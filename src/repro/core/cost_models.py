@@ -43,6 +43,10 @@ class CostModel:
     taus:
         Mapping sub-process name -> constant.  Missing names default to
         1.0 (the *Quota-c* / uncalibrated setting).
+    default_beta:
+        The algorithm's paper-default hyperparameters, which Quota
+        always tries as one starting point (so by its own model it
+        never picks worse); :func:`cost_model_for` records them.
     """
 
     #: algorithm this model describes (matches DynamicPPRAlgorithm.name)
@@ -55,13 +59,18 @@ class CostModel:
     update_subprocesses: tuple[str, ...] = ()
 
     def __init__(
-        self, n: int, m: int, taus: Mapping[str, float] | None = None
+        self,
+        n: int,
+        m: int,
+        taus: Mapping[str, float] | None = None,
+        default_beta: Mapping[str, float] | None = None,
     ) -> None:
         if n < 1 or m < 0:
             raise ValueError("need n >= 1 and m >= 0")
         self.n = n
         self.m = max(m, 1)
         self.taus = dict(taus or {})
+        self.default_beta = dict(default_beta or {})
 
     # -- factors (overridden per algorithm) ------------------------------
     def query_factors(
@@ -103,11 +112,11 @@ class CostModel:
 
     def without_constants(self) -> "CostModel":
         """The *Quota-c* ablation: same factors, all constants = 1."""
-        return type(self)(self.n, self.m, taus=None)
+        return type(self)(self.n, self.m, None, self.default_beta)
 
     def with_taus(self, taus: Mapping[str, float]) -> "CostModel":
         """A copy carrying freshly calibrated constants."""
-        return type(self)(self.n, self.m, taus=taus)
+        return type(self)(self.n, self.m, taus, self.default_beta)
 
     def __repr__(self) -> str:
         taus = ", ".join(f"{k}={v:.3g}" for k, v in sorted(self.taus.items()))
@@ -321,7 +330,7 @@ class CacheAwareCostModel(CostModel):
         self._static_hit_fraction = hit_fraction
 
     def _wrap(self, inner: CostModel) -> None:
-        super().__init__(inner.n, inner.m, taus=inner.taus)
+        super().__init__(inner.n, inner.m, inner.taus, inner.default_beta)
         self.inner = inner
         self.algorithm_name = inner.algorithm_name
         self.param_names = inner.param_names
@@ -392,7 +401,8 @@ COST_MODELS: dict[str, type[CostModel]] = {
 def cost_model_for(
     algorithm: DynamicPPRAlgorithm, taus: Mapping[str, float] | None = None
 ) -> CostModel:
-    """Instantiate the matching cost model for a live algorithm."""
+    """Instantiate the matching cost model for a live algorithm,
+    recording its paper-default hyperparameters as ``default_beta``."""
     try:
         model_cls = COST_MODELS[algorithm.name]
     except KeyError:
@@ -400,4 +410,6 @@ def cost_model_for(
             f"no cost model registered for algorithm {algorithm.name!r}"
         ) from None
     view = algorithm.view
-    return model_cls(view.n, view.m, taus=taus)
+    return model_cls(
+        view.n, view.m, taus, algorithm.default_hyperparameters()
+    )

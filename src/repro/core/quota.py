@@ -104,9 +104,6 @@ class QuotaController:
         The paper fixes these rather than tuning them.
     optimizer:
         Augmented Lagrangian instance; a default is built if omitted.
-    extra_starts:
-        Additional beta dictionaries to seed the multi-start search
-        (e.g. the algorithm's paper-default setting).
     response_model:
         Which stable-regime response-time estimate to optimize — the
         paper notes other queueing estimates "are also applicable":
@@ -123,7 +120,6 @@ class QuotaController:
         cv_q: float = 1.0,
         cv_u: float = 1.0,
         optimizer: AugmentedLagrangianOptimizer | None = None,
-        extra_starts: list[dict[str, float]] | None = None,
         stability_margin: float = 1e-6,
         response_model: str = "pk",
     ) -> None:
@@ -136,7 +132,6 @@ class QuotaController:
         self.cv_q = cv_q
         self.cv_u = cv_u
         self.optimizer = optimizer or AugmentedLagrangianOptimizer()
-        self.extra_starts = list(extra_starts or [])
         self.stability_margin = stability_margin
         self.response_model = response_model
 
@@ -196,7 +191,7 @@ class QuotaController:
     def _starting_points(
         self, warm_start: dict[str, float] | None, quick: bool
     ) -> list[FloatArray]:
-        """Log-space lattice plus warm/caller-supplied starts.
+        """Log-space lattice, the model's default beta, and the warm start.
 
         ``quick`` shrinks the lattice for the online re-optimization
         loop, where a warm start from the previous decision makes the
@@ -209,8 +204,8 @@ class QuotaController:
             np.array(point, dtype=np.float64)
             for point in itertools.product(lattice_axis, repeat=dim)
         ]
-        for beta in self.extra_starts:
-            starts.append(self._to_log(beta))
+        if self.cost_model.default_beta:
+            starts.append(self._to_log(self.cost_model.default_beta))
         if warm_start is not None:
             starts.append(self._to_log(warm_start))
         return starts

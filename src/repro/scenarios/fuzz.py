@@ -458,8 +458,7 @@ def run_drift_demo(
     initial = serving_graph.copy()
     algorithm = build_algorithm("FORA", serving_graph, 64, seed=seed)
     controller = QuotaController(
-        calibrated_cost_model(algorithm, num_queries=2, rng=seed + 1),
-        extra_starts=[algorithm.get_hyperparameters()],
+        calibrated_cost_model(algorithm, num_queries=2, rng=seed + 1)
     )
     runtime = ServingRuntime(
         algorithm,

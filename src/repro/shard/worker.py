@@ -170,9 +170,7 @@ class ShardServer:
                 num_queries=spec.calibration_queries,
                 rng=spec.seed + 1,
             )
-            controller = QuotaController(
-                model, extra_starts=[algorithm.get_hyperparameters()]
-            )
+            controller = QuotaController(model)
         cache = (
             PPRCache(epsilon_c=spec.cache_epsilon, metrics=self.metrics)
             if spec.cache_epsilon is not None

@@ -208,6 +208,16 @@ class TestModelInfrastructure:
             model = cost_model_for(alg)
             assert model.algorithm_name == name
             assert model.n == 60
+            assert model.default_beta == alg.default_hyperparameters()
+
+    def test_default_beta_survives_every_copy(self):
+        default = {"r_max": 0.01}
+        model = ForaCostModel(10, 20, default_beta=default)
+        assert model.with_taus({"Random Walk": 2.0}).default_beta == default
+        assert model.without_constants().default_beta == default
+        wrapped = CacheAwareCostModel(model)
+        assert wrapped.default_beta == default
+        assert wrapped.without_constants().default_beta == default
 
     def test_cost_model_for_unknown_raises(self):
         graph = barabasi_albert_graph(60, attach=2, seed=0)

@@ -6,15 +6,21 @@ import numpy as np
 import pytest
 
 from repro.core.cost_models import (
+    COST_MODELS,
     AgendaCostModel,
     ForaCostModel,
     ForaPlusCostModel,
+    cost_model_for,
 )
 from repro.core.quota import STABLE, UNSTABLE, QuotaController
+from repro.graph.generators import barabasi_albert_graph
+from repro.ppr.registry import build_algorithm
 from repro.queueing.theory import expected_response_time
 
 
-def fora_model(tau_push=1e-5, tau_walk=1e-3, tau_update=1e-4):
+def fora_model(
+    tau_push=1e-5, tau_walk=1e-3, tau_update=1e-4, default_beta=None
+):
     return ForaCostModel(
         1000,
         5000,
@@ -23,7 +29,22 @@ def fora_model(tau_push=1e-5, tau_walk=1e-3, tau_update=1e-4):
             "Random Walk": tau_walk,
             "Graph Update": tau_update,
         },
+        default_beta=default_beta,
     )
+
+
+#: plausible per-unit constants for every sub-process any family has
+FAMILY_TAUS = {
+    "Forward Push": 1e-6,
+    "Power Iteration": 1e-3,
+    "Random Walk": 1e-2,
+    "Lazy Index Update": 1e-2,
+    "Reverse Push": 1e-6,
+    "Index Inaccuracy Update": 1e-5,
+    "Graph Update": 1e-5,
+    "Index Build": 1e-1,
+    "Index Update": 1e-2,
+}
 
 
 class TestStableRegime:
@@ -59,13 +80,35 @@ class TestStableRegime:
         )
 
     def test_beats_default_setting(self):
-        """The optimized beta never predicts worse than a given default."""
-        model = fora_model()
+        """The optimized beta never predicts worse than the model's
+        default, which is always one of the starting points."""
         default = {"r_max": 0.01}
-        controller = QuotaController(model, extra_starts=[default])
+        controller = QuotaController(fora_model(default_beta=default))
         decision = controller.configure(4.0, 4.0)
         t_q_d, t_u_d = controller.predicted_times(default, 4.0, 4.0)
         default_r = expected_response_time(4.0, 4.0, t_q_d, t_u_d)
+        assert decision.predicted_response_time <= default_r + 1e-9
+
+    @pytest.mark.parametrize("family", sorted(COST_MODELS))
+    def test_never_worse_than_default_by_its_own_model(self, family):
+        """Every family's model records the algorithm's default beta, and
+        Quota always starts from it: at a (lambda_q, lambda_u) where the
+        default runs at rho = 0.5, the decision's predicted Eq. 2 response
+        time is no worse than the default's."""
+        graph = barabasi_albert_graph(200, attach=3, seed=4)
+        algorithm = build_algorithm(family, graph, 500, seed=0)
+        model = cost_model_for(algorithm, taus=FAMILY_TAUS)
+        default = algorithm.default_hyperparameters()
+        assert model.default_beta == default
+        ratio = 2.0
+        t_q, t_u = model.query_time(default, 1.0, ratio), model.update_time(
+            default
+        )
+        lq = 0.5 / (t_q + ratio * t_u)
+        lu = ratio * lq
+        decision = QuotaController(model).configure(lq, lu)
+        assert decision.regime == STABLE
+        default_r = expected_response_time(lq, lu, t_q, t_u)
         assert decision.predicted_response_time <= default_r + 1e-9
 
     def test_update_heavy_shifts_index_based_beta(self):

@@ -1,22 +1,36 @@
-"""Tests for the shared benchmark machinery (scope control, cell setup)."""
+"""Tests for the shared benchmark machinery (scope control, one cell,
+its helpers and the verdict file)."""
+
+import json
 
 import pytest
 
 from benchmarks.common import (
+    ALPHA,
     FIG3_SYSTEMS,
     FULL_RATIOS,
     QUICK_RATIOS,
     RATIO_LABELS,
+    ErrorSampler,
     SystemSpec,
     bench_scope,
     dataset_names,
     dataset_workload,
+    final_graph,
     ratio_sweep,
+    record_verdict,
     run_system,
     scoped,
+    seed_mean,
+    tranche_means,
     window_for,
 )
+from repro.core.rates import RateDriftDetector
 from repro.evaluation.datasets import get_dataset
+from repro.evaluation.metrics import AccuracySummary
+from repro.queueing.kinds import QUERY, UPDATE
+from repro.queueing.replay import CompletedRequest, SimulationResult
+from repro.queueing.workload import Request
 
 
 class TestScopeControl:
@@ -75,10 +89,10 @@ class TestCellSetup:
         spec, graph, workload, lq, lu = dataset_workload(
             "webs", ratio=1.0, seed=2, lambda_q=10.0, window=0.5
         )
-        result = run_system(
+        cell = run_system(
             SystemSpec("FORA", "FORA"), spec, graph, workload, lq, lu
         )
-        assert len(result) == len(workload)
+        assert len(cell.result) == len(workload)
 
     def test_run_system_does_not_mutate_shared_graph(self):
         spec, graph, workload, lq, lu = dataset_workload(
@@ -87,3 +101,118 @@ class TestCellSetup:
         edges_before = set(graph.edges())
         run_system(SystemSpec("FORA", "FORA"), spec, graph, workload, lq, lu)
         assert set(graph.edges()) == edges_before
+
+
+def small_cell():
+    return dataset_workload("webs", ratio=1.0, seed=4, lambda_q=20.0, window=1.0)
+
+
+class TestOneCell:
+    def test_no_controller_makes_no_decision(self):
+        spec, graph, workload, lq, lu = small_cell()
+        cell = run_system(SystemSpec("Agenda", "Agenda"), spec, graph, workload)
+        assert cell.system.controller is None
+        assert cell.system.decisions == []
+
+    def test_periodic_quota_cell_resolves_online(self):
+        spec, graph, workload, lq, lu = small_cell()
+        cell = run_system(
+            SystemSpec("Quota", "FORA", use_quota=True), spec, graph,
+            workload, drift=RateDriftDetector.periodic(0.25),
+        )
+        assert len(cell.system.decisions) > 0
+
+    def test_static_quota_cell_solves_once_at_the_given_rates(self):
+        spec, graph, workload, lq, lu = small_cell()
+        cell = run_system(
+            SystemSpec("Quota", "FORA", use_quota=True), spec, graph,
+            workload, lq, lu,
+        )
+        (decision,) = cell.system.decisions
+        assert cell.system.algorithm.get_hyperparameters() == decision.beta
+
+    def test_fixed_beta_cell_runs_at_that_beta(self):
+        spec, graph, workload, lq, lu = small_cell()
+        beta = {"r_max": 0.0123}
+        cell = run_system(
+            SystemSpec("FORA", "FORA"), spec, graph, workload, beta=beta
+        )
+        assert cell.system.algorithm.get_hyperparameters() == beta
+        assert cell.response_ms == pytest.approx(
+            cell.result.mean_query_response_time() * 1e3
+        )
+
+
+class TestErrorSampler:
+    def test_samples_every_nth_answer_against_the_final_graph(self):
+        spec, graph, workload, lq, lu = small_cell()
+        truth = final_graph(graph, workload)
+        assert any(r.kind == UPDATE for r in workload)
+        sampler = ErrorSampler(truth, every=3)
+        seen = []
+
+        def callback(request, estimate, pending):
+            seen.append(estimate)
+            sampler(request, estimate, pending)
+
+        run_system(
+            SystemSpec("FORA", "FORA"), spec, graph, workload,
+            query_callback=callback,
+        )
+        expected = [
+            AccuracySummary.compare(e, truth, ALPHA).max_absolute_error
+            for e in seen[2::3]
+        ]
+        assert sampler.errors == pytest.approx(expected)
+        assert sampler.mean() == pytest.approx(sum(expected) / len(expected))
+
+    def test_final_graph_applies_every_update_to_a_copy(self):
+        spec, graph, workload, lq, lu = small_cell()
+        edges = set(graph.edges())
+        truth = final_graph(graph, workload)
+        replayed = graph.copy()
+        for request in workload:
+            if request.kind == UPDATE:
+                request.update.apply(replayed)
+        assert set(truth.edges()) == set(replayed.edges())
+        assert set(graph.edges()) == edges
+
+
+def completed(arrival, response):
+    return CompletedRequest(
+        request=Request(arrival, QUERY, source=0),
+        start=arrival,
+        finish=arrival + response,
+        service=response,
+    )
+
+
+class TestSweepHelpers:
+    def test_tranche_means_puts_an_arrival_at_t_end_in_the_last(self):
+        result = SimulationResult(
+            [completed(0.5, 0.002), completed(1.5, 0.004),
+             completed(2.0, 0.008)],
+            t_end=2.0,
+        )
+        assert tranche_means(result, 2.0, 1.0) == pytest.approx([2.0, 6.0])
+
+    def test_tranche_means_reads_zero_for_an_empty_tranche(self):
+        result = SimulationResult([completed(0.1, 0.001)], t_end=3.0)
+        assert tranche_means(result, 3.0, 1.0) == pytest.approx([1.0, 0, 0])
+
+    def test_seed_mean_averages_each_label(self):
+        means = seed_mean((1, 2, 3), lambda s: {"a": s, "b": 2.0 * s})
+        assert means == {"a": 2.0, "b": 4.0}
+
+
+class TestVerdictFile:
+    def test_one_entry_per_bench_others_kept(self, tmp_path):
+        path = tmp_path / "shapes.json"
+        record_verdict("fig3", {"wins": 2}, path)
+        record_verdict("fig5", {"mean": -1.5}, path)
+        record_verdict("fig3", {"wins": 3}, path)
+        entries = json.loads(path.read_text())["entries"]
+        assert set(entries) == {"fig3", "fig5"}
+        assert entries["fig3"]["results"] == {"wins": 3}
+        assert entries["fig5"]["results"] == {"mean": -1.5}
+        assert {"scope", "seed", "host"} <= set(entries["fig3"])

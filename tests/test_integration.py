@@ -61,8 +61,7 @@ class TestQuotaEndToEnd:
             tuned = Agenda(graph.copy(), params)
             tuned.seed(0)
             controller = QuotaController(
-                calibrated_cost_model(tuned, rng=2),
-                extra_starts=[tuned.get_hyperparameters()],
+                calibrated_cost_model(tuned, rng=2)
             )
             system = QuotaSystem(tuned, controller)
             system.configure_static(lq, lu)
@@ -84,8 +83,7 @@ class TestQuotaEndToEnd:
         tuned = Agenda(graph.copy(), params)
         tuned.seed(1)
         controller = QuotaController(
-            calibrated_cost_model(tuned, rng=4),
-            extra_starts=[tuned.get_hyperparameters()],
+            calibrated_cost_model(tuned, rng=4)
         )
         system = QuotaSystem(tuned, controller)
         system.configure_static(lq, lu)
@@ -234,8 +232,7 @@ class TestOnlineLoopEndToEnd:
         algorithm = Agenda(graph.copy(), params)
         algorithm.seed(6)
         controller = QuotaController(
-            calibrated_cost_model(algorithm, rng=11),
-            extra_starts=[algorithm.get_hyperparameters()],
+            calibrated_cost_model(algorithm, rng=11)
         )
         system = QuotaSystem(
             algorithm,
