@@ -83,9 +83,7 @@ def main(seed: int = 0) -> None:
 
     tuned = ForaTopK(graph.copy(), params, k=TOP_K)
     tuned.seed(seed + 1)
-    controller = QuotaController(
-        calibrated_cost_model(tuned, rng=seed + 4)
-    )
+    controller = QuotaController(calibrated_cost_model(tuned, rng=seed + 4))
     system = QuotaSystem(tuned, controller)
     decision = system.configure_static(
         QUERIES_PER_SECOND, MATCHES_PER_SECOND

@@ -105,9 +105,7 @@ def main(seed: int = 0) -> None:
     # Quota-configured FORA+ ----------------------------------------------
     tuned = ForaPlus(graph.copy(), params)
     tuned.seed(seed + 1)
-    controller = QuotaController(
-        calibrated_cost_model(tuned, rng=seed + 3)
-    )
+    controller = QuotaController(calibrated_cost_model(tuned, rng=seed + 3))
     system = QuotaSystem(tuned, controller)
     decision = system.configure_static(VISITS_PER_SECOND, PINS_PER_SECOND)
     quota = system.process(workload)
@@ -121,9 +119,7 @@ def main(seed: int = 0) -> None:
     # Quota + Seed ---------------------------------------------------------
     seeded = ForaPlus(graph.copy(), params)
     seeded.seed(seed + 1)
-    controller2 = QuotaController(
-        calibrated_cost_model(seeded, rng=seed + 3)
-    )
+    controller2 = QuotaController(calibrated_cost_model(seeded, rng=seed + 3))
     system2 = QuotaSystem(seeded, controller2, epsilon_r=0.5)
     system2.configure_static(VISITS_PER_SECOND, PINS_PER_SECOND)
     star = system2.process(workload)

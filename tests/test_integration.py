@@ -60,9 +60,7 @@ class TestQuotaEndToEnd:
             )
             tuned = Agenda(graph.copy(), params)
             tuned.seed(0)
-            controller = QuotaController(
-                calibrated_cost_model(tuned, rng=2)
-            )
+            controller = QuotaController(calibrated_cost_model(tuned, rng=2))
             system = QuotaSystem(tuned, controller)
             system.configure_static(lq, lu)
             quota_medians.append(
@@ -82,9 +80,7 @@ class TestQuotaEndToEnd:
 
         tuned = Agenda(graph.copy(), params)
         tuned.seed(1)
-        controller = QuotaController(
-            calibrated_cost_model(tuned, rng=4)
-        )
+        controller = QuotaController(calibrated_cost_model(tuned, rng=4))
         system = QuotaSystem(tuned, controller)
         system.configure_static(lq, lu)
 
@@ -231,9 +227,7 @@ class TestOnlineLoopEndToEnd:
         workload = generate_segmented_workload(graph, segments, rng=10)
         algorithm = Agenda(graph.copy(), params)
         algorithm.seed(6)
-        controller = QuotaController(
-            calibrated_cost_model(algorithm, rng=11)
-        )
+        controller = QuotaController(calibrated_cost_model(algorithm, rng=11))
         system = QuotaSystem(
             algorithm,
             controller,
