@@ -50,15 +50,17 @@ def test_ablation_calibration_quality(benchmark, report):
         probe = build_algorithm("Agenda", graph.copy(), spec.walk_cap, seed=0)
 
         calibrated = calibrated_cost_model(probe, num_queries=4, rng=19)
-        single = cost_model_for(
-            probe,
-            calibrate_taus(probe, num_queries=4, probe_scales=(1.0,), rng=19),
+        single = cost_model_for(probe).with_taus(
+            calibrate_taus(
+                probe, num_queries=4, probe_scales=(1.0,), rng=19
+            )
         )
         rng = np.random.default_rng(20)
-        noisy = calibrated.with_taus({
+        noisy_taus = {
             k: v * float(rng.uniform(0.5, 2.0))
             for k, v in calibrated.taus.items()
-        })
+        }
+        noisy = calibrated.with_taus(noisy_taus)
         unit = calibrated.without_constants()
 
         tables = {}

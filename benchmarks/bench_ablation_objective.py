@@ -22,13 +22,7 @@ import time
 
 from benchmarks.common import SystemSpec, record_verdict, run_system, scoped
 from repro.core.optimizer import ConstrainedProblem
-from repro.core.quota import (
-    LOG_HI,
-    LOG_LO,
-    STABLE,
-    QuotaController,
-    QuotaDecision,
-)
+from repro.core.quota import LOG_HI, LOG_LO, STABLE, QuotaController, QuotaDecision
 from repro.evaluation.datasets import get_dataset
 from repro.evaluation.report import banner, format_table
 from repro.queueing.workload import generate_workload
@@ -39,15 +33,17 @@ class Eq2OnlyController(QuotaController):
 
     def configure(self, lambda_q, lambda_u, warm_start=None, quick=False):
         started = time.perf_counter()
+        bounds = tuple((LOG_LO, LOG_HI) for _ in self.param_names)
         starts = self._starting_points(warm_start, quick)
         problem = ConstrainedProblem(
             objective=lambda x: self._response_time(x, lambda_q, lambda_u),
             constraints=(),
-            bounds=tuple((LOG_LO, LOG_HI) for _ in self.param_names),
+            bounds=bounds,
         )
         final = self.optimizer.minimize_multistart(problem, starts)
+        beta = self._beta_of(final.x)
         return QuotaDecision(
-            beta=self._beta_of(final.x),
+            beta=beta,
             regime=STABLE,  # it *believes* Eq. 2 applies
             predicted_response_time=final.value,
             traffic_intensity=self._rho(final.x, lambda_q, lambda_u),

@@ -87,6 +87,7 @@ def test_ablation_parallel_serving(benchmark, report):
         # deferred/reordered within epsilon_r and drained during idle
         # gaps.  Fresh graph per cell — the executor mutates it.
         seed_rows = []
+        alpha = probe.params.alpha
         for servers in SERVER_COUNTS:
             row = [f"{servers} server(s)"]
             for eps in (0.0, 0.5):  # FCFS vs the Fig. 8 Seed budget
@@ -97,7 +98,7 @@ def test_ablation_parallel_serving(benchmark, report):
                         modeled_service_fn(model, quota_betas[servers], lq, lu),
                         graph=cell_graph,
                     ),
-                    seed_queue=SeedQueue(cell_graph, probe.params.alpha, eps),
+                    seed_queue=SeedQueue(cell_graph, alpha, eps),
                     servers=servers,
                 )
                 row.append(result.mean_query_response_time() * 1e3)

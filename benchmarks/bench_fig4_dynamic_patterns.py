@@ -32,7 +32,10 @@ from repro.queueing.workload import (
 )
 
 PATTERNS = (
-    "query-inclined", "balanced", "update-inclined", "update-declined",
+    "query-inclined",
+    "balanced",
+    "update-inclined",
+    "update-declined",
     "query-declined",
 )
 TRANCHE = 10.0

@@ -31,11 +31,13 @@ def test_fig5_fora_speedppr(benchmark, report):
     for name, (labels, series) in results.items():
         title = f"{name} on dblp — response time (ms)"
         report(ratio_table(labels, series, title))
+        base = series[name]
+        quota = series[f"Quota-{name}"]
         improvements = [
-            improvement_percent(b, q)
-            for b, q in zip(series[name], series[f"Quota-{name}"])
+            improvement_percent(b, q) for b, q in zip(base, quota)
         ]
-        mean, best = sum(improvements) / len(improvements), max(improvements)
+        mean = sum(improvements) / len(improvements)
+        best = max(improvements)
         report(f"-> mean improvement {mean:.1f}%, best {best:.1f}%\n")
         verdict[name] = dict(mean=mean, best=best, by_ratio=improvements)
     record_verdict("fig5_fora_speedppr", verdict)

@@ -29,9 +29,9 @@ def run_ratio(dataset: str, ratio: float, window: float):
     lq = spec.lambda_q
     lu = lq * ratio
     workload = generate_workload(graph, lq, lu, window, rng=5)
-    defaults = build_algorithm(
-        "Agenda", graph.copy(), spec.walk_cap, seed=0
-    ).default_hyperparameters()
+
+    probe = build_algorithm("Agenda", graph.copy(), spec.walk_cap, seed=0)
+    defaults = probe.default_hyperparameters()
 
     rows = []
     for r_mult in GRID_MULTIPLIERS:
@@ -50,12 +50,13 @@ def run_ratio(dataset: str, ratio: float, window: float):
         spec, graph, workload, lq, lu, seed=0,
     )
     beta = quota.system.decisions[0].beta
-    chosen = [beta[name] / defaults[name] for name in ("r_max", "r_max_b")]
+    quota_r = beta["r_max"] / defaults["r_max"]
+    quota_rb = beta["r_max_b"] / defaults["r_max_b"]
     default_time = next(
         v for rm, rb, v in rows if rm == "1.0x" and rb == "1.0x"
     )
     best = min(rows, key=lambda row: row[2])
-    return rows, best, (*chosen, quota.response_ms), default_time
+    return rows, best, (quota_r, quota_rb, quota.response_ms), default_time
 
 
 def test_fig6_landscape(benchmark, report):

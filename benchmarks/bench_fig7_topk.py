@@ -10,12 +10,7 @@ methods are not QoS-optimal.
 
 from __future__ import annotations
 
-from benchmarks.common import (
-    ratio_table,
-    record_verdict,
-    run_algorithm,
-    scoped,
-)
+from benchmarks.common import ratio_table, record_verdict, run_algorithm, scoped
 from repro.evaluation.metrics import improvement_percent
 from repro.evaluation.report import banner
 

@@ -50,10 +50,11 @@ SEEDS = (3, 13)  # average workload replays: the update-heavy cell sits
 
 def run_sweep(algorithm_name: str, epsilons, window):
     """Seed-averaged response time (ms) and true error at each epsilon_r."""
+    lq, lu = 10.0, 40.0
 
     def cells(seed: int) -> dict[str, np.ndarray]:
         graph = DENSE.build(seed=seed)
-        workload = generate_workload(graph, 10.0, 40.0, window, rng=seed + 1)
+        workload = generate_workload(graph, lq, lu, window, rng=seed + 1)
         truth = final_graph(graph, workload)
         response, error = [], []
         for eps in epsilons:
@@ -84,10 +85,11 @@ def test_fig8_seed_epsilon(benchmark, report):
         }
 
     sweeps = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    labels = [f"{e:g}" for e in epsilons]
     report(
         format_series(
             "epsilon_r",
-            [f"{e:g}" for e in epsilons],
+            labels,
             {
                 f"{name} {column}": list(values)
                 for name, sweep in sweeps.items()

@@ -74,10 +74,13 @@ def test_fig9_seed_overall(benchmark, report):
     max_gap = max(gaps) * 100
     report(f"-> max relative load change after Seed: {max_gap:.1f}%\n")
 
-    edges = np.unique(np.percentile(plain_times, [0, 25, 50, 75, 90, 100]))
+    edges = np.percentile(plain_times, [0, 25, 50, 75, 90, 100])
+    edges = np.unique(edges)
     rows = []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        plain_frac = float(np.mean((plain_times >= lo) & (plain_times < hi)))
+        plain_frac = float(
+            np.mean((plain_times >= lo) & (plain_times < hi))
+        )
         seed_frac = float(np.mean((seed_times >= lo) & (seed_times < hi)))
         rows.append(
             [f"[{lo * 1e3:.1f}, {hi * 1e3:.1f}) ms", plain_frac, seed_frac]

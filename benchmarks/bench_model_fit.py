@@ -43,12 +43,14 @@ def test_model_fit(benchmark, report):
             fit = model_fit_report(
                 algorithm, model, scales=scales, num_queries=3, rng=27
             )
-            rows.append([
-                name,
-                fit.mean_log_error_q(),
-                fit.mean_log_error_u(),
-                fit.within_factor(3.0),
-            ])
+            rows.append(
+                [
+                    name,
+                    fit.mean_log_error_q(),
+                    fit.mean_log_error_u(),
+                    fit.within_factor(3.0),
+                ]
+            )
         return rows
 
     rows = benchmark.pedantic(experiment, rounds=1, iterations=1)

@@ -16,13 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.common import (
-    SystemSpec,
-    record_verdict,
-    run_system,
-    scoped,
-    seed_mean,
-)
+from benchmarks.common import SystemSpec, record_verdict, run_system, scoped, seed_mean
 from repro.evaluation.datasets import get_dataset
 from repro.evaluation.metrics import improvement_percent
 from repro.evaluation.report import banner, format_table
@@ -47,25 +41,29 @@ QUOTA = SystemSpec("Quota", "Agenda", use_quota=True)
 def build_workloads(spec, graph, window, rng):
     lam = spec.lambda_q * RATE_SCALE
     patterns = {
-        "Uniform": UniformArrivals, "Geometric": GeometricArrivals,
-        "Normal": NormalArrivals, "Gamma": GammaArrivals,
+        "Uniform": UniformArrivals(lam),
+        "Geometric": GeometricArrivals(lam),
+        "Normal": NormalArrivals(lam),
+        "Gamma": GammaArrivals(lam),
     }
-    workloads = {
-        name: generate_workload(
-            graph, lam, lam, window, rng=rng,
-            query_process=process(lam), update_process=process(lam),
+    workloads = {}
+    for name, process in patterns.items():
+        workloads[name] = generate_workload(
+            graph, lam, lam, window,
+            rng=rng,
+            query_process=type(process)(lam),
+            update_process=type(process)(lam),
         )
-        for name, process in patterns.items()
-    }
     # phases a few seconds long and moderate bursts: the paper's 100-
     # event Wikipedia extract is a mild non-homogeneous stream, not a
     # flash-crowd; rate changes must be slow enough to be observable
-    q_times, u_times = (
-        wikipedia_like_trace(
-            lam, window, np.random.default_rng(trace_seed),
-            burst_factor=2.5, mean_phase=window / 3,
-        )
-        for trace_seed in (31, 32)
+    q_times = wikipedia_like_trace(
+        lam, window, np.random.default_rng(31),
+        burst_factor=2.5, mean_phase=window / 3,
+    )
+    u_times = wikipedia_like_trace(
+        lam, window, np.random.default_rng(32),
+        burst_factor=2.5, mean_phase=window / 3,
     )
     workloads["Wikipedia"] = generate_workload(
         graph, lam, lam, window,
@@ -81,6 +79,7 @@ def test_table3_arrival_patterns(benchmark, report):
     spec = get_dataset(dataset)
 
     def experiment():
+        seeds = scoped((4, 14), (4, 14, 24, 34))
         lam = spec.lambda_q * RATE_SCALE
 
         def cells(seed: int) -> dict[str, np.ndarray]:
@@ -111,7 +110,7 @@ def test_table3_arrival_patterns(benchmark, report):
                 out[name] = np.array([agenda.response_ms, quota.response_ms])
             return out
 
-        return seed_mean(scoped((4, 14), (4, 14, 24, 34)), cells)
+        return seed_mean(seeds, cells)
 
     rows = benchmark.pedantic(experiment, rounds=1, iterations=1)
     table = [

@@ -29,7 +29,8 @@ from repro.queueing.workload import generate_workload
 def run_dataset(name: str, probe_window: float, budgets):
     spec = get_dataset(name)
     graph = spec.build(seed=5)
-    lq = lu = spec.lambda_q
+    lq = spec.lambda_q
+    lu = lq
     workload = generate_workload(graph, lq, lu, probe_window, rng=11)
 
     def evaluate(beta):
@@ -38,6 +39,8 @@ def run_dataset(name: str, probe_window: float, budgets):
             SystemSpec("Agenda", "Agenda"), spec, graph, workload,
             seed=0, beta=beta,
         ).result.mean_query_response_time()
+
+    param_names = ["r_max", "r_max_b"]
 
     searchers = [
         GridSearch(grid=budgets["grid"]),
@@ -48,13 +51,15 @@ def run_dataset(name: str, probe_window: float, budgets):
     ]
     row = [name]
     for searcher in searchers:
-        outcome = searcher.search(evaluate, ["r_max", "r_max_b"], rng=0)
+        outcome = searcher.search(evaluate, param_names, rng=0)
         row.append(outcome.elapsed_seconds)
 
     algorithm = build_algorithm("Agenda", graph.copy(), spec.walk_cap, seed=0)
     model = calibrated_cost_model(algorithm, num_queries=3, rng=12)
-    decision = QuotaController(model).configure(lq, lu)
-    return row + [decision.configure_seconds]
+    controller = QuotaController(model)
+    decision = controller.configure(lq, lu)
+    row.append(decision.configure_seconds)
+    return row
 
 
 def test_table4_config_cost(benchmark, report):

@@ -27,20 +27,20 @@ SUBPROCESSES = (
     "Reverse Push",
     "Index Inaccuracy Update",
 )
-PER_QUERY = ("Forward Push", "Lazy Index Update", "Random Walk")
 
 
 def subprocess_costs(cell):
     """Mean ms per query or update of every sub-process, then the
     cell's mean query/update cost and response time."""
-    result, timers = cell.result, cell.system.algorithm.timers
+    result = cell.result
+    timers = cell.system.algorithm.timers
     queries = max(len(result.of_kind(QUERY)), 1)
     updates = max(len(result.of_kind(UPDATE)), 1)
-    costs = {
-        name: timers.total(name)
-        / (queries if name in PER_QUERY else updates) * 1e3
-        for name in SUBPROCESSES
-    }
+    per_query = ("Forward Push", "Lazy Index Update", "Random Walk")
+    costs = {}
+    for name in SUBPROCESSES:
+        divisor = queries if name in per_query else updates
+        costs[name] = timers.total(name) / divisor * 1e3
     costs["Query cost"] = result.mean_service_time(QUERY) * 1e3
     costs["Update cost"] = result.mean_service_time(UPDATE) * 1e3
     costs["Response time"] = cell.response_ms
@@ -61,22 +61,29 @@ def test_table8_cost_balance(benchmark, report):
             graph = spec.build(seed=7)
             workload = generate_workload(graph, lq, lu, window, rng=15)
             out[lu] = [
-                subprocess_costs(run_system(
-                    SystemSpec("Agenda", "Agenda", use_quota), spec, graph,
-                    workload, lq, lu, seed=0, calibration_rng=14,
-                ))
+                subprocess_costs(
+                    run_system(
+                        SystemSpec("Agenda", "Agenda", use_quota),
+                        spec, graph, workload, lq, lu,
+                        seed=0, calibration_rng=14,
+                    )
+                )
                 for use_quota in (False, True)
             ]
         return out
 
     results = benchmark.pedantic(experiment, rounds=1, iterations=1)
-    headers = ["sub-process"] + [
-        f"{system} lu={lu:g}" for lu in lambda_us for system in ("Agenda", "Quota")
-    ]
-    rows = [
-        [metric] + [costs[metric] for lu in lambda_us for costs in results[lu]]
-        for metric in results[lambda_us[0]][0]
-    ]
+    metrics = list(SUBPROCESSES) + ["Query cost", "Update cost", "Response time"]
+    headers = ["sub-process"]
+    for lu in lambda_us:
+        headers += [f"Agenda lu={lu:g}", f"Quota lu={lu:g}"]
+    rows = []
+    for metric in metrics:
+        row = [metric]
+        for lu in lambda_us:
+            agenda, quota = results[lu]
+            row += [agenda[metric], quota[metric]]
+        rows.append(row)
     report(format_table(headers, rows, title=f"dataset: {dataset}"))
     reductions = {}
     for lu in lambda_us:

@@ -37,7 +37,7 @@ from repro.evaluation.metrics import AccuracySummary
 from repro.evaluation.report import format_series
 from repro.graph.digraph import DynamicGraph
 from repro.ppr.base import PPRVector
-from repro.ppr.registry import build_algorithm
+from repro.ppr.registry import ALPHA, build_algorithm
 from repro.queueing.kinds import QUERY, UPDATE
 from repro.queueing.replay import SimulationResult
 from repro.queueing.workload import Request, Workload, generate_workload
@@ -124,9 +124,6 @@ FIG3_SYSTEMS = (
 #: runs jitter (REPRODUCTION.md §4)
 HEADLINE_SEEDS = (0, 1)
 
-#: the teleport probability build_algorithm gives every algorithm
-ALPHA = 0.2
-
 
 @dataclass(slots=True)
 class Cell:
@@ -208,7 +205,6 @@ def seed_mean(
 def ratio_series(
     dataset: str,
     systems: Sequence[SystemSpec],
-    seeds: Sequence[int] = HEADLINE_SEEDS,
 ) -> tuple[list[str], dict[str, list[float]]]:
     """Seed-averaged mean query response (ms) of every system at each
     lambda_u/lambda_q of the sweep, one shared workload per cell."""
@@ -227,7 +223,7 @@ def ratio_series(
                 for s in systems
             }
 
-        for label, value in seed_mean(seeds, cell).items():
+        for label, value in seed_mean(HEADLINE_SEEDS, cell).items():
             series[label].append(value)
     return [RATIO_LABELS[r] for r in ratios], series
 

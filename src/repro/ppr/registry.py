@@ -24,6 +24,9 @@ ALGORITHMS: dict[str, type[DynamicPPRAlgorithm]] = {
     "TopPPR": TopPPR,
 }
 
+#: the teleport probability build_algorithm gives every algorithm
+ALPHA = 0.2
+
 
 def build_algorithm(
     name: str,
@@ -32,7 +35,7 @@ def build_algorithm(
     seed: int = 0,
 ) -> DynamicPPRAlgorithm:
     """Instantiate a registered algorithm with standard paper params."""
-    params = PPRParams(alpha=0.2, epsilon=0.5, walk_cap=walk_cap)
+    params = PPRParams(alpha=ALPHA, epsilon=0.5, walk_cap=walk_cap)
     algorithm = ALGORITHMS[name](graph, params)
     algorithm.seed(seed)
     return algorithm
