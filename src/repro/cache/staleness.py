@@ -39,10 +39,9 @@ Call :meth:`StalenessTracker.observe` *after* the update is applied —
 the charge reads the post-update out-degree — and before anything
 else runs on the thread that mutated the graph, so no query can
 observe a mutated graph before the cache was charged for it.
-:class:`ChargingApplier` packages that ordering for the Seed flush
-paths (it satisfies the structural ``UpdateApplier`` protocol of
-:mod:`repro.core.seed` without importing it — this package stays below
-``repro.core`` in the layering).
+:class:`ChargingApplier` packages that ordering for the executors that
+apply updates (it is itself a :class:`SupportsApplyUpdate`, so it can
+stand wherever an algorithm's ``apply_update`` is called).
 """
 
 from __future__ import annotations
@@ -55,7 +54,9 @@ from repro.graph.updates import EdgeUpdate
 
 
 class SupportsApplyUpdate(Protocol):
-    """Structural twin of :class:`repro.core.seed.UpdateApplier`."""
+    """Anything that can execute one edge arrival: every
+    :class:`~repro.ppr.base.DynamicPPRAlgorithm`, a graph-only shim, or
+    a :class:`ChargingApplier` around either."""
 
     def apply_update(self, update: EdgeUpdate) -> EdgeUpdate:
         """Apply one edge arrival; returns the resolved update."""
@@ -119,11 +120,12 @@ class StalenessTracker:
 
 
 class ChargingApplier:
-    """An ``UpdateApplier`` that charges staleness after each apply.
+    """A :class:`SupportsApplyUpdate` that charges staleness after each
+    apply.
 
     Wraps the real applier (an algorithm, or a bare graph-toggling
-    shim) so batch flushes — ``SeedQueue.flush`` / ``flush_one`` —
-    charge each update against the degrees it actually saw, instead of
+    shim) so a flush, which applies the deferred updates one at a time,
+    charges each update against the degrees it actually saw, instead of
     charging the whole batch against post-batch degrees.
     """
 

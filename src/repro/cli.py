@@ -107,9 +107,19 @@ def build_parser() -> argparse.ArgumentParser:
         "run", parents=[common],
         help="replay a workload and report response times",
     )
-    run.add_argument("--lambda-q", type=float, default=None)
-    run.add_argument("--lambda-u", type=float, default=None)
-    run.add_argument("--window", type=float, default=None)
+    run.add_argument(
+        "--lambda-q", type=float, default=None,
+        help="query rate per second (default: the dataset's lambda_q)",
+    )
+    run.add_argument(
+        "--lambda-u", type=float, default=None,
+        help="update rate per second (default: the dataset's lambda_q, "
+        "i.e. a 1:1 update/query ratio)",
+    )
+    run.add_argument(
+        "--window", type=float, default=None,
+        help="workload length in seconds (default: the dataset's window)",
+    )
     run.add_argument(
         "--quota", action="store_true",
         help="also run the Quota-configured system and compare",

@@ -16,30 +16,19 @@ pending queue bounds |pi(G_{i+k}, s, t) - pi(G_i, s, t)| for every t.
 :class:`SeedQueue` tracks the pending updates together with each one's
 degree-dependent factor (using a pending-degree overlay so d_out(G', u)
 is the post-update degree even though the graph has not been mutated
-yet), evaluates the Lemma 2 bound per query source, and flushes when
-the budget is exceeded — Algorithm 2's inner loop.
+yet), evaluates the Lemma 2 bound per query source, and says when the
+budget is exceeded — Algorithm 2's inner loop.  It never applies an
+update: :func:`repro.queueing.replay.apply_head` applies the head and
+then retires it with :meth:`SeedQueue.discard_one`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Protocol
 
 from repro.graph.digraph import DynamicGraph
 from repro.graph.updates import EdgeUpdate
-
-
-class UpdateApplier(Protocol):
-    """Anything that can execute one edge arrival.
-
-    Structurally satisfied by every
-    :class:`~repro.ppr.base.DynamicPPRAlgorithm` (graph + index
-    maintenance) and by the lightweight graph-only adapters
-    modeled replays use.
-    """
-
-    def apply_update(self, update: EdgeUpdate) -> EdgeUpdate: ...
 
 
 def degree_adjustment_factor(alpha: float, d_out_after: int) -> float:
@@ -79,8 +68,8 @@ class SeedQueue:
     Parameters
     ----------
     graph:
-        The live graph (read-only here; mutations happen on flush via
-        the owning algorithm).
+        The live graph (read-only here; the owning algorithm mutates
+        it when a flush applies the pending updates).
     alpha:
         Teleport probability (enters the Lemma 2 bound).
     epsilon_r:
@@ -140,26 +129,6 @@ class SeedQueue:
         else:
             self._parity.add(key)
 
-    def _pop_head(self) -> PendingUpdate:
-        """Remove the head item, unwinding overlay/parity bookkeeping.
-
-        Only called after the head's update has been applied (or is
-        being deliberately discarded): popping keeps every derived
-        structure consistent with the *remaining* pending suffix.
-        """
-        item = self._pending.popleft()
-        node = item.update.u
-        remaining = self._degree_delta.get(node, 0) - item.delta
-        if remaining:
-            self._degree_delta[node] = remaining
-        else:
-            self._degree_delta.pop(node, None)
-        self._toggle_parity(item.update.u, item.update.v)
-        self._factor_sum -= item.factor
-        if not self._pending:
-            self._factor_sum = 0.0
-        return item
-
     def add(self, update: EdgeUpdate, arrival: float = 0.0) -> PendingUpdate:
         """Defer an update; precompute its Lemma 2 factor.
 
@@ -200,52 +169,28 @@ class SeedQueue:
             return len(self._pending) > 0
         return self.error_bound(source) > self.epsilon_r
 
-    def flush(
-        self, algorithm: UpdateApplier
-    ) -> list[PendingUpdate]:
-        """Execute every pending update through ``algorithm`` (line 12).
-
-        Exception-safe: each update is applied *before* it is popped,
-        so a failure mid-loop surfaces (propagates) with the applied
-        prefix removed, the failing update still at the head, and the
-        degree overlay/parity set consistent with the remaining suffix.
-        The seed implementation cleared the queue first; an exception
-        then silently dropped every remaining update and desynced the
-        overlay from the graph.
-        """
-        flushed: list[PendingUpdate] = []
-        while self._pending:
-            item = self._pending[0]
-            algorithm.apply_update(item.update)  # may raise; see above
-            self._pop_head()
-            flushed.append(item)
-        return flushed
-
-    def flush_one(
-        self, algorithm: UpdateApplier
-    ) -> PendingUpdate | None:
-        """Execute only the oldest pending update (idle-time draining).
-
-        Deferral exists to let queries overtake updates when the server
-        is contended; while the server idles, applying pending updates
-        costs queries nothing and keeps the graph fresh.  Apply-then-pop
-        like :meth:`flush`: a failed update stays queued.
-        """
-        if not self._pending:
-            return None
-        item = self._pending[0]
-        algorithm.apply_update(item.update)  # may raise; item stays queued
-        self._pop_head()
-        return item
-
     def discard_one(self) -> PendingUpdate | None:
-        """Drop the head update *without* applying it.
+        """Retire the head update, unwinding overlay/parity bookkeeping;
+        None when nothing is pending.
 
-        Fault-recovery hook for the serving runtime: after
-        :meth:`flush` / :meth:`flush_one` surfaces a failing update, the
-        caller can discard it (keeping overlay/parity consistent with
-        the remaining suffix) and continue serving in degraded mode.
+        The one way an update leaves the queue.
+        :func:`~repro.queueing.replay.apply_head` calls it once the head
+        has been applied; after an apply raises, the serving runtime
+        calls it to drop the failing update and keep serving.  Either
+        way every derived structure stays consistent with the
+        *remaining* pending suffix; the graph is never touched here.
         """
         if not self._pending:
             return None
-        return self._pop_head()
+        item = self._pending.popleft()
+        node = item.update.u
+        remaining = self._degree_delta.get(node, 0) - item.delta
+        if remaining:
+            self._degree_delta[node] = remaining
+        else:
+            self._degree_delta.pop(node, None)
+        self._toggle_parity(item.update.u, item.update.v)
+        self._factor_sum -= item.factor
+        if not self._pending:
+            self._factor_sum = 0.0
+        return item

@@ -8,7 +8,6 @@ as a *delete* if the edge currently exists, else as an *insert*.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -51,56 +50,11 @@ class EdgeUpdate:
         raise ValueError(f"unknown update kind: {self.kind!r}")
 
 
-class UpdateStream:
-    """A replayable sequence of edge updates.
-
-    Wraps a list of :class:`EdgeUpdate` and applies them one at a time,
-    keeping a cursor so callers (e.g. the queue simulator) can interleave
-    updates with queries exactly as they arrive.
-    """
-
-    def __init__(self, updates: Sequence[EdgeUpdate]):
-        self._updates = list(updates)
-        self._cursor = 0
-
-    def __len__(self) -> int:
-        return len(self._updates)
-
-    def __iter__(self) -> Iterator[EdgeUpdate]:
-        return iter(self._updates)
-
-    def __getitem__(self, index: int) -> EdgeUpdate:
-        return self._updates[index]
-
-    @property
-    def remaining(self) -> int:
-        return len(self._updates) - self._cursor
-
-    def apply_next(self, graph: DynamicGraph) -> EdgeUpdate | None:
-        """Apply the next pending update to ``graph``; None when drained."""
-        if self._cursor >= len(self._updates):
-            return None
-        resolved = self._updates[self._cursor].apply(graph)
-        self._cursor += 1
-        return resolved
-
-    def apply_all(self, graph: DynamicGraph) -> list[EdgeUpdate]:
-        """Apply every remaining update; returns the resolved updates."""
-        resolved = []
-        while (update := self.apply_next(graph)) is not None:
-            resolved.append(update)
-        return resolved
-
-    def reset(self) -> None:
-        """Rewind the cursor (the caller must supply a fresh graph)."""
-        self._cursor = 0
-
-
 def random_update_stream(
     graph: DynamicGraph,
     count: int,
     rng: random.Random | None = None,
-) -> UpdateStream:
+) -> list[EdgeUpdate]:
     """Generate ``count`` toggle updates with endpoints uniform over V.
 
     This matches the experimental setup of Section VIII-B: "each update
@@ -116,4 +70,4 @@ def random_update_stream(
     for _ in range(count):
         u, v = rng.sample(nodes, 2)
         updates.append(EdgeUpdate(u, v, "toggle"))
-    return UpdateStream(updates)
+    return updates

@@ -74,12 +74,6 @@ class Gauge:
         if value > self.high_water:
             self.high_water = value
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.set(self.value + amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
     def reset(self) -> None:
         self.value = 0.0
         self.high_water = 0.0
@@ -251,11 +245,6 @@ _global_registry = MetricsRegistry()
 def get_metrics() -> MetricsRegistry:
     """The process-wide default registry."""
     return _global_registry
-
-
-def reset_metrics() -> None:
-    """Zero the default registry (benchmark / test hygiene)."""
-    _global_registry.reset()
 
 
 def process_stats() -> dict[str, float | int]:

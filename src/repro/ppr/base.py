@@ -419,11 +419,6 @@ class DynamicPPRAlgorithm(ABC):
         """Paper-default hyperparameter values for the current graph."""
         return {}
 
-    def reset_to_defaults(self) -> None:
-        defaults = self.default_hyperparameters()
-        if defaults:
-            self.set_hyperparameters(**defaults)
-
     def __repr__(self) -> str:
         hps = ", ".join(
             f"{k}={v:.3g}" for k, v in self.get_hyperparameters().items()

@@ -20,7 +20,7 @@ but an O(1) facade per graph version:
   which seeded answer a query gets never depends on when a repack ran.
 * **In-rows on demand** — a view holds out-rows always and in-rows
   only once a reverse-push caller asks (``csr_view(graph,
-  reverse=True)``: Agenda, TopPPR, BiPPR).  The graph builds them as
+  reverse=True)``: Agenda, TopPPR).  The graph builds them as
   one vectorised transpose of its out-rows, listing each row's
   in-neighbours by ascending source index, and patches them on every
   mutation from then on.  A graph served by forward push and walks

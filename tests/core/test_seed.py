@@ -12,6 +12,7 @@ from repro.graph.updates import EdgeUpdate
 from repro.ppr.base import PPRParams
 from repro.ppr.fora import Fora
 from repro.ppr.power_iteration import ppr_exact
+from tests.core.seed_executor import ApplyExecutor, drain
 
 ALPHA = 0.2
 
@@ -132,7 +133,7 @@ class TestSeedQueue:
         queue = SeedQueue(graph, ALPHA, epsilon_r=10.0)
         queue.add(EdgeUpdate(0, 3), arrival=1.0)
         queue.add(EdgeUpdate(3, 4), arrival=2.0)
-        flushed = queue.flush(alg)
+        flushed = drain(ApplyExecutor(alg), queue)
         assert [f.arrival for f in flushed] == [1.0, 2.0]
         assert graph.has_edge(0, 3)
         assert graph.has_edge(3, 4)

@@ -1,13 +1,12 @@
-"""Regression tests for the Issue-3 SeedQueue fixes.
+"""Regression tests for the SeedQueue's consistency under failure.
 
-Bug 1: ``flush`` cleared ``_pending``/``_degree_delta`` *before*
-applying, so a failing update silently dropped every remaining update
-and left the overlay desynced from the graph.  Now each update is
-applied before it is popped and the failure propagates.
+A deferred update is applied before it is popped
+(:func:`repro.queueing.replay.apply_head`), so a failing update
+propagates and stays at the head, with the degree overlay and the
+parity set describing exactly the remaining suffix.
 
-Bug 2: ``_edge_exists_pending`` scanned the whole pending queue per
-``add`` (O(n^2) growth under sustained overload); it is now an O(1)
-parity-set lookup.
+``_edge_exists_pending`` is an O(1) parity-set lookup; scanning the
+whole pending queue per ``add`` made sustained overload O(n^2).
 """
 
 import pytest
@@ -17,6 +16,8 @@ from repro.graph.digraph import DynamicGraph
 from repro.graph.updates import EdgeUpdate
 from repro.ppr.base import PPRParams
 from repro.ppr.fora import Fora
+from repro.queueing.replay import apply_head
+from tests.core.seed_executor import ApplyExecutor, drain
 
 ALPHA = 0.2
 
@@ -25,19 +26,9 @@ def make_graph():
     return DynamicGraph.from_edges([(0, 1), (1, 2), (2, 0), (0, 2)])
 
 
-class FlakyApplier:
-    """Applies updates to a graph, raising on chosen call numbers."""
-
-    def __init__(self, graph, fail_on=()):
-        self.graph = graph
-        self.fail_on = set(fail_on)
-        self.calls = 0
-
-    def apply_update(self, update):
-        self.calls += 1
-        if self.calls in self.fail_on:
-            raise RuntimeError(f"injected failure on call {self.calls}")
-        return update.apply(self.graph)
+def flaky(graph, fail_on):
+    """An executor over FORA on ``graph`` that raises on ``fail_on``."""
+    return ApplyExecutor(Fora(graph, PPRParams(walk_cap=100)), fail_on)
 
 
 class TestFlushExceptionSafety:
@@ -46,7 +37,7 @@ class TestFlushExceptionSafety:
         queue = SeedQueue(graph, ALPHA, epsilon_r=10.0)
         queue.add(EdgeUpdate(0, 3))
         with pytest.raises(RuntimeError, match="injected"):
-            queue.flush(FlakyApplier(graph, fail_on={1}))
+            drain(flaky(graph, fail_on={1}), queue)
 
     def test_failing_update_stays_at_head(self):
         graph = make_graph()
@@ -54,9 +45,9 @@ class TestFlushExceptionSafety:
         queue.add(EdgeUpdate(0, 3), arrival=1.0)
         queue.add(EdgeUpdate(3, 4), arrival=2.0)  # will fail
         queue.add(EdgeUpdate(4, 5), arrival=3.0)
-        applier = FlakyApplier(graph, fail_on={2})
+        executor = flaky(graph, fail_on={2})
         with pytest.raises(RuntimeError):
-            queue.flush(applier)
+            drain(executor, queue)
         # applied prefix removed, failing update still queued first
         assert graph.has_edge(0, 3)
         assert len(queue) == 2
@@ -71,9 +62,9 @@ class TestFlushExceptionSafety:
         queue = SeedQueue(graph, ALPHA, epsilon_r=10.0)
         queue.add(EdgeUpdate(0, 3))  # applies fine -> graph d_out(0)=3
         queue.add(EdgeUpdate(0, 4))  # fails, stays pending (overlay +1)
-        applier = FlakyApplier(graph, fail_on={2})
+        executor = flaky(graph, fail_on={2})
         with pytest.raises(RuntimeError):
-            queue.flush(applier)
+            drain(executor, queue)
         # graph d_out(0)=3, pending (0,4) adds 1, new update adds 1 -> 5
         item = queue.add(EdgeUpdate(0, 5))
         assert item.factor == pytest.approx(
@@ -85,20 +76,20 @@ class TestFlushExceptionSafety:
         queue = SeedQueue(graph, ALPHA, epsilon_r=10.0)
         for update in (EdgeUpdate(0, 3), EdgeUpdate(3, 4), EdgeUpdate(4, 5)):
             queue.add(update)
-        applier = FlakyApplier(graph, fail_on={2})
+        executor = flaky(graph, fail_on={2})
         with pytest.raises(RuntimeError):
-            queue.flush(applier)
-        flushed = queue.flush(applier)  # transient: retry works
+            drain(executor, queue)
+        flushed = drain(executor, queue)  # transient: retry works
         assert [f.update.v for f in flushed] == [4, 5]
         assert len(queue) == 0
         assert queue.error_bound(0) == 0.0
 
-    def test_flush_one_failure_keeps_item_queued(self):
+    def test_idle_drain_failure_keeps_item_queued(self):
         graph = make_graph()
         queue = SeedQueue(graph, ALPHA, epsilon_r=10.0)
         queue.add(EdgeUpdate(0, 3))
         with pytest.raises(RuntimeError):
-            queue.flush_one(FlakyApplier(graph, fail_on={1}))
+            apply_head(flaky(graph, fail_on={1}), queue, flushing=False)
         assert len(queue) == 1
         assert not graph.has_edge(0, 3)
 
@@ -183,6 +174,6 @@ class TestAddComplexity:
             (u, v): queue._edge_exists_pending(u, v)
             for (u, v) in set(edges)
         }
-        queue.flush(algo)
+        drain(ApplyExecutor(algo), queue)
         for (u, v), exists in predicted.items():
             assert graph.has_edge(u, v) == exists

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.digraph import DynamicGraph
-from repro.graph.updates import EdgeUpdate, UpdateStream, random_update_stream
+from repro.graph.updates import EdgeUpdate, random_update_stream
 
 
 class TestEdgeUpdate:
@@ -47,37 +47,7 @@ class TestEdgeUpdate:
             update.u = 5
 
 
-class TestUpdateStream:
-    def test_apply_next_in_order(self):
-        g = DynamicGraph(num_nodes=3)
-        stream = UpdateStream([EdgeUpdate(0, 1), EdgeUpdate(1, 2)])
-        first = stream.apply_next(g)
-        assert (first.u, first.v) == (0, 1)
-        assert stream.remaining == 1
-        stream.apply_next(g)
-        assert stream.apply_next(g) is None
-
-    def test_apply_all(self):
-        g = DynamicGraph(num_nodes=4)
-        stream = UpdateStream([EdgeUpdate(0, 1), EdgeUpdate(0, 1), EdgeUpdate(2, 3)])
-        resolved = stream.apply_all(g)
-        assert [r.kind for r in resolved] == ["insert", "delete", "insert"]
-        assert g.num_edges == 1
-
-    def test_reset(self):
-        stream = UpdateStream([EdgeUpdate(0, 1)])
-        g = DynamicGraph(num_nodes=2)
-        stream.apply_all(g)
-        stream.reset()
-        assert stream.remaining == 1
-
-    def test_len_and_indexing(self):
-        stream = UpdateStream([EdgeUpdate(0, 1), EdgeUpdate(2, 3)])
-        assert len(stream) == 2
-        assert stream[1].u == 2
-
-
-class TestRandomUpdateStream:
+class TestRandomUpdates:
     def test_endpoints_from_initial_nodes(self):
         g = DynamicGraph(num_nodes=10)
         stream = random_update_stream(g, 50, rng=random.Random(0))
@@ -103,6 +73,7 @@ def test_stream_replay_reaches_same_graph(pairs):
     updates = [EdgeUpdate(u, v) for u, v in pairs]
     g1 = DynamicGraph(num_nodes=10)
     g2 = DynamicGraph(num_nodes=10)
-    UpdateStream(updates).apply_all(g1)
-    UpdateStream(updates).apply_all(g2)
+    for graph in (g1, g2):
+        for update in updates:
+            update.apply(graph)
     assert set(g1.edges()) == set(g2.edges())

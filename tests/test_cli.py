@@ -19,6 +19,16 @@ class TestParser:
         assert args.algorithm == "Agenda"
         assert not args.quota
 
+    def test_run_help_states_the_rate_and_window_defaults(self, capsys):
+        """``--lambda-u`` silently defaulting to the dataset's lambda_q
+        (ratio 1) is spelled out in ``run --help``."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "(default: the dataset's lambda_q)" in text
+        assert "1:1 update/query ratio" in text
+        assert "(default: the dataset's window)" in text
+
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--algorithm", "PageRank9000"])

@@ -16,7 +16,6 @@ EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
         "related_pins.py",
         "gaming_incentive.py",
         "adaptive_reconfiguration.py",
-        "anomaly_tracking.py",
     ],
 )
 def test_example_runs(script):
@@ -29,5 +28,4 @@ def test_example_runs(script):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    marker = "ALARM" if script == "anomaly_tracking.py" else "response"
-    assert marker in proc.stdout
+    assert "response" in proc.stdout
